@@ -6,7 +6,10 @@ covered.  Randomized criteria derive their generators deterministically
 from the master seed, so reports are reproducible byte for byte.
 
 The checks deliberately re-verify from first principles rather than
-importing test helpers: this module is the one the command line exposes.
+importing test helpers.  The trial loops and single checks are functions of
+their parameters (an ``rng``, a size and a trial count, or a root system);
+the criteria call them with fixed values and the command line calls the
+same functions with the user's flags.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from fractions import Fraction
 from itertools import permutations
 
 from . import crosssec, qarith, rootsys, toda, uqalg
-from .qarith import LaurentScalar, q_binom, qpow
-from .ratmat import charpoly, eye, mat, minv, mmul, rank
+from .qarith import ZERO, LaurentScalar
+from .ratmat import charpoly, mat, minv, mmul, rank
 
 F = Fraction
 
@@ -69,17 +72,39 @@ def criterion_1(seed=0):
     return _report(1, "cayley-identity", ok, entries_checked=checked)
 
 
+def qbinom_scan_row(m):
+    """Vanishing set of the order-m alternating Gauss sum, the expected set
+    {m-1, m-3, ..., 1-m}, and whether both edges m-1 and 1-m are in it."""
+    got = sorted(qarith.qbinom_root_scan(m))
+    want = sorted({m - 1 - 2 * p for p in range(m)})
+    return got, want, (m - 1 in got) and (-(m - 1) in got)
+
+
 def criterion_2(seed=0):
     """Vanishing set of the alternating Gauss sum."""
     ok = True
     rows = []
     for m in range(1, 7):
-        got = sorted(qarith.qbinom_root_scan(m))
-        want = sorted({m - 1 - 2 * p for p in range(m)})
-        edge = (m - 1 in got) and (-(m - 1) in got)
+        got, want, edge = qbinom_scan_row(m)
         rows.append({"m": m, "set": got, "match": got == want, "edges": edge})
         ok = ok and got == want and edge
     return _report(2, "qbinomial-vanishing", ok, scans=rows)
+
+
+def serre_sums(rs, orderings):
+    """Number of deformed Serre character sums over the given orderings and
+    whether every one of them vanishes."""
+    checked = 0
+    all_zero = True
+    for pi in orderings:
+        ctx = rootsys.coxeter_context(rs, pi)
+        for i in range(rs.rank):
+            for j in range(rs.rank):
+                if i != j:
+                    checked += 1
+                    total = sum(uqalg.serre_coefficients(ctx, i, j), ZERO)
+                    all_zero = all_zero and total.is_zero()
+    return checked, all_zero
 
 
 def criterion_3(seed=0):
@@ -88,23 +113,9 @@ def criterion_3(seed=0):
     ok = True
     for series, rank in SERRE_TYPES:
         rs = rootsys.build_root_system(series, rank)
-        for pi in permutations(range(1, rank + 1)):
-            ctx = rootsys.coxeter_context(rs, pi)
-            for i in range(rank):
-                for j in range(rank):
-                    if i == j:
-                        continue
-                    m = 1 - rs.cartan[i][j]
-                    total = LaurentScalar.zero()
-                    for r in range(m + 1):
-                        term = q_binom(m, r, rs.d[i]) * qpow(
-                            F(r) * ctx.cayley[i][j])
-                        if r % 2:
-                            term = term * (-1)
-                        total = total + term
-                    checked += 1
-                    if not total.is_zero():
-                        ok = False
+        n, good = serre_sums(rs, permutations(range(1, rank + 1)))
+        checked += n
+        ok = ok and good
     return _report(3, "serre-character-identities", ok,
                    identities_checked=checked)
 
@@ -130,7 +141,8 @@ def criterion_4(seed=0):
                    root_vectors_checked=checked)
 
 
-def _central_against_generators(alg, c):
+def is_central(alg, c):
+    """Does c commute with every e_i, f_i and K_{alpha_i}?"""
     rank = alg.rs.rank
     gens = [alg.e(i) for i in range(rank)] + [alg.f(i) for i in range(rank)]
     gens += [alg.k(tuple(1 if k == i else 0 for k in range(rank)))
@@ -146,7 +158,7 @@ def criterion_5(seed=0):
         alg = _algebra(series, rank)
         for name in reps:
             c = uqalg.casimir_CV(alg, uqalg.rep_matrices(alg, name))
-            good = _central_against_generators(alg, c)
+            good = is_central(alg, c)
             cases.append({"type": f"{series}{rank}", "rep": name,
                           "central": good})
             ok = ok and good
@@ -221,27 +233,42 @@ def criterion_8(seed=0):
     return _report(8, "yang-baxter", ok, **results)
 
 
+def _check_trials(trials):
+    if trials < 0:
+        raise ValueError(f"need --trials >= 0, got {trials}")
+
+
+def cross_section_trials(rng, n, trials):
+    """Successes out of `trials` random cell elements m = v s u of SL(n):
+    the cross-section lands on the slice, conjugates m there, keeps the
+    characteristic polynomial, and is unchanged (with the conjugator moved
+    along) when m is first conjugated by a random unitriangular g."""
+    _check_trials(trials)
+    s = crosssec.coxeter_rep(n)
+    good = 0
+    for _ in range(trials):
+        v = _rnd_unitriangular(rng, n)
+        u = _rnd_unitriangular(rng, n)
+        m = mmul(mmul(v, s), u)
+        conj, point = crosssec.cross_section(m)
+        g = _rnd_unitriangular(rng, n)
+        conj2, point2 = crosssec.cross_section(mmul(mmul(g, m), minv(g)))
+        if (crosssec.is_slice_point(point)
+                and mmul(mmul(conj, m), minv(conj)) == point
+                and charpoly(m) == charpoly(point)
+                and point2 == point
+                and conj2 == mmul(conj, minv(g))):
+            good += 1
+    return good
+
+
 def criterion_9(seed=0):
     """Group cross-section: slice landing, invariants, uniqueness, oracle."""
     rng = random.Random(seed * 1009 + 9)
     ok = True
     per_n = {}
     for n in (2, 3, 4, 5):
-        s = crosssec.coxeter_rep(n)
-        good = 0
-        for _ in range(50):
-            v = _rnd_unitriangular(rng, n)
-            u = _rnd_unitriangular(rng, n)
-            m = mmul(mmul(v, s), u)
-            conj, point = crosssec.cross_section(m)
-            g = _rnd_unitriangular(rng, n)
-            conj2, point2 = crosssec.cross_section(mmul(mmul(g, m), minv(g)))
-            if (crosssec.is_slice_point(point)
-                    and mmul(mmul(conj, m), minv(conj)) == point
-                    and charpoly(m) == charpoly(point)
-                    and point2 == point
-                    and conj2 == mmul(conj, minv(g))):
-                good += 1
+        good = cross_section_trials(rng, n, 50)
         per_n[f"n{n}"] = good
         ok = ok and good == 50
     oracle = 0
@@ -298,36 +325,110 @@ def criterion_10(seed=0):
     return _report(10, "qmap-fibers", ok, **detail)
 
 
+def kostant_round_trip(b):
+    """Kostant section (a, x) of a traceless upper-triangular b, the
+    companion coordinates read off x + f, the characteristic polynomial of
+    b + f, and three checks: a (b + f) a^-1 = x + f, the characteristic
+    polynomial is kept, and the coordinates are the first row of x."""
+    n = len(b)
+    a, x = crosssec.kostant_section(b)
+    f = crosssec.shift_matrix(n)
+    bf = mat([[b[i][j] + f[i][j] for j in range(n)] for i in range(n)])
+    xf = mat([[x[i][j] + f[i][j] for j in range(n)] for i in range(n)])
+    poly_b, poly_x = charpoly(bf), charpoly(xf)
+    coords = [-poly_x[n - 2 - k] for k in range(n - 1)]
+    checks = (mmul(mmul(a, bf), minv(a)) == xf,
+              poly_b == poly_x,
+              coords == [x[0][k + 1] for k in range(n - 1)])
+    return a, x, coords, poly_b, checks
+
+
+def kostant_trials(rng, n, trials):
+    """Successes out of `trials` random traceless upper-triangular b of size
+    n whose Kostant section passes every check of kostant_round_trip."""
+    _check_trials(trials)
+    good = 0
+    for _ in range(trials):
+        b = [[F(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                b[i][j] = _rnd_frac(rng)
+            if i < n - 1:
+                b[i][i] = _rnd_frac(rng)
+        b[n - 1][n - 1] = -sum(b[i][i] for i in range(n - 1))
+        if all(kostant_round_trip(mat(b))[4]):
+            good += 1
+    return good
+
+
 def criterion_11(seed=0):
     """Kostant section round trip and companion coordinates."""
     rng = random.Random(seed * 1009 + 11)
     ok = True
     detail = {}
     for n in (2, 3):
-        f = crosssec.shift_matrix(n)
-        good = 0
-        for _ in range(50):
-            b = [[F(0)] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(i + 1, n):
-                    b[i][j] = _rnd_frac(rng)
-                if i < n - 1:
-                    b[i][i] = _rnd_frac(rng)
-            b[n - 1][n - 1] = -sum(b[i][i] for i in range(n - 1))
-            b = mat(b)
-            a, x = crosssec.kostant_section(b)
-            bf = mat([[b[i][j] + f[i][j] for j in range(n)]
-                      for i in range(n)])
-            xf = mat([[x[i][j] + f[i][j] for j in range(n)]
-                      for i in range(n)])
-            coords = [-charpoly(xf)[n - 2 - k] for k in range(n - 1)]
-            if (mmul(mmul(a, bf), minv(a)) == xf
-                    and charpoly(bf) == charpoly(xf)
-                    and coords == [x[0][k + 1] for k in range(n - 1)]):
-                good += 1
+        good = kostant_trials(rng, n, 50)
         detail[f"round_trips_n{n}"] = good
         ok = ok and good == 50
     return _report(11, "kostant-section", ok, **detail)
+
+
+def mcybe_trials(rng, n, trials):
+    """Successes out of `trials` random traceless pairs (x, y) of size n
+    whose modified classical Yang-Baxter residual vanishes."""
+    _check_trials(trials)
+    zero = mat([[0] * n for _ in range(n)])
+    good = 0
+    for _ in range(trials):
+        x = [[_rnd_frac(rng) for _ in range(n)] for _ in range(n)]
+        x[n - 1][n - 1] -= sum(x[i][i] for i in range(n))
+        y = [[_rnd_frac(rng) for _ in range(n)] for _ in range(n)]
+        y[n - 1][n - 1] -= sum(y[i][i] for i in range(n))
+        if crosssec.mcybe_check(mat(x), mat(y)) == zero:
+            good += 1
+    return good
+
+
+def rmatrix_subspaces(n):
+    """Do r_+ and r_- have image of dimension n(n+1)/2 - 1, land in the
+    upper and lower triangular matrices, and kill the strictly lower and
+    strictly upper root vectors respectively?"""
+    zero = mat([[0] * n for _ in range(n)])
+    basis = []
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                e = [[F(0)] * n for _ in range(n)]
+                e[i][j] = F(1)
+                basis.append(mat(e))
+    for i in range(n - 1):
+        e = [[F(0)] * n for _ in range(n)]
+        e[i][i] = F(1)
+        e[i + 1][i + 1] = F(-1)
+        basis.append(mat(e))
+    spaces = True
+    for part, upper in (("plus", True), ("minus", False)):
+        r = crosssec.rmatrix_endo(n, part)
+        images = [tuple(v for row in r(x) for v in row) for x in basis]
+        live = [v for v in images if any(v)]
+        if rank(mat(live)) != n * (n + 1) // 2 - 1:
+            spaces = False
+        for x in basis:
+            y = r(x)
+            tri_ok = (crosssec.is_upper_triangular(y) if upper
+                      else crosssec.is_lower_triangular(y))
+            if not tri_ok:
+                spaces = False
+        for i in range(n):
+            for j in range(n):
+                if i == j:
+                    continue
+                e = [[F(0)] * n for _ in range(n)]
+                e[i][j] = F(1)
+                killed = (i > j) if part == "plus" else (i < j)
+                if killed and r(mat(e)) != zero:
+                    spaces = False
+    return spaces
 
 
 def criterion_12(seed=0):
@@ -336,51 +437,10 @@ def criterion_12(seed=0):
     ok = True
     detail = {}
     for n in (2, 3, 4):
-        zero = mat([[0] * n for _ in range(n)])
-        good = 0
-        for _ in range(50):
-            x = [[_rnd_frac(rng) for _ in range(n)] for _ in range(n)]
-            x[n - 1][n - 1] -= sum(x[i][i] for i in range(n))
-            y = [[_rnd_frac(rng) for _ in range(n)] for _ in range(n)]
-            y[n - 1][n - 1] -= sum(y[i][i] for i in range(n))
-            if crosssec.mcybe_check(mat(x), mat(y)) == zero:
-                good += 1
+        good = mcybe_trials(rng, n, 50)
         detail[f"residual_zero_n{n}"] = good
         ok = ok and good == 50
-        basis = []
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    e = [[F(0)] * n for _ in range(n)]
-                    e[i][j] = F(1)
-                    basis.append(mat(e))
-        for i in range(n - 1):
-            e = [[F(0)] * n for _ in range(n)]
-            e[i][i] = F(1)
-            e[i + 1][i + 1] = F(-1)
-            basis.append(mat(e))
-        spaces = True
-        for part, upper in (("plus", True), ("minus", False)):
-            r = crosssec.rmatrix_endo(n, part)
-            images = [tuple(v for row in r(x) for v in row) for x in basis]
-            live = [v for v in images if any(v)]
-            if rank(mat(live)) != n * (n + 1) // 2 - 1:
-                spaces = False
-            for x in basis:
-                y = r(x)
-                tri_ok = (crosssec.is_upper_triangular(y) if upper
-                          else crosssec.is_lower_triangular(y))
-                if not tri_ok:
-                    spaces = False
-            for i in range(n):
-                for j in range(n):
-                    if i == j:
-                        continue
-                    e = [[F(0)] * n for _ in range(n)]
-                    e[i][j] = F(1)
-                    killed = (i > j) if part == "plus" else (i < j)
-                    if killed and r(mat(e)) != zero:
-                        spaces = False
+        spaces = rmatrix_subspaces(n)
         detail[f"subspaces_n{n}"] = spaces
         ok = ok and spaces
     return _report(12, "classical-rmatrix", ok, **detail)

@@ -23,9 +23,8 @@ import time
 from fractions import Fraction
 from itertools import permutations
 
-from . import acceptance, crosssec, qarith, rootsys, toda, uqalg
-from .qarith import LaurentScalar, q_binom, qpow
-from .ratmat import charpoly, eye, mat, minv, mmul
+from . import acceptance, crosssec, rootsys, toda, uqalg
+from .ratmat import charpoly, eye, mat
 
 F = Fraction
 
@@ -189,9 +188,7 @@ def cmd_qbinom_scan(args):
     scans = []
     all_ok = True
     for m in range(1, top + 1):
-        got = sorted(qarith.qbinom_root_scan(m))
-        want = sorted({m - 1 - 2 * p for p in range(m)})
-        edges = (m - 1 in got) and (-(m - 1) in got)
+        got, want, edges = acceptance.qbinom_scan_row(m)
         scans.append({
             "m": m,
             "vanishing_c": got,
@@ -205,34 +202,13 @@ def cmd_qbinom_scan(args):
     return outputs, checks
 
 
-def _serre_sum(rs, ctx, i, j):
-    m = 1 - rs.cartan[i][j]
-    total = LaurentScalar.zero()
-    for r in range(m + 1):
-        term = q_binom(m, r, rs.d[i]) * qpow(F(r) * ctx.cayley[i][j])
-        if r % 2:
-            term = term * (-1)
-        total = total + term
-    return total
-
-
 def cmd_serre_check(args):
     rs = _root_system(args)
     if args.pi:
         orderings = [_parse_ints(args.pi)]
     else:
         orderings = list(permutations(range(1, rs.rank + 1)))
-    checked = 0
-    all_zero = True
-    for pi in orderings:
-        ctx = rootsys.coxeter_context(rs, pi)
-        for i in range(rs.rank):
-            for j in range(rs.rank):
-                if i == j:
-                    continue
-                checked += 1
-                if not _serre_sum(rs, ctx, i, j).is_zero():
-                    all_zero = False
+    checked, all_zero = acceptance.serre_sums(rs, orderings)
     outputs = {
         "orderings": [list(pi) for pi in orderings],
         "identities_checked": checked,
@@ -246,11 +222,7 @@ def cmd_casimir(args):
     alg = uqalg.Algebra(_context(args))
     rep = uqalg.rep_matrices(alg, args.rep)
     c = uqalg.casimir_CV(alg, rep)
-    rank = alg.rs.rank
-    gens = [alg.e(i) for i in range(rank)] + [alg.f(i) for i in range(rank)]
-    gens += [alg.k(tuple(1 if k == i else 0 for k in range(rank)))
-             for i in range(rank)]
-    central = all(c.commutator(g).is_zero() for g in gens)
+    central = acceptance.is_central(alg, c)
     outputs = {
         "rep": args.rep,
         "term_count": len(c.terms),
@@ -308,18 +280,6 @@ def cmd_toda(args):
     return outputs, checks
 
 
-def _rnd_frac(rng, lo=-4, hi=4, den=3):
-    return F(rng.randint(lo, hi), rng.randint(1, den))
-
-
-def _rnd_unitriangular(rng, n):
-    m = [[F(1) if i == j else F(0) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            m[i][j] = _rnd_frac(rng)
-    return mat(m)
-
-
 def cmd_cross_section(args):
     if args.matrix is None and args.n is None:
         raise ValueError("give --matrix (with optional --n) or --n alone")
@@ -360,22 +320,8 @@ def cmd_cross_section(args):
     n = args.n
     if n < 2:
         raise ValueError("need --n >= 2")
-    rng = random.Random(args.seed)
-    s = crosssec.coxeter_rep(n)
-    good = 0
-    for _ in range(args.trials):
-        v = _rnd_unitriangular(rng, n)
-        u = _rnd_unitriangular(rng, n)
-        m = mmul(mmul(v, s), u)
-        conj, point = crosssec.cross_section(m)
-        g = _rnd_unitriangular(rng, n)
-        conj2, point2 = crosssec.cross_section(mmul(mmul(g, m), minv(g)))
-        if (crosssec.is_slice_point(point)
-                and mmul(mmul(conj, m), minv(conj)) == point
-                and charpoly(m) == charpoly(point)
-                and point2 == point
-                and conj2 == mmul(conj, minv(g))):
-            good += 1
+    good = acceptance.cross_section_trials(random.Random(args.seed), n,
+                                           args.trials)
     outputs = {"n": n, "trials": args.trials, "successes": good}
     checks = {"all_trials_ok": good == args.trials}
     return outputs, checks
@@ -390,80 +336,37 @@ def cmd_kostant_section(args):
         if args.n is not None and args.n != n:
             raise ValueError(
                 f"--n {args.n} disagrees with the {n}-row matrix")
-        a, x = crosssec.kostant_section(b)
-        f = crosssec.shift_matrix(n)
-        bf = mat([[b[i][j] + f[i][j] for j in range(n)] for i in range(n)])
-        xf = mat([[x[i][j] + f[i][j] for j in range(n)] for i in range(n)])
-        coords = [-charpoly(xf)[n - 2 - k] for k in range(n - 1)]
+        a, x, coords, poly, (conj_ok, poly_ok, coords_ok) = (
+            acceptance.kostant_round_trip(b))
         outputs = {
             "b": _ser_mat(b),
             "conjugator": _ser_mat(a),
             "section_point": _ser_mat(x),
             "companion_coordinates": _ser_vec(coords),
-            "char_poly": _ser_vec(charpoly(bf)),
+            "char_poly": _ser_vec(poly),
         }
         checks = {
-            "conjugation_identity": mmul(mmul(a, bf), minv(a)) == xf,
-            "char_poly_preserved": charpoly(bf) == charpoly(xf),
-            "coordinates_read_off_first_row": coords == [
-                x[0][k + 1] for k in range(n - 1)],
+            "conjugation_identity": conj_ok,
+            "char_poly_preserved": poly_ok,
+            "coordinates_read_off_first_row": coords_ok,
         }
         return outputs, checks
     n = args.n
     if n < 2:
         raise ValueError("need --n >= 2")
-    rng = random.Random(args.seed)
-    f = crosssec.shift_matrix(n)
-    good = 0
-    for _ in range(args.trials):
-        b = [[F(0)] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                b[i][j] = _rnd_frac(rng)
-            if i < n - 1:
-                b[i][i] = _rnd_frac(rng)
-        b[n - 1][n - 1] = -sum(b[i][i] for i in range(n - 1))
-        b = mat(b)
-        a, x = crosssec.kostant_section(b)
-        bf = mat([[b[i][j] + f[i][j] for j in range(n)] for i in range(n)])
-        xf = mat([[x[i][j] + f[i][j] for j in range(n)] for i in range(n)])
-        if (mmul(mmul(a, bf), minv(a)) == xf
-                and charpoly(bf) == charpoly(xf)):
-            good += 1
+    good = acceptance.kostant_trials(random.Random(args.seed), n, args.trials)
     outputs = {"n": n, "trials": args.trials, "successes": good}
     checks = {"all_trials_ok": good == args.trials}
     return outputs, checks
 
 
 def cmd_rmatrix_check(args):
-    n = args.n if args.n else 3
+    # an omitted --n stays out of the report's inputs
+    n = 3 if args.n is None else args.n
     if n < 2:
         raise ValueError("need --n >= 2")
-    rng = random.Random(args.seed)
-    zero = mat([[0] * n for _ in range(n)])
-    good = 0
-    for _ in range(args.trials):
-        x = [[_rnd_frac(rng) for _ in range(n)] for _ in range(n)]
-        x[n - 1][n - 1] -= sum(x[i][i] for i in range(n))
-        y = [[_rnd_frac(rng) for _ in range(n)] for _ in range(n)]
-        y[n - 1][n - 1] -= sum(y[i][i] for i in range(n))
-        if crosssec.mcybe_check(mat(x), mat(y)) == zero:
-            good += 1
-    half_ok = True
-    for part, upper in (("plus", True), ("minus", False)):
-        r = crosssec.rmatrix_endo(n, part)
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                e = [[F(0)] * n for _ in range(n)]
-                e[i][j] = F(1)
-                y = r(mat(e))
-                tri_ok = (crosssec.is_upper_triangular(y) if upper
-                          else crosssec.is_lower_triangular(y))
-                killed = (i > j) if part == "plus" else (i < j)
-                if not tri_ok or (killed and y != zero):
-                    half_ok = False
+    good = acceptance.mcybe_trials(random.Random(args.seed), n, args.trials)
+    half_ok = acceptance.rmatrix_subspaces(n)
     outputs = {
         "n": n,
         "trials": args.trials,

@@ -66,10 +66,6 @@ def is_unitriangular_upper(m: Mat) -> bool:
     return is_upper_triangular(m) and all(m[i][i] == 1 for i in range(len(m)))
 
 
-def is_unitriangular_lower(m: Mat) -> bool:
-    return is_lower_triangular(m) and all(m[i][i] == 1 for i in range(len(m)))
-
-
 def is_traceless(m: Mat) -> bool:
     return sum(m[i][i] for i in range(_dim(m))) == 0
 

@@ -9,7 +9,7 @@ test never needs numerics.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -124,13 +124,6 @@ class LaurentScalar:
     @classmethod
     def q_power(cls, e) -> "LaurentScalar":
         return cls({_as_fraction(e): F1}, {F0: F1}, canonical=True)
-
-    @classmethod
-    def monomial(cls, coeff, e) -> "LaurentScalar":
-        coeff = _as_fraction(coeff)
-        if not coeff:
-            return cls.zero()
-        return cls({_as_fraction(e): coeff}, {F0: F1}, canonical=True)
 
     # -- predicates ---------------------------------------------------------
     def is_zero(self) -> bool:
@@ -248,18 +241,33 @@ class LaurentScalar:
     def eps_series(self, order: int) -> list[Fraction]:
         """Coefficients of eps^0..eps^order after substituting q = 1 + eps.
 
-        Requires a polynomial value (trivial denominator); exponents may be
-        fractional, handled by the generalised binomial series.
+        Fractional exponents are handled by the generalised binomial series;
+        the denominator is inverted as a power series, so it must not
+        vanish at q = 1.
         """
-        if not self.is_polynomial():
-            raise ValueError("eps expansion requires a laurent polynomial")
-        out = [F0] * (order + 1)
-        for e, c in self.num.items():
-            term = F1
-            for k in range(order + 1):
-                out[k] += c * term
-                term = term * (e - k) / (k + 1)
-        return out
+
+        def expand(d):
+            out = [F0] * (order + 1)
+            for e, c in d.items():
+                binom = F1
+                for k in range(order + 1):
+                    out[k] += c * binom
+                    binom = binom * (e - k) / (k + 1)
+            return out
+
+        num = expand(self.num)
+        den = expand(self.den)
+        if den[0] == 0:
+            raise ZeroDivisionError("coefficient has a pole at q = 1")
+        inv = [F0] * (order + 1)
+        inv[0] = 1 / den[0]
+        for k in range(1, order + 1):
+            acc = sum(den[j] * inv[k - j] for j in range(1, k + 1))
+            inv[k] = -acc / den[0]
+        return [
+            sum(num[j] * inv[k - j] for j in range(k + 1))
+            for k in range(order + 1)
+        ]
 
     # -- formatting ---------------------------------------------------------
     @staticmethod
@@ -350,20 +358,21 @@ def q_paren(n: int, t: LaurentScalar) -> LaurentScalar:
     return out
 
 
-def q_paren_factorial(n: int, t: LaurentScalar) -> LaurentScalar:
-    out = ONE
-    for k in range(2, n + 1):
-        out = out * q_paren(k, t)
+def alternating_qbinom_terms(m: int, d, c) -> list[LaurentScalar]:
+    """Terms (-1)^k [m choose k]_{q^d} q^{kc}, k = 0..m, of the alternating
+    Gauss sum.  With m = 1 - a_ij, d = d_i and c the Cayley pairing c_ij they
+    are the coefficients of the deformed Serre relator."""
+    out = []
+    for k in range(m + 1):
+        term = q_binom(m, k, d) * qpow(k * c)
+        out.append(-term if k % 2 else term)
     return out
 
 
 def gauss_product_check(m: int, c: int) -> LaurentScalar:
     """Return sum_k (-1)^k [m choose k] q^{kc} after checking it equals the
     factored form prod_{p=0}^{m-1} (1 - q^{m-1-2p+c})."""
-    total = ZERO
-    for k in range(m + 1):
-        term = q_binom(m, k) * qpow(k * c)
-        total = total + term if k % 2 == 0 else total - term
+    total = sum(alternating_qbinom_terms(m, 1, c), ZERO)
     prod = ONE
     for p in range(m):
         prod = prod * (ONE - qpow(m - 1 - 2 * p + c))

@@ -72,21 +72,37 @@ def transpose(a: Mat) -> Mat:
     return tuple(zip(*a))
 
 
+def _rref(work: list, ncols: int):
+    """Gauss-Jordan on the first ncols columns of the row lists in work,
+    in place; stops once every row holds a pivot.  Returns the reduced rows
+    and the pivot columns."""
+    n = len(work)
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, n) if work[i][col]), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        inv = 1 / work[r][col]
+        work[r] = [x * inv for x in work[r]]
+        for i in range(n):
+            if i != r and work[i][col]:
+                f = work[i][col]
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        pivots.append(col)
+        r += 1
+        if r == n:
+            break
+    return work, pivots
+
+
 def minv(a: Mat) -> Mat:
     n = len(a)
-    work = [list(row) + [F1 if i == j else F0 for j in range(n)]
-            for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col]), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        work[col], work[piv] = work[piv], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [x * inv for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
+    work, pivots = _rref([list(row) + [F1 if i == j else F0 for j in range(n)]
+                          for i, row in enumerate(a)], n)
+    if len(pivots) < n:
+        raise ZeroDivisionError("singular matrix")
     return tuple(tuple(row[n:]) for row in work)
 
 
@@ -128,89 +144,15 @@ def charpoly(a: Mat) -> list[Fraction]:
 def solve(a: Mat, b: Vec) -> Vec | None:
     """One solution of a x = b, or None when inconsistent.  Requires the
     system to determine x uniquely on its pivot columns; free columns get 0."""
-    n, m = len(a), len(a[0])
-    work = [list(row) + [bv] for row, bv in zip(a, b)]
-    pivots = []
-    r = 0
-    for col in range(m):
-        piv = next((i for i in range(r, n) if work[i][col]), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = 1 / work[r][col]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(n):
-            if i != r and work[i][col]:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append(col)
-        r += 1
-        if r == n:
-            break
-    for i in range(r, n):
-        if work[i][m]:
-            return None
+    m = len(a[0])
+    work, pivots = _rref([list(row) + [bv] for row, bv in zip(a, b)], m)
+    if any(row[m] for row in work[len(pivots):]):
+        return None
     x = [F0] * m
-    for i, col in enumerate(pivots):
-        x[col] = work[i][m]
+    for row, col in zip(work, pivots):
+        x[col] = row[m]
     return tuple(x)
 
 
 def rank(a: Mat) -> int:
-    n, m = len(a), len(a[0])
-    work = [list(row) for row in a]
-    r = 0
-    for col in range(m):
-        piv = next((i for i in range(r, n) if work[i][col]), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = 1 / work[r][col]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(n):
-            if i != r and work[i][col]:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        r += 1
-        if r == n:
-            break
-    return r
-
-
-def kernel_basis(a: Mat) -> list[Vec]:
-    n, m = len(a), len(a[0])
-    work = [list(row) for row in a]
-    pivots: list[int] = []
-    r = 0
-    for col in range(m):
-        piv = next((i for i in range(r, n) if work[i][col]), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = 1 / work[r][col]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(n):
-            if i != r and work[i][col]:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append(col)
-        r += 1
-    free = [c for c in range(m) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [F0] * m
-        v[fc] = F1
-        for i, pc in enumerate(pivots):
-            v[pc] = -work[i][fc]
-        basis.append(tuple(v))
-    return basis
-
-
-def span_equals(a: list[Vec], b: list[Vec]) -> bool:
-    """Do two lists of row vectors span the same subspace?"""
-    ra = rank(tuple(a)) if a else 0
-    rb = rank(tuple(b)) if b else 0
-    if not a and not b:
-        return True
-    both = rank(tuple(list(a) + list(b)))
-    return ra == rb == both
+    return len(_rref([list(row) for row in a], len(a[0]))[1])

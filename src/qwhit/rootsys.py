@@ -131,9 +131,6 @@ class RootSystemData:
             raise RuntimeError("form matrix is singular")
         return sol
 
-    def root_height(self, root):
-        return sum(root)
-
 
 def build_root_system(series, rank):
     """Construct the root-system datum for one of the supported finite types.
@@ -254,14 +251,18 @@ def epsilon_matrix(pi):
     return eps
 
 
+def cayley_transform(ctx):
+    """The Cayley transform (1+s)/(1-s) of the Coxeter element, acting on
+    simple-root coordinates."""
+    s = ratmat.mat(ctx.s_matrix)
+    one = ratmat.eye(ctx.rs.rank)
+    return ratmat.mmul(ratmat.madd(one, s), ratmat.minv(ratmat.msub(one, s)))
+
+
 def cayley_matrix(ctx):
     """Pairing matrix ((1+s)/(1-s) alpha_i, alpha_j) of the Cayley transform."""
-    rs = ctx.rs
-    l = rs.rank
-    s = ratmat.mat(ctx.s_matrix)
-    one = ratmat.eye(l)
-    t = ratmat.mmul(ratmat.madd(one, s), ratmat.minv(ratmat.msub(one, s)))
-    return ratmat.mmul(ratmat.transpose(t), ratmat.mat(rs.bform))
+    t = cayley_transform(ctx)
+    return ratmat.mmul(ratmat.transpose(t), ratmat.mat(ctx.rs.bform))
 
 
 def _check_permutation(rs, pi):
@@ -280,17 +281,6 @@ class CoxeterContext:
     epsilon: tuple
     twist: tuple
     coxeter_number: int
-
-    def cayley_pair(self, x, y):
-        """Bilinear extension of the Cayley pairing to coordinate vectors."""
-        total = Fraction(0)
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if yj:
-                    total += Fraction(xi) * self.cayley[i][j] * yj
-        return total
 
 
 def coxeter_context(rs, pi=None):

@@ -243,33 +243,6 @@ def build_toda_system(alg, chi_vals, chibar_vals):
     return TodaSystem(alg=alg, chi=chi, chibar=chibar, hamiltonians=hams)
 
 
-def eps_series(scalar, order):
-    """Exact Taylor coefficients of scalar(q = 1 + eps) up to eps^order."""
-
-    def expand(d):
-        out = [Fraction(0)] * (order + 1)
-        for e, c in d.items():
-            binom = Fraction(1)
-            for k in range(order + 1):
-                out[k] += c * binom
-                binom = binom * (e - k) / (k + 1)
-        return out
-
-    num = expand(scalar.num)
-    den = expand(scalar.den)
-    if den[0] == 0:
-        raise ZeroDivisionError("coefficient has a pole at q = 1")
-    inv = [Fraction(0)] * (order + 1)
-    inv[0] = 1 / den[0]
-    for k in range(1, order + 1):
-        acc = sum(den[j] * inv[k - j] for j in range(1, k + 1))
-        inv[k] = -acc / den[0]
-    return [
-        sum(num[j] * inv[k - j] for j in range(k + 1))
-        for k in range(order + 1)
-    ]
-
-
 def quasiclassical_potential_check(system):
     """Compare the first Hamiltonian against the classical Toda operator at
     q = 1 + eps.
@@ -314,9 +287,9 @@ def quasiclassical_potential_check(system):
                 report["ok"] = False
                 continue
             i = zexp.index(1)
-            series = eps_series(coeff, 2)
+            series = coeff.eps_series(2)
             prod = system.chi.values[i] * system.chibar.values[i]
-            expected = 4 * eps_series(prod, 0)[0]
+            expected = 4 * prod.eps_series(0)[0]
             ok = series[0] == 0 and series[1] == 0 and series[2] == expected
             report["potential"].append({
                 "z": list(zexp),

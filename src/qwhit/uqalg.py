@@ -18,16 +18,23 @@ import itertools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 from . import qarith, ratmat, rootsys
-from .qarith import ONE, ZERO, LaurentScalar, q_binom, qpow
+from .qarith import ONE, ZERO, LaurentScalar, qpow
 
 STEP_BUDGET = int(os.environ.get("QWHIT_STEP_BUDGET", "5000000"))
 
 
 def _word_key(rank_of, word):
     return (len(word), tuple(rank_of[x] for x in word))
+
+
+def serre_coefficients(ctx, i, j):
+    """Coefficients coef_r, r = 0..m with m = 1 - a_ij, of the deformed Serre
+    relator sum_r coef_r x_i^{m-r} x_j x_i^r; the same on the e and f sides."""
+    rs = ctx.rs
+    return qarith.alternating_qbinom_terms(1 - rs.cartan[i][j], rs.d[i],
+                                           ctx.cayley[i][j])
 
 
 class Algebra:
@@ -53,10 +60,7 @@ class Algebra:
         self._etf_cache: dict = {}
         self._root_vector_cache: dict = {}
         self._a_cache: dict = {}
-        s = ratmat.mat(ctx.s_matrix)
-        one = ratmat.eye(self.rank)
-        self.cayley_op = ratmat.mmul(ratmat.madd(one, s),
-                                     ratmat.minv(ratmat.msub(one, s)))
+        self.cayley_op = rootsys.cayley_transform(ctx)
         self.rules = self._serre_groebner()
 
     # -- bookkeeping ---------------------------------------------------------
@@ -96,13 +100,11 @@ class Algebra:
             for j in range(self.rank):
                 if i == j:
                     continue
-                m = 1 - self.rs.cartan[i][j]
+                coefs = serre_coefficients(self.ctx, i, j)
+                m = len(coefs) - 1
                 poly = {}
-                for r in range(m + 1):
+                for r, coef in enumerate(coefs):
                     word = (i,) * (m - r) + (j,) + (i,) * r
-                    coef = q_binom(m, r, self.rs.d[i]) * qpow(r * self.c_pair(i, j))
-                    if r % 2:
-                        coef = -coef
                     poly[word] = poly.get(word, ZERO) + coef
                 relators.append({w: c for w, c in poly.items() if not c.is_zero()})
         return relators
@@ -409,12 +411,6 @@ class PBWElement:
         return self * other - other * self
 
     # -- structure queries ----------------------------------------------------
-    def is_e_only(self):
-        return all(not fw and not any(lam) for (fw, lam, _) in self.terms)
-
-    def is_f_only(self):
-        return all(not ew and not any(lam) for (_, lam, ew) in self.terms)
-
     def is_lower_borel(self):
         return all(not ew for (_, _, ew) in self.terms)
 
@@ -534,7 +530,9 @@ def root_vector(alg, beta, sign="+"):
         pos = ordering.index(beta)
         p, r = _minimal_segment(ordering, pos)
         a_root, b_root = ordering[p], ordering[r]
-        w = alg.rs.pair(a_root, b_root) + _cayley_pair_vec(alg, a_root, b_root)
+        # (a, b) + c(a, b) with the Cayley pairing c(a, b) = (T a, b)
+        t_a = alg.cayley_apply(a_root)
+        w = alg.rs.pair(tuple(x + t for x, t in zip(a_root, t_a)), b_root)
         if sign == "+":
             ea = root_vector(alg, a_root, "+")
             eb = root_vector(alg, b_root, "+")
@@ -545,17 +543,6 @@ def root_vector(alg, beta, sign="+"):
             result = fb * fa - (fa * fb).scale(qpow(-w))
     alg._root_vector_cache[key] = result
     return result
-
-
-def _cayley_pair_vec(alg, x, y):
-    total = Fraction(0)
-    for i, xi in enumerate(x):
-        if not xi:
-            continue
-        for j, yj in enumerate(y):
-            if yj:
-                total += Fraction(xi) * alg.ctx.cayley[i][j] * yj
-    return total
 
 
 def a_constant(alg, beta):
@@ -773,35 +760,21 @@ class RepMatrices:
             for j in range(n):
                 if i == j:
                     continue
-                m = 1 - rs.cartan[i][j]
-                total = [[ZERO] * dim for _ in range(dim)]
-                for r in range(m + 1):
-                    coef = q_binom(m, r, rs.d[i]) * qpow(r * alg.c_pair(i, j))
-                    if r % 2:
-                        coef = -coef
-                    term = eye
-                    for _ in range(m - r):
-                        term = qarith.mat_mul(term, self.e_mats[i], ZERO)
-                    term = qarith.mat_mul(term, self.e_mats[j], ZERO)
-                    for _ in range(r):
-                        term = qarith.mat_mul(term, self.e_mats[i], ZERO)
-                    total = qarith.mat_add(total, qarith.mat_scale(term, coef))
-                if not qarith.mat_is_zero(total):
-                    raise RuntimeError(f"{self.name}: e-Serre fails at ({i},{j})")
-                total = [[ZERO] * dim for _ in range(dim)]
-                for r in range(m + 1):
-                    coef = q_binom(m, r, rs.d[i]) * qpow(r * alg.c_pair(i, j))
-                    if r % 2:
-                        coef = -coef
-                    term = eye
-                    for _ in range(m - r):
-                        term = qarith.mat_mul(term, self.f_mats[i], ZERO)
-                    term = qarith.mat_mul(term, self.f_mats[j], ZERO)
-                    for _ in range(r):
-                        term = qarith.mat_mul(term, self.f_mats[i], ZERO)
-                    total = qarith.mat_add(total, qarith.mat_scale(term, coef))
-                if not qarith.mat_is_zero(total):
-                    raise RuntimeError(f"{self.name}: f-Serre fails at ({i},{j})")
+                coefs = serre_coefficients(alg.ctx, i, j)
+                m = len(coefs) - 1
+                for side, mats in (("e", self.e_mats), ("f", self.f_mats)):
+                    total = [[ZERO] * dim for _ in range(dim)]
+                    for r, coef in enumerate(coefs):
+                        term = eye
+                        for _ in range(m - r):
+                            term = qarith.mat_mul(term, mats[i], ZERO)
+                        term = qarith.mat_mul(term, mats[j], ZERO)
+                        for _ in range(r):
+                            term = qarith.mat_mul(term, mats[i], ZERO)
+                        total = qarith.mat_add(total, qarith.mat_scale(term, coef))
+                    if not qarith.mat_is_zero(total):
+                        raise RuntimeError(
+                            f"{self.name}: {side}-Serre fails at ({i},{j})")
 
     def evaluate_word(self, word, side):
         mats = self.e_mats if side == "e" else self.f_mats

@@ -1,8 +1,29 @@
 """Gate file: one test per acceptance criterion, run at the report seed."""
 
+import hashlib
+import json
+
 from qwhit import acceptance
 
 SEED = 7
+
+# sha256 of json.dumps(report, indent=2) for each criterion at SEED: the
+# reports must stay byte-identical when the code behind them changes.
+DIGESTS = {
+    1: "11a5cf89572b6f0f0f3774713e73d76593ef0e26dde0a9ef473aa9b8c5f18c15",
+    2: "df6bf8926b2e96b774bf20abd18df327195781786989cbd70619c420a2530d9e",
+    3: "d3f7f623501bfe5347a9863f8ff41ac37533c84ad5d5c334949247ff332dd9dc",
+    4: "ef4abb6c3fa8b67b6fa3d4084d2ad0f394b6a8b4656c435c513dd64d38cda857",
+    5: "6b75196359825ce7e432c7107e29c55465aea3ce697b3d5739ece9864d2f87a2",
+    6: "2248893ecd569821901face7b717ba23bc9d692aade50d4af56d85a1388aefb1",
+    7: "5870c399886b1bfa58adccb96d291f3cba2e3b41b6a77b5bbdb93a969785fd7e",
+    8: "e9a846abc8045e8ccb537c0393165f9fd3969feae62b1d74b12eaad9412e3118",
+    9: "23c5fe934241e314066843eb7da3d10dfadb713f8ea7ea82afb8205caff1bdfe",
+    10: "88115a776a1bdc03a8f35c8fe072daea085618737d34f1041fbad09944915317",
+    11: "110e954e6df94af5b142d1818320aeaf26f6dd30fe42108fbe7a88c1e50cb853",
+    12: "3e8b42bc13606e561e0e68ce55ddd49449f8275eb54ff86a3d6b803613974262",
+    13: "e05c2b2aa7884fa929585cb13fe781cec2bd251761bdbf689fb3c3fed4582990",
+}
 
 
 def run(fn):
@@ -10,6 +31,8 @@ def run(fn):
     verdict = "PASS" if report["passed"] else "FAIL"
     print(f"criterion {report['criterion']} ({report['name']}): {verdict}")
     assert report["passed"], report
+    payload = json.dumps(report, indent=2).encode()
+    assert hashlib.sha256(payload).hexdigest() == DIGESTS[report["criterion"]]
     return report
 
 

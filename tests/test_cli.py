@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -173,6 +174,16 @@ def test_usage_errors_exit_2(capsys):
     code, _, _ = run_cli(capsys, "gstar", "--x", "2,1", "--u-params", "1")
     assert code == 2
 
+    code, _, captured = run_cli(capsys, "rmatrix-check", "--n", "0")
+    assert code == 2
+    assert "need --n >= 2" in captured.err
+
+    for command in ("cross-section", "kostant-section", "rmatrix-check"):
+        code, _, captured = run_cli(capsys, command, "--n", "3",
+                                    "--trials", "-1")
+        assert code == 2
+        assert "need --trials >= 0" in captured.err
+
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])
     assert exc.value.code == 2
@@ -192,6 +203,26 @@ def test_reports_are_byte_identical(capsys):
     second = capsys.readouterr().out
     assert code1 == code2 == 0
     assert first == second
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (["cross-section", "--n", "4", "--trials", "10", "--seed", "11"],
+     "ce738c75577d9c63d96315642bb2cf8257eeb58fe8264be51ef497fcf28a9a6f"),
+    (["kostant-section", "--n", "3", "--trials", "10"],
+     "6ca7982542b10d7bc2f708a4f71563f989636b6501bd0cbac8b11a2b7719ac63"),
+    (["rmatrix-check", "--n", "3", "--trials", "10"],
+     "9eac1bafbdf68ffc6e20d7389f3db5dbec1d20d8a4bb27fc94a76f7a6a03365b"),
+    (["qbinom-scan"],
+     "8727e08a28c7d76e361bf4450df8028fc305c5d61acf9bd062902a92fa3b9bc5"),
+    (["serre-check", "--type", "B", "--rank", "2"],
+     "615e6aa52ba3b4727009b32be37fce18ef6571341a3d78db47dd4dee44bc7aca"),
+    (["casimir", "--type", "A", "--rank", "1"],
+     "3a856cbda88a7a3e635bfd5349f930558260085e041df95ebd6768d5fa14b2b9"),
+])
+def test_report_digests_are_pinned(capsys, argv, digest):
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

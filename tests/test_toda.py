@@ -226,9 +226,9 @@ def test_hamiltonians_commute_generic_characters():
 
 def test_eps_series_of_coupling():
     sq = (qpow(1) - qpow(-1)) * (qpow(1) - qpow(-1))
-    assert toda.eps_series(sq, 2) == [0, 0, 4]
+    assert sq.eps_series(2) == [0, 0, 4]
     inv = (qpow(1) + qpow(-1)).inverse()
-    assert toda.eps_series(inv, 0) == [Fraction(1, 2)]
+    assert inv.eps_series(0) == [Fraction(1, 2)]
 
 
 @pytest.mark.parametrize("rank,chi_vals,chibar_vals", [
