@@ -50,6 +50,15 @@ def _rnd_unitriangular(rng, n):
     return mat(m)
 
 
+def _rnd_torus(rng, n):
+    """n positive random torus entries whose product is 1."""
+    entries = [_rnd_frac(rng, 1, 5, 3) for _ in range(n - 1)]
+    prod = F(1)
+    for x in entries:
+        prod *= x
+    return entries + [1 / prod]
+
+
 def _report(criterion, name, passed, **extra):
     out = {"criterion": criterion, "name": name, "passed": bool(passed)}
     out.update(extra)
@@ -295,13 +304,8 @@ def criterion_10(seed=0):
         c = [F(1, 2)] * (n - 1)
         in_cell = 0
         for _ in range(100):
-            entries = [_rnd_frac(rng, 1, 5, 3) for _ in range(n - 1)]
-            prod = F(1)
-            for x in entries:
-                prod *= x
-            entries.append(1 / prod)
-            el = crosssec.mu_inverse_point(entries, _rnd_unitriangular(rng, n),
-                                           c)
+            el = crosssec.mu_inverse_point(_rnd_torus(rng, n),
+                                           _rnd_unitriangular(rng, n), c)
             if crosssec.bruhat_cell_test(crosssec.q_map(el)):
                 in_cell += 1
         detail[f"cell_hits_n{n}"] = in_cell
@@ -309,12 +313,7 @@ def criterion_10(seed=0):
         guarded = 0
         regular = 0
         for _ in range(50):
-            entries = [_rnd_frac(rng, 1, 5, 3) for _ in range(n - 1)]
-            prod = F(1)
-            for x in entries:
-                prod *= x
-            entries.append(1 / prod)
-            rep = crosssec.eq_character_report(entries, c)
+            rep = crosssec.eq_character_report(_rnd_torus(rng, n), c)
             if rep["regular"]:
                 regular += 1
                 if rep["matches_torus"]:

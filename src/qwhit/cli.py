@@ -6,11 +6,12 @@ carry ``"schema": "1"`` and are byte-identical for identical flags and seed;
 wall-clock time goes to stderr so it never perturbs the payload.
 
 Exit codes: 0 when every check in the report passed, 1 when a check or an
-internal invariant failed (diagnostic on stderr), 2 for unknown commands or
-malformed flag values.
+internal invariant failed (diagnostic on stderr), 2 for unknown commands,
+malformed flag values, an unwritable ``--out`` path or a malformed
+``QWHIT_STEP_BUDGET``.
 
 The environment variable ``QWHIT_STEP_BUDGET`` caps rewriting steps in the
-algebra engine; it is read once at import time by :mod:`qwhit.uqalg`.
+algebra engine; :mod:`qwhit.uqalg` reads it each time it builds an algebra.
 """
 
 from __future__ import annotations
@@ -560,7 +561,7 @@ def main(argv=None):
     except ValueError as exc:
         print(f"qwhit {args.command}: {exc}", file=sys.stderr)
         return 2
-    except AssertionError as exc:
+    except (AssertionError, RuntimeError) as exc:
         print(f"qwhit {args.command}: invariant failure: {exc}",
               file=sys.stderr)
         return 1
@@ -580,8 +581,13 @@ def main(argv=None):
     }
     payload = json.dumps(report, indent=2) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            print(f"qwhit {args.command}: cannot write --out: {exc}",
+                  file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(payload)
     elapsed = time.monotonic() - started

@@ -210,7 +210,7 @@ def _sweep_to_first_row(m: Mat):
     unitriangular conjugator and the final matrix.
     """
     n = len(m)
-    conj = eye(n)
+    conj = [list(row) for row in eye(n)]
     for d in range(n - 1):
         for r in range(n - 1 - d, 0, -1):
             t = m[r][r + d]
@@ -219,11 +219,10 @@ def _sweep_to_first_row(m: Mat):
             if m[r][r - 1] != 1:
                 raise AssertionError("unit subdiagonal lost during sweep")
             m = _conjugate_by_unit(m, r - 1, r + d, t)
-            conj = mmul(
-                mat([[F1 if a == b else (t if (a, b) == (r - 1, r + d) else F0)
-                      for b in range(n)] for a in range(n)]),
-                conj)
-    return conj, m
+            # left multiplication by 1 + t E_{r-1,r+d}: row r-1 += t * row r+d
+            for c in range(n):
+                conj[r - 1][c] += t * conj[r + d][c]
+    return mat(conj), m
 
 
 def cross_section(m: Mat):

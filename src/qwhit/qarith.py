@@ -129,9 +129,6 @@ class LaurentScalar:
     def is_zero(self) -> bool:
         return not self.num
 
-    def is_one(self) -> bool:
-        return self.num == {F0: F1} and self.den == {F0: F1}
-
     def __bool__(self) -> bool:
         return bool(self.num)
 
@@ -435,13 +432,6 @@ def mat_is_zero(a) -> bool:
 
 def mat_eq(a, b) -> bool:
     return mat_is_zero(mat_sub(a, b))
-
-
-def mat_trace(a, zero):
-    out = zero
-    for i in range(len(a)):
-        out = out + a[i][i]
-    return out
 
 
 def mat_kron(a, b, zero):

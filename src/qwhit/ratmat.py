@@ -55,19 +55,6 @@ def mvec(a: Mat, v: Vec) -> Vec:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
-def vadd(u: Vec, v: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(u, v))
-
-
-def vsub(u: Vec, v: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(u, v))
-
-
-def vscale(u: Vec, s) -> Vec:
-    s = Fraction(s)
-    return tuple(x * s for x in u)
-
-
 def transpose(a: Mat) -> Mat:
     return tuple(zip(*a))
 

@@ -22,7 +22,29 @@ from fractions import Fraction
 from . import qarith, ratmat, rootsys
 from .qarith import ONE, ZERO, LaurentScalar, qpow
 
-STEP_BUDGET = int(os.environ.get("QWHIT_STEP_BUDGET", "5000000"))
+# rewriting-step cap per Algebra; None defers to QWHIT_STEP_BUDGET
+STEP_BUDGET = None
+
+
+def step_budget():
+    """STEP_BUDGET if set, else QWHIT_STEP_BUDGET (default 5000000), which
+    must be a positive integer; ValueError names the variable otherwise."""
+    if STEP_BUDGET is not None:
+        return STEP_BUDGET
+    raw = os.environ.get("QWHIT_STEP_BUDGET", "5000000")
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise ValueError(
+            f"QWHIT_STEP_BUDGET must be a positive integer, got {raw!r}")
+    return budget
+
+
+def _nonzero(terms):
+    """The terms whose coefficients are not zero."""
+    return {k: c for k, c in terms.items() if not c.is_zero()}
 
 
 def _word_key(rank_of, word):
@@ -56,6 +78,7 @@ class Algebra:
         self.letter_rank = [pos[i] for i in range(self.rank)]
         self.ordering = rootsys.normal_ordering(ctx)
         self._steps = 0
+        self._budget = step_budget()
         self._reduce_cache: dict = {}
         self._etf_cache: dict = {}
         self._root_vector_cache: dict = {}
@@ -66,9 +89,9 @@ class Algebra:
     # -- bookkeeping ---------------------------------------------------------
     def _tick(self, n=1):
         self._steps += n
-        if self._steps > STEP_BUDGET:
+        if self._steps > self._budget:
             raise ArithmeticError(
-                f"rewriting exceeded the step budget ({STEP_BUDGET}); "
+                f"rewriting exceeded the step budget ({self._budget}); "
                 "set QWHIT_STEP_BUDGET higher for larger computations"
             )
 
@@ -83,9 +106,6 @@ class Algebra:
         for i in word:
             out[i] += 1
         return tuple(out)
-
-    def q_i(self, i):
-        return self.rs.d[i]
 
     def c_pair(self, i, j):
         return self.ctx.cayley[i][j]
@@ -106,7 +126,7 @@ class Algebra:
                 for r, coef in enumerate(coefs):
                     word = (i,) * (m - r) + (j,) + (i,) * r
                     poly[word] = poly.get(word, ZERO) + coef
-                relators.append({w: c for w, c in poly.items() if not c.is_zero()})
+                relators.append(_nonzero(poly))
         return relators
 
     def _normalize_rule(self, poly):
@@ -143,7 +163,7 @@ class Algebra:
                 work[w2] = work.get(w2, ZERO) + coef * c
                 if work[w2].is_zero():
                     del work[w2]
-        return {w: c for w, c in out.items() if not c.is_zero()}
+        return _nonzero(out)
 
     def _serre_groebner(self):
         """Complete the deformed Serre relators to a confluent rule set."""
@@ -219,7 +239,7 @@ class Algebra:
         return self.k(self.simple_weight(i))
 
     def from_terms(self, terms):
-        return PBWElement(self, {m: c for m, c in terms.items() if not c.is_zero()})
+        return PBWElement(self, _nonzero(terms))
 
     def word(self, tokens):
         """Product of generator tokens ('e', i), ('f', i) or ('k', lam)."""
@@ -241,26 +261,18 @@ class Algebra:
         for (fw, lam, ew), c in terms.items():
             for ew2, s in self.reduce_word(ew + (i,)).items():
                 key = (fw, lam, ew2)
-                val = out.get(key, ZERO) + c * s
-                if val.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = val
-        return out
+                out[key] = out.get(key, ZERO) + c * s
+        return _nonzero(out)
 
     def _mul_k(self, terms, mu):
         if all(x == 0 for x in mu):
             return dict(terms)
+        # K_mu shifts lam injectively and scales by a q-power: no term merges
         out = {}
         for (fw, lam, ew), c in terms.items():
             wt = self.word_weight(ew)
             factor = qpow(-self.rs.pair(mu, wt)) if any(wt) else ONE
-            key = (fw, tuple(a + b for a, b in zip(lam, mu)), ew)
-            val = out.get(key, ZERO) + c * factor
-            if val.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = val
+            out[(fw, tuple(a + b for a, b in zip(lam, mu)), ew)] = c * factor
         return out
 
     def _etf(self, ew, j):
@@ -279,11 +291,7 @@ class Algebra:
             for (fw, lam, ew2), c in self._etf(head, j).items():
                 for ew3, s in self.reduce_word(ew2 + (i,)).items():
                     k2 = (fw, lam, ew3)
-                    val = result.get(k2, ZERO) + c * s * lead
-                    if val.is_zero():
-                        result.pop(k2, None)
-                    else:
-                        result[k2] = val
+                    result[k2] = result.get(k2, ZERO) + c * s * lead
             if i == j:
                 denom = (qpow(self.rs.d[i]) - qpow(-self.rs.d[i])).inverse()
                 alpha = self.simple_weight(i)
@@ -295,11 +303,8 @@ class Algebra:
                     (-1, minus_alpha, qpow(shift)),
                 ):
                     k2 = ((), lamv, head)
-                    val = result.get(k2, ZERO) + denom * fac * sign
-                    if val.is_zero():
-                        result.pop(k2, None)
-                    else:
-                        result[k2] = val
+                    result[k2] = result.get(k2, ZERO) + denom * fac * sign
+            result = _nonzero(result)
         self._etf_cache[key] = result
         return result
 
@@ -312,19 +317,11 @@ class Algebra:
                     factor = qpow(-self.rs.pair(lam, alpha_j))
                     for fw2, s2 in self.reduce_word(fw + (j,)).items():
                         key = (fw2, lam, ew2)
-                        val = out.get(key, ZERO) + c * s * factor * s2
-                        if val.is_zero():
-                            out.pop(key, None)
-                        else:
-                            out[key] = val
+                        out[key] = out.get(key, ZERO) + c * s * factor * s2
                 else:
                     key = (fw, tuple(a + b for a, b in zip(lam, eta)), ew2)
-                    val = out.get(key, ZERO) + c * s
-                    if val.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = val
-        return out
+                    out[key] = out.get(key, ZERO) + c * s
+        return _nonzero(out)
 
     def _mul_monomial(self, terms, mono, coef):
         fw, lam, ew = mono
@@ -365,12 +362,8 @@ class PBWElement:
             return NotImplemented
         out = dict(self.terms)
         for m, c in other.terms.items():
-            val = out.get(m, ZERO) + c
-            if val.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = val
-        return PBWElement(self.alg, out)
+            out[m] = out.get(m, ZERO) + c
+        return PBWElement(self.alg, _nonzero(out))
 
     def __neg__(self):
         return PBWElement(self.alg, {m: -c for m, c in self.terms.items()})
@@ -395,12 +388,8 @@ class PBWElement:
         out = {}
         for mono, coef in other.terms.items():
             for m, c in self.alg._mul_monomial(self.terms, mono, coef).items():
-                val = out.get(m, ZERO) + c
-                if val.is_zero():
-                    out.pop(m, None)
-                else:
-                    out[m] = val
-        return PBWElement(self.alg, out)
+                out[m] = out.get(m, ZERO) + c
+        return PBWElement(self.alg, _nonzero(out))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, LaurentScalar)):
@@ -447,11 +436,6 @@ class PBWElement:
     __repr__ = __str__
 
 
-def normal_form(alg, tokens):
-    """Normal form of a product of generator tokens; see Algebra.word."""
-    return alg.word(tokens)
-
-
 def pbw_dimension_check(alg, max_height):
     """Compare counts of irreducible one-sided words against monomials in
     positive-root symbols, multidegree by multidegree up to max_height."""
@@ -472,12 +456,10 @@ def pbw_dimension_check(alg, max_height):
                 return 0
             root = roots[idx]
             total_here = 0
-            mult = 0
             current = remaining
             while all(x >= 0 for x in current):
                 total_here += count(idx + 1, current)
                 current = tuple(a - b for a, b in zip(current, root))
-                mult += 1
             return total_here
         for deg, n_words in words.items():
             expected = count(0, deg)
@@ -624,15 +606,9 @@ def rho_chi(x, chi):
         val = c
         for i in ew:
             val = val * chi.values[i]
-        if val.is_zero():
-            continue
         key = (fw, lam, ())
-        acc = out.get(key, ZERO) + val
-        if acc.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = acc
-    return PBWElement(x.alg, out)
+        out[key] = out.get(key, ZERO) + val
+    return PBWElement(x.alg, _nonzero(out))
 
 
 def whittaker_action(x, v, chi):
@@ -734,8 +710,7 @@ class RepMatrices:
                 rhs = qarith.mat_scale(self.f_mats[j], qpow(-rs.pair(alpha, rs.simple_root(j))))
                 if not qarith.mat_eq(lhs, rhs):
                     raise RuntimeError(f"{self.name}: K-f relation fails at ({i},{j})")
-        for i in range(n):
-            for j in range(n):
+                # e_i f_j - q^{c_ji} f_j e_i = delta_ij (K_i - K_i^-1)/(q_i - q_i^-1)
                 cross = qarith.mat_sub(
                     qarith.mat_mul(self.e_mats[i], self.f_mats[j], ZERO),
                     qarith.mat_scale(
@@ -744,17 +719,10 @@ class RepMatrices:
                     ),
                 )
                 if i == j:
-                    di = rs.d[i]
-                    coef = (qpow(di) - qpow(-di)).inverse()
-                    alpha = rs.simple_root(i)
-                    target = qarith.mat_scale(
-                        qarith.mat_sub(self.k_matrix(alpha),
-                                       self.k_matrix([-x for x in alpha])),
-                        coef,
-                    )
-                else:
-                    target = [[ZERO] * dim for _ in range(dim)]
-                if not qarith.mat_eq(cross, target):
+                    coef = (qpow(rs.d[i]) - qpow(-rs.d[i])).inverse()
+                    target = qarith.mat_scale(qarith.mat_sub(ki, ki_inv), coef)
+                    cross = qarith.mat_sub(cross, target)
+                if not qarith.mat_is_zero(cross):
                     raise RuntimeError(f"{self.name}: cross relation fails at ({i},{j})")
         for i in range(n):
             for j in range(n):
@@ -810,68 +778,62 @@ def rep_matrices(alg, name):
 # R-matrix evaluations
 
 
-def _ordered_roots(alg):
-    return alg.ordering.ordering
+def _root_constants(alg, beta):
+    """Per-root data of the R-matrix factor for beta: the scale
+    (q - q^{-1})/a(beta), T beta, and the q-exponential base q^{-(beta,beta)}."""
+    scale = (qpow(1) - qpow(-1)) * a_constant(alg, beta).inverse()
+    return scale, alg.cayley_apply(beta), qpow(-alg.rs.pair(beta, beta))
 
 
-def _exp_factor_first_leg(alg, rep, beta, swap):
-    """One q-exponential factor of the R-matrix under (id x pi_V).
-
-    swap=False keeps e_beta in the algebra leg (the R factor); swap=True is
-    the flipped factor with K f_beta in the algebra leg (the R_21 factor).
-    """
-    a_inv = a_constant(alg, beta).inverse()
-    scale = (qpow(1) - qpow(-1)) * a_inv
-    t_beta = alg.cayley_apply(beta)
-    q_beta = alg.rs.pair(beta, beta)
-    if not swap:
-        first = root_vector(alg, beta, "+").scale(scale)
-        second = qarith.mat_mul(rep.k_matrix(t_beta),
-                                rep.evaluate(root_vector(alg, beta, "-")), ZERO)
-    else:
-        first = (alg.k(t_beta) * root_vector(alg, beta, "-")).scale(scale)
-        second = rep.evaluate(root_vector(alg, beta, "+"))
-    mat = [[first.scale(second[r][s]) if not second[r][s].is_zero() else alg.zero()
-            for s in range(rep.dim)] for r in range(rep.dim)]
-    return qarith.q_exp_nilpotent(mat, qpow(-q_beta), alg.one(), alg.zero())
+def _cartan_weights(alg, rep, sign):
+    """The weight mu + sign * T mu of the Cartan factor at each basis vector
+    of weight mu: sign = 1 in (id x pi_V) R, sign = -1 in R_21."""
+    return [tuple(m + sign * t for m, t in zip(mu, alg.cayley_apply(mu)))
+            for mu in rep.weights]
 
 
-def _cartan_diag(alg, rep, plus):
-    """Diagonal Cartan factor of (id x pi_V) R (plus) or R_21 (minus):
-    basis vector of weight mu pairs with K_{(1 +/- T) mu}."""
-    eye = []
-    for r in range(rep.dim):
-        mu = rep.weights[r]
-        t_mu = alg.cayley_apply(mu)
-        lam = tuple(m + t for m, t in zip(mu, t_mu)) if plus else tuple(
-            m - t for m, t in zip(mu, t_mu))
-        eye.append(alg.k(lam))
-    return [[eye[r] if r == s else alg.zero() for s in range(rep.dim)]
-            for r in range(rep.dim)]
+def _k_diag(alg, lams):
+    zero = alg.zero()
+    return [[alg.k(lam) if r == s else zero for s in range(len(lams))]
+            for r, lam in enumerate(lams)]
+
+
+def _r_in_rep(alg, rep, flipped):
+    """(id x pi_V) R, or R_21 when flipped, with the second leg evaluated in
+    the module: the Cartan diagonal times one q-exponential factor per root
+    of the adapted ordering.  The factor for beta pairs e_beta with
+    K_{T beta} f_beta; the flip puts K_{T beta} f_beta in the algebra leg."""
+    zero = alg.zero()
+    out = _k_diag(alg, _cartan_weights(alg, rep, -1 if flipped else 1))
+    for beta in alg.ordering.ordering:
+        scale, t_beta, base = _root_constants(alg, beta)
+        e_beta = root_vector(alg, beta, "+")
+        f_beta = root_vector(alg, beta, "-")
+        if flipped:
+            first = (alg.k(t_beta) * f_beta).scale(scale)
+            second = rep.evaluate(e_beta)
+        else:
+            first = e_beta.scale(scale)
+            second = qarith.mat_mul(rep.k_matrix(t_beta), rep.evaluate(f_beta),
+                                    ZERO)
+        mat = [[first.scale(x) for x in row] for row in second]
+        out = qarith.mat_mul(
+            out, qarith.q_exp_nilpotent(mat, base, alg.one(), zero), zero)
+    return out
 
 
 def r_matrix_in_rep(alg, rep):
     """The pair (L^-, L^+): the R-matrix and the inverse of its flip, with the
     second leg evaluated in the module."""
     zero = alg.zero()
-    lminus = _cartan_diag(alg, rep, plus=True)
-    for beta in _ordered_roots(alg):
-        lminus = qarith.mat_mul(lminus, _exp_factor_first_leg(alg, rep, beta, False), zero)
-    r21 = _cartan_diag(alg, rep, plus=False)
-    for beta in _ordered_roots(alg):
-        r21 = qarith.mat_mul(r21, _exp_factor_first_leg(alg, rep, beta, True), zero)
+    lminus = _r_in_rep(alg, rep, flipped=False)
+    r21 = _r_in_rep(alg, rep, flipped=True)
     # invert r21 = D (1 + N) with N nilpotent: (1+N)^{-1} D^{-1}
-    dinv = []
-    for r in range(rep.dim):
-        mu = rep.weights[r]
-        t_mu = alg.cayley_apply(mu)
-        lam = tuple(-(m - t) for m, t in zip(mu, t_mu))
-        dinv.append(alg.k(lam))
-    dinv_mat = [[dinv[r] if r == s else zero for s in range(rep.dim)]
-                for r in range(rep.dim)]
-    unipotent = qarith.mat_mul(dinv_mat, r21, zero)
+    dinv = _k_diag(alg, [tuple(-x for x in lam)
+                         for lam in _cartan_weights(alg, rep, -1)])
+    unipotent = qarith.mat_mul(dinv, r21, zero)
     lplus = qarith.mat_mul(
-        qarith.mat_inv_unipotent(unipotent, alg.one(), zero), dinv_mat, zero
+        qarith.mat_inv_unipotent(unipotent, alg.one(), zero), dinv, zero
     )
     return lminus, lplus
 
@@ -881,23 +843,18 @@ def r_matrix_vv(alg, rep):
     dim = rep.dim
     size = dim * dim
     out = [[ZERO] * size for _ in range(size)]
+    lams = _cartan_weights(alg, rep, 1)
     for r in range(dim):
         for s in range(dim):
-            mu = rep.weights[r]
-            nu = rep.weights[s]
-            t_nu = alg.cayley_apply(nu)
-            lam = tuple(n + t for n, t in zip(nu, t_nu))
-            out[r * dim + s][r * dim + s] = qpow(alg.rs.pair(mu, lam))
-    for beta in _ordered_roots(alg):
-        a_inv = a_constant(alg, beta).inverse()
-        scale = (qpow(1) - qpow(-1)) * a_inv
-        t_beta = alg.cayley_apply(beta)
-        q_beta = alg.rs.pair(beta, beta)
+            out[r * dim + s][r * dim + s] = qpow(
+                alg.rs.pair(rep.weights[r], lams[s]))
+    for beta in alg.ordering.ordering:
+        scale, t_beta, base = _root_constants(alg, beta)
         first = qarith.mat_scale(rep.evaluate(root_vector(alg, beta, "+")), scale)
         second = qarith.mat_mul(rep.k_matrix(t_beta),
                                 rep.evaluate(root_vector(alg, beta, "-")), ZERO)
         factor = qarith.q_exp_nilpotent(
-            qarith.mat_kron(first, second, ZERO), qpow(-q_beta), ONE, ZERO
+            qarith.mat_kron(first, second, ZERO), base, ONE, ZERO
         )
         out = qarith.mat_mul(out, factor, ZERO)
     return out
@@ -942,18 +899,14 @@ def yang_baxter_check(alg, rep):
 
 def casimir_CV(alg, rep):
     """Central element (id x tr_V)(R_21 R (1 x K_{2 rho})) for the module."""
-    zero = alg.zero()
-    r21 = _cartan_diag(alg, rep, plus=False)
-    for beta in _ordered_roots(alg):
-        r21 = qarith.mat_mul(r21, _exp_factor_first_leg(alg, rep, beta, True), zero)
-    rmat = _cartan_diag(alg, rep, plus=True)
-    for beta in _ordered_roots(alg):
-        rmat = qarith.mat_mul(rmat, _exp_factor_first_leg(alg, rep, beta, False), zero)
-    prod = qarith.mat_mul(r21, rmat, zero)
+    r21 = _r_in_rep(alg, rep, flipped=True)
+    rmat = _r_in_rep(alg, rep, flipped=False)
     two_rho = tuple(2 * x for x in alg.rs.rho)
     out = alg.zero()
     for j in range(rep.dim):
-        out = out + prod[j][j].scale(qpow(alg.rs.pair(two_rho, rep.weights[j])))
+        # only the diagonal of R_21 R enters the trace
+        diag = sum((r21[j][k] * rmat[k][j] for k in range(rep.dim)), alg.zero())
+        out = out + diag.scale(qpow(alg.rs.pair(two_rho, rep.weights[j])))
     return out
 
 

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from qwhit import cli
+from qwhit import cli, rootsys
 
 
 def run_cli(capsys, *argv):
@@ -218,6 +218,12 @@ def test_reports_are_byte_identical(capsys):
      "615e6aa52ba3b4727009b32be37fce18ef6571341a3d78db47dd4dee44bc7aca"),
     (["casimir", "--type", "A", "--rank", "1"],
      "3a856cbda88a7a3e635bfd5349f930558260085e041df95ebd6768d5fa14b2b9"),
+    (["toda", "--type", "A", "--rank", "3", "--check-commute"],
+     "625e8d4ebd5e0f2a36050a7711aed09af867dfd9afa0100758a1233e6ef12630"),
+    (["casimir", "--type", "A", "--rank", "2", "--rep", "V2"],
+     "711278b2bfbd2f221bfe1160968e95cf0fecf6ad5569c247c625562320df71a0"),
+    (["whittaker", "--type", "A", "--rank", "2", "--chi", "2,-3"],
+     "fd2ef74f3de58b43f509c6e2f4be2627929dd1c48eb3a821949b572a686639f7"),
 ])
 def test_report_digests_are_pinned(capsys, argv, digest):
     assert cli.main(argv) == 0
@@ -234,6 +240,42 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert captured.out == ""
     report = json.loads(path.read_text())
     assert report["command"] == "cayley"
+
+
+def test_unwritable_out_path_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing" / "report.json"
+    code = cli.main(["cayley", "--type", "A", "--rank", "2", "--out",
+                     str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith("qwhit cayley: cannot write --out")
+
+
+def test_runtime_error_is_an_invariant_failure(monkeypatch, capsys):
+    def broken(*args):
+        raise RuntimeError("broken invariant")
+
+    monkeypatch.setattr(rootsys, "coxeter_context", broken)
+    code = cli.main(["cayley", "--type", "A", "--rank", "2"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "qwhit cayley: invariant failure: broken invariant\n"
+
+
+@pytest.mark.parametrize("budget", ["abc", "0", "-5", "2.5"])
+def test_malformed_step_budget_exits_2(budget):
+    env = dict(os.environ, QWHIT_STEP_BUDGET=budget)
+    imported = subprocess.run([sys.executable, "-c", "import qwhit.uqalg"],
+                              capture_output=True, text=True, env=env)
+    assert imported.returncode == 0, imported.stderr
+    proc = subprocess.run(
+        [sys.executable, "-m", "qwhit.cli", "casimir", "--type", "A",
+         "--rank", "1"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("qwhit casimir: QWHIT_STEP_BUDGET")
+    assert len(proc.stderr.splitlines()) == 1
 
 
 def test_step_budget_env_var_limits_engine():

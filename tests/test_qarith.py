@@ -163,4 +163,3 @@ def test_kron_and_trace_helpers():
     # block (0,1) of the product is a[0][1] * b
     assert k[0][2] == qpow(1) * qpow(-1)
     assert k[1][3] == qpow(1) * qpow(1)
-    assert qarith.mat_trace(b, ZERO) == qpow(1) + qpow(-1)

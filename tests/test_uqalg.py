@@ -129,7 +129,7 @@ def test_normal_form_is_idempotent():
             tokens.append(rng.choice(
                 [("e", rng.randrange(2)), ("f", rng.randrange(2)), ("k", (1, 0))]
             ))
-        x = uqalg.normal_form(alg, tokens)
+        x = alg.word(tokens)
         assert x * alg.one() == x
         assert alg.one() * x == x
 
@@ -353,6 +353,25 @@ def test_counit_collapses_l_matrices_to_identity(series, rank, rep_name):
             for s in range(rep.dim):
                 want = 1 if r == s else 0
                 assert mat[r][s].counit() == LaurentScalar.from_rational(want)
+
+
+@pytest.mark.parametrize("rank,rep_name,pi", [
+    (1, "V1", None), (2, "V1", None), (2, "V2", (2, 1)),
+])
+def test_l_minus_evaluates_to_numeric_r_matrix(rank, rep_name, pi):
+    # (pi_V x pi_V) of the module R-matrix equals the independent numeric R
+    rs = rootsys.build_root_system("A", rank)
+    alg = uqalg.Algebra(rootsys.coxeter_context(rs, pi))
+    rep = uqalg.rep_matrices(alg, rep_name)
+    lminus, _ = uqalg.r_matrix_in_rep(alg, rep)
+    rvv = uqalg.r_matrix_vv(alg, rep)
+    d = rep.dim
+    for s in range(d):
+        for s2 in range(d):
+            block = rep.evaluate(lminus[s][s2])
+            for r in range(d):
+                for r2 in range(d):
+                    assert block[r][r2] == rvv[r * d + s][r2 * d + s2]
 
 
 @pytest.mark.parametrize("series,rank,rep_name", [
