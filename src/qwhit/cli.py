@@ -17,8 +17,10 @@ algebra engine; :mod:`qwhit.uqalg` reads it each time it builds an algebra.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -39,11 +41,26 @@ def _parse_ints(text):
         raise ValueError(f"expected a comma list of integers, got {text!r}")
 
 
+# A decimal exponent makes Fraction build a power of ten: "1e-100000000"
+# alone would allocate a 10^100000000 integer, so larger ones are refused.
+MAX_DECIMAL_EXPONENT = 1000
+_DECIMAL_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)")
+
+
+def _parse_rational(text):
+    """One rational flag value; raises ValueError or ZeroDivisionError."""
+    m = _DECIMAL_EXPONENT.search(text)
+    if m and abs(int(m.group(1))) > MAX_DECIMAL_EXPONENT:
+        raise ValueError(f"decimal exponent above {MAX_DECIMAL_EXPONENT}")
+    return F(text)
+
+
 def _parse_rationals(text):
     try:
-        return tuple(F(x) for x in text.split(","))
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"expected a comma list of rationals, got {text!r}")
+        return tuple(_parse_rational(x) for x in text.split(","))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(
+            f"expected a comma list of rationals, got {text!r}: {exc}")
 
 
 def _parse_matrix(text):
@@ -55,9 +72,9 @@ def _parse_matrix(text):
             or not all(isinstance(r, list) for r in rows)):
         raise ValueError("matrix JSON must be a list of rows")
     try:
-        return mat([[F(str(x)) for x in row] for row in rows])
-    except (ValueError, ZeroDivisionError):
-        raise ValueError("matrix entries must be rational strings")
+        return mat([[_parse_rational(str(x)) for x in row] for row in rows])
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"matrix entries must be rational strings: {exc}")
 
 
 def _ser_mat(m):
@@ -234,9 +251,12 @@ def cmd_casimir(args):
 
 
 def cmd_whittaker(args):
-    alg = uqalg.Algebra(_context(args))
-    rank = alg.rs.rank
+    # flags are parsed before the algebra is built, so a usage error is
+    # reported at once even where the build is slow
+    ctx = _context(args)
+    rank = ctx.rs.rank
     chi = uqalg.character("e", _character_values(args.chi, rank))
+    alg = uqalg.Algebra(ctx)
     rep = uqalg.rep_matrices(alg, args.rep)
     img = uqalg.whittaker_generator(alg, rep, chi)
     invariant = all(
@@ -256,10 +276,11 @@ def cmd_whittaker(args):
 
 
 def cmd_toda(args):
-    alg = uqalg.Algebra(_context(args))
-    rank = alg.rs.rank
+    ctx = _context(args)
+    rank = ctx.rs.rank
     chi_vals = _character_values(args.chi, rank)
     chibar_vals = _character_values(args.chibar, rank)
+    alg = uqalg.Algebra(ctx)
     system = toda.build_toda_system(alg, chi_vals, chibar_vals)
     hams = system.hamiltonians
     outputs = {
@@ -462,6 +483,7 @@ def _add_type_rank(p, pi=True):
         p.add_argument("--pi", help="permutation as a comma list, e.g. 2,1")
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="qwhit",

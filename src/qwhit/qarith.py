@@ -4,15 +4,23 @@ Scalars live in the field of fractions of Laurent polynomials in rational
 powers of q, with rational coefficients.  Every value is kept in a canonical
 reduced form, so equality testing is literal dictionary comparison and a zero
 test never needs numerics.
+
+A q-exponent e is stored as the int e * EXP_UNIT.  Every exponent the engine
+forms is an integer combination of pairings between fundamental weights and
+their Cayley images; over the supported types (rank up to ``rootsys.MAX_RANK``)
+their denominators have lcm 1260, which divides EXP_UNIT.  An exponent outside
+(1/EXP_UNIT)Z raises ``ArithmeticError``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd
 
 F0 = Fraction(0)
 F1 = Fraction(1)
+
+EXP_UNIT = 2520
 
 
 def _as_fraction(x) -> Fraction:
@@ -21,6 +29,17 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
+
+
+def _exp(e) -> int:
+    """The q-exponent e in units of 1/EXP_UNIT."""
+    if isinstance(e, int):
+        return e * EXP_UNIT
+    e = _as_fraction(e)
+    u, r = divmod(e.numerator * EXP_UNIT, e.denominator)
+    if r:
+        raise ArithmeticError(f"q-exponent {e} is not a multiple of 1/{EXP_UNIT}")
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -56,74 +75,77 @@ def _dense_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
 
 
 def _canonical(num: dict, den: dict):
-    """Reduce num/den so den is a polynomial in q^{1/L} with constant term 1
-    and gcd(num shifted to a polynomial, den) = 1."""
+    """Reduce num/den so den is a polynomial in q with constant term 1 and
+    gcd(num shifted to a polynomial, den) = 1.
+
+    The dense layout uses step g, the gcd of every exponent's offset from the
+    minimum of its side.  Coprimality in q^g implies coprimality in any root
+    of it, so the reduced form does not depend on g."""
     num = {e: c for e, c in num.items() if c}
     den = {e: c for e, c in den.items() if c}
     if not den:
         raise ZeroDivisionError("laurent scalar with zero denominator")
     if not num:
-        return {}, {F0: F1}
+        return {}, {0: F1}
     if len(den) == 1:
         (e0, c0), = den.items()
         if e0 == 0 and c0 == 1:
-            return num, {F0: F1}
-        return {e - e0: c / c0 for e, c in num.items()}, {F0: F1}
-    L = lcm(*(e.denominator for e in list(num) + list(den)))
-    ni = {int(e * L): c for e, c in num.items()}
-    di = {int(e * L): c for e, c in den.items()}
-    mn, md = min(ni), min(di)
-    a = [F0] * (max(ni) - mn + 1)
-    for e, c in ni.items():
-        a[e - mn] = c
-    b = [F0] * (max(di) - md + 1)
-    for e, c in di.items():
-        b[e - md] = c
-    g = _dense_gcd(a, b)
-    if len(g) > 1:
-        a, _ = _dense_divmod(a, g)
-        b, _ = _dense_divmod(b, g)
+            return num, {0: F1}
+        return {e - e0: c / c0 for e, c in num.items()}, {0: F1}
+    mn, md = min(num), min(den)
+    g = gcd(*(e - mn for e in num), *(e - md for e in den))
+    a = [F0] * ((max(num) - mn) // g + 1)
+    for e, c in num.items():
+        a[(e - mn) // g] = c
+    b = [F0] * ((max(den) - md) // g + 1)
+    for e, c in den.items():
+        b[(e - md) // g] = c
+    h = _dense_gcd(a, b)
+    if len(h) > 1:
+        a, _ = _dense_divmod(a, h)
+        b, _ = _dense_divmod(b, h)
     scale = 1 / b[0]
     shift = mn - md
-    num_out = {Fraction(i + shift, L): c * scale for i, c in enumerate(a) if c}
-    den_out = {Fraction(i, L): c * scale for i, c in enumerate(b) if c}
+    num_out = {shift + g * i: c * scale for i, c in enumerate(a) if c}
+    den_out = {g * i: c * scale for i, c in enumerate(b) if c}
     if len(den_out) == 1:
         return _canonical(num_out, den_out)
     return num_out, den_out
 
 
 class LaurentScalar:
-    """Canonical rational function in q (fractional exponents allowed)."""
+    """Canonical rational function in q (fractional exponents allowed).
+
+    ``num`` and ``den`` map exponents, as ints in units of 1/EXP_UNIT, to
+    Fraction coefficients.  The constructor takes int or Fraction exponents.
+    """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: dict, den: dict | None = None, *, canonical: bool = False):
-        if den is None:
-            den = {F0: F1}
-        if canonical:
-            self.num, self.den = num, den
-        else:
-            self.num, self.den = _canonical(num, den)
+    def __init__(self, num: dict, den: dict | None = None):
+        num = {_exp(e): c for e, c in num.items()}
+        den = {0: F1} if den is None else {_exp(e): c for e, c in den.items()}
+        self.num, self.den = _canonical(num, den)
 
     # -- constructors -------------------------------------------------------
     @classmethod
     def zero(cls) -> "LaurentScalar":
-        return cls({}, {F0: F1}, canonical=True)
+        return _scalar({}, {0: F1})
 
     @classmethod
     def one(cls) -> "LaurentScalar":
-        return cls({F0: F1}, {F0: F1}, canonical=True)
+        return _scalar({0: F1}, {0: F1})
 
     @classmethod
     def from_rational(cls, r) -> "LaurentScalar":
         r = _as_fraction(r)
         if not r:
             return cls.zero()
-        return cls({F0: r}, {F0: F1}, canonical=True)
+        return _scalar({0: r}, {0: F1})
 
     @classmethod
     def q_power(cls, e) -> "LaurentScalar":
-        return cls({_as_fraction(e): F1}, {F0: F1}, canonical=True)
+        return _scalar({_exp(e): F1}, {0: F1})
 
     # -- predicates ---------------------------------------------------------
     def is_zero(self) -> bool:
@@ -133,7 +155,7 @@ class LaurentScalar:
         return bool(self.num)
 
     def is_polynomial(self) -> bool:
-        return self.den == {F0: F1}
+        return self.den == {0: F1}
 
     # -- arithmetic ---------------------------------------------------------
     def _coerce(self, other):
@@ -151,17 +173,16 @@ class LaurentScalar:
             num = dict(self.num)
             for e, c in o.num.items():
                 num[e] = num.get(e, F0) + c
-            return LaurentScalar(num, dict(self.den))
+            return _reduced(num, self.den)
         num = _dict_mul(self.num, o.den)
         for e, c in _dict_mul(o.num, self.den).items():
             num[e] = num.get(e, F0) + c
-        return LaurentScalar(num, _dict_mul(self.den, o.den))
+        return _reduced(num, _dict_mul(self.den, o.den))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentScalar({e: -c for e, c in self.num.items()}, dict(self.den),
-                             canonical=True)
+        return _scalar({e: -c for e, c in self.num.items()}, self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -181,14 +202,14 @@ class LaurentScalar:
             return NotImplemented
         if not self.num or not o.num:
             return LaurentScalar.zero()
-        return LaurentScalar(_dict_mul(self.num, o.num), _dict_mul(self.den, o.den))
+        return _reduced(_dict_mul(self.num, o.num), _dict_mul(self.den, o.den))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "LaurentScalar":
         if not self.num:
             raise ZeroDivisionError("inverting zero laurent scalar")
-        return LaurentScalar(dict(self.den), dict(self.num))
+        return _reduced(self.den, self.num)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -225,14 +246,14 @@ class LaurentScalar:
     # -- involutions and expansions ----------------------------------------
     def bar(self) -> "LaurentScalar":
         """The substitution q -> q^{-1}."""
-        return LaurentScalar({-e: c for e, c in self.num.items()},
-                             {-e: c for e, c in self.den.items()})
+        return _reduced({-e: c for e, c in self.num.items()},
+                        {-e: c for e, c in self.den.items()})
 
     def as_rational(self) -> Fraction:
         if not self.num:
             return F0
-        if self.num.keys() == {F0} and self.den == {F0: F1}:
-            return self.num[F0]
+        if self.num.keys() == {0} and self.den == {0: F1}:
+            return self.num[0]
         raise ValueError(f"{self} is not a constant")
 
     def eps_series(self, order: int) -> list[Fraction]:
@@ -245,7 +266,8 @@ class LaurentScalar:
 
         def expand(d):
             out = [F0] * (order + 1)
-            for e, c in d.items():
+            for u, c in d.items():
+                e = Fraction(u, EXP_UNIT)
                 binom = F1
                 for k in range(order + 1):
                     out[k] += c * binom
@@ -272,11 +294,12 @@ class LaurentScalar:
         if not p:
             return "0"
         parts = []
-        for e in sorted(p):
-            c = p[e]
-            if e == 0:
+        for u in sorted(p):
+            c = p[u]
+            if u == 0:
                 parts.append(str(c))
             else:
+                e = Fraction(u, EXP_UNIT)
                 es = str(e) if e.denominator == 1 else f"({e})"
                 head = f"{var}^{es}" if e != 1 else var
                 parts.append(head if c == 1 else f"{c}*{head}")
@@ -284,7 +307,7 @@ class LaurentScalar:
 
     def to_str(self, var: str = "q") -> str:
         ns = self._poly_str(self.num, var)
-        if self.den == {F0: F1}:
+        if self.den == {0: F1}:
             return ns
         return f"({ns})/({self._poly_str(self.den, var)})"
 
@@ -293,6 +316,18 @@ class LaurentScalar:
 
     def __repr__(self):
         return f"LaurentScalar({self.to_str()})"
+
+
+def _scalar(num: dict, den: dict) -> LaurentScalar:
+    """A LaurentScalar from int-keyed dicts already in canonical form."""
+    s = object.__new__(LaurentScalar)
+    s.num, s.den = num, den
+    return s
+
+
+def _reduced(num: dict, den: dict) -> LaurentScalar:
+    """A LaurentScalar from int-keyed dicts, canonicalised."""
+    return _scalar(*_canonical(num, den))
 
 
 def _dict_mul(a: dict, b: dict) -> dict:
@@ -317,31 +352,35 @@ def qpow(e) -> LaurentScalar:
 # balanced q-numbers: [n] = (q^n - q^-n)/(q - q^-1), in base q^d
 
 def q_int(n: int, d=1) -> LaurentScalar:
-    d = _as_fraction(d)
+    step = _exp(d)
     if n < 0:
         return -q_int(-n, d)
     num = {}
     for k in range(n):
-        e = d * (n - 1 - 2 * k)
+        e = step * (n - 1 - 2 * k)
         num[e] = num.get(e, F0) + 1
-    return LaurentScalar(num)
-
-
-def q_factorial(n: int, d=1) -> LaurentScalar:
-    out = ONE
-    for k in range(2, n + 1):
-        out = out * q_int(k, d)
-    return out
+    return _reduced(num, {0: F1})
 
 
 def q_binom(m: int, k: int, d=1) -> LaurentScalar:
-    """Balanced q-binomial [m choose k] in base q^d."""
+    """Balanced q-binomial [m choose k] in base v = q^d, by the Pascal rule
+    [n j] = v^{-j} [n-1 j] + v^{n-j} [n-1 j-1], which needs no division."""
     if k < 0 or k > m:
         return ZERO
-    value = q_factorial(m, d) / (q_factorial(k, d) * q_factorial(m - k, d))
-    if not value.is_polynomial():
-        raise ArithmeticError("q-binomial failed to reduce to a polynomial")
-    return value
+    step = _exp(d)
+    row = [{0: F1}]  # row[j] = [n j] for j <= min(n, k)
+    for n in range(1, m + 1):
+        nxt = []
+        for j in range(min(n, k) + 1):
+            p = {e - j * step: c for e, c in row[j].items()} if j < n else {}
+            if j:
+                shift = (n - j) * step
+                for e, c in row[j - 1].items():
+                    p[e + shift] = p.get(e + shift, F0) + c
+            nxt.append(p)
+        row = nxt
+    # the coefficients are positive integers, so no term cancels
+    return _scalar(row[k], {0: F1})
 
 
 # unbalanced q-numbers (n)_t = (t^n - 1)/(t - 1), used by the q-exponential

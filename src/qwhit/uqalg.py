@@ -499,9 +499,11 @@ def root_vector(alg, beta, sign="+"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
     beta = tuple(int(x) for x in beta)
     key = (beta, sign)
+    # the cache holds term dicts, not PBWElements, so that it keeps no
+    # reference back to alg and a discarded algebra is freed at once
     cached = alg._root_vector_cache.get(key)
     if cached is not None:
-        return cached
+        return PBWElement(alg, cached)
     ordering = alg.ordering.ordering
     if beta not in ordering:
         raise ValueError(f"{beta} is not a positive root here")
@@ -523,7 +525,7 @@ def root_vector(alg, beta, sign="+"):
             fa = root_vector(alg, a_root, "-")
             fb = root_vector(alg, b_root, "-")
             result = fb * fa - (fa * fb).scale(qpow(-w))
-    alg._root_vector_cache[key] = result
+    alg._root_vector_cache[key] = result.terms
     return result
 
 

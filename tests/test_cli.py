@@ -224,11 +224,43 @@ def test_reports_are_byte_identical(capsys):
      "711278b2bfbd2f221bfe1160968e95cf0fecf6ad5569c247c625562320df71a0"),
     (["whittaker", "--type", "A", "--rank", "2", "--chi", "2,-3"],
      "fd2ef74f3de58b43f509c6e2f4be2627929dd1c48eb3a821949b572a686639f7"),
+    (["casimir", "--type", "A", "--rank", "3", "--rep", "V2"],
+     "8f528e2570db8d22441ec8d75dfb391d00cf6924b0f81c391df2aee58532b39c"),
+    (["serre-check", "--type", "G", "--rank", "2"],
+     "72cb0d4988131ebd19f5ecafc69da8b2510291101a4441b323bdfc398a068aea"),
+    (["toda", "--type", "A", "--rank", "2", "--pi", "2,1", "--chi=1/2,-3",
+      "--chibar=2,5/3", "--check-commute"],
+     "51f69faf11efc2c2872f89cfa61d6deb647c7123c2ad59ba7d176f7a8c1fd2b2"),
 ])
 def test_report_digests_are_pinned(capsys, argv, digest):
     assert cli.main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["toda", "--type", "A", "--rank", "1", "--chi=1e-100000000",
+      "--chibar=1"], "decimal exponent above"),
+    (["cross-section", "--matrix", '[["1E+100000000","0"],["0","1"]]'],
+     "decimal exponent above"),
+    # A4 Serre completion does not finish: the flag must fail before it
+    (["toda", "--type", "A", "--rank", "4", "--chi=abc"],
+     "expected a comma list of rationals"),
+    (["whittaker", "--type", "A", "--rank", "4", "--chi=1,2,3"],
+     "expected 4 character values"),
+])
+def test_bad_rational_flag_exits_2_at_once(argv, message):
+    # a subprocess with a timeout, so that a slow parse or build fails the
+    # test instead of hanging it
+    proc = subprocess.run([sys.executable, "-m", "qwhit.cli", *argv],
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from qwhit import qarith
-from qwhit.qarith import ONE, ZERO, LaurentScalar, q_binom, q_int, qpow
+from qwhit import qarith, ratmat, rootsys
+from qwhit.qarith import EXP_UNIT, ONE, ZERO, LaurentScalar, q_binom, q_int, qpow
 
 
 def random_scalar(rng, allow_den=True):
@@ -107,6 +107,22 @@ def test_q_binom_pascal_rule():
             assert lhs == rhs
 
 
+def test_q_binom_times_factorials_is_the_factorial():
+    def factorial(n, d):
+        out = ONE
+        for k in range(2, n + 1):
+            out = out * q_int(k, d)
+        return out
+
+    for d in (1, 2, 3, Fraction(1, 2)):
+        for m in range(7):
+            for k in range(m + 1):
+                lhs = q_binom(m, k, d) * factorial(k, d) * factorial(m - k, d)
+                assert lhs == factorial(m, d)
+    assert q_binom(3, 4) == ZERO
+    assert q_binom(3, -1) == ZERO
+
+
 def test_alternating_sum_factors_and_vanishing_set():
     # gauss_product_check raises if the closed product form ever disagrees
     for m in range(1, 6):
@@ -163,3 +179,80 @@ def test_kron_and_trace_helpers():
     # block (0,1) of the product is a[0][1] * b
     assert k[0][2] == qpow(1) * qpow(-1)
     assert k[1][3] == qpow(1) * qpow(1)
+
+
+def _orderings(rank):
+    ident = tuple(range(1, rank + 1))
+    return dict.fromkeys([ident, ident[::-1], (ident[1:2] + ident[:1] + ident[2:])])
+
+
+def _supported_types():
+    for series in rootsys.SUPPORTED_SERIES:
+        for rank in range(1, rootsys.MAX_RANK + 1):
+            try:
+                yield rootsys.build_root_system(series, rank)
+            except rootsys.UnsupportedTypeError:
+                pass
+
+
+def test_weight_and_cayley_pairings_are_multiples_of_the_exponent_unit():
+    # every q-exponent the engine forms is an integer combination of these
+    checked = 0
+    for rs in _supported_types():
+        omegas = [rs.fundamental_weight(i) for i in range(rs.rank)]
+        for pi in _orderings(rs.rank):
+            t = rootsys.cayley_transform(rootsys.coxeter_context(rs, pi))
+            vecs = omegas + [ratmat.mvec(t, w) for w in omegas]
+            for x in vecs:
+                for y in vecs:
+                    assert (rs.pair(x, y) * EXP_UNIT).denominator == 1
+                    checked += 1
+    assert checked > 1000
+
+
+def test_exponent_outside_the_unit_lattice_raises():
+    with pytest.raises(ArithmeticError):
+        qpow(Fraction(1, 7 * EXP_UNIT))
+    with pytest.raises(ArithmeticError):
+        LaurentScalar({Fraction(1, 7 * EXP_UNIT): Fraction(1)})
+    assert qpow(Fraction(1, EXP_UNIT)) * qpow(Fraction(-1, EXP_UNIT)) == ONE
+    assert str(qpow(Fraction(-3, 2))) == "q^(-3/2)"
+
+
+def test_canonical_form_matches_sympy_cancel():
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    # the samples use exponents in (1/2)Z, so q = t^2 gives polynomials in t
+    scale = Fraction(2, EXP_UNIT)
+
+    def poly(d):
+        total = sympy.Integer(0)
+        for u, c in d.items():
+            e = u * scale
+            assert e.denominator == 1
+            total += sympy.Rational(c.numerator, c.denominator) * t ** int(e)
+        return total
+
+    def as_sympy(s):
+        return poly(s.num) / poly(s.den)
+
+    rng = random.Random(4242)
+    for _ in range(25):
+        a, b = random_scalar(rng), random_scalar(rng)
+        results = [a + b, a * b, a - b]
+        expected = [as_sympy(a) + as_sympy(b), as_sympy(a) * as_sympy(b),
+                    as_sympy(a) - as_sympy(b)]
+        if not b.is_zero():
+            results.append(a / b)
+            expected.append(as_sympy(a) / as_sympy(b))
+        for got, want in zip(results, expected):
+            assert sympy.cancel(as_sympy(got) - want) == 0
+            assert got.den.get(0) == 1 and min(got.den) == 0
+            if got.is_zero():
+                assert got.den == {0: 1}
+                continue
+            # num shifted to a polynomial is coprime to den
+            num = sympy.expand(poly(got.num) * t ** -int(min(got.num) * scale))
+            assert sympy.degree(sympy.gcd(num, poly(got.den)), t) == 0
+            n, d = sympy.fraction(sympy.cancel(want))
+            assert sympy.cancel(n * poly(got.den) - d * poly(got.num)) == 0

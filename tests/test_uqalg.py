@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -476,3 +478,21 @@ def test_rho_chi_multiplicative_on_computed_centre():
     lhs = uqalg.rho_chi(c1 * c2, chi2)
     rhs = uqalg.rho_chi(c1, chi2) * uqalg.rho_chi(c2, chi2)
     assert lhs == rhs
+
+
+def test_discarded_algebra_is_freed_without_cyclic_gc():
+    # the root-vector cache must not point back at its algebra
+    gc.disable()
+    try:
+        rs = rootsys.build_root_system("A", 2)
+        alg = uqalg.Algebra(rootsys.coxeter_context(rs))
+        for beta in alg.ordering.ordering:
+            for sign in "+-":
+                uqalg.root_vector(alg, beta, sign)
+            uqalg.a_constant(alg, beta)
+        assert uqalg.root_vector(alg, (1, 1), "+").alg is alg
+        ref = weakref.ref(alg)
+        del alg
+        assert ref() is None
+    finally:
+        gc.enable()
