@@ -20,7 +20,8 @@ from itertools import permutations
 
 from . import crosssec, qarith, rootsys, toda, uqalg
 from .qarith import ZERO, LaurentScalar
-from .ratmat import charpoly, mat, minv, mmul, rank
+from .ratmat import (charpoly, eye, madd, mat, minv, mmul, msub, rank, sparse,
+                     unit, zeros)
 
 F = Fraction
 
@@ -43,11 +44,8 @@ def _rnd_frac(rng, lo=-4, hi=4, den=3):
 
 
 def _rnd_unitriangular(rng, n):
-    m = [[F(1) if i == j else F(0) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            m[i][j] = _rnd_frac(rng)
-    return mat(m)
+    return madd(eye(n), sparse(n, {(i, j): _rnd_frac(rng) for i in range(n)
+                                   for j in range(i + 1, n)}))
 
 
 def _rnd_torus(rng, n):
@@ -332,8 +330,7 @@ def kostant_round_trip(b):
     n = len(b)
     a, x = crosssec.kostant_section(b)
     f = crosssec.shift_matrix(n)
-    bf = mat([[b[i][j] + f[i][j] for j in range(n)] for i in range(n)])
-    xf = mat([[x[i][j] + f[i][j] for j in range(n)] for i in range(n)])
+    bf, xf = madd(b, f), madd(x, f)
     poly_b, poly_x = charpoly(bf), charpoly(xf)
     coords = [-poly_x[n - 2 - k] for k in range(n - 1)]
     checks = (mmul(mmul(a, bf), minv(a)) == xf,
@@ -376,7 +373,7 @@ def mcybe_trials(rng, n, trials):
     """Successes out of `trials` random traceless pairs (x, y) of size n
     whose modified classical Yang-Baxter residual vanishes."""
     _check_trials(trials)
-    zero = mat([[0] * n for _ in range(n)])
+    zero = zeros(n)
     good = 0
     for _ in range(trials):
         x = [[_rnd_frac(rng) for _ in range(n)] for _ in range(n)]
@@ -392,19 +389,9 @@ def rmatrix_subspaces(n):
     """Do r_+ and r_- have image of dimension n(n+1)/2 - 1, land in the
     upper and lower triangular matrices, and kill the strictly lower and
     strictly upper root vectors respectively?"""
-    zero = mat([[0] * n for _ in range(n)])
-    basis = []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                e = [[F(0)] * n for _ in range(n)]
-                e[i][j] = F(1)
-                basis.append(mat(e))
-    for i in range(n - 1):
-        e = [[F(0)] * n for _ in range(n)]
-        e[i][i] = F(1)
-        e[i + 1][i + 1] = F(-1)
-        basis.append(mat(e))
+    zero = zeros(n)
+    basis = [unit(n, i, j) for i in range(n) for j in range(n) if i != j]
+    basis += [msub(unit(n, i, i), unit(n, i + 1, i + 1)) for i in range(n - 1)]
     spaces = True
     for part, upper in (("plus", True), ("minus", False)):
         r = crosssec.rmatrix_endo(n, part)
@@ -420,12 +407,8 @@ def rmatrix_subspaces(n):
                 spaces = False
         for i in range(n):
             for j in range(n):
-                if i == j:
-                    continue
-                e = [[F(0)] * n for _ in range(n)]
-                e[i][j] = F(1)
                 killed = (i > j) if part == "plus" else (i < j)
-                if killed and r(mat(e)) != zero:
+                if killed and r(unit(n, i, j)) != zero:
                     spaces = False
     return spaces
 

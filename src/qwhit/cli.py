@@ -237,7 +237,12 @@ def cmd_serre_check(args):
 
 
 def cmd_casimir(args):
-    alg = uqalg.Algebra(_context(args))
+    # the module is checked before the algebra is built, so that a module
+    # outside the catalogue is a usage error at once even where the build
+    # does not finish
+    ctx = _context(args)
+    ctx.rs.module_index(args.rep)
+    alg = uqalg.Algebra(ctx)
     rep = uqalg.rep_matrices(alg, args.rep)
     c = uqalg.casimir_CV(alg, rep)
     central = acceptance.is_central(alg, c)
@@ -251,11 +256,12 @@ def cmd_casimir(args):
 
 
 def cmd_whittaker(args):
-    # flags are parsed before the algebra is built, so a usage error is
-    # reported at once even where the build is slow
+    # flags and the module are checked before the algebra is built, so a
+    # usage error is reported at once even where the build is slow
     ctx = _context(args)
     rank = ctx.rs.rank
     chi = uqalg.character("e", _character_values(args.chi, rank))
+    ctx.rs.module_index(args.rep)
     alg = uqalg.Algebra(ctx)
     rep = uqalg.rep_matrices(alg, args.rep)
     img = uqalg.whittaker_generator(alg, rep, chi)
@@ -280,19 +286,18 @@ def cmd_toda(args):
     rank = ctx.rs.rank
     chi_vals = _character_values(args.chi, rank)
     chibar_vals = _character_values(args.chibar, rank)
+    ctx.rs.module_index("V1")  # the Hamiltonians come from the modules
     alg = uqalg.Algebra(ctx)
     system = toda.build_toda_system(alg, chi_vals, chibar_vals)
     hams = system.hamiltonians
+    match = hams[0] == toda.closed_form_M1(alg, chi_vals, chibar_vals)
     outputs = {
         "chi": _ser_vec(chi_vals),
         "chibar": _ser_vec(chibar_vals),
         "hamiltonians": [_ser_diffop(h) for h in hams],
+        "closed_form_match": match,
     }
-    checks = {}
-    if alg.rs.series == "A":
-        closed = toda.closed_form_M1(alg, chi_vals, chibar_vals)
-        outputs["closed_form_match"] = hams[0] == closed
-        checks["closed_form_match"] = hams[0] == closed
+    checks = {"closed_form_match": match}
     if args.check_commute:
         zero = all(
             toda.commutator(hams[a], hams[b]).is_zero()
@@ -327,16 +332,17 @@ def cmd_cross_section(args):
         if not in_cell:
             return outputs, {"in_cell": False}
         conj, point = crosssec.cross_section(m)
+        poly = charpoly(m)
         outputs.update({
             "conjugator": _ser_mat(conj),
             "slice_point": _ser_mat(point),
             "slice_params": _ser_vec(crosssec.slice_params(point)),
-            "char_poly": _ser_vec(charpoly(m)),
+            "char_poly": _ser_vec(poly),
         })
         checks = {
             "in_cell": True,
             "on_slice": crosssec.is_slice_point(point),
-            "char_poly_preserved": charpoly(m) == charpoly(point),
+            "char_poly_preserved": poly == charpoly(point),
         }
         return outputs, checks
     n = args.n

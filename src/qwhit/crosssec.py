@@ -33,12 +33,18 @@ from .ratmat import (
     Mat,
     charpoly,
     det,
+    diag,
     eye,
+    madd,
     mat,
     minv,
     mmul,
+    mscale,
     msub,
+    mvec,
     solve,
+    sparse,
+    unit,
 )
 
 F0 = Fraction(0)
@@ -86,12 +92,9 @@ def coxeter_rep(n: int) -> Mat:
         raise ValueError("need n >= 2")
     out = eye(n)
     for i in range(n - 1):
-        block = [list(row) for row in eye(n)]
-        block[i][i] = F0
-        block[i][i + 1] = -F1
-        block[i + 1][i] = F1
-        block[i + 1][i + 1] = F0
-        out = mmul(out, mat(block))
+        block = {(k, k): F1 for k in range(n) if k not in (i, i + 1)}
+        block.update({(i, i + 1): -F1, (i + 1, i): F1})
+        out = mmul(out, sparse(n, block))
     return out
 
 
@@ -112,11 +115,9 @@ def nplus_prime_basis(n: int) -> list:
     out = []
     for i in range(n):
         for j in range(i + 1, n):
-            e = [[F0] * n for _ in range(n)]
-            e[i][j] = F1
-            conj = mmul(mmul(sinv, mat(e)), s)
-            if is_lower_triangular(conj):
-                out.append(mat(e))
+            e = unit(n, i, j)
+            if is_lower_triangular(mmul(mmul(sinv, e), s)):
+                out.append(e)
     if len(out) != n - 1:
         raise AssertionError("N_+' dimension is not the rank")
     return out
@@ -148,11 +149,7 @@ def cell_witness(m: Mat, s_rep: Optional[Mat] = None):
     sol = solve(mat(rows), tuple(rhs))
     if sol is None:
         return None
-    g = [[F0] * n for _ in range(n)]
-    for val, (k, l) in zip(sol, positions):
-        g[k][l] = val
-    ainv = mat([[g[i][j] + (F1 if i == j else F0) for j in range(n)]
-                for i in range(n)])
+    ainv = madd(eye(n), sparse(n, dict(zip(positions, sol))))
     a = minv(ainv)
     b = mmul(mmul(sinv, ainv), m)
     return a, b
@@ -166,11 +163,8 @@ def slice_point(params) -> Mat:
     """The point of N_+' s with the given n-1 first-row coordinates."""
     params = [Fraction(p) for p in params]
     n = len(params) + 1
-    s = coxeter_rep(n)
-    rows = [list(row) for row in s]
-    for j, p in enumerate(params):
-        rows[0][j] = rows[0][j] + p
-    return mat(rows)
+    return madd(coxeter_rep(n), sparse(n, {(0, j): p
+                                          for j, p in enumerate(params)}))
 
 
 def is_slice_point(m: Mat) -> bool:
@@ -259,9 +253,7 @@ def build_u(c) -> Mat:
     n = len(c) + 1
     out = eye(n)
     for i, x in enumerate(c):
-        factor = [list(row) for row in eye(n)]
-        factor[i + 1][i] = 2 * x
-        out = mmul(out, mat(factor))
+        out = mmul(out, madd(eye(n), mscale(unit(n, i + 1, i), 2 * x)))
     return out
 
 
@@ -292,10 +284,8 @@ def gstar_factorize(l_plus: Mat, l_minus: Mat) -> GStarElement:
         raise ValueError("L_- is not in B_-")
     assert_special(l_plus)
     assert_special(l_minus)
-    h_plus = mat([[l_plus[i][i] if i == j else F0 for j in range(n)]
-                  for i in range(n)])
-    h_minus = mat([[l_minus[i][i] if i == j else F0 for j in range(n)]
-                   for i in range(n)])
+    h_plus = diag([l_plus[i][i] for i in range(n)])
+    h_minus = diag([l_minus[i][i] for i in range(n)])
     s = coxeter_rep(n)
     if mmul(mmul(s, h_plus), minv(s)) != h_minus:
         raise ValueError("incompatible torus parts")
@@ -321,8 +311,7 @@ def mu_inverse_point(h_diag, n_plus: Mat, c) -> GStarElement:
         prod *= x
     if prod != 1:
         raise ValueError("torus entries must multiply to 1")
-    h_plus = mat([[entries[i] if i == j else F0 for j in range(n)]
-                  for i in range(n)])
+    h_plus = diag(entries)
     s = coxeter_rep(n)
     sh = mmul(mmul(s, h_plus), minv(s))
     l_plus = mmul(h_plus, n_plus)
@@ -332,8 +321,7 @@ def mu_inverse_point(h_diag, n_plus: Mat, c) -> GStarElement:
 
 def shift_matrix(n: int) -> Mat:
     """The principal nilpotent f: ones on the subdiagonal."""
-    return mat([[F1 if i == j + 1 else F0 for j in range(n)]
-                for i in range(n)])
+    return sparse(n, {(i + 1, i): F1 for i in range(n - 1)})
 
 
 def kostant_section(b: Mat):
@@ -349,8 +337,7 @@ def kostant_section(b: Mat):
     if not is_traceless(b):
         raise ValueError("input is not traceless")
     f = shift_matrix(n)
-    m = mat([[b[i][j] + f[i][j] for j in range(n)] for i in range(n)])
-    conj, out = _sweep_to_first_row(m)
+    conj, out = _sweep_to_first_row(madd(b, f))
     if out[0][0] != 0:
         raise AssertionError("trace did not cancel on the section")
     x = msub(out, f)
@@ -361,21 +348,17 @@ def kostant_section(b: Mat):
 
 def _cartan_cycle(n: int) -> Mat:
     """Action of the Coxeter representative on diagonal coordinates."""
-    return mat([[F1 if k == _cycle_prev(n, j) else F0 for k in range(n)]
-                for j in range(n)])
+    return sparse(n, {(j, _cycle_prev(n, j)): F1 for j in range(n)})
 
 
-def _cayley_on_diagonal(diag, n: int, part: str):
-    """Solve (1 - s) y = diag on the traceless Cartan and return the piece
+def _cayley_on_diagonal(values, n: int, part: str):
+    """Solve (1 - s) y = values on the traceless Cartan and return the piece
     of y demanded by ``part`` ("plus" -> y, "minus" -> s y, "full" -> y + s y)."""
     p = _cartan_cycle(n)
-    rows = [tuple((F1 if i == j else F0) - p[i][j] for j in range(n))
-            for i in range(n)]
-    rows.append((F1,) * n)
-    y = solve(mat(rows), tuple(diag) + (F0,))
+    y = solve(msub(eye(n), p) + ((F1,) * n,), tuple(values) + (F0,))
     if y is None:
         raise AssertionError("1 - s is singular on the traceless Cartan")
-    sy = tuple(sum(p[i][j] * y[j] for j in range(n)) for i in range(n))
+    sy = mvec(p, y)
     if part == "plus":
         return y
     if part == "minus":
@@ -397,7 +380,7 @@ def rmatrix_endo(n: int, part: str = "full") -> Callable[[Mat], Mat]:
             raise ValueError("size mismatch")
         if not is_traceless(x):
             raise ValueError("input is not traceless")
-        diag = _cayley_on_diagonal([x[i][i] for i in range(n)], n, part)
+        cartan = _cayley_on_diagonal([x[i][i] for i in range(n)], n, part)
         out = [[F0] * n for _ in range(n)]
         for i in range(n):
             for j in range(n):
@@ -406,7 +389,7 @@ def rmatrix_endo(n: int, part: str = "full") -> Callable[[Mat], Mat]:
                 elif i > j:
                     out[i][j] = -x[i][j] if part in ("full", "minus") else F0
                 else:
-                    out[i][j] = diag[i]
+                    out[i][j] = cartan[i]
         return mat(out)
 
     return r
@@ -424,25 +407,24 @@ def mcybe_check(x: Mat, y: Mat) -> Mat:
         raise ValueError("size mismatch")
     r = rmatrix_endo(n)
     rx, ry = r(x), r(y)
-    middle = mat([[a + b for a, b in zip(ra, rb)]
-                  for ra, rb in zip(_bracket(rx, y), _bracket(x, ry))])
-    return mat([[a - b + c for a, b, c in zip(r1, r2, r3)]
-                for r1, r2, r3 in zip(_bracket(rx, ry), r(middle),
-                                      _bracket(x, y))])
+    middle = madd(_bracket(rx, y), _bracket(x, ry))
+    return madd(msub(_bracket(rx, ry), r(middle)), _bracket(x, y))
 
 
 def fundamental_characters(m: Mat):
     """Traces of the fundamental exterior powers, read off the
     characteristic polynomial."""
-    n = _dim(m)
+    _dim(m)
     assert_special(m)
-    coeffs = charpoly(m)
-    sign = -1
-    out = []
-    for k in range(1, n):
-        out.append(sign * coeffs[n - k])
-        sign = -sign
-    return tuple(out)
+    return _characters(charpoly(m))
+
+
+def _characters(coeffs):
+    """(-1)^k c_{n-k} for k = 1..n-1, from the coefficients [c_0..c_n] of a
+    characteristic polynomial: the traces of the fundamental exterior
+    powers of the matrix."""
+    n = len(coeffs) - 1
+    return tuple((-1) ** k * coeffs[n - k] for k in range(1, n))
 
 
 def poly_discriminant(coeffs) -> Fraction:
@@ -489,11 +471,12 @@ def eq_character_report(h_diag, c) -> dict:
     s = coxeter_rep(el.n)
     t = mmul(minv(el.h_plus), mmul(mmul(s, el.h_plus), minv(s)))
     tu = mmul(t, build_u(c))
+    poly, poly_t = charpoly(q), charpoly(t)  # q is special: L_+ and L_- are
     return {
-        "regular": is_regular(t),
-        "matches_torus_times_u": charpoly(q) == charpoly(tu),
-        "matches_torus": charpoly(q) == charpoly(t),
-        "characters": fundamental_characters(q),
+        "regular": poly_discriminant(poly_t) != 0,
+        "matches_torus_times_u": poly == charpoly(tu),
+        "matches_torus": poly == poly_t,
+        "characters": _characters(poly),
     }
 
 

@@ -17,6 +17,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from . import ratmat
+
 F0 = Fraction(0)
 F1 = Fraction(1)
 
@@ -426,70 +428,6 @@ def qbinom_root_scan(m: int, c_range=None) -> list[int]:
     return [c for c in c_range if gauss_product_check(m, c).is_zero()]
 
 
-# ---------------------------------------------------------------------------
-# minimal dense matrix helpers over any ring with +, -, * and is_zero();
-# scalars multiply entries from the right so ring elements may embed scalars.
-
-def mat_eye(n: int, one, zero):
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a, b, zero):
-    n, m, p = len(a), len(b), len(b[0])
-    out = [[zero for _ in range(p)] for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for k in range(m):
-            c = ai[k]
-            if hasattr(c, "is_zero") and c.is_zero():
-                continue
-            bk = b[k]
-            for j in range(p):
-                d = bk[j]
-                if hasattr(d, "is_zero") and d.is_zero():
-                    continue
-                oi[j] = oi[j] + c * d
-    return out
-
-
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a, s):
-    return [[x * s for x in row] for row in a]
-
-
-def mat_is_zero(a) -> bool:
-    return all(x.is_zero() for row in a for x in row)
-
-
-def mat_eq(a, b) -> bool:
-    return mat_is_zero(mat_sub(a, b))
-
-
-def mat_kron(a, b, zero):
-    n, m = len(a), len(b)
-    out = [[zero for _ in range(n * m)] for _ in range(n * m)]
-    for i in range(n):
-        for j in range(n):
-            c = a[i][j]
-            if hasattr(c, "is_zero") and c.is_zero():
-                continue
-            for k in range(m):
-                for l in range(m):
-                    d = b[k][l]
-                    if hasattr(d, "is_zero") and d.is_zero():
-                        continue
-                    out[i * m + k][j * m + l] = c * d
-    return out
-
-
 def q_exp_nilpotent(x, t: LaurentScalar, one, zero):
     """exp_t(x) = sum_k x^k / (k)_t! for a nilpotent matrix x.
 
@@ -497,28 +435,12 @@ def q_exp_nilpotent(x, t: LaurentScalar, one, zero):
     fails to be nilpotent within dim(x) + 1 steps.
     """
     n = len(x)
-    out = mat_eye(n, one, zero)
-    term = mat_eye(n, one, zero)
+    out = term = ratmat.eye(n, one, zero)
     fact = ONE
     for k in range(1, n + 2):
-        term = mat_mul(term, x, zero)
-        if mat_is_zero(term):
+        term = ratmat.mmul(term, x, zero)
+        if ratmat.is_zero(term):
             return out
         fact = fact * q_paren(k, t)
-        out = mat_add(out, mat_scale(term, fact.inverse()))
+        out = ratmat.madd(out, ratmat.mscale(term, fact.inverse()))
     raise ArithmeticError("q_exp_nilpotent: matrix is not nilpotent")
-
-
-def mat_inv_unipotent(x, one, zero):
-    """Inverse of a matrix of the form 1 + n with n nilpotent (Neumann sum)."""
-    m = len(x)
-    eye = mat_eye(m, one, zero)
-    n = mat_sub(x, eye)
-    out = mat_eye(m, one, zero)
-    term = mat_eye(m, one, zero)
-    for k in range(1, m + 2):
-        term = mat_mul(term, n, zero)
-        if mat_is_zero(term):
-            return out
-        out = mat_add(out, term) if k % 2 == 0 else mat_sub(out, term)
-    raise ArithmeticError("mat_inv_unipotent: 1 - x is not nilpotent")

@@ -1,8 +1,13 @@
-"""Dense exact linear algebra over the rationals.
+"""Dense exact matrices over any ring, and linear algebra over the rationals.
 
-Matrices are tuples of tuples of Fraction (immutable, hashable); vectors are
-tuples of Fraction.  Everything here is small and dense: ranks stay below ten
-or so throughout the package.
+Matrices are tuples of row tuples (immutable, hashable, equal exactly when
+their entries are); vectors are tuples.  The builders, sums and products
+work over any ring whose elements support +, * and truthiness: Fraction,
+qarith.LaurentScalar and uqalg.PBWElement.  They take the ring's zero and
+one as keywords that default to the rationals.  The products skip zero
+entries, so a product of sparse matrices of costly elements stays cheap.
+Elimination (inverse, solve, rank, determinant) and the characteristic
+polynomial work over Fraction.  Everything here is small and dense.
 """
 
 from __future__ import annotations
@@ -24,13 +29,33 @@ def mat(rows) -> Mat:
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
-def eye(n: int) -> Mat:
-    return tuple(tuple(F1 if i == j else F0 for j in range(n)) for i in range(n))
+def sparse(n: int, entries: dict, zero=F0) -> Mat:
+    """The n x n matrix with entries[(i, j)] at (i, j) and zero elsewhere."""
+    return tuple(tuple(entries.get((i, j), zero) for j in range(n))
+                 for i in range(n))
 
 
-def zeros(n: int, m: int | None = None) -> Mat:
+def diag(entries, zero=F0) -> Mat:
+    return sparse(len(entries), {(i, i): x for i, x in enumerate(entries)},
+                  zero)
+
+
+def eye(n: int, one=F1, zero=F0) -> Mat:
+    return diag((one,) * n, zero)
+
+
+def unit(n: int, i: int, j: int, one=F1, zero=F0) -> Mat:
+    """The matrix unit E_ij."""
+    return sparse(n, {(i, j): one}, zero)
+
+
+def zeros(n: int, m: int | None = None, zero=F0) -> Mat:
     m = n if m is None else m
-    return tuple((F0,) * m for _ in range(n))
+    return tuple((zero,) * m for _ in range(n))
+
+
+def is_zero(a: Mat) -> bool:
+    return not any(x for row in a for x in row)
 
 
 def madd(a: Mat, b: Mat) -> Mat:
@@ -42,13 +67,54 @@ def msub(a: Mat, b: Mat) -> Mat:
 
 
 def mscale(a: Mat, s) -> Mat:
-    s = Fraction(s)
+    """Every entry times s, with s on the right, so that a ring whose
+    elements take scalars (PBW elements times q-scalars) can be scaled."""
     return tuple(tuple(x * s for x in row) for row in a)
 
 
-def mmul(a: Mat, b: Mat) -> Mat:
-    bt = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+def mmul(a: Mat, b: Mat, zero=F0) -> Mat:
+    """The product a b, accumulated row by row from zero over the nonzero
+    entries only."""
+    width = len(b[0])
+    out = []
+    for row in a:
+        acc = [zero] * width
+        for c, brow in zip(row, b):
+            if not c:
+                continue
+            for j, d in enumerate(brow):
+                if d:
+                    acc[j] = acc[j] + c * d
+        out.append(tuple(acc))
+    return tuple(out)
+
+
+def kron(a: Mat, b: Mat, zero=F0) -> Mat:
+    """The Kronecker product: block (i, j) is a[i][j] b."""
+    m = len(b)
+    out = [[zero] * (len(a) * m) for _ in range(len(a) * m)]
+    for i, arow in enumerate(a):
+        for j, c in enumerate(arow):
+            if not c:
+                continue
+            for k, brow in enumerate(b):
+                for l, d in enumerate(brow):
+                    if d:
+                        out[i * m + k][j * m + l] = c * d
+    return tuple(tuple(row) for row in out)
+
+
+def inv_unipotent(x: Mat, one=F1, zero=F0) -> Mat:
+    """Inverse of a matrix 1 + n with n nilpotent, by the Neumann sum."""
+    size = len(x)
+    n = msub(x, eye(size, one, zero))
+    out = term = eye(size, one, zero)
+    for k in range(1, size + 2):
+        term = mmul(term, n, zero)
+        if is_zero(term):
+            return out
+        out = madd(out, term) if k % 2 == 0 else msub(out, term)
+    raise ArithmeticError("inv_unipotent: 1 - x is not nilpotent")
 
 
 def mvec(a: Mat, v: Vec) -> Vec:
@@ -86,8 +152,8 @@ def _rref(work: list, ncols: int):
 
 def minv(a: Mat) -> Mat:
     n = len(a)
-    work, pivots = _rref([list(row) + [F1 if i == j else F0 for j in range(n)]
-                          for i, row in enumerate(a)], n)
+    work, pivots = _rref([list(row) + list(e) for row, e in zip(a, eye(n))],
+                         n)
     if len(pivots) < n:
         raise ZeroDivisionError("singular matrix")
     return tuple(tuple(row[n:]) for row in work)
@@ -122,7 +188,7 @@ def charpoly(a: Mat) -> list[Fraction]:
     m = zeros(n)
     c = F1
     for k in range(1, n + 1):
-        m = mmul(a, madd(m, mscale(eye(n), c)))
+        m = mmul(a, madd(m, diag((c,) * n)))
         c = -Fraction(sum(m[i][i] for i in range(n)), k)
         coeffs[n - k] = c
     return coeffs

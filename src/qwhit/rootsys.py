@@ -123,6 +123,18 @@ class RootSystemData:
                     total += Fraction(xi) * self.bform[i][j] * yj
         return total
 
+    def module_index(self, name):
+        """k for the fundamental module 'Vk' of the module catalogue, which
+        covers type A only; ValueError for any other system or name."""
+        if self.series != "A":
+            raise ValueError("the module catalogue covers type A only")
+        if not (name.startswith("V") and name[1:].isdigit()):
+            raise ValueError(f"unknown module name {name!r}")
+        k = int(name[1:])
+        if k < 1 or k > self.rank:
+            raise ValueError(f"module index out of range in {name!r}")
+        return k
+
     def fundamental_weight(self, i):
         """omega_i in simple-root coordinates, fixed by (omega_i, alpha_j) = d_j delta_ij."""
         rhs = tuple(Fraction(self.d[i]) if k == i else Fraction(0) for k in range(self.rank))
@@ -215,11 +227,8 @@ def _gauss_coxeter(rs, pi):
     )
     tilde = ratmat.mmul(ratmat.minv(ratmat.madd(ratmat.eye(l), u)),
                         ratmat.msub(ratmat.eye(l), v))
-    s = [[Fraction(0)] * l for _ in range(l)]
-    for k in range(l):
-        for i in range(l):
-            s[pi[k] - 1][pi[i] - 1] = tilde[k][i]
-    return ratmat.mat(s)
+    return ratmat.sparse(l, {(pi[k] - 1, pi[i] - 1): tilde[k][i]
+                             for k in range(l) for i in range(l)})
 
 
 def coxeter_matrix(rs, pi):
@@ -333,11 +342,9 @@ def coxeter_context(rs, pi=None):
                     f"eps*b = {eps[i][j] * rs.bform[i][j]}"
                 )
 
-    twist = [[Fraction(0)] * l for _ in range(l)]
-    for i in range(l):
-        for j in range(l):
-            if eps[i][j] > 0:
-                twist[i][j] = Fraction(rs.cartan[j][i])
+    twist = ratmat.sparse(l, {(i, j): Fraction(rs.cartan[j][i])
+                              for i in range(l) for j in range(l)
+                              if eps[i][j] > 0})
     _check_twist(rs, c, twist)
 
     return CoxeterContext(

@@ -21,16 +21,14 @@ from fractions import Fraction
 
 from . import qarith, ratmat, rootsys
 from .qarith import ONE, ZERO, LaurentScalar, qpow
-
-# rewriting-step cap per Algebra; None defers to QWHIT_STEP_BUDGET
-STEP_BUDGET = None
+from .ratmat import (diag, eye, inv_unipotent, is_zero, kron, madd, mmul,
+                     mscale, msub, sparse, zeros)
 
 
 def step_budget():
-    """STEP_BUDGET if set, else QWHIT_STEP_BUDGET (default 5000000), which
-    must be a positive integer; ValueError names the variable otherwise."""
-    if STEP_BUDGET is not None:
-        return STEP_BUDGET
+    """The rewriting-step cap per Algebra: QWHIT_STEP_BUDGET (default
+    5000000), which must be a positive integer; ValueError names the
+    variable otherwise."""
     raw = os.environ.get("QWHIT_STEP_BUDGET", "5000000")
     try:
         budget = int(raw)
@@ -628,8 +626,6 @@ class RepMatrices:
 
     def __init__(self, alg, name, k_index):
         rs = alg.rs
-        if rs.series != "A":
-            raise ValueError("the module catalogue covers type A only")
         n = rs.rank
         self.alg = alg
         self.name = name
@@ -650,23 +646,14 @@ class RepMatrices:
             weights.append(tuple(mu))
         self.weights = tuple(weights)
 
-        def empty():
-            return [[ZERO] * self.dim for _ in range(self.dim)]
+        def ladder(a, b):
+            # sends the basis vector s holding b but not a to s - {b} + {a}
+            return sparse(self.dim, {
+                (index[tuple(sorted(set(s) - {b} | {a}))], index[s]): ONE
+                for s in basis if b in s and a not in s}, ZERO)
 
-        self.x_plus = []
-        self.x_minus = []
-        for i in range(n):
-            xp = empty()
-            xm = empty()
-            for s in basis:
-                if i + 2 in s and i + 1 not in s:
-                    t = tuple(sorted(set(s) - {i + 2} | {i + 1}))
-                    xp[index[t]][index[s]] = ONE
-                if i + 1 in s and i + 2 not in s:
-                    t = tuple(sorted(set(s) - {i + 1} | {i + 2}))
-                    xm[index[t]][index[s]] = ONE
-            self.x_plus.append(xp)
-            self.x_minus.append(xm)
+        self.x_plus = [ladder(i + 1, i + 2) for i in range(n)]
+        self.x_minus = [ladder(i + 2, i + 1) for i in range(n)]
 
         twist = alg.ctx.twist
         self.e_mats = []
@@ -678,53 +665,42 @@ class RepMatrices:
                     nu = [m + twist[i][p] * o for m, o in zip(nu, omegas[p])]
             ke = self.k_matrix(nu)
             kf = self.k_matrix([-x for x in nu])
-            self.e_mats.append(qarith.mat_mul(self.x_plus[i], ke, ZERO))
-            self.f_mats.append(qarith.mat_mul(kf, self.x_minus[i], ZERO))
+            self.e_mats.append(mmul(self.x_plus[i], ke, ZERO))
+            self.f_mats.append(mmul(kf, self.x_minus[i], ZERO))
         self._check_relations()
 
     def k_matrix(self, lam):
-        return [
-            [
-                qpow(self.alg.rs.pair(lam, self.weights[r])) if r == s else ZERO
-                for s in range(self.dim)
-            ]
-            for r in range(self.dim)
-        ]
+        return diag([qpow(self.alg.rs.pair(lam, mu)) for mu in self.weights],
+                    ZERO)
 
     def _check_relations(self):
         alg = self.alg
         rs = alg.rs
         n = rs.rank
-        dim = self.dim
-        eye = qarith.mat_eye(dim, ONE, ZERO)
+        one = eye(self.dim, ONE, ZERO)
         for i in range(n):
             alpha = rs.simple_root(i)
             ki = self.k_matrix(alpha)
             ki_inv = self.k_matrix([-x for x in alpha])
-            assert qarith.mat_eq(qarith.mat_mul(ki, ki_inv, ZERO), eye)
+            assert mmul(ki, ki_inv, ZERO) == one
             for j in range(n):
                 # K alpha_i conjugation scales e_j by q^{(alpha_i, alpha_j)}
-                lhs = qarith.mat_mul(ki, qarith.mat_mul(self.e_mats[j], ki_inv, ZERO), ZERO)
-                rhs = qarith.mat_scale(self.e_mats[j], qpow(rs.pair(alpha, rs.simple_root(j))))
-                if not qarith.mat_eq(lhs, rhs):
+                lhs = mmul(ki, mmul(self.e_mats[j], ki_inv, ZERO), ZERO)
+                rhs = mscale(self.e_mats[j], qpow(rs.pair(alpha, rs.simple_root(j))))
+                if lhs != rhs:
                     raise RuntimeError(f"{self.name}: K-e relation fails at ({i},{j})")
-                lhs = qarith.mat_mul(ki, qarith.mat_mul(self.f_mats[j], ki_inv, ZERO), ZERO)
-                rhs = qarith.mat_scale(self.f_mats[j], qpow(-rs.pair(alpha, rs.simple_root(j))))
-                if not qarith.mat_eq(lhs, rhs):
+                lhs = mmul(ki, mmul(self.f_mats[j], ki_inv, ZERO), ZERO)
+                rhs = mscale(self.f_mats[j], qpow(-rs.pair(alpha, rs.simple_root(j))))
+                if lhs != rhs:
                     raise RuntimeError(f"{self.name}: K-f relation fails at ({i},{j})")
                 # e_i f_j - q^{c_ji} f_j e_i = delta_ij (K_i - K_i^-1)/(q_i - q_i^-1)
-                cross = qarith.mat_sub(
-                    qarith.mat_mul(self.e_mats[i], self.f_mats[j], ZERO),
-                    qarith.mat_scale(
-                        qarith.mat_mul(self.f_mats[j], self.e_mats[i], ZERO),
-                        qpow(alg.c_pair(j, i)),
-                    ),
-                )
+                cross = msub(mmul(self.e_mats[i], self.f_mats[j], ZERO),
+                             mscale(mmul(self.f_mats[j], self.e_mats[i], ZERO),
+                                    qpow(alg.c_pair(j, i))))
                 if i == j:
                     coef = (qpow(rs.d[i]) - qpow(-rs.d[i])).inverse()
-                    target = qarith.mat_scale(qarith.mat_sub(ki, ki_inv), coef)
-                    cross = qarith.mat_sub(cross, target)
-                if not qarith.mat_is_zero(cross):
+                    cross = msub(cross, mscale(msub(ki, ki_inv), coef))
+                if not is_zero(cross):
                     raise RuntimeError(f"{self.name}: cross relation fails at ({i},{j})")
         for i in range(n):
             for j in range(n):
@@ -733,47 +709,39 @@ class RepMatrices:
                 coefs = serre_coefficients(alg.ctx, i, j)
                 m = len(coefs) - 1
                 for side, mats in (("e", self.e_mats), ("f", self.f_mats)):
-                    total = [[ZERO] * dim for _ in range(dim)]
+                    total = zeros(self.dim, zero=ZERO)
                     for r, coef in enumerate(coefs):
-                        term = eye
-                        for _ in range(m - r):
-                            term = qarith.mat_mul(term, mats[i], ZERO)
-                        term = qarith.mat_mul(term, mats[j], ZERO)
-                        for _ in range(r):
-                            term = qarith.mat_mul(term, mats[i], ZERO)
-                        total = qarith.mat_add(total, qarith.mat_scale(term, coef))
-                    if not qarith.mat_is_zero(total):
+                        term = one
+                        for x in (i,) * (m - r) + (j,) + (i,) * r:
+                            term = mmul(term, mats[x], ZERO)
+                        total = madd(total, mscale(term, coef))
+                    if not is_zero(total):
                         raise RuntimeError(
                             f"{self.name}: {side}-Serre fails at ({i},{j})")
 
     def evaluate_word(self, word, side):
         mats = self.e_mats if side == "e" else self.f_mats
-        out = qarith.mat_eye(self.dim, ONE, ZERO)
+        out = eye(self.dim, ONE, ZERO)
         for i in word:
-            out = qarith.mat_mul(out, mats[i], ZERO)
+            out = mmul(out, mats[i], ZERO)
         return out
 
     def evaluate(self, x):
         """Matrix of a PBWElement in this module."""
-        out = [[ZERO] * self.dim for _ in range(self.dim)]
+        out = zeros(self.dim, zero=ZERO)
         for (fw, lam, ew), c in x.terms.items():
             m = self.evaluate_word(fw, "f")
             if any(lam):
-                m = qarith.mat_mul(m, self.k_matrix(lam), ZERO)
+                m = mmul(m, self.k_matrix(lam), ZERO)
             if ew:
-                m = qarith.mat_mul(m, self.evaluate_word(ew, "e"), ZERO)
-            out = qarith.mat_add(out, qarith.mat_scale(m, c))
+                m = mmul(m, self.evaluate_word(ew, "e"), ZERO)
+            out = madd(out, mscale(m, c))
         return out
 
 
 def rep_matrices(alg, name):
     """Named module catalogue: 'V1'..'Vl' are the fundamental modules."""
-    if not (name.startswith("V") and name[1:].isdigit()):
-        raise ValueError(f"unknown module name {name!r}")
-    k = int(name[1:])
-    if k < 1 or k > alg.rank:
-        raise ValueError(f"module index out of range in {name!r}")
-    return RepMatrices(alg, name, k)
+    return RepMatrices(alg, name, alg.rs.module_index(name))
 
 
 # ---------------------------------------------------------------------------
@@ -795,9 +763,7 @@ def _cartan_weights(alg, rep, sign):
 
 
 def _k_diag(alg, lams):
-    zero = alg.zero()
-    return [[alg.k(lam) if r == s else zero for s in range(len(lams))]
-            for r, lam in enumerate(lams)]
+    return diag([alg.k(lam) for lam in lams], alg.zero())
 
 
 def _r_in_rep(alg, rep, flipped):
@@ -816,11 +782,9 @@ def _r_in_rep(alg, rep, flipped):
             second = rep.evaluate(e_beta)
         else:
             first = e_beta.scale(scale)
-            second = qarith.mat_mul(rep.k_matrix(t_beta), rep.evaluate(f_beta),
-                                    ZERO)
-        mat = [[first.scale(x) for x in row] for row in second]
-        out = qarith.mat_mul(
-            out, qarith.q_exp_nilpotent(mat, base, alg.one(), zero), zero)
+            second = mmul(rep.k_matrix(t_beta), rep.evaluate(f_beta), ZERO)
+        out = mmul(out, qarith.q_exp_nilpotent(mscale(second, first), base,
+                                               alg.one(), zero), zero)
     return out
 
 
@@ -833,32 +797,24 @@ def r_matrix_in_rep(alg, rep):
     # invert r21 = D (1 + N) with N nilpotent: (1+N)^{-1} D^{-1}
     dinv = _k_diag(alg, [tuple(-x for x in lam)
                          for lam in _cartan_weights(alg, rep, -1)])
-    unipotent = qarith.mat_mul(dinv, r21, zero)
-    lplus = qarith.mat_mul(
-        qarith.mat_inv_unipotent(unipotent, alg.one(), zero), dinv, zero
-    )
+    unipotent = mmul(dinv, r21, zero)
+    lplus = mmul(inv_unipotent(unipotent, alg.one(), zero), dinv, zero)
     return lminus, lplus
 
 
 def r_matrix_vv(alg, rep):
     """Numeric R-matrix (pi_V x pi_V) R on V x V."""
-    dim = rep.dim
-    size = dim * dim
-    out = [[ZERO] * size for _ in range(size)]
     lams = _cartan_weights(alg, rep, 1)
-    for r in range(dim):
-        for s in range(dim):
-            out[r * dim + s][r * dim + s] = qpow(
-                alg.rs.pair(rep.weights[r], lams[s]))
+    out = diag([qpow(alg.rs.pair(mu, lam))
+                for mu in rep.weights for lam in lams], ZERO)
     for beta in alg.ordering.ordering:
         scale, t_beta, base = _root_constants(alg, beta)
-        first = qarith.mat_scale(rep.evaluate(root_vector(alg, beta, "+")), scale)
-        second = qarith.mat_mul(rep.k_matrix(t_beta),
-                                rep.evaluate(root_vector(alg, beta, "-")), ZERO)
-        factor = qarith.q_exp_nilpotent(
-            qarith.mat_kron(first, second, ZERO), base, ONE, ZERO
-        )
-        out = qarith.mat_mul(out, factor, ZERO)
+        first = mscale(rep.evaluate(root_vector(alg, beta, "+")), scale)
+        second = mmul(rep.k_matrix(t_beta),
+                      rep.evaluate(root_vector(alg, beta, "-")), ZERO)
+        factor = qarith.q_exp_nilpotent(kron(first, second, ZERO), base,
+                                        ONE, ZERO)
+        out = mmul(out, factor, ZERO)
     return out
 
 
@@ -866,33 +822,16 @@ def yang_baxter_check(alg, rep):
     """Exact check of R12 R13 R23 = R23 R13 R12 on V x V x V."""
     r = r_matrix_vv(alg, rep)
     d = rep.dim
-    size = d ** 3
-
-    def lift(mat, legs):
-        out = [[ZERO] * size for _ in range(size)]
-        for i1 in range(d):
-            for i2 in range(d):
-                for i3 in range(d):
-                    row = (i1 * d + i2) * d + i3
-                    idx = {1: i1, 2: i2, 3: i3}
-                    for j_a in range(d):
-                        for j_b in range(d):
-                            v = mat[idx[legs[0]] * d + idx[legs[1]]][j_a * d + j_b]
-                            if v.is_zero():
-                                continue
-                            jdx = dict(idx)
-                            jdx[legs[0]] = j_a
-                            jdx[legs[1]] = j_b
-                            col = (jdx[1] * d + jdx[2]) * d + jdx[3]
-                            out[row][col] = out[row][col] + v
-        return out
-
-    r12 = lift(r, (1, 2))
-    r13 = lift(r, (1, 3))
-    r23 = lift(r, (2, 3))
-    lhs = qarith.mat_mul(qarith.mat_mul(r12, r13, ZERO), r23, ZERO)
-    rhs = qarith.mat_mul(qarith.mat_mul(r23, r13, ZERO), r12, ZERO)
-    return qarith.mat_eq(lhs, rhs)
+    one = eye(d, ONE, ZERO)
+    r12 = kron(r, one, ZERO)
+    r23 = kron(one, r, ZERO)
+    # R13 is R12 conjugated by the flip of the last two legs
+    flip = sparse(d * d, {(i * d + j, j * d + i): ONE
+                          for i in range(d) for j in range(d)}, ZERO)
+    p23 = kron(one, flip, ZERO)
+    r13 = mmul(mmul(p23, r12, ZERO), p23, ZERO)
+    return (mmul(mmul(r12, r13, ZERO), r23, ZERO)
+            == mmul(mmul(r23, r13, ZERO), r12, ZERO))
 
 
 # ---------------------------------------------------------------------------
@@ -907,8 +846,8 @@ def casimir_CV(alg, rep):
     out = alg.zero()
     for j in range(rep.dim):
         # only the diagonal of R_21 R enters the trace
-        diag = sum((r21[j][k] * rmat[k][j] for k in range(rep.dim)), alg.zero())
-        out = out + diag.scale(qpow(alg.rs.pair(two_rho, rep.weights[j])))
+        entry = sum((r21[j][k] * rmat[k][j] for k in range(rep.dim)), alg.zero())
+        out = out + entry.scale(qpow(alg.rs.pair(two_rho, rep.weights[j])))
     return out
 
 

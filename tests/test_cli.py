@@ -231,6 +231,24 @@ def test_reports_are_byte_identical(capsys):
     (["toda", "--type", "A", "--rank", "2", "--pi", "2,1", "--chi=1/2,-3",
       "--chibar=2,5/3", "--check-commute"],
      "51f69faf11efc2c2872f89cfa61d6deb647c7123c2ad59ba7d176f7a8c1fd2b2"),
+    (["gstar", "--x", "2,1/2", "--u-params", "1/2"],
+     "7d3de60177d7d432044114da90736dbfc9f0169b405fe385fb7a4c7076e8d77a"),
+    (["gstar", "--x", "2,1/2,1", "--u-params", "1/2,1/2", "--matrix",
+      '[["1","2","3"],["0","1","-1"],["0","0","1"]]'],
+     "482d4e79e4d18273de17001832cb69716fc832fcded0f6ed5b9e9ad263e70240"),
+    (["cross-section", "--matrix", '[["2","-3","0","-1"],["1","0","1","5"],'
+      '["0","1","8","-4"],["0","0","1","-1"]]'],
+     "b88afa7d2819eac50987fcdeff5c18619de3ff6f13907a5b39c10a29673589a1"),
+    (["cross-section", "--matrix",
+      '[["1","2","4"],["1/2","5/2","-2"],["0","1","-2"]]', "--s-rep",
+      '[["0","0","2"],["1/2","0","0"],["0","1","0"]]'],
+     "79656bcaf0308a6392db49afb9f778238b926ce7d25118b1d14ead278699d3ba"),
+    (["kostant-section", "--b", '[["1","2","3"],["0","-2","5"],["0","0","1"]]'],
+     "91a9d846e47a1f5c8a303092da437f6073be1aa5883bb3dab13454c1e42111ec"),
+    (["cayley", "--type", "A", "--rank", "3", "--pi", "2,3,1"],
+     "aeaa58da9ee5389a06787f121a69d24773d1d81c8ce447b2355a813b34e795d0"),
+    (["orbits", "--type", "G", "--rank", "2"],
+     "e19edaf3539c5a274707194b5006295647a1442f6f5914ce91d7a37c7ca907d7"),
 ])
 def test_report_digests_are_pinned(capsys, argv, digest):
     assert cli.main(argv) == 0
@@ -248,6 +266,12 @@ def test_report_digests_are_pinned(capsys, argv, digest):
      "expected a comma list of rationals"),
     (["whittaker", "--type", "A", "--rank", "4", "--chi=1,2,3"],
      "expected 4 character values"),
+    # so must a module outside the type-A catalogue (B3 does not finish)
+    (["casimir", "--type", "B", "--rank", "3"], "type A only"),
+    (["toda", "--type", "B", "--rank", "3"], "type A only"),
+    (["whittaker", "--type", "B", "--rank", "3"], "type A only"),
+    (["casimir", "--type", "A", "--rank", "4", "--rep", "V9"],
+     "module index out of range"),
 ])
 def test_bad_rational_flag_exits_2_at_once(argv, message):
     # a subprocess with a timeout, so that a slow parse or build fails the

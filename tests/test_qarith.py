@@ -144,17 +144,17 @@ def test_eps_series_expansion_around_one():
 def test_q_exp_nilpotent_matches_truncated_series():
     q = qpow(1)
     t = q * q
-    x = [[ZERO, ONE, ZERO], [ZERO, ZERO, ONE], [ZERO, ZERO, ZERO]]
+    x = ((ZERO, ONE, ZERO), (ZERO, ZERO, ONE), (ZERO, ZERO, ZERO))
     got = qarith.q_exp_nilpotent(x, t, ONE, ZERO)
     two_t = ONE + t
-    expect = [
-        [ONE, ONE, two_t.inverse()],
-        [ZERO, ONE, ONE],
-        [ZERO, ZERO, ONE],
-    ]
-    assert qarith.mat_eq(got, expect)
+    expect = (
+        (ONE, ONE, two_t.inverse()),
+        (ZERO, ONE, ONE),
+        (ZERO, ZERO, ONE),
+    )
+    assert got == expect
     with pytest.raises(ArithmeticError):
-        qarith.q_exp_nilpotent([[ONE]], t, ONE, ZERO)
+        qarith.q_exp_nilpotent(((ONE,),), t, ONE, ZERO)
 
 
 def test_mat_inv_unipotent_round_trip():
@@ -166,15 +166,16 @@ def test_mat_inv_unipotent_round_trip():
             for j in range(i + 1, n):
                 if rng.random() < 0.7:
                     x[i][j] = random_scalar(rng, allow_den=False)
-        inv = qarith.mat_inv_unipotent(x, ONE, ZERO)
-        assert qarith.mat_eq(qarith.mat_mul(x, inv, ZERO), qarith.mat_eye(n, ONE, ZERO))
-        assert qarith.mat_eq(qarith.mat_mul(inv, x, ZERO), qarith.mat_eye(n, ONE, ZERO))
+        inv = ratmat.inv_unipotent(x, ONE, ZERO)
+        one = ratmat.eye(n, ONE, ZERO)
+        assert ratmat.mmul(x, inv, ZERO) == one
+        assert ratmat.mmul(inv, x, ZERO) == one
 
 
 def test_kron_and_trace_helpers():
     a = [[ONE, qpow(1)], [ZERO, ONE]]
     b = [[qpow(-1), ZERO], [ZERO, qpow(1)]]
-    k = qarith.mat_kron(a, b, ZERO)
+    k = ratmat.kron(a, b, ZERO)
     assert len(k) == 4
     # block (0,1) of the product is a[0][1] * b
     assert k[0][2] == qpow(1) * qpow(-1)

@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from qwhit.ratmat import eye, mat, minv, mmul, mvec, rank, solve
+from qwhit.ratmat import charpoly, det, eye, mat, minv, mmul, mvec, rank, solve
 
 
 def test_minv_inverts_and_rejects_singular():
@@ -28,3 +29,41 @@ def test_solve_consistent_inconsistent_and_free_columns():
 ])
 def test_rank(rows, expected):
     assert rank(mat(rows)) == expected
+
+
+def _from_sympy(m):
+    return mat([[Fraction(int(x.p), int(x.q)) for x in m.row(i)]
+                for i in range(m.rows)])
+
+
+def _random_sympy(sympy, rng, n, m):
+    return sympy.Matrix(n, m, [sympy.Rational(rng.randint(-5, 5),
+                                              rng.randint(1, 4))
+                               for _ in range(n * m)])
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_dense_layer_matches_sympy(n):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(100 + n)
+    t = sympy.Symbol("t")
+    full = _random_sympy(sympy, rng, n, n)
+    # rank n - 1 (the zero matrix at n = 1): a product through n - 1 columns
+    low = (_random_sympy(sympy, rng, n, n - 1)
+           * _random_sympy(sympy, rng, n - 1, n))
+    wide = _random_sympy(sympy, rng, n, n + 1)
+    for s in (full, low):
+        a = _from_sympy(s)
+        assert det(a) == Fraction(str(s.det()))
+        assert rank(a) == s.rank()
+        assert charpoly(a) == [Fraction(str(c))
+                               for c in reversed(s.charpoly(t).all_coeffs())]
+        assert mmul(a, a) == _from_sympy(s * s)
+        assert mmul(a, _from_sympy(wide)) == _from_sympy(s * wide)
+        if s.det() == 0:
+            with pytest.raises(ZeroDivisionError):
+                minv(a)
+        else:
+            assert minv(a) == _from_sympy(s.inv())
+    assert rank(_from_sympy(low)) == n - 1
+    assert rank(_from_sympy(wide)) == wide.rank()

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from qwhit import rootsys, uqalg
-from qwhit.qarith import LaurentScalar, q_binom, qpow
+from qwhit import ratmat, rootsys, uqalg
+from qwhit.qarith import ZERO, LaurentScalar, q_binom, qpow
 
 _ALGEBRAS = {}
 
@@ -143,7 +143,7 @@ def test_pbw_multigraded_dimensions(series, rank, height):
 
 
 def test_step_budget_raises_instead_of_spinning(monkeypatch):
-    monkeypatch.setattr(uqalg, "STEP_BUDGET", 20)
+    monkeypatch.setenv("QWHIT_STEP_BUDGET", "20")
     rs = rootsys.build_root_system("B", 2)
     with pytest.raises(ArithmeticError):
         uqalg.Algebra(rootsys.coxeter_context(rs))
@@ -294,13 +294,10 @@ def test_rep_catalogue_and_nilpotency():
     alg = algebra("A", 1)
     rep = uqalg.rep_matrices(alg, "V1")
     assert rep.dim == 2
-    from qwhit.qarith import mat_is_zero, mat_mul
-
-    zero = alg.zero()
-    e2 = mat_mul(rep.e_mats[0], rep.e_mats[0], zero)
-    f2 = mat_mul(rep.f_mats[0], rep.f_mats[0], zero)
-    assert mat_is_zero(e2)
-    assert mat_is_zero(f2)
+    e2 = ratmat.mmul(rep.e_mats[0], rep.e_mats[0], ZERO)
+    f2 = ratmat.mmul(rep.f_mats[0], rep.f_mats[0], ZERO)
+    assert ratmat.is_zero(e2)
+    assert ratmat.is_zero(f2)
 
 
 def test_rep_relation_check_runs_for_small_type_a():
