@@ -327,18 +327,20 @@ def cmd_cross_section(args):
                 outputs["witness"] = [_ser_mat(witness[0]),
                                       _ser_mat(witness[1])]
             return outputs, {"in_cell": witness is not None}
-        in_cell = crosssec.bruhat_cell_test(m)
-        outputs = {"matrix": _ser_mat(m), "in_cell": in_cell}
-        if not in_cell:
-            return outputs, {"in_cell": False}
-        conj, point = crosssec.cross_section(m)
+        try:
+            conj, point = crosssec.cross_section(m)
+        except crosssec.NotInCell:
+            return ({"matrix": _ser_mat(m), "in_cell": False},
+                    {"in_cell": False})
         poly = charpoly(m)
-        outputs.update({
+        outputs = {
+            "matrix": _ser_mat(m),
+            "in_cell": True,
             "conjugator": _ser_mat(conj),
             "slice_point": _ser_mat(point),
             "slice_params": _ser_vec(crosssec.slice_params(point)),
             "char_poly": _ser_vec(poly),
-        })
+        }
         checks = {
             "in_cell": True,
             "on_slice": crosssec.is_slice_point(point),

@@ -219,17 +219,21 @@ def _sweep_to_first_row(m: Mat):
     return mat(conj), m
 
 
+class NotInCell(ValueError):
+    """The matrix given to ``cross_section`` lies outside N_+ s N_+."""
+
+
 def cross_section(m: Mat):
     """Conjugator u in N_+ and the slice point v s with u m u^-1 = v s.
 
-    The input must lie in N_+ s N_+; every element of that cell is a
-    determinant-one Hessenberg matrix with unit subdiagonal, and the sweep
-    moves all interior entries onto the first row while the corner stays
-    pinned by the determinant.
+    The input must lie in N_+ s N_+, or NotInCell is raised; every element
+    of that cell is a determinant-one Hessenberg matrix with unit
+    subdiagonal, and the sweep moves all interior entries onto the first
+    row while the corner stays pinned by the determinant.
     """
     n = _dim(m)
     if not bruhat_cell_test(m):
-        raise ValueError("not in N_+ s N_+")
+        raise NotInCell("not in N_+ s N_+")
     conj, out = _sweep_to_first_row(m)
     if not is_slice_point(out):
         raise AssertionError("sweep left the slice family")

@@ -9,11 +9,15 @@ both Serre sides at q^{r c_ij}, only the c_ji cross closes the diamond on
 words like e_1 f_2 f_1 f_1, and it is the one the realization map produces.
 Elements are kept in a normal form f-word * K * e-word, with one-sided words
 reduced by a Groebner-completed rewriting system, so equality and the zero
-test are structural.
+test are structural.  The rules are completed degree by degree, as words
+need them: an algebra is built with every word up to BUILD_DEGREE letters in
+exact normal form, and a longer word first resumes the completion up to its
+own length, so orderings and ranks whose rule set is infinite still work.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import os
 from dataclasses import dataclass
@@ -23,6 +27,11 @@ from . import qarith, ratmat, rootsys
 from .qarith import ONE, ZERO, LaurentScalar, qpow
 from .ratmat import (diag, eye, inv_unipotent, is_zero, kron, madd, mmul,
                      mscale, msub, sparse, zeros)
+
+
+# The Serre rules are completed through this word length when an Algebra is
+# built; a longer word resumes the completion up to its own length.
+BUILD_DEGREE = 6
 
 
 def step_budget():
@@ -82,16 +91,30 @@ class Algebra:
         self._root_vector_cache: dict = {}
         self._a_cache: dict = {}
         self.cayley_op = rootsys.cayley_transform(ctx)
-        self.rules = self._serre_groebner()
+        self.rules = []
+        self._pending = [(len(next(iter(rel))), seq, rel, (), {}, ())
+                         for seq, rel in enumerate(self._serre_relators())]
+        heapq.heapify(self._pending)
+        self._seq = itertools.count(len(self._pending))
+        self._degree = 0
+        self._complete(BUILD_DEGREE)
 
     # -- bookkeeping ---------------------------------------------------------
-    def _tick(self, n=1):
-        self._steps += n
+    def _tick(self, word_len):
+        """Charge one rewriting step; word_len is None inside the completion
+        and the length of the word being reduced otherwise."""
+        self._steps += 1
         if self._steps > self._budget:
+            if word_len is None:
+                longest = max((len(lead) for lead, _ in self.rules), default=0)
+                stage = (f"completing the Serre rules to degree {self._target}"
+                         f" ({len(self.rules)} rules, longest lead {longest})")
+            else:
+                stage = f"reducing a word of length {word_len}"
             raise ArithmeticError(
-                f"rewriting exceeded the step budget ({self._budget}); "
-                "set QWHIT_STEP_BUDGET higher for larger computations"
-            )
+                f"rewriting exceeded the step budget ({self._budget}) while "
+                f"{stage}; set QWHIT_STEP_BUDGET higher for larger "
+                "computations")
 
     def weight(self, vec):
         return tuple(Fraction(x) for x in vec)
@@ -133,18 +156,18 @@ class Algebra:
         tail = {w: -(c * inv) for w, c in poly.items() if w != lead}
         return lead, tail
 
-    def _reduce_poly(self, poly, rules):
-        """Fully reduce a word polynomial modulo the given rewriting rules."""
+    def _reduce_poly(self, poly, word_len=None):
+        """Fully reduce a word polynomial modulo the current rules."""
         out = {}
         work = dict(poly)
         while work:
-            self._tick()
+            self._tick(word_len)
             word = max(work, key=lambda w: _word_key(self.letter_rank, w))
             coef = work.pop(word)
             if coef.is_zero():
                 continue
             hit = None
-            for lead, tail in rules:
+            for lead, tail in self.rules:
                 k = len(lead)
                 for p in range(len(word) - k + 1):
                     if word[p:p + k] == lead:
@@ -163,54 +186,60 @@ class Algebra:
                     del work[w2]
         return _nonzero(out)
 
-    def _serre_groebner(self):
-        """Complete the deformed Serre relators to a confluent rule set."""
-        rules = []
-        for rel in self._serre_relators():
-            lead, tail = self._normalize_rule(rel)
-            if (lead, tail) not in rules:
-                rules.append((lead, tail))
-        queue = list(itertools.product(range(len(rules)), repeat=2))
-        while queue:
-            gi, gj = queue.pop()
-            lead1, tail1 = rules[gi]
-            lead2, tail2 = rules[gj]
-            overlaps = []
-            for k in range(1, min(len(lead1), len(lead2))):
-                if lead1[-k:] == lead2[:k]:
-                    # glued word lead1 + lead2[k:], rewritten two ways
-                    s_poly = {}
-                    for v, c in tail1.items():
-                        w = v + lead2[k:]
-                        s_poly[w] = s_poly.get(w, ZERO) + c
-                    for v, c in tail2.items():
-                        w = lead1[:len(lead1) - k] + v
-                        s_poly[w] = s_poly.get(w, ZERO) - c
-                    overlaps.append(s_poly)
-            if gi != gj and len(lead2) < len(lead1):
-                for p in range(len(lead1) - len(lead2) + 1):
-                    if lead1[p:p + len(lead2)] == lead2:
-                        s_poly = dict(tail1)
-                        for v, c in tail2.items():
-                            w = lead1[:p] + v + lead1[p + len(lead2):]
-                            s_poly[w] = s_poly.get(w, ZERO) - c
-                        overlaps.append(s_poly)
-            for s_poly in overlaps:
-                rem = self._reduce_poly(s_poly, rules)
-                if rem:
-                    lead, tail = self._normalize_rule(rem)
-                    rules.append((lead, tail))
-                    n = len(rules)
-                    queue.extend((n - 1, t) for t in range(n))
-                    queue.extend((t, n - 1) for t in range(n - 1))
-        return rules
+    # The completion queue is a heap of (length, seq, a, y, b, x), each
+    # entry the homogeneous polynomial a*y - x*b of that word length: a
+    # Serre relator (b = 0), or the two rewrites of a word x*m*y where the
+    # leads x*m and m*y overlap.  The relators being homogeneous, an entry
+    # reduces to a remainder of its own length, so rules appear in order of
+    # lead length, each lead irreducible by the rules before it: no lead
+    # contains another, and overlaps are the only ambiguities.  Once every
+    # entry up to length D is resolved, the rules give the exact normal form
+    # of every word of length <= D (Mora, TCS 134, 1994).
+
+    def _queue_overlaps(self, rule1, rule2):
+        """Queue each word where a suffix of lead1 is a prefix of lead2,
+        with the difference of its two rewrites."""
+        (lead1, tail1), (lead2, tail2) = rule1, rule2
+        for k in range(1, min(len(lead1), len(lead2))):
+            if lead1[-k:] == lead2[:k]:
+                heapq.heappush(self._pending, (
+                    len(lead1) + len(lead2) - k, next(self._seq),
+                    tail1, lead2[k:], tail2, lead1[:-k]))
+
+    def _complete(self, degree):
+        """Resolve every queued polynomial of length <= degree; a nonzero
+        remainder becomes a rule and queues its overlaps with every rule,
+        itself included."""
+        self._target = degree
+        pending = self._pending
+        while pending and pending[0][0] <= degree:
+            _, _, a, y, b, x = pending[0]
+            poly = {}
+            for w, c in a.items():
+                poly[w + y] = poly.get(w + y, ZERO) + c
+            for w, c in b.items():
+                poly[x + w] = poly.get(x + w, ZERO) - c
+            rem = self._reduce_poly(poly)
+            # popped only once reduced, so a budget trip loses no entry
+            heapq.heappop(pending)
+            if rem:
+                rule = self._normalize_rule(rem)
+                for old in self.rules:
+                    self._queue_overlaps(rule, old)
+                    self._queue_overlaps(old, rule)
+                self.rules.append(rule)
+                self._queue_overlaps(rule, rule)
+        self._degree = degree
 
     def reduce_word(self, word):
-        """Expansion of a one-sided word in irreducible words."""
+        """Expansion of a one-sided word in irreducible words; a word longer
+        than any resolved so far first resumes the completion."""
         word = tuple(word)
         cached = self._reduce_cache.get(word)
         if cached is None:
-            cached = self._reduce_poly({word: ONE}, self.rules)
+            if len(word) > self._degree:
+                self._complete(len(word))
+            cached = self._reduce_poly({word: ONE}, len(word))
             self._reduce_cache[word] = cached
         return cached
 

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from qwhit import cli, rootsys
+from qwhit import cli, crosssec, rootsys
 
 
 def run_cli(capsys, *argv):
@@ -31,6 +31,27 @@ def test_toda_check_commute(capsys):
     assert code == 0
     assert report["outputs"]["commutators_zero"] is True
     assert report["outputs"]["closed_form_match"] is True
+
+
+@pytest.mark.parametrize("pi", ["1,2,3", "3,2,1", "1,3,2", "2,1,3",
+                                "2,3,1", "3,1,2"])
+def test_toda_finishes_on_every_a3_ordering(capsys, pi):
+    code, report, _ = run_cli(capsys, "toda", "--type", "A", "--rank", "3",
+                              "--pi", pi, "--chi=1,2,3", "--chibar=-1,1/2,2",
+                              "--check-commute")
+    assert code == 0
+    assert report["checks"] == {"closed_form_match": True,
+                                "commutators_zero": True}
+
+
+def test_toda_a4_finishes():
+    proc = subprocess.run(
+        [sys.executable, "-m", "qwhit.cli", "toda", "--type", "A", "--rank",
+         "4", "--chi=1,2,3,-1", "--chibar=-1,1/2,2,3", "--check-commute"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["checks"] == {"closed_form_match": True,
+                                                 "commutators_zero": True}
 
 
 def test_root_system_and_cayley(capsys):
@@ -101,6 +122,32 @@ def test_cross_section_outside_cell_fails(capsys):
     assert code == 1
     assert report["outputs"]["in_cell"] is False
     assert "failed checks: in_cell" in captured.err
+
+
+def test_cross_section_outside_cell_report_is_pinned(capsys):
+    # digest taken before the cell test moved into cross_section alone
+    code = cli.main(["cross-section", "--matrix",
+                     '[["2","-3","0","-1"],["1","0","1","5"],'
+                     '["0","2","8","-4"],["0","0","1","-1"]]'])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "307d899f9264a24afdc3ae931c982c436559c080ada21ed241d8dab0cc5cf284")
+
+
+@pytest.mark.parametrize("matrix", ['[["3","2"],["1","1"]]',
+                                    '[["1","0"],["0","1"]]'])
+def test_cross_section_tests_the_cell_once(monkeypatch, capsys, matrix):
+    calls = []
+    witness = crosssec.cell_witness
+
+    def counted(*args):
+        calls.append(args)
+        return witness(*args)
+
+    monkeypatch.setattr(crosssec, "cell_witness", counted)
+    run_cli(capsys, "cross-section", "--matrix", matrix)
+    assert len(calls) == 1
 
 
 def test_cross_section_alternative_representative(capsys):
@@ -261,12 +308,12 @@ def test_report_digests_are_pinned(capsys, argv, digest):
       "--chibar=1"], "decimal exponent above"),
     (["cross-section", "--matrix", '[["1E+100000000","0"],["0","1"]]'],
      "decimal exponent above"),
-    # A4 Serre completion does not finish: the flag must fail before it
+    # the flag must fail before the A4 algebra is built
     (["toda", "--type", "A", "--rank", "4", "--chi=abc"],
      "expected a comma list of rationals"),
     (["whittaker", "--type", "A", "--rank", "4", "--chi=1,2,3"],
      "expected 4 character values"),
-    # so must a module outside the type-A catalogue (B3 does not finish)
+    # so must a module outside the type-A catalogue
     (["casimir", "--type", "B", "--rank", "3"], "type A only"),
     (["toda", "--type", "B", "--rank", "3"], "type A only"),
     (["whittaker", "--type", "B", "--rank", "3"], "type A only"),
@@ -342,3 +389,17 @@ def test_step_budget_env_var_limits_engine():
         capture_output=True, text=True, env=env)
     assert proc.returncode == 1
     assert "step budget" in proc.stderr
+
+
+def test_step_budget_trip_names_its_stage_in_one_line():
+    env = dict(os.environ, QWHIT_STEP_BUDGET="5")
+    proc = subprocess.run(
+        [sys.executable, "-m", "qwhit.cli", "toda", "--type", "A", "--rank",
+         "2", "--check-commute"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith(
+        "qwhit toda: rewriting exceeded the step budget (5) while completing "
+        "the Serre rules to degree 6 (")

@@ -1,4 +1,6 @@
 import gc
+import itertools
+import math
 import random
 import weakref
 from fractions import Fraction
@@ -6,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from qwhit import ratmat, rootsys, uqalg
-from qwhit.qarith import ZERO, LaurentScalar, q_binom, qpow
+from qwhit.qarith import ONE, ZERO, LaurentScalar, q_binom, qpow
 
 _ALGEBRAS = {}
 
@@ -147,6 +149,107 @@ def test_step_budget_raises_instead_of_spinning(monkeypatch):
     rs = rootsys.build_root_system("B", 2)
     with pytest.raises(ArithmeticError):
         uqalg.Algebra(rootsys.coxeter_context(rs))
+
+
+# ---------------------------------------------------------------------------
+# degree-ordered Serre completion
+
+# The cases whose completion queue runs empty: a finite confluent rule set.
+COMPLETE_CASES = [("A", 1, None), ("A", 2, (1, 2)), ("A", 2, (2, 1)),
+                  ("A", 3, (1, 2, 3)), ("A", 3, (3, 2, 1)), ("B", 2, None),
+                  ("G", 2, None)]
+
+
+def fresh_algebra(series, rank, pi=None):
+    rs = rootsys.build_root_system(series, rank)
+    return uqalg.Algebra(rootsys.coxeter_context(rs, pi))
+
+
+def words_up_to(rank, length):
+    for n in range(1, length + 1):
+        yield from itertools.product(range(rank), repeat=n)
+
+
+@pytest.mark.parametrize("series,rank,pi", COMPLETE_CASES)
+def test_lazy_completion_matches_full_completion(monkeypatch, series, rank,
+                                                 pi):
+    full = fresh_algebra(series, rank, pi)
+    full._complete(math.inf)
+    assert not full._pending
+    lazy = fresh_algebra(series, rank, pi)
+    # built with no rules at all, every longer word resumes the completion
+    monkeypatch.setattr(uqalg, "BUILD_DEGREE", 1)
+    resumed = fresh_algebra(series, rank, pi)
+    assert resumed.rules == []
+    for word in words_up_to(rank, 6):
+        expected = full.reduce_word(word)
+        assert lazy.reduce_word(word) == expected, word
+        assert resumed.reduce_word(word) == expected, word
+    assert resumed._degree == 6
+
+
+def test_a_budget_trip_in_the_completion_loses_no_queued_entry(monkeypatch):
+    monkeypatch.setattr(uqalg, "BUILD_DEGREE", 1)
+    word = (0, 1, 2) * 2
+    reference = fresh_algebra("A", 3)
+    reference._complete(len(word))
+    completion_steps = reference._steps
+    expected = reference.reduce_word(word)
+    for budget in range(1, completion_steps, 5):
+        monkeypatch.setenv("QWHIT_STEP_BUDGET", str(budget))
+        alg = fresh_algebra("A", 3)
+        with pytest.raises(ArithmeticError,
+                           match="completing the Serre rules"):
+            alg.reduce_word(word)
+        # resumed with room to finish, it ends where an untripped run does
+        alg._budget = math.inf
+        assert alg.reduce_word(word) == expected
+        assert alg.rules == reference.rules, budget
+
+
+def test_a_bordered_lead_is_completed_against_itself(monkeypatch):
+    # no Serre lead overlaps itself, so take the braid relator bab = aba:
+    # babab rewrites to abaab and to baaba, which must then be equal
+    monkeypatch.setattr(uqalg.Algebra, "_serre_relators", lambda self: [
+        {(1, 0, 1): ONE, (0, 1, 0): -ONE}])
+    alg = fresh_algebra("A", 2)
+    assert alg.rules[0][0] == (1, 0, 1)
+    assert alg.reduce_word((0, 1, 0, 0, 1)) == alg.reduce_word((1, 0, 0, 1, 0))
+
+
+def test_build_completes_through_the_build_degree():
+    alg = fresh_algebra("A", 3, (1, 3, 2))
+    assert alg._degree == uqalg.BUILD_DEGREE
+    assert all(entry[0] > uqalg.BUILD_DEGREE for entry in alg._pending)
+    # a longer word resumes the completion up to its own length
+    alg.reduce_word((0, 1, 2) * 3)
+    assert alg._degree == 9
+    assert all(entry[0] > 9 for entry in alg._pending)
+
+
+@pytest.mark.parametrize("pi", [(1, 3, 2), (2, 1, 3)])
+def test_pbw_dimensions_on_non_monotone_a3_orderings(pi):
+    assert uqalg.pbw_dimension_check(fresh_algebra("A", 3, pi), 6)
+
+
+def test_budget_trip_in_the_completion_names_its_stage(monkeypatch):
+    monkeypatch.setenv("QWHIT_STEP_BUDGET", "20")
+    with pytest.raises(ArithmeticError, match=(
+            r"step budget \(20\) while completing the Serre rules to degree "
+            r"6 \(\d+ rules, longest lead \d+\)")):
+        fresh_algebra("B", 2)
+
+
+def test_budget_trip_in_a_word_reduction_names_its_stage(monkeypatch):
+    steps = fresh_algebra("A", 2)._steps
+    monkeypatch.setenv("QWHIT_STEP_BUDGET", str(steps + 1))
+    alg = fresh_algebra("A", 2)
+    lead, tail = alg.rules[0]
+    assert tail
+    word = lead + (0,) * (6 - len(lead))
+    with pytest.raises(ArithmeticError, match=(
+            r"step budget \(\d+\) while reducing a word of length 6")):
+        alg.reduce_word(word)
 
 
 # ---------------------------------------------------------------------------
