@@ -264,7 +264,9 @@ def cmd_whittaker(args):
     ctx.rs.module_index(args.rep)
     alg = uqalg.Algebra(ctx)
     rep = uqalg.rep_matrices(alg, args.rep)
-    img = uqalg.whittaker_generator(alg, rep, chi)
+    # the full central element is projected here, so that lower_borel is a
+    # real check and not true by construction
+    img = uqalg.rho_chi(uqalg.casimir_CV(alg, rep), chi)
     invariant = all(
         uqalg.whittaker_action(alg.e(i), img, chi).is_zero()
         for i in range(rank))

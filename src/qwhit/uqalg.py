@@ -625,11 +625,15 @@ def apply_character(chi, x):
     return out
 
 
+def _require_e_side(chi):
+    if chi.side != "e":
+        raise ValueError("the Whittaker projection uses an e-side character")
+
+
 def rho_chi(x, chi):
     """Projection onto the lower Borel part along the character ideal:
     f^t K_lam e^r maps to chi(e^r) f^t K_lam."""
-    if chi.side != "e":
-        raise ValueError("the Whittaker projection uses an e-side character")
+    _require_e_side(chi)
     out = {}
     for (fw, lam, ew), c in x.terms.items():
         val = c
@@ -784,6 +788,15 @@ def _root_constants(alg, beta):
     return scale, alg.cayley_apply(beta), qpow(-alg.rs.pair(beta, beta))
 
 
+def _module_f_leg(alg, rep, beta):
+    """The factor for beta with its f-leg in the module: the scale, the
+    q-exponential base and the matrix K_{T beta} pi(f_beta)."""
+    scale, t_beta, base = _root_constants(alg, beta)
+    leg = mmul(rep.k_matrix(t_beta),
+               rep.evaluate(root_vector(alg, beta, "-")), ZERO)
+    return scale, base, leg
+
+
 def _cartan_weights(alg, rep, sign):
     """The weight mu + sign * T mu of the Cartan factor at each basis vector
     of weight mu: sign = 1 in (id x pi_V) R, sign = -1 in R_21."""
@@ -803,15 +816,14 @@ def _r_in_rep(alg, rep, flipped):
     zero = alg.zero()
     out = _k_diag(alg, _cartan_weights(alg, rep, -1 if flipped else 1))
     for beta in alg.ordering.ordering:
-        scale, t_beta, base = _root_constants(alg, beta)
         e_beta = root_vector(alg, beta, "+")
-        f_beta = root_vector(alg, beta, "-")
         if flipped:
-            first = (alg.k(t_beta) * f_beta).scale(scale)
+            scale, t_beta, base = _root_constants(alg, beta)
+            first = (alg.k(t_beta) * root_vector(alg, beta, "-")).scale(scale)
             second = rep.evaluate(e_beta)
         else:
+            scale, base, second = _module_f_leg(alg, rep, beta)
             first = e_beta.scale(scale)
-            second = mmul(rep.k_matrix(t_beta), rep.evaluate(f_beta), ZERO)
         out = mmul(out, qarith.q_exp_nilpotent(mscale(second, first), base,
                                                alg.one(), zero), zero)
     return out
@@ -837,10 +849,8 @@ def r_matrix_vv(alg, rep):
     out = diag([qpow(alg.rs.pair(mu, lam))
                 for mu in rep.weights for lam in lams], ZERO)
     for beta in alg.ordering.ordering:
-        scale, t_beta, base = _root_constants(alg, beta)
+        scale, base, second = _module_f_leg(alg, rep, beta)
         first = mscale(rep.evaluate(root_vector(alg, beta, "+")), scale)
-        second = mmul(rep.k_matrix(t_beta),
-                      rep.evaluate(root_vector(alg, beta, "-")), ZERO)
         factor = qarith.q_exp_nilpotent(kron(first, second, ZERO), base,
                                         ONE, ZERO)
         out = mmul(out, factor, ZERO)
@@ -881,5 +891,31 @@ def casimir_CV(alg, rep):
 
 
 def whittaker_generator(alg, rep, chi):
-    """Whittaker image of the central element: a lower-Borel element."""
-    return rho_chi(casimir_CV(alg, rep), chi)
+    """Whittaker image rho_chi(C_V) of the central element, projected before
+    it is multiplied out:
+
+        sum_j q^{(2 rho, mu_j)} sum_k R_21[j][k] K_{lam_k} chi(U)[k][j].
+
+    (id x pi_V) R = diag(K_{lam_k}) U with lam_k = mu_k + T mu_k, and U is
+    the ordered product of the q-exponentials of e_beta (x) K_{T beta}
+    pi(f_beta), so its entries lie in U_+.  rho_chi(x u) = x chi(u) for x in
+    the lower Borel part and u in U_+, and chi is a character of U_+ (it
+    kills the Serre relators), so it is multiplicative on the e-leg: chi(U)
+    is the product of the numeric q-exponentials with e_beta replaced by
+    chi(e_beta).  The result equals rho_chi(casimir_CV(alg, rep), chi)."""
+    _require_e_side(chi)
+    chi_u = eye(rep.dim, ONE, ZERO)
+    for beta in alg.ordering.ordering:
+        scale, base, leg = _module_f_leg(alg, rep, beta)
+        value = apply_character(chi, root_vector(alg, beta, "+")) * scale
+        chi_u = mmul(chi_u, qarith.q_exp_nilpotent(mscale(leg, value), base,
+                                                   ONE, ZERO), ZERO)
+    r21 = _r_in_rep(alg, rep, flipped=True)
+    lams = _cartan_weights(alg, rep, 1)
+    two_rho = tuple(2 * x for x in alg.rs.rho)
+    out = alg.zero()
+    for j in range(rep.dim):
+        entry = sum((r21[j][k] * alg.k(lam).scale(chi_u[k][j])
+                     for k, lam in enumerate(lams)), alg.zero())
+        out = out + entry.scale(qpow(alg.rs.pair(two_rho, rep.weights[j])))
+    return out

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from qwhit import cli, crosssec, rootsys
+from qwhit import acceptance, cli, crosssec, rootsys, uqalg
 
 
 def run_cli(capsys, *argv):
@@ -97,6 +97,29 @@ def test_whittaker_invariance(capsys):
     assert code == 0
     assert report["checks"]["lower_borel"] is True
     assert report["checks"]["invariant_under_whittaker_action"] is True
+
+
+def test_whittaker_and_criteria_5_6_project_the_full_casimir(capsys,
+                                                            monkeypatch):
+    # toda projects before it multiplies; these checks must keep building
+    # the whole central element, or lower_borel would hold by construction
+    calls = []
+    real = uqalg.casimir_CV
+
+    def counting(alg, rep):
+        calls.append(rep.name)
+        return real(alg, rep)
+
+    monkeypatch.setattr(uqalg, "casimir_CV", counting)
+    code, _, _ = run_cli(capsys, "whittaker", "--type", "A", "--rank", "2",
+                         "--chi", "2,-3")
+    assert code == 0
+    assert calls == ["V1"]
+    for criterion, count in ((acceptance.criterion_5, 3),
+                             (acceptance.criterion_6, 3)):
+        calls.clear()
+        assert criterion()["passed"]
+        assert len(calls) == count
 
 
 def test_cross_section_closed_form(capsys):

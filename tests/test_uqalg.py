@@ -565,6 +565,49 @@ def test_whittaker_generator_is_invariant(series, rank, rep_names, chi_vals):
             assert uqalg.whittaker_action(alg.e(i), w, chi).is_zero()
 
 
+# non-unit rational values, so that a dropped or misplaced chi(e_beta) shows
+_CHI_VALUES = (Fraction(2), Fraction(-3), Fraction(1, 2), Fraction(-5, 3),
+               Fraction(7, 4))
+
+
+def _assert_generator_is_projected_casimir(alg, rep_names, rng):
+    chi = uqalg.character(
+        "e", [rng.choice(_CHI_VALUES) for _ in range(alg.rs.rank)])
+    for name in rep_names:
+        rep = uqalg.rep_matrices(alg, name)
+        want = uqalg.rho_chi(uqalg.casimir_CV(alg, rep), chi)
+        assert uqalg.whittaker_generator(alg, rep, chi) == want, name
+
+
+@pytest.mark.parametrize("pi", [
+    pi for rank in (1, 2, 3)
+    for pi in itertools.permutations(range(1, rank + 1))],
+    ids=lambda pi: "".join(map(str, pi)))
+def test_whittaker_generator_equals_projected_casimir(pi):
+    # oracle: the projected formula against the full central element
+    rank = len(pi)
+    rs = rootsys.build_root_system("A", rank)
+    alg = uqalg.Algebra(rootsys.coxeter_context(rs, pi))
+    _assert_generator_is_projected_casimir(
+        alg, [f"V{k + 1}" for k in range(rank)], random.Random(sum(pi) * 31 + rank))
+
+
+def test_whittaker_generator_equals_projected_casimir_a4():
+    rs = rootsys.build_root_system("A", 4)
+    alg = uqalg.Algebra(rootsys.coxeter_context(rs, (2, 1, 3, 4)))
+    _assert_generator_is_projected_casimir(alg, ["V1", "V4"], random.Random(4))
+
+
+def test_whittaker_generator_refuses_an_f_side_character():
+    alg = algebra("A", 2)
+    rep = uqalg.rep_matrices(alg, "V1")
+    chibar = uqalg.character("f", (2, -3))
+    with pytest.raises(ValueError, match="e-side character"):
+        uqalg.whittaker_generator(alg, rep, chibar)
+    with pytest.raises(ValueError, match="e-side character"):
+        uqalg.rho_chi(uqalg.casimir_CV(alg, rep), chibar)
+
+
 def test_rho_chi_multiplicative_on_computed_centre():
     alg1 = algebra("A", 1)
     chi1 = uqalg.character("e", (1,))
