@@ -5,6 +5,13 @@ powers of q, with rational coefficients.  Every value is kept in a canonical
 reduced form, so equality testing is literal dictionary comparison and a zero
 test never needs numerics.
 
+A value is stored as a rational content times a quotient of coprime
+primitive polynomials with int coefficients, so the hot loop runs on ints
+rather than Fractions.  Common factors are found by the primitive polynomial
+remainder sequence over Z (Knuth, TAOCP vol. 2, 4.6.1), and the quotients by
+exact integer division.  Products of polynomials need no gcd at all (Gauss's
+lemma), and sums over a shared denominator add the numerators directly.
+
 A q-exponent e is stored as the int e * EXP_UNIT.  Every exponent the engine
 forms is an integer combination of pairings between fundamental weights and
 their Cayley images; over the supported types (rank up to ``rootsys.MAX_RANK``)
@@ -15,7 +22,7 @@ their denominators have lcm 1260, which divides EXP_UNIT.  An exponent outside
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from . import ratmat
 
@@ -45,119 +52,197 @@ def _exp(e) -> int:
 
 
 # ---------------------------------------------------------------------------
-# dense polynomial helpers (index = exponent, Fraction coefficients)
+# integer polynomial helpers
+#
+# A sparse polynomial is a dict from exponent (in units of 1/EXP_UNIT) to a
+# nonzero int; a dense one is a list of ints indexed by exponent/step from the
+# lowest exponent.  A polynomial is primitive when the gcd of its
+# coefficients is 1.
 
-def _trim(a: list[Fraction]) -> list[Fraction]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+_UNIT = {0: 1}  # shared by every polynomial scalar: never mutated
 
 
-def _dense_divmod(a: list[Fraction], b: list[Fraction]):
-    a = a[:]
-    q = [F0] * (max(len(a) - len(b) + 1, 0))
-    inv_lead = 1 / b[-1]
+def _content(p: dict) -> int:
+    """The gcd of p's coefficients, signed like its lowest coefficient."""
+    k = gcd(*p.values())
+    return k if p[min(p)] > 0 else -k
+
+
+def _primitive(p: dict):
+    """(k, p / k) for k = ``_content(p)``."""
+    k = _content(p)
+    if k == 1:
+        return 1, p
+    return k, {e: c // k for e, c in p.items()}
+
+
+def _split(p: dict):
+    """(content, primitive part) of a dict of nonzero Fraction coefficients."""
+    den = lcm(*(c.denominator for c in p.values()))
+    k, p = _primitive({e: c.numerator * (den // c.denominator)
+                       for e, c in p.items()})
+    return Fraction(k, den), p
+
+
+def _poly_mul(a: dict, b: dict) -> dict:
+    if len(b) == 1:
+        (eb, cb), = b.items()
+        return {e + eb: c * cb for e, c in a.items()}
+    out: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = ea + eb
+            out[e] = out.get(e, 0) + ca * cb
+    # a product of nonzero polynomials can still cancel inside
+    return {e: c for e, c in out.items() if c}
+
+
+def _prem(a: list, b: list) -> list:
+    """A nonzero integer multiple of the remainder of a by b (len(a) >=
+    len(b) >= 2), by pseudo-division that strips the common factor of the
+    two leading coefficients at each step."""
+    r = a[:]
+    lead, db = b[-1], len(b) - 1
     for k in range(len(a) - len(b), -1, -1):
-        c = a[k + len(b) - 1] * inv_lead
+        t = r.pop()
+        if t:
+            g = gcd(t, lead)
+            u, t = lead // g, t // g
+            if u != 1:
+                r = [u * c for c in r]
+            for i in range(db):
+                r[k + i] -= t * b[i]
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
+def _prs_gcd(a: list, b: list) -> list:
+    """gcd of two primitive polynomials by the primitive PRS over Z: the
+    primitive part of each pseudo-remainder replaces the divisor."""
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r = _prem(a, b)
+        if not r:
+            return b
+        k = gcd(*r)
+        a, b = b, [c // k for c in r]
+    return [1]
+
+
+def _exact_div(a: list, h: list) -> list:
+    """a / h where the primitive h divides a, so the quotient is integral."""
+    a = a[:]
+    lead, dh = h[-1], len(h) - 1
+    quo = [0] * (len(a) - dh)
+    for k in range(len(quo) - 1, -1, -1):
+        c = a[k + dh] // lead
         if c:
-            q[k] = c
-            for i, bc in enumerate(b):
-                a[k + i] -= c * bc
-    return q, _trim(a)
+            quo[k] = c
+            for i in range(dh):
+                a[k + i] -= c * h[i]
+    return quo
 
 
-def _dense_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = a[:], b[:]
-    while b:
-        _, r = _dense_divmod(a, b)
-        a, b = b, r
-    # monic normalisation
-    inv = 1 / a[-1]
-    return [c * inv for c in a]
-
-
-def _canonical(num: dict, den: dict):
-    """Reduce num/den so den is a polynomial in q with constant term 1 and
-    gcd(num shifted to a polynomial, den) = 1.
+def _cancel(a: dict, b: dict):
+    """(a / h, b / h) for h = gcd(a, b) of primitive Laurent polynomials, or
+    None when they are coprime.  The quotients keep each side's lowest
+    exponent, so their ratio is exactly a / b.
 
     The dense layout uses step g, the gcd of every exponent's offset from the
-    minimum of its side.  Coprimality in q^g implies coprimality in any root
-    of it, so the reduced form does not depend on g."""
-    num = {e: c for e, c in num.items() if c}
-    den = {e: c for e, c in den.items() if c}
-    if not den:
-        raise ZeroDivisionError("laurent scalar with zero denominator")
-    if not num:
-        return {}, {0: F1}
-    if len(den) == 1:
-        (e0, c0), = den.items()
-        if e0 == 0 and c0 == 1:
-            return num, {0: F1}
-        return {e - e0: c / c0 for e, c in num.items()}, {0: F1}
-    mn, md = min(num), min(den)
-    g = gcd(*(e - mn for e in num), *(e - md for e in den))
-    a = [F0] * ((max(num) - mn) // g + 1)
-    for e, c in num.items():
-        a[(e - mn) // g] = c
-    b = [F0] * ((max(den) - md) // g + 1)
-    for e, c in den.items():
-        b[(e - md) // g] = c
-    h = _dense_gcd(a, b)
-    if len(h) > 1:
-        a, _ = _dense_divmod(a, h)
-        b, _ = _dense_divmod(b, h)
-    scale = 1 / b[0]
-    shift = mn - md
-    num_out = {shift + g * i: c * scale for i, c in enumerate(a) if c}
-    den_out = {g * i: c * scale for i, c in enumerate(b) if c}
-    if len(den_out) == 1:
-        return _canonical(num_out, den_out)
-    return num_out, den_out
+    lowest exponent of its side.  Coprimality in q^g implies coprimality in
+    any root of it, so the reduced form does not depend on g."""
+    if len(a) == 1 or len(b) == 1:  # a monomial is a unit
+        return None
+    ma, mb = min(a), min(b)
+    g = gcd(*(e - ma for e in a), *(e - mb for e in b))
+    da = [0] * ((max(a) - ma) // g + 1)
+    for e, c in a.items():
+        da[(e - ma) // g] = c
+    db = [0] * ((max(b) - mb) // g + 1)
+    for e, c in b.items():
+        db[(e - mb) // g] = c
+    h = _prs_gcd(da, db)
+    if len(h) == 1:
+        return None
+    return ({ma + g * i: c for i, c in enumerate(_exact_div(da, h)) if c},
+            {mb + g * i: c for i, c in enumerate(_exact_div(db, h)) if c})
 
 
 class LaurentScalar:
     """Canonical rational function in q (fractional exponents allowed).
 
-    ``num`` and ``den`` map exponents, as ints in units of 1/EXP_UNIT, to
-    Fraction coefficients.  The constructor takes int or Fraction exponents.
+    A nonzero value is c * n(q) / d(q): c is a Fraction, and n and d are
+    coprime primitive polynomials with int coefficients, keyed by exponents
+    as ints in units of 1/EXP_UNIT.  d has lowest exponent 0 and a positive
+    constant term, and n has a positive lowest coefficient, so each value has
+    exactly one form and equality is literal comparison.  Zero is
+    c = 0, n = {}, d = {0: 1}.  ``num`` and ``den`` give the same value with
+    Fraction coefficients and den's constant term 1.
+
+    The constructor takes int or Fraction exponents and coefficients.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("c", "n", "d")
 
     def __init__(self, num: dict, den: dict | None = None):
-        num = {_exp(e): c for e, c in num.items()}
-        den = {0: F1} if den is None else {_exp(e): c for e, c in den.items()}
-        self.num, self.den = _canonical(num, den)
+        num = {_exp(e): _as_fraction(c) for e, c in num.items()}
+        den = {0: F1} if den is None else {_exp(e): _as_fraction(c) for e, c in den.items()}
+        num = {e: c for e, c in num.items() if c}
+        den = {e: c for e, c in den.items() if c}
+        if not den:
+            raise ZeroDivisionError("laurent scalar with zero denominator")
+        if not num:
+            self.c, self.n, self.d = F0, {}, _UNIT
+            return
+        cn, n = _split(num)
+        cd, d = _split(den)
+        s = _normalised(cn / cd, *(_cancel(n, d) or (n, d)))
+        self.c, self.n, self.d = s.c, s.n, s.d
 
     # -- constructors -------------------------------------------------------
     @classmethod
     def zero(cls) -> "LaurentScalar":
-        return _scalar({}, {0: F1})
+        return _scalar(F0, {}, _UNIT)
 
     @classmethod
     def one(cls) -> "LaurentScalar":
-        return _scalar({0: F1}, {0: F1})
+        return _scalar(F1, _UNIT, _UNIT)
 
     @classmethod
     def from_rational(cls, r) -> "LaurentScalar":
         r = _as_fraction(r)
         if not r:
             return cls.zero()
-        return _scalar({0: r}, {0: F1})
+        return _scalar(r, _UNIT, _UNIT)
 
     @classmethod
     def q_power(cls, e) -> "LaurentScalar":
-        return _scalar({_exp(e): F1}, {0: F1})
+        return _scalar(F1, {_exp(e): 1}, _UNIT)
+
+    # -- Fraction views -----------------------------------------------------
+    @property
+    def num(self) -> dict:
+        """The numerator with Fraction coefficients, over ``den``."""
+        c = self.c / self.d[0]
+        return {e: c * v for e, v in self.n.items()}
+
+    @property
+    def den(self) -> dict:
+        """The denominator with Fraction coefficients and constant term 1."""
+        d0 = self.d[0]
+        return {e: Fraction(v, d0) for e, v in self.d.items()}
 
     # -- predicates ---------------------------------------------------------
     def is_zero(self) -> bool:
-        return not self.num
+        return not self.n
 
     def __bool__(self) -> bool:
-        return bool(self.num)
+        return bool(self.n)
 
     def is_polynomial(self) -> bool:
-        return self.den == {0: F1}
+        return len(self.d) == 1
 
     # -- arithmetic ---------------------------------------------------------
     def _coerce(self, other):
@@ -171,20 +256,34 @@ class LaurentScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.den == o.den:
-            num = dict(self.num)
-            for e, c in o.num.items():
-                num[e] = num.get(e, F0) + c
-            return _reduced(num, self.den)
-        num = _dict_mul(self.num, o.den)
-        for e, c in _dict_mul(o.num, self.den).items():
-            num[e] = num.get(e, F0) + c
-        return _reduced(num, _dict_mul(self.den, o.den))
+        if not o.n:
+            return self
+        if not self.n:
+            return o
+        d1, d2 = self.d, o.d
+        if d1 == d2:
+            c, t = _combine(self.c, self.n, o.c, o.n)
+            if not t:
+                return ZERO
+            if len(d1) == 1:
+                return _scalar(c, t, _UNIT)
+            return _normalised(c, *(_cancel(t, d1) or (t, d1)))
+        # with d1 = h*r1 and d2 = h*r2 for h = gcd(d1, d2), the sum is
+        # t / (d2*r1) for t = c1*n1*r2 + c2*n2*r1, and t is coprime to r1
+        # and r2, so only h can cancel from it
+        cancelled = _cancel(d1, d2)
+        r1, r2 = cancelled or (d1, d2)
+        c, t = _combine(self.c, _poly_mul(self.n, r2), o.c, _poly_mul(o.n, r1))
+        if not t:
+            return ZERO
+        if cancelled:
+            t, d2 = _cancel(t, d2) or (t, d2)
+        return _normalised(c, t, _poly_mul(d2, r1))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _scalar({e: -c for e, c in self.num.items()}, self.den)
+        return _scalar(-self.c, self.n, self.d)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -202,16 +301,25 @@ class LaurentScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not self.num or not o.num:
-            return LaurentScalar.zero()
-        return _reduced(_dict_mul(self.num, o.num), _dict_mul(self.den, o.den))
+        if not self.n or not o.n:
+            return ZERO
+        c1, c2 = self.c, o.c
+        c = c2 if c1 == 1 else c1 if c2 == 1 else c1 * c2
+        n1, d1, n2, d2 = self.n, self.d, o.n, o.d
+        if len(d1) == 1 and len(d2) == 1:
+            # Gauss's lemma: the product of primitive polynomials is
+            # primitive, and its lowest coefficient is the product of theirs
+            return _scalar(c, _poly_mul(n1, n2), _UNIT)
+        n1, d2 = _cancel(n1, d2) or (n1, d2)
+        n2, d1 = _cancel(n2, d1) or (n2, d1)
+        return _normalised(c, _poly_mul(n1, n2), _poly_mul(d1, d2))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "LaurentScalar":
-        if not self.num:
+        if not self.n:
             raise ZeroDivisionError("inverting zero laurent scalar")
-        return _reduced(self.den, self.num)
+        return _normalised(1 / self.c, self.d, self.n)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -240,22 +348,24 @@ class LaurentScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.num == o.num and self.den == o.den
+        return self.n == o.n and self.d == o.d and self.c == o.c
 
     def __hash__(self):
-        return hash((frozenset(self.num.items()), frozenset(self.den.items())))
+        return hash((self.c, frozenset(self.n.items()), frozenset(self.d.items())))
 
     # -- involutions and expansions ----------------------------------------
     def bar(self) -> "LaurentScalar":
         """The substitution q -> q^{-1}."""
-        return _reduced({-e: c for e, c in self.num.items()},
-                        {-e: c for e, c in self.den.items()})
+        if not self.n:
+            return self
+        return _normalised(self.c, {-e: v for e, v in self.n.items()},
+                           {-e: v for e, v in self.d.items()})
 
     def as_rational(self) -> Fraction:
-        if not self.num:
+        if not self.n:
             return F0
-        if self.num.keys() == {0} and self.den == {0: F1}:
-            return self.num[0]
+        if self.n == _UNIT and len(self.d) == 1:
+            return self.c
         raise ValueError(f"{self} is not a constant")
 
     def eps_series(self, order: int) -> list[Fraction]:
@@ -309,7 +419,7 @@ class LaurentScalar:
 
     def to_str(self, var: str = "q") -> str:
         ns = self._poly_str(self.num, var)
-        if self.den == {0: F1}:
+        if len(self.d) == 1:
             return ns
         return f"({ns})/({self._poly_str(self.den, var)})"
 
@@ -320,25 +430,53 @@ class LaurentScalar:
         return f"LaurentScalar({self.to_str()})"
 
 
-def _scalar(num: dict, den: dict) -> LaurentScalar:
-    """A LaurentScalar from int-keyed dicts already in canonical form."""
+def _scalar(c: Fraction, n: dict, d: dict) -> LaurentScalar:
+    """A LaurentScalar from parts already in canonical form."""
     s = object.__new__(LaurentScalar)
-    s.num, s.den = num, den
+    s.c, s.n, s.d = c, n, d
     return s
 
 
-def _reduced(num: dict, den: dict) -> LaurentScalar:
-    """A LaurentScalar from int-keyed dicts, canonicalised."""
-    return _scalar(*_canonical(num, den))
+def _normalised(c: Fraction, n: dict, d: dict) -> LaurentScalar:
+    """c * n / d for coprime primitive polynomials n and d, shifted so d has
+    lowest exponent 0 and signed so d's constant term and n's lowest
+    coefficient are positive."""
+    md = min(d)
+    if md:
+        n = {e - md: v for e, v in n.items()}
+        d = {e - md: v for e, v in d.items()}
+    if d[0] < 0:
+        c, d = -c, {e: -v for e, v in d.items()}
+    if n[min(n)] < 0:
+        c, n = -c, {e: -v for e, v in n.items()}
+    return _scalar(c, n, d)
 
 
-def _dict_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = ea + eb
-            out[e] = out.get(e, F0) + ca * cb
-    return out
+def _combine(c1: Fraction, p1: dict, c2: Fraction, p2: dict):
+    """(c, p) with c * p = c1 * p1 + c2 * p2 for nonzero c1, c2, where p is
+    primitive with a positive lowest coefficient, or (0, {}) if the sum is 0."""
+    m1, m2 = c1.denominator, c2.denominator
+    g = gcd(m1, m2)
+    k1, k2 = c1.numerator * (m2 // g), c2.numerator * (m1 // g)
+    h = gcd(k1, k2)
+    k1, k2 = k1 // h, k2 // h
+    out = {e: k1 * v for e, v in p1.items()}
+    for e, v in p2.items():
+        out[e] = out.get(e, 0) + k2 * v
+    out = {e: v for e, v in out.items() if v}
+    if not out:
+        return F0, out
+    k, out = _primitive(out)
+    return Fraction(h * k, m1 // g * m2), out
+
+
+def _polynomial(p: dict) -> LaurentScalar:
+    """The polynomial with int coefficients p."""
+    p = {e: v for e, v in p.items() if v}
+    if not p:
+        return ZERO
+    k, p = _primitive(p)
+    return _scalar(Fraction(k), p, _UNIT)
 
 
 ZERO = LaurentScalar.zero()
@@ -360,8 +498,8 @@ def q_int(n: int, d=1) -> LaurentScalar:
     num = {}
     for k in range(n):
         e = step * (n - 1 - 2 * k)
-        num[e] = num.get(e, F0) + 1
-    return _reduced(num, {0: F1})
+        num[e] = num.get(e, 0) + 1
+    return _polynomial(num)
 
 
 def q_binom(m: int, k: int, d=1) -> LaurentScalar:
@@ -370,7 +508,7 @@ def q_binom(m: int, k: int, d=1) -> LaurentScalar:
     if k < 0 or k > m:
         return ZERO
     step = _exp(d)
-    row = [{0: F1}]  # row[j] = [n j] for j <= min(n, k)
+    row = [{0: 1}]  # row[j] = [n j] for j <= min(n, k)
     for n in range(1, m + 1):
         nxt = []
         for j in range(min(n, k) + 1):
@@ -378,11 +516,10 @@ def q_binom(m: int, k: int, d=1) -> LaurentScalar:
             if j:
                 shift = (n - j) * step
                 for e, c in row[j - 1].items():
-                    p[e + shift] = p.get(e + shift, F0) + c
+                    p[e + shift] = p.get(e + shift, 0) + c
             nxt.append(p)
         row = nxt
-    # the coefficients are positive integers, so no term cancels
-    return _scalar(row[k], {0: F1})
+    return _polynomial(row[k])
 
 
 # unbalanced q-numbers (n)_t = (t^n - 1)/(t - 1), used by the q-exponential

@@ -257,3 +257,177 @@ def test_canonical_form_matches_sympy_cancel():
             assert sympy.degree(sympy.gcd(num, poly(got.den)), t) == 0
             n, d = sympy.fraction(sympy.cancel(want))
             assert sympy.cancel(n * poly(got.den) - d * poly(got.num)) == 0
+
+
+def test_float_coefficients_are_rejected():
+    with pytest.raises(TypeError):
+        LaurentScalar({0: 0.5, 1: 1})
+    with pytest.raises(TypeError):
+        LaurentScalar({1: 1}, {0: 1, 1: 0.25})
+    with pytest.raises(TypeError):
+        LaurentScalar({0.5: 1})
+
+
+def assert_canonical(s):
+    """The stored form: c * n / d with n, d primitive int polynomials, d with
+    lowest exponent 0 and a positive constant term, n with a positive lowest
+    coefficient; zero is 0 * {} / {0: 1}.  (The sympy oracles below check
+    that n and d are coprime.)"""
+    assert isinstance(s.c, Fraction)
+    if s.is_zero():
+        assert (s.c, s.n, s.d) == (0, {}, {0: 1})
+        return
+    assert s.c != 0
+    for p in (s.n, s.d):
+        assert p and all(type(v) is int and v for v in p.values())
+        assert math.gcd(*p.values()) == 1
+    assert min(s.d) == 0 and s.d[0] > 0
+    assert s.n[min(s.n)] > 0
+
+
+def test_polynomial_product_drops_cancelled_terms():
+    # (1 - q^-2)(1 - q^-4)(1 - q^-6) = 1 - q^-2 - q^-4 + q^-8 + q^-10 - q^-12:
+    # the q^-6 terms cancel, and a stored zero would break equality
+    prod = ONE
+    for j in (2, 4, 6):
+        prod = prod * (ONE - qpow(-j))
+    expanded = LaurentScalar({0: 1, -2: -1, -4: -1, -8: 1, -10: 1, -12: -1})
+    assert -6 * EXP_UNIT not in prod.n
+    assert prod == expanded
+    assert_canonical(prod)
+    qarith.gauss_product_check(3, -4)
+
+
+def test_non_monic_common_factor_cancels():
+    q = qpow(1)
+    # (2q+1)(q-3) / ((2q+1)(q+5)) = (q-3)/(q+5)
+    built = LaurentScalar({2: 2, 1: -5, 0: -3}, {2: 2, 1: 11, 0: 5})
+    computed = ((2 * q + 1) * (q - 3)) / ((2 * q + 1) * (q + 5))
+    want = (q - 3) / (q + 5)
+    for s in (built, computed):
+        assert s == want
+        assert_canonical(s)
+        assert s.num == {0: Fraction(-3, 5), EXP_UNIT: Fraction(1, 5)}
+        assert s.den == {0: 1, EXP_UNIT: Fraction(1, 5)}
+
+
+def test_sum_cancels_the_shared_factor_of_the_denominators():
+    q = qpow(1)
+    h = 2 * q + 1
+    # 1/(h(q+1)) - 3/(h(q+2)) = -h/(h(q+1)(q+2)): the shared factor h of the
+    # denominators divides the numerator of the sum too
+    got = 1 / (h * (q + 1)) - 3 / (h * (q + 2))
+    assert_canonical(got)
+    assert got == -1 / ((q + 1) * (q + 2))
+    assert got.den == {0: 1, EXP_UNIT: Fraction(3, 2), 2 * EXP_UNIT: Fraction(1, 2)}
+
+
+def test_content_and_sign_normalisation():
+    # -2q / (-4 - 6q) = (q/2) / (1 + 3q/2)
+    s = LaurentScalar({1: -2}, {0: -4, 1: -6})
+    assert s == LaurentScalar({1: Fraction(1, 2)}, {0: 1, 1: Fraction(3, 2)})
+    assert s == qpow(1) / (2 + 3 * qpow(1))
+    assert_canonical(s)
+    assert s.num == {EXP_UNIT: Fraction(1, 2)}
+    assert s.den == {0: 1, EXP_UNIT: Fraction(3, 2)}
+    # 1 / (-2q^-1 + 4 + 6q) = (-q/2) / (1 - 2q - 3q^2)
+    x = LaurentScalar({-1: -2, 0: 4, 1: 6})
+    inv = x.inverse()
+    assert_canonical(inv)
+    assert inv.num == {EXP_UNIT: Fraction(-1, 2)}
+    assert inv.den == {0: 1, EXP_UNIT: -2, 2 * EXP_UNIT: -3}
+    assert inv.inverse() == x
+    assert inv * x == ONE
+    assert_canonical(-inv)
+    assert_canonical(inv.bar())
+    assert_canonical(x.bar())
+    assert x.bar() == LaurentScalar({1: -2, 0: 4, -1: 6})
+
+
+def _sympy_poly(d, t):
+    # exponents in (1/2)Z, so q = t^2 gives integer powers of t
+    sympy = pytest.importorskip("sympy")
+    total = sympy.Integer(0)
+    for u, c in d.items():
+        e = Fraction(2 * u, EXP_UNIT)
+        assert e.denominator == 1
+        total += sympy.Rational(c.numerator, c.denominator) * t ** int(e)
+    return total
+
+
+def _assert_views_match(got, want, t):
+    """got equals the sympy expression want, and its Fraction views are in
+    the canonical form: den has lowest exponent 0 and constant term 1, and
+    num shifted to a polynomial is coprime to den."""
+    sympy = pytest.importorskip("sympy")
+    assert_canonical(got)
+    num, den = got.num, got.den
+    assert min(den) == 0 and den[0] == 1
+    assert sympy.cancel(_sympy_poly(num, t) / _sympy_poly(den, t) - want) == 0
+    if num:
+        shifted = sympy.expand(_sympy_poly(num, t) * t ** -int(Fraction(2 * min(num), EXP_UNIT)))
+        assert sympy.degree(sympy.gcd(shifted, _sympy_poly(den, t)), t) == 0
+
+
+def test_q_binom_matches_the_product_formula():
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    for d in (1, 2, Fraction(1, 2)):
+        v = t ** int(2 * d)  # v = q^d with q = t^2
+
+        def bracket(n):
+            return (v ** n - v ** -n) / (v - v ** -1)
+
+        for m in range(7):
+            for k in range(m + 1):
+                want = sympy.Integer(1)
+                for i in range(1, k + 1):
+                    want *= bracket(m - i + 1) / bracket(i)
+                _assert_views_match(q_binom(m, k, d), sympy.cancel(want), t)
+
+
+def test_scalar_ops_match_sympy_cancel_on_drawn_samples():
+    sympy = pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    t = sympy.Symbol("t")
+    halves = st.integers(-6, 6).map(lambda k: Fraction(k, 2))
+    polys = st.dictionaries(halves, st.integers(-5, 5), min_size=1, max_size=3)
+
+    def value(d):
+        return sum((c * t ** int(2 * e) for e, c in d.items()), sympy.Integer(0))
+
+    def expand(factors):
+        out = {0: 1}
+        for f in factors:
+            prod = {}
+            for e1, c1 in out.items():
+                for e2, c2 in f.items():
+                    prod[e1 + e2] = prod.get(e1 + e2, 0) + c1 * c2
+            out = prod
+        return out
+
+    @hypothesis.settings(max_examples=50, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(st.data())
+    def check(data):
+        # numerators and denominators are products drawn from one pool of
+        # factors, so the pairs share factors and cancel inside
+        pool = st.sampled_from(data.draw(st.lists(polys, min_size=1, max_size=3)))
+
+        def scalar():
+            num = expand(data.draw(st.lists(pool, min_size=1, max_size=3)))
+            if not data.draw(st.booleans()):
+                return LaurentScalar(num), value(num)
+            den = expand(data.draw(st.lists(pool, min_size=1, max_size=2)))
+            hypothesis.assume(any(den.values()))
+            return LaurentScalar(num, den), value(num) / value(den)
+
+        (a, sa), (b, sb) = scalar(), scalar()
+        cases = [(a + b, sa + sb), (a - b, sa - sb), (a * b, sa * sb),
+                 (a.bar(), sa.subs(t, 1 / t))]
+        if not b.is_zero():
+            cases += [(a / b, sa / sb), (b.inverse(), 1 / sb)]
+        for got, want in cases:
+            _assert_views_match(got, want, t)
+
+    check()
