@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
 from typing import Callable, Optional
 
 from .ratmat import (
@@ -68,10 +67,6 @@ def is_lower_triangular(m: Mat) -> bool:
     return all(m[i][j] == 0 for i in range(n) for j in range(i + 1, n))
 
 
-def is_unitriangular_upper(m: Mat) -> bool:
-    return is_upper_triangular(m) and all(m[i][i] == 1 for i in range(len(m)))
-
-
 def is_traceless(m: Mat) -> bool:
     return sum(m[i][i] for i in range(_dim(m))) == 0
 
@@ -101,26 +96,6 @@ def coxeter_rep(n: int) -> Mat:
 def _cycle_prev(n: int, j: int) -> int:
     """Index i with coxeter_rep(n) mapping line i to line j."""
     return (j - 1) % n
-
-
-def nplus_prime_basis(n: int) -> list:
-    """Directions spanning N_+' = {v in N_+ : s^-1 v s lower triangular}.
-
-    Each returned matrix E is nilpotent of order two, so the one-parameter
-    subgroup through it is just I + t E.  The list has length n - 1 and the
-    directions commute.
-    """
-    s = coxeter_rep(n)
-    sinv = minv(s)
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            e = unit(n, i, j)
-            if is_lower_triangular(mmul(mmul(sinv, e), s)):
-                out.append(e)
-    if len(out) != n - 1:
-        raise AssertionError("N_+' dimension is not the rank")
-    return out
 
 
 def cell_witness(m: Mat, s_rep: Optional[Mat] = None):
@@ -302,10 +277,6 @@ def q_map(el: GStarElement) -> Mat:
     return mmul(el.l_minus, minv(el.l_plus))
 
 
-def mu_N(el: GStarElement) -> Mat:
-    return el.n_minus
-
-
 def mu_inverse_point(h_diag, n_plus: Mat, c) -> GStarElement:
     """The fiber point (h_+ n_+, s(h_+) u) over u = build_u(c)."""
     entries = [Fraction(x) for x in h_diag]
@@ -456,11 +427,6 @@ def poly_discriminant(coeffs) -> Fraction:
     return sign * res
 
 
-def is_regular(m: Mat) -> bool:
-    """Regularity at desk scale: squarefree characteristic polynomial."""
-    return poly_discriminant(charpoly(m)) != 0
-
-
 def eq_character_report(h_diag, c) -> dict:
     """Character identity data for the fiber point with trivial N_+ part.
 
@@ -482,8 +448,3 @@ def eq_character_report(h_diag, c) -> dict:
         "matches_torus": poly == poly_t,
         "characters": _characters(poly),
     }
-
-
-def identity_characters(n: int):
-    """Binomial reference values C(n, k) for the identity matrix."""
-    return tuple(Fraction(comb(n, k)) for k in range(1, n))

@@ -351,6 +351,8 @@ class LaurentScalar:
         return self.n == o.n and self.d == o.d and self.c == o.c
 
     def __hash__(self):
+        if not self.n or (self.n == _UNIT and self.d == _UNIT):
+            return hash(self.c)  # a constant hashes like the number it equals
         return hash((self.c, frozenset(self.n.items()), frozenset(self.d.items())))
 
     # -- involutions and expansions ----------------------------------------
@@ -481,7 +483,6 @@ def _polynomial(p: dict) -> LaurentScalar:
 
 ZERO = LaurentScalar.zero()
 ONE = LaurentScalar.one()
-Q = LaurentScalar.q_power(1)
 
 
 def qpow(e) -> LaurentScalar:

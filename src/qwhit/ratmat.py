@@ -21,10 +21,6 @@ Vec = tuple
 Mat = tuple
 
 
-def vec(xs) -> Vec:
-    return tuple(Fraction(x) for x in xs)
-
-
 def mat(rows) -> Mat:
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
@@ -102,19 +98,6 @@ def kron(a: Mat, b: Mat, zero=F0) -> Mat:
                     if d:
                         out[i * m + k][j * m + l] = c * d
     return tuple(tuple(row) for row in out)
-
-
-def inv_unipotent(x: Mat, one=F1, zero=F0) -> Mat:
-    """Inverse of a matrix 1 + n with n nilpotent, by the Neumann sum."""
-    size = len(x)
-    n = msub(x, eye(size, one, zero))
-    out = term = eye(size, one, zero)
-    for k in range(1, size + 2):
-        term = mmul(term, n, zero)
-        if is_zero(term):
-            return out
-        out = madd(out, term) if k % 2 == 0 else msub(out, term)
-    raise ArithmeticError("inv_unipotent: 1 - x is not nilpotent")
 
 
 def mvec(a: Mat, v: Vec) -> Vec:

@@ -260,20 +260,6 @@ def epsilon_matrix(pi):
     return eps
 
 
-def cayley_transform(ctx):
-    """The Cayley transform (1+s)/(1-s) of the Coxeter element, acting on
-    simple-root coordinates."""
-    s = ratmat.mat(ctx.s_matrix)
-    one = ratmat.eye(ctx.rs.rank)
-    return ratmat.mmul(ratmat.madd(one, s), ratmat.minv(ratmat.msub(one, s)))
-
-
-def cayley_matrix(ctx):
-    """Pairing matrix ((1+s)/(1-s) alpha_i, alpha_j) of the Cayley transform."""
-    t = cayley_transform(ctx)
-    return ratmat.mmul(ratmat.transpose(t), ratmat.mat(ctx.rs.bform))
-
-
 def _check_permutation(rs, pi):
     if sorted(pi) != list(range(1, rs.rank + 1)):
         raise ValueError(f"pi must be a permutation of 1..{rs.rank}, got {pi!r}")
@@ -281,12 +267,16 @@ def _check_permutation(rs, pi):
 
 @dataclass(frozen=True)
 class CoxeterContext:
-    """Root system together with a chosen Coxeter element s_{pi(1)}...s_{pi(l)}."""
+    """Root system together with a chosen Coxeter element s_{pi(1)}...s_{pi(l)}.
+
+    ``cayley_transform`` is (1+s)/(1-s) on simple-root coordinates and
+    ``cayley`` its pairing matrix ((1+s)/(1-s) alpha_i, alpha_j)."""
 
     rs: RootSystemData
     pi: tuple
     s_matrix: tuple
     cayley: tuple
+    cayley_transform: tuple
     epsilon: tuple
     twist: tuple
     coxeter_number: int
@@ -305,35 +295,28 @@ def coxeter_context(rs, pi=None):
     _check_permutation(rs, pi)
     l = rs.rank
     s = coxeter_matrix(rs, pi)
+    one = ratmat.eye(l)
 
     b = ratmat.mat(rs.bform)
     if ratmat.mmul(ratmat.transpose(s), ratmat.mmul(b, s)) != b:
         raise RuntimeError("Coxeter matrix does not preserve the form")
-    if ratmat.det(ratmat.msub(ratmat.eye(l), s)) == 0:
+    if ratmat.det(ratmat.msub(one, s)) == 0:
         raise RuntimeError("1 - s is singular")
 
     h = rs.coxeter_number
-    power = ratmat.eye(l)
+    power = one
     order = None
     for k in range(1, h + 1):
         power = ratmat.mmul(power, s)
-        if power == ratmat.eye(l):
+        if power == one:
             order = k
             break
     if order != h:
         raise RuntimeError(f"Coxeter element order {order} != 2N/l = {h}")
 
     eps = epsilon_matrix(pi)
-    ctx_tmp = CoxeterContext(
-        rs=rs,
-        pi=pi,
-        s_matrix=tuple(tuple(row) for row in s),
-        cayley=(),
-        epsilon=tuple(tuple(row) for row in eps),
-        twist=(),
-        coxeter_number=h,
-    )
-    c = cayley_matrix(ctx_tmp)
+    t = ratmat.mmul(ratmat.madd(one, s), ratmat.minv(ratmat.msub(one, s)))
+    c = ratmat.mmul(ratmat.transpose(t), b)
     for i in range(l):
         for j in range(l):
             if c[i][j] != eps[i][j] * rs.bform[i][j]:
@@ -345,52 +328,21 @@ def coxeter_context(rs, pi=None):
     twist = ratmat.sparse(l, {(i, j): Fraction(rs.cartan[j][i])
                               for i in range(l) for j in range(l)
                               if eps[i][j] > 0})
-    _check_twist(rs, c, twist)
+    for i in range(l):
+        for j in range(l):
+            if rs.d[j] * twist[i][j] - rs.d[i] * twist[j][i] != c[i][j]:
+                raise RuntimeError("twist does not solve the defining equation")
 
     return CoxeterContext(
         rs=rs,
         pi=pi,
-        s_matrix=tuple(tuple(row) for row in s),
-        cayley=tuple(tuple(row) for row in c),
+        s_matrix=s,
+        cayley=c,
+        cayley_transform=t,
         epsilon=tuple(tuple(row) for row in eps),
         twist=tuple(tuple(row) for row in twist),
         coxeter_number=h,
     )
-
-
-def _check_twist(rs, c, n):
-    l = rs.rank
-    for i in range(l):
-        for j in range(l):
-            if rs.d[j] * n[i][j] - rs.d[i] * n[j][i] != c[i][j]:
-                raise RuntimeError("twist does not solve the defining equation")
-
-
-def solve_twist(ctx, s_sym):
-    """General solution n_ij = (eps_ij a_ji + s_ij / d_j) / 2 of the twist equation.
-
-    s_sym is any symmetric rational matrix; the result always satisfies
-    d_j n_ij - d_i n_ji = c_ij, and two choices of s_sym differ by a solution
-    of the homogeneous equation.
-    """
-    rs = ctx.rs
-    l = rs.rank
-    for i in range(l):
-        for j in range(l):
-            if s_sym[i][j] != s_sym[j][i]:
-                raise ValueError("s_sym must be symmetric")
-    n = ratmat.mat(
-        [
-            [
-                Fraction(ctx.epsilon[i][j] * rs.cartan[j][i]
-                         + Fraction(s_sym[i][j], rs.d[j]), 2)
-                for j in range(l)
-            ]
-            for i in range(l)
-        ]
-    )
-    _check_twist(rs, ctx.cayley, n)
-    return n
 
 
 @dataclass(frozen=True)

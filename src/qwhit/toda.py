@@ -43,18 +43,9 @@ class DifferenceOperator:
         return cls(rs)
 
     @classmethod
-    def identity(cls, rs):
-        return cls.shift(rs, (0,) * rs.rank)
-
-    @classmethod
     def shift(cls, rs, lam, coeff=None):
         zero_z = (0,) * rs.rank
         return cls(rs, {tuple(lam): {zero_z: coeff if coeff is not None else qpow(0)}})
-
-    @classmethod
-    def z_monomial(cls, rs, zexp, coeff=None):
-        lam0 = (Fraction(0),) * rs.rank
-        return cls(rs, {lam0: {tuple(zexp): coeff if coeff is not None else qpow(0)}})
 
     # -- ring structure ------------------------------------------------------
     def is_zero(self):

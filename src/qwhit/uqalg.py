@@ -25,8 +25,8 @@ from fractions import Fraction
 
 from . import qarith, ratmat, rootsys
 from .qarith import ONE, ZERO, LaurentScalar, qpow
-from .ratmat import (diag, eye, inv_unipotent, is_zero, kron, madd, mmul,
-                     mscale, msub, sparse, zeros)
+from .ratmat import (diag, eye, is_zero, kron, madd, mmul, mscale, msub,
+                     sparse, zeros)
 
 
 # The Serre rules are completed through this word length when an Algebra is
@@ -90,7 +90,6 @@ class Algebra:
         self._etf_cache: dict = {}
         self._root_vector_cache: dict = {}
         self._a_cache: dict = {}
-        self.cayley_op = rootsys.cayley_transform(ctx)
         self.rules = []
         self._pending = [(len(next(iter(rel))), seq, rel, (), {}, ())
                          for seq, rel in enumerate(self._serre_relators())]
@@ -132,7 +131,8 @@ class Algebra:
         return self.ctx.cayley[i][j]
 
     def cayley_apply(self, vec):
-        return ratmat.mvec(self.cayley_op, [Fraction(x) for x in vec])
+        return ratmat.mvec(self.ctx.cayley_transform,
+                           [Fraction(x) for x in vec])
 
     # -- straightening rules for one-sided words ------------------------------
     def _serre_relators(self):
@@ -243,9 +243,6 @@ class Algebra:
             self._reduce_cache[word] = cached
         return cached
 
-    def is_irreducible(self, word):
-        return self.reduce_word(word) == {tuple(word): ONE}
-
     # -- element constructors -------------------------------------------------
     def zero(self):
         return PBWElement(self, {})
@@ -261,12 +258,6 @@ class Algebra:
 
     def k(self, lam):
         return PBWElement(self, {((), self.weight(lam), ()): ONE})
-
-    def k_simple(self, i):
-        return self.k(self.simple_weight(i))
-
-    def from_terms(self, terms):
-        return PBWElement(self, _nonzero(terms))
 
     def word(self, tokens):
         """Product of generator tokens ('e', i), ('f', i) or ('k', lam)."""
@@ -430,14 +421,6 @@ class PBWElement:
     def is_lower_borel(self):
         return all(not ew for (_, _, ew) in self.terms)
 
-    def counit(self):
-        """Image under e_i, f_i -> 0, K_lam -> 1."""
-        out = ZERO
-        for (fw, _, ew), c in self.terms.items():
-            if not fw and not ew:
-                out = out + c
-        return out
-
     def coefficient(self, mono):
         return self.terms.get(mono, ZERO)
 
@@ -461,41 +444,6 @@ class PBWElement:
         return " + ".join(bits)
 
     __repr__ = __str__
-
-
-def pbw_dimension_check(alg, max_height):
-    """Compare counts of irreducible one-sided words against monomials in
-    positive-root symbols, multidegree by multidegree up to max_height."""
-    rs = alg.rs
-    roots = rs.positive_roots
-    for total in range(1, max_height + 1):
-        words = {}
-        for word in itertools.product(range(alg.rank), repeat=total):
-            if alg.is_irreducible(word):
-                deg = alg.word_weight(word)
-                words[deg] = words.get(deg, 0) + 1
-
-        # count multisets of positive roots with the given multidegree
-        def count(idx, remaining):
-            if all(x == 0 for x in remaining):
-                return 1
-            if idx == len(roots):
-                return 0
-            root = roots[idx]
-            total_here = 0
-            current = remaining
-            while all(x >= 0 for x in current):
-                total_here += count(idx + 1, current)
-                current = tuple(a - b for a, b in zip(current, root))
-            return total_here
-        for deg, n_words in words.items():
-            expected = count(0, deg)
-            if n_words != expected:
-                raise AssertionError(
-                    f"irreducible word count {n_words} != PBW count {expected} "
-                    f"at multidegree {deg}"
-                )
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -804,17 +752,14 @@ def _cartan_weights(alg, rep, sign):
             for mu in rep.weights]
 
 
-def _k_diag(alg, lams):
-    return diag([alg.k(lam) for lam in lams], alg.zero())
-
-
 def _r_in_rep(alg, rep, flipped):
     """(id x pi_V) R, or R_21 when flipped, with the second leg evaluated in
     the module: the Cartan diagonal times one q-exponential factor per root
     of the adapted ordering.  The factor for beta pairs e_beta with
     K_{T beta} f_beta; the flip puts K_{T beta} f_beta in the algebra leg."""
     zero = alg.zero()
-    out = _k_diag(alg, _cartan_weights(alg, rep, -1 if flipped else 1))
+    out = diag([alg.k(lam) for lam in
+                _cartan_weights(alg, rep, -1 if flipped else 1)], zero)
     for beta in alg.ordering.ordering:
         e_beta = root_vector(alg, beta, "+")
         if flipped:
@@ -827,20 +772,6 @@ def _r_in_rep(alg, rep, flipped):
         out = mmul(out, qarith.q_exp_nilpotent(mscale(second, first), base,
                                                alg.one(), zero), zero)
     return out
-
-
-def r_matrix_in_rep(alg, rep):
-    """The pair (L^-, L^+): the R-matrix and the inverse of its flip, with the
-    second leg evaluated in the module."""
-    zero = alg.zero()
-    lminus = _r_in_rep(alg, rep, flipped=False)
-    r21 = _r_in_rep(alg, rep, flipped=True)
-    # invert r21 = D (1 + N) with N nilpotent: (1+N)^{-1} D^{-1}
-    dinv = _k_diag(alg, [tuple(-x for x in lam)
-                         for lam in _cartan_weights(alg, rep, -1)])
-    unipotent = mmul(dinv, r21, zero)
-    lplus = mmul(inv_unipotent(unipotent, alg.one(), zero), dinv, zero)
-    return lminus, lplus
 
 
 def r_matrix_vv(alg, rep):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -14,17 +15,12 @@ from qwhit.crosssec import (
     eq_character_report,
     fundamental_characters,
     gstar_factorize,
-    identity_characters,
     is_lower_triangular,
-    is_regular,
     is_slice_point,
-    is_unitriangular_upper,
     is_upper_triangular,
     kostant_section,
     mcybe_check,
-    mu_N,
     mu_inverse_point,
-    nplus_prime_basis,
     poly_discriminant,
     q_map,
     rmatrix_endo,
@@ -35,6 +31,10 @@ from qwhit.crosssec import (
 from qwhit.ratmat import charpoly, det, eye, mat, minv, mmul, rank
 
 F = Fraction
+
+
+def is_unitriangular_upper(m):
+    return is_upper_triangular(m) and all(m[i][i] == 1 for i in range(len(m)))
 
 
 def rnd_frac(rng, lo=-4, hi=4, den=3):
@@ -126,35 +126,22 @@ def test_coxeter_rep_needs_rank():
         coxeter_rep(1)
 
 
-def test_nplus_prime_sl2_is_whole_group():
-    basis = nplus_prime_basis(2)
-    assert basis == [mat([[0, 1], [0, 0]])]
-
-
 @pytest.mark.parametrize("n", range(2, 7))
-def test_nplus_prime_dimension_and_defining_condition(n):
-    basis = nplus_prime_basis(n)
-    assert len(basis) == n - 1
+def test_slice_point_lies_on_nplus_prime_s(n):
+    # v = slice_point(p) s^-1 lies in N_+' = {v in N_+ : s^-1 v s lower
+    # triangular}, and v - 1 is supported on the first row
+    rng = random.Random(300 + n)
     s = coxeter_rep(n)
     sinv = minv(s)
-    for e in basis:
-        assert is_lower_triangular(mmul(mmul(sinv, e), s))
-
-
-def test_nplus_prime_directions_commute():
-    for n in (3, 4, 5):
-        basis = nplus_prime_basis(n)
-        for a in basis:
-            for b in basis:
-                assert mmul(a, b) == mmul(b, a)
-
-
-def test_nplus_prime_sl3_first_row():
-    positions = [
-        [(i, j) for i in range(3) for j in range(3) if e[i][j] != 0]
-        for e in nplus_prime_basis(3)
-    ]
-    assert positions == [[(0, 1)], [(0, 2)]]
+    vs = []
+    for _ in range(10):
+        v = mmul(slice_point([rnd_frac(rng) for _ in range(n - 1)]), sinv)
+        assert is_unitriangular_upper(v)
+        assert all(v[i][j] == (i == j) for i in range(1, n) for j in range(n))
+        assert is_lower_triangular(mmul(mmul(sinv, v), s))
+        vs.append(v)
+    # N_+' is abelian
+    assert mmul(vs[0], vs[1]) == mmul(vs[1], vs[0])
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +313,7 @@ def test_gstar_trivial_pair():
     el = gstar_factorize(eye(3), eye(3))
     assert isinstance(el, GStarElement)
     assert q_map(el) == eye(3)
-    assert mu_N(el) == eye(3)
+    assert el.n_minus == eye(3)
 
 
 def test_gstar_rejects_wrong_triangularity():
@@ -359,7 +346,7 @@ def test_gstar_factor_fields():
             assert mmul(el.h_plus, el.n_plus) == el.l_plus
             assert mmul(el.h_minus, el.n_minus) == el.l_minus
             assert is_unitriangular_upper(el.n_plus)
-            assert mu_N(el) == build_u(c)
+            assert el.n_minus == build_u(c)
             s = coxeter_rep(n)
             assert mmul(mmul(s, el.h_plus), minv(s)) == el.h_minus
 
@@ -541,7 +528,8 @@ def test_rmatrix_full_is_sum_of_halves():
 
 @pytest.mark.parametrize("n", (2, 3, 4, 5))
 def test_characters_of_identity_are_binomials(n):
-    assert fundamental_characters(eye(n)) == identity_characters(n)
+    assert fundamental_characters(eye(n)) == tuple(
+        F(math.comb(n, k)) for k in range(1, n))
 
 
 @pytest.mark.parametrize("n", (2, 3))
@@ -572,8 +560,3 @@ def test_poly_discriminant_quadratic():
     assert poly_discriminant([F(2), F(-3), F(1)]) == 1
     # t^2 - 2t + 1 is a double root
     assert poly_discriminant([F(1), F(-2), F(1)]) == 0
-
-
-def test_is_regular_on_torus_elements():
-    assert is_regular(mat([[2, 0], [0, F(1, 2)]]))
-    assert not is_regular(eye(2))

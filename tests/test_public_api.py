@@ -1,0 +1,106 @@
+"""Every public module-level name in the package is used by the package.
+
+A public function, class or constant that only the tests call is API kept
+alive for its own tests.  A name counts as used when some module of the
+package imports it with ``from .mod import name``, reads it as ``mod.name``,
+or its defining module reads it as a bare global name (a parameter or local
+variable of the same name does not count).
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qwhit"
+
+
+def _trees():
+    return {path.stem: ast.parse(path.read_text(), str(path))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _public_definitions(tree):
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names.update(n.id for n in ast.walk(target)
+                             if isinstance(n, ast.Name))
+    return {n for n in names if not n.startswith("_")}
+
+
+def _local_names(func):
+    """Names bound inside a function or lambda: its parameters and every
+    name it assigns, outside nested functions and classes."""
+    args = func.args
+    out = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    out.update(a.arg for a in (args.vararg, args.kwarg) if a is not None)
+    stack = list(func.body) if isinstance(func.body, list) else [func.body]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            out.add(node.name)
+            continue
+        if isinstance(node, ast.Lambda):
+            continue
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.alias):
+            out.add((node.asname or node.name).split(".")[0])
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def _global_loads(node, shadowed=frozenset()):
+    """Bare names read at module scope, ignoring those a function binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        shadowed = shadowed | _local_names(node)
+    if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            and node.id not in shadowed):
+        yield node.id
+    for child in ast.iter_child_nodes(node):
+        yield from _global_loads(child, shadowed)
+
+
+def _references(trees):
+    """(module, name) pairs that some module of the package uses."""
+    refs = set()
+    for module, tree in trees.items():
+        refs.update((module, name) for name in _global_loads(tree))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                refs.update((node.module, a.name) for a in node.names)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in trees):
+                refs.add((node.value.id, node.attr))
+    return refs
+
+
+def unreferenced_public_names(trees):
+    refs = _references(trees)
+    return sorted(f"{module}.{name}" for module, tree in trees.items()
+                  for name in _public_definitions(tree)
+                  if (module, name) not in refs)
+
+
+def test_every_public_name_is_used_by_the_package():
+    unused = unreferenced_public_names(_trees())
+    assert not unused, ("public names no module of the package uses: "
+                        + ", ".join(unused))
+
+
+def test_the_scan_flags_a_name_only_a_parameter_shadows():
+    trees = {
+        "a": ast.parse("def vec(xs):\n    return xs\n\n"
+                       "def used(vec):\n    return vec\n\n"
+                       "LIMIT = 3\n\n"
+                       "def top():\n    return used(LIMIT)\n"),
+        "b": ast.parse("from . import a\nfrom .a import top\n\n"
+                       "def run(vec):\n    return a.top() + top(vec)\n"),
+    }
+    assert unreferenced_public_names(trees) == ["a.vec", "b.run"]

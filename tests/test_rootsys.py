@@ -126,45 +126,6 @@ def test_b2_cayley_entries_are_plus_minus_b12():
     assert ctx.cayley[1][0] == rs.bform[0][1]
 
 
-def random_symmetric(rank, rng):
-    m = [[Fraction(0)] * rank for _ in range(rank)]
-    for i in range(rank):
-        for j in range(i, rank):
-            v = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
-            m[i][j] = m[j][i] = v
-    return m
-
-
-@pytest.mark.parametrize("series,rank", [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("D", 4), ("G", 2), ("F", 4)])
-def test_solve_twist_satisfies_defining_equation(series, rank):
-    rng = random.Random(98 + rank)
-    rs = rootsys.build_root_system(series, rank)
-    ctx = rootsys.coxeter_context(rs)
-    solutions = []
-    for _ in range(20):
-        s_sym = random_symmetric(rank, rng)
-        n = rootsys.solve_twist(ctx, s_sym)
-        for i in range(rank):
-            for j in range(rank):
-                assert rs.d[j] * n[i][j] - rs.d[i] * n[j][i] == ctx.cayley[i][j]
-        solutions.append(n)
-    # differences solve the homogeneous equation
-    m = ratmat.msub(solutions[0], solutions[1])
-    for i in range(rank):
-        for j in range(rank):
-            assert rs.d[j] * m[i][j] - rs.d[i] * m[j][i] == 0
-    bad = [[Fraction(j) for j in range(rank)] for _ in range(rank)]
-    with pytest.raises(ValueError):
-        rootsys.solve_twist(ctx, bad)
-
-
-def test_solve_twist_a1_diagonal():
-    rs = rootsys.build_root_system("A", 1)
-    ctx = rootsys.coxeter_context(rs)
-    n = rootsys.solve_twist(ctx, [[Fraction(5)]])
-    assert n[0][0] == Fraction(5, 2)
-
-
 @pytest.mark.parametrize("series,rank", ALL_TYPES)
 def test_normal_ordering_is_convex_and_pi_adapted(series, rank):
     rng = random.Random(1000 + rank)
