@@ -28,7 +28,7 @@ from qwhit.crosssec import (
     slice_params,
     slice_point,
 )
-from qwhit.ratmat import charpoly, det, eye, mat, minv, mmul, rank
+from qwhit.ratmat import charpoly, det, eye, mat, minv, mmul, msub, rank
 
 F = Fraction
 
@@ -126,22 +126,60 @@ def test_coxeter_rep_needs_rank():
         coxeter_rep(1)
 
 
+def nplus_prime_point(params):
+    """v = slice_point(params) s^-1, the N_+' factor of a slice point."""
+    return mmul(slice_point(params), minv(coxeter_rep(len(params) + 1)))
+
+
+def nplus_prime_directions(n):
+    """v - 1 for the slice points with one unit parameter each."""
+    return [msub(nplus_prime_point([F(k == j) for j in range(n - 1)]), eye(n))
+            for k in range(n - 1)]
+
+
+def test_nplus_prime_sl2_is_whole_group():
+    assert nplus_prime_directions(2) == [mat([[0, 1], [0, 0]])]
+    # every upper unitriangular 2x2 matrix times s is a slice point
+    for x in (F(-3), F(0), F(2, 5)):
+        assert is_slice_point(mmul(mat([[1, x], [0, 1]]), coxeter_rep(2)))
+
+
 @pytest.mark.parametrize("n", range(2, 7))
-def test_slice_point_lies_on_nplus_prime_s(n):
+def test_nplus_prime_dimension_and_defining_condition(n):
     # v = slice_point(p) s^-1 lies in N_+' = {v in N_+ : s^-1 v s lower
-    # triangular}, and v - 1 is supported on the first row
+    # triangular}, v - 1 is supported on the first row, and the slice
+    # has dimension n - 1
+    directions = nplus_prime_directions(n)
+    assert len(directions) == n - 1
+    assert rank(mat([[x for row in e for x in row] for e in directions])) == n - 1
     rng = random.Random(300 + n)
     s = coxeter_rep(n)
     sinv = minv(s)
-    vs = []
     for _ in range(10):
-        v = mmul(slice_point([rnd_frac(rng) for _ in range(n - 1)]), sinv)
+        v = nplus_prime_point([rnd_frac(rng) for _ in range(n - 1)])
         assert is_unitriangular_upper(v)
         assert all(v[i][j] == (i == j) for i in range(1, n) for j in range(n))
         assert is_lower_triangular(mmul(mmul(sinv, v), s))
-        vs.append(v)
-    # N_+' is abelian
-    assert mmul(vs[0], vs[1]) == mmul(vs[1], vs[0])
+
+
+def test_nplus_prime_directions_commute():
+    rng = random.Random(17)
+    for n in (3, 4, 5):
+        directions = nplus_prime_directions(n)
+        for a in directions:
+            for b in directions:
+                assert mmul(a, b) == mmul(b, a)
+        v, w = (nplus_prime_point([rnd_frac(rng) for _ in range(n - 1)])
+                for _ in range(2))
+        assert mmul(v, w) == mmul(w, v)
+
+
+def test_nplus_prime_sl3_first_row():
+    positions = [
+        [(i, j) for i in range(3) for j in range(3) if e[i][j] != 0]
+        for e in nplus_prime_directions(3)
+    ]
+    assert positions == [[(0, 1)], [(0, 2)]]
 
 
 # ---------------------------------------------------------------------------
