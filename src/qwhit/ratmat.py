@@ -110,16 +110,22 @@ def transpose(a: Mat) -> Mat:
 
 def _rref(work: list, ncols: int):
     """Gauss-Jordan on the first ncols columns of the row lists in work,
-    in place; stops once every row holds a pivot.  Returns the reduced rows
-    and the pivot columns."""
+    in place; stops once every row holds a pivot.  Returns the reduced rows,
+    the pivot columns and the determinant factor: the product of the pivots,
+    negated once per row swap, which is the determinant of a square matrix
+    with a pivot in every row."""
     n = len(work)
     pivots = []
+    factor = F1
     r = 0
     for col in range(ncols):
         piv = next((i for i in range(r, n) if work[i][col]), None)
         if piv is None:
             continue
-        work[r], work[piv] = work[piv], work[r]
+        if piv != r:
+            work[r], work[piv] = work[piv], work[r]
+            factor = -factor
+        factor *= work[r][col]
         inv = 1 / work[r][col]
         work[r] = [x * inv for x in work[r]]
         for i in range(n):
@@ -130,36 +136,21 @@ def _rref(work: list, ncols: int):
         r += 1
         if r == n:
             break
-    return work, pivots
+    return work, pivots, factor
 
 
 def minv(a: Mat) -> Mat:
     n = len(a)
-    work, pivots = _rref([list(row) + list(e) for row, e in zip(a, eye(n))],
-                         n)
+    work, pivots, _ = _rref([list(row) + list(e)
+                             for row, e in zip(a, eye(n))], n)
     if len(pivots) < n:
         raise ZeroDivisionError("singular matrix")
     return tuple(tuple(row[n:]) for row in work)
 
 
 def det(a: Mat) -> Fraction:
-    n = len(a)
-    work = [list(row) for row in a]
-    out = F1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col]), None)
-        if piv is None:
-            return F0
-        if piv != col:
-            work[col], work[piv] = work[piv], work[col]
-            out = -out
-        out *= work[col][col]
-        inv = 1 / work[col][col]
-        for r in range(col + 1, n):
-            if work[r][col]:
-                f = work[r][col] * inv
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    return out
+    _, pivots, factor = _rref([list(row) for row in a], len(a))
+    return factor if len(pivots) == len(a) else F0
 
 
 def charpoly(a: Mat) -> list[Fraction]:
@@ -181,7 +172,7 @@ def solve(a: Mat, b: Vec) -> Vec | None:
     """One solution of a x = b, or None when inconsistent.  Requires the
     system to determine x uniquely on its pivot columns; free columns get 0."""
     m = len(a[0])
-    work, pivots = _rref([list(row) + [bv] for row, bv in zip(a, b)], m)
+    work, pivots, _ = _rref([list(row) + [bv] for row, bv in zip(a, b)], m)
     if any(row[m] for row in work[len(pivots):]):
         return None
     x = [F0] * m

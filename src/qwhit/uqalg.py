@@ -89,7 +89,7 @@ class Algebra:
         self._reduce_cache: dict = {}
         self._etf_cache: dict = {}
         self._root_vector_cache: dict = {}
-        self._a_cache: dict = {}
+        self._scale_cache: dict = {}
         self.rules = []
         self._pending = [(len(next(iter(rel))), seq, rel, (), {}, ())
                          for seq, rel in enumerate(self._serre_relators())]
@@ -421,9 +421,6 @@ class PBWElement:
     def is_lower_borel(self):
         return all(not ew for (_, _, ew) in self.terms)
 
-    def coefficient(self, mono):
-        return self.terms.get(mono, ZERO)
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda mc: (mc[0][0], mc[0][2], mc[0][1]))
 
@@ -502,27 +499,6 @@ def root_vector(alg, beta, sign="+"):
             result = fb * fa - (fa * fb).scale(qpow(-w))
     alg._root_vector_cache[key] = result.terms
     return result
-
-
-def a_constant(alg, beta):
-    """The normalization constant a(beta) read off [e_beta, f_beta] =
-    a(beta) (K_beta - K_beta^{-1}) / (q - q^{-1})."""
-    beta = tuple(int(x) for x in beta)
-    cached = alg._a_cache.get(beta)
-    if cached is not None:
-        return cached
-    e_b = root_vector(alg, beta, "+")
-    f_b = root_vector(alg, beta, "-")
-    comm = e_b.commutator(f_b)
-    plus = alg.weight(beta)
-    minus = tuple(-x for x in plus)
-    c_plus = comm.coefficient(((), plus, ()))
-    c_minus = comm.coefficient(((), minus, ()))
-    if c_plus.is_zero() or c_minus != -c_plus or len(comm.terms) != 2:
-        raise RuntimeError(f"[e_beta, f_beta] has unexpected shape: {comm}")
-    value = c_plus * (qpow(1) - qpow(-1))
-    alg._a_cache[beta] = value
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -610,10 +586,8 @@ class RepMatrices:
         n = rs.rank
         self.alg = alg
         self.name = name
-        self.k_index = k_index
         basis = sorted(itertools.combinations(range(1, n + 2), k_index),
                        key=lambda s: (sum(s), s))
-        self.basis = basis
         self.dim = len(basis)
         index = {s: p for p, s in enumerate(basis)}
         omegas = [rs.fundamental_weight(i) for i in range(n)]
@@ -633,9 +607,6 @@ class RepMatrices:
                 (index[tuple(sorted(set(s) - {b} | {a}))], index[s]): ONE
                 for s in basis if b in s and a not in s}, ZERO)
 
-        self.x_plus = [ladder(i + 1, i + 2) for i in range(n)]
-        self.x_minus = [ladder(i + 2, i + 1) for i in range(n)]
-
         twist = alg.ctx.twist
         self.e_mats = []
         self.f_mats = []
@@ -646,8 +617,8 @@ class RepMatrices:
                     nu = [m + twist[i][p] * o for m, o in zip(nu, omegas[p])]
             ke = self.k_matrix(nu)
             kf = self.k_matrix([-x for x in nu])
-            self.e_mats.append(mmul(self.x_plus[i], ke, ZERO))
-            self.f_mats.append(mmul(kf, self.x_minus[i], ZERO))
+            self.e_mats.append(mmul(ladder(i + 1, i + 2), ke, ZERO))
+            self.f_mats.append(mmul(kf, ladder(i + 2, i + 1), ZERO))
         self._check_relations()
 
     def k_matrix(self, lam):
@@ -729,17 +700,37 @@ def rep_matrices(alg, name):
 # R-matrix evaluations
 
 
-def _root_constants(alg, beta):
+def _root_constants(alg, rep, beta):
     """Per-root data of the R-matrix factor for beta: the scale
-    (q - q^{-1})/a(beta), T beta, and the q-exponential base q^{-(beta,beta)}."""
-    scale = (qpow(1) - qpow(-1)) * a_constant(alg, beta).inverse()
+    (q - q^{-1})/a(beta), T beta, and the q-exponential base q^{-(beta,beta)}.
+
+    a(beta) is defined by [e_beta, f_beta] = a(beta) (K_beta - K_beta^{-1})
+    / (q - q^{-1}), and is read here off the module: the scale is the ratio
+    of pi(K_beta) - pi(K_beta)^{-1} to [pi(e_beta), pi(f_beta)] at a
+    diagonal entry where the former is nonzero, and the whole commutator
+    times the scale must give pi(K_beta) - pi(K_beta)^{-1}.  The scale is
+    cached on the algebra by beta."""
+    scale = alg._scale_cache.get(beta)
+    if scale is None:
+        e_b = rep.evaluate(root_vector(alg, beta, "+"))
+        f_b = rep.evaluate(root_vector(alg, beta, "-"))
+        comm = msub(mmul(e_b, f_b, ZERO), mmul(f_b, e_b, ZERO))
+        cartan = msub(rep.k_matrix(beta), rep.k_matrix([-x for x in beta]))
+        j = next((j for j in range(rep.dim) if cartan[j][j]), None)
+        if j is not None and comm[j][j]:
+            scale = cartan[j][j] / comm[j][j]
+        if scale is None or mscale(comm, scale) != cartan:
+            raise RuntimeError(
+                f"{rep.name}: [e_beta, f_beta] is not a multiple of "
+                f"K_beta - K_beta^-1 for beta = {beta}")
+        alg._scale_cache[beta] = scale
     return scale, alg.cayley_apply(beta), qpow(-alg.rs.pair(beta, beta))
 
 
 def _module_f_leg(alg, rep, beta):
     """The factor for beta with its f-leg in the module: the scale, the
     q-exponential base and the matrix K_{T beta} pi(f_beta)."""
-    scale, t_beta, base = _root_constants(alg, beta)
+    scale, t_beta, base = _root_constants(alg, rep, beta)
     leg = mmul(rep.k_matrix(t_beta),
                rep.evaluate(root_vector(alg, beta, "-")), ZERO)
     return scale, base, leg
@@ -763,7 +754,7 @@ def _r_in_rep(alg, rep, flipped):
     for beta in alg.ordering.ordering:
         e_beta = root_vector(alg, beta, "+")
         if flipped:
-            scale, t_beta, base = _root_constants(alg, beta)
+            scale, t_beta, base = _root_constants(alg, rep, beta)
             first = (alg.k(t_beta) * root_vector(alg, beta, "-")).scale(scale)
             second = rep.evaluate(e_beta)
         else:

@@ -1,9 +1,10 @@
 """Gate file: one test per acceptance criterion, run at the report seed."""
 
+import dataclasses
 import hashlib
 import json
 
-from qwhit import acceptance
+from qwhit import acceptance, toda, uqalg
 
 SEED = 7
 
@@ -71,6 +72,35 @@ def test_criterion_07_toda():
     assert report["closed_form_A1"] and report["closed_form_A2"]
     assert report["commute_A2"] and report["commute_A3"]
     assert report["quasiclassical_A1"]
+
+
+def test_criterion_07_builds_each_hamiltonian_once(monkeypatch):
+    calls = []
+    real = toda.toda_hamiltonian
+
+    def counting(alg, rep_name, chi, chibar):
+        calls.append((alg.rs.rank, rep_name))
+        return real(alg, rep_name, chi, chibar)
+
+    monkeypatch.setattr(toda, "toda_hamiltonian", counting)
+    assert acceptance.criterion_7(SEED)["passed"]
+    assert sorted(calls) == [(1, "V1"), (2, "V1"), (2, "V2"), (3, "V1"),
+                             (3, "V2"), (3, "V3")]
+
+
+def test_toda_and_whittaker_checks_can_fail():
+    alg = acceptance._algebra("A", 2)
+    system = toda.build_toda_system(alg, (1, 1), (1, 1))
+    assert acceptance.closed_form_holds(system)
+    assert acceptance.hamiltonians_commute(system.hamiltonians)
+    shifted = system.hamiltonians[1] * system.hamiltonians[0]
+    assert not acceptance.closed_form_holds(
+        dataclasses.replace(system, hamiltonians=(shifted,)))
+    z = toda.lower_rep(alg.f(0), system.chibar)
+    assert not acceptance.hamiltonians_commute((system.hamiltonians[0], z))
+    chi = uqalg.character("e", (1, 1))
+    assert acceptance.is_whittaker_invariant(alg, alg.one(), chi)
+    assert not acceptance.is_whittaker_invariant(alg, alg.f(0), chi)
 
 
 def test_criterion_08_yang_baxter():

@@ -44,6 +44,24 @@ def test_toda_finishes_on_every_a3_ordering(capsys, pi):
                                 "commutators_zero": True}
 
 
+def test_toda_moves_no_e_past_an_f(capsys, monkeypatch):
+    # toda reads a(beta) off the module matrices, so no PBW product it
+    # forms has an e-word to the left of an f
+    e_words = []
+    real = uqalg.Algebra._etf
+
+    def recording(self, ew, j):
+        e_words.append(ew)
+        return real(self, ew, j)
+
+    monkeypatch.setattr(uqalg.Algebra, "_etf", recording)
+    code, _, _ = run_cli(capsys, "toda", "--type", "A", "--rank", "3",
+                         "--check-commute")
+    assert code == 0
+    assert e_words
+    assert max(map(len, e_words)) == 0
+
+
 def test_toda_a4_finishes():
     proc = subprocess.run(
         [sys.executable, "-m", "qwhit.cli", "toda", "--type", "A", "--rank",

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from qwhit.crosssec import coxeter_rep
 from qwhit.ratmat import charpoly, det, eye, mat, minv, mmul, mvec, rank, solve
 
 
@@ -29,6 +30,30 @@ def test_solve_consistent_inconsistent_and_free_columns():
 ])
 def test_rank(rows, expected):
     assert rank(mat(rows)) == expected
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_det_of_the_coxeter_representative_is_one(n):
+    # its first column is zero above the last row: elimination must swap
+    s = coxeter_rep(n)
+    assert det(s) == 1
+    assert mmul(s, minv(s)) == eye(n)
+
+
+@pytest.mark.parametrize("rows,expected", [
+    # odd permutations: one transposition, and a 4-cycle
+    ([[0, 1, 0], [1, 0, 0], [0, 0, 1]], -1),
+    ([[0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]], -1),
+    # an even permutation: a 3-cycle
+    ([[0, 0, 1], [1, 0, 0], [0, 1, 0]], 1),
+    # a zero (1,1) entry, with pivots that are not 1
+    ([[0, 2, 1], [3, 1, 0], [1, 0, Fraction(1, 2)]], -4),
+    ([[0, 2], [3, 5]], -6),
+    # a swap that leaves a zero column behind
+    ([[0, 1, 2], [0, 3, 4], [0, 5, 6]], 0),
+])
+def test_det_with_row_swaps(rows, expected):
+    assert det(mat(rows)) == expected
 
 
 def _from_sympy(m):

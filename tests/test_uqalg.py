@@ -2,6 +2,7 @@ import gc
 import itertools
 import math
 import random
+import re
 import weakref
 from fractions import Fraction
 
@@ -342,13 +343,27 @@ def test_root_vector_rejects_bad_input():
         uqalg.root_vector(alg, (1, 1), "e")
 
 
+def pbw_a_constant(alg, beta):
+    """Oracle for a(beta), read off the PBW commutator [e_beta, f_beta] =
+    a(beta) (K_beta - K_beta^{-1}) / (q - q^{-1})."""
+    comm = uqalg.root_vector(alg, beta, "+").commutator(
+        uqalg.root_vector(alg, beta, "-"))
+    plus = alg.weight(beta)
+    minus = tuple(-x for x in plus)
+    c_plus = comm.terms.get(((), plus, ()), ZERO)
+    c_minus = comm.terms.get(((), minus, ()), ZERO)
+    if c_plus.is_zero() or c_minus != -c_plus or len(comm.terms) != 2:
+        raise AssertionError(f"[e_beta, f_beta] has unexpected shape: {comm}")
+    return c_plus * (qpow(1) - qpow(-1))
+
+
 @pytest.mark.parametrize("series,rank", [("A", 1), ("A", 2), ("A", 3), ("B", 2)])
 def test_root_vector_commutator_has_cartan_shape(series, rank):
     # [e_beta, f_beta] must be a two-term Cartan combination; a(beta) is read
     # off that commutator and stays invertible
     alg = algebra(series, rank)
     for beta in alg.ordering.ordering:
-        val = uqalg.a_constant(alg, beta)
+        val = pbw_a_constant(alg, beta)
         assert not val.is_zero()
 
 
@@ -356,10 +371,63 @@ def test_a_constant_values_b2():
     # normalization against plain q - q^{-1}: a(beta) for a simple root is
     # (q - q^{-1})/(q_i - q_i^{-1}), so the long simple root picks up 1/(q+q^{-1})
     alg = algebra("B", 2)
-    assert uqalg.a_constant(alg, (1, 0)) == (qpow(1) + qpow(-1)).inverse()
-    assert uqalg.a_constant(alg, (0, 1)) == qpow(0)
-    assert uqalg.a_constant(alg, (1, 1)) == qpow(0)
-    assert uqalg.a_constant(alg, (1, 2)) == qpow(1) + qpow(-1)
+    assert pbw_a_constant(alg, (1, 0)) == (qpow(1) + qpow(-1)).inverse()
+    assert pbw_a_constant(alg, (0, 1)) == qpow(0)
+    assert pbw_a_constant(alg, (1, 1)) == qpow(0)
+    assert pbw_a_constant(alg, (1, 2)) == qpow(1) + qpow(-1)
+
+
+def _assert_module_scales_match_the_pbw_oracle(alg, rep_names):
+    for name in rep_names:
+        rep = uqalg.rep_matrices(alg, name)
+        # read every scale off this module, not off the one before it
+        alg._scale_cache.clear()
+        for beta in alg.ordering.ordering:
+            scale = uqalg._root_constants(alg, rep, beta)[0]
+            want = (qpow(1) - qpow(-1)) * pbw_a_constant(alg, beta).inverse()
+            assert scale == want, (name, beta)
+
+
+@pytest.mark.parametrize("pi", [
+    pi for rank in (1, 2, 3)
+    for pi in itertools.permutations(range(1, rank + 1))],
+    ids=lambda pi: "".join(map(str, pi)))
+def test_module_scale_matches_the_pbw_commutator(pi):
+    rank = len(pi)
+    alg = fresh_algebra("A", rank, pi)
+    _assert_module_scales_match_the_pbw_oracle(
+        alg, [f"V{k + 1}" for k in range(rank)])
+
+
+def test_module_scale_matches_the_pbw_commutator_a4():
+    alg = fresh_algebra("A", 4, (2, 1, 3, 4))
+    _assert_module_scales_match_the_pbw_oracle(alg, ["V1", "V4"])
+
+
+def _zeroed(m):
+    return ratmat.zeros(len(m), zero=ZERO)
+
+
+def _one_entry_doubled(m):
+    rows = [list(row) for row in m]
+    i, j = next((i, j) for i, row in enumerate(rows)
+                for j, x in enumerate(row) if x)
+    rows[i][j] = rows[i][j] * 2
+    return tuple(map(tuple, rows))
+
+
+@pytest.mark.parametrize("rank,name,spoil", [
+    # [pi(e_1), pi(f_1)] is zero, or a multiple of pi(K_1) - pi(K_1)^-1 on
+    # one of its two weight-space pairs but not on the other
+    (2, "V1", _zeroed), (3, "V2", _one_entry_doubled)])
+def test_module_scale_refuses_a_module_without_cartan_shape(rank, name,
+                                                            spoil):
+    alg = fresh_algebra("A", rank)
+    rep = uqalg.rep_matrices(alg, name)
+    rep.f_mats[0] = spoil(rep.f_mats[0])
+    beta = (1,) + (0,) * (rank - 1)
+    with pytest.raises(RuntimeError, match=re.escape(f"beta = {beta}")):
+        uqalg._root_constants(alg, rep, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -687,18 +755,21 @@ def test_rho_chi_multiplicative_on_computed_centre():
 
 
 def test_discarded_algebra_is_freed_without_cyclic_gc():
-    # the root-vector cache must not point back at its algebra
+    # neither the root-vector nor the scale cache may point back at its
+    # algebra
     gc.disable()
     try:
         rs = rootsys.build_root_system("A", 2)
         alg = uqalg.Algebra(rootsys.coxeter_context(rs))
+        rep = uqalg.rep_matrices(alg, "V1")
         for beta in alg.ordering.ordering:
             for sign in "+-":
                 uqalg.root_vector(alg, beta, sign)
-            uqalg.a_constant(alg, beta)
+            uqalg._root_constants(alg, rep, beta)
+        assert alg._scale_cache
         assert uqalg.root_vector(alg, (1, 1), "+").alg is alg
         ref = weakref.ref(alg)
-        del alg
+        del alg, rep
         assert ref() is None
     finally:
         gc.enable()
