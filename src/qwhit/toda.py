@@ -3,10 +3,18 @@
 Torus functions are Laurent polynomials in z_1..z_l, where z_i stands for the
 exponential e^{-h(y, alpha_i)}.  A difference operator is a finite sum of
 terms coeff(z) * T_lam with rational-weight shifts lam, composed through the
-exact rule T_lam z_i = q^{-(lam, alpha_i)} z_i T_lam.  The Hamiltonians come
-out of the Whittaker generators of the centre: project a Casimir, send f_i
-to chibar(f_i) z_i and K_lam to T_lam, then conjugate by the half-sum twist
-q^{-(rho, lam)}.
+exact rule T_lam z_i = q^{-(lam, alpha_i)} z_i T_lam.  The Hamiltonians are
+the Whittaker images of the central elements C_V = (id x tr_V)(R_21 R
+K_{2 rho}), sent to difference operators by f_i -> chibar(f_i) z_i and
+K_lam -> T_lam and conjugated by the half-sum twist q^{-(rho, lam)}.
+
+That lowering is an algebra map on the lower Borel part (the shift rule
+mirrors K_lam f_i = q^{-(lam, alpha_i)} f_i K_lam, and the z_i commute), so
+R_21 is lowered one q-exponential factor at a time and never multiplied out
+in the algebra.  For a non-simple root the lowered factor and its chi(U)
+counterpart are the identity, so each generator is a product of one factor
+per simple root, in the order of the adapted normal ordering; that
+vanishing is rechecked by a scalar recursion on every call.
 
 Sign note: the potential of the closed-form type-A Hamiltonian is
 +(q - q^{-1})^2 chi_i chibar_i z_i, the sign the trace pipeline produces and
@@ -20,7 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import uqalg
-from .qarith import LaurentScalar, qpow
+from .qarith import ONE, ZERO, LaurentScalar, q_exp_nilpotent, qpow
+from .ratmat import diag, eye, mmul, mscale
 
 
 class DifferenceOperator:
@@ -82,6 +91,11 @@ class DifferenceOperator:
             for lam, zpart in self.terms.items()
         }
         return DifferenceOperator(self.rs, out)
+
+    def __rmul__(self, other):
+        if isinstance(other, LaurentScalar):
+            return self.scale(other)
+        return NotImplemented
 
     def __mul__(self, other):
         """Operator composition: self after other."""
@@ -173,12 +187,80 @@ def phi_conjugate(op):
     return DifferenceOperator(op.rs, out)
 
 
+def _check_non_simple_factors_vanish(alg, chi, chibar):
+    """Raise RuntimeError unless the R-matrix factor of every non-simple
+    root drops out of the Whittaker image.
+
+    With (a, b) the minimal segment of beta and e_beta = e_a e_b -
+    q^w e_b e_a, the characters give chi(e_beta) = (1 - q^w) chi(e_a)
+    chi(e_b), and since the z_i commute the lowered f_beta is
+    chibar(f_beta) z^beta with chibar(f_beta) = (1 - q^{-w}) chibar(f_a)
+    chibar(f_b).  Both must vanish."""
+    e_val, f_val = {}, {}
+    for beta in sorted(alg.ordering.ordering, key=sum):
+        if sum(beta) == 1:
+            i = beta.index(1)
+            e_val[beta], f_val[beta] = chi.values[i], chibar.values[i]
+            continue
+        a, b, w = uqalg.root_segment(alg, beta)
+        e_val[beta] = (ONE - qpow(w)) * e_val[a] * e_val[b]
+        f_val[beta] = (ONE - qpow(-w)) * f_val[a] * f_val[b]
+        if e_val[beta] or f_val[beta]:
+            raise RuntimeError(
+                f"the R-matrix factor of the non-simple root {beta} survives "
+                f"the Whittaker projection for the ordering "
+                f"{','.join(map(str, alg.ctx.pi))}: chi(e_beta) = "
+                f"{e_val[beta]}, chibar(f_beta) = {f_val[beta]}")
+
+
 def toda_hamiltonian(alg, rep_name, chi, chibar):
-    """Hamiltonian of one fundamental representation: project the Casimir to
-    the Whittaker model, lower to a difference operator, conjugate by rho."""
+    """Hamiltonian of one fundamental representation V: the Whittaker image
+    of C_V, lowered and conjugated by rho, without a product in the algebra.
+
+    (id x pi_V) R = diag(K_{lam_k}) U with lam_k = mu_k + T mu_k, where U
+    is the ordered product of the q-exponentials of e_beta (x) K_{T beta}
+    pi(f_beta); the projection replaces each e_beta by chi(e_beta), so U
+    becomes a numeric matrix chi(U).  R_21 is diag(K_{mu_k - T mu_k}) times
+    the q-exponentials of K_{T beta} f_beta (x) pi(e_beta), and is lowered
+    factor by factor.  Only simple roots contribute, so the generator is
+
+        sum_j q^{(2 rho, mu_j)} sum_k R21low[j][k] T_{lam_k} chi(U)[k][j].
+    """
+    if chi.side != "e" or chibar.side != "f":
+        raise ValueError("the Toda Hamiltonians take an e-side character chi "
+                         "and an f-side character chibar")
+    _check_non_simple_factors_vanish(alg, chi, chibar)
+    rs = alg.rs
     rep = uqalg.rep_matrices(alg, rep_name)
-    gen = uqalg.whittaker_generator(alg, rep, chi)
-    return phi_conjugate(lower_rep(gen, chibar))
+    zero = DifferenceOperator.zero(rs)
+    one = DifferenceOperator.shift(rs, alg.zero_weight)
+    r21 = diag([DifferenceOperator.shift(rs, lam)
+                for lam in uqalg.cartan_weights(alg, rep, -1)], zero)
+    chi_u = eye(rep.dim, ONE, ZERO)
+    for beta in alg.ordering.ordering:
+        if sum(beta) != 1:
+            continue
+        i = beta.index(1)
+        scale, base, leg = uqalg.module_f_leg(alg, rep, beta)
+        chi_u = mmul(chi_u, q_exp_nilpotent(mscale(leg, chi.values[i] * scale),
+                                            base, ONE, ZERO), ZERO)
+        # K_{T alpha_i} f_i = q^{-(T alpha_i, alpha_i)} f_i K_{T alpha_i}
+        t_beta = alg.weight(alg.cayley_apply(beta))
+        f_leg = lower_rep(uqalg.PBWElement(alg, {
+            ((i,), t_beta, ()): qpow(-rs.pair(t_beta, beta)) * scale}), chibar)
+        r21 = mmul(r21, q_exp_nilpotent(mscale(rep.e_mats[i], f_leg), base,
+                                        one, zero), zero)
+    lams = uqalg.cartan_weights(alg, rep, 1)
+    two_rho = tuple(2 * x for x in rs.rho)
+    out = zero
+    for j in range(rep.dim):
+        entry = zero
+        for k, lam in enumerate(lams):
+            if r21[j][k] and chi_u[k][j]:
+                entry = entry + r21[j][k] * DifferenceOperator.shift(
+                    rs, lam, chi_u[k][j])
+        out = out + entry.scale(qpow(rs.pair(two_rho, rep.weights[j])))
+    return phi_conjugate(out)
 
 
 def closed_form_M1(alg, chi_vals, chibar_vals):
@@ -191,7 +273,7 @@ def closed_form_M1(alg, chi_vals, chibar_vals):
     """
     if alg.rs.series != "A":
         raise ValueError("the closed form is specific to type A")
-    rep = uqalg.rep_matrices(alg, "V1")
+    _, weights = uqalg.module_basis(alg.rs, alg.rs.module_index("V1"))
     rank = alg.rs.rank
     vals = [
         v if isinstance(v, LaurentScalar) else LaurentScalar.from_rational(v)
@@ -203,11 +285,11 @@ def closed_form_M1(alg, chi_vals, chibar_vals):
     ]
     rs = alg.rs
     out = DifferenceOperator.zero(rs)
-    for mu in rep.weights:
+    for mu in weights:
         out = out + DifferenceOperator.shift(rs, tuple(2 * x for x in mu))
     coupling = (qpow(1) - qpow(-1)) * (qpow(1) - qpow(-1))
     for i in range(rank):
-        lam = tuple(a + b for a, b in zip(rep.weights[i], rep.weights[i + 1]))
+        lam = tuple(a + b for a, b in zip(weights[i], weights[i + 1]))
         zexp = tuple(1 if k == i else 0 for k in range(rank))
         c = coupling * vals[i] * vbars[i]
         term = DifferenceOperator(rs, {lam: {zexp: c}})

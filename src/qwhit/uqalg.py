@@ -464,6 +464,19 @@ def _minimal_segment(ordering, gamma_pos):
     return best
 
 
+def root_segment(alg, beta):
+    """The minimal segment (a, b) of a non-simple root beta in the adapted
+    ordering and the exponent w of its q-commutator,
+    e_beta = e_a e_b - q^w e_b e_a, with w = (a, b) + c(a, b) and the Cayley
+    pairing c(a, b) = (T a, b)."""
+    ordering = alg.ordering.ordering
+    p, r = _minimal_segment(ordering, ordering.index(beta))
+    a_root, b_root = ordering[p], ordering[r]
+    t_a = alg.cayley_apply(a_root)
+    w = alg.rs.pair(tuple(x + t for x, t in zip(a_root, t_a)), b_root)
+    return a_root, b_root, w
+
+
 def root_vector(alg, beta, sign="+"):
     """Root vector for a positive root, by the q-commutator recursion over the
     adapted normal ordering.  Simple roots return the bare generator."""
@@ -483,12 +496,7 @@ def root_vector(alg, beta, sign="+"):
         i = beta.index(1)
         result = alg.e(i) if sign == "+" else alg.f(i)
     else:
-        pos = ordering.index(beta)
-        p, r = _minimal_segment(ordering, pos)
-        a_root, b_root = ordering[p], ordering[r]
-        # (a, b) + c(a, b) with the Cayley pairing c(a, b) = (T a, b)
-        t_a = alg.cayley_apply(a_root)
-        w = alg.rs.pair(tuple(x + t for x, t in zip(a_root, t_a)), b_root)
+        a_root, b_root, w = root_segment(alg, beta)
         if sign == "+":
             ea = root_vector(alg, a_root, "+")
             eb = root_vector(alg, b_root, "+")
@@ -549,15 +557,11 @@ def apply_character(chi, x):
     return out
 
 
-def _require_e_side(chi):
-    if chi.side != "e":
-        raise ValueError("the Whittaker projection uses an e-side character")
-
-
 def rho_chi(x, chi):
     """Projection onto the lower Borel part along the character ideal:
     f^t K_lam e^r maps to chi(e^r) f^t K_lam."""
-    _require_e_side(chi)
+    if chi.side != "e":
+        raise ValueError("the Whittaker projection uses an e-side character")
     out = {}
     for (fw, lam, ew), c in x.terms.items():
         val = c
@@ -577,6 +581,25 @@ def whittaker_action(x, v, chi):
 # representations
 
 
+def module_basis(rs, k_index):
+    """Basis of the k-th fundamental module of type A: the k-subsets s of
+    1..rank+1 in order of (sum, s), and the weight of each,
+    sum_i ([i in s] - [i + 1 in s]) omega_i."""
+    n = rs.rank
+    basis = sorted(itertools.combinations(range(1, n + 2), k_index),
+                   key=lambda s: (sum(s), s))
+    omegas = [rs.fundamental_weight(i) for i in range(n)]
+    weights = []
+    for s in basis:
+        mu = [Fraction(0)] * n
+        for i in range(n):
+            hi = (1 if i + 1 in s else 0) - (1 if i + 2 in s else 0)
+            if hi:
+                mu = [m + hi * o for m, o in zip(mu, omegas[i])]
+        weights.append(tuple(mu))
+    return basis, tuple(weights)
+
+
 class RepMatrices:
     """Exact matrices for a fundamental module, twisted into the Coxeter
     presentation; every defining relation is checked at build time."""
@@ -586,20 +609,10 @@ class RepMatrices:
         n = rs.rank
         self.alg = alg
         self.name = name
-        basis = sorted(itertools.combinations(range(1, n + 2), k_index),
-                       key=lambda s: (sum(s), s))
+        basis, self.weights = module_basis(rs, k_index)
         self.dim = len(basis)
         index = {s: p for p, s in enumerate(basis)}
         omegas = [rs.fundamental_weight(i) for i in range(n)]
-        weights = []
-        for s in basis:
-            mu = [Fraction(0)] * n
-            for i in range(n):
-                hi = (1 if i + 1 in s else 0) - (1 if i + 2 in s else 0)
-                if hi:
-                    mu = [m + hi * o for m, o in zip(mu, omegas[i])]
-            weights.append(tuple(mu))
-        self.weights = tuple(weights)
 
         def ladder(a, b):
             # sends the basis vector s holding b but not a to s - {b} + {a}
@@ -727,7 +740,7 @@ def _root_constants(alg, rep, beta):
     return scale, alg.cayley_apply(beta), qpow(-alg.rs.pair(beta, beta))
 
 
-def _module_f_leg(alg, rep, beta):
+def module_f_leg(alg, rep, beta):
     """The factor for beta with its f-leg in the module: the scale, the
     q-exponential base and the matrix K_{T beta} pi(f_beta)."""
     scale, t_beta, base = _root_constants(alg, rep, beta)
@@ -736,7 +749,7 @@ def _module_f_leg(alg, rep, beta):
     return scale, base, leg
 
 
-def _cartan_weights(alg, rep, sign):
+def cartan_weights(alg, rep, sign):
     """The weight mu + sign * T mu of the Cartan factor at each basis vector
     of weight mu: sign = 1 in (id x pi_V) R, sign = -1 in R_21."""
     return [tuple(m + sign * t for m, t in zip(mu, alg.cayley_apply(mu)))
@@ -750,7 +763,7 @@ def _r_in_rep(alg, rep, flipped):
     K_{T beta} f_beta; the flip puts K_{T beta} f_beta in the algebra leg."""
     zero = alg.zero()
     out = diag([alg.k(lam) for lam in
-                _cartan_weights(alg, rep, -1 if flipped else 1)], zero)
+                cartan_weights(alg, rep, -1 if flipped else 1)], zero)
     for beta in alg.ordering.ordering:
         e_beta = root_vector(alg, beta, "+")
         if flipped:
@@ -758,7 +771,7 @@ def _r_in_rep(alg, rep, flipped):
             first = (alg.k(t_beta) * root_vector(alg, beta, "-")).scale(scale)
             second = rep.evaluate(e_beta)
         else:
-            scale, base, second = _module_f_leg(alg, rep, beta)
+            scale, base, second = module_f_leg(alg, rep, beta)
             first = e_beta.scale(scale)
         out = mmul(out, qarith.q_exp_nilpotent(mscale(second, first), base,
                                                alg.one(), zero), zero)
@@ -767,11 +780,11 @@ def _r_in_rep(alg, rep, flipped):
 
 def r_matrix_vv(alg, rep):
     """Numeric R-matrix (pi_V x pi_V) R on V x V."""
-    lams = _cartan_weights(alg, rep, 1)
+    lams = cartan_weights(alg, rep, 1)
     out = diag([qpow(alg.rs.pair(mu, lam))
                 for mu in rep.weights for lam in lams], ZERO)
     for beta in alg.ordering.ordering:
-        scale, base, second = _module_f_leg(alg, rep, beta)
+        scale, base, second = module_f_leg(alg, rep, beta)
         first = mscale(rep.evaluate(root_vector(alg, beta, "+")), scale)
         factor = qarith.q_exp_nilpotent(kron(first, second, ZERO), base,
                                         ONE, ZERO)
@@ -796,7 +809,7 @@ def yang_baxter_check(alg, rep):
 
 
 # ---------------------------------------------------------------------------
-# central elements and their Whittaker images
+# central elements
 
 
 def casimir_CV(alg, rep):
@@ -808,36 +821,5 @@ def casimir_CV(alg, rep):
     for j in range(rep.dim):
         # only the diagonal of R_21 R enters the trace
         entry = sum((r21[j][k] * rmat[k][j] for k in range(rep.dim)), alg.zero())
-        out = out + entry.scale(qpow(alg.rs.pair(two_rho, rep.weights[j])))
-    return out
-
-
-def whittaker_generator(alg, rep, chi):
-    """Whittaker image rho_chi(C_V) of the central element, projected before
-    it is multiplied out:
-
-        sum_j q^{(2 rho, mu_j)} sum_k R_21[j][k] K_{lam_k} chi(U)[k][j].
-
-    (id x pi_V) R = diag(K_{lam_k}) U with lam_k = mu_k + T mu_k, and U is
-    the ordered product of the q-exponentials of e_beta (x) K_{T beta}
-    pi(f_beta), so its entries lie in U_+.  rho_chi(x u) = x chi(u) for x in
-    the lower Borel part and u in U_+, and chi is a character of U_+ (it
-    kills the Serre relators), so it is multiplicative on the e-leg: chi(U)
-    is the product of the numeric q-exponentials with e_beta replaced by
-    chi(e_beta).  The result equals rho_chi(casimir_CV(alg, rep), chi)."""
-    _require_e_side(chi)
-    chi_u = eye(rep.dim, ONE, ZERO)
-    for beta in alg.ordering.ordering:
-        scale, base, leg = _module_f_leg(alg, rep, beta)
-        value = apply_character(chi, root_vector(alg, beta, "+")) * scale
-        chi_u = mmul(chi_u, qarith.q_exp_nilpotent(mscale(leg, value), base,
-                                                   ONE, ZERO), ZERO)
-    r21 = _r_in_rep(alg, rep, flipped=True)
-    lams = _cartan_weights(alg, rep, 1)
-    two_rho = tuple(2 * x for x in alg.rs.rho)
-    out = alg.zero()
-    for j in range(rep.dim):
-        entry = sum((r21[j][k] * alg.k(lam).scale(chi_u[k][j])
-                     for k, lam in enumerate(lams)), alg.zero())
         out = out + entry.scale(qpow(alg.rs.pair(two_rho, rep.weights[j])))
     return out

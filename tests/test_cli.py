@@ -45,31 +45,64 @@ def test_toda_finishes_on_every_a3_ordering(capsys, pi):
 
 
 def test_toda_moves_no_e_past_an_f(capsys, monkeypatch):
-    # toda reads a(beta) off the module matrices, so no PBW product it
-    # forms has an e-word to the left of an f
-    e_words = []
-    real = uqalg.Algebra._etf
+    # toda lowers R_21 one simple-root factor at a time and reads a(beta)
+    # off the module matrices, so it forms no PBW product at all
+    calls = []
+    for owner, attr in ((uqalg.PBWElement, "__mul__"),
+                        (uqalg.Algebra, "_mul_monomial"),
+                        (uqalg.Algebra, "_mul_f"),
+                        (uqalg.Algebra, "_mul_e"),
+                        (uqalg.Algebra, "_etf"),
+                        (uqalg.Algebra, "_mul_k")):
+        def recording(*args, _real=getattr(owner, attr), _name=attr):
+            calls.append(_name)
+            return _real(*args)
 
-    def recording(self, ew, j):
-        e_words.append(ew)
-        return real(self, ew, j)
-
-    monkeypatch.setattr(uqalg.Algebra, "_etf", recording)
+        monkeypatch.setattr(owner, attr, recording)
     code, _, _ = run_cli(capsys, "toda", "--type", "A", "--rank", "3",
                          "--check-commute")
     assert code == 0
-    assert e_words
-    assert max(map(len, e_words)) == 0
+    assert calls == []
 
 
-def test_toda_a4_finishes():
+def test_toda_reports_a_surviving_non_simple_factor_in_one_line(
+        capsys, monkeypatch):
+    # a non-simple R-matrix factor that does not vanish would make the
+    # simple-root product wrong; the guard must stop the command instead
+    real = uqalg.root_segment
+
+    def shifted(alg, beta):
+        a, b, w = real(alg, beta)
+        return a, b, w + 1
+
+    monkeypatch.setattr(uqalg, "root_segment", shifted)
+    code, report, captured = run_cli(capsys, "toda", "--type", "A", "--rank",
+                                     "2", "--check-commute")
+    assert code == 1
+    assert report is None
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(
+        "qwhit toda: invariant failure: the R-matrix factor of the non-simple "
+        "root (1, 1) survives the Whittaker projection for the ordering 1,2")
+    assert "Traceback" not in captured.err
+
+
+def _run_toda_subprocess(rank, chi, chibar):
     proc = subprocess.run(
         [sys.executable, "-m", "qwhit.cli", "toda", "--type", "A", "--rank",
-         "4", "--chi=1,2,3,-1", "--chibar=-1,1/2,2,3", "--check-commute"],
+         str(rank), f"--chi={chi}", f"--chibar={chibar}", "--check-commute"],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["checks"] == {"closed_form_match": True,
                                                  "commutators_zero": True}
+
+
+def test_toda_a4_finishes():
+    _run_toda_subprocess(4, "1,2,3,-1", "-1,1/2,2,3")
+
+
+def test_toda_a5_finishes():
+    _run_toda_subprocess(5, "1,2,3,-1,1/2", "-1,1/2,2,3,5/3")
 
 
 def test_root_system_and_cayley(capsys):

@@ -177,6 +177,28 @@ def test_a1_hamiltonian_golden_form():
     assert m1 == want
 
 
+def test_a_surviving_non_simple_factor_raises_naming_its_root(monkeypatch):
+    # shift the q-commutator exponent the scalar recursion reads, so that
+    # chi(e_beta) and chibar(f_beta) no longer vanish
+    real = uqalg.root_segment
+
+    def shifted(alg, beta):
+        a, b, w = real(alg, beta)
+        return a, b, w + 1
+
+    monkeypatch.setattr(uqalg, "root_segment", shifted)
+    rs = rootsys.build_root_system("A", 3)
+    alg = uqalg.Algebra(rootsys.coxeter_context(rs, (2, 1, 3)))
+    chi = uqalg.character("e", (2, -3, 5))
+    chibar = uqalg.character("f", (1, 7, -1))
+    with pytest.raises(RuntimeError) as info:
+        toda.toda_hamiltonian(alg, "V1", chi, chibar)
+    message = str(info.value)
+    beta = next(b for b in alg.ordering.ordering if sum(b) == 2)
+    assert f"non-simple root {beta} " in message
+    assert "for the ordering 2,1,3" in message
+
+
 @pytest.mark.parametrize("rank,chi_vals,chibar_vals", [
     (1, (1,), (1,)),
     (2, (1, 1), (1, 1)),

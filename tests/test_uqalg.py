@@ -8,8 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from qwhit import ratmat, rootsys, uqalg
-from qwhit.qarith import ONE, ZERO, LaurentScalar, q_binom, qpow
+from qwhit import ratmat, rootsys, toda, uqalg
+from qwhit.qarith import (ONE, ZERO, LaurentScalar, q_binom, q_exp_nilpotent,
+                          qpow)
 
 _ALGEBRAS = {}
 
@@ -666,11 +667,40 @@ def test_casimir_cartan_degeneration_is_weight_trace():
     assert cartan_part == want
 
 
+def oracle_whittaker_generator(alg, rep, chi):
+    """Oracle for the Whittaker image rho_chi(C_V), projected before it is
+    multiplied out but with R_21 as a matrix of PBW elements:
+
+        sum_j q^{(2 rho, mu_j)} sum_k R_21[j][k] K_{lam_k} chi(U)[k][j],
+
+    where (id x pi_V) R = diag(K_{lam_k}) U, lam_k = mu_k + T mu_k, and chi(U)
+    is the product of the numeric q-exponentials with every e_beta, simple
+    or not, replaced by chi(e_beta) read off the PBW root vector."""
+    if chi.side != "e":
+        raise ValueError("the Whittaker projection uses an e-side character")
+    chi_u = ratmat.eye(rep.dim, ONE, ZERO)
+    for beta in alg.ordering.ordering:
+        scale, base, leg = uqalg.module_f_leg(alg, rep, beta)
+        value = uqalg.apply_character(
+            chi, uqalg.root_vector(alg, beta, "+")) * scale
+        chi_u = ratmat.mmul(chi_u, q_exp_nilpotent(
+            ratmat.mscale(leg, value), base, ONE, ZERO), ZERO)
+    r21 = uqalg._r_in_rep(alg, rep, flipped=True)
+    lams = uqalg.cartan_weights(alg, rep, 1)
+    two_rho = tuple(2 * x for x in alg.rs.rho)
+    out = alg.zero()
+    for j in range(rep.dim):
+        entry = sum((r21[j][k] * alg.k(lam).scale(chi_u[k][j])
+                     for k, lam in enumerate(lams)), alg.zero())
+        out = out + entry.scale(qpow(alg.rs.pair(two_rho, rep.weights[j])))
+    return out
+
+
 def test_whittaker_generator_a1_golden_value():
     alg = algebra("A", 1)
     rep = uqalg.rep_matrices(alg, "V1")
     chi = uqalg.character("e", (1,))
-    w = uqalg.whittaker_generator(alg, rep, chi)
+    w = oracle_whittaker_generator(alg, rep, chi)
     sq = (qpow(1) - qpow(-1)) * (qpow(1) - qpow(-1))
     want = (
         alg.k((1,)).scale(qpow(1))
@@ -689,7 +719,7 @@ def test_whittaker_generator_is_invariant(series, rank, rep_names, chi_vals):
     alg = algebra(series, rank)
     chi = uqalg.character("e", chi_vals)
     for name in rep_names:
-        w = uqalg.whittaker_generator(alg, uqalg.rep_matrices(alg, name), chi)
+        w = oracle_whittaker_generator(alg, uqalg.rep_matrices(alg, name), chi)
         assert w.is_lower_borel()
         for i in range(rank):
             assert uqalg.whittaker_action(alg.e(i), w, chi).is_zero()
@@ -706,7 +736,7 @@ def _assert_generator_is_projected_casimir(alg, rep_names, rng):
     for name in rep_names:
         rep = uqalg.rep_matrices(alg, name)
         want = uqalg.rho_chi(uqalg.casimir_CV(alg, rep), chi)
-        assert uqalg.whittaker_generator(alg, rep, chi) == want, name
+        assert oracle_whittaker_generator(alg, rep, chi) == want, name
 
 
 @pytest.mark.parametrize("pi", [
@@ -732,11 +762,94 @@ def test_whittaker_generator_equals_projected_casimir_a4():
 def test_whittaker_generator_refuses_an_f_side_character():
     alg = algebra("A", 2)
     rep = uqalg.rep_matrices(alg, "V1")
+    chi = uqalg.character("e", (2, -3))
     chibar = uqalg.character("f", (2, -3))
     with pytest.raises(ValueError, match="e-side character"):
-        uqalg.whittaker_generator(alg, rep, chibar)
+        toda.toda_hamiltonian(alg, "V1", chibar, chibar)
+    with pytest.raises(ValueError, match="f-side character"):
+        toda.toda_hamiltonian(alg, "V1", chi, chi)
     with pytest.raises(ValueError, match="e-side character"):
         uqalg.rho_chi(uqalg.casimir_CV(alg, rep), chibar)
+
+
+# The orderings the lowered simple-root product is checked on against the
+# PBW oracle: every ordering of A1-A3 and two of A4.
+ORACLE_ORDERINGS = [
+    pi for rank in (1, 2, 3)
+    for pi in itertools.permutations(range(1, rank + 1))
+] + [(1, 2, 3, 4), (2, 1, 3, 4)]
+
+_ORACLE_ALGEBRAS = {}
+
+
+def oracle_algebra(pi):
+    if pi not in _ORACLE_ALGEBRAS:
+        rs = rootsys.build_root_system("A", len(pi))
+        _ORACLE_ALGEBRAS[pi] = uqalg.Algebra(rootsys.coxeter_context(rs, pi))
+    return _ORACLE_ALGEBRAS[pi]
+
+
+@pytest.mark.parametrize("pi", ORACLE_ORDERINGS,
+                         ids=lambda pi: "".join(map(str, pi)))
+def test_non_simple_root_vectors_vanish_on_the_whittaker_model(pi):
+    # the fact the lowered product rests on: chi(e_beta) = 0 and the lowered
+    # f_beta is 0 for every non-simple beta, computed in the algebra
+    alg = oracle_algebra(pi)
+    rank = len(pi)
+    rng = random.Random(int("".join(map(str, pi))))
+    chi = uqalg.character("e", [rng.choice(_CHI_VALUES) for _ in range(rank)])
+    chibar = uqalg.character(
+        "f", [rng.choice(_CHI_VALUES) for _ in range(rank)])
+    non_simple = [beta for beta in alg.ordering.ordering if sum(beta) > 1]
+    assert len(non_simple) == rank * (rank - 1) // 2
+    for beta in non_simple:
+        e_beta = uqalg.root_vector(alg, beta, "+")
+        f_beta = uqalg.root_vector(alg, beta, "-")
+        assert not e_beta.is_zero() and not f_beta.is_zero()
+        assert uqalg.apply_character(chi, e_beta) == ZERO, beta
+        assert toda.lower_rep(f_beta, chibar).is_zero(), beta
+
+
+def _assert_toda_matches_the_oracle(alg, chi, chibar):
+    for k in range(alg.rs.rank):
+        name = f"V{k + 1}"
+        rep = uqalg.rep_matrices(alg, name)
+        want = toda.phi_conjugate(toda.lower_rep(
+            oracle_whittaker_generator(alg, rep, chi), chibar))
+        assert toda.toda_hamiltonian(alg, name, chi, chibar) == want, name
+
+
+@pytest.mark.parametrize("pi", ORACLE_ORDERINGS,
+                         ids=lambda pi: "".join(map(str, pi)))
+def test_toda_hamiltonian_equals_the_lowered_oracle(pi):
+    alg = oracle_algebra(pi)
+    rank = len(pi)
+    rng = random.Random(int("".join(map(str, pi))) + 1)
+    chi = uqalg.character("e", [rng.choice(_CHI_VALUES) for _ in range(rank)])
+    chibar = uqalg.character(
+        "f", [rng.choice(_CHI_VALUES) for _ in range(rank)])
+    _assert_toda_matches_the_oracle(alg, chi, chibar)
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_toda_hamiltonian_equals_the_lowered_oracle_on_drawn_characters(rank):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    nonzero = st.fractions(min_value=-5, max_value=5,
+                           max_denominator=4).filter(bool)
+    values = st.lists(nonzero, min_size=rank, max_size=rank)
+    orderings = st.sampled_from(
+        list(itertools.permutations(range(1, rank + 1))))
+
+    @hypothesis.settings(max_examples=12, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(orderings, values, values)
+    def check(pi, chi_vals, chibar_vals):
+        _assert_toda_matches_the_oracle(
+            oracle_algebra(pi), uqalg.character("e", chi_vals),
+            uqalg.character("f", chibar_vals))
+
+    check()
 
 
 def test_rho_chi_multiplicative_on_computed_centre():
