@@ -261,10 +261,11 @@ def cross_section_trials(rng, n, trials):
         g = _rnd_unitriangular(rng, n)
         conj2, point2 = crosssec.cross_section(mmul(mmul(g, m), minv(g)))
         if (crosssec.is_slice_point(point)
-                and mmul(mmul(conj, m), minv(conj)) == point
+                and crosssec.is_unitriangular(conj)
+                and mmul(conj, m) == mmul(point, conj)
                 and charpoly(m) == charpoly(point)
                 and point2 == point
-                and conj2 == mmul(conj, minv(g))):
+                and mmul(conj2, g) == conj):
             good += 1
     return good
 
@@ -333,7 +334,7 @@ def kostant_round_trip(b):
     bf, xf = madd(b, f), madd(x, f)
     poly_b, poly_x = charpoly(bf), charpoly(xf)
     coords = [-poly_x[n - 2 - k] for k in range(n - 1)]
-    checks = (mmul(mmul(a, bf), minv(a)) == xf,
+    checks = (crosssec.is_unitriangular(a) and mmul(a, bf) == mmul(xf, a),
               poly_b == poly_x,
               coords == [x[0][k + 1] for k in range(n - 1)])
     return a, x, coords, poly_b, checks

@@ -8,17 +8,17 @@ Fixed conventions for the whole module:
 * N_+ / N_- are upper / lower unitriangular matrices, B_+ / B_- the
   corresponding triangular subgroups, H the diagonal torus.
 * The double coset N_+ s N_+ relative to this representative consists of
-  exactly the determinant-one Hessenberg matrices with unit subdiagonal;
-  ``bruhat_cell_test`` decides membership by solving a linear system, and
-  ``cross_section`` conjugates a cell element onto the companion-like slice
-  N_+' s by a height-ordered elimination sweep.
+  exactly the determinant-one upper Hessenberg matrices with unit
+  subdiagonal; ``bruhat_cell_test`` decides membership by that shape and
+  the determinant, and ``cross_section`` conjugates a cell element onto the
+  companion-like slice N_+' s by a height-ordered elimination sweep.
 * On the Lie algebra side ``f`` is the sum of the simple negative root
   vectors (the unit subdiagonal) and the section space is the span of the
   first-row units E_{1,k}, so f + section is the companion family.
 
 Changing the representative rescales the cell conditions; the cell test
-accepts an explicit override for experiments, everything else is pinned
-to the standard choice.
+accepts an explicit override for experiments, decided by the linear solve
+of ``cell_witness``, and everything else is pinned to the standard choice.
 """
 
 from __future__ import annotations
@@ -67,6 +67,10 @@ def is_lower_triangular(m: Mat) -> bool:
     return all(m[i][j] == 0 for i in range(n) for j in range(i + 1, n))
 
 
+def is_unitriangular(m: Mat) -> bool:
+    return is_upper_triangular(m) and all(m[i][i] == 1 for i in range(len(m)))
+
+
 def is_traceless(m: Mat) -> bool:
     return sum(m[i][i] for i in range(_dim(m))) == 0
 
@@ -112,16 +116,11 @@ def cell_witness(m: Mat, s_rep: Optional[Mat] = None):
     sinv = minv(s)
     base = mmul(sinv, m)
     positions = [(k, l) for k in range(n) for l in range(k + 1, n)]
-    # rows of the linear system: one per constrained entry of s^-1 (1+g) m
-    rows = []
-    rhs = []
-    for i in range(n):
-        for j in range(i + 1):
-            coeffs = [sinv[i][k] * m[l][j] for (k, l) in positions]
-            target = (F1 if i == j else F0) - base[i][j]
-            rows.append(tuple(coeffs))
-            rhs.append(target)
-    sol = solve(mat(rows), tuple(rhs))
+    # one equation per constrained entry (i, j), j <= i, of s^-1 (1+g) m
+    cells = [(i, j) for i in range(n) for j in range(i + 1)]
+    rows = [[sinv[i][k] * m[l][j] for k, l in positions] for i, j in cells]
+    rhs = tuple((F1 if i == j else F0) - base[i][j] for i, j in cells)
+    sol = solve(mat(rows), rhs)
     if sol is None:
         return None
     ainv = madd(eye(n), sparse(n, dict(zip(positions, sol))))
@@ -131,7 +130,16 @@ def cell_witness(m: Mat, s_rep: Optional[Mat] = None):
 
 
 def bruhat_cell_test(m: Mat, s_rep: Optional[Mat] = None) -> bool:
-    return cell_witness(m, s_rep) is not None
+    """Whether m lies in N_+ s N_+, read off its shape and determinant
+    (B_+ s B_+ = N_+ H s N_+, and N_+ keeps a Hessenberg subdiagonal); an
+    explicit ``s_rep`` goes through ``cell_witness``."""
+    if s_rep is not None:
+        return cell_witness(m, s_rep) is not None
+    n = _dim(m)
+    if n < 2:
+        raise ValueError("need n >= 2")
+    return (all(m[i][j] == (1 if j == i - 1 else 0)
+                for i in range(1, n) for j in range(i)) and det(m) == 1)
 
 
 def slice_point(params) -> Mat:
@@ -155,19 +163,6 @@ def slice_params(m: Mat):
     return tuple(m[0][j] - s[0][j] for j in range(len(m) - 1))
 
 
-def _conjugate_by_unit(m: Mat, i: int, j: int, t: Fraction) -> Mat:
-    """(1 + t E_ij) m (1 - t E_ij), computed exactly."""
-    n = len(m)
-    work = [list(row) for row in m]
-    # left multiplication adds t * row j to row i
-    for c in range(n):
-        work[i][c] += t * m[j][c]
-    # right multiplication subtracts t * (new col i) from col j
-    for r in range(n):
-        work[r][j] -= t * work[r][i]
-    return mat(work)
-
-
 def _sweep_to_first_row(m: Mat):
     """Shared elimination engine for cross_section and kostant_section.
 
@@ -175,23 +170,29 @@ def _sweep_to_first_row(m: Mat):
     the principal nilpotent f) and nothing below it, which makes each
     eliminated entry enter its own clearing step with coefficient exactly
     -t.  Entries (r, r+d) with r >= 1 are cleared diagonal by diagonal,
-    sweeping their values onto the first row.  Returns the accumulated
-    unitriangular conjugator and the final matrix.
+    sweeping their values onto the first row, each by an O(n) conjugation
+    in place.  Returns the accumulated unitriangular conjugator and the
+    final matrix.
     """
     n = len(m)
+    work = [list(row) for row in m]
     conj = [list(row) for row in eye(n)]
     for d in range(n - 1):
         for r in range(n - 1 - d, 0, -1):
-            t = m[r][r + d]
+            t = work[r][r + d]
             if t == 0:
                 continue
-            if m[r][r - 1] != 1:
+            if work[r][r - 1] != 1:
                 raise AssertionError("unit subdiagonal lost during sweep")
-            m = _conjugate_by_unit(m, r - 1, r + d, t)
-            # left multiplication by 1 + t E_{r-1,r+d}: row r-1 += t * row r+d
-            for c in range(n):
-                conj[r - 1][c] += t * conj[r + d][c]
-    return mat(conj), m
+            i, j = r - 1, r + d
+            # rows i += t * rows j (work and conj); work col j -= t * col i
+            for rows in (work, conj):
+                rows[i] = [x + t * y if y else x
+                           for x, y in zip(rows[i], rows[j])]
+            for row in work:
+                if row[i]:
+                    row[j] -= t * row[i]
+    return tuple(map(tuple, conj)), tuple(map(tuple, work))
 
 
 class NotInCell(ValueError):
@@ -212,7 +213,7 @@ def cross_section(m: Mat):
     conj, out = _sweep_to_first_row(m)
     if not is_slice_point(out):
         raise AssertionError("sweep left the slice family")
-    if mmul(mmul(conj, m), minv(conj)) != out:
+    if not is_unitriangular(conj) or mmul(conj, m) != mmul(out, conj):
         raise AssertionError("conjugation identity lost")
     return conj, out
 
@@ -265,8 +266,7 @@ def gstar_factorize(l_plus: Mat, l_minus: Mat) -> GStarElement:
     assert_special(l_minus)
     h_plus = diag([l_plus[i][i] for i in range(n)])
     h_minus = diag([l_minus[i][i] for i in range(n)])
-    s = coxeter_rep(n)
-    if mmul(mmul(s, h_plus), minv(s)) != h_minus:
+    if mmul(coxeter_rep(n), h_plus) != mmul(h_minus, coxeter_rep(n)):
         raise ValueError("incompatible torus parts")
     n_plus = mmul(minv(h_plus), l_plus)
     n_minus = mmul(minv(h_minus), l_minus)
@@ -287,8 +287,7 @@ def mu_inverse_point(h_diag, n_plus: Mat, c) -> GStarElement:
     if prod != 1:
         raise ValueError("torus entries must multiply to 1")
     h_plus = diag(entries)
-    s = coxeter_rep(n)
-    sh = mmul(mmul(s, h_plus), minv(s))
+    sh = diag([entries[_cycle_prev(n, j)] for j in range(n)])  # s h_+ s^-1
     l_plus = mmul(h_plus, n_plus)
     l_minus = mmul(sh, build_u(c))
     return gstar_factorize(l_plus, l_minus)
@@ -438,8 +437,7 @@ def eq_character_report(h_diag, c) -> dict:
     entries = [Fraction(x) for x in h_diag]
     el = mu_inverse_point(entries, eye(len(entries)), c)
     q = q_map(el)
-    s = coxeter_rep(el.n)
-    t = mmul(minv(el.h_plus), mmul(mmul(s, el.h_plus), minv(s)))
+    t = mmul(minv(el.h_plus), el.h_minus)  # h_- = s(h_+), checked on el
     tu = mmul(t, build_u(c))
     poly, poly_t = charpoly(q), charpoly(t)  # q is special: L_+ and L_- are
     return {

@@ -7,7 +7,7 @@ qarith.LaurentScalar and uqalg.PBWElement.  They take the ring's zero and
 one as keywords that default to the rationals.  The products skip zero
 entries, so a product of sparse matrices of costly elements stays cheap.
 Elimination (inverse, solve, rank, determinant) and the characteristic
-polynomial work over Fraction.  Everything here is small and dense.
+polynomial, by Hessenberg reduction, work over small dense Fraction matrices.
 """
 
 from __future__ import annotations
@@ -154,18 +154,34 @@ def det(a: Mat) -> Fraction:
 
 
 def charpoly(a: Mat) -> list[Fraction]:
-    """Coefficients [c_0..c_n] of det(tI - a) = sum c_k t^k, exact
-    Faddeev-LeVerrier recursion."""
+    """Coefficients [c_0..c_n] of det(tI - a) = sum c_k t^k, exact, in
+    O(n^3): a similarity to upper Hessenberg form (swapping a row and column
+    pair at a zero pivot), then the Hessenberg recurrence over its leading
+    blocks (Cohen, A Course in Computational Algebraic Number Theory, 2.2)."""
     n = len(a)
-    coeffs = [F0] * (n + 1)
-    coeffs[n] = F1
-    m = zeros(n)
-    c = F1
-    for k in range(1, n + 1):
-        m = mmul(a, madd(m, diag((c,) * n)))
-        c = -Fraction(sum(m[i][i] for i in range(n)), k)
-        coeffs[n - k] = c
-    return coeffs
+    h = [list(row) for row in a]
+    for m in range(1, n - 1):
+        piv = next((i for i in range(m, n) if h[i][m - 1]), m)
+        h[m], h[piv] = h[piv], h[m]
+        for row in h:
+            row[m], row[piv] = row[piv], row[m]
+        for i in range(m + 1, n):
+            if h[i][m - 1]:
+                u = h[i][m - 1] / h[m][m - 1]
+                h[i] = [x - u * y for x, y in zip(h[i], h[m])]
+                for row in h:
+                    row[m] += u * row[i]
+    polys = [[F1]]
+    for m in range(n):
+        p, chain = [F0] + polys[m], F1
+        for i in range(m, -1, -1):  # i = m is the -h_mm p_m term
+            coef = h[i][m] * chain
+            if coef:
+                for k, c in enumerate(polys[i]):
+                    p[k] -= coef * c
+            chain *= h[i][i - 1] if i else F0
+        polys.append(p)
+    return polys[n]
 
 
 def solve(a: Mat, b: Vec) -> Vec | None:

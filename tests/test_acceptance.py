@@ -3,8 +3,10 @@
 import dataclasses
 import hashlib
 import json
+import random
 
-from qwhit import acceptance, toda, uqalg
+from qwhit import acceptance, crosssec, toda, uqalg
+from qwhit.ratmat import mat, zeros
 
 SEED = 7
 
@@ -113,6 +115,19 @@ def test_criterion_09_group_cross_section():
     assert report["oracle_matches"] == 20
     for n in (2, 3, 4, 5):
         assert report[f"n{n}"] == 50
+
+
+def test_conjugation_checks_refuse_a_singular_conjugator(monkeypatch):
+    # the zero matrix intertwines anything with anything: only the
+    # unitriangular check stands where the inverse used to
+    section, kostant = crosssec.cross_section, crosssec.kostant_section
+    monkeypatch.setattr(crosssec, "cross_section",
+                        lambda m: (zeros(len(m)), section(m)[1]))
+    monkeypatch.setattr(crosssec, "kostant_section",
+                        lambda b: (zeros(len(b)), kostant(b)[1]))
+    assert acceptance.cross_section_trials(random.Random(1), 3, 5) == 0
+    b = mat([[1, 2, 3], [0, -2, 5], [0, 0, 1]])
+    assert acceptance.kostant_round_trip(b)[4] == (False, True, True)
 
 
 def test_criterion_10_qmap_fibers():

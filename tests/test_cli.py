@@ -1,12 +1,15 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction as F
 
 import pytest
 
 from qwhit import acceptance, cli, crosssec, rootsys, uqalg
+from qwhit.ratmat import mat, mmul
 
 
 def run_cli(capsys, *argv):
@@ -212,16 +215,24 @@ def test_cross_section_outside_cell_report_is_pinned(capsys):
 @pytest.mark.parametrize("matrix", ['[["3","2"],["1","1"]]',
                                     '[["1","0"],["0","1"]]'])
 def test_cross_section_tests_the_cell_once(monkeypatch, capsys, matrix):
+    # the standard cell is read off the matrix's shape; the linear solve of
+    # cell_witness runs only for an explicit --s-rep
     calls = []
-    witness = crosssec.cell_witness
+    for name in ("bruhat_cell_test", "cell_witness"):
+        def counted(*args, _real=getattr(crosssec, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
 
-    def counted(*args):
-        calls.append(args)
-        return witness(*args)
-
-    monkeypatch.setattr(crosssec, "cell_witness", counted)
+        monkeypatch.setattr(crosssec, name, counted)
     run_cli(capsys, "cross-section", "--matrix", matrix)
-    assert len(calls) == 1
+    assert calls == ["bruhat_cell_test"]
+
+
+def test_cross_section_of_a_one_by_one_matrix_exits_2(capsys):
+    code, report, captured = run_cli(capsys, "cross-section", "--matrix",
+                                     '[["2"]]')
+    assert code == 2 and report is None
+    assert "need n >= 2" in captured.err
 
 
 def test_cross_section_alternative_representative(capsys):
@@ -326,6 +337,19 @@ def test_reports_are_byte_identical(capsys):
     assert first == second
 
 
+def _seeded_cell_matrix(seed, n):
+    """--matrix JSON of v s u, with v and u seeded random upper
+    unitriangular matrices."""
+    rng = random.Random(seed)
+
+    def unitriangular():
+        return mat([[1 if i == j else F(rng.randint(-4, 4), rng.randint(1, 3))
+                     if j > i else 0 for j in range(n)] for i in range(n)])
+
+    m = mmul(mmul(unitriangular(), crosssec.coxeter_rep(n)), unitriangular())
+    return json.dumps([[str(x) for x in row] for row in m])
+
+
 @pytest.mark.parametrize("argv,digest", [
     (["cross-section", "--n", "4", "--trials", "10", "--seed", "11"],
      "ce738c75577d9c63d96315642bb2cf8257eeb58fe8264be51ef497fcf28a9a6f"),
@@ -370,6 +394,13 @@ def test_reports_are_byte_identical(capsys):
      "aeaa58da9ee5389a06787f121a69d24773d1d81c8ce447b2355a813b34e795d0"),
     (["orbits", "--type", "G", "--rank", "2"],
      "e19edaf3539c5a274707194b5006295647a1442f6f5914ce91d7a37c7ca907d7"),
+    # taken before the cell test, char-poly and sweep became O(n^3)
+    (["cross-section", "--matrix", _seeded_cell_matrix(12, 12)],
+     "b288b506162332b4b7516089023ae0ca43a285fc24744a0684e8a550d92a932a"),
+    (["cross-section", "--n", "7", "--trials", "5", "--seed", "7"],
+     "20b8a1706a75e286a41b3565c07340fc13c0c597f566ee6ad2d6243b101135fa"),
+    (["kostant-section", "--n", "6", "--trials", "10", "--seed", "7"],
+     "2373e2b05e7af98122d37b6dae5e8fe85358c089ed18239736d199a230b056f5"),
 ])
 def test_report_digests_are_pinned(capsys, argv, digest):
     assert cli.main(argv) == 0

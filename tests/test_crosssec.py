@@ -230,6 +230,85 @@ def test_cell_test_with_representative_override():
     assert not bruhat_cell_test(coxeter_rep(2), s_rep=s5)
 
 
+# Each way of drawing a matrix, with the verdicts it must produce: members
+# stay in the cell, a nonzero entry below the subdiagonal always leaves it,
+# and the other perturbations land on both sides.
+CELL_DRAWS = {"member": {True}, "subdiagonal": {True, False},
+              "torus": {True, False}, "determinant": {True, False},
+              "below": {False}, "q_map": {True, False}}
+
+
+@pytest.mark.parametrize("kind", CELL_DRAWS)
+def test_shape_cell_test_agrees_with_the_linear_solve(kind):
+    # the O(n^2) shape-and-determinant test against cell_witness
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    fracs = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+    nonzero = fracs.filter(bool)
+    seen = set()
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(st.data())
+    def check(data):
+        n = data.draw(st.integers(3 if kind == "below" else 2, 6))
+
+        def unitriangular():
+            return mat([[1 if i == j else data.draw(fracs) if j > i else 0
+                         for j in range(n)] for i in range(n)])
+
+        def torus():
+            entries = [data.draw(st.builds(F, st.integers(1, 5),
+                                           st.integers(1, 3)))
+                       for _ in range(n - 1)]
+            return entries + [1 / math.prod(entries)]
+
+        if kind == "q_map":
+            # q_map lands in this cell only when every c_i is 1/2
+            c = [F(1, 2)] * (n - 1)
+            if data.draw(st.booleans()):
+                c[data.draw(st.integers(0, n - 2))] = data.draw(nonzero)
+            m = q_map(mu_inverse_point(torus(), unitriangular(), c))
+        else:
+            rows = [list(r) for r in
+                    mmul(mmul(unitriangular(), coxeter_rep(n)),
+                         unitriangular())]
+            if kind == "subdiagonal":
+                i = data.draw(st.integers(1, n - 1))
+                rows[i][i - 1] = data.draw(nonzero)
+            elif kind == "torus":
+                # conjugating by a torus element keeps det = 1 and the
+                # Hessenberg shape but rescales the subdiagonal
+                t = torus()
+                rows = [[x * t[i] / t[j] for j, x in enumerate(row)]
+                        for i, row in enumerate(rows)]
+            elif kind == "determinant":
+                scale = data.draw(st.sampled_from((F(1), F(-1), F(2, 3))))
+                rows[0] = [x * scale for x in rows[0]]
+            elif kind == "below":
+                # an entry below the subdiagonal, with the corner entry,
+                # on which det depends linearly, re-solved for det = 1
+                i = data.draw(st.integers(2, n - 1))
+                rows[i][data.draw(st.integers(0, i - 2))] = data.draw(nonzero)
+                rows[0][n - 1] = F(0)
+                base = det(mat(rows))
+                rows[0][n - 1] = F(1)
+                if det(mat(rows)) != base:
+                    rows[0][n - 1] = (1 - base) / (det(mat(rows)) - base)
+            m = mat(rows)
+        verdict = bruhat_cell_test(m)
+        assert verdict == (cell_witness(m) is not None)
+        seen.add(verdict)
+
+    check()
+    assert seen == CELL_DRAWS[kind]
+
+
+def test_cell_test_needs_n_at_least_2():
+    with pytest.raises(ValueError, match="need n >= 2"):
+        bruhat_cell_test(mat([[1]]))
+
+
 # ---------------------------------------------------------------------------
 # the cross-section sweep
 
@@ -279,6 +358,30 @@ def test_cross_section_double_solve_agreement(n):
         conj2, point2 = cross_section(mmul(mmul(g, m), minv(g)))
         assert point2 == point
         assert conj2 == mmul(conj, minv(g))
+
+
+def test_sweep_leaves_its_input_untouched():
+    rng = random.Random(14)
+    m = rnd_cell_element(rng, 5)
+    rows = [list(r) for r in m]
+    conj, point = crosssec._sweep_to_first_row(rows)
+    assert rows == [list(r) for r in m]
+    assert (conj, point) == cross_section(m)
+
+
+def test_cross_section_refuses_a_conjugator_that_is_not_unitriangular(
+        monkeypatch):
+    # 2 conj still intertwines m and the slice point; only the unitriangular
+    # check tells it apart
+    sweep = crosssec._sweep_to_first_row
+
+    def doubled(m):
+        conj, point = sweep(m)
+        return tuple(tuple(2 * x for x in row) for row in conj), point
+
+    monkeypatch.setattr(crosssec, "_sweep_to_first_row", doubled)
+    with pytest.raises(AssertionError, match="conjugation identity lost"):
+        cross_section(rnd_cell_element(random.Random(15), 4))
 
 
 def test_cross_section_sl2_closed_form_oracle():

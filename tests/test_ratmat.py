@@ -67,7 +67,7 @@ def _random_sympy(sympy, rng, n, m):
                                for _ in range(n * m)])
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_dense_layer_matches_sympy(n):
     sympy = pytest.importorskip("sympy")
     rng = random.Random(100 + n)
@@ -92,3 +92,52 @@ def test_dense_layer_matches_sympy(n):
             assert minv(a) == _from_sympy(s.inv())
     assert rank(_from_sympy(low)) == n - 1
     assert rank(_from_sympy(wide)) == wide.rank()
+
+
+
+def _hessenberg_edge_cases(sympy, rng, n):
+    """Inputs that take each branch of charpoly's Hessenberg reduction and
+    recurrence."""
+    def entry():
+        return sympy.Rational(rng.randint(-5, 5), rng.randint(1, 4))
+
+    def nonzero():
+        return sympy.Rational(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4))
+
+    cases = {"zero": sympy.zeros(n, n)}
+    if n > 1:
+        # upper Hessenberg with one zero subdiagonal entry, which splits the
+        # recurrence into two blocks and leaves the reduction no pivot
+        split = sympy.Matrix(n, n, lambda i, j: entry() if j >= i else 0)
+        for i in range(1, n):
+            split[i, i - 1] = nonzero()
+        k = rng.randint(1, n - 1)
+        split[k, k - 1] = 0
+        cases["split"] = split
+    if n > 2:
+        # dense, with a zero pivot at (1, 0) and a nonzero entry below it,
+        # so the reduction must swap a row and column pair
+        swap = _random_sympy(sympy, rng, n, n)
+        swap[1, 0] = 0
+        swap[n - 1, 0] = nonzero()
+        cases["swap"] = swap
+    # nilpotent: a strictly upper triangular matrix in a random basis
+    basis = _random_sympy(sympy, rng, n, n)
+    while basis.det() == 0:
+        basis = _random_sympy(sympy, rng, n, n)
+    upper = sympy.Matrix(n, n, lambda i, j: entry() if j > i else 0)
+    cases["nilpotent"] = basis * upper * basis.inv()
+    return cases
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_charpoly_matches_sympy_on_hessenberg_edge_cases(n):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(200 + n)
+    t = sympy.Symbol("t")
+    for name, s in _hessenberg_edge_cases(sympy, rng, n).items():
+        expected = [Fraction(str(c))
+                    for c in reversed(s.charpoly(t).all_coeffs())]
+        if name in ("zero", "nilpotent"):
+            assert expected == [0] * n + [1]
+        assert charpoly(_from_sympy(s)) == expected, name
