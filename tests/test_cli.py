@@ -401,6 +401,13 @@ def _seeded_cell_matrix(seed, n):
      "20b8a1706a75e286a41b3565c07340fc13c0c597f566ee6ad2d6243b101135fa"),
     (["kostant-section", "--n", "6", "--trials", "10", "--seed", "7"],
      "2373e2b05e7af98122d37b6dae5e8fe85358c089ed18239736d199a230b056f5"),
+    # taken before weights became int tuples in units of 1/EXP_UNIT
+    (["toda", "--type", "A", "--rank", "3", "--pi", "3,2,1",
+      "--check-commute"],
+     "206782c6748ec69c6171aef720fe340d3d5f4cf860d1063f474b4101b2e28cc6"),
+    (["toda", "--type", "A", "--rank", "4", "--pi", "2,1,3,4",
+      "--check-commute"],
+     "06838da593b4ac64c5c9779aa916cd3d083da2bd6eca9a43c49336cfd013257d"),
 ])
 def test_report_digests_are_pinned(capsys, argv, digest):
     assert cli.main(argv) == 0
