@@ -152,7 +152,7 @@ def is_central(alg, c):
     """Does c commute with every e_i, f_i and K_{alpha_i}?"""
     rank = alg.rs.rank
     gens = [alg.e(i) for i in range(rank)] + [alg.f(i) for i in range(rank)]
-    gens += [alg.k(tuple(1 if k == i else 0 for k in range(rank)))
+    gens += [alg.k(alg.simple_weight(i))
              for i in range(rank)]
     return all(c.commutator(g).is_zero() for g in gens)
 

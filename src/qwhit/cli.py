@@ -90,7 +90,7 @@ def _ser_pbw(x):
     for (fw, lam, ew), coeff in x.sorted_terms():
         out.append({
             "f": list(fw),
-            "lambda": [str(v) for v in lam],
+            "lambda": [str(v) for v in rootsys.weight_coords(lam)],
             "e": list(ew),
             "coeff": str(coeff),
         })
@@ -102,7 +102,7 @@ def _ser_diffop(op):
     for lam, zpart in sorted(op.terms.items()):
         for zexp, coeff in sorted(zpart.items()):
             out.append({
-                "shift": [str(v) for v in lam],
+                "shift": [str(v) for v in rootsys.weight_coords(lam)],
                 "z": list(zexp),
                 "coeff": str(coeff),
             })
@@ -140,7 +140,7 @@ def cmd_root_system(args):
         "bform": _ser_mat(rs.bform),
         "positive_roots": [list(r) for r in rs.positive_roots],
         "heights": list(rs.heights),
-        "rho": _ser_vec(rs.rho),
+        "rho": _ser_vec(rootsys.weight_coords(rs.rho)),
         "coxeter_number": rs.coxeter_number,
     }
     n = rs.rank

@@ -17,6 +17,11 @@ forms is an integer combination of pairings between fundamental weights and
 their Cayley images; over the supported types (rank up to ``rootsys.MAX_RANK``)
 their denominators have lcm 1260, which divides EXP_UNIT.  An exponent outside
 (1/EXP_UNIT)Z raises ``ArithmeticError``.
+
+Weights share the unit: ``rootsys`` keeps every weight as an int tuple in
+units of 1/EXP_UNIT, so the pairing of a weight with an integer root or
+z-exponent is already a q-exponent in these units, and ``times_q`` applies
+it as a shift of the numerator's exponents.
 """
 
 from __future__ import annotations
@@ -40,14 +45,15 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
-def _exp(e) -> int:
-    """The q-exponent e in units of 1/EXP_UNIT."""
+def to_units(e) -> int:
+    """The rational e (a q-exponent or a weight coordinate) as an int in
+    units of 1/EXP_UNIT; ArithmeticError when e is not a multiple of it."""
     if isinstance(e, int):
         return e * EXP_UNIT
     e = _as_fraction(e)
     u, r = divmod(e.numerator * EXP_UNIT, e.denominator)
     if r:
-        raise ArithmeticError(f"q-exponent {e} is not a multiple of 1/{EXP_UNIT}")
+        raise ArithmeticError(f"{e} is not a multiple of 1/{EXP_UNIT}")
     return u
 
 
@@ -187,8 +193,9 @@ class LaurentScalar:
     __slots__ = ("c", "n", "d")
 
     def __init__(self, num: dict, den: dict | None = None):
-        num = {_exp(e): _as_fraction(c) for e, c in num.items()}
-        den = {0: F1} if den is None else {_exp(e): _as_fraction(c) for e, c in den.items()}
+        num = {to_units(e): _as_fraction(c) for e, c in num.items()}
+        den = {0: F1} if den is None else {
+            to_units(e): _as_fraction(c) for e, c in den.items()}
         num = {e: c for e, c in num.items() if c}
         den = {e: c for e, c in den.items() if c}
         if not den:
@@ -219,7 +226,7 @@ class LaurentScalar:
 
     @classmethod
     def q_power(cls, e) -> "LaurentScalar":
-        return _scalar(F1, {_exp(e): 1}, _UNIT)
+        return _scalar(F1, {to_units(e): 1}, _UNIT)
 
     # -- Fraction views -----------------------------------------------------
     @property
@@ -243,6 +250,14 @@ class LaurentScalar:
 
     def is_polynomial(self) -> bool:
         return len(self.d) == 1
+
+    def times_q(self, u: int) -> "LaurentScalar":
+        """self * q^(u / EXP_UNIT) for an int u.  A monomial is a unit, so
+        shifting the numerator's exponents keeps the canonical form: no gcd
+        and no product."""
+        if not u or not self.n:
+            return self
+        return _scalar(self.c, {e + u: v for e, v in self.n.items()}, self.d)
 
     # -- arithmetic ---------------------------------------------------------
     def _coerce(self, other):
@@ -493,7 +508,7 @@ def qpow(e) -> LaurentScalar:
 # balanced q-numbers: [n] = (q^n - q^-n)/(q - q^-1), in base q^d
 
 def q_int(n: int, d=1) -> LaurentScalar:
-    step = _exp(d)
+    step = to_units(d)
     if n < 0:
         return -q_int(-n, d)
     num = {}
@@ -508,7 +523,7 @@ def q_binom(m: int, k: int, d=1) -> LaurentScalar:
     [n j] = v^{-j} [n-1 j] + v^{n-j} [n-1 j-1], which needs no division."""
     if k < 0 or k > m:
         return ZERO
-    step = _exp(d)
+    step = to_units(d)
     row = [{0: 1}]  # row[j] = [n j] for j <= min(n, k)
     for n in range(1, m + 1):
         nxt = []

@@ -7,6 +7,14 @@ exact rationals.  Conventions used throughout the package:
   so the simple reflection acts by s_i(alpha_j) = alpha_j - a_ij alpha_i;
 * d_i are the coprime positive integers making b_ij = d_i a_ij symmetric;
 * the bilinear form on weight space is (alpha_i, alpha_j) = b_ij.
+
+A weight is an int tuple: its simple-root coordinates in units of
+1/EXP_UNIT, the unit ``qarith`` uses for q-exponents (``weight`` converts
+rational coordinates, ``weight_coords`` converts back for reports).  The
+pairing of a weight with an integer vector (a root or a z-exponent) is then
+one integer dot product through the integer form b_ij, and it is the
+q-exponent q^{(lam, beta)} in qarith units as it stands; two weights pair to
+EXP_UNIT times that, so ``pair_weights`` takes one exact division.
 """
 
 from __future__ import annotations
@@ -14,8 +22,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from . import ratmat
+from .qarith import EXP_UNIT, to_units
 
 SUPPORTED_SERIES = ("A", "B", "C", "D", "F", "G")
 MAX_RANK = 6
@@ -23,6 +34,26 @@ MAX_RANK = 6
 
 class UnsupportedTypeError(ValueError):
     pass
+
+
+def weight(vec):
+    """The weight with simple-root coordinates vec (ints or Fractions);
+    ArithmeticError for a coordinate outside (1/EXP_UNIT)Z."""
+    return tuple(map(to_units, vec))
+
+
+def weight_coords(lam):
+    """Simple-root coordinates of the weight lam, as Fractions."""
+    return tuple(Fraction(x, EXP_UNIT) for x in lam)
+
+
+def _divide_exactly(n, d, what):
+    q, r = divmod(n, d)
+    if r:
+        raise ArithmeticError(
+            f"{what} {Fraction(n, d * EXP_UNIT)} is not a multiple of "
+            f"1/{EXP_UNIT}")
+    return q
 
 
 def _cartan_table(series, rank):
@@ -99,6 +130,7 @@ class RootSystemData:
     positive_roots: tuple
     heights: tuple
     rho: tuple
+    fundamental_weights: tuple
 
     @property
     def n_positive(self):
@@ -112,16 +144,20 @@ class RootSystemData:
         """Coordinate vector of alpha_i (0-based index)."""
         return tuple(1 if k == i else 0 for k in range(self.rank))
 
+    def covector(self, x):
+        """The int vector B x, so that (x, y) is its dot product with y."""
+        return tuple(sum(map(mul, row, x)) for row in self.bform)
+
     def pair(self, x, y):
-        """Bilinear form (x, y) = sum x_i b_ij y_j on coordinate vectors."""
-        total = Fraction(0)
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if yj:
-                    total += Fraction(xi) * self.bform[i][j] * yj
-        return total
+        """The form sum x_i b_ij y_j on int vectors, as one integer dot
+        product: for a weight x and a root or z-exponent y it is the
+        q-exponent (x, y) in units of 1/EXP_UNIT."""
+        return sum(map(mul, self.covector(x), y))
+
+    def pair_weights(self, x, y):
+        """(x, y) for two weights, in units of 1/EXP_UNIT: pair(x, y) over
+        EXP_UNIT, an exact division; ArithmeticError when it is not."""
+        return _divide_exactly(self.pair(x, y), EXP_UNIT, "pairing")
 
     def module_index(self, name):
         """k for the fundamental module 'Vk' of the module catalogue, which
@@ -134,14 +170,6 @@ class RootSystemData:
         if k < 1 or k > self.rank:
             raise ValueError(f"module index out of range in {name!r}")
         return k
-
-    def fundamental_weight(self, i):
-        """omega_i in simple-root coordinates, fixed by (omega_i, alpha_j) = d_j delta_ij."""
-        rhs = tuple(Fraction(self.d[i]) if k == i else Fraction(0) for k in range(self.rank))
-        sol = ratmat.solve(ratmat.mat(self.bform), rhs)
-        if sol is None:
-            raise RuntimeError("form matrix is singular")
-        return sol
 
 
 def build_root_system(series, rank):
@@ -181,9 +209,11 @@ def build_root_system(series, rank):
             f"{series}{rank}, expected {_classical_count(series, rank)}"
         )
 
-    rho = tuple(
-        Fraction(sum(r[k] for r in positive), 2) for k in range(rank)
-    )
+    rho = weight(Fraction(sum(r[k] for r in positive), 2) for k in range(rank))
+    # omega_i = d_i B^{-1} e_i, fixed by (omega_i, alpha_j) = d_j delta_ij
+    inv = ratmat.minv(ratmat.mat(bform))
+    omegas = tuple(weight(d[i] * inv[k][i] for k in range(rank))
+                   for i in range(rank))
     return RootSystemData(
         series=series,
         rank=rank,
@@ -193,6 +223,7 @@ def build_root_system(series, rank):
         positive_roots=tuple(positive),
         heights=tuple(sum(r) for r in positive),
         rho=rho,
+        fundamental_weights=omegas,
     )
 
 
@@ -269,17 +300,29 @@ def _check_permutation(rs, pi):
 class CoxeterContext:
     """Root system together with a chosen Coxeter element s_{pi(1)}...s_{pi(l)}.
 
-    ``cayley_transform`` is (1+s)/(1-s) on simple-root coordinates and
-    ``cayley`` its pairing matrix ((1+s)/(1-s) alpha_i, alpha_j)."""
+    ``cayley_transform`` is (1+s)/(1-s) on simple-root coordinates,
+    ``cayley_num`` / ``cayley_den`` the same matrix as ints over one
+    denominator, and ``cayley`` its pairing matrix ((1+s)/(1-s) alpha_i,
+    alpha_j)."""
 
     rs: RootSystemData
     pi: tuple
     s_matrix: tuple
     cayley: tuple
     cayley_transform: tuple
+    cayley_num: tuple
+    cayley_den: int
     epsilon: tuple
     twist: tuple
     coxeter_number: int
+
+    def cayley_apply(self, lam):
+        """The weight (1+s)/(1-s) lam, by int products and one exact
+        division per coordinate; ArithmeticError when it leaves the unit
+        lattice."""
+        return tuple(_divide_exactly(sum(map(mul, row, lam)), self.cayley_den,
+                                     "Cayley image coordinate")
+                     for row in self.cayley_num)
 
 
 def coxeter_context(rs, pi=None):
@@ -333,12 +376,15 @@ def coxeter_context(rs, pi=None):
             if rs.d[j] * twist[i][j] - rs.d[i] * twist[j][i] != c[i][j]:
                 raise RuntimeError("twist does not solve the defining equation")
 
+    den = lcm(*(x.denominator for row in t for x in row))
     return CoxeterContext(
         rs=rs,
         pi=pi,
         s_matrix=s,
         cayley=c,
         cayley_transform=t,
+        cayley_num=tuple(tuple(int(x * den) for x in row) for row in t),
+        cayley_den=den,
         epsilon=tuple(tuple(row) for row in eps),
         twist=tuple(tuple(row) for row in twist),
         coxeter_number=h,

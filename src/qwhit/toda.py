@@ -3,10 +3,13 @@
 Torus functions are Laurent polynomials in z_1..z_l, where z_i stands for the
 exponential e^{-h(y, alpha_i)}.  A difference operator is a finite sum of
 terms coeff(z) * T_lam with rational-weight shifts lam, composed through the
-exact rule T_lam z_i = q^{-(lam, alpha_i)} z_i T_lam.  The Hamiltonians are
-the Whittaker images of the central elements C_V = (id x tr_V)(R_21 R
-K_{2 rho}), sent to difference operators by f_i -> chibar(f_i) z_i and
-K_lam -> T_lam and conjugated by the half-sum twist q^{-(rho, lam)}.
+exact rule T_lam z_i = q^{-(lam, alpha_i)} z_i T_lam.  Shifts are weights in
+the int format of ``rootsys``, so (lam, b) for a z-exponent b is one integer
+dot product with the covector B lam, applied as an exponent shift.  The
+Hamiltonians are the Whittaker images of the central elements C_V =
+(id x tr_V)(R_21 R K_{2 rho}), sent to difference operators by
+f_i -> chibar(f_i) z_i and K_lam -> T_lam and conjugated by the half-sum
+twist q^{-(rho, lam)}.
 
 That lowering is an algebra map on the lower Borel part (the shift rule
 mirrors K_lam f_i = q^{-(lam, alpha_i)} f_i K_lam, and the z_i commute), so
@@ -26,25 +29,40 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul
 
 from . import uqalg
-from .qarith import ONE, ZERO, LaurentScalar, q_exp_nilpotent, qpow
+from .qarith import EXP_UNIT, ONE, ZERO, LaurentScalar, q_exp_nilpotent, qpow
 from .ratmat import diag, eye, mmul, mscale
+from .rootsys import weight_coords
+
+
+def _clean(terms):
+    """terms without zero coefficients or empty shifts."""
+    out = {}
+    for lam, zpart in terms.items():
+        zpart = {z: c for z, c in zpart.items() if c}
+        if zpart:
+            out[lam] = zpart
+    return out
+
+
+def _operator(rs, terms):
+    """The operator with terms that are already clean."""
+    op = object.__new__(DifferenceOperator)
+    op.rs, op.terms = rs, terms
+    return op
 
 
 class DifferenceOperator:
-    """Finite map {shift lam -> {z-exponent -> scalar}} over a root system."""
+    """Finite map {shift lam -> {z-exponent -> scalar}} over a root system,
+    each shift a weight (an int tuple in units of 1/EXP_UNIT)."""
 
     __slots__ = ("rs", "terms")
 
     def __init__(self, rs, terms=None):
         self.rs = rs
-        clean = {}
-        for lam, zpart in (terms or {}).items():
-            zclean = {z: c for z, c in zpart.items() if not c.is_zero()}
-            if zclean:
-                clean[tuple(Fraction(x) for x in lam)] = zclean
-        self.terms = clean
+        self.terms = _clean(terms or {})
 
     # -- constructors --------------------------------------------------------
     @classmethod
@@ -77,7 +95,7 @@ class DifferenceOperator:
             slot = out.setdefault(lam, {})
             for z, c in zpart.items():
                 slot[z] = slot[z] + c if z in slot else c
-        return DifferenceOperator(self.rs, out)
+        return _operator(self.rs, _clean(out))
 
     def __neg__(self):
         return self.scale(LaurentScalar.from_rational(-1))
@@ -86,11 +104,11 @@ class DifferenceOperator:
         return self + (-other)
 
     def scale(self, scalar):
-        out = {
+        if not scalar:
+            return _operator(self.rs, {})
+        return _operator(self.rs, {
             lam: {z: c * scalar for z, c in zpart.items()}
-            for lam, zpart in self.terms.items()
-        }
-        return DifferenceOperator(self.rs, out)
+            for lam, zpart in self.terms.items()})
 
     def __rmul__(self, other):
         if isinstance(other, LaurentScalar):
@@ -103,28 +121,31 @@ class DifferenceOperator:
             return self.scale(other)
         out = {}
         for lam1, zp1 in self.terms.items():
+            # T_{lam1} z^b = q^{-(lam1, b)} z^b T_{lam1}, with (lam1, b) the
+            # dot product of b with B lam1, in units of 1/EXP_UNIT
+            blam = self.rs.covector(lam1)
             for lam2, zp2 in other.terms.items():
-                lam = tuple(a + b for a, b in zip(lam1, lam2))
-                slot = out.setdefault(lam, {})
-                for a, c1 in zp1.items():
-                    for b, c2 in zp2.items():
-                        # commute T_{lam1} past z^b
-                        c = c1 * c2 * qpow(-self.rs.pair(lam1, b))
-                        z = tuple(x + y for x, y in zip(a, b))
+                slot = out.setdefault(tuple(map(add, lam1, lam2)), {})
+                for b, c2 in zp2.items():
+                    c2 = c2.times_q(-sum(map(mul, blam, b)))
+                    for a, c1 in zp1.items():
+                        z = tuple(map(add, a, b))
+                        c = c1 * c2
                         slot[z] = slot[z] + c if z in slot else c
-        return DifferenceOperator(self.rs, out)
+        return _operator(self.rs, _clean(out))
 
     def apply(self, func):
         """Act on a torus function given as {z-exponent -> scalar}."""
         out = {}
         for lam, zpart in self.terms.items():
+            blam = self.rs.covector(lam)
             for b, d in func.items():
-                shifted = d * qpow(-self.rs.pair(lam, b))
+                shifted = d.times_q(-sum(map(mul, blam, b)))
                 for a, c in zpart.items():
-                    z = tuple(x + y for x, y in zip(a, b))
+                    z = tuple(map(add, a, b))
                     val = c * shifted
                     out[z] = out[z] + val if z in out else val
-        return {z: c for z, c in out.items() if not c.is_zero()}
+        return {z: c for z, c in out.items() if c}
 
     def __str__(self):
         if not self.terms:
@@ -138,7 +159,8 @@ class DifferenceOperator:
                     if a:
                         factors.append(f"z{i + 1}" + (f"^{a}" if a != 1 else ""))
                 if any(lam):
-                    factors.append("T[" + ",".join(str(x) for x in lam) + "]")
+                    factors.append("T[" + ",".join(
+                        str(x) for x in weight_coords(lam)) + "]")
                 mono = "*".join(factors) if factors else "1"
                 bits.append(f"({c})*{mono}")
         return " + ".join(bits)
@@ -179,12 +201,12 @@ def lower_rep(y, chibar):
 def phi_conjugate(op):
     """Conjugate by multiplication with the rho-exponential: each shift T_lam
     picks up the scalar q^{-(rho, lam)}."""
-    rho = op.rs.rho
-    out = {
-        lam: {z: c * qpow(-op.rs.pair(rho, lam)) for z, c in zpart.items()}
-        for lam, zpart in op.terms.items()
-    }
-    return DifferenceOperator(op.rs, out)
+    rs = op.rs
+    out = {}
+    for lam, zpart in op.terms.items():
+        u = -rs.pair_weights(rs.rho, lam)
+        out[lam] = {z: c.times_q(u) for z, c in zpart.items()}
+    return _operator(rs, out)
 
 
 def _check_non_simple_factors_vanish(alg, chi, chibar):
@@ -203,8 +225,8 @@ def _check_non_simple_factors_vanish(alg, chi, chibar):
             e_val[beta], f_val[beta] = chi.values[i], chibar.values[i]
             continue
         a, b, w = uqalg.root_segment(alg, beta)
-        e_val[beta] = (ONE - qpow(w)) * e_val[a] * e_val[b]
-        f_val[beta] = (ONE - qpow(-w)) * f_val[a] * f_val[b]
+        e_val[beta] = (ONE - ONE.times_q(w)) * e_val[a] * e_val[b]
+        f_val[beta] = (ONE - ONE.times_q(-w)) * f_val[a] * f_val[b]
         if e_val[beta] or f_val[beta]:
             raise RuntimeError(
                 f"the R-matrix factor of the non-simple root {beta} survives "
@@ -245,9 +267,9 @@ def toda_hamiltonian(alg, rep_name, chi, chibar):
         chi_u = mmul(chi_u, q_exp_nilpotent(mscale(leg, chi.values[i] * scale),
                                             base, ONE, ZERO), ZERO)
         # K_{T alpha_i} f_i = q^{-(T alpha_i, alpha_i)} f_i K_{T alpha_i}
-        t_beta = alg.weight(alg.cayley_apply(beta))
+        t_beta = alg.ctx.cayley_apply(alg.weight(beta))
         f_leg = lower_rep(uqalg.PBWElement(alg, {
-            ((i,), t_beta, ()): qpow(-rs.pair(t_beta, beta)) * scale}), chibar)
+            ((i,), t_beta, ()): scale.times_q(-rs.pair(t_beta, beta))}), chibar)
         r21 = mmul(r21, q_exp_nilpotent(mscale(rep.e_mats[i], f_leg), base,
                                         one, zero), zero)
     lams = uqalg.cartan_weights(alg, rep, 1)
@@ -259,7 +281,8 @@ def toda_hamiltonian(alg, rep_name, chi, chibar):
             if r21[j][k] and chi_u[k][j]:
                 entry = entry + r21[j][k] * DifferenceOperator.shift(
                     rs, lam, chi_u[k][j])
-        out = out + entry.scale(qpow(rs.pair(two_rho, rep.weights[j])))
+        out = out + entry.scale(
+            ONE.times_q(rs.pair_weights(two_rho, rep.weights[j])))
     return phi_conjugate(out)
 
 
@@ -334,7 +357,8 @@ def quasiclassical_potential_check(system):
         "ok": True,
         "kinetic": [],
         "potential": [],
-        "ignored_constant": str(rs.pair(rs.rho, rs.rho)),
+        "ignored_constant": str(Fraction(rs.pair(rs.rho, rs.rho),
+                                         EXP_UNIT * EXP_UNIT)),
         "sign_convention": "potential opens with +4 chi_i chibar_i at eps^2",
     }
     zero_z = (0,) * rs.rank
@@ -343,7 +367,7 @@ def quasiclassical_potential_check(system):
             if zexp == zero_z:
                 ok = coeff == qpow(0)
                 report["kinetic"].append({
-                    "shift": [str(x) for x in lam],
+                    "shift": [str(x) for x in weight_coords(lam)],
                     "coeff": str(coeff),
                     "ok": ok,
                 })
@@ -351,7 +375,7 @@ def quasiclassical_potential_check(system):
                 continue
             if sum(zexp) != 1:
                 report["potential"].append({
-                    "shift": [str(x) for x in lam],
+                    "shift": [str(x) for x in weight_coords(lam)],
                     "z": list(zexp),
                     "coeff": str(coeff),
                     "ok": False,

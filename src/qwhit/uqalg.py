@@ -1,7 +1,8 @@
 """Quantized enveloping algebras presented on a Coxeter element.
 
 The algebra has generators e_i, f_i and group-likes K_lam for rational weights
-lam, subject to the cross relation e_i f_j - q^{c_ji} f_j e_i =
+lam (int tuples in units of 1/EXP_UNIT, see ``rootsys``), subject to the
+cross relation e_i f_j - q^{c_ji} f_j e_i =
 delta_ij (K_i - K_i^{-1})/(q_i - q_i^{-1}) and deformed Serre relations whose
 coefficients carry the Cayley pairing c_ij of the chosen Coxeter element.
 The relative orientation of the cross and Serre exponents is forced: with
@@ -23,10 +24,9 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import qarith, ratmat, rootsys
-from .qarith import ONE, ZERO, LaurentScalar, qpow
-from .ratmat import (diag, eye, is_zero, kron, madd, mmul, mscale, msub,
-                     sparse, zeros)
+from . import qarith, rootsys
+from .qarith import EXP_UNIT, ONE, ZERO, LaurentScalar, qpow
+from .ratmat import diag, eye, kron, madd, mmul, mscale, msub, sparse, zeros
 
 
 # The Serre rules are completed through this word length when an Algebra is
@@ -79,7 +79,7 @@ class Algebra:
         self.ctx = ctx
         self.rs = ctx.rs
         self.rank = ctx.rs.rank
-        self.zero_weight = tuple(Fraction(0) for _ in range(self.rank))
+        self.zero_weight = (0,) * self.rank
         # letters are 0-based generator indices ordered by their pi position
         pos = {v - 1: k for k, v in enumerate(ctx.pi)}
         self.letter_rank = [pos[i] for i in range(self.rank)]
@@ -116,7 +116,8 @@ class Algebra:
                 "computations")
 
     def weight(self, vec):
-        return tuple(Fraction(x) for x in vec)
+        """The weight with simple-root coordinates vec."""
+        return rootsys.weight(vec)
 
     def simple_weight(self, i):
         return self.weight(self.rs.simple_root(i))
@@ -129,10 +130,6 @@ class Algebra:
 
     def c_pair(self, i, j):
         return self.ctx.cayley[i][j]
-
-    def cayley_apply(self, vec):
-        return ratmat.mvec(self.ctx.cayley_transform,
-                           [Fraction(x) for x in vec])
 
     # -- straightening rules for one-sided words ------------------------------
     def _serre_relators(self):
@@ -257,10 +254,11 @@ class Algebra:
         return PBWElement(self, {((i,), self.zero_weight, ()): ONE})
 
     def k(self, lam):
-        return PBWElement(self, {((), self.weight(lam), ()): ONE})
+        return PBWElement(self, {((), tuple(lam), ()): ONE})
 
     def word(self, tokens):
-        """Product of generator tokens ('e', i), ('f', i) or ('k', lam)."""
+        """Product of generator tokens ('e', i), ('f', i) or ('k', lam), with
+        lam in simple-root coordinates."""
         out = self.one()
         for kind, arg in tokens:
             if kind == "e":
@@ -268,7 +266,7 @@ class Algebra:
             elif kind == "f":
                 out = out * self.f(arg)
             elif kind == "k":
-                out = out * self.k(arg)
+                out = out * self.k(self.weight(arg))
             else:
                 raise ValueError(f"unknown generator token {kind!r}")
         return out
@@ -287,10 +285,10 @@ class Algebra:
             return dict(terms)
         # K_mu shifts lam injectively and scales by a q-power: no term merges
         out = {}
+        bmu = self.rs.covector(mu)
         for (fw, lam, ew), c in terms.items():
-            wt = self.word_weight(ew)
-            factor = qpow(-self.rs.pair(mu, wt)) if any(wt) else ONE
-            out[(fw, tuple(a + b for a, b in zip(lam, mu)), ew)] = c * factor
+            key = (fw, tuple(a + b for a, b in zip(lam, mu)), ew)
+            out[key] = c.times_q(-sum(bmu[i] for i in ew))
         return out
 
     def _etf(self, ew, j):
@@ -314,28 +312,25 @@ class Algebra:
                 denom = (qpow(self.rs.d[i]) - qpow(-self.rs.d[i])).inverse()
                 alpha = self.simple_weight(i)
                 minus_alpha = tuple(-x for x in alpha)
-                wt_head = self.word_weight(head)
-                shift = self.rs.pair(alpha, wt_head)
-                for sign, lamv, fac in (
-                    (1, alpha, qpow(-shift)),
-                    (-1, minus_alpha, qpow(shift)),
-                ):
+                shift = self.rs.pair(alpha, self.word_weight(head))
+                for lamv, fac in ((alpha, denom.times_q(-shift)),
+                                  (minus_alpha, -denom.times_q(shift))):
                     k2 = ((), lamv, head)
-                    result[k2] = result.get(k2, ZERO) + denom * fac * sign
+                    result[k2] = result.get(k2, ZERO) + fac
             result = _nonzero(result)
         self._etf_cache[key] = result
         return result
 
     def _mul_f(self, terms, j):
         out = {}
-        alpha_j = self.simple_weight(j)
+        alpha_j = self.rs.simple_root(j)
         for (fw, lam, ew), c in terms.items():
             for (fj, eta, ew2), s in self._etf(ew, j).items():
                 if fj:
-                    factor = qpow(-self.rs.pair(lam, alpha_j))
+                    cs = (c * s).times_q(-self.rs.pair(lam, alpha_j))
                     for fw2, s2 in self.reduce_word(fw + (j,)).items():
                         key = (fw2, lam, ew2)
-                        out[key] = out.get(key, ZERO) + c * s * factor * s2
+                        out[key] = out.get(key, ZERO) + cs * s2
                 else:
                     key = (fw, tuple(a + b for a, b in zip(lam, eta)), ew2)
                     out[key] = out.get(key, ZERO) + c * s
@@ -433,7 +428,8 @@ class PBWElement:
             for i in fw:
                 factors.append(f"f{i + 1}")
             if any(lam):
-                factors.append("K[" + ",".join(str(x) for x in lam) + "]")
+                factors.append("K[" + ",".join(
+                    str(x) for x in rootsys.weight_coords(lam)) + "]")
             for i in ew:
                 factors.append(f"e{i + 1}")
             mono = "*".join(factors) if factors else "1"
@@ -468,12 +464,13 @@ def root_segment(alg, beta):
     """The minimal segment (a, b) of a non-simple root beta in the adapted
     ordering and the exponent w of its q-commutator,
     e_beta = e_a e_b - q^w e_b e_a, with w = (a, b) + c(a, b) and the Cayley
-    pairing c(a, b) = (T a, b)."""
+    pairing c(a, b) = (T a, b); w is in units of 1/EXP_UNIT."""
     ordering = alg.ordering.ordering
     p, r = _minimal_segment(ordering, ordering.index(beta))
     a_root, b_root = ordering[p], ordering[r]
-    t_a = alg.cayley_apply(a_root)
-    w = alg.rs.pair(tuple(x + t for x, t in zip(a_root, t_a)), b_root)
+    a = alg.weight(a_root)
+    t_a = alg.ctx.cayley_apply(a)
+    w = alg.rs.pair(tuple(x + t for x, t in zip(a, t_a)), b_root)
     return a_root, b_root, w
 
 
@@ -500,11 +497,11 @@ def root_vector(alg, beta, sign="+"):
         if sign == "+":
             ea = root_vector(alg, a_root, "+")
             eb = root_vector(alg, b_root, "+")
-            result = ea * eb - (eb * ea).scale(qpow(w))
+            result = ea * eb - (eb * ea).scale(ONE.times_q(w))
         else:
             fa = root_vector(alg, a_root, "-")
             fb = root_vector(alg, b_root, "-")
-            result = fb * fa - (fa * fb).scale(qpow(-w))
+            result = fb * fa - (fa * fb).scale(ONE.times_q(-w))
     alg._root_vector_cache[key] = result.terms
     return result
 
@@ -588,16 +585,16 @@ def module_basis(rs, k_index):
     n = rs.rank
     basis = sorted(itertools.combinations(range(1, n + 2), k_index),
                    key=lambda s: (sum(s), s))
-    omegas = [rs.fundamental_weight(i) for i in range(n)]
-    weights = []
-    for s in basis:
-        mu = [Fraction(0)] * n
-        for i in range(n):
-            hi = (1 if i + 1 in s else 0) - (1 if i + 2 in s else 0)
-            if hi:
-                mu = [m + hi * o for m, o in zip(mu, omegas[i])]
-        weights.append(tuple(mu))
-    return basis, tuple(weights)
+    weights = tuple(
+        _combination(rs, [(i + 1 in s) - (i + 2 in s) for i in range(n)])
+        for s in basis)
+    return basis, weights
+
+
+def _combination(rs, coefs):
+    """The weight sum_i coefs[i] omega_i, for int coefs."""
+    return tuple(sum(c * o[k] for c, o in zip(coefs, rs.fundamental_weights))
+                 for k in range(rs.rank))
 
 
 class RepMatrices:
@@ -612,7 +609,6 @@ class RepMatrices:
         basis, self.weights = module_basis(rs, k_index)
         self.dim = len(basis)
         index = {s: p for p, s in enumerate(basis)}
-        omegas = [rs.fundamental_weight(i) for i in range(n)]
 
         def ladder(a, b):
             # sends the basis vector s holding b but not a to s - {b} + {a}
@@ -624,65 +620,76 @@ class RepMatrices:
         self.e_mats = []
         self.f_mats = []
         for i in range(n):
-            nu = [Fraction(0)] * n
-            for p in range(n):
-                if twist[i][p]:
-                    nu = [m + twist[i][p] * o for m, o in zip(nu, omegas[p])]
+            nu = _combination(rs, [int(t) for t in twist[i]])
             ke = self.k_matrix(nu)
-            kf = self.k_matrix([-x for x in nu])
+            kf = self.k_matrix(tuple(-x for x in nu))
             self.e_mats.append(mmul(ladder(i + 1, i + 2), ke, ZERO))
             self.f_mats.append(mmul(kf, ladder(i + 2, i + 1), ZERO))
         self._check_relations()
 
     def k_matrix(self, lam):
-        return diag([qpow(self.alg.rs.pair(lam, mu)) for mu in self.weights],
-                    ZERO)
+        """pi(K_lam): q^{(lam, mu)} at each basis vector of weight mu."""
+        pair = self.alg.rs.pair_weights
+        return diag([ONE.times_q(pair(lam, mu)) for mu in self.weights], ZERO)
 
     def _check_relations(self):
+        """Check every defining relation on the matrices, kept as sparse rows
+        (pi(e_i) and pi(f_i) have at most one nonzero entry per column): the
+        K-e and K-f relations entry by entry against the weights, the cross
+        and Serre relations as sparse products.  A failure raises one
+        RuntimeError naming each kind of relation that fails, at its first
+        failing (i, j)."""
         alg = self.alg
         rs = alg.rs
         n = rs.rank
-        one = eye(self.dim, ONE, ZERO)
+        e = [_sparse_rows(m) for m in self.e_mats]
+        f = [_sparse_rows(m) for m in self.f_mats]
+        # kexp[r][i] = (alpha_i, mu_r): pi(K_{alpha_i}) is q to it at r
+        kexp = [rs.covector(mu) for mu in self.weights]
+        one = {r: {r: ONE} for r in range(self.dim)}
+        failures = dict.fromkeys(("K-e relation", "K-f relation",
+                                  "cross relation", "e-Serre", "f-Serre"))
+
+        def check(kind, i, j, ok):
+            if not ok and failures[kind] is None:
+                failures[kind] = (i, j)
+
         for i in range(n):
-            alpha = rs.simple_root(i)
-            ki = self.k_matrix(alpha)
-            ki_inv = self.k_matrix([-x for x in alpha])
-            assert mmul(ki, ki_inv, ZERO) == one
             for j in range(n):
-                # K alpha_i conjugation scales e_j by q^{(alpha_i, alpha_j)}
-                lhs = mmul(ki, mmul(self.e_mats[j], ki_inv, ZERO), ZERO)
-                rhs = mscale(self.e_mats[j], qpow(rs.pair(alpha, rs.simple_root(j))))
-                if lhs != rhs:
-                    raise RuntimeError(f"{self.name}: K-e relation fails at ({i},{j})")
-                lhs = mmul(ki, mmul(self.f_mats[j], ki_inv, ZERO), ZERO)
-                rhs = mscale(self.f_mats[j], qpow(-rs.pair(alpha, rs.simple_root(j))))
-                if lhs != rhs:
-                    raise RuntimeError(f"{self.name}: K-f relation fails at ({i},{j})")
+                # K_i x_j K_i^-1 = q^{(alpha_i, +-alpha_j)} x_j holds entry
+                # by entry exactly where the weights differ by +-alpha_j
+                b = EXP_UNIT * rs.bform[i][j]
+                check("K-e relation", i, j, all(
+                    kexp[r][i] - kexp[c][i] == b for r, c in _entries(e[j])))
+                check("K-f relation", i, j, all(
+                    kexp[r][i] - kexp[c][i] == -b for r, c in _entries(f[j])))
                 # e_i f_j - q^{c_ji} f_j e_i = delta_ij (K_i - K_i^-1)/(q_i - q_i^-1)
-                cross = msub(mmul(self.e_mats[i], self.f_mats[j], ZERO),
-                             mscale(mmul(self.f_mats[j], self.e_mats[i], ZERO),
-                                    qpow(alg.c_pair(j, i))))
+                terms = [(ONE, _sparse_mul(e[i], f[j])),
+                         (-qpow(alg.c_pair(j, i)), _sparse_mul(f[j], e[i]))]
                 if i == j:
-                    coef = (qpow(rs.d[i]) - qpow(-rs.d[i])).inverse()
-                    cross = msub(cross, mscale(msub(ki, ki_inv), coef))
-                if not is_zero(cross):
-                    raise RuntimeError(f"{self.name}: cross relation fails at ({i},{j})")
+                    coef = -(qpow(rs.d[i]) - qpow(-rs.d[i])).inverse()
+                    terms.append((coef, {
+                        r: {r: ONE.times_q(x[i]) - ONE.times_q(-x[i])}
+                        for r, x in enumerate(kexp) if x[i]}))
+                check("cross relation", i, j, _vanishes(terms))
         for i in range(n):
             for j in range(n):
                 if i == j:
                     continue
                 coefs = serre_coefficients(alg.ctx, i, j)
                 m = len(coefs) - 1
-                for side, mats in (("e", self.e_mats), ("f", self.f_mats)):
-                    total = zeros(self.dim, zero=ZERO)
-                    for r, coef in enumerate(coefs):
-                        term = one
-                        for x in (i,) * (m - r) + (j,) + (i,) * r:
-                            term = mmul(term, mats[x], ZERO)
-                        total = madd(total, mscale(term, coef))
-                    if not is_zero(total):
-                        raise RuntimeError(
-                            f"{self.name}: {side}-Serre fails at ({i},{j})")
+                for side, mats in (("e", e), ("f", f)):
+                    powers = [one]
+                    for _ in range(m):
+                        powers.append(_sparse_mul(powers[-1], mats[i]))
+                    check(f"{side}-Serre", i, j, _vanishes(
+                        (coef, _sparse_mul(_sparse_mul(powers[m - r], mats[j]),
+                                           powers[r]))
+                        for r, coef in enumerate(coefs)))
+        failed = [f"{kind} fails at ({at[0]},{at[1]})"
+                  for kind, at in failures.items() if at]
+        if failed:
+            raise RuntimeError(f"{self.name}: " + "; ".join(failed))
 
     def evaluate_word(self, word, side):
         mats = self.e_mats if side == "e" else self.f_mats
@@ -702,6 +709,46 @@ class RepMatrices:
                 m = mmul(m, self.evaluate_word(ew, "e"), ZERO)
             out = madd(out, mscale(m, c))
         return out
+
+
+def _sparse_rows(m):
+    """The nonzero entries of a matrix as {row: {column: entry}}."""
+    out = {}
+    for r, row in enumerate(m):
+        nonzero = {c: x for c, x in enumerate(row) if x}
+        if nonzero:
+            out[r] = nonzero
+    return out
+
+
+def _entries(a):
+    """The (row, column) positions of a sparse matrix."""
+    return ((r, c) for r, row in a.items() for c in row)
+
+
+def _sparse_mul(a, b):
+    """The product of two sparse matrices, over their nonzero entries."""
+    out = {}
+    for r, arow in a.items():
+        acc = {}
+        for k, x in arow.items():
+            for c, y in b.get(k, {}).items():
+                acc[c] = acc[c] + x * y if c in acc else x * y
+        acc = {c: v for c, v in acc.items() if v}
+        if acc:
+            out[r] = acc
+    return out
+
+
+def _vanishes(terms):
+    """True when sum coef * a over the (coef, a) in terms is zero."""
+    total = {}
+    for coef, a in terms:
+        for r, row in a.items():
+            for c, x in row.items():
+                v = coef * x
+                total[r, c] = total[r, c] + v if (r, c) in total else v
+    return not any(total.values())
 
 
 def rep_matrices(alg, name):
@@ -728,7 +775,8 @@ def _root_constants(alg, rep, beta):
         e_b = rep.evaluate(root_vector(alg, beta, "+"))
         f_b = rep.evaluate(root_vector(alg, beta, "-"))
         comm = msub(mmul(e_b, f_b, ZERO), mmul(f_b, e_b, ZERO))
-        cartan = msub(rep.k_matrix(beta), rep.k_matrix([-x for x in beta]))
+        b = alg.weight(beta)
+        cartan = msub(rep.k_matrix(b), rep.k_matrix(tuple(-x for x in b)))
         j = next((j for j in range(rep.dim) if cartan[j][j]), None)
         if j is not None and comm[j][j]:
             scale = cartan[j][j] / comm[j][j]
@@ -737,7 +785,8 @@ def _root_constants(alg, rep, beta):
                 f"{rep.name}: [e_beta, f_beta] is not a multiple of "
                 f"K_beta - K_beta^-1 for beta = {beta}")
         alg._scale_cache[beta] = scale
-    return scale, alg.cayley_apply(beta), qpow(-alg.rs.pair(beta, beta))
+    return (scale, alg.ctx.cayley_apply(alg.weight(beta)),
+            qpow(-alg.rs.pair(beta, beta)))
 
 
 def module_f_leg(alg, rep, beta):
@@ -752,7 +801,7 @@ def module_f_leg(alg, rep, beta):
 def cartan_weights(alg, rep, sign):
     """The weight mu + sign * T mu of the Cartan factor at each basis vector
     of weight mu: sign = 1 in (id x pi_V) R, sign = -1 in R_21."""
-    return [tuple(m + sign * t for m, t in zip(mu, alg.cayley_apply(mu)))
+    return [tuple(m + sign * t for m, t in zip(mu, alg.ctx.cayley_apply(mu)))
             for mu in rep.weights]
 
 
@@ -781,7 +830,7 @@ def _r_in_rep(alg, rep, flipped):
 def r_matrix_vv(alg, rep):
     """Numeric R-matrix (pi_V x pi_V) R on V x V."""
     lams = cartan_weights(alg, rep, 1)
-    out = diag([qpow(alg.rs.pair(mu, lam))
+    out = diag([ONE.times_q(alg.rs.pair_weights(mu, lam))
                 for mu in rep.weights for lam in lams], ZERO)
     for beta in alg.ordering.ordering:
         scale, base, second = module_f_leg(alg, rep, beta)
@@ -821,5 +870,6 @@ def casimir_CV(alg, rep):
     for j in range(rep.dim):
         # only the diagonal of R_21 R enters the trace
         entry = sum((r21[j][k] * rmat[k][j] for k in range(rep.dim)), alg.zero())
-        out = out + entry.scale(qpow(alg.rs.pair(two_rho, rep.weights[j])))
+        out = out + entry.scale(
+            ONE.times_q(alg.rs.pair_weights(two_rho, rep.weights[j])))
     return out

@@ -8,7 +8,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from qwhit import acceptance, cli, crosssec, rootsys, uqalg
+from qwhit import acceptance, cli, crosssec, qarith, rootsys, uqalg
+from qwhit.qarith import EXP_UNIT
 from qwhit.ratmat import mat, mmul
 
 
@@ -76,7 +77,7 @@ def test_toda_reports_a_surviving_non_simple_factor_in_one_line(
 
     def shifted(alg, beta):
         a, b, w = real(alg, beta)
-        return a, b, w + 1
+        return a, b, w + EXP_UNIT
 
     monkeypatch.setattr(uqalg, "root_segment", shifted)
     code, report, captured = run_cli(capsys, "toda", "--type", "A", "--rank",
@@ -88,6 +89,20 @@ def test_toda_reports_a_surviving_non_simple_factor_in_one_line(
         "qwhit toda: invariant failure: the R-matrix factor of the non-simple "
         "root (1, 1) survives the Whittaker projection for the ordering 1,2")
     assert "Traceback" not in captured.err
+
+
+def test_a_weight_outside_the_unit_lattice_exits_1_in_one_line(
+        capsys, monkeypatch):
+    # in units of 1/60 the fundamental weights of A6, in sevenths, are not
+    # weights: the conversion raises ArithmeticError, and the command stops
+    monkeypatch.setattr(qarith, "EXP_UNIT", 60)
+    code, report, captured = run_cli(capsys, "toda", "--type", "A", "--rank",
+                                     "6")
+    assert code == 1
+    assert report is None
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("qwhit toda: ")
+    assert "is not a multiple of 1/60" in captured.err
 
 
 def _run_toda_subprocess(rank, chi, chibar):

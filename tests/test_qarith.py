@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import fraction_pair
 from qwhit import qarith, ratmat, rootsys
 from qwhit.qarith import EXP_UNIT, ONE, ZERO, LaurentScalar, q_binom, q_int, qpow
 
@@ -183,15 +184,20 @@ def _supported_types():
 
 def test_weight_and_cayley_pairings_are_multiples_of_the_exponent_unit():
     # every q-exponent the engine forms is an integer combination of these
+    # in rational coordinates; the Cayley images of the fundamental weights
+    # and of the simple roots are themselves weights in units of 1/EXP_UNIT
     checked = 0
     for rs in _supported_types():
-        omegas = [rs.fundamental_weight(i) for i in range(rs.rank)]
+        omegas = [rootsys.weight_coords(w) for w in rs.fundamental_weights]
         for pi in _orderings(rs.rank):
             t = rootsys.coxeter_context(rs, pi).cayley_transform
             vecs = omegas + [ratmat.mvec(t, w) for w in omegas]
+            for i in range(rs.rank):
+                rootsys.weight(ratmat.mvec(t, rs.simple_root(i)))
             for x in vecs:
+                rootsys.weight(x)
                 for y in vecs:
-                    assert (rs.pair(x, y) * EXP_UNIT).denominator == 1
+                    assert (fraction_pair(rs, x, y) * EXP_UNIT).denominator == 1
                     checked += 1
     assert checked > 1000
 
@@ -203,6 +209,19 @@ def test_exponent_outside_the_unit_lattice_raises():
         LaurentScalar({Fraction(1, 7 * EXP_UNIT): Fraction(1)})
     assert qpow(Fraction(1, EXP_UNIT)) * qpow(Fraction(-1, EXP_UNIT)) == ONE
     assert str(qpow(Fraction(-3, 2))) == "q^(-3/2)"
+
+
+def test_times_q_is_the_product_with_a_q_power():
+    rng = random.Random(5)
+    assert ZERO.times_q(7) == ZERO
+    for _ in range(60):
+        num = {Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3))):
+               rng.randint(-3, 3) for _ in range(3)}
+        den = {Fraction(rng.randint(-4, 4), rng.choice((1, 2))):
+               rng.randint(1, 3) for _ in range(2)}
+        x = LaurentScalar(num, den)
+        u = rng.randint(-3 * EXP_UNIT, 3 * EXP_UNIT)
+        assert x.times_q(u) == x * qpow(Fraction(u, EXP_UNIT))
 
 
 def test_canonical_form_matches_sympy_cancel():

@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import fraction_pair
 from qwhit import ratmat, rootsys
+from qwhit.qarith import EXP_UNIT
 
 ALL_TYPES = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("A", 6),
@@ -185,13 +187,60 @@ def test_coxeter_orbits_partition_and_counts(series, rank):
 def test_rho_and_fundamental_weights(series, rank):
     rs = rootsys.build_root_system(series, rank)
     for i in range(rank):
-        omega = rs.fundamental_weight(i)
+        omega = rs.fundamental_weights[i]
         for j in range(rank):
             want = rs.d[j] if i == j else 0
-            assert rs.pair(omega, rs.simple_root(j)) == want
+            assert fraction_pair(rs, rootsys.weight_coords(omega),
+                                 rs.simple_root(j)) == want
+            assert rs.pair(omega, rs.simple_root(j)) == want * EXP_UNIT
     for j in range(rank):
-        assert rs.pair(rs.rho, rs.simple_root(j)) == rs.d[j]
+        assert rs.pair(rs.rho, rs.simple_root(j)) == rs.d[j] * EXP_UNIT
     half_sum = tuple(
         Fraction(sum(r[k] for r in rs.positive_roots), 2) for k in range(rank)
     )
-    assert rs.rho == half_sum
+    assert rootsys.weight_coords(rs.rho) == half_sum
+    assert rs.rho == rootsys.weight(half_sum)
+
+
+def test_integer_pair_matches_the_fraction_form():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    systems = [rootsys.build_root_system(*t) for t in ALL_TYPES]
+    assert max(rs.rank for rs in systems) == rootsys.MAX_RANK
+    # coordinates over divisors of EXP_UNIT, so that two weights may or may
+    # not pair into (1/EXP_UNIT)Z
+    coord = st.builds(Fraction, st.integers(-40, 40),
+                      st.sampled_from((1, 2, 3, 4, 7, 12, 60, 420, EXP_UNIT)))
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(st.data())
+    def check(data):
+        rs = data.draw(st.sampled_from(systems))
+        x, y = (data.draw(st.tuples(*[coord] * rs.rank)) for _ in range(2))
+        root = data.draw(st.tuples(*[st.integers(-3, 3)] * rs.rank))
+        wx, wy = rootsys.weight(x), rootsys.weight(y)
+        assert rootsys.weight_coords(wx) == x
+        # a weight against an integer vector: a q-exponent in units
+        assert rs.pair(wx, root) == fraction_pair(rs, x, root) * EXP_UNIT
+        assert rs.pair(root, wx) == rs.pair(wx, root)
+        want = fraction_pair(rs, x, y) * EXP_UNIT
+        assert rs.pair(wx, wy) == want * EXP_UNIT
+        if want.denominator == 1:
+            assert rs.pair_weights(wx, wy) == want
+        else:
+            with pytest.raises(ArithmeticError):
+                rs.pair_weights(wx, wy)
+
+    check()
+
+
+def test_a_weight_outside_the_unit_lattice_raises():
+    rs = rootsys.build_root_system("A", 2)
+    with pytest.raises(ArithmeticError):
+        rootsys.weight((Fraction(1, 7 * EXP_UNIT), 0))
+    tiny = (1, 0)  # alpha_1 / EXP_UNIT
+    with pytest.raises(ArithmeticError):
+        rs.pair_weights(tiny, tiny)
+    with pytest.raises(ArithmeticError):
+        rootsys.coxeter_context(rs).cayley_apply(tiny)

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from qwhit import rootsys, toda, uqalg
-from qwhit.qarith import LaurentScalar, qpow
+from oracles import fraction_pair
+from qwhit import acceptance, rootsys, toda, uqalg
+from qwhit.qarith import EXP_UNIT, LaurentScalar, qpow
+from qwhit.rootsys import weight, weight_coords
 from qwhit.toda import DifferenceOperator
 
 _ALGEBRAS = {}
@@ -21,7 +23,8 @@ def algebra(series, rank):
 def random_operator(rs, rng):
     terms = {}
     for _ in range(rng.randrange(1, 4)):
-        lam = tuple(Fraction(rng.randrange(-2, 3), rng.choice((1, 2))) for _ in range(rs.rank))
+        lam = weight(Fraction(rng.randrange(-2, 3), rng.choice((1, 2)))
+                     for _ in range(rs.rank))
         zexp = tuple(rng.randrange(0, 3) for _ in range(rs.rank))
         coeff = qpow(rng.randrange(-2, 3)) * LaurentScalar.from_rational(rng.randrange(1, 4))
         terms.setdefault(lam, {})[zexp] = coeff
@@ -39,18 +42,18 @@ def z_monomial(rs, zexp, coeff=qpow(0)):
 
 def test_shifts_commute():
     rs = rootsys.build_root_system("A", 2)
-    t1 = DifferenceOperator.shift(rs, (1, 0))
-    t2 = DifferenceOperator.shift(rs, (Fraction(1, 3), Fraction(2, 3)))
+    t1 = DifferenceOperator.shift(rs, weight((1, 0)))
+    t2 = DifferenceOperator.shift(rs, weight((Fraction(1, 3), Fraction(2, 3))))
     assert toda.commutator(t1, t2).is_zero()
 
 
 def test_shift_past_z_picks_up_q_power():
     rs = rootsys.build_root_system("A", 2)
     lam = (Fraction(1), Fraction(-1))
-    t = DifferenceOperator.shift(rs, lam)
+    t = DifferenceOperator.shift(rs, weight(lam))
     z1 = z_monomial(rs, (1, 0))
     # T_lam z_1 = q^{-(lam, alpha_1)} z_1 T_lam
-    scal = qpow(-rs.pair(lam, (1, 0)))
+    scal = qpow(-fraction_pair(rs, lam, (1, 0)))
     assert t * z1 == (z1 * t).scale(scal)
     got = toda.commutator(z1, t)
     want = (z1 * t).scale(qpow(0) - scal)
@@ -83,9 +86,68 @@ def test_composition_agrees_with_sequential_application():
 def test_apply_shift_on_exponential_monomial():
     # T_lam acting on the function z^b is multiplication by q^{-(lam, b)}
     rs = rootsys.build_root_system("A", 1)
-    t = DifferenceOperator.shift(rs, (1,))
+    t = DifferenceOperator.shift(rs, weight((1,)))
     got = t.apply({(1,): qpow(0)})
     assert got == {(1,): qpow(-2)}
+
+
+def reference_compose(rs, d1, d2):
+    """Composition d1 after d2 of operators keyed by Fraction shifts, each
+    pair of terms scaled by q^{-(lam1, b)} from the Fraction form."""
+    out = {}
+    for lam1, zp1 in d1.items():
+        for lam2, zp2 in d2.items():
+            slot = out.setdefault(tuple(a + b for a, b in zip(lam1, lam2)), {})
+            for a, c1 in zp1.items():
+                for b, c2 in zp2.items():
+                    c = c1 * c2 * qpow(-fraction_pair(rs, lam1, b))
+                    z = tuple(x + y for x, y in zip(a, b))
+                    slot[z] = slot[z] + c if z in slot else c
+    return out
+
+
+def reference_apply(rs, d, func):
+    out = {}
+    for lam, zpart in d.items():
+        for b, v in func.items():
+            shifted = v * qpow(-fraction_pair(rs, lam, b))
+            for a, c in zpart.items():
+                z = tuple(x + y for x, y in zip(a, b))
+                out[z] = out[z] + c * shifted if z in out else c * shifted
+    return {z: c for z, c in out.items() if c}
+
+
+def test_composition_and_action_match_the_fraction_reference():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    systems = [rootsys.build_root_system(*t) for t in
+               (("A", 1), ("A", 2), ("B", 2), ("G", 2), ("C", 3), ("D", 4))]
+    coord = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2, 3)))
+    scalar = st.builds(lambda e, c: qpow(e) * LaurentScalar.from_rational(c),
+                       st.integers(-2, 2), st.integers(-3, 3))
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(st.data())
+    def check(data):
+        rs = data.draw(st.sampled_from(systems))
+        zexp = st.tuples(*[st.integers(-1, 2)] * rs.rank)
+        terms = st.dictionaries(
+            st.tuples(*[coord] * rs.rank),
+            st.dictionaries(zexp, scalar, min_size=1, max_size=2),
+            max_size=3)
+        t1, t2 = data.draw(terms), data.draw(terms)
+        func = data.draw(st.dictionaries(zexp, scalar, max_size=3))
+
+        def op(t):
+            return DifferenceOperator(rs, {weight(lam): zp for lam, zp in t.items()})
+
+        want = DifferenceOperator(rs, {
+            weight(lam): zp for lam, zp in reference_compose(rs, t1, t2).items()})
+        assert op(t1) * op(t2) == want
+        assert op(t1).apply(func) == reference_apply(rs, t1, func)
+
+    check()
 
 
 # ---------------------------------------------------------------------------
@@ -151,10 +213,10 @@ def test_phi_conjugate_examples():
     one = DifferenceOperator.shift(rs, (0,) * rs.rank)
     assert toda.phi_conjugate(one) == one
     lam = (Fraction(1), Fraction(1))
-    t = DifferenceOperator.shift(rs, lam)
-    scal = qpow(-rs.pair(rs.rho, lam))
+    t = DifferenceOperator.shift(rs, weight(lam))
+    scal = qpow(-fraction_pair(rs, weight_coords(rs.rho), lam))
     assert toda.phi_conjugate(t) == t.scale(scal)
-    z1t = DifferenceOperator(rs, {lam: {(1, 0): qpow(0)}})
+    z1t = DifferenceOperator(rs, {weight(lam): {(1, 0): qpow(0)}})
     assert toda.phi_conjugate(z1t) == z1t.scale(scal)
 
 
@@ -170,8 +232,8 @@ def test_a1_hamiltonian_golden_form():
     rs = alg.rs
     sq = (qpow(1) - qpow(-1)) * (qpow(1) - qpow(-1))
     want = (
-        DifferenceOperator.shift(rs, (1,))
-        + DifferenceOperator.shift(rs, (-1,))
+        DifferenceOperator.shift(rs, weight((1,)))
+        + DifferenceOperator.shift(rs, weight((-1,)))
         + z_monomial(rs, (1,), sq)
     )
     assert m1 == want
@@ -184,7 +246,7 @@ def test_a_surviving_non_simple_factor_raises_naming_its_root(monkeypatch):
 
     def shifted(alg, beta):
         a, b, w = real(alg, beta)
-        return a, b, w + 1
+        return a, b, w + EXP_UNIT
 
     monkeypatch.setattr(uqalg, "root_segment", shifted)
     rs = rootsys.build_root_system("A", 3)
@@ -240,6 +302,26 @@ def test_hamiltonians_commute(rank, pairs):
         assert toda.commutator(system.hamiltonians[i], system.hamiltonians[j]).is_zero()
 
 
+def test_the_toda_path_hashes_no_fraction(monkeypatch):
+    # weights, PBW keys and shifts are int tuples, so building and checking
+    # the Hamiltonians never hashes a Fraction; serialisation is not counted
+    rs = rootsys.build_root_system("A", 3)
+    alg = uqalg.Algebra(rootsys.coxeter_context(rs))
+    calls = []
+    real = Fraction.__hash__
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counted)
+    system = toda.build_toda_system(alg, (2, -3, 5), (1, 7, -1))
+    commute = acceptance.hamiltonians_commute(system.hamiltonians)
+    monkeypatch.undo()
+    assert commute
+    assert calls == []
+
+
 def test_hamiltonians_commute_generic_characters():
     alg = algebra("A", 2)
     system = toda.build_toda_system(alg, (2, -3), (7, 5))
@@ -268,7 +350,8 @@ def test_quasiclassical_check_passes(rank, chi_vals, chibar_vals):
     system = toda.build_toda_system(alg, chi_vals, chibar_vals)
     report = toda.quasiclassical_potential_check(system)
     assert report["ok"]
-    assert report["ignored_constant"] == str(alg.rs.pair(alg.rs.rho, alg.rs.rho))
+    rho = weight_coords(alg.rs.rho)
+    assert report["ignored_constant"] == str(fraction_pair(alg.rs, rho, rho))
     assert all(item["ok"] for item in report["kinetic"])
     assert all(item["ok"] for item in report["potential"])
 

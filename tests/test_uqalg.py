@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import fraction_pair
 from qwhit import ratmat, rootsys, toda, uqalg
 from qwhit.qarith import (ONE, ZERO, LaurentScalar, q_binom, q_exp_nilpotent,
                           qpow)
@@ -79,7 +80,7 @@ def test_cartan_letters_commute_past_e_and_f():
     lam = alg.weight((1, -2))
     k = alg.k(lam)
     for j in range(2):
-        scal = qpow(alg.rs.pair(lam, alg.simple_weight(j)))
+        scal = qpow(fraction_pair(alg.rs, (1, -2), alg.rs.simple_root(j)))
         assert k * alg.e(j) == (alg.e(j) * k).scale(scal)
         assert k * alg.f(j) == (alg.f(j) * k).scale(scal.inverse())
 
@@ -454,7 +455,7 @@ def test_apply_character_rejects_mixed_sides():
     with pytest.raises(ValueError):
         uqalg.apply_character(chi, alg.f(0))
     with pytest.raises(ValueError):
-        uqalg.apply_character(chi, alg.k((1, 0)))
+        uqalg.apply_character(chi, alg.k(alg.weight((1, 0))))
     chibar = uqalg.character("f", (1, 1))
     with pytest.raises(ValueError):
         uqalg.apply_character(chibar, alg.e(0))
@@ -500,10 +501,10 @@ def test_character_kills_non_simple_root_vectors(series, rank, vals):
 def test_rho_chi_examples():
     alg = algebra("A", 2)
     chi = uqalg.character("e", (5, 7))
-    lower = alg.f(0) * alg.k((1, 1)) + alg.f(1)
+    lower = alg.f(0) * alg.k(alg.weight((1, 1))) + alg.f(1)
     assert uqalg.rho_chi(lower, chi) == lower
-    x = alg.f(0) * alg.k((1, 0)) * alg.e(0)
-    assert uqalg.rho_chi(x, chi) == (alg.f(0) * alg.k((1, 0))).scale(
+    x = alg.f(0) * alg.k(alg.weight((1, 0))) * alg.e(0)
+    assert uqalg.rho_chi(x, chi) == (alg.f(0) * alg.k(alg.weight((1, 0)))).scale(
         LaurentScalar.from_rational(5)
     )
     chibar = uqalg.character("f", (1, 1))
@@ -517,7 +518,7 @@ def test_whittaker_action_basics():
     assert uqalg.whittaker_action(alg.e(0), alg.one(), chi).is_zero()
     got = uqalg.whittaker_action(alg.e(0), alg.f(0), chi)
     denom = (qpow(1) - qpow(-1)).inverse()
-    assert got == (alg.k((1,)) - alg.k((-1,))).scale(denom)
+    assert got == (alg.k(alg.weight((1,))) - alg.k(alg.weight((-1,)))).scale(denom)
 
 
 # ---------------------------------------------------------------------------
@@ -539,6 +540,90 @@ def test_rep_relation_check_runs_for_small_type_a():
     uqalg.rep_matrices(algebra("A", 2), "V1")
     uqalg.rep_matrices(algebra("A", 2), "V2")
     uqalg.rep_matrices(algebra("A", 3), "V1")
+
+
+def dense_relation_failures(rep):
+    """Oracle: the kinds of defining relation the module matrices break,
+    each relation checked as a product of dense matrices."""
+    alg = rep.alg
+    rs = alg.rs
+    n = rs.rank
+    mm = ratmat.mmul
+    one = ratmat.eye(rep.dim, ONE, ZERO)
+    failed = set()
+    for i in range(n):
+        ki = rep.k_matrix(alg.simple_weight(i))
+        ki_inv = rep.k_matrix(tuple(-x for x in alg.simple_weight(i)))
+        assert mm(ki, ki_inv, ZERO) == one
+        for j in range(n):
+            for kind, x, sign in (("K-e relation", rep.e_mats[j], 1),
+                                  ("K-f relation", rep.f_mats[j], -1)):
+                lhs = mm(ki, mm(x, ki_inv, ZERO), ZERO)
+                if lhs != ratmat.mscale(x, qpow(sign * rs.bform[i][j])):
+                    failed.add(kind)
+            cross = ratmat.msub(
+                mm(rep.e_mats[i], rep.f_mats[j], ZERO),
+                ratmat.mscale(mm(rep.f_mats[j], rep.e_mats[i], ZERO),
+                              qpow(alg.c_pair(j, i))))
+            if i == j:
+                coef = (qpow(rs.d[i]) - qpow(-rs.d[i])).inverse()
+                cross = ratmat.msub(cross, ratmat.mscale(
+                    ratmat.msub(ki, ki_inv), coef))
+            if not ratmat.is_zero(cross):
+                failed.add("cross relation")
+    for i, j in itertools.permutations(range(n), 2):
+        coefs = uqalg.serre_coefficients(alg.ctx, i, j)
+        m = len(coefs) - 1
+        for side, mats in (("e", rep.e_mats), ("f", rep.f_mats)):
+            total = ratmat.zeros(rep.dim, zero=ZERO)
+            for r, coef in enumerate(coefs):
+                term = one
+                for x in (i,) * (m - r) + (j,) + (i,) * r:
+                    term = mm(term, mats[x], ZERO)
+                total = ratmat.madd(total, ratmat.mscale(term, coef))
+            if not ratmat.is_zero(total):
+                failed.add(f"{side}-Serre")
+    return failed
+
+
+RELATION_KINDS = ("K-e relation", "K-f relation", "cross relation", "e-Serre",
+                  "f-Serre")
+
+
+# One entry of pi(e_j) or pi(f_j) of A3 set to 1 ("one") or doubled, and the
+# relations that breaks.  Every entry of the right weight for e_j is already
+# nonzero in these minuscule modules, so a K relation cannot fail alone: a
+# new entry off the weight also breaks a cross or a Serre relation, and a
+# changed entry always breaks the cross relation at (j, j).
+@pytest.mark.parametrize("name,side,j,row,col,how,broken", [
+    ("V1", "e", 0, 3, 0, "one", {"K-e relation", "e-Serre"}),
+    ("V1", "f", 0, 0, 3, "one", {"K-f relation", "f-Serre"}),
+    ("V1", "e", 0, 0, 3, "one", {"K-e relation", "cross relation"}),
+    ("V1", "e", 0, 0, 1, "double", {"cross relation"}),
+    ("V2", "e", 0, 5, 0, "one", {"K-e relation", "e-Serre"}),
+    ("V2", "f", 0, 0, 5, "one", {"K-f relation", "f-Serre"}),
+    ("V2", "e", 1, 0, 1, "double", {"cross relation"}),
+    ("V2", "e", 0, 1, 3, "double", {"cross relation", "e-Serre"}),
+    ("V2", "f", 0, 3, 1, "double", {"cross relation", "f-Serre"}),
+    ("V3", "e", 0, 3, 0, "one", {"K-e relation", "e-Serre"}),
+    ("V3", "f", 0, 0, 3, "one", {"K-f relation", "f-Serre"}),
+    ("V3", "f", 0, 2, 0, "one", {"K-f relation", "cross relation"}),
+    ("V3", "e", 0, 2, 3, "double", {"cross relation"}),
+])
+def test_a_corrupted_module_entry_fails_the_relations_it_breaks(
+        name, side, j, row, col, how, broken):
+    rep = uqalg.rep_matrices(algebra("A", 3), name)
+    mats = rep.e_mats if side == "e" else rep.f_mats
+    rows = [list(r) for r in mats[j]]
+    rows[row][col] = ONE if how == "one" else 2 * rows[row][col]
+    assert rows[row][col] != mats[j][row][col]
+    mats[j] = tuple(tuple(r) for r in rows)
+    assert dense_relation_failures(rep) == broken
+    with pytest.raises(RuntimeError) as info:
+        rep._check_relations()
+    message = str(info.value)
+    assert message.startswith(f"{name}: ")
+    assert {k for k in RELATION_KINDS if f"{k} fails at (" in message} == broken
 
 
 def test_rep_matrices_rejects_unknown_modules():
@@ -622,8 +707,8 @@ def test_casimir_a1_golden_value():
     c = uqalg.casimir_CV(alg, rep)
     sq = (qpow(1) - qpow(-1)) * (qpow(1) - qpow(-1))
     want = (
-        alg.k((1,)).scale(qpow(1))
-        + alg.k((-1,)).scale(qpow(-1))
+        alg.k(alg.weight((1,))).scale(qpow(1))
+        + alg.k(alg.weight((-1,))).scale(qpow(-1))
         + (alg.f(0) * alg.e(0)).scale(sq)
     )
     assert c == want
@@ -659,11 +744,12 @@ def test_casimir_cartan_degeneration_is_weight_trace():
     cartan_part = uqalg.PBWElement(alg, {
         m: coef for m, coef in c.terms.items() if not m[0] and not m[2]
     })
-    two_rho = tuple(2 * x for x in alg.rs.rho)
+    two_rho = tuple(2 * x for x in rootsys.weight_coords(alg.rs.rho))
     want = alg.zero()
     for mu in rep.weights:
-        lam = alg.weight(tuple(2 * x for x in mu))
-        want = want + alg.k(lam).scale(qpow(alg.rs.pair(two_rho, mu)))
+        lam = tuple(2 * x for x in mu)
+        want = want + alg.k(lam).scale(qpow(fraction_pair(
+            alg.rs, two_rho, rootsys.weight_coords(mu))))
     assert cartan_part == want
 
 
@@ -687,12 +773,13 @@ def oracle_whittaker_generator(alg, rep, chi):
             ratmat.mscale(leg, value), base, ONE, ZERO), ZERO)
     r21 = uqalg._r_in_rep(alg, rep, flipped=True)
     lams = uqalg.cartan_weights(alg, rep, 1)
-    two_rho = tuple(2 * x for x in alg.rs.rho)
+    two_rho = tuple(2 * x for x in rootsys.weight_coords(alg.rs.rho))
     out = alg.zero()
     for j in range(rep.dim):
         entry = sum((r21[j][k] * alg.k(lam).scale(chi_u[k][j])
                      for k, lam in enumerate(lams)), alg.zero())
-        out = out + entry.scale(qpow(alg.rs.pair(two_rho, rep.weights[j])))
+        out = out + entry.scale(qpow(fraction_pair(
+            alg.rs, two_rho, rootsys.weight_coords(rep.weights[j]))))
     return out
 
 
@@ -703,8 +790,8 @@ def test_whittaker_generator_a1_golden_value():
     w = oracle_whittaker_generator(alg, rep, chi)
     sq = (qpow(1) - qpow(-1)) * (qpow(1) - qpow(-1))
     want = (
-        alg.k((1,)).scale(qpow(1))
-        + alg.k((-1,)).scale(qpow(-1))
+        alg.k(alg.weight((1,))).scale(qpow(1))
+        + alg.k(alg.weight((-1,))).scale(qpow(-1))
         + alg.f(0).scale(sq)
     )
     assert w == want
