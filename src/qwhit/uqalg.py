@@ -254,6 +254,7 @@ class Algebra:
         return PBWElement(self, {((i,), self.zero_weight, ()): ONE})
 
     def k(self, lam):
+        """K_lam for a weight lam in the int format of ``rootsys``."""
         return PBWElement(self, {((), tuple(lam), ()): ONE})
 
     def word(self, tokens):
@@ -660,9 +661,11 @@ class RepMatrices:
                 # by entry exactly where the weights differ by +-alpha_j
                 b = EXP_UNIT * rs.bform[i][j]
                 check("K-e relation", i, j, all(
-                    kexp[r][i] - kexp[c][i] == b for r, c in _entries(e[j])))
+                    kexp[r][i] - kexp[c][i] == b
+                    for r, row in e[j].items() for c in row))
                 check("K-f relation", i, j, all(
-                    kexp[r][i] - kexp[c][i] == -b for r, c in _entries(f[j])))
+                    kexp[r][i] - kexp[c][i] == -b
+                    for r, row in f[j].items() for c in row))
                 # e_i f_j - q^{c_ji} f_j e_i = delta_ij (K_i - K_i^-1)/(q_i - q_i^-1)
                 terms = [(ONE, _sparse_mul(e[i], f[j])),
                          (-qpow(alg.c_pair(j, i)), _sparse_mul(f[j], e[i]))]
@@ -719,11 +722,6 @@ def _sparse_rows(m):
         if nonzero:
             out[r] = nonzero
     return out
-
-
-def _entries(a):
-    """The (row, column) positions of a sparse matrix."""
-    return ((r, c) for r, row in a.items() for c in row)
 
 
 def _sparse_mul(a, b):
