@@ -237,11 +237,7 @@ def cmd_serre_check(args):
 
 
 def cmd_casimir(args):
-    # the module is checked before the algebra is built, so that a module
-    # outside the catalogue is a usage error at once even where the build
-    # does not finish
     ctx = _context(args)
-    ctx.rs.module_index(args.rep)
     alg = uqalg.Algebra(ctx)
     rep = uqalg.rep_matrices(alg, args.rep)
     c = uqalg.casimir_CV(alg, rep)
@@ -256,12 +252,9 @@ def cmd_casimir(args):
 
 
 def cmd_whittaker(args):
-    # flags and the module are checked before the algebra is built, so a
-    # usage error is reported at once even where the build is slow
     ctx = _context(args)
     rank = ctx.rs.rank
     chi = uqalg.character("e", _character_values(args.chi, rank))
-    ctx.rs.module_index(args.rep)
     alg = uqalg.Algebra(ctx)
     rep = uqalg.rep_matrices(alg, args.rep)
     # the full central element is projected here, so that lower_borel is a
@@ -286,7 +279,6 @@ def cmd_toda(args):
     rank = ctx.rs.rank
     chi_vals = _character_values(args.chi, rank)
     chibar_vals = _character_values(args.chibar, rank)
-    ctx.rs.module_index("V1")  # the Hamiltonians come from the modules
     alg = uqalg.Algebra(ctx)
     system = toda.build_toda_system(alg, chi_vals, chibar_vals)
     match = acceptance.closed_form_holds(system)

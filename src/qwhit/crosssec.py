@@ -16,9 +16,9 @@ Fixed conventions for the whole module:
   vectors (the unit subdiagonal) and the section space is the span of the
   first-row units E_{1,k}, so f + section is the companion family.
 
-Changing the representative rescales the cell conditions; the cell test
-accepts an explicit override for experiments, decided by the linear solve
-of ``cell_witness``, and everything else is pinned to the standard choice.
+Changing the representative rescales the cell conditions; ``cell_witness``
+decides the cell of an explicit representative by a linear solve, and
+everything else, the cell test included, is pinned to the standard choice.
 """
 
 from __future__ import annotations
@@ -129,12 +129,11 @@ def cell_witness(m: Mat, s_rep: Optional[Mat] = None):
     return a, b
 
 
-def bruhat_cell_test(m: Mat, s_rep: Optional[Mat] = None) -> bool:
-    """Whether m lies in N_+ s N_+, read off its shape and determinant
-    (B_+ s B_+ = N_+ H s N_+, and N_+ keeps a Hessenberg subdiagonal); an
-    explicit ``s_rep`` goes through ``cell_witness``."""
-    if s_rep is not None:
-        return cell_witness(m, s_rep) is not None
+def bruhat_cell_test(m: Mat) -> bool:
+    """Whether m lies in N_+ s N_+ for the standard s, read off its shape
+    and determinant (B_+ s B_+ = N_+ H s N_+, and N_+ keeps a Hessenberg
+    subdiagonal); ``cell_witness`` tests the cell of any other
+    representative."""
     n = _dim(m)
     if n < 2:
         raise ValueError("need n >= 2")

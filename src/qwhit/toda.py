@@ -98,7 +98,9 @@ class DifferenceOperator:
         return _operator(self.rs, _clean(out))
 
     def __neg__(self):
-        return self.scale(LaurentScalar.from_rational(-1))
+        return _operator(self.rs, {
+            lam: {z: -c for z, c in zpart.items()}
+            for lam, zpart in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)

@@ -11,9 +11,9 @@ words like e_1 f_2 f_1 f_1, and it is the one the realization map produces.
 Elements are kept in a normal form f-word * K * e-word, with one-sided words
 reduced by a Groebner-completed rewriting system, so equality and the zero
 test are structural.  The rules are completed degree by degree, as words
-need them: an algebra is built with every word up to BUILD_DEGREE letters in
-exact normal form, and a longer word first resumes the completion up to its
-own length, so orderings and ranks whose rule set is infinite still work.
+need them: an algebra is built with no rules, only its Serre relators queued,
+and a word longer than any reduced before first resumes the completion up to
+its own length, so orderings and ranks whose rule set is infinite still work.
 """
 
 from __future__ import annotations
@@ -27,11 +27,6 @@ from fractions import Fraction
 from . import qarith, rootsys
 from .qarith import EXP_UNIT, ONE, ZERO, LaurentScalar, qpow
 from .ratmat import diag, eye, kron, madd, mmul, mscale, msub, sparse, zeros
-
-
-# The Serre rules are completed through this word length when an Algebra is
-# built; a longer word resumes the completion up to its own length.
-BUILD_DEGREE = 6
 
 
 def step_budget():
@@ -96,7 +91,6 @@ class Algebra:
         heapq.heapify(self._pending)
         self._seq = itertools.count(len(self._pending))
         self._degree = 0
-        self._complete(BUILD_DEGREE)
 
     # -- bookkeeping ---------------------------------------------------------
     def _tick(self, word_len):

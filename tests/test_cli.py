@@ -440,12 +440,16 @@ def test_report_digests_are_pinned(capsys, argv, digest):
      "expected a comma list of rationals"),
     (["whittaker", "--type", "A", "--rank", "4", "--chi=1,2,3"],
      "expected 4 character values"),
-    # so must a module outside the type-A catalogue
+    # a module outside the type-A catalogue fails at once too
     (["casimir", "--type", "B", "--rank", "3"], "type A only"),
     (["toda", "--type", "B", "--rank", "3"], "type A only"),
     (["whittaker", "--type", "B", "--rank", "3"], "type A only"),
     (["casimir", "--type", "A", "--rank", "4", "--rep", "V9"],
      "module index out of range"),
+    # the largest rank of each other series
+    *[([cmd, "--type", series, "--rank", str(rank)], "type A only")
+      for cmd in ("casimir", "toda", "whittaker")
+      for series, rank in (("B", 6), ("C", 6), ("D", 6), ("F", 4), ("G", 2))],
 ])
 def test_bad_rational_flag_exits_2_at_once(argv, message):
     # a subprocess with a timeout, so that a slow parse or build fails the
@@ -521,12 +525,12 @@ def test_step_budget_env_var_limits_engine():
 def test_step_budget_trip_names_its_stage_in_one_line():
     env = dict(os.environ, QWHIT_STEP_BUDGET="5")
     proc = subprocess.run(
-        [sys.executable, "-m", "qwhit.cli", "toda", "--type", "A", "--rank",
-         "2", "--check-commute"],
+        [sys.executable, "-m", "qwhit.cli", "casimir", "--type", "A",
+         "--rank", "2"],
         capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith(
-        "qwhit toda: rewriting exceeded the step budget (5) while completing "
-        "the Serre rules to degree 6 (")
+        "qwhit casimir: rewriting exceeded the step budget (5) while "
+        "completing the Serre rules to degree 3 (")

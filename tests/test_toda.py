@@ -146,6 +146,9 @@ def test_composition_and_action_match_the_fraction_reference():
             weight(lam): zp for lam, zp in reference_compose(rs, t1, t2).items()})
         assert op(t1) * op(t2) == want
         assert op(t1).apply(func) == reference_apply(rs, t1, func)
+        minus_one = LaurentScalar.from_rational(-1)
+        assert -op(t1) == op(t1).scale(minus_one)
+        assert op(t1) - op(t2) == op(t1) + op(t2).scale(minus_one)
 
     check()
 
@@ -320,6 +323,19 @@ def test_the_toda_path_hashes_no_fraction(monkeypatch):
     monkeypatch.undo()
     assert commute
     assert calls == []
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_the_toda_path_completes_no_serre_rule(rank):
+    # the Hamiltonians are lowered factor by factor and reduce no PBW word,
+    # so the algebra never starts its Serre completion
+    rs = rootsys.build_root_system("A", rank)
+    alg = uqalg.Algebra(rootsys.coxeter_context(rs))
+    system = toda.build_toda_system(alg, (2, -3, 5)[:rank], (1, 7, -1)[:rank])
+    assert acceptance.closed_form_holds(system)
+    assert acceptance.hamiltonians_commute(system.hamiltonians)
+    assert alg.rules == []
+    assert alg._steps == 0
 
 
 def test_hamiltonians_commute_generic_characters():

@@ -212,8 +212,9 @@ def test_pbw_product_is_associative_on_drawn_words(series, rank):
 def test_step_budget_raises_instead_of_spinning(monkeypatch):
     monkeypatch.setenv("QWHIT_STEP_BUDGET", "20")
     rs = rootsys.build_root_system("B", 2)
+    alg = uqalg.Algebra(rootsys.coxeter_context(rs))
     with pytest.raises(ArithmeticError):
-        uqalg.Algebra(rootsys.coxeter_context(rs))
+        alg.reduce_word((0, 1) * 3)
 
 
 # ---------------------------------------------------------------------------
@@ -236,25 +237,24 @@ def words_up_to(rank, length):
 
 
 @pytest.mark.parametrize("series,rank,pi", COMPLETE_CASES)
-def test_lazy_completion_matches_full_completion(monkeypatch, series, rank,
-                                                 pi):
+def test_lazy_completion_matches_full_completion(series, rank, pi):
     full = fresh_algebra(series, rank, pi)
     full._complete(math.inf)
     assert not full._pending
-    lazy = fresh_algebra(series, rank, pi)
-    # built with no rules at all, every longer word resumes the completion
-    monkeypatch.setattr(uqalg, "BUILD_DEGREE", 1)
-    resumed = fresh_algebra(series, rank, pi)
-    assert resumed.rules == []
-    for word in words_up_to(rank, 6):
-        expected = full.reduce_word(word)
-        assert lazy.reduce_word(word) == expected, word
-        assert resumed.reduce_word(word) == expected, word
-    assert resumed._degree == 6
+    # shortest words first, every longer word resumes the completion; longest
+    # first, the first word completes through length 6 in one pass
+    staged = fresh_algebra(series, rank, pi)
+    at_once = fresh_algebra(series, rank, pi)
+    words = list(words_up_to(rank, 6))
+    for word in words:
+        assert staged.reduce_word(word) == full.reduce_word(word), word
+    for word in reversed(words):
+        assert at_once.reduce_word(word) == full.reduce_word(word), word
+    assert staged.rules == at_once.rules
+    assert staged._degree == at_once._degree == 6
 
 
 def test_a_budget_trip_in_the_completion_loses_no_queued_entry(monkeypatch):
-    monkeypatch.setattr(uqalg, "BUILD_DEGREE", 1)
     word = (0, 1, 2) * 2
     reference = fresh_algebra("A", 3)
     reference._complete(len(word))
@@ -278,18 +278,20 @@ def test_a_bordered_lead_is_completed_against_itself(monkeypatch):
     monkeypatch.setattr(uqalg.Algebra, "_serre_relators", lambda self: [
         {(1, 0, 1): ONE, (0, 1, 0): -ONE}])
     alg = fresh_algebra("A", 2)
-    assert alg.rules[0][0] == (1, 0, 1)
     assert alg.reduce_word((0, 1, 0, 0, 1)) == alg.reduce_word((1, 0, 0, 1, 0))
+    assert alg.rules[0][0] == (1, 0, 1)
 
 
-def test_build_completes_through_the_build_degree():
+def test_a_fresh_algebra_completes_only_as_far_as_its_words():
     alg = fresh_algebra("A", 3, (1, 3, 2))
-    assert alg._degree == uqalg.BUILD_DEGREE
-    assert all(entry[0] > uqalg.BUILD_DEGREE for entry in alg._pending)
-    # a longer word resumes the completion up to its own length
-    alg.reduce_word((0, 1, 2) * 3)
-    assert alg._degree == 9
-    assert all(entry[0] > 9 for entry in alg._pending)
+    assert alg.rules == []
+    assert alg._steps == 0
+    assert alg._degree == 0
+    for word, degree in [((0, 1, 2) * 2, 6), ((0, 1), 6), ((0, 1, 2) * 3, 9)]:
+        alg.reduce_word(word)
+        # a word no longer than any before it resumes nothing
+        assert alg._degree == degree
+        assert all(entry[0] > degree for entry in alg._pending)
 
 
 @pytest.mark.parametrize("pi", [(1, 3, 2), (2, 1, 3)])
@@ -299,17 +301,21 @@ def test_pbw_dimensions_on_non_monotone_a3_orderings(pi):
 
 def test_budget_trip_in_the_completion_names_its_stage(monkeypatch):
     monkeypatch.setenv("QWHIT_STEP_BUDGET", "20")
+    alg = fresh_algebra("B", 2)
     with pytest.raises(ArithmeticError, match=(
             r"step budget \(20\) while completing the Serre rules to degree "
             r"6 \(\d+ rules, longest lead \d+\)")):
-        fresh_algebra("B", 2)
+        alg.reduce_word((0, 1) * 3)
 
 
 def test_budget_trip_in_a_word_reduction_names_its_stage(monkeypatch):
-    steps = fresh_algebra("A", 2)._steps
-    monkeypatch.setenv("QWHIT_STEP_BUDGET", str(steps + 1))
+    # every lead holds both letters, so (0,)*6 reduces in one step and the
+    # other steps are the completion through length 6
+    probe = fresh_algebra("A", 2)
+    assert probe.reduce_word((0,) * 6) == {(0,) * 6: ONE}
+    monkeypatch.setenv("QWHIT_STEP_BUDGET", str(probe._steps))
     alg = fresh_algebra("A", 2)
-    lead, tail = alg.rules[0]
+    lead, tail = probe.rules[0]
     assert tail
     word = lead + (0,) * (6 - len(lead))
     with pytest.raises(ArithmeticError, match=(
