@@ -581,19 +581,28 @@ def qbinom_root_scan(m: int, c_range=None) -> list[int]:
     return [c for c in c_range if gauss_product_check(m, c).is_zero()]
 
 
-def q_exp_nilpotent(x, t: LaurentScalar, one, zero):
-    """exp_t(x) = sum_k x^k / (k)_t! for a nilpotent matrix x.
+def q_exp_nilpotent(x: dict, n: int, t: LaurentScalar, one) -> dict:
+    """exp_t(x) = sum_k x^k / (k)_t! for a nilpotent n x n matrix x over a
+    ring whose unit is one, given and returned as sparse rows {row: {column:
+    entry}} (see ``ratmat.sparse_mul``).
 
     The factorial uses the unbalanced (k)_t = (t^k - 1)/(t - 1).  Raises if x
-    fails to be nilpotent within dim(x) + 1 steps.
+    fails to be nilpotent within n + 1 steps.
     """
-    n = len(x)
-    out = term = ratmat.eye(n, one, zero)
-    fact = ONE
-    for k in range(1, n + 2):
-        term = ratmat.mmul(term, x, zero)
-        if ratmat.is_zero(term):
-            return out
+    out = {r: {r: one} for r in range(n)}
+    term, fact = x, ONE
+    for k in range(1, n + 1):
+        if not term:
+            break
         fact = fact * q_paren(k, t)
-        out = ratmat.madd(out, ratmat.mscale(term, fact.inverse()))
-    raise ArithmeticError("q_exp_nilpotent: matrix is not nilpotent")
+        inv = fact.inverse()
+        for r, row in term.items():
+            slot = out[r]
+            for c, v in row.items():
+                v = v * inv
+                slot[c] = slot[c] + v if c in slot else v
+        term = ratmat.sparse_mul(term, x)
+    if term:
+        raise ArithmeticError("q_exp_nilpotent: matrix is not nilpotent")
+    out = {r: {c: v for c, v in row.items() if v} for r, row in out.items()}
+    return {r: row for r, row in out.items() if row}

@@ -5,7 +5,9 @@ their entries are); vectors are tuples.  The builders, sums and products
 work over any ring whose elements support +, * and truthiness: Fraction,
 qarith.LaurentScalar and uqalg.PBWElement.  They take the ring's zero and
 one as keywords that default to the rationals.  The products skip zero
-entries, so a product of sparse matrices of costly elements stays cheap.
+entries, so a product of sparse matrices of costly elements stays cheap;
+``sparse_mul`` multiplies matrices kept as sparse rows {row: {column:
+entry}}, which hold no zero entry at all.
 Elimination (inverse, solve, rank, determinant) and the characteristic
 polynomial, by Hessenberg reduction, work over small dense Fraction matrices.
 """
@@ -50,10 +52,6 @@ def zeros(n: int, m: int | None = None, zero=F0) -> Mat:
     return tuple((zero,) * m for _ in range(n))
 
 
-def is_zero(a: Mat) -> bool:
-    return not any(x for row in a for x in row)
-
-
 def madd(a: Mat, b: Mat) -> Mat:
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
@@ -83,6 +81,38 @@ def mmul(a: Mat, b: Mat, zero=F0) -> Mat:
                     acc[j] = acc[j] + c * d
         out.append(tuple(acc))
     return tuple(out)
+
+
+def sparse_rows(a: Mat, s=None) -> dict:
+    """The nonzero entries of a, each times the nonzero scalar s when s is
+    given, as sparse rows {row: {column: entry}}."""
+    out = {}
+    for r, row in enumerate(a):
+        nonzero = {c: x if s is None else x * s for c, x in enumerate(row) if x}
+        if nonzero:
+            out[r] = nonzero
+    return out
+
+
+def from_rows(rows: dict, n: int, zero=F0) -> Mat:
+    """The n x n matrix with the sparse rows rows."""
+    return tuple(tuple(rows.get(r, {}).get(c, zero) for c in range(n))
+                 for r in range(n))
+
+
+def sparse_mul(a: dict, b: dict) -> dict:
+    """The product of two matrices given as sparse rows, over their nonzero
+    entries; an entry that cancels to zero is dropped."""
+    out = {}
+    for r, arow in a.items():
+        acc = {}
+        for k, x in arow.items():
+            for c, y in b.get(k, {}).items():
+                acc[c] = acc[c] + x * y if c in acc else x * y
+        acc = {c: v for c, v in acc.items() if v}
+        if acc:
+            out[r] = acc
+    return out
 
 
 def kron(a: Mat, b: Mat, zero=F0) -> Mat:

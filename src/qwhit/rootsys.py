@@ -399,16 +399,32 @@ class NormalOrdering:
     word: tuple
 
 
+def _reflect(rs, i, v):
+    """s_i(v) = v - <v, alpha_i^vee> alpha_i for an int root vector v."""
+    out = list(v)
+    out[i] -= sum(map(mul, rs.cartan[i], v))
+    return tuple(out)
+
+
+def _times_reflection(rs, cols, j):
+    """The columns of w s_j, given the columns w(alpha_k) of a Weyl group
+    element w: w s_j alpha_k = w(alpha_k) - a_jk w(alpha_j)."""
+    wj = cols[j]
+    return [tuple(x - a * y for x, y in zip(col, wj)) if a else col
+            for col, a in zip(cols, rs.cartan[j])]
+
+
+def _identity_columns(rs):
+    return [rs.simple_root(k) for k in range(rs.rank)]
+
+
 def _word_roots(rs, word):
     """Roots beta_k = s_{i_1}...s_{i_(k-1)} alpha_{i_k} for a reduced word."""
-    l = rs.rank
-    m = ratmat.eye(l)
+    cols = _identity_columns(rs)
     roots = []
     for letter in word:
-        alpha = [Fraction(1) if k == letter - 1 else Fraction(0) for k in range(l)]
-        image = ratmat.mvec(m, alpha)
-        roots.append(tuple(int(v) for v in image))
-        m = ratmat.mmul(m, reflection_matrix(rs, letter - 1))
+        roots.append(cols[letter - 1])
+        cols = _times_reflection(rs, cols, letter - 1)
     return roots
 
 
@@ -421,18 +437,16 @@ def _greedy_word(rs, pi):
     """
     l = rs.rank
     n = rs.n_positive
-    m = ratmat.eye(l)
+    cols = _identity_columns(rs)
     word = []
     cursor = 0
     stalled = 0
     while len(word) < n and stalled < l:
         letter = pi[cursor % l]
         cursor += 1
-        alpha = [Fraction(1) if k == letter - 1 else Fraction(0) for k in range(l)]
-        image = ratmat.mvec(m, alpha)
-        if all(v >= 0 for v in image):
+        if all(v >= 0 for v in cols[letter - 1]):
             word.append(letter)
-            m = ratmat.mmul(m, reflection_matrix(rs, letter - 1))
+            cols = _times_reflection(rs, cols, letter - 1)
             stalled = 0
         else:
             stalled += 1
@@ -466,32 +480,29 @@ def _dfs_word(rs, pi):
     l = rs.rank
     n = rs.n_positive
     simple_rank = {rs.simple_root(i): pos for pos, i in enumerate(p - 1 for p in pi)}
-    refl = [reflection_matrix(rs, i) for i in range(l)]
 
-    def extend(m, word, produced, next_simple):
+    def extend(cols, word, produced, next_simple):
         if len(word) == n:
             return word
         start = pi[len(word) % l] - 1
         letters = [(start + k) % l for k in range(l)]
         for letter0 in letters:
-            alpha = [Fraction(1) if k == letter0 else Fraction(0) for k in range(l)]
-            image = ratmat.mvec(m, alpha)
-            if not all(v >= 0 for v in image):
+            root = cols[letter0]
+            if not all(v >= 0 for v in root):
                 continue
-            root = tuple(int(v) for v in image)
             rank = simple_rank.get(root)
             ns = next_simple
             if rank is not None:
                 if rank != next_simple:
                     continue
                 ns = next_simple + 1
-            res = extend(ratmat.mmul(m, refl[letter0]), word + [letter0 + 1],
-                         produced + [root], ns)
+            res = extend(_times_reflection(rs, cols, letter0),
+                         word + [letter0 + 1], produced + [root], ns)
             if res is not None:
                 return res
         return None
 
-    return extend(ratmat.eye(l), [], [], 0)
+    return extend(_identity_columns(rs), [], [], 0)
 
 
 def normal_ordering(ctx):
@@ -524,7 +535,6 @@ def coxeter_orbits(ctx):
     Coxeter number.
     """
     rs = ctx.rs
-    s = ratmat.mat(ctx.s_matrix)
     all_roots = list(rs.positive_roots) + [
         tuple(-v for v in r) for r in rs.positive_roots
     ]
@@ -538,8 +548,9 @@ def coxeter_orbits(ctx):
         while True:
             orbit.append(current)
             remaining.discard(current)
-            image = ratmat.mvec(s, [Fraction(v) for v in current])
-            current = tuple(int(v) for v in image)
+            # s = s_{pi(1)} ... s_{pi(l)}: the rightmost reflection acts first
+            for i in reversed(ctx.pi):
+                current = _reflect(rs, i - 1, current)
             if current == seed:
                 break
         orbits.append(tuple(orbit))

@@ -32,8 +32,8 @@ from fractions import Fraction
 from operator import add, mul
 
 from . import uqalg
-from .qarith import EXP_UNIT, ONE, ZERO, LaurentScalar, q_exp_nilpotent, qpow
-from .ratmat import diag, eye, mmul, mscale
+from .qarith import EXP_UNIT, ONE, LaurentScalar, q_exp_nilpotent, qpow
+from .ratmat import sparse_mul, sparse_rows
 from .rootsys import weight_coords
 
 
@@ -171,7 +171,35 @@ class DifferenceOperator:
 
 
 def commutator(d1, d2):
-    return d1 * d2 - d2 * d1
+    """[d1, d2] = d1 d2 - d2 d1 in one pass over the pairs of terms: for
+    c1 z^a T_lam1 in d1 and c2 z^b T_lam2 in d2 it is
+
+        c1 c2 (q^{-(lam1, b)} - q^{-(lam2, a)}) z^{a+b} T_{lam1+lam2},
+
+    so a pair whose two exponents agree drops out before any product.  The
+    difference of q-powers is formed once per pair of exponents."""
+    rs = d1.rs
+    right = [(lam2, zp2, rs.covector(lam2)) for lam2, zp2 in d2.terms.items()]
+    diffs = {}
+    out = {}
+    for lam1, zp1 in d1.terms.items():
+        blam1 = rs.covector(lam1)
+        for lam2, zp2, blam2 in right:
+            bs = [(b, c2, sum(map(mul, blam1, b))) for b, c2 in zp2.items()]
+            slot = out.setdefault(tuple(map(add, lam1, lam2)), {})
+            for a, c1 in zp1.items():
+                u2 = sum(map(mul, blam2, a))
+                for b, c2, u1 in bs:
+                    if u1 == u2:
+                        continue
+                    diff = diffs.get((u1, u2))
+                    if diff is None:
+                        diff = diffs[u1, u2] = (ONE.times_q(-u1)
+                                                - ONE.times_q(-u2))
+                    c = c1 * c2 * diff
+                    z = tuple(map(add, a, b))
+                    slot[z] = slot[z] + c if z in slot else c
+    return _operator(rs, _clean(out))
 
 
 def lower_rep(y, chibar):
@@ -256,33 +284,32 @@ def toda_hamiltonian(alg, rep_name, chi, chibar):
     _check_non_simple_factors_vanish(alg, chi, chibar)
     rs = alg.rs
     rep = uqalg.rep_matrices(alg, rep_name)
-    zero = DifferenceOperator.zero(rs)
     one = DifferenceOperator.shift(rs, alg.zero_weight)
-    r21 = diag([DifferenceOperator.shift(rs, lam)
-                for lam in uqalg.cartan_weights(alg, rep, -1)], zero)
-    chi_u = eye(rep.dim, ONE, ZERO)
+    r21 = {k: {k: DifferenceOperator.shift(rs, lam)}
+           for k, lam in enumerate(uqalg.cartan_weights(alg, rep, -1))}
+    chi_u = {k: {k: ONE} for k in range(rep.dim)}
     for beta in alg.ordering.ordering:
         if sum(beta) != 1:
             continue
         i = beta.index(1)
         scale, base, leg = uqalg.module_f_leg(alg, rep, beta)
-        chi_u = mmul(chi_u, q_exp_nilpotent(mscale(leg, chi.values[i] * scale),
-                                            base, ONE, ZERO), ZERO)
+        chi_u = sparse_mul(chi_u, q_exp_nilpotent(
+            sparse_rows(leg, chi.values[i] * scale), rep.dim, base, ONE))
         # K_{T alpha_i} f_i = q^{-(T alpha_i, alpha_i)} f_i K_{T alpha_i}
         t_beta = alg.ctx.cayley_apply(alg.weight(beta))
         f_leg = lower_rep(uqalg.PBWElement(alg, {
             ((i,), t_beta, ()): scale.times_q(-rs.pair(t_beta, beta))}), chibar)
-        r21 = mmul(r21, q_exp_nilpotent(mscale(rep.e_mats[i], f_leg), base,
-                                        one, zero), zero)
+        r21 = sparse_mul(r21, q_exp_nilpotent(
+            sparse_rows(rep.e_mats[i], f_leg), rep.dim, base, one))
     lams = uqalg.cartan_weights(alg, rep, 1)
     two_rho = tuple(2 * x for x in rs.rho)
-    out = zero
-    for j in range(rep.dim):
-        entry = zero
-        for k, lam in enumerate(lams):
-            if r21[j][k] and chi_u[k][j]:
-                entry = entry + r21[j][k] * DifferenceOperator.shift(
-                    rs, lam, chi_u[k][j])
+    out = DifferenceOperator.zero(rs)
+    for j, row in r21.items():
+        entry = DifferenceOperator.zero(rs)
+        for k, x in row.items():
+            y = chi_u.get(k, {}).get(j)
+            if y:
+                entry = entry + x * DifferenceOperator.shift(rs, lams[k], y)
         out = out + entry.scale(
             ONE.times_q(rs.pair_weights(two_rho, rep.weights[j])))
     return phi_conjugate(out)

@@ -26,7 +26,8 @@ from fractions import Fraction
 
 from . import qarith, rootsys
 from .qarith import EXP_UNIT, ONE, ZERO, LaurentScalar, qpow
-from .ratmat import diag, eye, kron, madd, mmul, mscale, msub, sparse, zeros
+from .ratmat import (diag, eye, from_rows, kron, madd, mmul, mscale, msub,
+                     sparse, sparse_mul, sparse_rows, zeros)
 
 
 def step_budget():
@@ -79,6 +80,10 @@ class Algebra:
         pos = {v - 1: k for k, v in enumerate(ctx.pi)}
         self.letter_rank = [pos[i] for i in range(self.rank)]
         self.ordering = rootsys.normal_ordering(ctx)
+        # the relator coefficients, shared by every module's relation check
+        self.serre_coefs = {(i, j): serre_coefficients(ctx, i, j)
+                            for i in range(self.rank)
+                            for j in range(self.rank) if i != j}
         self._steps = 0
         self._budget = step_budget()
         self._reduce_cache: dict = {}
@@ -128,17 +133,13 @@ class Algebra:
     # -- straightening rules for one-sided words ------------------------------
     def _serre_relators(self):
         relators = []
-        for i in range(self.rank):
-            for j in range(self.rank):
-                if i == j:
-                    continue
-                coefs = serre_coefficients(self.ctx, i, j)
-                m = len(coefs) - 1
-                poly = {}
-                for r, coef in enumerate(coefs):
-                    word = (i,) * (m - r) + (j,) + (i,) * r
-                    poly[word] = poly.get(word, ZERO) + coef
-                relators.append(_nonzero(poly))
+        for (i, j), coefs in self.serre_coefs.items():
+            m = len(coefs) - 1
+            poly = {}
+            for r, coef in enumerate(coefs):
+                word = (i,) * (m - r) + (j,) + (i,) * r
+                poly[word] = poly.get(word, ZERO) + coef
+            relators.append(_nonzero(poly))
         return relators
 
     def _normalize_rule(self, poly):
@@ -637,8 +638,8 @@ class RepMatrices:
         alg = self.alg
         rs = alg.rs
         n = rs.rank
-        e = [_sparse_rows(m) for m in self.e_mats]
-        f = [_sparse_rows(m) for m in self.f_mats]
+        e = [sparse_rows(m) for m in self.e_mats]
+        f = [sparse_rows(m) for m in self.f_mats]
         # kexp[r][i] = (alpha_i, mu_r): pi(K_{alpha_i}) is q to it at r
         kexp = [rs.covector(mu) for mu in self.weights]
         one = {r: {r: ONE} for r in range(self.dim)}
@@ -661,28 +662,24 @@ class RepMatrices:
                     kexp[r][i] - kexp[c][i] == -b
                     for r, row in f[j].items() for c in row))
                 # e_i f_j - q^{c_ji} f_j e_i = delta_ij (K_i - K_i^-1)/(q_i - q_i^-1)
-                terms = [(ONE, _sparse_mul(e[i], f[j])),
-                         (-qpow(alg.c_pair(j, i)), _sparse_mul(f[j], e[i]))]
+                terms = [(ONE, sparse_mul(e[i], f[j])),
+                         (-qpow(alg.c_pair(j, i)), sparse_mul(f[j], e[i]))]
                 if i == j:
                     coef = -(qpow(rs.d[i]) - qpow(-rs.d[i])).inverse()
                     terms.append((coef, {
                         r: {r: ONE.times_q(x[i]) - ONE.times_q(-x[i])}
                         for r, x in enumerate(kexp) if x[i]}))
                 check("cross relation", i, j, _vanishes(terms))
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                coefs = serre_coefficients(alg.ctx, i, j)
-                m = len(coefs) - 1
-                for side, mats in (("e", e), ("f", f)):
-                    powers = [one]
-                    for _ in range(m):
-                        powers.append(_sparse_mul(powers[-1], mats[i]))
-                    check(f"{side}-Serre", i, j, _vanishes(
-                        (coef, _sparse_mul(_sparse_mul(powers[m - r], mats[j]),
-                                           powers[r]))
-                        for r, coef in enumerate(coefs)))
+        for (i, j), coefs in alg.serre_coefs.items():
+            m = len(coefs) - 1
+            for side, mats in (("e", e), ("f", f)):
+                powers = [one]
+                for _ in range(m):
+                    powers.append(sparse_mul(powers[-1], mats[i]))
+                check(f"{side}-Serre", i, j, _vanishes(
+                    (coef, sparse_mul(sparse_mul(powers[m - r], mats[j]),
+                                      powers[r]))
+                    for r, coef in enumerate(coefs)))
         failed = [f"{kind} fails at ({at[0]},{at[1]})"
                   for kind, at in failures.items() if at]
         if failed:
@@ -706,30 +703,6 @@ class RepMatrices:
                 m = mmul(m, self.evaluate_word(ew, "e"), ZERO)
             out = madd(out, mscale(m, c))
         return out
-
-
-def _sparse_rows(m):
-    """The nonzero entries of a matrix as {row: {column: entry}}."""
-    out = {}
-    for r, row in enumerate(m):
-        nonzero = {c: x for c, x in enumerate(row) if x}
-        if nonzero:
-            out[r] = nonzero
-    return out
-
-
-def _sparse_mul(a, b):
-    """The product of two sparse matrices, over their nonzero entries."""
-    out = {}
-    for r, arow in a.items():
-        acc = {}
-        for k, x in arow.items():
-            for c, y in b.get(k, {}).items():
-                acc[c] = acc[c] + x * y if c in acc else x * y
-        acc = {c: v for c, v in acc.items() if v}
-        if acc:
-            out[r] = acc
-    return out
 
 
 def _vanishes(terms):
@@ -814,8 +787,9 @@ def _r_in_rep(alg, rep, flipped):
         else:
             scale, base, second = module_f_leg(alg, rep, beta)
             first = e_beta.scale(scale)
-        out = mmul(out, qarith.q_exp_nilpotent(mscale(second, first), base,
-                                               alg.one(), zero), zero)
+        factor = qarith.q_exp_nilpotent(sparse_rows(second, first), rep.dim,
+                                        base, alg.one())
+        out = mmul(out, from_rows(factor, rep.dim, zero), zero)
     return out
 
 
@@ -827,9 +801,9 @@ def r_matrix_vv(alg, rep):
     for beta in alg.ordering.ordering:
         scale, base, second = module_f_leg(alg, rep, beta)
         first = mscale(rep.evaluate(root_vector(alg, beta, "+")), scale)
-        factor = qarith.q_exp_nilpotent(kron(first, second, ZERO), base,
-                                        ONE, ZERO)
-        out = mmul(out, factor, ZERO)
+        factor = qarith.q_exp_nilpotent(
+            sparse_rows(kron(first, second, ZERO)), len(out), base, ONE)
+        out = mmul(out, from_rows(factor, len(out), ZERO), ZERO)
     return out
 
 

@@ -423,6 +423,9 @@ def _seeded_cell_matrix(seed, n):
     (["toda", "--type", "A", "--rank", "4", "--pi", "2,1,3,4",
       "--check-commute"],
      "06838da593b4ac64c5c9779aa916cd3d083da2bd6eca9a43c49336cfd013257d"),
+    # taken before the one-pass commutator and the sparse-row lowering
+    (["toda", "--type", "A", "--rank", "5", "--check-commute"],
+     "f0c417d1476f77eb8e532412437e2dc75d02d93bd0d5af737b554b0648ae8561"),
 ])
 def test_report_digests_are_pinned(capsys, argv, digest):
     assert cli.main(argv) == 0

@@ -7,6 +7,7 @@ import pytest
 from oracles import fraction_pair
 from qwhit import qarith, ratmat, rootsys
 from qwhit.qarith import EXP_UNIT, ONE, ZERO, LaurentScalar, q_binom, q_int, qpow
+from qwhit.toda import DifferenceOperator
 
 
 def random_scalar(rng):
@@ -145,17 +146,46 @@ def test_eps_series_expansion_around_one():
 def test_q_exp_nilpotent_matches_truncated_series():
     q = qpow(1)
     t = q * q
-    x = ((ZERO, ONE, ZERO), (ZERO, ZERO, ONE), (ZERO, ZERO, ZERO))
-    got = qarith.q_exp_nilpotent(x, t, ONE, ZERO)
+    x = {0: {1: ONE}, 1: {2: ONE}}
+    got = qarith.q_exp_nilpotent(x, 3, t, ONE)
     two_t = ONE + t
-    expect = (
-        (ONE, ONE, two_t.inverse()),
-        (ZERO, ONE, ONE),
-        (ZERO, ZERO, ONE),
-    )
+    expect = {
+        0: {0: ONE, 1: ONE, 2: two_t.inverse()},
+        1: {1: ONE, 2: ONE},
+        2: {2: ONE},
+    }
     assert got == expect
     with pytest.raises(ArithmeticError):
-        qarith.q_exp_nilpotent(((ONE,),), t, ONE, ZERO)
+        qarith.q_exp_nilpotent({0: {0: ONE}}, 1, t, ONE)
+
+
+def test_q_exp_nilpotent_of_difference_operators_matches_the_dense_series():
+    # strictly upper triangular matrices of difference operators with
+    # half-unit shifts, against sum_k x^k / (k)_t! by dense products
+    rs = rootsys.build_root_system("A", 2)
+    zero, one = DifferenceOperator.zero(rs), DifferenceOperator.shift(rs, (0, 0))
+    rng = random.Random(5)
+    n, t = 4, qpow(-2)
+
+    def operator():
+        lam = rootsys.weight(Fraction(rng.randrange(-2, 3), 2) for _ in range(2))
+        zexp = tuple(rng.randrange(0, 2) for _ in range(2))
+        coeff = qpow(rng.randrange(-2, 3)) * rng.randrange(1, 4)
+        return DifferenceOperator(rs, {lam: {zexp: coeff}})
+
+    for _ in range(5):
+        x = ratmat.sparse(n, {(i, j): operator() for i in range(n)
+                              for j in range(i + 1, n) if rng.random() < 0.7},
+                          zero)
+        want = term = ratmat.eye(n, one, zero)
+        fact = ONE
+        for k in range(1, n):
+            term = ratmat.mmul(term, x, zero)
+            fact = fact * qarith.q_paren(k, t)
+            want = ratmat.madd(want, ratmat.mscale(term, fact.inverse()))
+        got = qarith.q_exp_nilpotent(ratmat.sparse_rows(x), n, t, one)
+        assert all(v for row in got.values() for v in row.values())
+        assert ratmat.from_rows(got, n, zero) == want
 
 
 def test_kron_and_trace_helpers():

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from qwhit.crosssec import coxeter_rep
-from qwhit.ratmat import charpoly, det, eye, mat, minv, mmul, mvec, rank, solve
+from qwhit.ratmat import (charpoly, det, eye, from_rows, mat, minv, mmul, mvec,
+                          rank, solve, sparse_mul, sparse_rows)
 
 
 def test_minv_inverts_and_rejects_singular():
@@ -141,3 +142,19 @@ def test_charpoly_matches_sympy_on_hessenberg_edge_cases(n):
         if name in ("zero", "nilpotent"):
             assert expected == [0] * n + [1]
         assert charpoly(_from_sympy(s)) == expected, name
+
+
+def test_sparse_rows_product_matches_the_dense_product():
+    rng = random.Random(3)
+    for _ in range(30):
+        n = rng.randint(1, 5)
+        a, b = (mat([[Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+                      if rng.random() < 0.4 else 0 for _ in range(n)]
+                     for _ in range(n)]) for _ in range(2))
+        rows = sparse_rows(a)
+        assert all(x for row in rows.values() for x in row.values())
+        assert from_rows(rows, n) == a
+        assert from_rows(sparse_mul(rows, sparse_rows(b)), n) == mmul(a, b)
+    # an entry that cancels is dropped, and so is a row left empty
+    a, b = mat([[1, 1], [0, 0]]), mat([[1, 0], [-1, 0]])
+    assert sparse_mul(sparse_rows(a), sparse_rows(b)) == {}

@@ -165,6 +165,36 @@ def test_a2_ordering_is_the_unique_adapted_one():
 
 
 @pytest.mark.parametrize("series,rank", ALL_TYPES)
+def test_orderings_and_orbits_match_the_reflection_matrix_products(series,
+                                                                   rank):
+    # the integer reflections behind normal_ordering and coxeter_orbits
+    # against products of Fraction reflection matrices: every ordering up to
+    # rank 3, the default and the reversed one above
+    rs = rootsys.build_root_system(series, rank)
+    if rank <= 3:
+        pis = list(itertools.permutations(range(1, rank + 1)))
+    else:
+        pis = [tuple(range(1, rank + 1)), tuple(range(rank, 0, -1))]
+    refl = [rootsys.reflection_matrix(rs, i) for i in range(rank)]
+    for pi in pis:
+        ctx = rootsys.coxeter_context(rs, pi)
+        no = rootsys.normal_ordering(ctx)
+        # beta_k = s_{i_1} ... s_{i_(k-1)} alpha_{i_k}
+        m = ratmat.eye(rank)
+        for letter, root in zip(no.word, no.ordering):
+            assert ratmat.mvec(m, rs.simple_root(letter - 1)) == root
+            m = ratmat.mmul(m, refl[letter - 1])
+        # the word is one of the longest element: every positive root goes
+        # negative
+        assert all(all(v <= 0 for v in ratmat.mvec(m, r))
+                   for r in rs.positive_roots)
+        for orbit in rootsys.coxeter_orbits(ctx):
+            for k, root in enumerate(orbit):
+                assert (ratmat.mvec(ctx.s_matrix, root)
+                        == orbit[(k + 1) % len(orbit)])
+
+
+@pytest.mark.parametrize("series,rank", ALL_TYPES)
 def test_coxeter_orbits_partition_and_counts(series, rank):
     rs = rootsys.build_root_system(series, rank)
     ctx = rootsys.coxeter_context(rs)

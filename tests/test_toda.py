@@ -153,6 +153,56 @@ def test_composition_and_action_match_the_fraction_reference():
     check()
 
 
+def test_commutator_is_the_difference_of_the_two_compositions():
+    # the one-pass commutator against d1 * d2 - d2 * d1.  Shifts have
+    # half-unit coordinates, the zero operator is drawn (an empty dict), and
+    # shifts and z-exponents come from small pools, so pairs of terms whose
+    # two q-exponents agree, which the one pass skips, come up often
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    systems = [rootsys.build_root_system(*t) for t in
+               (("A", 1), ("A", 2), ("B", 2), ("G", 2))]
+    coord = st.builds(Fraction, st.integers(-2, 2), st.sampled_from((1, 2)))
+    scalar = st.builds(lambda e, c: qpow(e) * LaurentScalar.from_rational(c),
+                       st.integers(-2, 2), st.integers(-3, 3))
+
+    @hypothesis.settings(max_examples=80, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(st.data())
+    def check(data):
+        rs = data.draw(st.sampled_from(systems))
+        zexp = st.tuples(*[st.integers(0, 2)] * rs.rank)
+        terms = st.dictionaries(
+            st.tuples(*[coord] * rs.rank),
+            st.dictionaries(zexp, scalar, min_size=1, max_size=2),
+            max_size=3)
+        d1, d2 = (DifferenceOperator(rs, {weight(lam): zp for lam, zp in
+                                          data.draw(terms).items()})
+                  for _ in range(2))
+        assert toda.commutator(d1, d2) == d1 * d2 - d2 * d1
+
+    check()
+
+
+def test_commutator_skips_the_pairs_whose_exponents_agree():
+    rs = rootsys.build_root_system("A", 2)
+    half = weight((Fraction(1, 2), Fraction(-1, 2)))
+    t_half = DifferenceOperator(rs, {half: {(0, 0): qpow(1), (1, 0): qpow(-1)}})
+    z1, z2 = z_monomial(rs, (1, 0)), z_monomial(rs, (0, 2), qpow(3))
+    zero = DifferenceOperator.zero(rs)
+    # multiplication operators: every pair has both exponents 0; an operator
+    # with itself: a term with itself is skipped and the other pairs cancel
+    # two by two; the zero operator: no pairs at all
+    for d1, d2 in ((z1, z2), (t_half, t_half), (zero, t_half), (t_half, zero)):
+        assert toda.commutator(d1, d2).is_zero()
+        assert (d1 * d2 - d2 * d1).is_zero()
+    # (half, alpha_1) = 2 * 1/2 + (-1) * (-1/2) = 3/2 is not 0, so these do
+    # not commute
+    got = toda.commutator(t_half, z1)
+    assert not got.is_zero()
+    assert got == t_half * z1 - z1 * t_half
+
+
 # ---------------------------------------------------------------------------
 # lowering the Whittaker model to difference operators
 

@@ -531,14 +531,18 @@ def test_whittaker_action_basics():
 # representation matrices
 
 
+def is_zero_matrix(m):
+    return not any(x for row in m for x in row)
+
+
 def test_rep_catalogue_and_nilpotency():
     alg = algebra("A", 1)
     rep = uqalg.rep_matrices(alg, "V1")
     assert rep.dim == 2
     e2 = ratmat.mmul(rep.e_mats[0], rep.e_mats[0], ZERO)
     f2 = ratmat.mmul(rep.f_mats[0], rep.f_mats[0], ZERO)
-    assert ratmat.is_zero(e2)
-    assert ratmat.is_zero(f2)
+    assert is_zero_matrix(e2)
+    assert is_zero_matrix(f2)
 
 
 def test_rep_relation_check_runs_for_small_type_a():
@@ -575,7 +579,7 @@ def dense_relation_failures(rep):
                 coef = (qpow(rs.d[i]) - qpow(-rs.d[i])).inverse()
                 cross = ratmat.msub(cross, ratmat.mscale(
                     ratmat.msub(ki, ki_inv), coef))
-            if not ratmat.is_zero(cross):
+            if not is_zero_matrix(cross):
                 failed.add("cross relation")
     for i, j in itertools.permutations(range(n), 2):
         coefs = uqalg.serre_coefficients(alg.ctx, i, j)
@@ -587,7 +591,7 @@ def dense_relation_failures(rep):
                 for x in (i,) * (m - r) + (j,) + (i,) * r:
                     term = mm(term, mats[x], ZERO)
                 total = ratmat.madd(total, ratmat.mscale(term, coef))
-            if not ratmat.is_zero(total):
+            if not is_zero_matrix(total):
                 failed.add(f"{side}-Serre")
     return failed
 
@@ -775,8 +779,10 @@ def oracle_whittaker_generator(alg, rep, chi):
         scale, base, leg = uqalg.module_f_leg(alg, rep, beta)
         value = uqalg.apply_character(
             chi, uqalg.root_vector(alg, beta, "+")) * scale
-        chi_u = ratmat.mmul(chi_u, q_exp_nilpotent(
-            ratmat.mscale(leg, value), base, ONE, ZERO), ZERO)
+        factor = q_exp_nilpotent(ratmat.sparse_rows(ratmat.mscale(leg, value)),
+                                 rep.dim, base, ONE)
+        chi_u = ratmat.mmul(chi_u, ratmat.from_rows(factor, rep.dim, ZERO),
+                            ZERO)
     r21 = uqalg._r_in_rep(alg, rep, flipped=True)
     lams = uqalg.cartan_weights(alg, rep, 1)
     two_rho = tuple(2 * x for x in rootsys.weight_coords(alg.rs.rho))
