@@ -43,6 +43,7 @@ from .ratmat import (
     mvec,
     solve,
     sparse,
+    transpose,
     unit,
 )
 
@@ -324,19 +325,27 @@ def _cartan_cycle(n: int) -> Mat:
     return sparse(n, {(j, _cycle_prev(n, j)): F1 for j in range(n)})
 
 
-def _cayley_on_diagonal(values, n: int, part: str):
-    """Solve (1 - s) y = values on the traceless Cartan and return the piece
-    of y demanded by ``part`` ("plus" -> y, "minus" -> s y, "full" -> y + s y)."""
+@lru_cache(maxsize=None)
+def _cayley_operator(n: int, part: str) -> Mat:
+    """The matrix taking the diagonal of a traceless x to the Cartan part
+    of r(x): y solving (1 - s) y = diagonal, sum y = 0, for part "plus", s y
+    for "minus" and y + s y for "full".  Column k < n - 1 of the y operator
+    solves the system for e_k - e_{n-1}, and the last column is zero: a
+    traceless diagonal is a combination of those differences."""
     p = _cartan_cycle(n)
-    y = solve(msub(eye(n), p) + ((F1,) * n,), tuple(values) + (F0,))
-    if y is None:
-        raise AssertionError("1 - s is singular on the traceless Cartan")
-    sy = mvec(p, y)
+    system = msub(eye(n), p) + ((F1,) * n,)
+    cols = []
+    for k in range(n - 1):
+        rhs = [F0] * (n + 1)
+        rhs[k], rhs[n - 1] = F1, -F1
+        y = solve(system, tuple(rhs))
+        if y is None:
+            raise AssertionError("1 - s is singular on the traceless Cartan")
+        cols.append(y)
+    plus = transpose(cols + [(F0,) * n])
     if part == "plus":
-        return y
-    if part == "minus":
-        return sy
-    return tuple(a + b for a, b in zip(y, sy))
+        return plus
+    return mmul(p if part == "minus" else madd(eye(n), p), plus)
 
 
 def rmatrix_endo(n: int, part: str = "full") -> Callable[[Mat], Mat]:
@@ -353,7 +362,8 @@ def rmatrix_endo(n: int, part: str = "full") -> Callable[[Mat], Mat]:
             raise ValueError("size mismatch")
         if not is_traceless(x):
             raise ValueError("input is not traceless")
-        cartan = _cayley_on_diagonal([x[i][i] for i in range(n)], n, part)
+        cartan = mvec(_cayley_operator(n, part),
+                      [x[i][i] for i in range(n)])
         out = [[F0] * n for _ in range(n)]
         for i in range(n):
             for j in range(n):

@@ -248,9 +248,6 @@ class LaurentScalar:
     def __bool__(self) -> bool:
         return bool(self.n)
 
-    def is_polynomial(self) -> bool:
-        return len(self.d) == 1
-
     def times_q(self, u: int) -> "LaurentScalar":
         """self * q^(u / EXP_UNIT) for an int u.  A monomial is a unit, so
         shifting the numerator's exponents keeps the canonical form: no gcd
@@ -370,21 +367,7 @@ class LaurentScalar:
             return hash(self.c)  # a constant hashes like the number it equals
         return hash((self.c, frozenset(self.n.items()), frozenset(self.d.items())))
 
-    # -- involutions and expansions ----------------------------------------
-    def bar(self) -> "LaurentScalar":
-        """The substitution q -> q^{-1}."""
-        if not self.n:
-            return self
-        return _normalised(self.c, {-e: v for e, v in self.n.items()},
-                           {-e: v for e, v in self.d.items()})
-
-    def as_rational(self) -> Fraction:
-        if not self.n:
-            return F0
-        if self.n == _UNIT and len(self.d) == 1:
-            return self.c
-        raise ValueError(f"{self} is not a constant")
-
+    # -- expansions ---------------------------------------------------------
     def eps_series(self, order: int) -> list[Fraction]:
         """Coefficients of eps^0..eps^order after substituting q = 1 + eps.
 

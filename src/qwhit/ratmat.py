@@ -7,14 +7,18 @@ qarith.LaurentScalar and uqalg.PBWElement.  They take the ring's zero and
 one as keywords that default to the rationals.  The products skip zero
 entries, so a product of sparse matrices of costly elements stays cheap;
 ``sparse_mul`` multiplies matrices kept as sparse rows {row: {column:
-entry}}, which hold no zero entry at all.
-Elimination (inverse, solve, rank, determinant) and the characteristic
-polynomial, by Hessenberg reduction, work over small dense Fraction matrices.
+entry}}, which hold no zero entry at all.  Over the rationals the product
+works on rows and columns cleared to ints.  Inverse, solve, rank and
+determinant share one fraction-free (Bareiss) elimination on integer-scaled
+rows, and the characteristic polynomial comes from a Hessenberg reduction;
+both work over small dense Fraction matrices.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm, prod
+from operator import mul
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -66,9 +70,33 @@ def mscale(a: Mat, s) -> Mat:
     return tuple(tuple(x * s for x in row) for row in a)
 
 
+def _cleared(xs):
+    """(ints, d) with xs = ints / d entrywise: d is the lcm of the
+    denominators of the rationals xs."""
+    d = 1
+    for x in xs:
+        if d % x.denominator:
+            d = lcm(d, x.denominator)
+    return [x.numerator * (d // x.denominator) for x in xs], d
+
+
 def mmul(a: Mat, b: Mat, zero=F0) -> Mat:
-    """The product a b, accumulated row by row from zero over the nonzero
-    entries only."""
+    """The product a b.  Over the rationals (zero is F0) each row of a and
+    each column of b is cleared to ints by one lcm of its denominators, so
+    entry (i, j) is one int dot product over the two scales, normalised
+    once.  Over any other ring it is accumulated row by row from zero over
+    the nonzero entries only."""
+    if zero is F0:
+        cols = [_cleared(col) for col in zip(*b)]
+        out = []
+        for row in a:
+            ra, da = _cleared(row)
+            entries = []
+            for cb, db in cols:
+                dot = sum(map(mul, ra, cb))
+                entries.append(Fraction(dot, da * db) if dot else F0)
+            out.append(tuple(entries))
+        return tuple(out)
     width = len(b[0])
     out = []
     for row in a:
@@ -138,35 +166,57 @@ def transpose(a: Mat) -> Mat:
     return tuple(zip(*a))
 
 
-def _rref(work: list, ncols: int):
-    """Gauss-Jordan on the first ncols columns of the row lists in work,
-    in place; stops once every row holds a pivot.  Returns the reduced rows,
-    the pivot columns and the determinant factor: the product of the pivots,
-    negated once per row swap, which is the determinant of a square matrix
-    with a pivot in every row."""
+def _rref(rows, ncols: int, jordan: bool = True):
+    """Fraction-free elimination (Bareiss) on the first ncols columns of
+    rows, each first cleared to ints by one lcm of its denominators; stops
+    once every row holds a pivot.  Each step replaces every other row x by
+    (p x - x[col] prow) / prev, p the pivot, prow its row and prev the
+    pivot before it; by Sylvester's identity the entries stay minors of the
+    cleared matrix, so the division is exact (Bareiss, Math. Comp. 22,
+    1968).  With jordan the rows above each pivot are cleared too, and every
+    pivot row ends with the last pivot in its pivot column.
+
+    Returns the reduced rows (None without jordan), the pivot columns and
+    the determinant factor: the product of the pivots of rational
+    elimination, negated once per row swap, which is the determinant of a
+    square matrix with a pivot in every row.  The reduced rows are those of
+    rational Gauss-Jordan: each pivot row divided by the last pivot, and
+    each row below them by the last pivot and its own scale."""
+    work, scales = [], []
+    for row in rows:
+        ints, d = _cleared(row)
+        work.append(ints)
+        scales.append(d)
     n = len(work)
     pivots = []
-    factor = F1
-    r = 0
+    sign, prev, r = 1, 1, 0
     for col in range(ncols):
         piv = next((i for i in range(r, n) if work[i][col]), None)
         if piv is None:
             continue
         if piv != r:
             work[r], work[piv] = work[piv], work[r]
-            factor = -factor
-        factor *= work[r][col]
-        inv = 1 / work[r][col]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(n):
-            if i != r and work[i][col]:
+            scales[r], scales[piv] = scales[piv], scales[r]
+            sign = -sign
+        prow = work[r]
+        p = prow[col]
+        for i in range(0 if jordan else r + 1, n):
+            if i != r:
                 f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+                work[i] = [(p * x - f * y) // prev
+                           for x, y in zip(work[i], prow)]
+        prev = p
         pivots.append(col)
         r += 1
         if r == n:
             break
-    return work, pivots, factor
+    factor = Fraction(sign * prev, prod(scales[:r]))
+    if not jordan:
+        return None, pivots, factor
+    reduced = [[Fraction(x, prev) for x in row] for row in work[:r]]
+    reduced += [[Fraction(x, prev * d) for x in row]
+                for row, d in zip(work[r:], scales[r:])]
+    return reduced, pivots, factor
 
 
 def minv(a: Mat) -> Mat:
@@ -179,7 +229,8 @@ def minv(a: Mat) -> Mat:
 
 
 def det(a: Mat) -> Fraction:
-    _, pivots, factor = _rref([list(row) for row in a], len(a))
+    """The determinant, from the forward pass of the elimination only."""
+    _, pivots, factor = _rref(a, len(a), jordan=False)
     return factor if len(pivots) == len(a) else F0
 
 
@@ -228,4 +279,4 @@ def solve(a: Mat, b: Vec) -> Vec | None:
 
 
 def rank(a: Mat) -> int:
-    return len(_rref([list(row) for row in a], len(a[0]))[1])
+    return len(_rref(a, len(a[0]), jordan=False)[1])

@@ -136,19 +136,6 @@ class DifferenceOperator:
                         slot[z] = slot[z] + c if z in slot else c
         return _operator(self.rs, _clean(out))
 
-    def apply(self, func):
-        """Act on a torus function given as {z-exponent -> scalar}."""
-        out = {}
-        for lam, zpart in self.terms.items():
-            blam = self.rs.covector(lam)
-            for b, d in func.items():
-                shifted = d.times_q(-sum(map(mul, blam, b)))
-                for a, c in zpart.items():
-                    z = tuple(map(add, a, b))
-                    val = c * shifted
-                    out[z] = out[z] + val if z in out else val
-        return {z: c for z, c in out.items() if c}
-
     def __str__(self):
         if not self.terms:
             return "0"

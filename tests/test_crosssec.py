@@ -663,6 +663,54 @@ def test_rmatrix_full_is_sum_of_halves():
             assert r(x) == plus(rp(x), rm(x))
 
 
+@pytest.mark.parametrize("n", (2, 3, 4, 5, 6))
+def test_rmatrix_cartan_part_solves_the_cayley_system(n):
+    # the diagonal of r_+(x) is y with (1 - s) y = diag x and sum y = 0;
+    # r_- and r take s y and y + s y
+    rng = random.Random(900 + n)
+    p = crosssec._cartan_cycle(n)
+    for _ in range(5):
+        x = rnd_traceless(rng, n)
+        v = [x[i][i] for i in range(n)]
+        y = [rmatrix_endo(n, "plus")(x)[i][i] for i in range(n)]
+        sy = [sum(p[i][j] * y[j] for j in range(n)) for i in range(n)]
+        assert [y[i] - sy[i] for i in range(n)] == v and sum(y) == 0
+        assert [rmatrix_endo(n, "minus")(x)[i][i] for i in range(n)] == sy
+        assert [rmatrix_endo(n)(x)[i][i] for i in range(n)] == [
+            a + b for a, b in zip(y, sy)]
+
+
+def test_rmatrix_solves_the_cayley_system_once_per_n(monkeypatch):
+    calls = []
+
+    def counted(a, b):
+        calls.append(len(a[0]))
+        return solve(a, b)
+
+    solve = crosssec.solve
+    monkeypatch.setattr(crosssec, "solve", counted)
+    crosssec._cayley_operator.cache_clear()
+    try:
+        rng = random.Random(17)
+        for _ in range(5):
+            rmatrix_endo(4)(rnd_traceless(rng, 4))
+        # one solve per column e_k - e_n of the operator, at the first call
+        assert calls == [4, 4, 4]
+    finally:
+        crosssec._cayley_operator.cache_clear()
+
+
+def test_singular_cayley_system_keeps_its_error(monkeypatch):
+    # with s acting trivially on the Cartan, 1 - s is zero there
+    monkeypatch.setattr(crosssec, "_cartan_cycle", eye)
+    crosssec._cayley_operator.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="1 - s is singular"):
+            rmatrix_endo(3)(mat([[1, 0, 0], [0, -1, 0], [0, 0, 0]]))
+    finally:
+        crosssec._cayley_operator.cache_clear()
+
+
 # ---------------------------------------------------------------------------
 # characters and regularity
 

@@ -1,10 +1,13 @@
-"""Every public module-level name in the package is used by the package.
+"""Every public name in the package is used by the package.
 
-A public function, class or constant that only the tests call is API kept
-alive for its own tests.  A name counts as used when some module of the
-package imports it with ``from .mod import name``, reads it as ``mod.name``,
-or its defining module reads it as a bare global name (a parameter or local
-variable of the same name does not count).
+A public function, class, constant or method that only the tests call is
+API kept alive for its own tests.  A module-level name counts as used when
+some module of the package imports it with ``from .mod import name``, reads
+it as ``mod.name``, or its defining module reads it as a bare global name (a
+parameter or local variable of the same name does not count).  A public
+method of a module-level class counts as used when some module of the
+package reads an attribute of that name, on any object; dunders and other
+underscore names are exempt.
 """
 
 import ast
@@ -30,6 +33,21 @@ def _public_definitions(tree):
                 names.update(n.id for n in ast.walk(target)
                              if isinstance(n, ast.Name))
     return {n for n in names if not n.startswith("_")}
+
+
+def _public_methods(tree):
+    """(class, method) for every public method of a module-level class."""
+    return {(node.name, item.name) for node in tree.body
+            if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not item.name.startswith("_")}
+
+
+def _attribute_reads(trees):
+    return {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
 
 
 def _local_names(func):
@@ -83,9 +101,13 @@ def _references(trees):
 
 def unreferenced_public_names(trees):
     refs = _references(trees)
-    return sorted(f"{module}.{name}" for module, tree in trees.items()
-                  for name in _public_definitions(tree)
-                  if (module, name) not in refs)
+    reads = _attribute_reads(trees)
+    names = [f"{module}.{name}" for module, tree in trees.items()
+             for name in _public_definitions(tree)
+             if (module, name) not in refs]
+    names += [f"{module}.{cls}.{method}" for module, tree in trees.items()
+              for cls, method in _public_methods(tree) if method not in reads]
+    return sorted(names)
 
 
 def test_every_public_name_is_used_by_the_package():
@@ -104,3 +126,20 @@ def test_the_scan_flags_a_name_only_a_parameter_shadows():
                        "def run(vec):\n    return a.top() + top(vec)\n"),
     }
     assert unreferenced_public_names(trees) == ["a.vec", "b.run"]
+
+
+def test_the_scan_flags_a_method_only_tests_call():
+    trees = {
+        "a": ast.parse("class Op:\n"
+                       "    def __add__(self, other):\n        return self\n\n"
+                       "    def apply(self, f):\n        return f\n\n"
+                       "    def scale(self, c):\n        return self\n\n"
+                       "    @property\n    def size(self):\n        return 0\n\n"
+                       "    def _cached(self):\n        return None\n\n"
+                       "def use(op):\n    return op.scale(2).size\n"),
+        "b": ast.parse("from .a import Op, use\n\n"
+                       "def run(apply):\n    op = Op()\n    op.apply = apply\n"
+                       "    return use(op)\n"),
+    }
+    # dunders and underscore methods are exempt; an attribute store is no use
+    assert unreferenced_public_names(trees) == ["a.Op.apply", "b.run"]

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import fraction_pair
+from oracles import as_rational, bar, fraction_pair, is_polynomial
 from qwhit import qarith, ratmat, rootsys
 from qwhit.qarith import EXP_UNIT, ONE, ZERO, LaurentScalar, q_binom, q_int, qpow
 from qwhit.toda import DifferenceOperator
@@ -50,27 +50,27 @@ def test_canonical_form_cancels_common_factors():
     assert (q - 1) / (qpow(Fraction(1, 2)) - 1) == qpow(Fraction(1, 2)) + 1
     x = (q ** 3 - q ** -3) / (q - q ** -1)
     assert x == q ** 2 + 1 + q ** -2
-    assert x.is_polynomial()
+    assert is_polynomial(x)
 
 
 def test_zero_and_equality_are_structural():
     q = qpow(1)
     assert ((q + 1) * (q - 1) - (q * q - 1)).is_zero()
     assert not (q - 1).is_zero()
-    assert LaurentScalar.from_rational(Fraction(3, 4)).as_rational() == Fraction(3, 4)
+    assert as_rational(LaurentScalar.from_rational(Fraction(3, 4))) == Fraction(3, 4)
     with pytest.raises(ValueError):
-        (q + 1).as_rational()
+        as_rational(q + 1)
 
 
 def test_bar_is_a_multiplicative_involution():
     rng = random.Random(7)
-    assert qpow(3).bar() == qpow(-3)
+    assert bar(qpow(3)) == qpow(-3)
     for _ in range(30):
         a = random_scalar(rng)
         b = random_scalar(rng)
-        assert a.bar().bar() == a
-        assert (a * b).bar() == a.bar() * b.bar()
-        assert (a + b).bar() == a.bar() + b.bar()
+        assert bar(bar(a)) == a
+        assert bar(a * b) == bar(a) * bar(b)
+        assert bar(a + b) == bar(a) + bar(b)
 
 
 def test_q_int_small_values():
@@ -96,8 +96,8 @@ def test_q_binom_polynomial_bar_invariant_and_classical_limit():
     for m in range(6):
         for k in range(m + 1):
             v = q_binom(m, k)
-            assert v.is_polynomial()
-            assert v.bar() == v
+            assert is_polynomial(v)
+            assert bar(v) == v
             assert v.eps_series(0)[0] == math.comb(m, k)
 
 
@@ -385,9 +385,9 @@ def test_content_and_sign_normalisation():
     assert inv.inverse() == x
     assert inv * x == ONE
     assert_canonical(-inv)
-    assert_canonical(inv.bar())
-    assert_canonical(x.bar())
-    assert x.bar() == LaurentScalar({1: -2, 0: 4, -1: 6})
+    assert_canonical(bar(inv))
+    assert_canonical(bar(x))
+    assert bar(x) == LaurentScalar({1: -2, 0: 4, -1: 6})
 
 
 def _sympy_poly(d, t):
@@ -470,7 +470,7 @@ def test_scalar_ops_match_sympy_cancel_on_drawn_samples():
 
         (a, sa), (b, sb) = scalar(), scalar()
         cases = [(a + b, sa + sb), (a - b, sa - sb), (a * b, sa * sb),
-                 (a.bar(), sa.subs(t, 1 / t))]
+                 (bar(a), sa.subs(t, 1 / t))]
         if not b.is_zero():
             cases += [(a / b, sa / sb), (b.inverse(), 1 / sb)]
         for got, want in cases:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from qwhit.crosssec import coxeter_rep
+from qwhit.qarith import ZERO, LaurentScalar, qpow
 from qwhit.ratmat import (charpoly, det, eye, from_rows, mat, minv, mmul, mvec,
                           rank, solve, sparse_mul, sparse_rows)
 
@@ -158,3 +159,147 @@ def test_sparse_rows_product_matches_the_dense_product():
     # an entry that cancels is dropped, and so is a row left empty
     a, b = mat([[1, 1], [0, 0]]), mat([[1, 0], [-1, 0]])
     assert sparse_mul(sparse_rows(a), sparse_rows(b)) == {}
+
+
+# ---------------------------------------------------------------------------
+# differential tests of the fraction-free rational paths against sympy
+
+F0 = Fraction(0)
+
+
+def _entries(st):
+    """Rational entries: zeros, bare ints, small fractions and fractions
+    with numerators and denominators up to 10^6."""
+    return st.one_of(
+        st.just(0), st.just(F0), st.integers(-9, 9),
+        st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)),
+        st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
+                  st.integers(1, 10 ** 6)))
+
+
+def _draw_matrix(data, st, n, m):
+    """An n x m matrix of mixed entries: dense, or of rank below min(n, m)
+    as a product through fewer columns, with some rows and columns zeroed."""
+    entry = _entries(st)
+
+    def block(rows, cols):
+        return [[data.draw(entry) for _ in range(cols)] for _ in range(rows)]
+
+    low = data.draw(st.integers(0, min(n, m) - 1)) if data.draw(
+        st.booleans()) else None
+    if low is None:
+        a = block(n, m)
+    else:
+        left, right = block(n, low), block(low, m)
+        a = [[sum((Fraction(left[i][k]) * right[k][j] for k in range(low)),
+                  F0) for j in range(m)] for i in range(n)]
+    for i in data.draw(st.sets(st.integers(0, n - 1), max_size=2)):
+        a[i] = [0] * m
+    for j in data.draw(st.sets(st.integers(0, m - 1), max_size=2)):
+        for row in a:
+            row[j] = F0
+    return tuple(tuple(row) for row in a)
+
+
+def _to_sympy(sympy, a):
+    return sympy.Matrix(len(a), len(a[0]),
+                        [sympy.Rational(x.numerator, x.denominator)
+                         for row in a for x in row])
+
+
+def _all_fractions(xs):
+    return all(type(x) is Fraction for x in xs)
+
+
+_SETTINGS = dict(deadline=None, database=None, derandomize=True)
+
+
+def test_rational_product_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=80, **_SETTINGS)
+    @hypothesis.given(st.data())
+    def check(data):
+        n, k, m = (data.draw(st.integers(1, 6)) for _ in range(3))
+        a, b = _draw_matrix(data, st, n, k), _draw_matrix(data, st, k, m)
+        got = mmul(a, b)
+        assert got == _from_sympy(_to_sympy(sympy, a) * _to_sympy(sympy, b))
+        assert all(_all_fractions(row) for row in got)
+
+    check()
+
+
+def test_elimination_matches_sympy():
+    # rank and solve on square, tall and wide (augmented) systems; det and
+    # minv on the square ones, singular and rank-deficient ones included
+    sympy = pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=120, **_SETTINGS)
+    @hypothesis.given(st.data())
+    def check(data):
+        n = data.draw(st.integers(1, 6))
+        m = n if data.draw(st.booleans()) else data.draw(st.integers(1, 7))
+        a = _draw_matrix(data, st, n, m)
+        b = tuple(data.draw(_entries(st)) for _ in range(n))
+        s = _to_sympy(sympy, a)
+        assert rank(a) == s.rank()
+        reduced, pivots = s.row_join(_to_sympy(sympy, (b,)).T).rref()
+        x = solve(a, b)
+        if m in pivots:
+            assert x is None
+        else:
+            want = [F0] * m
+            for i, col in enumerate(pivots):
+                want[col] = Fraction(int(reduced[i, m].p), int(reduced[i, m].q))
+            assert x == tuple(want) and _all_fractions(x)
+        if n != m:
+            return
+        d = det(a)
+        assert d == Fraction(int(s.det().p), int(s.det().q))
+        assert type(d) is Fraction
+        if d == 0:
+            with pytest.raises(ZeroDivisionError, match="singular matrix"):
+                minv(a)
+        else:
+            inv = minv(a)
+            assert inv == _from_sympy(s.inv())
+            assert all(_all_fractions(row) for row in inv)
+
+    check()
+
+
+def test_q_scalar_product_keeps_the_generic_path():
+    # zero=ZERO multiplies q-scalars entry by entry, as it always has
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    scalar = st.one_of(
+        st.just(ZERO),
+        st.builds(lambda e, c: qpow(e) * LaurentScalar.from_rational(c),
+                  st.integers(-3, 3),
+                  st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))),
+        st.builds(lambda e: qpow(e) + 1, st.integers(-2, 2)))
+
+    @hypothesis.settings(max_examples=40, **_SETTINGS)
+    @hypothesis.given(st.data())
+    def check(data):
+        n, k, m = (data.draw(st.integers(1, 4)) for _ in range(3))
+        a = [[data.draw(scalar) for _ in range(k)] for _ in range(n)]
+        b = [[data.draw(scalar) for _ in range(m)] for _ in range(k)]
+        want = []
+        for i in range(n):
+            row = []
+            for j in range(m):
+                acc = ZERO
+                for t in range(k):
+                    acc = acc + a[i][t] * b[t][j]
+                row.append(acc)
+            want.append(tuple(row))
+        got = mmul(tuple(map(tuple, a)), tuple(map(tuple, b)), ZERO)
+        assert got == tuple(want)
+        assert all(type(x) is LaurentScalar for row in got for x in row)
+
+    check()
