@@ -142,18 +142,12 @@ def bruhat_cell_test(m: Mat) -> bool:
                 for i in range(1, n) for j in range(i)) and det(m) == 1)
 
 
-def slice_point(params) -> Mat:
-    """The point of N_+' s with the given n-1 first-row coordinates."""
-    params = [Fraction(p) for p in params]
-    n = len(params) + 1
-    return madd(coxeter_rep(n), sparse(n, {(0, j): p
-                                          for j, p in enumerate(params)}))
-
-
 def is_slice_point(m: Mat) -> bool:
+    """Whether m is a point of N_+' s: rows 2..n those of s, and the last
+    entry of row 1 that of s (the others are the free coordinates)."""
     n = _dim(m)
-    return m == slice_point([m[0][j] - coxeter_rep(n)[0][j]
-                             for j in range(n - 1)])
+    s = coxeter_rep(n)
+    return m[1:] == s[1:] and m[0][n - 1] == s[0][n - 1]
 
 
 def slice_params(m: Mat):

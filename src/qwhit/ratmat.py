@@ -1,17 +1,17 @@
-"""Dense exact matrices over any ring, and linear algebra over the rationals.
+"""Exact matrices: dense over the rationals, sparse rows over any ring.
 
-Matrices are tuples of row tuples (immutable, hashable, equal exactly when
-their entries are); vectors are tuples.  The builders, sums and products
-work over any ring whose elements support +, * and truthiness: Fraction,
-qarith.LaurentScalar and uqalg.PBWElement.  They take the ring's zero and
-one as keywords that default to the rationals.  The products skip zero
-entries, so a product of sparse matrices of costly elements stays cheap;
-``sparse_mul`` multiplies matrices kept as sparse rows {row: {column:
-entry}}, which hold no zero entry at all.  Over the rationals the product
+Dense matrices are tuples of row tuples of Fractions (immutable, hashable,
+equal exactly when their entries are); vectors are tuples.  The product
 works on rows and columns cleared to ints.  Inverse, solve, rank and
 determinant share one fraction-free (Bareiss) elimination on integer-scaled
-rows, and the characteristic polynomial comes from a Hessenberg reduction;
-both work over small dense Fraction matrices.
+rows, and the characteristic polynomial comes from a Hessenberg reduction.
+
+A matrix of any other ring (qarith.LaurentScalar, uqalg.PBWElement,
+toda.DifferenceOperator) is kept as sparse rows {row: {column: entry}},
+which hold no zero entry, so that two such matrices are equal exactly when
+their dicts are.  ``sparse_mul``, ``sparse_scale`` and ``kron`` work on
+them over the nonzero entries only, and need of the ring only +, * and
+truthiness.
 """
 
 from __future__ import annotations
@@ -31,29 +31,28 @@ def mat(rows) -> Mat:
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
-def sparse(n: int, entries: dict, zero=F0) -> Mat:
-    """The n x n matrix with entries[(i, j)] at (i, j) and zero elsewhere."""
-    return tuple(tuple(entries.get((i, j), zero) for j in range(n))
+def sparse(n: int, entries: dict) -> Mat:
+    """The n x n matrix with entries[(i, j)] at (i, j) and 0 elsewhere."""
+    return tuple(tuple(entries.get((i, j), F0) for j in range(n))
                  for i in range(n))
 
 
-def diag(entries, zero=F0) -> Mat:
-    return sparse(len(entries), {(i, i): x for i, x in enumerate(entries)},
-                  zero)
+def diag(entries) -> Mat:
+    return sparse(len(entries), {(i, i): x for i, x in enumerate(entries)})
 
 
-def eye(n: int, one=F1, zero=F0) -> Mat:
-    return diag((one,) * n, zero)
+def eye(n: int) -> Mat:
+    return diag((F1,) * n)
 
 
-def unit(n: int, i: int, j: int, one=F1, zero=F0) -> Mat:
+def unit(n: int, i: int, j: int) -> Mat:
     """The matrix unit E_ij."""
-    return sparse(n, {(i, j): one}, zero)
+    return sparse(n, {(i, j): F1})
 
 
-def zeros(n: int, m: int | None = None, zero=F0) -> Mat:
+def zeros(n: int, m: int | None = None) -> Mat:
     m = n if m is None else m
-    return tuple((zero,) * m for _ in range(n))
+    return tuple((F0,) * m for _ in range(n))
 
 
 def madd(a: Mat, b: Mat) -> Mat:
@@ -65,8 +64,7 @@ def msub(a: Mat, b: Mat) -> Mat:
 
 
 def mscale(a: Mat, s) -> Mat:
-    """Every entry times s, with s on the right, so that a ring whose
-    elements take scalars (PBW elements times q-scalars) can be scaled."""
+    """Every entry times s."""
     return tuple(tuple(x * s for x in row) for row in a)
 
 
@@ -80,52 +78,20 @@ def _cleared(xs):
     return [x.numerator * (d // x.denominator) for x in xs], d
 
 
-def mmul(a: Mat, b: Mat, zero=F0) -> Mat:
-    """The product a b.  Over the rationals (zero is F0) each row of a and
-    each column of b is cleared to ints by one lcm of its denominators, so
-    entry (i, j) is one int dot product over the two scales, normalised
-    once.  Over any other ring it is accumulated row by row from zero over
-    the nonzero entries only."""
-    if zero is F0:
-        cols = [_cleared(col) for col in zip(*b)]
-        out = []
-        for row in a:
-            ra, da = _cleared(row)
-            entries = []
-            for cb, db in cols:
-                dot = sum(map(mul, ra, cb))
-                entries.append(Fraction(dot, da * db) if dot else F0)
-            out.append(tuple(entries))
-        return tuple(out)
-    width = len(b[0])
+def mmul(a: Mat, b: Mat) -> Mat:
+    """The product a b.  Each row of a and each column of b is cleared to
+    ints by one lcm of its denominators, so entry (i, j) is one int dot
+    product over the two scales, normalised once."""
+    cols = [_cleared(col) for col in zip(*b)]
     out = []
     for row in a:
-        acc = [zero] * width
-        for c, brow in zip(row, b):
-            if not c:
-                continue
-            for j, d in enumerate(brow):
-                if d:
-                    acc[j] = acc[j] + c * d
-        out.append(tuple(acc))
+        ra, da = _cleared(row)
+        entries = []
+        for cb, db in cols:
+            dot = sum(map(mul, ra, cb))
+            entries.append(Fraction(dot, da * db) if dot else F0)
+        out.append(tuple(entries))
     return tuple(out)
-
-
-def sparse_rows(a: Mat, s=None) -> dict:
-    """The nonzero entries of a, each times the nonzero scalar s when s is
-    given, as sparse rows {row: {column: entry}}."""
-    out = {}
-    for r, row in enumerate(a):
-        nonzero = {c: x if s is None else x * s for c, x in enumerate(row) if x}
-        if nonzero:
-            out[r] = nonzero
-    return out
-
-
-def from_rows(rows: dict, n: int, zero=F0) -> Mat:
-    """The n x n matrix with the sparse rows rows."""
-    return tuple(tuple(rows.get(r, {}).get(c, zero) for c in range(n))
-                 for r in range(n))
 
 
 def sparse_mul(a: dict, b: dict) -> dict:
@@ -143,19 +109,19 @@ def sparse_mul(a: dict, b: dict) -> dict:
     return out
 
 
-def kron(a: Mat, b: Mat, zero=F0) -> Mat:
-    """The Kronecker product: block (i, j) is a[i][j] b."""
-    m = len(b)
-    out = [[zero] * (len(a) * m) for _ in range(len(a) * m)]
-    for i, arow in enumerate(a):
-        for j, c in enumerate(arow):
-            if not c:
-                continue
-            for k, brow in enumerate(b):
-                for l, d in enumerate(brow):
-                    if d:
-                        out[i * m + k][j * m + l] = c * d
-    return tuple(tuple(row) for row in out)
+def sparse_scale(a: dict, s) -> dict:
+    """The sparse rows a with every entry times s on the right, so that
+    q-scalar entries times a PBW element or a difference operator give
+    sparse rows of those.  s must not be zero, so no entry vanishes."""
+    return {r: {c: x * s for c, x in row.items()} for r, row in a.items()}
+
+
+def kron(a: dict, b: dict, m: int) -> dict:
+    """The Kronecker product of sparse rows a and b, b being m x m: block
+    (i, j) is a[i][j] b."""
+    return {i * m + k: {j * m + l: x * y for j, x in arow.items()
+                        for l, y in brow.items()}
+            for i, arow in a.items() for k, brow in b.items()}
 
 
 def mvec(a: Mat, v: Vec) -> Vec:

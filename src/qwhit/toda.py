@@ -33,7 +33,7 @@ from operator import add, mul
 
 from . import uqalg
 from .qarith import EXP_UNIT, ONE, LaurentScalar, q_exp_nilpotent, qpow
-from .ratmat import sparse_mul, sparse_rows
+from .ratmat import sparse_mul, sparse_scale
 from .rootsys import weight_coords
 
 
@@ -281,13 +281,13 @@ def toda_hamiltonian(alg, rep_name, chi, chibar):
         i = beta.index(1)
         scale, base, leg = uqalg.module_f_leg(alg, rep, beta)
         chi_u = sparse_mul(chi_u, q_exp_nilpotent(
-            sparse_rows(leg, chi.values[i] * scale), rep.dim, base, ONE))
+            sparse_scale(leg, chi.values[i] * scale), rep.dim, base, ONE))
         # K_{T alpha_i} f_i = q^{-(T alpha_i, alpha_i)} f_i K_{T alpha_i}
         t_beta = alg.ctx.cayley_apply(alg.weight(beta))
         f_leg = lower_rep(uqalg.PBWElement(alg, {
             ((i,), t_beta, ()): scale.times_q(-rs.pair(t_beta, beta))}), chibar)
         r21 = sparse_mul(r21, q_exp_nilpotent(
-            sparse_rows(rep.e_mats[i], f_leg), rep.dim, base, one))
+            sparse_scale(rep.e_mats[i], f_leg), rep.dim, base, one))
     lams = uqalg.cartan_weights(alg, rep, 1)
     two_rho = tuple(2 * x for x in rs.rho)
     out = DifferenceOperator.zero(rs)

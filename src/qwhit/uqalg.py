@@ -26,8 +26,7 @@ from fractions import Fraction
 
 from . import qarith, rootsys
 from .qarith import EXP_UNIT, ONE, ZERO, LaurentScalar, qpow
-from .ratmat import (diag, eye, from_rows, kron, madd, mmul, mscale, msub,
-                     sparse, sparse_mul, sparse_rows, zeros)
+from .ratmat import kron, sparse_mul, sparse_scale
 
 
 def step_budget():
@@ -595,7 +594,14 @@ def _combination(rs, coefs):
 
 class RepMatrices:
     """Exact matrices for a fundamental module, twisted into the Coxeter
-    presentation; every defining relation is checked at build time."""
+    presentation; every defining relation is checked at build time.
+
+    Matrices are kept as sparse rows {row: {column: q-scalar}} with no zero
+    entry (see ``ratmat``): pi(e_i) is the ladder times K_nu, nu the twist
+    of alpha_i, and pi(f_i) is K_{-nu} times the opposite ladder, so each
+    ladder entry carries q^{(nu, mu)}, mu the weight of its source for e_i
+    and of its image for f_i.  A ladder has at most one entry per row and
+    per column."""
 
     def __init__(self, alg, name, k_index):
         rs = alg.rs
@@ -605,41 +611,46 @@ class RepMatrices:
         basis, self.weights = module_basis(rs, k_index)
         self.dim = len(basis)
         index = {s: p for p, s in enumerate(basis)}
+        pair = rs.pair_weights
 
-        def ladder(a, b):
-            # sends the basis vector s holding b but not a to s - {b} + {a}
-            return sparse(self.dim, {
-                (index[tuple(sorted(set(s) - {b} | {a}))], index[s]): ONE
-                for s in basis if b in s and a not in s}, ZERO)
+        def ladder(a, b, nu, at_source):
+            # sends the basis vector s holding b but not a to s - {b} + {a},
+            # times q^{(nu, mu)} for the weight mu of s or of its image
+            rows = {}
+            for s in basis:
+                if b in s and a not in s:
+                    r, c = index[tuple(sorted(set(s) - {b} | {a}))], index[s]
+                    mu = self.weights[c if at_source else r]
+                    rows[r] = {c: ONE.times_q(pair(nu, mu))}
+            return rows
 
         twist = alg.ctx.twist
         self.e_mats = []
         self.f_mats = []
         for i in range(n):
             nu = _combination(rs, [int(t) for t in twist[i]])
-            ke = self.k_matrix(nu)
-            kf = self.k_matrix(tuple(-x for x in nu))
-            self.e_mats.append(mmul(ladder(i + 1, i + 2), ke, ZERO))
-            self.f_mats.append(mmul(kf, ladder(i + 2, i + 1), ZERO))
+            self.e_mats.append(ladder(i + 1, i + 2, nu, True))
+            self.f_mats.append(ladder(i + 2, i + 1, tuple(-x for x in nu),
+                                      False))
         self._check_relations()
 
-    def k_matrix(self, lam):
-        """pi(K_lam): q^{(lam, mu)} at each basis vector of weight mu."""
+    def k_times(self, lam, rows):
+        """pi(K_lam) rows: q^{(lam, mu)} times each row of weight mu."""
         pair = self.alg.rs.pair_weights
-        return diag([ONE.times_q(pair(lam, mu)) for mu in self.weights], ZERO)
+        return {r: {c: x.times_q(pair(lam, self.weights[r]))
+                    for c, x in row.items()} for r, row in rows.items()}
 
     def _check_relations(self):
-        """Check every defining relation on the matrices, kept as sparse rows
-        (pi(e_i) and pi(f_i) have at most one nonzero entry per column): the
-        K-e and K-f relations entry by entry against the weights, the cross
-        and Serre relations as sparse products.  A failure raises one
-        RuntimeError naming each kind of relation that fails, at its first
-        failing (i, j)."""
+        """Check every defining relation on the matrices (pi(e_i) and pi(f_i)
+        have at most one nonzero entry per column): the K-e and K-f
+        relations entry by entry against the weights, the cross and Serre
+        relations as sparse products.  A failure raises one RuntimeError
+        naming each kind of relation that fails, at its first failing
+        (i, j)."""
         alg = self.alg
         rs = alg.rs
         n = rs.rank
-        e = [sparse_rows(m) for m in self.e_mats]
-        f = [sparse_rows(m) for m in self.f_mats]
+        e, f = self.e_mats, self.f_mats
         # kexp[r][i] = (alpha_i, mu_r): pi(K_{alpha_i}) is q to it at r
         kexp = [rs.covector(mu) for mu in self.weights]
         one = {r: {r: ONE} for r in range(self.dim)}
@@ -666,9 +677,8 @@ class RepMatrices:
                          (-qpow(alg.c_pair(j, i)), sparse_mul(f[j], e[i]))]
                 if i == j:
                     coef = -(qpow(rs.d[i]) - qpow(-rs.d[i])).inverse()
-                    terms.append((coef, {
-                        r: {r: ONE.times_q(x[i]) - ONE.times_q(-x[i])}
-                        for r, x in enumerate(kexp) if x[i]}))
+                    terms.append((coef, self.cartan_difference(
+                        alg.simple_weight(i))))
                 check("cross relation", i, j, _vanishes(terms))
         for (i, j), coefs in alg.serre_coefs.items():
             m = len(coefs) - 1
@@ -685,35 +695,50 @@ class RepMatrices:
         if failed:
             raise RuntimeError(f"{self.name}: " + "; ".join(failed))
 
-    def evaluate_word(self, word, side):
-        mats = self.e_mats if side == "e" else self.f_mats
-        out = eye(self.dim, ONE, ZERO)
-        for i in word:
-            out = mmul(out, mats[i], ZERO)
+    def cartan_difference(self, lam):
+        """pi(K_lam) - pi(K_lam)^{-1}, a diagonal of sparse rows."""
+        pair = self.alg.rs.pair_weights
+        out = {}
+        for r, mu in enumerate(self.weights):
+            x = pair(lam, mu)
+            if x:
+                out[r] = {r: ONE.times_q(x) - ONE.times_q(-x)}
         return out
 
     def evaluate(self, x):
-        """Matrix of a PBWElement in this module."""
-        out = zeros(self.dim, zero=ZERO)
+        """The sparse rows of the matrix of a PBWElement in this module."""
+        terms = []
         for (fw, lam, ew), c in x.terms.items():
-            m = self.evaluate_word(fw, "f")
-            if any(lam):
-                m = mmul(m, self.k_matrix(lam), ZERO)
-            if ew:
-                m = mmul(m, self.evaluate_word(ew, "e"), ZERO)
-            out = madd(out, mscale(m, c))
-        return out
+            m = self.k_times(lam, {r: {r: ONE} for r in range(self.dim)})
+            for i in reversed(fw):
+                m = sparse_mul(self.f_mats[i], m)
+            for i in ew:
+                m = sparse_mul(m, self.e_mats[i])
+            terms.append((c, m))
+        return _sparse_combination(terms)
+
+
+def _sparse_combination(terms):
+    """The sparse rows of sum coef * a over the (coef, a) in terms, without
+    the entries that cancel."""
+    total = {}
+    for coef, a in terms:
+        for r, row in a.items():
+            slot = total.setdefault(r, {})
+            for c, x in row.items():
+                v = coef * x
+                slot[c] = slot[c] + v if c in slot else v
+    out = {}
+    for r, row in total.items():
+        row = {c: v for c, v in row.items() if v}
+        if row:
+            out[r] = row
+    return out
 
 
 def _vanishes(terms):
     """True when sum coef * a over the (coef, a) in terms is zero."""
-    total = {}
-    for coef, a in terms:
-        for r, row in a.items():
-            for c, x in row.items():
-                v = coef * x
-                total[r, c] = total[r, c] + v if (r, c) in total else v
-    return not any(total.values())
+    return not _sparse_combination(terms)
 
 
 def rep_matrices(alg, name):
@@ -731,21 +756,22 @@ def _root_constants(alg, rep, beta):
 
     a(beta) is defined by [e_beta, f_beta] = a(beta) (K_beta - K_beta^{-1})
     / (q - q^{-1}), and is read here off the module: the scale is the ratio
-    of pi(K_beta) - pi(K_beta)^{-1} to [pi(e_beta), pi(f_beta)] at a
-    diagonal entry where the former is nonzero, and the whole commutator
-    times the scale must give pi(K_beta) - pi(K_beta)^{-1}.  The scale is
-    cached on the algebra by beta."""
+    of pi(K_beta) - pi(K_beta)^{-1} to [pi(e_beta), pi(f_beta)] at the
+    first diagonal entry where the former is nonzero, and the whole
+    commutator times the scale must give pi(K_beta) - pi(K_beta)^{-1}.  The
+    scale is cached on the algebra by beta."""
     scale = alg._scale_cache.get(beta)
     if scale is None:
         e_b = rep.evaluate(root_vector(alg, beta, "+"))
         f_b = rep.evaluate(root_vector(alg, beta, "-"))
-        comm = msub(mmul(e_b, f_b, ZERO), mmul(f_b, e_b, ZERO))
-        b = alg.weight(beta)
-        cartan = msub(rep.k_matrix(b), rep.k_matrix(tuple(-x for x in b)))
-        j = next((j for j in range(rep.dim) if cartan[j][j]), None)
-        if j is not None and comm[j][j]:
-            scale = cartan[j][j] / comm[j][j]
-        if scale is None or mscale(comm, scale) != cartan:
+        comm = _sparse_combination([(ONE, sparse_mul(e_b, f_b)),
+                                    (-ONE, sparse_mul(f_b, e_b))])
+        cartan = rep.cartan_difference(alg.weight(beta))
+        j = next(iter(cartan), None)
+        pivot = comm.get(j, {}).get(j)
+        if pivot is not None:
+            scale = cartan[j][j] / pivot
+        if scale is None or sparse_scale(comm, scale) != cartan:
             raise RuntimeError(
                 f"{rep.name}: [e_beta, f_beta] is not a multiple of "
                 f"K_beta - K_beta^-1 for beta = {beta}")
@@ -756,10 +782,9 @@ def _root_constants(alg, rep, beta):
 
 def module_f_leg(alg, rep, beta):
     """The factor for beta with its f-leg in the module: the scale, the
-    q-exponential base and the matrix K_{T beta} pi(f_beta)."""
+    q-exponential base and the sparse rows of K_{T beta} pi(f_beta)."""
     scale, t_beta, base = _root_constants(alg, rep, beta)
-    leg = mmul(rep.k_matrix(t_beta),
-               rep.evaluate(root_vector(alg, beta, "-")), ZERO)
+    leg = rep.k_times(t_beta, rep.evaluate(root_vector(alg, beta, "-")))
     return scale, base, leg
 
 
@@ -772,12 +797,12 @@ def cartan_weights(alg, rep, sign):
 
 def _r_in_rep(alg, rep, flipped):
     """(id x pi_V) R, or R_21 when flipped, with the second leg evaluated in
-    the module: the Cartan diagonal times one q-exponential factor per root
-    of the adapted ordering.  The factor for beta pairs e_beta with
-    K_{T beta} f_beta; the flip puts K_{T beta} f_beta in the algebra leg."""
-    zero = alg.zero()
-    out = diag([alg.k(lam) for lam in
-                cartan_weights(alg, rep, -1 if flipped else 1)], zero)
+    the module, as sparse rows of PBW elements: the Cartan diagonal times
+    one q-exponential factor per root of the adapted ordering.  The factor
+    for beta pairs e_beta with K_{T beta} f_beta; the flip puts
+    K_{T beta} f_beta in the algebra leg."""
+    out = {k: {k: alg.k(lam)} for k, lam in
+           enumerate(cartan_weights(alg, rep, -1 if flipped else 1))}
     for beta in alg.ordering.ordering:
         e_beta = root_vector(alg, beta, "+")
         if flipped:
@@ -787,23 +812,22 @@ def _r_in_rep(alg, rep, flipped):
         else:
             scale, base, second = module_f_leg(alg, rep, beta)
             first = e_beta.scale(scale)
-        factor = qarith.q_exp_nilpotent(sparse_rows(second, first), rep.dim,
-                                        base, alg.one())
-        out = mmul(out, from_rows(factor, rep.dim, zero), zero)
+        out = sparse_mul(out, qarith.q_exp_nilpotent(
+            sparse_scale(second, first), rep.dim, base, alg.one()))
     return out
 
 
 def r_matrix_vv(alg, rep):
-    """Numeric R-matrix (pi_V x pi_V) R on V x V."""
+    """Numeric R-matrix (pi_V x pi_V) R on V x V, as sparse rows."""
     lams = cartan_weights(alg, rep, 1)
-    out = diag([ONE.times_q(alg.rs.pair_weights(mu, lam))
-                for mu in rep.weights for lam in lams], ZERO)
+    d = rep.dim
+    out = {p: {p: ONE.times_q(alg.rs.pair_weights(mu, lam))}
+           for p, (mu, lam) in enumerate(itertools.product(rep.weights, lams))}
     for beta in alg.ordering.ordering:
         scale, base, second = module_f_leg(alg, rep, beta)
-        first = mscale(rep.evaluate(root_vector(alg, beta, "+")), scale)
-        factor = qarith.q_exp_nilpotent(
-            sparse_rows(kron(first, second, ZERO)), len(out), base, ONE)
-        out = mmul(out, from_rows(factor, len(out), ZERO), ZERO)
+        first = sparse_scale(rep.evaluate(root_vector(alg, beta, "+")), scale)
+        out = sparse_mul(out, qarith.q_exp_nilpotent(
+            kron(first, second, d), d * d, base, ONE))
     return out
 
 
@@ -811,16 +835,15 @@ def yang_baxter_check(alg, rep):
     """Exact check of R12 R13 R23 = R23 R13 R12 on V x V x V."""
     r = r_matrix_vv(alg, rep)
     d = rep.dim
-    one = eye(d, ONE, ZERO)
-    r12 = kron(r, one, ZERO)
-    r23 = kron(one, r, ZERO)
+    one = {i: {i: ONE} for i in range(d)}
+    r12 = kron(r, one, d)
+    r23 = kron(one, r, d * d)
     # R13 is R12 conjugated by the flip of the last two legs
-    flip = sparse(d * d, {(i * d + j, j * d + i): ONE
-                          for i in range(d) for j in range(d)}, ZERO)
-    p23 = kron(one, flip, ZERO)
-    r13 = mmul(mmul(p23, r12, ZERO), p23, ZERO)
-    return (mmul(mmul(r12, r13, ZERO), r23, ZERO)
-            == mmul(mmul(r23, r13, ZERO), r12, ZERO))
+    flip = {i * d + j: {j * d + i: ONE} for i in range(d) for j in range(d)}
+    p23 = kron(one, flip, d * d)
+    r13 = sparse_mul(sparse_mul(p23, r12), p23)
+    return (sparse_mul(sparse_mul(r12, r13), r23)
+            == sparse_mul(sparse_mul(r23, r13), r12))
 
 
 # ---------------------------------------------------------------------------
@@ -835,7 +858,11 @@ def casimir_CV(alg, rep):
     out = alg.zero()
     for j in range(rep.dim):
         # only the diagonal of R_21 R enters the trace
-        entry = sum((r21[j][k] * rmat[k][j] for k in range(rep.dim)), alg.zero())
+        entry = alg.zero()
+        for k, x in r21.get(j, {}).items():
+            y = rmat.get(k, {}).get(j)
+            if y is not None:
+                entry = entry + x * y
         out = out + entry.scale(
             ONE.times_q(alg.rs.pair_weights(two_rho, rep.weights[j])))
     return out

@@ -5,12 +5,16 @@ The engine keeps weights as int tuples in units of 1/EXP_UNIT;
 way the engine computed before weights became integers.  The q-scalar
 views and the action of a difference operator on torus functions are
 operations only the tests use, so they live here rather than in the
-package.
+package.  So are dense matrices over rings other than the rationals
+(tuples of row tuples): the package keeps those as sparse rows {row:
+{column: entry}}, and the dense forms here are what it is checked against.
 """
 
 from fractions import Fraction
 
-from qwhit.qarith import _normalised
+from qwhit.crosssec import coxeter_rep
+from qwhit.qarith import ONE, ZERO, _normalised
+from qwhit.ratmat import madd, sparse
 
 
 def fraction_pair(rs, x, y):
@@ -57,3 +61,65 @@ def operator_apply(d, func):
                 z = tuple(x + y for x, y in zip(a, b))
                 out[z] = out[z] + c * shifted if z in out else c * shifted
     return {z: c for z, c in out.items() if c}
+
+
+def dense(rows, n, zero):
+    """The n x n tuple matrix with the sparse rows rows."""
+    return tuple(tuple(rows.get(r, {}).get(c, zero) for c in range(n))
+                 for r in range(n))
+
+
+def sparse_rows(m):
+    """The sparse rows of the nonzero entries of a tuple matrix."""
+    out = {}
+    for r, row in enumerate(m):
+        nonzero = {c: x for c, x in enumerate(row) if x}
+        if nonzero:
+            out[r] = nonzero
+    return out
+
+
+def dense_mul(a, b, zero):
+    """The product of tuple matrices over any ring, accumulated row by row
+    from zero over the nonzero entries."""
+    width = len(b[0])
+    out = []
+    for row in a:
+        acc = [zero] * width
+        for c, brow in zip(row, b):
+            if not c:
+                continue
+            for j, d in enumerate(brow):
+                if d:
+                    acc[j] = acc[j] + c * d
+        out.append(tuple(acc))
+    return tuple(out)
+
+
+def dense_kron(a, b, zero):
+    """The Kronecker product of tuple matrices: block (i, j) is a[i][j] b."""
+    m = len(b)
+    out = [[zero] * (len(a) * m) for _ in range(len(a) * m)]
+    for i, arow in enumerate(a):
+        for j, c in enumerate(arow):
+            for k, brow in enumerate(b):
+                for l, d in enumerate(brow):
+                    out[i * m + k][j * m + l] = c * d
+    return tuple(tuple(row) for row in out)
+
+
+def k_matrix(rep, lam):
+    """pi(K_lam) in the module rep as a dense q-scalar diagonal:
+    q^{(lam, mu)} at each basis vector of weight mu."""
+    pair = rep.alg.rs.pair_weights
+    return tuple(tuple(ONE.times_q(pair(lam, mu)) if r == c else ZERO
+                       for c in range(rep.dim))
+                 for r, mu in enumerate(rep.weights))
+
+
+def slice_point(params):
+    """The point of N_+' s with the given n-1 first-row coordinates."""
+    params = [Fraction(p) for p in params]
+    n = len(params) + 1
+    return madd(coxeter_rep(n), sparse(n, {(0, j): p
+                                          for j, p in enumerate(params)}))

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import slice_point
 from qwhit import crosssec
 from qwhit.crosssec import (
     GStarElement,
@@ -26,7 +27,6 @@ from qwhit.crosssec import (
     rmatrix_endo,
     shift_matrix,
     slice_params,
-    slice_point,
 )
 from qwhit.ratmat import charpoly, det, eye, mat, minv, mmul, msub, rank
 
@@ -320,6 +320,33 @@ def test_cross_section_sl2_example():
     conj, point = cross_section(lower)
     assert conj == mat([[1, 1], [0, 1]])
     assert point == mat([[2, -1], [1, 0]])
+
+
+def test_is_slice_point_matches_the_rebuilt_slice_point():
+    # the shape test against rebuilding the point from its first row, on
+    # slice points and on matrices one entry off them
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    entry = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+
+    @hypothesis.settings(max_examples=80, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(st.data())
+    def check(data):
+        n = data.draw(st.integers(2, 5))
+        rows = [list(row) for row in
+                slice_point([data.draw(entry) for _ in range(n - 1)])]
+        free = True
+        if data.draw(st.booleans()):
+            i, j = (data.draw(st.integers(0, n - 1)) for _ in range(2))
+            rows[i][j] += data.draw(st.sampled_from([F(-1), F(1, 2), F(2)]))
+            free = i == 0 and j < n - 1
+        m = tuple(map(tuple, rows))
+        rebuilt = slice_point([m[0][j] - coxeter_rep(n)[0][j]
+                               for j in range(n - 1)])
+        assert is_slice_point(m) == (m == rebuilt) == free
+
+    check()
 
 
 def test_cross_section_fixes_slice_points():

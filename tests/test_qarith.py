@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import as_rational, bar, fraction_pair, is_polynomial
+from oracles import (as_rational, bar, dense, dense_mul, fraction_pair,
+                     is_polynomial)
 from qwhit import qarith, ratmat, rootsys
 from qwhit.qarith import EXP_UNIT, ONE, ZERO, LaurentScalar, q_binom, q_int, qpow
 from qwhit.toda import DifferenceOperator
@@ -174,28 +175,31 @@ def test_q_exp_nilpotent_of_difference_operators_matches_the_dense_series():
         return DifferenceOperator(rs, {lam: {zexp: coeff}})
 
     for _ in range(5):
-        x = ratmat.sparse(n, {(i, j): operator() for i in range(n)
-                              for j in range(i + 1, n) if rng.random() < 0.7},
-                          zero)
-        want = term = ratmat.eye(n, one, zero)
+        rows = {}
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < 0.7:
+                    rows.setdefault(i, {})[j] = operator()
+        x = dense(rows, n, zero)
+        want = term = dense({r: {r: one} for r in range(n)}, n, zero)
         fact = ONE
         for k in range(1, n):
-            term = ratmat.mmul(term, x, zero)
+            term = dense_mul(term, x, zero)
             fact = fact * qarith.q_paren(k, t)
             want = ratmat.madd(want, ratmat.mscale(term, fact.inverse()))
-        got = qarith.q_exp_nilpotent(ratmat.sparse_rows(x), n, t, one)
+        got = qarith.q_exp_nilpotent(rows, n, t, one)
         assert all(v for row in got.values() for v in row.values())
-        assert ratmat.from_rows(got, n, zero) == want
+        assert dense(got, n, zero) == want
 
 
 def test_kron_and_trace_helpers():
-    a = [[ONE, qpow(1)], [ZERO, ONE]]
-    b = [[qpow(-1), ZERO], [ZERO, qpow(1)]]
-    k = ratmat.kron(a, b, ZERO)
-    assert len(k) == 4
+    a = {0: {0: ONE, 1: qpow(1)}, 1: {1: ONE}}
+    b = {0: {0: qpow(-1)}, 1: {1: qpow(1)}}
+    k = dense(ratmat.kron(a, b, 2), 4, ZERO)
     # block (0,1) of the product is a[0][1] * b
     assert k[0][2] == qpow(1) * qpow(-1)
     assert k[1][3] == qpow(1) * qpow(1)
+    assert k[2][0] == ZERO and k[0][1] == ZERO
 
 
 def _orderings(rank):

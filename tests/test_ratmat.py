@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import dense, dense_kron, sparse_rows
 from qwhit.crosssec import coxeter_rep
 from qwhit.qarith import ZERO, LaurentScalar, qpow
-from qwhit.ratmat import (charpoly, det, eye, from_rows, mat, minv, mmul, mvec,
-                          rank, solve, sparse_mul, sparse_rows)
+from qwhit.ratmat import (charpoly, det, eye, kron, mat, minv, mmul, mvec, rank,
+                          solve, sparse_mul, sparse_scale)
 
 
 def test_minv_inverts_and_rejects_singular():
@@ -152,10 +153,9 @@ def test_sparse_rows_product_matches_the_dense_product():
         a, b = (mat([[Fraction(rng.randint(-2, 2), rng.randint(1, 3))
                       if rng.random() < 0.4 else 0 for _ in range(n)]
                      for _ in range(n)]) for _ in range(2))
-        rows = sparse_rows(a)
-        assert all(x for row in rows.values() for x in row.values())
-        assert from_rows(rows, n) == a
-        assert from_rows(sparse_mul(rows, sparse_rows(b)), n) == mmul(a, b)
+        got = sparse_mul(sparse_rows(a), sparse_rows(b))
+        assert all(x for row in got.values() for x in row.values())
+        assert dense(got, n, F0) == mmul(a, b)
     # an entry that cancels is dropped, and so is a row left empty
     a, b = mat([[1, 1], [0, 0]]), mat([[1, 0], [-1, 0]])
     assert sparse_mul(sparse_rows(a), sparse_rows(b)) == {}
@@ -272,34 +272,57 @@ def test_elimination_matches_sympy():
     check()
 
 
-def test_q_scalar_product_keeps_the_generic_path():
-    # zero=ZERO multiplies q-scalars entry by entry, as it always has
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
-    scalar = st.one_of(
-        st.just(ZERO),
+def _q_scalars(st):
+    """Nonzero q-scalars: monomials with rational coefficients and
+    binomials."""
+    return st.one_of(
         st.builds(lambda e, c: qpow(e) * LaurentScalar.from_rational(c),
                   st.integers(-3, 3),
-                  st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))),
+                  st.builds(Fraction, st.integers(-5, 5).filter(bool),
+                            st.integers(1, 4))),
         st.builds(lambda e: qpow(e) + 1, st.integers(-2, 2)))
+
+
+def _draw_rows(data, st, n):
+    """Sparse rows of an n x n q-scalar matrix, about half its entries
+    nonzero."""
+    rows = {}
+    for r in range(n):
+        for c in range(n):
+            if data.draw(st.booleans()):
+                rows.setdefault(r, {})[c] = data.draw(_q_scalars(st))
+    return rows
+
+
+def test_sparse_kron_matches_the_dense_kronecker_product():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
 
     @hypothesis.settings(max_examples=40, **_SETTINGS)
     @hypothesis.given(st.data())
     def check(data):
-        n, k, m = (data.draw(st.integers(1, 4)) for _ in range(3))
-        a = [[data.draw(scalar) for _ in range(k)] for _ in range(n)]
-        b = [[data.draw(scalar) for _ in range(m)] for _ in range(k)]
-        want = []
-        for i in range(n):
-            row = []
-            for j in range(m):
-                acc = ZERO
-                for t in range(k):
-                    acc = acc + a[i][t] * b[t][j]
-                row.append(acc)
-            want.append(tuple(row))
-        got = mmul(tuple(map(tuple, a)), tuple(map(tuple, b)), ZERO)
-        assert got == tuple(want)
-        assert all(type(x) is LaurentScalar for row in got for x in row)
+        n, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        a, b = _draw_rows(data, st, n), _draw_rows(data, st, m)
+        got = kron(a, b, m)
+        assert all(x for row in got.values() for x in row.values())
+        assert dense(got, n * m, ZERO) == dense_kron(
+            dense(a, n, ZERO), dense(b, m, ZERO), ZERO)
+
+    check()
+
+
+def test_sparse_scale_matches_the_dense_scaling():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=40, **_SETTINGS)
+    @hypothesis.given(st.data())
+    def check(data):
+        n = data.draw(st.integers(1, 4))
+        a, s = _draw_rows(data, st, n), data.draw(_q_scalars(st))
+        got = sparse_scale(a, s)
+        assert all(x for row in got.values() for x in row.values())
+        assert dense(got, n, ZERO) == tuple(
+            tuple(x * s for x in row) for row in dense(a, n, ZERO))
 
     check()

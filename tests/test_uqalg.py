@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import fraction_pair
+from oracles import dense, dense_mul, fraction_pair, k_matrix
 from qwhit import ratmat, rootsys, toda, uqalg
 from qwhit.qarith import (ONE, ZERO, LaurentScalar, q_binom, q_exp_nilpotent,
                           qpow)
@@ -412,16 +412,17 @@ def test_module_scale_matches_the_pbw_commutator_a4():
     _assert_module_scales_match_the_pbw_oracle(alg, ["V1", "V4"])
 
 
-def _zeroed(m):
-    return ratmat.zeros(len(m), zero=ZERO)
+def _zeroed(rows):
+    return {}
 
 
-def _one_entry_doubled(m):
-    rows = [list(row) for row in m]
-    i, j = next((i, j) for i, row in enumerate(rows)
-                for j, x in enumerate(row) if x)
-    rows[i][j] = rows[i][j] * 2
-    return tuple(map(tuple, rows))
+def _one_entry_doubled(rows):
+    # the first nonzero entry in row-major order
+    i = min(rows)
+    j = min(rows[i])
+    out = {r: dict(row) for r, row in rows.items()}
+    out[i][j] = out[i][j] * 2
+    return out
 
 
 @pytest.mark.parametrize("rank,name,spoil", [
@@ -539,10 +540,42 @@ def test_rep_catalogue_and_nilpotency():
     alg = algebra("A", 1)
     rep = uqalg.rep_matrices(alg, "V1")
     assert rep.dim == 2
-    e2 = ratmat.mmul(rep.e_mats[0], rep.e_mats[0], ZERO)
-    f2 = ratmat.mmul(rep.f_mats[0], rep.f_mats[0], ZERO)
-    assert is_zero_matrix(e2)
-    assert is_zero_matrix(f2)
+    assert rep.e_mats[0] and rep.f_mats[0]
+    assert ratmat.sparse_mul(rep.e_mats[0], rep.e_mats[0]) == {}
+    assert ratmat.sparse_mul(rep.f_mats[0], rep.f_mats[0]) == {}
+
+
+def dense_ladder(rep, a, b):
+    """Oracle: the dense 0/1 matrix sending the basis vector s holding b but
+    not a to s - {b} + {a}."""
+    rs = rep.alg.rs
+    basis, _ = uqalg.module_basis(rs, rs.module_index(rep.name))
+    index = {s: p for p, s in enumerate(basis)}
+    moves = {(index[tuple(sorted(set(s) - {b} | {a}))], index[s])
+             for s in basis if b in s and a not in s}
+    return tuple(tuple(ONE if (r, c) in moves else ZERO
+                       for c in range(rep.dim)) for r in range(rep.dim))
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_module_matrices_are_the_twisted_ladders(rank):
+    # pi(e_i) = ladder K_nu and pi(f_i) = K_{-nu} ladder, nu the twist of
+    # alpha_i, with no zero entry kept, on every fundamental module
+    alg = algebra("A", rank)
+    for k in range(rank):
+        rep = uqalg.rep_matrices(alg, f"V{k + 1}")
+        for i in range(rank):
+            nu = uqalg._combination(
+                alg.rs, [int(t) for t in alg.ctx.twist[i]])
+            minus_nu = tuple(-x for x in nu)
+            want_e = dense_mul(dense_ladder(rep, i + 1, i + 2),
+                               k_matrix(rep, nu), ZERO)
+            want_f = dense_mul(k_matrix(rep, minus_nu),
+                               dense_ladder(rep, i + 2, i + 1), ZERO)
+            for got, want in ((rep.e_mats[i], want_e),
+                              (rep.f_mats[i], want_f)):
+                assert all(x for row in got.values() for x in row.values())
+                assert dense(got, rep.dim, ZERO) == want
 
 
 def test_rep_relation_check_runs_for_small_type_a():
@@ -558,22 +591,27 @@ def dense_relation_failures(rep):
     alg = rep.alg
     rs = alg.rs
     n = rs.rank
-    mm = ratmat.mmul
-    one = ratmat.eye(rep.dim, ONE, ZERO)
+
+    def mm(a, b):
+        return dense_mul(a, b, ZERO)
+
+    one = dense({r: {r: ONE} for r in range(rep.dim)}, rep.dim, ZERO)
+    e_mats = [dense(m, rep.dim, ZERO) for m in rep.e_mats]
+    f_mats = [dense(m, rep.dim, ZERO) for m in rep.f_mats]
     failed = set()
     for i in range(n):
-        ki = rep.k_matrix(alg.simple_weight(i))
-        ki_inv = rep.k_matrix(tuple(-x for x in alg.simple_weight(i)))
-        assert mm(ki, ki_inv, ZERO) == one
+        ki = k_matrix(rep, alg.simple_weight(i))
+        ki_inv = k_matrix(rep, tuple(-x for x in alg.simple_weight(i)))
+        assert mm(ki, ki_inv) == one
         for j in range(n):
-            for kind, x, sign in (("K-e relation", rep.e_mats[j], 1),
-                                  ("K-f relation", rep.f_mats[j], -1)):
-                lhs = mm(ki, mm(x, ki_inv, ZERO), ZERO)
+            for kind, x, sign in (("K-e relation", e_mats[j], 1),
+                                  ("K-f relation", f_mats[j], -1)):
+                lhs = mm(ki, mm(x, ki_inv))
                 if lhs != ratmat.mscale(x, qpow(sign * rs.bform[i][j])):
                     failed.add(kind)
             cross = ratmat.msub(
-                mm(rep.e_mats[i], rep.f_mats[j], ZERO),
-                ratmat.mscale(mm(rep.f_mats[j], rep.e_mats[i], ZERO),
+                mm(e_mats[i], f_mats[j]),
+                ratmat.mscale(mm(f_mats[j], e_mats[i]),
                               qpow(alg.c_pair(j, i))))
             if i == j:
                 coef = (qpow(rs.d[i]) - qpow(-rs.d[i])).inverse()
@@ -584,12 +622,12 @@ def dense_relation_failures(rep):
     for i, j in itertools.permutations(range(n), 2):
         coefs = uqalg.serre_coefficients(alg.ctx, i, j)
         m = len(coefs) - 1
-        for side, mats in (("e", rep.e_mats), ("f", rep.f_mats)):
-            total = ratmat.zeros(rep.dim, zero=ZERO)
+        for side, mats in (("e", e_mats), ("f", f_mats)):
+            total = dense({}, rep.dim, ZERO)
             for r, coef in enumerate(coefs):
                 term = one
                 for x in (i,) * (m - r) + (j,) + (i,) * r:
-                    term = mm(term, mats[x], ZERO)
+                    term = mm(term, mats[x])
                 total = ratmat.madd(total, ratmat.mscale(term, coef))
             if not is_zero_matrix(total):
                 failed.add(f"{side}-Serre")
@@ -624,10 +662,11 @@ def test_a_corrupted_module_entry_fails_the_relations_it_breaks(
         name, side, j, row, col, how, broken):
     rep = uqalg.rep_matrices(algebra("A", 3), name)
     mats = rep.e_mats if side == "e" else rep.f_mats
-    rows = [list(r) for r in mats[j]]
-    rows[row][col] = ONE if how == "one" else 2 * rows[row][col]
-    assert rows[row][col] != mats[j][row][col]
-    mats[j] = tuple(tuple(r) for r in rows)
+    old = mats[j].get(row, {}).get(col, ZERO)
+    rows = {r: dict(entries) for r, entries in mats[j].items()}
+    rows.setdefault(row, {})[col] = ONE if how == "one" else 2 * old
+    assert rows[row][col] != old
+    mats[j] = rows
     assert dense_relation_failures(rep) == broken
     with pytest.raises(RuntimeError) as info:
         rep._check_relations()
@@ -659,7 +698,8 @@ def test_rep_weights_sum_to_zero():
 def test_l_matrices_a1_shape():
     alg = algebra("A", 1)
     rep = uqalg.rep_matrices(alg, "V1")
-    lminus = uqalg._r_in_rep(alg, rep, flipped=False)
+    lminus = dense(uqalg._r_in_rep(alg, rep, flipped=False), rep.dim,
+                   alg.zero())
     half = alg.weight((Fraction(1, 2),))
     mhalf = alg.weight((Fraction(-1, 2),))
     assert lminus[0][0] == alg.k(half)
@@ -676,7 +716,7 @@ def test_counit_collapses_l_matrices_to_identity(series, rank, rep_name):
     alg = algebra(series, rank)
     rep = uqalg.rep_matrices(alg, rep_name)
     for flipped in (False, True):
-        mat = uqalg._r_in_rep(alg, rep, flipped)
+        mat = dense(uqalg._r_in_rep(alg, rep, flipped), rep.dim, alg.zero())
         for r in range(rep.dim):
             for s in range(rep.dim):
                 want = 1 if r == s else 0
@@ -691,12 +731,12 @@ def test_l_minus_evaluates_to_numeric_r_matrix(rank, rep_name, pi):
     rs = rootsys.build_root_system("A", rank)
     alg = uqalg.Algebra(rootsys.coxeter_context(rs, pi))
     rep = uqalg.rep_matrices(alg, rep_name)
-    lminus = uqalg._r_in_rep(alg, rep, flipped=False)
-    rvv = uqalg.r_matrix_vv(alg, rep)
     d = rep.dim
+    lminus = dense(uqalg._r_in_rep(alg, rep, flipped=False), d, alg.zero())
+    rvv = dense(uqalg.r_matrix_vv(alg, rep), d * d, ZERO)
     for s in range(d):
         for s2 in range(d):
-            block = rep.evaluate(lminus[s][s2])
+            block = dense(rep.evaluate(lminus[s][s2]), d, ZERO)
             for r in range(d):
                 for r2 in range(d):
                     assert block[r][r2] == rvv[r * d + s][r2 * d + s2]
@@ -709,6 +749,22 @@ def test_yang_baxter_holds_exactly(series, rank, rep_name):
     alg = algebra(series, rank)
     rep = uqalg.rep_matrices(alg, rep_name)
     assert uqalg.yang_baxter_check(alg, rep)
+
+
+def test_yang_baxter_check_refuses_a_spoiled_r_matrix(monkeypatch):
+    # one off-diagonal entry of the numeric R doubled breaks the equation
+    alg = algebra("A", 1)
+    rep = uqalg.rep_matrices(alg, "V1")
+    exact = uqalg.r_matrix_vv
+
+    def spoiled(alg, rep):
+        r = {k: dict(row) for k, row in exact(alg, rep).items()}
+        i, j = next((i, j) for i in sorted(r) for j in sorted(r[i]) if i != j)
+        r[i][j] = r[i][j] * 2
+        return r
+
+    monkeypatch.setattr(uqalg, "r_matrix_vv", spoiled)
+    assert uqalg.yang_baxter_check(alg, rep) is False
 
 
 def test_casimir_a1_golden_value():
@@ -774,16 +830,16 @@ def oracle_whittaker_generator(alg, rep, chi):
     or not, replaced by chi(e_beta) read off the PBW root vector."""
     if chi.side != "e":
         raise ValueError("the Whittaker projection uses an e-side character")
-    chi_u = ratmat.eye(rep.dim, ONE, ZERO)
+    chi_u = dense({r: {r: ONE} for r in range(rep.dim)}, rep.dim, ZERO)
     for beta in alg.ordering.ordering:
         scale, base, leg = uqalg.module_f_leg(alg, rep, beta)
         value = uqalg.apply_character(
             chi, uqalg.root_vector(alg, beta, "+")) * scale
-        factor = q_exp_nilpotent(ratmat.sparse_rows(ratmat.mscale(leg, value)),
-                                 rep.dim, base, ONE)
-        chi_u = ratmat.mmul(chi_u, ratmat.from_rows(factor, rep.dim, ZERO),
-                            ZERO)
-    r21 = uqalg._r_in_rep(alg, rep, flipped=True)
+        factor = q_exp_nilpotent(
+            ratmat.sparse_scale(leg, value) if value else {}, rep.dim, base,
+            ONE)
+        chi_u = dense_mul(chi_u, dense(factor, rep.dim, ZERO), ZERO)
+    r21 = dense(uqalg._r_in_rep(alg, rep, flipped=True), rep.dim, alg.zero())
     lams = uqalg.cartan_weights(alg, rep, 1)
     two_rho = tuple(2 * x for x in rootsys.weight_coords(alg.rs.rho))
     out = alg.zero()
