@@ -10,7 +10,7 @@ A matrix of any other ring (qarith.LaurentScalar, uqalg.PBWElement,
 toda.DifferenceOperator) is kept as sparse rows {row: {column: entry}},
 which hold no zero entry, so that two such matrices are equal exactly when
 their dicts are.  ``sparse_mul``, ``sparse_scale`` and ``kron`` work on
-them over the nonzero entries only, and need of the ring only +, * and
+them over the nonzero entries only, and ask of the ring only +, * and
 truthiness.
 """
 
