@@ -165,7 +165,7 @@ def is_whittaker_invariant(alg, img, chi):
 
 def hamiltonians_commute(hams):
     """Do the difference operators commute pairwise?"""
-    return all(toda.commutator(hams[a], hams[b]).is_zero()
+    return all(toda.commutes(hams[a], hams[b])
                for a in range(len(hams)) for b in range(a + 1, len(hams)))
 
 

@@ -483,6 +483,83 @@ ZERO = LaurentScalar.zero()
 ONE = LaurentScalar.one()
 
 
+# ---------------------------------------------------------------------------
+# integer images: exact zero tests by Kronecker substitution
+
+
+def kronecker_bits(bound: int) -> int:
+    """K = bitlen(2B) + 2 for an l1 bound B, so that 2^K > 8B > B, as the
+    proof in ``IntegerImage`` needs."""
+    return (2 * bound).bit_length() + 2
+
+
+class IntegerImage:
+    """Laurent polynomials in q as Python ints, for exact zero tests.
+
+    Built by ``integer_image`` from the scalars in play.  One lcm L of
+    their contents clears them to int coefficients, and ``norms[k]`` is
+    the l1 norm of the k-th scalar times L.  The exponents of the scalars
+    lie in origin + gZ and the shifts the caller applies in gZ, g (``step``)
+    the gcd of their offsets, so L q^{-origin} s is an int polynomial in
+    x = q^(g/EXP_UNIT).  ``values(B)`` evaluates each at x = 2^K for
+    K = ``kronecker_bits(B)``, and ``exponent(u)`` is the power of 2 that
+    q^(u/EXP_UNIT) becomes.
+
+    A caller forms an expression from the scalars by +, - and products in
+    which every term has the same number d of scalar factors, times
+    q-powers q^u with u >= 0 that it applies as left shifts by
+    ``exponent(u)`` bits.  The same operations on the ints give the value
+    at x = 2^K of the int polynomial p = L^d q^{-d origin} times the
+    expression.  If every coefficient of p is at most B in absolute value
+    (an l1 bound on p will do), that int is 0 exactly when the expression
+    is 0, because 2^K > B and:
+
+    Let p = sum c_i x^i have int coefficients with |c_i| < 2^K.  If
+    p(2^K) = 0, then c_0 = -2^K sum_{i>0} c_i 2^{K(i-1)} is a multiple of
+    2^K smaller than 2^K in absolute value, so c_0 = 0.  Then p(x) / x has
+    the same property and a lower degree, and by induction p = 0.
+    """
+
+    __slots__ = ("parts", "norms", "origin", "step", "bits")
+
+    def __init__(self, parts, origin, step):
+        self.parts = parts  # (int factor k, numerator n): L s = k n
+        self.norms = [abs(k) * sum(map(abs, n.values())) for k, n in parts]
+        self.origin, self.step = origin, step
+        self.bits = None
+
+    def values(self, bound: int) -> list[int]:
+        """Each cleared scalar times q^{-origin} at x = 2^K, K =
+        ``kronecker_bits(bound)`` for an l1 bound on the result."""
+        self.bits = k_bits = kronecker_bits(bound)
+        o, g = self.origin, self.step
+        return [sum((k * v) << (k_bits * ((e - o) // g))
+                    for e, v in n.items()) for k, n in self.parts]
+
+    def exponent(self, u: int) -> int:
+        """The power of 2 that q^(u/EXP_UNIT) becomes, u a multiple of g."""
+        return self.bits * (u // self.step)
+
+
+def integer_image(scalars, shifts=()) -> IntegerImage | None:
+    """The ``IntegerImage`` of the scalars, whose step also divides the
+    offsets between the shifts (ints in units of 1/EXP_UNIT), or None when
+    a scalar has a non-unit denominator."""
+    den = 1
+    for s in scalars:
+        if len(s.d) != 1:
+            return None
+        if den % s.c.denominator:
+            den = lcm(den, s.c.denominator)
+    parts = [(s.c.numerator * (den // s.c.denominator), s.n) for s in scalars]
+    exps = [e for _, n in parts for e in n]
+    origin = min(exps, default=0)
+    shifts = list(shifts)
+    step = gcd(*(e - origin for e in exps),
+               *(u - shifts[0] for u in shifts[1:])) or 1
+    return IntegerImage(parts, origin, step)
+
+
 def qpow(e) -> LaurentScalar:
     return LaurentScalar.q_power(e)
 

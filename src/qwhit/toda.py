@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul
 
-from . import uqalg
+from . import qarith, uqalg
 from .qarith import EXP_UNIT, ONE, LaurentScalar, q_exp_nilpotent, qpow
 from .ratmat import sparse_mul, sparse_scale
 from .rootsys import weight_coords
@@ -187,6 +187,82 @@ def commutator(d1, d2):
                     z = tuple(map(add, a, b))
                     slot[z] = slot[z] + c if z in slot else c
     return _operator(rs, _clean(out))
+
+
+def commutes(d1, d2):
+    """Whether [d1, d2] = 0, decided in Python ints.
+
+    The pairs of terms are those of ``commutator``: c1 z^a T_lam1 and
+    c2 z^b T_lam2 give c1 c2 (q^{-u1} - q^{-u2}) z^{a+b} T_{lam1+lam2} with
+    u1 = (lam1, b) and u2 = (lam2, a).  With u_max the largest such
+    exponent, the pair adds V1 V2 shifted by K (u_max - u1)/g bits, minus
+    the same shifted by K (u_max - u2)/g bits, to the total of its key
+    (lam1 + lam2, a + b), itself packed into an int by ``_sum_codes``.
+    V1 and V2 are the images of c1 and c2 under
+    ``qarith.integer_image`` of every coefficient and shift.  Each total is
+    then the image of L^2 q^{u_max - 2 origin} times a coefficient of
+    [d1, d2], whose l1 norm is at most B = 2 N1 N2 for N1 and N2 the summed
+    norms of the cleared coefficients of d1 and d2, so it is 0 exactly
+    when that coefficient is.  When a coefficient has a non-unit
+    denominator, ``commutator`` decides."""
+    if not d1 or not d2:
+        return True
+    rs = d1.rs
+    terms1 = [(lam, a, c) for lam, zp in d1.terms.items()
+              for a, c in zp.items()]
+    terms2 = [(lam, b, c) for lam, zp in d2.terms.items()
+              for b, c in zp.items()]
+    zs1 = list({a: None for _, a, _ in terms1})
+    zs2 = list({b: None for _, b, _ in terms2})
+    # u1 = (lam1, b) for each z-exponent b of d2, u2 = (lam2, a) likewise
+    u1 = {lam: [sum(map(mul, blam, b)) for b in zs2]
+          for lam, blam in zip(d1.terms, map(rs.covector, d1.terms))}
+    u2 = {lam: [sum(map(mul, blam, a)) for a in zs1]
+          for lam, blam in zip(d2.terms, map(rs.covector, d2.terms))}
+    image = qarith.integer_image(
+        [c for _, _, c in terms1 + terms2],
+        [u for us in (*u1.values(), *u2.values()) for u in us])
+    if image is None:
+        return not commutator(d1, d2)
+    n1 = sum(image.norms[:len(terms1)])
+    n2 = sum(image.norms[len(terms1):])
+    values = iter(image.values(2 * n1 * n2))
+    u_max = max(u for us in (*u1.values(), *u2.values()) for u in us)
+    bits1 = {lam: [image.exponent(u_max - u) for u in us]
+             for lam, us in u1.items()}
+    bits2 = {lam: [image.exponent(u_max - u) for u in us]
+             for lam, us in u2.items()}
+    code1, code2 = _sum_codes([lam + a for lam, a, _ in terms1],
+                              [lam + b for lam, b, _ in terms2])
+    index1 = {a: k for k, a in enumerate(zs1)}
+    index2 = {b: k for k, b in enumerate(zs2)}
+    left = [(k, next(values), index1[a], bits1[lam])
+            for k, (lam, a, _) in zip(code1, terms1)]
+    right = [(k, next(values), index2[b], bits2[lam])
+             for k, (lam, b, _) in zip(code2, terms2)]
+    out = {}
+    for k1, v1, a, shifts1 in left:
+        for k2, v2, b, shifts2 in right:
+            s1, s2 = shifts1[b], shifts2[a]
+            if s1 != s2:
+                p = v1 * v2
+                k = k1 + k2
+                out[k] = out.get(k, 0) + (p << s1) - (p << s2)
+    return not any(out.values())
+
+
+def _sum_codes(vs1, vs2):
+    """Int codes of the int vectors vs1 and vs2 such that code1 + code2
+    determines v1 + v2: each coordinate is a digit offset by its least
+    value on its side, in a radix wider than the range of the sums."""
+    codes1, codes2 = [0] * len(vs1), [0] * len(vs2)
+    radix = 1
+    for col1, col2 in zip(zip(*vs1), zip(*vs2)):
+        lo1, lo2 = min(col1), min(col2)
+        codes1 = [k + (x - lo1) * radix for k, x in zip(codes1, col1)]
+        codes2 = [k + (x - lo2) * radix for k, x in zip(codes2, col2)]
+        radix *= max(col1) - lo1 + max(col2) - lo2 + 1
+    return codes1, codes2
 
 
 def lower_rep(y, chibar):

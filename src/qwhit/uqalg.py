@@ -646,14 +646,20 @@ class RepMatrices:
         relations entry by entry against the weights, the cross and Serre
         relations as sparse products.  A failure raises one RuntimeError
         naming each kind of relation that fails, at its first failing
-        (i, j)."""
+        (i, j).
+
+        The products are formed on the images of the entries under
+        ``qarith.integer_image``, so that each relation is an int zero
+        test, and on the entries themselves when one has a non-unit
+        denominator.  The cross relation at (i, i) is multiplied through
+        by q_i - q_i^{-1} to keep its scalars polynomials, and every term
+        of a relation takes as many scalar factors as the longest, the
+        padding being the image of 1."""
         alg = self.alg
         rs = alg.rs
         n = rs.rank
-        e, f = self.e_mats, self.f_mats
         # kexp[r][i] = (alpha_i, mu_r): pi(K_{alpha_i}) is q to it at r
         kexp = [rs.covector(mu) for mu in self.weights]
-        one = {r: {r: ONE} for r in range(self.dim)}
         failures = dict.fromkeys(("K-e relation", "K-f relation",
                                   "cross relation", "e-Serre", "f-Serre"))
 
@@ -668,28 +674,58 @@ class RepMatrices:
                 b = EXP_UNIT * rs.bform[i][j]
                 check("K-e relation", i, j, all(
                     kexp[r][i] - kexp[c][i] == b
-                    for r, row in e[j].items() for c in row))
+                    for r, row in self.e_mats[j].items() for c in row))
                 check("K-f relation", i, j, all(
                     kexp[r][i] - kexp[c][i] == -b
-                    for r, row in f[j].items() for c in row))
-                # e_i f_j - q^{c_ji} f_j e_i = delta_ij (K_i - K_i^-1)/(q_i - q_i^-1)
-                terms = [(ONE, sparse_mul(e[i], f[j])),
-                         (-qpow(alg.c_pair(j, i)), sparse_mul(f[j], e[i]))]
+                    for r, row in self.f_mats[j].items() for c in row))
+        # e_i f_j - q^{c_ji} f_j e_i = delta_ij (K_i - K_i^-1)/(q_i - q_i^-1),
+        # with K_i - K_i^-1 read off the same exponents, which take few values
+        diffs = {x: ONE.times_q(x) - ONE.times_q(-x)
+                 for k in kexp for x in k if x}
+        mats = self.e_mats + self.f_mats + [
+            {r: {r: diffs[k[i]]} for r, k in enumerate(kexp) if k[i]}
+            for i in range(n)]
+        cross = []  # the coefficients of e_i f_j and f_j e_i
+        for i in range(n):
+            for j in range(n):
+                scale = qpow(rs.d[i]) - qpow(-rs.d[i]) if i == j else ONE
+                cross.append((scale, -scale * qpow(alg.c_pair(j, i))))
+        serre = list(alg.serre_coefs.items())
+        scalars = [x for m in mats for row in m.values() for x in row.values()]
+        scalars += [c for pair in cross for c in pair]
+        scalars += [c for _, coefs in serre for c in coefs] + [ONE]
+        image = qarith.integer_image(scalars)
+        values = iter(scalars if image is None else image.values(
+            _relation_bound(image.norms, mats, len(cross), serre)))
+        mats = [{r: {c: next(values) for c in row} for r, row in m.items()}
+                for m in mats]
+        e, f, cartan = mats[:n], mats[n:2 * n], mats[2 * n:]
+        cross = [(next(values), next(values)) for _ in cross]
+        serre = [(ij, [next(values) for _ in coefs]) for ij, coefs in serre]
+        pad = next(values)
+        for i in range(n):
+            for j in range(n):
+                c_ef, c_fe = cross[i * n + j]
+                terms = [(c_ef, sparse_mul(e[i], f[j])),
+                         (c_fe, sparse_mul(f[j], e[i]))]
                 if i == j:
-                    coef = -(qpow(rs.d[i]) - qpow(-rs.d[i])).inverse()
-                    terms.append((coef, self.cartan_difference(
-                        alg.simple_weight(i))))
-                check("cross relation", i, j, _vanishes(terms))
-        for (i, j), coefs in alg.serre_coefs.items():
-            m = len(coefs) - 1
-            for side, mats in (("e", e), ("f", f)):
-                powers = [one]
-                for _ in range(m):
-                    powers.append(sparse_mul(powers[-1], mats[i]))
-                check(f"{side}-Serre", i, j, _vanishes(
-                    (coef, sparse_mul(sparse_mul(powers[m - r], mats[j]),
-                                      powers[r]))
-                    for r, coef in enumerate(coefs)))
+                    terms.append((-pad * pad, cartan[i]))
+                check("cross relation", i, j, not _sparse_combination(terms))
+        for side, x in (("e", e), ("f", f)):
+            powers = {}  # x_i^k for k = 1..m, formed once per i
+            for (i, j), coefs in serre:
+                m = len(coefs) - 1
+                pw = powers.setdefault(i, [None, x[i]])
+                while len(pw) <= m:
+                    pw.append(sparse_mul(pw[-1], x[i]))
+                terms = []
+                for r, coef in enumerate(coefs):
+                    # x_i^{m-r} x_j x_i^r
+                    word = x[j] if r == m else sparse_mul(pw[m - r], x[j])
+                    if r:
+                        word = sparse_mul(word, pw[r])
+                    terms.append((coef, word))
+                check(f"{side}-Serre", i, j, not _sparse_combination(terms))
         failed = [f"{kind} fails at ({at[0]},{at[1]})"
                   for kind, at in failures.items() if at]
         if failed:
@@ -736,9 +772,21 @@ def _sparse_combination(terms):
     return out
 
 
-def _vanishes(terms):
-    """True when sum coef * a over the (coef, a) in terms is zero."""
-    return not _sparse_combination(terms)
+def _relation_bound(norms, mats, n_cross, serre):
+    """An l1 bound on the cleared int polynomial of any relation of
+    ``RepMatrices._check_relations``, from the norms of its scalars in
+    their order there.  An entry of a product of matrices has a norm at
+    most the product of their largest row sums of entry norms, and the
+    padding 1 counts as a matrix whose row sum is its norm."""
+    norms = iter(norms)
+    rows = [sum(next(norms) for _ in row) for m in mats for row in m.values()]
+    # the Cartan term of a cross relation has coefficient -1
+    cross = [next(norms) + next(norms) + 1 for _ in range(n_cross)]
+    serre = [(sum(next(norms) for _ in coefs), len(coefs))
+             for _, coefs in serre]
+    big = max(rows + [next(norms)])
+    return max([s * big ** 3 for s in cross]
+               + [s * big ** k for s, k in serre])
 
 
 def rep_matrices(alg, name):

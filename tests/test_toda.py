@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import fraction_pair, operator_apply
-from qwhit import acceptance, rootsys, toda, uqalg
+from qwhit import acceptance, qarith, rootsys, toda, uqalg
 from qwhit.qarith import EXP_UNIT, LaurentScalar, qpow
 from qwhit.rootsys import weight, weight_coords
 from qwhit.toda import DifferenceOperator
@@ -201,6 +201,193 @@ def test_commutator_skips_the_pairs_whose_exponents_agree():
     got = toda.commutator(t_half, z1)
     assert not got.is_zero()
     assert got == t_half * z1 - z1 * t_half
+
+
+# ---------------------------------------------------------------------------
+# the commutation test in ints
+
+
+def test_commutes_agrees_with_the_commutator():
+    # commutes decides [d1, d2] = 0 in ints; the one-pass commutator is the
+    # oracle.  Drawn: operators with half-unit shifts, rational contents and
+    # two-monomial coefficients, their q-exponents integers or halves, so
+    # that the step of the integer image must also divide the shifts
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    systems = [rootsys.build_root_system(*t) for t in
+               (("A", 1), ("A", 2), ("B", 2), ("G", 2))]
+    coord = st.builds(Fraction, st.integers(-2, 2), st.sampled_from((1, 2)))
+    rational = st.builds(Fraction, st.integers(-9, 9).filter(bool),
+                         st.integers(1, 6))
+
+    @hypothesis.settings(max_examples=80, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(st.data())
+    def check(data):
+        rs = data.draw(st.sampled_from(systems))
+        exponent = st.builds(Fraction, st.integers(-4, 4),
+                             st.just(data.draw(st.sampled_from((1, 2)))))
+        monomial = st.builds(lambda e, c: qpow(e) * c, exponent, rational)
+        scalar = st.one_of(monomial, st.builds(
+            lambda a, b: a + b, monomial, monomial).filter(bool))
+        zexp = st.tuples(*[st.integers(0, 2)] * rs.rank)
+        terms = st.dictionaries(
+            st.tuples(*[coord] * rs.rank),
+            st.dictionaries(zexp, scalar, min_size=1, max_size=2),
+            max_size=3)
+        d1, d2 = (DifferenceOperator(rs, {weight(lam): zp for lam, zp in
+                                          data.draw(terms).items()})
+                  for _ in range(2))
+        # d1 commutes with d1 d1 + c d1 through identities of q-powers
+        if data.draw(st.booleans()):
+            d2 = d1 * d1 + d1.scale(LaurentScalar.from_rational(
+                data.draw(rational)))
+        assert toda.commutes(d1, d2) == toda.commutator(d1, d2).is_zero()
+
+    check()
+
+
+def test_commutes_agrees_with_the_commutator_on_hamiltonians():
+    # Hamiltonians of A1-A3 with drawn rational characters commute; with
+    # one coefficient scaled by a drawn rational, or a drawn term added,
+    # they mostly do not
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    rational = st.builds(Fraction, st.integers(-9, 9).filter(bool),
+                         st.sampled_from((2, 3, 4, 5, 6, 1)))
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(st.data())
+    def check(data):
+        rank = data.draw(st.integers(1, 3))
+        values = st.lists(rational, min_size=rank, max_size=rank)
+        system = toda.build_toda_system(
+            algebra("A", rank), data.draw(values), data.draw(values))
+        i, j = (data.draw(st.integers(0, rank - 1)) for _ in range(2))
+        d1, d2 = system.hamiltonians[i], system.hamiltonians[j]
+        spoil = data.draw(st.sampled_from(("none", "scale", "add")))
+        if spoil == "scale":
+            terms = {lam: dict(zp) for lam, zp in d2.terms.items()}
+            lam = data.draw(st.sampled_from(sorted(terms)))
+            z = data.draw(st.sampled_from(sorted(terms[lam])))
+            terms[lam][z] = terms[lam][z] * data.draw(rational)
+            d2 = DifferenceOperator(d2.rs, terms)
+        elif spoil == "add":
+            lam = weight(data.draw(st.tuples(*[st.builds(
+                Fraction, st.integers(-2, 2), st.sampled_from((1, 2)))]
+                * rank)))
+            z = data.draw(st.tuples(*[st.integers(0, 1)] * rank))
+            d2 = d2 + DifferenceOperator(d2.rs, {lam: {
+                z: qpow(data.draw(st.integers(-2, 2))) * data.draw(rational)}})
+        assert toda.commutes(d1, d2) == toda.commutator(d1, d2).is_zero()
+
+    check()
+
+
+def test_commutes_steps_by_the_shifts_as_well_as_the_exponents():
+    # (q + 1) T_lam with lam = alpha_1 / 2, and q z_2: the coefficients
+    # step by whole powers of q, while (lam, alpha_2) = -1/2, so the
+    # commutator (q + 1) q (q^{1/2} - 1) z_2 T_lam needs the half step
+    rs = rootsys.build_root_system("A", 2)
+    d1 = DifferenceOperator(rs, {weight((Fraction(1, 2), 0)): {
+        (0, 0): qpow(1) + 1}})
+    d2 = z_monomial(rs, (0, 1), qpow(1))
+    assert not toda.commutator(d1, d2).is_zero()
+    assert not toda.commutes(d1, d2)
+
+
+@pytest.mark.parametrize("chi,chibar", [
+    ((Fraction(2, 3), -5, Fraction(7, 2)), (1, Fraction(-1, 4), 3)),
+    ((1, Fraction(-1, 4), 3), (Fraction(2, 3), -5, Fraction(7, 2)))])
+def test_commutes_on_a3_with_rational_characters(chi, chibar):
+    # every pair commutes, and one doubled coefficient is caught
+    hams = toda.build_toda_system(algebra("A", 3), chi, chibar).hamiltonians
+    assert all(toda.commutes(a, b) for a in hams for b in hams)
+    terms = {lam: dict(zp) for lam, zp in hams[1].terms.items()}
+    lam = max(terms)
+    z = max(terms[lam])
+    terms[lam][z] = terms[lam][z] * 2
+    doubled = DifferenceOperator(hams[1].rs, terms)
+    assert not toda.commutator(hams[0], doubled).is_zero()
+    assert not toda.commutes(hams[0], doubled)
+
+
+def _l1(c):
+    """The l1 norm of the coefficients of a Laurent polynomial scalar."""
+    return abs(c.c) * sum(map(abs, c.n.values()))
+
+
+def test_commutes_agrees_with_the_commutator_at_the_bound():
+    # one term on each side, with positive int coefficients and a shift
+    # that moves the two halves of the commutator apart: its coefficient
+    # then has the l1 norm 2 N1 N2 of the bound B itself, with coefficients
+    # up to about 2^80
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    rs = rootsys.build_root_system("A", 2)
+    poly = st.dictionaries(st.integers(-3, 3), st.integers(1, 2 ** 40),
+                           min_size=1, max_size=4).map(LaurentScalar)
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(st.data())
+    def check(data):
+        # (lam, alpha_1) = 2 t >= 14 exceeds the q-degree span 12 of c1 c2
+        t = data.draw(st.builds(Fraction, st.integers(14, 40), st.just(2)))
+        lam = weight((t, data.draw(st.integers(-2, 2))))
+        c1, c2 = data.draw(poly), data.draw(poly)
+        d1 = DifferenceOperator(rs, {lam: {(0, 0): c1}})
+        d2 = z_monomial(rs, (1, 0), c2)
+        (coeff,), = (zp.values() for zp in toda.commutator(d1, d2)
+                     .terms.values())
+        assert _l1(coeff) == 2 * _l1(c1) * _l1(c2)
+        assert not toda.commutes(d1, d2)
+
+    check()
+
+
+def test_commutes_fails_with_one_bit_less_than_the_proof_needs(monkeypatch):
+    # the coefficients of a commutator sum to 0 at q = 1, so none exceeds
+    # half its l1 bound B = 2 N1 N2, and the proof needs 2^K > N1 N2.  With
+    # K one bit short of that, p(q) T_lam and z with p = q - 2^K and
+    # (lam, alpha_1) = -1 give [d1, d2] = (q - 2^K)(q - 1) z T_lam, which
+    # vanishes at q = 2^K: the test then calls them commuting
+    rs = rootsys.build_root_system("A", 1)
+    k = 4
+    p = qpow(1) - LaurentScalar.from_rational(2 ** k)
+    d1 = DifferenceOperator(rs, {weight((Fraction(-1, 2),)): {(0,): p}})
+    d2 = z_monomial(rs, (1,))
+    # N1 = 2^k + 1 and N2 = 1, so the proof needs K = k + 1
+    assert _l1(p) == 2 ** k + 1
+    assert not toda.commutator(d1, d2).is_zero()
+    assert not toda.commutes(d1, d2)
+    monkeypatch.setattr(qarith, "kronecker_bits",
+                        lambda bound: (bound // 2).bit_length() - 1)
+    assert toda.commutes(d1, d2)
+
+
+def test_commutes_hands_a_non_polynomial_coefficient_to_the_commutator(
+        monkeypatch):
+    rs = rootsys.build_root_system("A", 2)
+    system = toda.build_toda_system(algebra("A", 2), (2, -3), (7, 5))
+    m1, m2 = system.hamiltonians
+    ratio = (qpow(1) + 2).inverse()
+    calls = []
+    real = toda.commutator
+
+    def counted(d1, d2):
+        calls.append((d1, d2))
+        return real(d1, d2)
+
+    monkeypatch.setattr(toda, "commutator", counted)
+    # m1 scaled by a non-polynomial scalar still commutes with m2, and a
+    # shift with that coefficient does not commute with the potential
+    assert toda.commutes(m1.scale(ratio), m2)
+    assert not toda.commutes(m1 + DifferenceOperator.shift(
+        rs, weight((Fraction(1, 2), 0)), ratio), m2)
+    assert len(calls) == 2
+    assert toda.commutes(m1, m2) and len(calls) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -588,6 +588,12 @@ def test_rep_relation_check_runs_for_small_type_a():
 def dense_relation_failures(rep):
     """Oracle: the kinds of defining relation the module matrices break,
     each relation checked as a product of dense matrices."""
+    return set(dense_first_failures(rep))
+
+
+def dense_first_failures(rep):
+    """Oracle: the first (i, j) at which each kind of defining relation
+    fails, by kind, each relation checked as a product of dense matrices."""
     alg = rep.alg
     rs = alg.rs
     n = rs.rank
@@ -598,7 +604,7 @@ def dense_relation_failures(rep):
     one = dense({r: {r: ONE} for r in range(rep.dim)}, rep.dim, ZERO)
     e_mats = [dense(m, rep.dim, ZERO) for m in rep.e_mats]
     f_mats = [dense(m, rep.dim, ZERO) for m in rep.f_mats]
-    failed = set()
+    failed = {}
     for i in range(n):
         ki = k_matrix(rep, alg.simple_weight(i))
         ki_inv = k_matrix(rep, tuple(-x for x in alg.simple_weight(i)))
@@ -608,7 +614,7 @@ def dense_relation_failures(rep):
                                   ("K-f relation", f_mats[j], -1)):
                 lhs = mm(ki, mm(x, ki_inv))
                 if lhs != ratmat.mscale(x, qpow(sign * rs.bform[i][j])):
-                    failed.add(kind)
+                    failed.setdefault(kind, (i, j))
             cross = ratmat.msub(
                 mm(e_mats[i], f_mats[j]),
                 ratmat.mscale(mm(f_mats[j], e_mats[i]),
@@ -618,7 +624,7 @@ def dense_relation_failures(rep):
                 cross = ratmat.msub(cross, ratmat.mscale(
                     ratmat.msub(ki, ki_inv), coef))
             if not is_zero_matrix(cross):
-                failed.add("cross relation")
+                failed.setdefault("cross relation", (i, j))
     for i, j in itertools.permutations(range(n), 2):
         coefs = uqalg.serre_coefficients(alg.ctx, i, j)
         m = len(coefs) - 1
@@ -630,7 +636,7 @@ def dense_relation_failures(rep):
                     term = mm(term, mats[x])
                 total = ratmat.madd(total, ratmat.mscale(term, coef))
             if not is_zero_matrix(total):
-                failed.add(f"{side}-Serre")
+                failed.setdefault(f"{side}-Serre", (i, j))
     return failed
 
 
@@ -673,6 +679,83 @@ def test_a_corrupted_module_entry_fails_the_relations_it_breaks(
     message = str(info.value)
     assert message.startswith(f"{name}: ")
     assert {k for k in RELATION_KINDS if f"{k} fails at (" in message} == broken
+
+
+def _relation_message(name, first):
+    """The RuntimeError text of ``_check_relations`` for the first failing
+    (i, j) of each kind, or None when nothing fails."""
+    failed = [f"{kind} fails at ({first[kind][0]},{first[kind][1]})"
+              for kind in RELATION_KINDS if kind in first]
+    return f"{name}: " + "; ".join(failed) if failed else None
+
+
+def test_the_relation_check_agrees_with_the_dense_oracle():
+    # an A2 or A3 module, conjugated or not by a drawn diagonal of
+    # rationals (which keeps every relation), with one drawn entry of one
+    # pi(e_j) or pi(f_j) kept, set to 1, doubled, negated, removed, scaled
+    # by a non-integer rational, replaced by a two-monomial polynomial, or
+    # by a scalar with a non-unit denominator (which the check decides on
+    # the scalars themselves); the message must name the oracle's first
+    # failing (i, j) of each kind
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    exponent = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 2)))
+    rational = st.builds(Fraction, st.integers(-9, 9).filter(bool),
+                         st.integers(2, 6)).filter(
+                             lambda x: x.denominator > 1)
+    monomial = st.builds(lambda e, c: qpow(e) * c, exponent,
+                         st.integers(-3, 3).filter(bool))
+    spoils = {
+        "keep": st.just(lambda old: old),
+        "one": st.just(lambda old: ONE),
+        "double": st.just(lambda old: 2 * old),
+        "negate": st.just(lambda old: -old),
+        "remove": st.just(lambda old: ZERO),
+        "rational": rational.map(lambda c: lambda old: (old or ONE) * c),
+        "two monomials": st.builds(lambda a, b: lambda old: a + b,
+                                   monomial, monomial),
+        "non-unit denominator": st.builds(
+            lambda e, c: lambda old: (old or ONE) / (qpow(e) + c),
+            exponent.filter(bool), st.integers(1, 3)),
+    }
+
+    @hypothesis.settings(max_examples=80, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(st.data())
+    def check(data):
+        rank = data.draw(st.integers(2, 3))
+        name = f"V{data.draw(st.integers(1, rank))}"
+        rep = uqalg.rep_matrices(algebra("A", rank), name)
+        if data.draw(st.booleans()):
+            d = data.draw(st.lists(rational, min_size=rep.dim,
+                                   max_size=rep.dim))
+            for m in (rep.e_mats, rep.f_mats):
+                m[:] = [{r: {c: x * (d[r] / d[c]) for c, x in entries.items()}
+                         for r, entries in rows.items()} for rows in m]
+        mats = data.draw(st.sampled_from((rep.e_mats, rep.f_mats)))
+        j = data.draw(st.integers(0, rank - 1))
+        # an entry of the matrix, or any position
+        row, col = data.draw(st.one_of(
+            st.sampled_from([(r, c) for r, entries in mats[j].items()
+                             for c in entries]),
+            st.tuples(*[st.integers(0, rep.dim - 1)] * 2)))
+        spoil = data.draw(spoils[data.draw(st.sampled_from(sorted(spoils)))])
+        rows = {r: dict(entries) for r, entries in mats[j].items()}
+        new = spoil(rows.get(row, {}).get(col, ZERO))
+        if new:
+            rows.setdefault(row, {})[col] = new
+        else:
+            rows.get(row, {}).pop(col, None)
+        mats[j] = {r: entries for r, entries in rows.items() if entries}
+        want = _relation_message(name, dense_first_failures(rep))
+        try:
+            rep._check_relations()
+            got = None
+        except RuntimeError as exc:
+            got = str(exc)
+        assert got == want
+
+    check()
 
 
 def test_rep_matrices_rejects_unknown_modules():
