@@ -681,7 +681,7 @@ class RepMatrices:
         # e_i f_j - q^{c_ji} f_j e_i = delta_ij (K_i - K_i^-1)/(q_i - q_i^-1),
         # with K_i - K_i^-1 read off the same exponents, which take few values
         diffs = {x: ONE.times_q(x) - ONE.times_q(-x)
-                 for k in kexp for x in k if x}
+                 for x in {x for k in kexp for x in k if x}}
         mats = self.e_mats + self.f_mats + [
             {r: {r: diffs[k[i]]} for r, k in enumerate(kexp) if k[i]}
             for i in range(n)]
