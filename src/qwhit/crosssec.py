@@ -105,7 +105,7 @@ def _cycle_prev(n: int, j: int) -> int:
 
 def cell_witness(m: Mat, s_rep: Optional[Mat] = None):
     """Unitriangular (a, b) with m = a * s * b, or None when m is not in
-    the cell.
+    the cell; ValueError unless s_rep is an invertible matrix of m's size.
 
     Writing a^-1 = 1 + g with g strictly upper, the condition
     s^-1 (1 + g) m = b in N_+ is linear in g: the strictly-lower entries
@@ -114,6 +114,12 @@ def cell_witness(m: Mat, s_rep: Optional[Mat] = None):
     """
     n = _dim(m)
     s = coxeter_rep(n) if s_rep is None else s_rep
+    if any(len(row) != len(s) for row in s):
+        raise ValueError("s_rep is not square")
+    if len(s) != n:
+        raise ValueError(f"s_rep is {len(s)}x{len(s)} but the matrix is {n}x{n}")
+    if det(s) == 0:
+        raise ValueError("s_rep is singular")
     sinv = minv(s)
     base = mmul(sinv, m)
     positions = [(k, l) for k in range(n) for l in range(k + 1, n)]
@@ -241,10 +247,6 @@ class GStarElement:
     n_plus: Mat
     h_minus: Mat
     n_minus: Mat
-
-    @property
-    def n(self) -> int:
-        return len(self.l_plus)
 
 
 def gstar_factorize(l_plus: Mat, l_minus: Mat) -> GStarElement:

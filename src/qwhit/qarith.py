@@ -565,18 +565,7 @@ def qpow(e) -> LaurentScalar:
 
 
 # ---------------------------------------------------------------------------
-# balanced q-numbers: [n] = (q^n - q^-n)/(q - q^-1), in base q^d
-
-def q_int(n: int, d=1) -> LaurentScalar:
-    step = to_units(d)
-    if n < 0:
-        return -q_int(-n, d)
-    num = {}
-    for k in range(n):
-        e = step * (n - 1 - 2 * k)
-        num[e] = num.get(e, 0) + 1
-    return _polynomial(num)
-
+# balanced q-binomials, in base q^d
 
 def q_binom(m: int, k: int, d=1) -> LaurentScalar:
     """Balanced q-binomial [m choose k] in base v = q^d, by the Pascal rule

@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import mul
+from operator import add, mul
 
 from . import ratmat
 from .qarith import EXP_UNIT, to_units
@@ -393,10 +393,18 @@ def coxeter_context(rs, pi=None):
 
 @dataclass(frozen=True)
 class NormalOrdering:
-    """Convex ordering of the positive roots adapted to a Coxeter element."""
+    """Convex ordering of the positive roots adapted to a Coxeter element.
+
+    segments maps each non-simple root beta, in the order of the ordering,
+    to (a, b, w): a + b = beta are the ends of its minimal segment, the
+    narrowest stretch of the ordering whose ends sum to beta, and
+    w = (a + T a, b) in units of 1/EXP_UNIT (T the Cayley transform) is the
+    exponent of the q-commutator e_beta = e_a e_b - q^w e_b e_a.
+    """
 
     ordering: tuple
     word: tuple
+    segments: dict
 
 
 def _reflect(rs, i, v):
@@ -453,18 +461,36 @@ def _greedy_word(rs, pi):
     return word if len(word) == n else None
 
 
-def check_convexity(rs, ordering):
-    """True when every decomposable root sits strictly between its parts."""
+def _segments(ctx, ordering):
+    """The segments table of ``NormalOrdering`` from one pass over the pairs
+    of roots, or None when the ordering is not convex.
+
+    The ordering is convex when the sum of two of its roots, if it is a
+    root, sits strictly between them.  Then the pairs of positions p < r
+    whose roots sum to a root gamma are all its two-term decompositions,
+    and the minimal segment of gamma is the narrowest of them, the one with
+    the smaller p where two are equally narrow.
+    """
     index = {root: k for k, root in enumerate(ordering)}
-    roots = set(ordering)
-    for alpha, beta in itertools.combinations(ordering, 2):
-        gamma = tuple(x + y for x, y in zip(alpha, beta))
-        if gamma in roots:
-            lo = min(index[alpha], index[beta])
-            hi = max(index[alpha], index[beta])
-            if not (lo < index[gamma] < hi):
-                return False
-    return True
+    spans = {}
+    for (p, alpha), (r, beta) in itertools.combinations(enumerate(ordering), 2):
+        g = index.get(tuple(map(add, alpha, beta)))
+        if g is not None:
+            if not p < g < r:
+                return None
+            spans.setdefault(g, []).append((r - p, p, r))
+    segments = {}
+    for g, gamma in enumerate(ordering):
+        if sum(gamma) == 1:
+            continue
+        if g not in spans:
+            raise ValueError(f"root {gamma} admits no two-term decomposition")
+        _, p, r = min(spans[g])
+        a, b = ordering[p], ordering[r]
+        wa = weight(a)
+        segments[gamma] = (a, b, ctx.rs.pair(
+            tuple(map(add, wa, ctx.cayley_apply(wa))), b))
+    return segments
 
 
 def _simple_order_ok(rs, ordering, pi):
@@ -510,22 +536,28 @@ def normal_ordering(ctx):
 
     Built from a reduced word for the longest Weyl element that starts with
     the letters pi(1), ..., pi(l); the cheap cyclic construction is tried
-    first and a backtracking search covers any type it misses.
+    first and a backtracking search covers any type it misses.  The pass
+    over pairs of roots that decides convexity also gives the minimal
+    segment of every non-simple root.
     """
     rs = ctx.rs
     pi = ctx.pi
     word = _greedy_word(rs, pi)
     if word is not None:
         ordering = tuple(_word_roots(rs, word))
-        if check_convexity(rs, ordering) and _simple_order_ok(rs, ordering, pi):
-            return NormalOrdering(ordering=ordering, word=tuple(word))
+        if _simple_order_ok(rs, ordering, pi):
+            segments = _segments(ctx, ordering)
+            if segments is not None:
+                return NormalOrdering(ordering, tuple(word), segments)
     word = _dfs_word(rs, pi)
     if word is None:
         raise RuntimeError(f"no adapted normal ordering found for {rs.series}{rs.rank}")
     ordering = tuple(_word_roots(rs, word))
-    if not check_convexity(rs, ordering) or not _simple_order_ok(rs, ordering, pi):
+    segments = (_segments(ctx, ordering) if _simple_order_ok(rs, ordering, pi)
+                else None)
+    if segments is None:
         raise RuntimeError("search produced a non-convex or badly ordered word")
-    return NormalOrdering(ordering=ordering, word=tuple(word))
+    return NormalOrdering(ordering, tuple(word), segments)
 
 
 def coxeter_orbits(ctx):

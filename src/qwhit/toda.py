@@ -16,8 +16,9 @@ mirrors K_lam f_i = q^{-(lam, alpha_i)} f_i K_lam, and the z_i commute), so
 R_21 is lowered one q-exponential factor at a time and never multiplied out
 in the algebra.  For a non-simple root the lowered factor and its chi(U)
 counterpart are the identity, so each generator is a product of one factor
-per simple root, in the order of the adapted normal ordering; that
-vanishing is rechecked by a scalar recursion on every call.
+per simple root, in the order of the adapted normal ordering.  Every call
+rechecks that vanishing by an integer test on the q-commutator exponents of
+the normal ordering's segments table.
 
 Sign note: the potential of the closed-form type-A Hamiltonian is
 +(q - q^{-1})^2 chi_i chibar_i z_i, the sign the trace pipeline produces and
@@ -302,30 +303,33 @@ def phi_conjugate(op):
     return _operator(rs, out)
 
 
-def _check_non_simple_factors_vanish(alg, chi, chibar):
+def _check_non_simple_factors_vanish(alg):
     """Raise RuntimeError unless the R-matrix factor of every non-simple
     root drops out of the Whittaker image.
 
-    With (a, b) the minimal segment of beta and e_beta = e_a e_b -
-    q^w e_b e_a, the characters give chi(e_beta) = (1 - q^w) chi(e_a)
-    chi(e_b), and since the z_i commute the lowered f_beta is
-    chibar(f_beta) z^beta with chibar(f_beta) = (1 - q^{-w}) chibar(f_a)
-    chibar(f_b).  Both must vanish."""
-    e_val, f_val = {}, {}
-    for beta in sorted(alg.ordering.ordering, key=sum):
-        if sum(beta) == 1:
-            i = beta.index(1)
-            e_val[beta], f_val[beta] = chi.values[i], chibar.values[i]
-            continue
-        a, b, w = uqalg.root_segment(alg, beta)
-        e_val[beta] = (ONE - ONE.times_q(w)) * e_val[a] * e_val[b]
-        f_val[beta] = (ONE - ONE.times_q(-w)) * f_val[a] * f_val[b]
-        if e_val[beta] or f_val[beta]:
+    With (a, b, w) the segment of beta, so e_beta = e_a e_b - q^w e_b e_a,
+    the characters give chi(e_beta) = (1 - q^w) chi(e_a) chi(e_b), and
+    since the z_i commute the lowered f_beta is chibar(f_beta) z^beta with
+    chibar(f_beta) = (1 - q^{-w}) chibar(f_a) chibar(f_b).  Both must
+    vanish, and that is decided on w alone: a non-singular character has
+    no zero value, q-scalars have no zero divisors, and 1 - q^{+-w} is zero
+    exactly when w = 0.  Walking the roots by height, a root whose segment
+    is two simple roots survives exactly when w != 0; while none has, every
+    higher root has a vanishing end of its segment and vanishes too.  So
+    the first root to survive is the first of the walk whose segment is two
+    simple roots and whose w is nonzero, the root this check names."""
+    segments = alg.ordering.segments
+    # segments follows the ordering and sorted is stable, so this walk is
+    # sorted(ordering, key=sum) without the simple roots
+    for beta in sorted(segments, key=sum):
+        a, b, w = segments[beta]
+        if w and sum(a) == sum(b) == 1:
             raise RuntimeError(
                 f"the R-matrix factor of the non-simple root {beta} survives "
                 f"the Whittaker projection for the ordering "
-                f"{','.join(map(str, alg.ctx.pi))}: chi(e_beta) = "
-                f"{e_val[beta]}, chibar(f_beta) = {f_val[beta]}")
+                f"{','.join(map(str, alg.ctx.pi))}: e_beta = e_a e_b - "
+                f"q^w e_b e_a with a = {a}, b = {b} simple and "
+                f"w = {Fraction(w, EXP_UNIT)} != 0")
 
 
 def toda_hamiltonian(alg, rep_name, chi, chibar):
@@ -344,7 +348,7 @@ def toda_hamiltonian(alg, rep_name, chi, chibar):
     if chi.side != "e" or chibar.side != "f":
         raise ValueError("the Toda Hamiltonians take an e-side character chi "
                          "and an f-side character chibar")
-    _check_non_simple_factors_vanish(alg, chi, chibar)
+    _check_non_simple_factors_vanish(alg)
     rs = alg.rs
     rep = uqalg.rep_matrices(alg, rep_name)
     one = DifferenceOperator.shift(rs, alg.zero_weight)

@@ -438,37 +438,6 @@ class PBWElement:
 # root vectors
 
 
-def _minimal_segment(ordering, gamma_pos):
-    ordering = list(ordering)
-    gamma = ordering[gamma_pos]
-    candidates = []
-    for p in range(gamma_pos):
-        for r in range(gamma_pos + 1, len(ordering)):
-            if tuple(a + b for a, b in zip(ordering[p], ordering[r])) == gamma:
-                candidates.append((p, r))
-    if not candidates:
-        raise ValueError(f"root {gamma} admits no two-term decomposition")
-    best = min(candidates, key=lambda pr: pr[1] - pr[0])
-    for p, r in candidates:
-        if (p, r) != best and best[0] <= p and r <= best[1]:
-            raise RuntimeError("minimal segment is not unique")
-    return best
-
-
-def root_segment(alg, beta):
-    """The minimal segment (a, b) of a non-simple root beta in the adapted
-    ordering and the exponent w of its q-commutator,
-    e_beta = e_a e_b - q^w e_b e_a, with w = (a, b) + c(a, b) and the Cayley
-    pairing c(a, b) = (T a, b); w is in units of 1/EXP_UNIT."""
-    ordering = alg.ordering.ordering
-    p, r = _minimal_segment(ordering, ordering.index(beta))
-    a_root, b_root = ordering[p], ordering[r]
-    a = alg.weight(a_root)
-    t_a = alg.ctx.cayley_apply(a)
-    w = alg.rs.pair(tuple(x + t for x, t in zip(a, t_a)), b_root)
-    return a_root, b_root, w
-
-
 def root_vector(alg, beta, sign="+"):
     """Root vector for a positive root, by the q-commutator recursion over the
     adapted normal ordering.  Simple roots return the bare generator."""
@@ -488,7 +457,7 @@ def root_vector(alg, beta, sign="+"):
         i = beta.index(1)
         result = alg.e(i) if sign == "+" else alg.f(i)
     else:
-        a_root, b_root, w = root_segment(alg, beta)
+        a_root, b_root, w = alg.ordering.segments[beta]
         if sign == "+":
             ea = root_vector(alg, a_root, "+")
             eb = root_vector(alg, b_root, "+")

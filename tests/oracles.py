@@ -8,13 +8,17 @@ operations only the tests use, so they live here rather than in the
 package.  So are dense matrices over rings other than the rationals
 (tuples of row tuples): the package keeps those as sparse rows {row:
 {column: entry}}, and the dense forms here are what it is checked against.
+The per-root search for minimal segments and the q-scalar recursion for the
+vanishing of non-simple R-matrix factors are the forms the engine used
+before the normal ordering kept a segments table.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 from qwhit.crosssec import coxeter_rep
-from qwhit.qarith import ONE, ZERO, _normalised
-from qwhit.ratmat import madd, sparse
+from qwhit.qarith import EXP_UNIT, ONE, ZERO, _normalised, qpow
+from qwhit.ratmat import madd, mvec, sparse
 
 
 def fraction_pair(rs, x, y):
@@ -123,3 +127,64 @@ def slice_point(params):
     n = len(params) + 1
     return madd(coxeter_rep(n), sparse(n, {(0, j): p
                                           for j, p in enumerate(params)}))
+
+
+def q_int(n, d=1):
+    """The balanced q-number [n] = (q^n - q^-n)/(q - q^-1) in base q^d, as
+    the sum of q^{d(n-1-2k)} over k < n."""
+    if n < 0:
+        return -q_int(-n, d)
+    return sum((qpow(d * (n - 1 - 2 * k)) for k in range(n)), ZERO)
+
+
+def minimal_segment(ordering, gamma_pos):
+    """Positions (p, r) of the minimal segment of the root at gamma_pos,
+    by a search over every pair around it."""
+    ordering = list(ordering)
+    gamma = ordering[gamma_pos]
+    candidates = []
+    for p in range(gamma_pos):
+        for r in range(gamma_pos + 1, len(ordering)):
+            if tuple(a + b for a, b in zip(ordering[p], ordering[r])) == gamma:
+                candidates.append((p, r))
+    if not candidates:
+        raise ValueError(f"root {gamma} admits no two-term decomposition")
+    best = min(candidates, key=lambda pr: pr[1] - pr[0])
+    for p, r in candidates:
+        if (p, r) != best and best[0] <= p and r <= best[1]:
+            raise RuntimeError("minimal segment is not unique")
+    return best
+
+
+def commutator_exponent(ctx, a, b):
+    """w = (a + T a, b) in units of 1/EXP_UNIT for roots a and b, through the
+    Fraction Cayley transform and the rational pairing."""
+    t_a = mvec(ctx.cayley_transform, a)
+    return fraction_pair(ctx.rs, [x + t for x, t in zip(a, t_a)], b) * EXP_UNIT
+
+
+def surviving_root(normal_ordering, chi, chibar):
+    """The first root, by height, whose R-matrix factor survives the
+    Whittaker projection, or None: the q-scalar recursion chi(e_beta) =
+    (1 - q^w) chi(e_a) chi(e_b), chibar(f_beta) = (1 - q^{-w}) chibar(f_a)
+    chibar(f_b) over the segments (a, b, w) of a normal ordering."""
+    e_val, f_val = {}, {}
+    for beta in sorted(normal_ordering.ordering, key=sum):
+        if sum(beta) == 1:
+            i = beta.index(1)
+            e_val[beta], f_val[beta] = chi.values[i], chibar.values[i]
+            continue
+        a, b, w = normal_ordering.segments[beta]
+        e_val[beta] = (ONE - ONE.times_q(w)) * e_val[a] * e_val[b]
+        f_val[beta] = (ONE - ONE.times_q(-w)) * f_val[a] * f_val[b]
+        if e_val[beta] or f_val[beta]:
+            return beta
+    return None
+
+
+def shift_exponents(normal_ordering, shifts):
+    """The normal ordering with shifts[beta] added to the q-commutator
+    exponent w of each root beta in shifts."""
+    return replace(normal_ordering, segments={
+        beta: (a, b, w + shifts.get(beta, 0))
+        for beta, (a, b, w) in normal_ordering.segments.items()})

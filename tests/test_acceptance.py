@@ -5,6 +5,8 @@ import hashlib
 import json
 import random
 
+import pytest
+
 from qwhit import acceptance, crosssec, toda, uqalg
 from qwhit.ratmat import mat, zeros
 
@@ -119,13 +121,15 @@ def test_criterion_09_group_cross_section():
 
 def test_conjugation_checks_refuse_a_singular_conjugator(monkeypatch):
     # the zero matrix intertwines anything with anything: only the
-    # unitriangular check stands where the inverse used to
-    section, kostant = crosssec.cross_section, crosssec.kostant_section
-    monkeypatch.setattr(crosssec, "cross_section",
-                        lambda m: (zeros(len(m)), section(m)[1]))
+    # unitriangular check stands where the inverse used to.  cross_section
+    # runs it before it returns, and the trials rely on that
+    sweep, kostant = crosssec._sweep_to_first_row, crosssec.kostant_section
+    monkeypatch.setattr(crosssec, "_sweep_to_first_row",
+                        lambda m: (zeros(len(m)), sweep(m)[1]))
     monkeypatch.setattr(crosssec, "kostant_section",
                         lambda b: (zeros(len(b)), kostant(b)[1]))
-    assert acceptance.cross_section_trials(random.Random(1), 3, 5) == 0
+    with pytest.raises(AssertionError, match="conjugation identity lost"):
+        acceptance.cross_section_trials(random.Random(1), 3, 5)
     b = mat([[1, 2, 3], [0, -2, 5], [0, 0, 1]])
     assert acceptance.kostant_round_trip(b)[4] == (False, True, True)
 

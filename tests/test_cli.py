@@ -8,6 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from oracles import shift_exponents
 from qwhit import acceptance, cli, crosssec, qarith, rootsys, uqalg
 from qwhit.qarith import EXP_UNIT
 from qwhit.ratmat import mat, mmul
@@ -73,13 +74,13 @@ def test_toda_reports_a_surviving_non_simple_factor_in_one_line(
         capsys, monkeypatch):
     # a non-simple R-matrix factor that does not vanish would make the
     # simple-root product wrong; the guard must stop the command instead
-    real = uqalg.root_segment
+    real = rootsys.normal_ordering
 
-    def shifted(alg, beta):
-        a, b, w = real(alg, beta)
-        return a, b, w + EXP_UNIT
+    def shifted(ctx):
+        no = real(ctx)
+        return shift_exponents(no, dict.fromkeys(no.segments, EXP_UNIT))
 
-    monkeypatch.setattr(uqalg, "root_segment", shifted)
+    monkeypatch.setattr(rootsys, "normal_ordering", shifted)
     code, report, captured = run_cli(capsys, "toda", "--type", "A", "--rank",
                                      "2", "--check-commute")
     assert code == 1
@@ -256,6 +257,22 @@ def test_cross_section_alternative_representative(capsys):
                               '[["0","-1/5"],["5","0"]]')
     assert code == 0
     assert report["outputs"]["in_cell"] is True
+
+
+@pytest.mark.parametrize("s_rep,message", [
+    ('[["0","-1"],["1","0"],["1","1"]]', "s_rep is not square"),
+    ('[["0","-1"],["1"]]', "s_rep is not square"),
+    ('[["0","-1","0"],["1","0","0"],["0","0","1"]]',
+     "s_rep is 3x3 but the matrix is 2x2"),
+    ('[["1","0"],["2","0"]]', "s_rep is singular"),
+])
+def test_cross_section_rejects_a_bad_representative_with_exit_2(
+        capsys, s_rep, message):
+    code, report, captured = run_cli(capsys, "cross-section", "--matrix",
+                                     '[["1","0"],["5","1"]]', "--s-rep",
+                                     s_rep)
+    assert code == 2 and report is None
+    assert captured.err == f"qwhit cross-section: {message}\n"
 
 
 def test_cross_section_trial_mode(capsys):

@@ -4,7 +4,8 @@ A public function, class, constant or method that only the tests call is
 API kept alive for its own tests.  A module-level name counts as used when
 some module of the package imports it with ``from .mod import name``, reads
 it as ``mod.name``, or its defining module reads it as a bare global name (a
-parameter or local variable of the same name does not count).  A public
+parameter or local variable of the same name does not count, nor does a
+function's call to itself).  A public
 method of a module-level class counts as used when some module of the
 package reads an attribute of that name, on any object; dunders and other
 underscore names are exempt.
@@ -74,7 +75,10 @@ def _local_names(func):
 
 
 def _global_loads(node, shadowed=frozenset()):
-    """Bare names read at module scope, ignoring those a function binds."""
+    """Bare names read at module scope, ignoring those a function binds and
+    a function's reads of its own name."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        shadowed = shadowed | {node.name}
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
         shadowed = shadowed | _local_names(node)
     if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
@@ -126,6 +130,17 @@ def test_the_scan_flags_a_name_only_a_parameter_shadows():
                        "def run(vec):\n    return a.top() + top(vec)\n"),
     }
     assert unreferenced_public_names(trees) == ["a.vec", "b.run"]
+
+
+def test_the_scan_flags_a_function_only_it_calls():
+    trees = {
+        "a": ast.parse("def fact(n):\n    return n * fact(n - 1) if n else 1\n\n"
+                       "def half(n):\n    return n // 2\n\n"
+                       "def halve(n):\n    return n if n < 2 else halve(half(n))\n"),
+        "b": ast.parse("from .a import halve\n\nprint(halve(4))\n"),
+    }
+    # fact and halve call themselves; half is used by halve, halve by b
+    assert unreferenced_public_names(trees) == ["a.fact"]
 
 
 def test_the_scan_flags_a_method_only_tests_call():

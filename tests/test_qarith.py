@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from oracles import (as_rational, bar, dense, dense_mul, fraction_pair,
-                     is_polynomial)
+                     is_polynomial, q_int)
 from qwhit import qarith, ratmat, rootsys
-from qwhit.qarith import EXP_UNIT, ONE, ZERO, LaurentScalar, q_binom, q_int, qpow
+from qwhit.qarith import EXP_UNIT, ONE, ZERO, LaurentScalar, q_binom, qpow
 from qwhit.toda import DifferenceOperator
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import fraction_pair
+from oracles import commutator_exponent, fraction_pair, minimal_segment
 from qwhit import ratmat, rootsys
 from qwhit.qarith import EXP_UNIT
 
@@ -158,10 +158,31 @@ def test_a2_ordering_is_the_unique_adapted_one():
     convex = [
         perm
         for perm in itertools.permutations(rs.positive_roots)
-        if rootsys.check_convexity(rs, perm)
+        if rootsys._segments(ctx, perm) is not None
     ]
     assert len(convex) == 2
     assert no.ordering in convex
+
+
+@pytest.mark.parametrize("series,rank", ALL_TYPES)
+def test_segments_table_matches_the_per_root_search(series, rank):
+    # every ordering up to rank 4, three sampled ones at ranks 5 and 6
+    rs = rootsys.build_root_system(series, rank)
+    if rank <= 4:
+        pis = list(itertools.permutations(range(1, rank + 1)))
+    else:
+        pis = sample_permutations(rank, random.Random(2000 + rank), count=3)
+    for pi in pis:
+        ctx = rootsys.coxeter_context(rs, pi)
+        no = rootsys.normal_ordering(ctx)
+        want = {}
+        for g, gamma in enumerate(no.ordering):
+            if sum(gamma) > 1:
+                p, r = minimal_segment(no.ordering, g)
+                a, b = no.ordering[p], no.ordering[r]
+                want[gamma] = (a, b, commutator_exponent(ctx, a, b))
+        assert no.segments == want
+        assert list(no.segments) == list(want)
 
 
 @pytest.mark.parametrize("series,rank", ALL_TYPES)

@@ -1,9 +1,13 @@
+import itertools
 import random
+import re
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from oracles import fraction_pair, operator_apply
+from oracles import (fraction_pair, operator_apply, shift_exponents,
+                     surviving_root)
 from qwhit import acceptance, qarith, rootsys, toda, uqalg
 from qwhit.qarith import EXP_UNIT, LaurentScalar, qpow
 from qwhit.rootsys import weight, weight_coords
@@ -481,15 +485,15 @@ def test_a1_hamiltonian_golden_form():
 
 
 def test_a_surviving_non_simple_factor_raises_naming_its_root(monkeypatch):
-    # shift the q-commutator exponent the scalar recursion reads, so that
+    # shift every q-commutator exponent of the segments table, so that
     # chi(e_beta) and chibar(f_beta) no longer vanish
-    real = uqalg.root_segment
+    real = rootsys.normal_ordering
 
-    def shifted(alg, beta):
-        a, b, w = real(alg, beta)
-        return a, b, w + EXP_UNIT
+    def shifted(ctx):
+        no = real(ctx)
+        return shift_exponents(no, dict.fromkeys(no.segments, EXP_UNIT))
 
-    monkeypatch.setattr(uqalg, "root_segment", shifted)
+    monkeypatch.setattr(rootsys, "normal_ordering", shifted)
     rs = rootsys.build_root_system("A", 3)
     alg = uqalg.Algebra(rootsys.coxeter_context(rs, (2, 1, 3)))
     chi = uqalg.character("e", (2, -3, 5))
@@ -500,6 +504,51 @@ def test_a_surviving_non_simple_factor_raises_naming_its_root(monkeypatch):
     beta = next(b for b in alg.ordering.ordering if sum(b) == 2)
     assert f"non-simple root {beta} " in message
     assert "for the ordering 2,1,3" in message
+
+
+def test_the_integer_vanishing_check_names_the_root_the_recursion_names():
+    # the check on w alone against the q-scalar recursion it replaced, with
+    # the exponents of drawn roots shifted, on simply- and non-simply-laced
+    # orderings
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    orderings = []
+    for series, rank in (("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
+                         ("C", 3), ("G", 2)):
+        rs = rootsys.build_root_system(series, rank)
+        for pi in ((None,) if rank > 3 else
+                   itertools.permutations(range(1, rank + 1))):
+            ctx = rootsys.coxeter_context(rs, pi)
+            orderings.append((ctx, rootsys.normal_ordering(ctx)))
+    value = st.sampled_from((1, -1, 2, Fraction(-3, 4), 5))
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(st.data())
+    def check(data):
+        ctx, no = data.draw(st.sampled_from(orderings))
+        shifts = {}
+        for beta in data.draw(st.lists(st.sampled_from(list(no.segments)),
+                                       unique=True)):
+            w = no.segments[beta][2]
+            shifts[beta] = data.draw(st.one_of(
+                st.integers(-2 * EXP_UNIT, 2 * EXP_UNIT), st.just(-w)))
+        no = shift_exponents(no, shifts)
+        rank = ctx.rs.rank
+        chi = uqalg.character("e", data.draw(st.lists(
+            value, min_size=rank, max_size=rank)))
+        chibar = uqalg.character("f", data.draw(st.lists(
+            value, min_size=rank, max_size=rank)))
+        want = surviving_root(no, chi, chibar)
+        alg = SimpleNamespace(ctx=ctx, ordering=no)
+        if want is None:
+            toda._check_non_simple_factors_vanish(alg)
+        else:
+            with pytest.raises(RuntimeError,
+                               match=re.escape(f"non-simple root {want} ")):
+                toda._check_non_simple_factors_vanish(alg)
+
+    check()
 
 
 @pytest.mark.parametrize("rank,chi_vals,chibar_vals", [
