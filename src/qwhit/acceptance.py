@@ -167,18 +167,6 @@ def is_whittaker_invariant(alg, img, chi):
                for i in range(alg.rs.rank))
 
 
-def hamiltonians_commute(hams):
-    """Do the difference operators commute pairwise?"""
-    return all(toda.commutes(hams[a], hams[b])
-               for a in range(len(hams)) for b in range(a + 1, len(hams)))
-
-
-def closed_form_holds(system):
-    """Is the first Hamiltonian of a type-A Toda system its closed form?"""
-    return system.hamiltonians[0] == toda.closed_form_M1(
-        system.alg, system.chi.values, system.chibar.values)
-
-
 def criterion_5(seed=0):
     """Centrality of the trace elements."""
     cases = []
@@ -223,9 +211,10 @@ def criterion_7(seed=0):
                for rank in (1, 2, 3)}
     detail = {}
     for rank in (1, 2):
-        detail[f"closed_form_A{rank}"] = closed_form_holds(systems[rank])
+        detail[f"closed_form_A{rank}"] = toda.closed_form_holds(
+            systems[rank])
     for rank in (2, 3):
-        detail[f"commute_A{rank}"] = hamiltonians_commute(
+        detail[f"commute_A{rank}"] = toda.hamiltonians_commute(
             systems[rank].hamiltonians)
     detail["quasiclassical_A1"] = toda.quasiclassical_potential_check(
         systems[1])["ok"]

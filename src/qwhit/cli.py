@@ -26,7 +26,9 @@ import time
 from fractions import Fraction
 from itertools import permutations
 
-from . import acceptance, crosssec, rootsys, toda, uqalg
+# acceptance and crosssec are imported by the handlers that use them, so a
+# fresh process compiles and runs only the modules its command needs.
+from . import rootsys, toda, uqalg
 from .ratmat import charpoly, eye, mat
 
 F = Fraction
@@ -156,6 +158,8 @@ def cmd_root_system(args):
 
 
 def cmd_cayley(args):
+    from . import acceptance
+
     ctx = _context(args)
     n = ctx.rs.rank
     outputs = {
@@ -193,6 +197,8 @@ def cmd_orbits(args):
 
 
 def cmd_qbinom_scan(args):
+    from . import acceptance
+
     if args.m is not None and args.n is not None and args.m != args.n:
         raise ValueError("--m and --n disagree; give one of them")
     top = args.m if args.m is not None else args.n
@@ -218,6 +224,8 @@ def cmd_qbinom_scan(args):
 
 
 def cmd_serre_check(args):
+    from . import acceptance
+
     rs = _root_system(args)
     if args.pi:
         orderings = [_parse_ints(args.pi)]
@@ -234,6 +242,8 @@ def cmd_serre_check(args):
 
 
 def cmd_casimir(args):
+    from . import acceptance
+
     ctx = _context(args)
     alg = uqalg.Algebra(ctx)
     rep = uqalg.rep_matrices(alg, args.rep)
@@ -249,6 +259,8 @@ def cmd_casimir(args):
 
 
 def cmd_whittaker(args):
+    from . import acceptance
+
     ctx = _context(args)
     rank = ctx.rs.rank
     chi = uqalg.character("e", _character_values(args.chi, rank))
@@ -278,7 +290,7 @@ def cmd_toda(args):
     chibar_vals = _character_values(args.chibar, rank)
     alg = uqalg.Algebra(ctx)
     system = toda.build_toda_system(alg, chi_vals, chibar_vals)
-    match = acceptance.closed_form_holds(system)
+    match = toda.closed_form_holds(system)
     outputs = {
         "chi": _ser_vec(chi_vals),
         "chibar": _ser_vec(chibar_vals),
@@ -287,13 +299,15 @@ def cmd_toda(args):
     }
     checks = {"closed_form_match": match}
     if args.check_commute:
-        zero = acceptance.hamiltonians_commute(system.hamiltonians)
+        zero = toda.hamiltonians_commute(system.hamiltonians)
         outputs["commutators_zero"] = zero
         checks["commutators_zero"] = zero
     return outputs, checks
 
 
 def cmd_cross_section(args):
+    from . import crosssec
+
     if args.matrix is None and args.n is None:
         raise ValueError("give --matrix (with optional --n) or --n alone")
     if args.matrix is not None:
@@ -333,6 +347,8 @@ def cmd_cross_section(args):
             "char_poly_preserved": poly == charpoly(point),
         }
         return outputs, checks
+    from . import acceptance
+
     n = args.n
     if n < 2:
         raise ValueError("need --n >= 2")
@@ -344,6 +360,8 @@ def cmd_cross_section(args):
 
 
 def cmd_kostant_section(args):
+    from . import acceptance
+
     if args.b is None and args.n is None:
         raise ValueError("give --b (with optional --n) or --n alone")
     if args.b is not None:
@@ -376,11 +394,21 @@ def cmd_kostant_section(args):
     return outputs, checks
 
 
+# rmatrix-check --n 16 --trials 0 takes 2-2.5 s on a 2-vCPU VM, and the time
+# grows about as n^4 to n^5, so a larger n is refused before any work.
+MAX_RMATRIX_N = 16
+
+
 def cmd_rmatrix_check(args):
+    from . import acceptance
+
     # an omitted --n stays out of the report's inputs
     n = 3 if args.n is None else args.n
     if n < 2:
         raise ValueError("need --n >= 2")
+    if n > MAX_RMATRIX_N:
+        raise ValueError(f"need --n <= {MAX_RMATRIX_N}: the check's time "
+                         f"grows about as n^5")
     good = acceptance.mcybe_trials(random.Random(args.seed), n, args.trials)
     half_ok = acceptance.rmatrix_subspaces(n)
     outputs = {
@@ -397,6 +425,8 @@ def cmd_rmatrix_check(args):
 
 
 def cmd_gstar(args):
+    from . import crosssec
+
     if args.x is None or args.u_params is None:
         raise ValueError("--x and --u-params are both required")
     h_diag = list(_parse_rationals(args.x))
@@ -407,6 +437,9 @@ def cmd_gstar(args):
     if len(c) != n - 1:
         raise ValueError(f"expected {n - 1} u-coordinates, got {len(c)}")
     n_plus = _parse_matrix(args.matrix) if args.matrix else eye(n)
+    if len(n_plus) != n or any(len(row) != n for row in n_plus):
+        raise ValueError(f"--matrix must be {n}x{n} to match the {n} "
+                         f"entries in --x")
     el = crosssec.mu_inverse_point(h_diag, n_plus, c)
     q = crosssec.q_map(el)
     report = crosssec.eq_character_report(h_diag, c)
@@ -435,6 +468,8 @@ def cmd_gstar(args):
 
 
 def cmd_acceptance(args):
+    from . import acceptance
+
     suite = args.suite or "all"
     if suite == "all":
         report = acceptance.run_all(args.seed)

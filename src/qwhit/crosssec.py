@@ -23,7 +23,7 @@ everything else, the cell test included, is pinned to the standard choice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional
@@ -237,16 +237,11 @@ def build_u(c) -> Mat:
     return out
 
 
-@dataclass(frozen=True)
-class GStarElement:
+class GStarElement(namedtuple("GStarElement", (
+        "l_plus", "l_minus", "h_plus", "n_plus", "h_minus", "n_minus"))):
     """A point (L_+, L_-) of the dual group with its cached factorization."""
 
-    l_plus: Mat
-    l_minus: Mat
-    h_plus: Mat
-    n_plus: Mat
-    h_minus: Mat
-    n_minus: Mat
+    __slots__ = ()
 
 
 def gstar_factorize(l_plus: Mat, l_minus: Mat) -> GStarElement:

@@ -20,7 +20,7 @@ EXP_UNIT times that, so ``pair_weights`` takes one exact division.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 from operator import add, mul
@@ -118,19 +118,12 @@ def _classical_count(series, rank):
     return 24  # F_4
 
 
-@dataclass(frozen=True)
-class RootSystemData:
+class RootSystemData(namedtuple("RootSystemData", (
+        "series", "rank", "cartan", "d", "bform", "positive_roots",
+        "heights", "rho", "fundamental_weights"))):
     """Immutable Cartan datum plus the full list of positive roots."""
 
-    series: str
-    rank: int
-    cartan: tuple
-    d: tuple
-    bform: tuple
-    positive_roots: tuple
-    heights: tuple
-    rho: tuple
-    fundamental_weights: tuple
+    __slots__ = ()
 
     @property
     def n_positive(self):
@@ -296,8 +289,9 @@ def _check_permutation(rs, pi):
         raise ValueError(f"pi must be a permutation of 1..{rs.rank}, got {pi!r}")
 
 
-@dataclass(frozen=True)
-class CoxeterContext:
+class CoxeterContext(namedtuple("CoxeterContext", (
+        "rs", "pi", "s_matrix", "cayley", "cayley_transform", "cayley_num",
+        "cayley_den", "epsilon", "twist", "coxeter_number"))):
     """Root system together with a chosen Coxeter element s_{pi(1)}...s_{pi(l)}.
 
     ``cayley_transform`` is (1+s)/(1-s) on simple-root coordinates,
@@ -305,16 +299,7 @@ class CoxeterContext:
     denominator, and ``cayley`` its pairing matrix ((1+s)/(1-s) alpha_i,
     alpha_j)."""
 
-    rs: RootSystemData
-    pi: tuple
-    s_matrix: tuple
-    cayley: tuple
-    cayley_transform: tuple
-    cayley_num: tuple
-    cayley_den: int
-    epsilon: tuple
-    twist: tuple
-    coxeter_number: int
+    __slots__ = ()
 
     def cayley_apply(self, lam):
         """The weight (1+s)/(1-s) lam, by int products and one exact
@@ -391,8 +376,8 @@ def coxeter_context(rs, pi=None):
     )
 
 
-@dataclass(frozen=True)
-class NormalOrdering:
+class NormalOrdering(namedtuple("NormalOrdering",
+                                ("ordering", "word", "segments"))):
     """Convex ordering of the positive roots adapted to a Coxeter element.
 
     segments maps each non-simple root beta, in the order of the ordering,
@@ -402,9 +387,7 @@ class NormalOrdering:
     exponent of the q-commutator e_beta = e_a e_b - q^w e_b e_a.
     """
 
-    ordering: tuple
-    word: tuple
-    segments: dict
+    __slots__ = ()
 
 
 def _reflect(rs, i, v):

@@ -28,7 +28,7 @@ potential +sum_i chi_i chibar_i e^{-alpha_i(y)}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from operator import add, mul
 
@@ -416,12 +416,12 @@ def closed_form_M1(alg, chi_vals, chibar_vals):
     return out
 
 
-@dataclass(frozen=True)
-class TodaSystem:
-    alg: object
-    chi: uqalg.Character
-    chibar: uqalg.Character
-    hamiltonians: tuple
+class TodaSystem(namedtuple("TodaSystem",
+                            ("alg", "chi", "chibar", "hamiltonians"))):
+    """The Hamiltonians of one algebra, with the two characters behind
+    them."""
+
+    __slots__ = ()
 
 
 def build_toda_system(alg, chi_vals, chibar_vals):
@@ -433,6 +433,18 @@ def build_toda_system(alg, chi_vals, chibar_vals):
         for k in range(alg.rs.rank)
     )
     return TodaSystem(alg=alg, chi=chi, chibar=chibar, hamiltonians=hams)
+
+
+def closed_form_holds(system):
+    """Is the first Hamiltonian of a type-A Toda system its closed form?"""
+    return system.hamiltonians[0] == closed_form_M1(
+        system.alg, system.chi.values, system.chibar.values)
+
+
+def hamiltonians_commute(hams):
+    """Do the difference operators commute pairwise?"""
+    return all(commutes(hams[a], hams[b])
+               for a in range(len(hams)) for b in range(a + 1, len(hams)))
 
 
 def quasiclassical_potential_check(system):

@@ -21,7 +21,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import qarith, rootsys
@@ -474,19 +474,18 @@ def root_vector(alg, beta, sign="+"):
 # characters and the Whittaker projection
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(namedtuple("Character", ("side", "values"))):
     """Non-singular character of a one-sided subalgebra: generator i maps to
     values[i], all nonzero."""
 
-    side: str
-    values: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.side not in ("e", "f"):
+    def __new__(cls, side, values):
+        if side not in ("e", "f"):
             raise ValueError("side must be 'e' or 'f'")
-        if any(v.is_zero() for v in self.values):
+        if any(v.is_zero() for v in values):
             raise ValueError("non-singular characters need nonzero values")
+        return super().__new__(cls, side, values)
 
 
 def character(side, values):

@@ -13,7 +13,6 @@ vanishing of non-simple R-matrix factors are the forms the engine used
 before the normal ordering kept a segments table.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 
 from qwhit.crosssec import coxeter_rep
@@ -185,6 +184,6 @@ def surviving_root(normal_ordering, chi, chibar):
 def shift_exponents(normal_ordering, shifts):
     """The normal ordering with shifts[beta] added to the q-commutator
     exponent w of each root beta in shifts."""
-    return replace(normal_ordering, segments={
+    return normal_ordering._replace(segments={
         beta: (a, b, w + shifts.get(beta, 0))
         for beta, (a, b, w) in normal_ordering.segments.items()})

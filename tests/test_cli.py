@@ -2,9 +2,11 @@ import hashlib
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -122,6 +124,41 @@ def test_toda_a4_finishes():
 
 def test_toda_a5_finishes():
     _run_toda_subprocess(5, "1,2,3,-1,1/2", "-1,1/2,2,3,5/3")
+
+
+# Runs one command through cli.main in a fresh interpreter and prints its
+# exit code and which of the watched modules were loaded before and after.
+_MODULE_PROBE = """
+import contextlib, io, json, sys
+watched = ("qwhit.acceptance", "qwhit.crosssec", "dataclasses")
+at_start = [m for m in watched if m in sys.modules]
+from qwhit import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "at_start": at_start,
+                  "loaded": [m for m in watched if m in sys.modules]}))
+"""
+
+
+def _modules_loaded_by(*argv):
+    proc = subprocess.run([sys.executable, "-c", _MODULE_PROBE, *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    probe = json.loads(proc.stdout)
+    assert probe["code"] == 0
+    return set(probe["loaded"]) - set(probe["at_start"])
+
+
+def test_toda_loads_neither_acceptance_nor_crosssec_nor_dataclasses():
+    assert _modules_loaded_by("toda", "--type", "A", "--rank", "2",
+                              "--check-commute") == set()
+
+
+def test_cross_section_loads_crosssec_and_only_its_trials_acceptance():
+    assert _modules_loaded_by("cross-section", "--matrix",
+                              '[["3","2"],["1","1"]]') == {"qwhit.crosssec"}
+    assert _modules_loaded_by("cross-section", "--n", "3", "--trials",
+                              "2") == {"qwhit.crosssec", "qwhit.acceptance"}
 
 
 def test_root_system_and_cayley(capsys):
@@ -314,6 +351,37 @@ def test_gstar_point_report(capsys):
     assert report["checks"]["q_map_in_cell"] is True
     assert report["checks"]["character_identity"] is True
     assert report["outputs"]["u"] == [["1", "0"], ["1", "1"]]
+
+
+@pytest.mark.parametrize("matrix", [
+    '[["1","1"],["0","1"],["1","1"]]',
+    '[["1","1","0"],["0","1","0"],["0","0","1"]]',
+    '[["1","1"],["0"]]',
+])
+def test_gstar_matrix_of_the_wrong_shape_exits_2(capsys, matrix):
+    code, report, captured = run_cli(capsys, "gstar", "--x", "2,1/2",
+                                     "--u-params", "1/2", "--matrix", matrix)
+    assert code == 2
+    assert report is None
+    assert captured.err == ("qwhit gstar: --matrix must be 2x2 to match "
+                            "the 2 entries in --x\n")
+
+
+def test_rmatrix_check_above_the_cap_exits_2_before_any_work(
+        monkeypatch, capsys):
+    def refused(*args):
+        raise AssertionError("the check ran")
+
+    monkeypatch.setattr(acceptance, "mcybe_trials", refused)
+    monkeypatch.setattr(acceptance, "rmatrix_subspaces", refused)
+    code, report, captured = run_cli(capsys, "rmatrix-check", "--n",
+                                     str(cli.MAX_RMATRIX_N + 1),
+                                     "--trials", "0")
+    assert code == 2
+    assert report is None
+    assert captured.err == (f"qwhit rmatrix-check: need --n <= "
+                            f"{cli.MAX_RMATRIX_N}: the check's time grows "
+                            f"about as n^5\n")
 
 
 def test_acceptance_single_criterion(capsys):
@@ -554,3 +622,25 @@ def test_step_budget_trip_names_its_stage_in_one_line():
     assert proc.stderr.startswith(
         "qwhit casimir: rewriting exceeded the step budget (5) while "
         "completing the Serre rules to degree 3 (")
+
+
+def _readme_examples():
+    """The argv of every ``qwhit ...`` line in README's CLI code block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```")[1]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("qwhit ")]
+
+
+def test_readme_lists_an_example_of_every_command():
+    assert ({argv[0] for argv in _readme_examples()}
+            == set(cli.HANDLERS))
+
+
+@pytest.mark.parametrize("argv", _readme_examples(), ids=" ".join)
+def test_readme_examples_exit_0_with_a_report(capsys, argv):
+    code, report, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert report["schema"] == "1"
+    assert report["command"] == argv[0]
+    assert all(report["checks"].values())
