@@ -121,9 +121,9 @@ def _context(args):
     return rootsys.coxeter_context(rs, pi)
 
 
-def _character_values(text, rank, default=1):
+def _character_values(text, rank):
     if text is None:
-        return (F(default),) * rank
+        return (F(1),) * rank
     vals = _parse_rationals(text)
     if len(vals) != rank:
         raise ValueError(f"expected {rank} character values, got {len(vals)}")

@@ -402,7 +402,7 @@ class LaurentScalar:
 
     # -- formatting ---------------------------------------------------------
     @staticmethod
-    def _poly_str(p: dict, var: str) -> str:
+    def _poly_str(p: dict) -> str:
         if not p:
             return "0"
         parts = []
@@ -413,15 +413,15 @@ class LaurentScalar:
             else:
                 e = Fraction(u, EXP_UNIT)
                 es = str(e) if e.denominator == 1 else f"({e})"
-                head = f"{var}^{es}" if e != 1 else var
+                head = f"q^{es}" if e != 1 else "q"
                 parts.append(head if c == 1 else f"{c}*{head}")
         return " + ".join(parts).replace("+ -", "- ")
 
-    def to_str(self, var: str = "q") -> str:
-        ns = self._poly_str(self.num, var)
+    def to_str(self) -> str:
+        ns = self._poly_str(self.num)
         if len(self.d) == 1:
             return ns
-        return f"({ns})/({self._poly_str(self.den, var)})"
+        return f"({ns})/({self._poly_str(self.den)})"
 
     def __str__(self):
         return self.to_str()
@@ -621,13 +621,12 @@ def gauss_product_check(m: int, c: int) -> LaurentScalar:
     return total
 
 
-def qbinom_root_scan(m: int, c_range=None) -> list[int]:
-    """Integer exponents c within c_range where the alternating q-binomial sum
-    vanishes identically.  The factored form shows these are exactly
+def qbinom_root_scan(m: int) -> list[int]:
+    """Integer exponents c in -(m+2)..m+2 where the alternating q-binomial
+    sum vanishes identically.  The factored form shows these are exactly
     m-1-2p for p = 0..m-1."""
-    if c_range is None:
-        c_range = range(-(m + 2), m + 3)
-    return [c for c in c_range if gauss_product_check(m, c).is_zero()]
+    return [c for c in range(-(m + 2), m + 3)
+            if gauss_product_check(m, c).is_zero()]
 
 
 def q_exp_nilpotent(x: dict, n: int, t: LaurentScalar, one) -> dict:

@@ -220,20 +220,6 @@ def build_root_system(series, rank):
     )
 
 
-def reflection_matrix(rs, i):
-    """Matrix of the simple reflection s_i in the simple-root basis."""
-    l = rs.rank
-    return ratmat.mat(
-        [
-            [
-                (1 if r == j else 0) - (rs.cartan[i][j] if r == i else 0)
-                for j in range(l)
-            ]
-            for r in range(l)
-        ]
-    )
-
-
 def _gauss_coxeter(rs, pi):
     """Coxeter matrix assembled from the triangular split of the Cartan matrix.
 
@@ -258,16 +244,13 @@ def _gauss_coxeter(rs, pi):
 def coxeter_matrix(rs, pi):
     """Matrix of s_{pi(1)} ... s_{pi(l)} in the simple-root basis.
 
-    Computed as the product of reflections and cross-checked against the
-    closed form coming from the triangular split of the Cartan matrix.
+    Its columns are the integer images s(alpha_k) of ``_coxeter_columns``;
+    the matrix is cross-checked against the closed form coming from the
+    triangular split of the Cartan matrix.
     """
     _check_permutation(rs, pi)
-    # leftmost reflection acts last: s = s_{pi(1)} o ... o s_{pi(l)}
-    s = ratmat.eye(rs.rank)
-    for i in reversed(pi):
-        s = ratmat.mmul(reflection_matrix(rs, i - 1), s)
-    gauss = _gauss_coxeter(rs, pi)
-    if s != gauss:
+    s = ratmat.transpose(ratmat.mat(_coxeter_columns(rs, pi)))
+    if s != _gauss_coxeter(rs, pi):
         raise RuntimeError("reflection product disagrees with triangular split")
     return s
 
@@ -290,14 +273,13 @@ def _check_permutation(rs, pi):
 
 
 class CoxeterContext(namedtuple("CoxeterContext", (
-        "rs", "pi", "s_matrix", "cayley", "cayley_transform", "cayley_num",
-        "cayley_den", "epsilon", "twist", "coxeter_number"))):
+        "rs", "pi", "s_matrix", "cayley", "cayley_num", "cayley_den",
+        "epsilon", "twist", "coxeter_number"))):
     """Root system together with a chosen Coxeter element s_{pi(1)}...s_{pi(l)}.
 
-    ``cayley_transform`` is (1+s)/(1-s) on simple-root coordinates,
-    ``cayley_num`` / ``cayley_den`` the same matrix as ints over one
-    denominator, and ``cayley`` its pairing matrix ((1+s)/(1-s) alpha_i,
-    alpha_j)."""
+    ``cayley_num`` / ``cayley_den`` is the Cayley transform (1+s)/(1-s) on
+    simple-root coordinates, as ints over one denominator, and ``cayley``
+    its pairing matrix ((1+s)/(1-s) alpha_i, alpha_j)."""
 
     __slots__ = ()
 
@@ -367,7 +349,6 @@ def coxeter_context(rs, pi=None):
         pi=pi,
         s_matrix=s,
         cayley=c,
-        cayley_transform=t,
         cayley_num=tuple(tuple(int(x * den) for x in row) for row in t),
         cayley_den=den,
         epsilon=tuple(tuple(row) for row in eps),
@@ -390,13 +371,6 @@ class NormalOrdering(namedtuple("NormalOrdering",
     __slots__ = ()
 
 
-def _reflect(rs, i, v):
-    """s_i(v) = v - <v, alpha_i^vee> alpha_i for an int root vector v."""
-    out = list(v)
-    out[i] -= sum(map(mul, rs.cartan[i], v))
-    return tuple(out)
-
-
 def _times_reflection(rs, cols, j):
     """The columns of w s_j, given the columns w(alpha_k) of a Weyl group
     element w: w s_j alpha_k = w(alpha_k) - a_jk w(alpha_j)."""
@@ -409,39 +383,12 @@ def _identity_columns(rs):
     return [rs.simple_root(k) for k in range(rs.rank)]
 
 
-def _word_roots(rs, word):
-    """Roots beta_k = s_{i_1}...s_{i_(k-1)} alpha_{i_k} for a reduced word."""
+def _coxeter_columns(rs, pi):
+    """The int columns s(alpha_k) of s = s_{pi(1)} ... s_{pi(l)}."""
     cols = _identity_columns(rs)
-    roots = []
-    for letter in word:
-        roots.append(cols[letter - 1])
-        cols = _times_reflection(rs, cols, letter - 1)
-    return roots
-
-
-def _greedy_word(rs, pi):
-    """Reduced word for the longest element built by cycling through pi.
-
-    Walk the infinite word pi(1), ..., pi(l), pi(1), ... and keep each letter
-    that still increases the length; l consecutive skips means the longest
-    element was reached early, which would signal a bug upstream.
-    """
-    l = rs.rank
-    n = rs.n_positive
-    cols = _identity_columns(rs)
-    word = []
-    cursor = 0
-    stalled = 0
-    while len(word) < n and stalled < l:
-        letter = pi[cursor % l]
-        cursor += 1
-        if all(v >= 0 for v in cols[letter - 1]):
-            word.append(letter)
-            cols = _times_reflection(rs, cols, letter - 1)
-            stalled = 0
-        else:
-            stalled += 1
-    return word if len(word) == n else None
+    for i in pi:
+        cols = _times_reflection(rs, cols, i - 1)
+    return cols
 
 
 def _segments(ctx, ordering):
@@ -477,22 +424,28 @@ def _segments(ctx, ordering):
 
 
 def _simple_order_ok(rs, ordering, pi):
-    simple_positions = []
-    for want in pi:
-        root = rs.simple_root(want - 1)
-        simple_positions.append(ordering.index(root))
-    return simple_positions == sorted(simple_positions)
+    positions = [ordering.index(rs.simple_root(p - 1)) for p in pi]
+    return positions == sorted(positions)
 
 
 def _dfs_word(rs, pi):
-    """Backtracking search for a reduced word whose ordering is pi-adapted."""
+    """(word, roots) for a reduced word of the longest Weyl element whose
+    roots meet the simple roots in pi order, or None.
+
+    A depth-first search.  With k letters so far it tries the letter
+    pi(k mod l + 1) first and then the following ones in the cyclic order
+    1, ..., l.  A letter i is kept only when the column w(alpha_i) of the
+    word w so far is a positive root, so that the word stays reduced; that
+    root is the next one of the ordering, beta = s_{i_1}...s_{i_k} alpha_i.
+    A simple root out of pi order is refused, and a dead end backtracks.
+    """
     l = rs.rank
     n = rs.n_positive
     simple_rank = {rs.simple_root(i): pos for pos, i in enumerate(p - 1 for p in pi)}
 
     def extend(cols, word, produced, next_simple):
         if len(word) == n:
-            return word
+            return tuple(word), tuple(produced)
         start = pi[len(word) % l] - 1
         letters = [(start + k) % l for k in range(l)]
         for letter0 in letters:
@@ -517,39 +470,33 @@ def _dfs_word(rs, pi):
 def normal_ordering(ctx):
     """Convex ordering of the positive roots with simple roots in pi order.
 
-    Built from a reduced word for the longest Weyl element that starts with
-    the letters pi(1), ..., pi(l); the cheap cyclic construction is tried
-    first and a backtracking search covers any type it misses.  The pass
-    over pairs of roots that decides convexity also gives the minimal
-    segment of every non-simple root.
+    The roots of the reduced word for the longest Weyl element that
+    ``_dfs_word`` finds.  The ordering of a reduced word is convex, and the
+    pass over pairs of roots that checks it also gives the minimal segment
+    of every non-simple root; the simple-root order is checked as well.
     """
     rs = ctx.rs
     pi = ctx.pi
-    word = _greedy_word(rs, pi)
-    if word is not None:
-        ordering = tuple(_word_roots(rs, word))
-        if _simple_order_ok(rs, ordering, pi):
-            segments = _segments(ctx, ordering)
-            if segments is not None:
-                return NormalOrdering(ordering, tuple(word), segments)
-    word = _dfs_word(rs, pi)
-    if word is None:
+    found = _dfs_word(rs, pi)
+    if found is None:
         raise RuntimeError(f"no adapted normal ordering found for {rs.series}{rs.rank}")
-    ordering = tuple(_word_roots(rs, word))
+    word, ordering = found
     segments = (_segments(ctx, ordering) if _simple_order_ok(rs, ordering, pi)
                 else None)
     if segments is None:
         raise RuntimeError("search produced a non-convex or badly ordered word")
-    return NormalOrdering(ordering, tuple(word), segments)
+    return NormalOrdering(ordering, word, segments)
 
 
 def coxeter_orbits(ctx):
     """Partition of all roots into orbits of the cyclic group generated by s_pi.
 
+    s acts on int root vectors through its columns ``_coxeter_columns``.
     There are always exactly rank-many orbits, each of size dividing the
     Coxeter number.
     """
     rs = ctx.rs
+    rows = tuple(zip(*_coxeter_columns(rs, ctx.pi)))
     all_roots = list(rs.positive_roots) + [
         tuple(-v for v in r) for r in rs.positive_roots
     ]
@@ -563,9 +510,7 @@ def coxeter_orbits(ctx):
         while True:
             orbit.append(current)
             remaining.discard(current)
-            # s = s_{pi(1)} ... s_{pi(l)}: the rightmost reflection acts first
-            for i in reversed(ctx.pi):
-                current = _reflect(rs, i - 1, current)
+            current = tuple(sum(map(mul, row, current)) for row in rows)
             if current == seed:
                 break
         orbits.append(tuple(orbit))

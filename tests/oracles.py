@@ -10,14 +10,16 @@ package.  So are dense matrices over rings other than the rationals
 {column: entry}}, and the dense forms here are what it is checked against.
 The per-root search for minimal segments and the q-scalar recursion for the
 vanishing of non-simple R-matrix factors are the forms the engine used
-before the normal ordering kept a segments table.
+before the normal ordering kept a segments table.  The Fraction reflection
+matrices and Cayley transform are the rational forms of what the engine
+keeps as integer columns and as ints over one denominator.
 """
 
 from fractions import Fraction
 
 from qwhit.crosssec import coxeter_rep
 from qwhit.qarith import EXP_UNIT, ONE, ZERO, _normalised, qpow
-from qwhit.ratmat import madd, mvec, sparse
+from qwhit.ratmat import madd, mat, mvec, sparse
 
 
 def fraction_pair(rs, x, y):
@@ -155,10 +157,25 @@ def minimal_segment(ordering, gamma_pos):
     return best
 
 
+def reflection_matrix(rs, i):
+    """Fraction matrix of the simple reflection s_i in the simple-root basis:
+    s_i(alpha_j) = alpha_j - a_ij alpha_i."""
+    l = rs.rank
+    return mat([[(1 if r == j else 0) - (rs.cartan[i][j] if r == i else 0)
+                 for j in range(l)] for r in range(l)])
+
+
+def cayley_transform(ctx):
+    """The Cayley transform (1+s)/(1-s) of a Coxeter context as a Fraction
+    matrix, from its ints over one denominator."""
+    return tuple(tuple(Fraction(x, ctx.cayley_den) for x in row)
+                 for row in ctx.cayley_num)
+
+
 def commutator_exponent(ctx, a, b):
     """w = (a + T a, b) in units of 1/EXP_UNIT for roots a and b, through the
     Fraction Cayley transform and the rational pairing."""
-    t_a = mvec(ctx.cayley_transform, a)
+    t_a = mvec(cayley_transform(ctx), a)
     return fraction_pair(ctx.rs, [x + t for x, t in zip(a, t_a)], b) * EXP_UNIT
 
 

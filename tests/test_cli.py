@@ -511,6 +511,15 @@ def _seeded_cell_matrix(seed, n):
     # taken before the one-pass commutator and the sparse-row lowering
     (["toda", "--type", "A", "--rank", "5", "--check-commute"],
      "f0c417d1476f77eb8e532412437e2dc75d02d93bd0d5af737b554b0648ae8561"),
+    # taken while a cyclic walk through pi chose the normal ordering, which
+    # for these three Coxeter elements gave other words than the search
+    (["toda", "--type", "A", "--rank", "5", "--pi", "5,4,3,2,1",
+      "--check-commute"],
+     "32ea012481844908064eb3d4b1615eb5c7a1509847dcd8c78ba867957bb2da6a"),
+    (["whittaker", "--type", "A", "--rank", "5", "--pi", "1,5,4,3,2"],
+     "f6448cec0e87ce36268b570443ac1af65378d9d75125134a4954c6541e19ecca"),
+    (["casimir", "--type", "A", "--rank", "5", "--pi", "5,4,3,2,1"],
+     "829e6d916e38ae9b5b93f0b3809671aa7a6152895e8bb1eba80511383e96795a"),
 ])
 def test_report_digests_are_pinned(capsys, argv, digest):
     assert cli.main(argv) == 0

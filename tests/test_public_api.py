@@ -8,7 +8,9 @@ parameter or local variable of the same name does not count, nor does a
 function's call to itself).  A public
 method of a module-level class counts as used when some module of the
 package reads an attribute of that name, on any object; dunders and other
-underscore names are exempt.
+underscore names are exempt.  A field of a record, a module-level class
+built on ``namedtuple(name, fields)``, counts as used by the same rule as a
+method.
 """
 
 import ast
@@ -43,6 +45,27 @@ def _public_methods(tree):
             for item in node.body
             if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
             and not item.name.startswith("_")}
+
+
+def _record_fields(tree):
+    """(class, field) for every field of a module-level namedtuple record,
+    its fields given as a literal tuple, list or string of names."""
+    out = set()
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for base in node.bases:
+            if not (isinstance(base, ast.Call) and len(base.args) == 2
+                    and isinstance(base.func, ast.Name)
+                    and base.func.id == "namedtuple"):
+                continue
+            spec = base.args[1]
+            if isinstance(spec, ast.Constant):
+                fields = spec.value.replace(",", " ").split()
+            else:
+                fields = [elt.value for elt in spec.elts]
+            out.update((node.name, field) for field in fields)
+    return out
 
 
 def _attribute_reads(trees):
@@ -109,8 +132,9 @@ def unreferenced_public_names(trees):
     names = [f"{module}.{name}" for module, tree in trees.items()
              for name in _public_definitions(tree)
              if (module, name) not in refs]
-    names += [f"{module}.{cls}.{method}" for module, tree in trees.items()
-              for cls, method in _public_methods(tree) if method not in reads]
+    names += [f"{module}.{cls}.{member}" for module, tree in trees.items()
+              for cls, member in _public_methods(tree) | _record_fields(tree)
+              if member not in reads]
     return sorted(names)
 
 
@@ -158,3 +182,22 @@ def test_the_scan_flags_a_method_only_tests_call():
     }
     # dunders and underscore methods are exempt; an attribute store is no use
     assert unreferenced_public_names(trees) == ["a.Op.apply", "b.run"]
+
+
+def test_the_scan_flags_a_record_field_nothing_reads():
+    trees = {
+        "a": ast.parse("from collections import namedtuple\n\n"
+                       "class Pair(namedtuple('Pair', ('lo', 'hi', 'tag'))):\n"
+                       "    __slots__ = ()\n\n"
+                       "    def width(self):\n        return self.hi - self.lo\n\n"
+                       "Point = namedtuple('Point', 'x y')\n\n"
+                       "class Span(namedtuple('Span', 'start, stop')):\n"
+                       "    pass\n"),
+        "b": ast.parse("from .a import Pair, Point, Span\n\n"
+                       "def run(p):\n    p.tag = Span(1, 2).start\n"
+                       "    return Pair(1, 2, 3).width() + Point(0, 1).y\n"),
+    }
+    # a field counts once some module reads an attribute of its name; a
+    # store is no read, and a bare namedtuple assignment is no record class
+    assert unreferenced_public_names(trees) == [
+        "a.Pair.tag", "a.Span.stop", "b.run"]

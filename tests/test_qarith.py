@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import (as_rational, bar, dense, dense_mul, fraction_pair,
-                     is_polynomial, q_int)
+from oracles import (as_rational, bar, cayley_transform, dense, dense_mul,
+                     fraction_pair, is_polynomial, q_int)
 from qwhit import qarith, ratmat, rootsys
 from qwhit.qarith import EXP_UNIT, ONE, ZERO, LaurentScalar, q_binom, qpow
 from qwhit.toda import DifferenceOperator
@@ -224,7 +224,7 @@ def test_weight_and_cayley_pairings_are_multiples_of_the_exponent_unit():
     for rs in _supported_types():
         omegas = [rootsys.weight_coords(w) for w in rs.fundamental_weights]
         for pi in _orderings(rs.rank):
-            t = rootsys.coxeter_context(rs, pi).cayley_transform
+            t = cayley_transform(rootsys.coxeter_context(rs, pi))
             vecs = omegas + [ratmat.mvec(t, w) for w in omegas]
             for i in range(rs.rank):
                 rootsys.weight(ratmat.mvec(t, rs.simple_root(i)))

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import commutator_exponent, fraction_pair, minimal_segment
+from oracles import (commutator_exponent, fraction_pair, minimal_segment,
+                     reflection_matrix)
 from qwhit import ratmat, rootsys
 from qwhit.qarith import EXP_UNIT
 
@@ -72,7 +73,7 @@ def test_reflections_are_involutions_preserving_the_form(series, rank):
     rs = rootsys.build_root_system(series, rank)
     b = ratmat.mat(rs.bform)
     for i in range(rank):
-        s = rootsys.reflection_matrix(rs, i)
+        s = reflection_matrix(rs, i)
         assert ratmat.mmul(s, s) == ratmat.eye(rank)
         assert ratmat.mmul(ratmat.transpose(s), ratmat.mmul(b, s)) == b
 
@@ -190,13 +191,15 @@ def test_orderings_and_orbits_match_the_reflection_matrix_products(series,
                                                                    rank):
     # the integer reflections behind normal_ordering and coxeter_orbits
     # against products of Fraction reflection matrices: every ordering up to
-    # rank 3, the default and the reversed one above
+    # rank 3; above it the default, the reversed one and (2,1,3,...), for
+    # which the cyclic word pi pi pi ... is no pi-adapted one except in D4
     rs = rootsys.build_root_system(series, rank)
     if rank <= 3:
         pis = list(itertools.permutations(range(1, rank + 1)))
     else:
-        pis = [tuple(range(1, rank + 1)), tuple(range(rank, 0, -1))]
-    refl = [rootsys.reflection_matrix(rs, i) for i in range(rank)]
+        pis = [tuple(range(1, rank + 1)), tuple(range(rank, 0, -1)),
+               (2, 1) + tuple(range(3, rank + 1))]
+    refl = [reflection_matrix(rs, i) for i in range(rank)]
     for pi in pis:
         ctx = rootsys.coxeter_context(rs, pi)
         no = rootsys.normal_ordering(ctx)
@@ -209,10 +212,13 @@ def test_orderings_and_orbits_match_the_reflection_matrix_products(series,
         # negative
         assert all(all(v <= 0 for v in ratmat.mvec(m, r))
                    for r in rs.positive_roots)
+        s = ratmat.eye(rank)
+        for i in pi:
+            s = ratmat.mmul(s, refl[i - 1])
+        assert ctx.s_matrix == s
         for orbit in rootsys.coxeter_orbits(ctx):
             for k, root in enumerate(orbit):
-                assert (ratmat.mvec(ctx.s_matrix, root)
-                        == orbit[(k + 1) % len(orbit)])
+                assert ratmat.mvec(s, root) == orbit[(k + 1) % len(orbit)]
 
 
 @pytest.mark.parametrize("series,rank", ALL_TYPES)
