@@ -417,17 +417,14 @@ class LaurentScalar:
                 parts.append(head if c == 1 else f"{c}*{head}")
         return " + ".join(parts).replace("+ -", "- ")
 
-    def to_str(self) -> str:
+    def __str__(self):
         ns = self._poly_str(self.num)
         if len(self.d) == 1:
             return ns
         return f"({ns})/({self._poly_str(self.den)})"
 
-    def __str__(self):
-        return self.to_str()
-
     def __repr__(self):
-        return f"LaurentScalar({self.to_str()})"
+        return f"LaurentScalar({self})"
 
 
 def _scalar(c: Fraction, n: dict, d: dict) -> LaurentScalar:

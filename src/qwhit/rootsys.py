@@ -424,8 +424,11 @@ def _segments(ctx, ordering):
 
 
 def _simple_order_ok(rs, ordering, pi):
-    positions = [ordering.index(rs.simple_root(p - 1)) for p in pi]
-    return positions == sorted(positions)
+    simple_positions = []
+    for want in pi:
+        root = rs.simple_root(want - 1)
+        simple_positions.append(ordering.index(root))
+    return simple_positions == sorted(simple_positions)
 
 
 def _dfs_word(rs, pi):

@@ -11,6 +11,13 @@ package reads an attribute of that name, on any object; dunders and other
 underscore names are exempt.  A field of a record, a module-level class
 built on ``namedtuple(name, fields)``, counts as used by the same rule as a
 method.
+
+The scan matches by name only, since it cannot tell the type of the object
+an attribute is read from, so a method or field that only the tests use
+passes when another class of the package has a member of that name that
+the package reads.  ``NormalOrdering.word`` is such a field: the package
+reads only ``Algebra.word``, and the word is kept as the tests' independent
+check that the search's roots are those of a reduced word.
 """
 
 import ast
