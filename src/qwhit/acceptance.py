@@ -20,8 +20,8 @@ from itertools import permutations
 
 from . import crosssec, qarith, rootsys, toda, uqalg
 from .qarith import ZERO, LaurentScalar
-from .ratmat import (charpoly, eye, madd, mat, minv, mmul, msub, rank, sparse,
-                     unit, zeros)
+from .ratmat import (charpoly, madd, mat, minv, mmul, msub, rank, sparse, unit,
+                     zeros)
 
 F = Fraction
 
@@ -44,8 +44,9 @@ def _rnd_frac(rng, lo=-4, hi=4, den=3):
 
 
 def _rnd_unitriangular(rng, n):
-    return madd(eye(n), sparse(n, {(i, j): _rnd_frac(rng) for i in range(n)
-                                   for j in range(i + 1, n)}))
+    entries = {(i, j): _rnd_frac(rng) for i in range(n) for j in range(i + 1, n)}
+    entries.update({(i, i): 1 for i in range(n)})
+    return sparse(n, entries)
 
 
 def _rnd_torus(rng, n):
@@ -387,12 +388,13 @@ def rmatrix_subspaces(n):
     spaces = True
     for part, upper in (("plus", True), ("minus", False)):
         r = crosssec.rmatrix_endo(n, part)
-        images = [tuple(v for row in r(x) for v in row) for x in basis]
-        live = [v for v in images if any(v)]
+        images = [r(x) for x in basis]
+        # a row's scale does not change the rank, so each image is read as
+        # its int entries
+        live = [sum(y.rows, ()) for y in images if any(map(any, y.rows))]
         if rank(mat(live)) != n * (n + 1) // 2 - 1:
             spaces = False
-        for x in basis:
-            y = r(x)
+        for y in images:
             tri_ok = (crosssec.is_upper_triangular(y) if upper
                       else crosssec.is_lower_triangular(y))
             if not tri_ok:

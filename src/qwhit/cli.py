@@ -437,7 +437,7 @@ def cmd_gstar(args):
     if len(c) != n - 1:
         raise ValueError(f"expected {n - 1} u-coordinates, got {len(c)}")
     n_plus = _parse_matrix(args.matrix) if args.matrix else eye(n)
-    if len(n_plus) != n or any(len(row) != n for row in n_plus):
+    if len(n_plus) != n or any(len(row) != n for row in n_plus.rows):
         raise ValueError(f"--matrix must be {n}x{n} to match the {n} "
                          f"entries in --x")
     el = crosssec.mu_inverse_point(h_diag, n_plus, c)

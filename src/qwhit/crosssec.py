@@ -26,63 +26,49 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Callable, Optional
 
-from .ratmat import (
-    Mat,
-    charpoly,
-    det,
-    diag,
-    eye,
-    madd,
-    mat,
-    minv,
-    mmul,
-    mscale,
-    msub,
-    mvec,
-    solve,
-    sparse,
-    transpose,
-    unit,
-)
-
-F0 = Fraction(0)
-F1 = Fraction(1)
+from .ratmat import (Matrix, charpoly, det, diag, eye, madd, mat, minv, mmul,
+                     msub, solve, sparse)
 
 
-def _dim(m: Mat) -> int:
-    n = len(m)
-    if any(len(row) != n for row in m):
+def _dim(m: Matrix) -> int:
+    n = len(m.rows)
+    if any(len(row) != n for row in m.rows):
         raise ValueError("matrix is not square")
     return n
 
 
-def is_upper_triangular(m: Mat) -> bool:
-    n = _dim(m)
-    return all(m[i][j] == 0 for i in range(n) for j in range(i))
+# The predicates below read the int rows of m = rows / den: an entry is 0
+# when its int is, and 1 when its int equals den.
+def is_upper_triangular(m: Matrix) -> bool:
+    _dim(m)
+    return not any(any(row[:i]) for i, row in enumerate(m.rows))
 
 
-def is_lower_triangular(m: Mat) -> bool:
-    n = _dim(m)
-    return all(m[i][j] == 0 for i in range(n) for j in range(i + 1, n))
+def is_lower_triangular(m: Matrix) -> bool:
+    _dim(m)
+    return not any(any(row[i + 1:]) for i, row in enumerate(m.rows))
 
 
-def is_unitriangular(m: Mat) -> bool:
-    return is_upper_triangular(m) and all(m[i][i] == 1 for i in range(len(m)))
+def is_unitriangular(m: Matrix) -> bool:
+    return is_upper_triangular(m) and all(row[i] == m.den
+                                          for i, row in enumerate(m.rows))
 
 
-def is_traceless(m: Mat) -> bool:
-    return sum(m[i][i] for i in range(_dim(m))) == 0
+def is_traceless(m: Matrix) -> bool:
+    _dim(m)
+    return not sum(row[i] for i, row in enumerate(m.rows))
 
 
-def assert_special(m: Mat) -> None:
+def assert_special(m: Matrix) -> None:
     if det(m) != 1:
         raise ValueError("matrix determinant is not 1")
 
 
 @lru_cache(maxsize=None)
-def coxeter_rep(n: int) -> Mat:
+def coxeter_rep(n: int) -> Matrix:
     """Representative of the standard Coxeter element in SL(n).
 
     Product of the simple-reflection blocks [[0,-1],[1,0]] embedded at
@@ -90,12 +76,9 @@ def coxeter_rep(n: int) -> Mat:
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    out = eye(n)
-    for i in range(n - 1):
-        block = {(k, k): F1 for k in range(n) if k not in (i, i + 1)}
-        block.update({(i, i + 1): -F1, (i + 1, i): F1})
-        out = mmul(out, sparse(n, block))
-    return out
+    entries = {(j + 1, j): 1 for j in range(n - 1)}
+    entries[0, n - 1] = (-1) ** (n - 1)
+    return sparse(n, entries)
 
 
 def _cycle_prev(n: int, j: int) -> int:
@@ -103,7 +86,7 @@ def _cycle_prev(n: int, j: int) -> int:
     return (j - 1) % n
 
 
-def cell_witness(m: Mat, s_rep: Optional[Mat] = None):
+def cell_witness(m: Matrix, s_rep: Optional[Matrix] = None):
     """Unitriangular (a, b) with m = a * s * b, or None when m is not in
     the cell; ValueError unless s_rep is an invertible matrix of m's size.
 
@@ -114,7 +97,7 @@ def cell_witness(m: Mat, s_rep: Optional[Mat] = None):
     """
     n = _dim(m)
     s = coxeter_rep(n) if s_rep is None else s_rep
-    if any(len(row) != len(s) for row in s):
+    if any(len(row) != len(s) for row in s.rows):
         raise ValueError("s_rep is not square")
     if len(s) != n:
         raise ValueError(f"s_rep is {len(s)}x{len(s)} but the matrix is {n}x{n}")
@@ -125,9 +108,11 @@ def cell_witness(m: Mat, s_rep: Optional[Mat] = None):
     positions = [(k, l) for k in range(n) for l in range(k + 1, n)]
     # one equation per constrained entry (i, j), j <= i, of s^-1 (1+g) m
     cells = [(i, j) for i in range(n) for j in range(i + 1)]
-    rows = [[sinv[i][k] * m[l][j] for k, l in positions] for i, j in cells]
-    rhs = tuple((F1 if i == j else F0) - base[i][j] for i, j in cells)
-    sol = solve(mat(rows), rhs)
+    si, mi = sinv.rows, m.rows
+    rows = [[si[i][k] * mi[l][j] for k, l in positions] for i, j in cells]
+    rhs = tuple(Fraction((base.den if i == j else 0) - base.rows[i][j],
+                         base.den) for i, j in cells)
+    sol = solve(Matrix(rows, sinv.den * m.den), rhs)
     if sol is None:
         return None
     ainv = madd(eye(n), sparse(n, dict(zip(positions, sol))))
@@ -136,7 +121,7 @@ def cell_witness(m: Mat, s_rep: Optional[Mat] = None):
     return a, b
 
 
-def bruhat_cell_test(m: Mat) -> bool:
+def bruhat_cell_test(m: Matrix) -> bool:
     """Whether m lies in N_+ s N_+ for the standard s, read off its shape
     and determinant (B_+ s B_+ = N_+ H s N_+, and N_+ keeps a Hessenberg
     subdiagonal); ``cell_witness`` tests the cell of any other
@@ -144,26 +129,28 @@ def bruhat_cell_test(m: Mat) -> bool:
     n = _dim(m)
     if n < 2:
         raise ValueError("need n >= 2")
-    return (all(m[i][j] == (1 if j == i - 1 else 0)
-                for i in range(1, n) for j in range(i)) and det(m) == 1)
+    return all(row[i - 1] == m.den and not any(row[:i - 1])
+               for i, row in enumerate(m.rows) if i) and det(m) == 1
 
 
-def is_slice_point(m: Mat) -> bool:
+def is_slice_point(m: Matrix) -> bool:
     """Whether m is a point of N_+' s: rows 2..n those of s, and the last
     entry of row 1 that of s (the others are the free coordinates)."""
     n = _dim(m)
-    s = coxeter_rep(n)
-    return m[1:] == s[1:] and m[0][n - 1] == s[0][n - 1]
+    s, den = coxeter_rep(n).rows, m.den
+    return (m.rows[0][n - 1] == s[0][n - 1] * den
+            and all(x == y * den for row, srow in zip(m.rows[1:], s[1:])
+                    for x, y in zip(row, srow)))
 
 
-def slice_params(m: Mat):
+def slice_params(m: Matrix):
     if not is_slice_point(m):
         raise ValueError("matrix is not on the slice N_+' s")
-    s = coxeter_rep(len(m))
-    return tuple(m[0][j] - s[0][j] for j in range(len(m) - 1))
+    s = coxeter_rep(len(m)).rows
+    return tuple(Fraction(x, m.den) - y for x, y in zip(m.rows[0][:-1], s[0]))
 
 
-def _sweep_to_first_row(m: Mat):
+def _sweep_to_first_row(m: Matrix):
     """Shared elimination engine for cross_section and kostant_section.
 
     The input has a unit subdiagonal (from the Coxeter representative or
@@ -172,11 +159,20 @@ def _sweep_to_first_row(m: Mat):
     -t.  Entries (r, r+d) with r >= 1 are cleared diagonal by diagonal,
     sweeping their values onto the first row, each by an O(n) conjugation
     in place.  Returns the accumulated unitriangular conjugator and the
-    final matrix.
+    final matrix.  It runs in ints, on D L m L^-1 for m = W / D and L =
+    diag(D^-i), whose entry (i, j) is D^(j-i) W_ij and whose subdiagonal is
+    m's; its steps are those of m conjugated by L, so entry (i, j) of the
+    conjugator and of the final matrix is D^(i-j) and D^(i-j-1) times its
+    swept int.
     """
-    n = len(m)
-    work = [list(row) for row in m]
-    conj = [list(row) for row in eye(n)]
+    n, den = len(m), m.den
+    if any(row[i - 1] not in (0, den) or any(row[:i - 1])
+           for i, row in enumerate(m.rows) if i):
+        raise AssertionError("unit subdiagonal lost during sweep")
+    power = [den ** k for k in range(n + 1)]
+    work = [[x * power[j - i] if j >= i else x // den
+             for j, x in enumerate(row)] for i, row in enumerate(m.rows)]
+    conj = [list(row) for row in eye(n).rows]
     for d in range(n - 1):
         for r in range(n - 1 - d, 0, -1):
             t = work[r][r + d]
@@ -192,14 +188,19 @@ def _sweep_to_first_row(m: Mat):
             for row in work:
                 if row[i]:
                     row[j] -= t * row[i]
-    return tuple(map(tuple, conj)), tuple(map(tuple, work))
+
+    # over D^(n-1) and D^n; below the subdiagonal both are zero
+    conj, work = ([[x * power[n - 1 - j + i] if j + 1 >= i else x
+                    for j, x in enumerate(row)] for i, row in enumerate(rows)]
+                  for rows in (conj, work))
+    return Matrix(conj, power[n - 1]), Matrix(work, power[n])
 
 
 class NotInCell(ValueError):
     """The matrix given to ``cross_section`` lies outside N_+ s N_+."""
 
 
-def cross_section(m: Mat):
+def cross_section(m: Matrix):
     """Conjugator u in N_+ and the slice point v s with u m u^-1 = v s.
 
     The input must lie in N_+ s N_+, or NotInCell is raised; every element
@@ -218,23 +219,21 @@ def cross_section(m: Mat):
     return conj, out
 
 
-def build_u(c) -> Mat:
-    """The lower unitriangular element prod_i exp(2 d_i c_i E_{i+1,i}).
-
-    Type A throughout, so every symmetrizer d_i is 1.  All c_i must be
+def build_u(c) -> Matrix:
+    """The lower unitriangular element prod_i exp(2 d_i c_i E_{i+1,i}) over
+    increasing i, which is 1 + sum_i 2 d_i c_i E_{i+1,i}: E_{i+1,i} E_{j+1,j}
+    = 0 for i < j.  Type A throughout, so every d_i is 1.  All c_i must be
     nonzero (a degenerate coordinate leaves the nilpotent subgroup it
-    parametrizes).
-    """
+    parametrizes)."""
     c = [Fraction(x) for x in c]
     if not c:
         raise ValueError("need at least one coordinate")
     if any(x == 0 for x in c):
         raise ValueError("all coordinates must be nonzero")
     n = len(c) + 1
-    out = eye(n)
-    for i, x in enumerate(c):
-        out = mmul(out, madd(eye(n), mscale(unit(n, i + 1, i), 2 * x)))
-    return out
+    entries = {(i, i): 1 for i in range(n)}
+    entries.update({(i + 1, i): 2 * x for i, x in enumerate(c)})
+    return sparse(n, entries)
 
 
 class GStarElement(namedtuple("GStarElement", (
@@ -244,7 +243,7 @@ class GStarElement(namedtuple("GStarElement", (
     __slots__ = ()
 
 
-def gstar_factorize(l_plus: Mat, l_minus: Mat) -> GStarElement:
+def gstar_factorize(l_plus: Matrix, l_minus: Matrix) -> GStarElement:
     """Factor L_+- = h_+- n_+- and check the torus compatibility h_- = s(h_+)."""
     n = _dim(l_plus)
     if _dim(l_minus) != n:
@@ -255,8 +254,9 @@ def gstar_factorize(l_plus: Mat, l_minus: Mat) -> GStarElement:
         raise ValueError("L_- is not in B_-")
     assert_special(l_plus)
     assert_special(l_minus)
-    h_plus = diag([l_plus[i][i] for i in range(n)])
-    h_minus = diag([l_minus[i][i] for i in range(n)])
+    h_plus, h_minus = (diag([Fraction(row[i], m.den)
+                             for i, row in enumerate(m.rows)])
+                       for m in (l_plus, l_minus))
     if mmul(coxeter_rep(n), h_plus) != mmul(h_minus, coxeter_rep(n)):
         raise ValueError("incompatible torus parts")
     n_plus = mmul(minv(h_plus), l_plus)
@@ -264,15 +264,15 @@ def gstar_factorize(l_plus: Mat, l_minus: Mat) -> GStarElement:
     return GStarElement(l_plus, l_minus, h_plus, n_plus, h_minus, n_minus)
 
 
-def q_map(el: GStarElement) -> Mat:
+def q_map(el: GStarElement) -> Matrix:
     return mmul(el.l_minus, minv(el.l_plus))
 
 
-def mu_inverse_point(h_diag, n_plus: Mat, c) -> GStarElement:
+def mu_inverse_point(h_diag, n_plus: Matrix, c) -> GStarElement:
     """The fiber point (h_+ n_+, s(h_+) u) over u = build_u(c)."""
     entries = [Fraction(x) for x in h_diag]
     n = len(entries)
-    prod = F1
+    prod = 1
     for x in entries:
         prod *= x
     if prod != 1:
@@ -284,12 +284,12 @@ def mu_inverse_point(h_diag, n_plus: Mat, c) -> GStarElement:
     return gstar_factorize(l_plus, l_minus)
 
 
-def shift_matrix(n: int) -> Mat:
+def shift_matrix(n: int) -> Matrix:
     """The principal nilpotent f: ones on the subdiagonal."""
-    return sparse(n, {(i + 1, i): F1 for i in range(n - 1)})
+    return sparse(n, {(i + 1, i): 1 for i in range(n - 1)})
 
 
-def kostant_section(b: Mat):
+def kostant_section(b: Matrix):
     """(a, x) with a unitriangular and a (b + f) a^-1 = f + x in companion form.
 
     Input is an upper-triangular traceless matrix.  The returned x is
@@ -303,43 +303,40 @@ def kostant_section(b: Mat):
         raise ValueError("input is not traceless")
     f = shift_matrix(n)
     conj, out = _sweep_to_first_row(madd(b, f))
-    if out[0][0] != 0:
+    if out.rows[0][0]:
         raise AssertionError("trace did not cancel on the section")
     x = msub(out, f)
-    if any(x[i][j] != 0 for i in range(1, n) for j in range(n)):
+    if any(map(any, x.rows[1:])):
         raise AssertionError("section point is not in the first-row space")
     return conj, x
 
 
-def _cartan_cycle(n: int) -> Mat:
+def _cartan_cycle(n: int) -> Matrix:
     """Action of the Coxeter representative on diagonal coordinates."""
-    return sparse(n, {(j, _cycle_prev(n, j)): F1 for j in range(n)})
+    return sparse(n, {(j, _cycle_prev(n, j)): 1 for j in range(n)})
 
 
 @lru_cache(maxsize=None)
-def _cayley_operator(n: int, part: str) -> Mat:
+def _cayley_operator(n: int, part: str) -> Matrix:
     """The matrix taking the diagonal of a traceless x to the Cartan part
     of r(x): y solving (1 - s) y = diagonal, sum y = 0, for part "plus", s y
-    for "minus" and y + s y for "full".  Column k < n - 1 of the y operator
-    solves the system for e_k - e_{n-1}, and the last column is zero: a
-    traceless diagonal is a combination of those differences."""
+    for "minus" and y + s y for "full".  The rows of 1 - s sum to zero, so
+    on a traceless diagonal its last equation follows from the others; with
+    it replaced by sum y = 0 the system is square, and the y operator is its
+    inverse with the last column, the last diagonal entry's, zeroed."""
     p = _cartan_cycle(n)
-    system = msub(eye(n), p) + ((F1,) * n,)
-    cols = []
-    for k in range(n - 1):
-        rhs = [F0] * (n + 1)
-        rhs[k], rhs[n - 1] = F1, -F1
-        y = solve(system, tuple(rhs))
-        if y is None:
-            raise AssertionError("1 - s is singular on the traceless Cartan")
-        cols.append(y)
-    plus = transpose(cols + [(F0,) * n])
+    system = Matrix(msub(eye(n), p).rows[:-1] + ((1,) * n,))
+    try:
+        inverse = minv(system)
+    except ZeroDivisionError:
+        raise AssertionError("1 - s is singular on the traceless Cartan")
+    plus = mmul(inverse, diag([1] * (n - 1) + [0]))
     if part == "plus":
         return plus
     return mmul(p if part == "minus" else madd(eye(n), p), plus)
 
 
-def rmatrix_endo(n: int, part: str = "full") -> Callable[[Mat], Mat]:
+def rmatrix_endo(n: int, part: str = "full") -> Callable[[Matrix], Matrix]:
     """The classical r-matrix P_+ - P_- + (1+s)/(1-s) P_0 on sl(n).
 
     ``part`` selects the full endomorphism or its halves
@@ -347,33 +344,33 @@ def rmatrix_endo(n: int, part: str = "full") -> Callable[[Mat], Mat]:
     """
     if part not in ("full", "plus", "minus"):
         raise ValueError("part must be 'full', 'plus' or 'minus'")
+    upper = 1 if part in ("full", "plus") else 0
+    lower = -1 if part in ("full", "minus") else 0
 
-    def r(x: Mat) -> Mat:
+    def r(x: Matrix) -> Matrix:
         if _dim(x) != n:
             raise ValueError("size mismatch")
         if not is_traceless(x):
             raise ValueError("input is not traceless")
-        cartan = mvec(_cayley_operator(n, part),
-                      [x[i][i] for i in range(n)])
-        out = [[F0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                if i < j:
-                    out[i][j] = x[i][j] if part in ("full", "plus") else F0
-                elif i > j:
-                    out[i][j] = -x[i][j] if part in ("full", "minus") else F0
-                else:
-                    out[i][j] = cartan[i]
-        return mat(out)
+        # over dx dc for x = X / dx and the Cartan operator C / dc, the
+        # diagonal is C diag(X) and the rest +-dc X
+        op = _cayley_operator(n, part)
+        diagonal = [row[i] for i, row in enumerate(x.rows)]
+        up, down = upper * op.den, lower * op.den
+        return Matrix([[v * down for v in row[:i]]
+                       + [sum(map(mul, crow, diagonal))]
+                       + [v * up for v in row[i + 1:]]
+                       for i, (row, crow) in enumerate(zip(x.rows, op.rows))],
+                      x.den * op.den)
 
     return r
 
 
-def _bracket(x: Mat, y: Mat) -> Mat:
+def _bracket(x: Matrix, y: Matrix) -> Matrix:
     return msub(mmul(x, y), mmul(y, x))
 
 
-def mcybe_check(x: Mat, y: Mat) -> Mat:
+def mcybe_check(x: Matrix, y: Matrix) -> Matrix:
     """Residual [rX, rY] - r([rX, Y] + [X, rY]) + [X, Y]; zero iff the
     modified classical Yang-Baxter equation holds on the pair."""
     n = _dim(x)
@@ -385,7 +382,7 @@ def mcybe_check(x: Mat, y: Mat) -> Mat:
     return madd(msub(_bracket(rx, ry), r(middle)), _bracket(x, y))
 
 
-def fundamental_characters(m: Mat):
+def fundamental_characters(m: Matrix):
     """Traces of the fundamental exterior powers, read off the
     characteristic polynomial."""
     _dim(m)
@@ -412,12 +409,12 @@ def poly_discriminant(coeffs) -> Fraction:
     size = 2 * n - 1
     rows = []
     for shift in range(n - 1):
-        row = [F0] * size
+        row = [0] * size
         for k, c in enumerate(reversed(coeffs)):
             row[shift + k] = c
         rows.append(tuple(row))
     for shift in range(n):
-        row = [F0] * size
+        row = [0] * size
         for k, c in enumerate(reversed(deriv)):
             row[shift + k] = c
         rows.append(tuple(row))

@@ -1,97 +1,134 @@
 """Exact matrices: dense over the rationals, sparse rows over any ring.
 
-Dense matrices are tuples of row tuples of Fractions (immutable, hashable,
-equal exactly when their entries are); vectors are tuples.  The product
-works on rows and columns cleared to ints.  Inverse, solve, rank and
-determinant share one fraction-free (Bareiss) elimination on integer-scaled
-rows, and the characteristic polynomial comes from a Hessenberg reduction.
+A dense rational ``Matrix`` is int rows over one int den >= 1, in canonical
+form: gcd(den, every entry) = 1 (the zero matrix has den 1), so matrices
+are equal, and hash equal, exactly when their entries are.  Sums and
+products are int operations and one gcd; inverse, solve, rank and
+determinant share one fraction-free (Bareiss) elimination of the int rows.
+Fractions appear only where an entry is read: m[i] and iteration give rows
+of Fractions, and ``det``, ``solve`` and ``charpoly`` return Fractions.
 
 A matrix of any other ring (qarith.LaurentScalar, uqalg.PBWElement,
-toda.DifferenceOperator) is kept as sparse rows {row: {column: entry}},
-which hold no zero entry, so that two such matrices are equal exactly when
-their dicts are.  ``sparse_mul``, ``sparse_scale`` and ``kron`` work on
-them over the nonzero entries only, and ask of the ring only +, * and
-truthiness.
+toda.DifferenceOperator) is kept as sparse rows {row: {column: entry}}
+holding no zero entry, so two such matrices are equal exactly when their
+dicts are.  ``sparse_mul``, ``sparse_scale`` and ``kron`` work over the
+nonzero entries, and ask of the ring only +, * and truthiness.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
-from operator import mul
-
-F0 = Fraction(0)
-F1 = Fraction(1)
-
-Vec = tuple
-Mat = tuple
+from functools import lru_cache
+from math import gcd, lcm
+from operator import add, index, mul, sub
 
 
-def mat(rows) -> Mat:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+class Matrix:
+    """The matrix rows / den in canonical form, which ``Matrix(rows, den)``
+    makes of any int rows and nonzero int den.  len(m) is the number of
+    rows; m[i] and iteration give rows of Fractions."""
+
+    __slots__ = ("rows", "den")
+
+    def __init__(self, rows, den=1):
+        if not den:
+            raise ZeroDivisionError("matrix denominator is zero")
+        sign = 1 if den > 0 else -1
+        canon = _canon(tuple(tuple(sign * index(x) for x in row)
+                             for row in rows), sign * den)
+        self.rows, self.den = canon.rows, canon.den
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        return tuple(Fraction(x, self.den) for x in self.rows[i])
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self.rows)))
+
+    def __eq__(self, other):
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return self.den == other.den and self.rows == other.rows
+
+    def __hash__(self):
+        return hash((self.rows, self.den))
+
+    def __repr__(self):
+        return f"Matrix({self.rows!r}, {self.den})"
 
 
-def sparse(n: int, entries: dict) -> Mat:
+def _canon(rows, den):
+    """The Matrix of int tuples rows over den >= 1, both divided by their gcd."""
+    if den != 1:
+        g = den
+        for row in rows:
+            g = gcd(g, *row)
+            if g == 1:
+                break
+        else:
+            rows = tuple(tuple(x // g for x in row) for row in rows)
+            den //= g
+    m = object.__new__(Matrix)
+    m.rows, m.den = rows, den
+    return m
+
+
+def mat(rows) -> Matrix:
+    """The matrix of rows of ints, Fractions or what Fraction reads."""
+    rows = [[x if isinstance(x, (int, Fraction)) else Fraction(x)
+             for x in row] for row in rows]
+    d = lcm(1, *(x.denominator for row in rows for x in row))
+    return _canon(tuple(tuple(x.numerator * (d // x.denominator) for x in row)
+                        for row in rows), d)
+
+
+def sparse(n: int, entries: dict) -> Matrix:
     """The n x n matrix with entries[(i, j)] at (i, j) and 0 elsewhere."""
-    return tuple(tuple(entries.get((i, j), F0) for j in range(n))
-                 for i in range(n))
+    return mat([[entries.get((i, j), 0) for j in range(n)] for i in range(n)])
 
 
-def diag(entries) -> Mat:
+def diag(entries) -> Matrix:
     return sparse(len(entries), {(i, i): x for i, x in enumerate(entries)})
 
 
-def eye(n: int) -> Mat:
-    return diag((F1,) * n)
+@lru_cache(maxsize=None)
+def eye(n: int) -> Matrix:
+    return sparse(n, {(i, i): 1 for i in range(n)})
 
 
-def unit(n: int, i: int, j: int) -> Mat:
+def unit(n: int, i: int, j: int) -> Matrix:
     """The matrix unit E_ij."""
-    return sparse(n, {(i, j): F1})
+    return sparse(n, {(i, j): 1})
 
 
-def zeros(n: int, m: int | None = None) -> Mat:
-    m = n if m is None else m
-    return tuple((F0,) * m for _ in range(n))
+def zeros(n: int, m: int | None = None) -> Matrix:
+    return mat([[0] * (n if m is None else m)] * n)
 
 
-def madd(a: Mat, b: Mat) -> Mat:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+def _combine(a: Matrix, b: Matrix, op) -> Matrix:
+    """Entrywise a op b over one common denominator."""
+    d = lcm(a.den, b.den)
+    fa, fb = d // a.den, d // b.den
+    return _canon(tuple(tuple(op(x * fa, y * fb) for x, y in zip(ra, rb))
+                        for ra, rb in zip(a.rows, b.rows)), d)
 
 
-def msub(a: Mat, b: Mat) -> Mat:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+def madd(a: Matrix, b: Matrix) -> Matrix:
+    return _combine(a, b, add)
 
 
-def mscale(a: Mat, s) -> Mat:
-    """Every entry times s."""
-    return tuple(tuple(x * s for x in row) for row in a)
+def msub(a: Matrix, b: Matrix) -> Matrix:
+    return _combine(a, b, sub)
 
 
-def _cleared(xs):
-    """(ints, d) with xs = ints / d entrywise: d is the lcm of the
-    denominators of the rationals xs."""
-    d = 1
-    for x in xs:
-        if d % x.denominator:
-            d = lcm(d, x.denominator)
-    return [x.numerator * (d // x.denominator) for x in xs], d
-
-
-def mmul(a: Mat, b: Mat) -> Mat:
-    """The product a b.  Each row of a and each column of b is cleared to
-    ints by one lcm of its denominators, so entry (i, j) is one int dot
-    product over the two scales, normalised once."""
-    cols = [_cleared(col) for col in zip(*b)]
-    out = []
-    for row in a:
-        ra, da = _cleared(row)
-        entries = []
-        for cb, db in cols:
-            dot = sum(map(mul, ra, cb))
-            entries.append(Fraction(dot, da * db) if dot else F0)
-        out.append(tuple(entries))
-    return tuple(out)
+def mmul(a: Matrix, b: Matrix) -> Matrix:
+    """The product a b: int dot products of the rows of a with the columns
+    of b, over the product of the two denominators."""
+    cols = tuple(zip(*b.rows))
+    return _canon(tuple(tuple(sum(map(mul, row, col)) for col in cols)
+                        for row in a.rows), a.den * b.den)
 
 
 def sparse_mul(a: dict, b: dict) -> dict:
@@ -124,35 +161,23 @@ def kron(a: dict, b: dict, m: int) -> dict:
             for i, arow in a.items() for k, brow in b.items()}
 
 
-def mvec(a: Mat, v: Vec) -> Vec:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
-
-
-def transpose(a: Mat) -> Mat:
-    return tuple(zip(*a))
+def transpose(a: Matrix) -> Matrix:
+    return _canon(tuple(zip(*a.rows)), a.den)
 
 
 def _rref(rows, ncols: int, jordan: bool = True):
-    """Fraction-free elimination (Bareiss) on the first ncols columns of
-    rows, each first cleared to ints by one lcm of its denominators; stops
-    once every row holds a pivot.  Each step replaces every other row x by
-    (p x - x[col] prow) / prev, p the pivot, prow its row and prev the
-    pivot before it; by Sylvester's identity the entries stay minors of the
-    cleared matrix, so the division is exact (Bareiss, Math. Comp. 22,
-    1968).  With jordan the rows above each pivot are cleared too, and every
-    pivot row ends with the last pivot in its pivot column.
+    """Fraction-free elimination (Bareiss) of the int rows on their first
+    ncols columns; stops once every row holds a pivot.  Each step replaces
+    every other row x by (p x - x[col] prow) / prev, p the pivot, prow its
+    row and prev the pivot before it; by Sylvester's identity the entries
+    stay minors of the input, so the division is exact (Bareiss, Math.
+    Comp. 22, 1968).  With jordan the rows above each pivot are cleared too.
 
-    Returns the reduced rows (None without jordan), the pivot columns and
-    the determinant factor: the product of the pivots of rational
-    elimination, negated once per row swap, which is the determinant of a
-    square matrix with a pivot in every row.  The reduced rows are those of
-    rational Gauss-Jordan: each pivot row divided by the last pivot, and
-    each row below them by the last pivot and its own scale."""
-    work, scales = [], []
-    for row in rows:
-        ints, d = _cleared(row)
-        work.append(ints)
-        scales.append(d)
+    Returns the rows (None without jordan), the pivot columns and the last
+    pivot negated once per row swap: the determinant of a square input with
+    a pivot in every row.  With jordan the pivot rows come first and are
+    those of rational Gauss-Jordan times the last pivot."""
+    work = [list(row) for row in rows]
     n = len(work)
     pivots = []
     sign, prev, r = 1, 1, 0
@@ -162,7 +187,6 @@ def _rref(rows, ncols: int, jordan: bool = True):
             continue
         if piv != r:
             work[r], work[piv] = work[piv], work[r]
-            scales[r], scales[piv] = scales[piv], scales[r]
             sign = -sign
         prow = work[r]
         p = prow[col]
@@ -176,37 +200,40 @@ def _rref(rows, ncols: int, jordan: bool = True):
         r += 1
         if r == n:
             break
-    factor = Fraction(sign * prev, prod(scales[:r]))
-    if not jordan:
-        return None, pivots, factor
-    reduced = [[Fraction(x, prev) for x in row] for row in work[:r]]
-    reduced += [[Fraction(x, prev * d) for x in row]
-                for row, d in zip(work[r:], scales[r:])]
-    return reduced, pivots, factor
+    return (work if jordan else None), pivots, sign * prev
 
 
-def minv(a: Mat) -> Mat:
+def minv(a: Matrix) -> Matrix:
+    """The inverse den W^-1 of a = W / den, W^-1 being the right half of
+    the reduced [W | 1] over its last pivot."""
     n = len(a)
-    work, pivots, _ = _rref([list(row) + list(e)
-                             for row, e in zip(a, eye(n))], n)
+    work, pivots, _ = _rref([list(row) + [int(i == j) for j in range(n)]
+                             for i, row in enumerate(a.rows)], n)
     if len(pivots) < n:
         raise ZeroDivisionError("singular matrix")
-    return tuple(tuple(row[n:]) for row in work)
+    p = work[0][pivots[0]] if n else 1
+    scale = a.den if p > 0 else -a.den
+    return _canon(tuple(tuple(x * scale for x in row[n:]) for row in work),
+                  abs(p))
 
 
-def det(a: Mat) -> Fraction:
-    """The determinant, from the forward pass of the elimination only."""
-    _, pivots, factor = _rref(a, len(a), jordan=False)
-    return factor if len(pivots) == len(a) else F0
-
-
-def charpoly(a: Mat) -> list[Fraction]:
-    """Coefficients [c_0..c_n] of det(tI - a) = sum c_k t^k, exact, in
-    O(n^3): a similarity to upper Hessenberg form (swapping a row and column
-    pair at a zero pivot), then the Hessenberg recurrence over its leading
-    blocks (Cohen, A Course in Computational Algebraic Number Theory, 2.2)."""
+def det(a: Matrix) -> Fraction:
+    """det(W) / den^n for a = W / den, from the forward pass of the
+    elimination only."""
     n = len(a)
-    h = [list(row) for row in a]
+    _, pivots, factor = _rref(a.rows, n, jordan=False)
+    return Fraction(factor, a.den ** n) if len(pivots) == n else Fraction(0)
+
+
+def charpoly(a: Matrix) -> list[Fraction]:
+    """Coefficients [c_0..c_n] of det(tI - a) = sum c_k t^k, exact, in
+    O(n^3).  For a = W / den, c_k(a) = c_k(W) den^(k - n), and those of W
+    come from a similarity to upper Hessenberg form (swapping a row and
+    column pair at a zero pivot), then the Hessenberg recurrence over its
+    leading blocks (Cohen, A Course in Computational Algebraic Number
+    Theory, 2.2), in ints when W is Hessenberg already."""
+    n = len(a)
+    h = [list(row) for row in a.rows]
     for m in range(1, n - 1):
         piv = next((i for i in range(m, n) if h[i][m - 1]), m)
         h[m], h[piv] = h[piv], h[m]
@@ -214,35 +241,38 @@ def charpoly(a: Mat) -> list[Fraction]:
             row[m], row[piv] = row[piv], row[m]
         for i in range(m + 1, n):
             if h[i][m - 1]:
-                u = h[i][m - 1] / h[m][m - 1]
+                u = Fraction(h[i][m - 1]) / h[m][m - 1]
                 h[i] = [x - u * y for x, y in zip(h[i], h[m])]
                 for row in h:
                     row[m] += u * row[i]
-    polys = [[F1]]
+    polys = [[1]]
     for m in range(n):
-        p, chain = [F0] + polys[m], F1
+        p, chain = [0] + polys[m], 1
         for i in range(m, -1, -1):  # i = m is the -h_mm p_m term
             coef = h[i][m] * chain
             if coef:
                 for k, c in enumerate(polys[i]):
                     p[k] -= coef * c
-            chain *= h[i][i - 1] if i else F0
+            chain *= h[i][i - 1] if i else 0
         polys.append(p)
-    return polys[n]
+    return [Fraction(c, a.den ** (n - k)) for k, c in enumerate(polys[n])]
 
 
-def solve(a: Mat, b: Vec) -> Vec | None:
+def solve(a: Matrix, b) -> tuple | None:
     """One solution of a x = b, or None when inconsistent.  Requires the
-    system to determine x uniquely on its pivot columns; free columns get 0."""
-    m = len(a[0])
-    work, pivots, _ = _rref([list(row) + [bv] for row, bv in zip(a, b)], m)
+    system to determine x uniquely on its pivot columns; free columns get 0.
+    For a = W / den and b = B / db the system is db W x = den B."""
+    m = len(a.rows[0])
+    b = mat([b])
+    work, pivots, _ = _rref([[x * b.den for x in row] + [a.den * y]
+                             for row, y in zip(a.rows, b.rows[0])], m)
     if any(row[m] for row in work[len(pivots):]):
         return None
-    x = [F0] * m
+    x = [Fraction(0)] * m
     for row, col in zip(work, pivots):
-        x[col] = row[m]
+        x[col] = Fraction(row[m], row[col])
     return tuple(x)
 
 
-def rank(a: Mat) -> int:
-    return len(_rref(a, len(a[0]), jordan=False)[1])
+def rank(a: Matrix) -> int:
+    return len(_rref(a.rows, len(a.rows[0]), jordan=False)[1])

@@ -22,7 +22,6 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from fractions import Fraction
-from math import lcm
 from operator import add, mul
 
 from . import ratmat
@@ -205,7 +204,7 @@ def build_root_system(series, rank):
     rho = weight(Fraction(sum(r[k] for r in positive), 2) for k in range(rank))
     # omega_i = d_i B^{-1} e_i, fixed by (omega_i, alpha_j) = d_j delta_ij
     inv = ratmat.minv(ratmat.mat(bform))
-    omegas = tuple(weight(d[i] * inv[k][i] for k in range(rank))
+    omegas = tuple(weight(Fraction(d[i] * row[i], inv.den) for row in inv.rows)
                    for i in range(rank))
     return RootSystemData(
         series=series,
@@ -237,8 +236,9 @@ def _gauss_coxeter(rs, pi):
     )
     tilde = ratmat.mmul(ratmat.minv(ratmat.madd(ratmat.eye(l), u)),
                         ratmat.msub(ratmat.eye(l), v))
-    return ratmat.sparse(l, {(pi[k] - 1, pi[i] - 1): tilde[k][i]
-                             for k in range(l) for i in range(l)})
+    at = {p - 1: k for k, p in enumerate(pi)}  # basis vector -> pi-position
+    return ratmat.Matrix([[tilde.rows[at[r]][at[c]] for c in range(l)]
+                          for r in range(l)], tilde.den)
 
 
 def coxeter_matrix(rs, pi):
@@ -302,7 +302,6 @@ def coxeter_context(rs, pi=None):
     if pi is None:
         pi = tuple(range(1, rs.rank + 1))
     pi = tuple(pi)
-    _check_permutation(rs, pi)
     l = rs.rank
     s = coxeter_matrix(rs, pi)
     one = ratmat.eye(l)
@@ -329,30 +328,29 @@ def coxeter_context(rs, pi=None):
     c = ratmat.mmul(ratmat.transpose(t), b)
     for i in range(l):
         for j in range(l):
-            if c[i][j] != eps[i][j] * rs.bform[i][j]:
+            if c.rows[i][j] != eps[i][j] * rs.bform[i][j] * c.den:
                 raise RuntimeError(
                     f"Cayley pairing c[{i}][{j}] = {c[i][j]} is not "
                     f"eps*b = {eps[i][j] * rs.bform[i][j]}"
                 )
 
-    twist = ratmat.sparse(l, {(i, j): Fraction(rs.cartan[j][i])
-                              for i in range(l) for j in range(l)
-                              if eps[i][j] > 0})
+    twist = [[rs.cartan[j][i] if eps[i][j] > 0 else 0 for j in range(l)]
+             for i in range(l)]
     for i in range(l):
         for j in range(l):
-            if rs.d[j] * twist[i][j] - rs.d[i] * twist[j][i] != c[i][j]:
+            if ((rs.d[j] * twist[i][j] - rs.d[i] * twist[j][i]) * c.den
+                    != c.rows[i][j]):
                 raise RuntimeError("twist does not solve the defining equation")
 
-    den = lcm(*(x.denominator for row in t for x in row))
     return CoxeterContext(
         rs=rs,
         pi=pi,
-        s_matrix=s,
-        cayley=c,
-        cayley_num=tuple(tuple(int(x * den) for x in row) for row in t),
-        cayley_den=den,
+        s_matrix=tuple(s),
+        cayley=tuple(c),
+        cayley_num=t.rows,
+        cayley_den=t.den,
         epsilon=tuple(tuple(row) for row in eps),
-        twist=tuple(tuple(row) for row in twist),
+        twist=tuple(tuple(map(Fraction, row)) for row in twist),
         coxeter_number=h,
     )
 

@@ -12,14 +12,17 @@ The per-root search for minimal segments and the q-scalar recursion for the
 vanishing of non-simple R-matrix factors are the forms the engine used
 before the normal ordering kept a segments table.  The Fraction reflection
 matrices and Cayley transform are the rational forms of what the engine
-keeps as integer columns and as ints over one denominator.
+keeps as integer columns and as ints over one denominator.  The dense
+tuple-matrix sum, scaling and product over any ring, and the matrix-vector
+product, are the forms ``ratmat`` had before its dense matrices became int
+rows over one denominator.
 """
 
 from fractions import Fraction
 
 from qwhit.crosssec import coxeter_rep
 from qwhit.qarith import EXP_UNIT, ONE, ZERO, _normalised, qpow
-from qwhit.ratmat import madd, mat, mvec, sparse
+from qwhit.ratmat import madd, mat, sparse
 
 
 def fraction_pair(rs, x, y):
@@ -99,6 +102,27 @@ def dense_mul(a, b, zero):
                     acc[j] = acc[j] + c * d
         out.append(tuple(acc))
     return tuple(out)
+
+
+def dense_add(a, b):
+    """The entrywise sum of tuple matrices over any ring."""
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def dense_sub(a, b):
+    """The entrywise difference of tuple matrices over any ring."""
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def dense_scale(a, s):
+    """The tuple matrix a with every entry times s on the right."""
+    return tuple(tuple(x * s for x in row) for row in a)
+
+
+def mvec(a, v):
+    """The matrix a, rows of rationals or a ratmat Matrix, times the vector
+    v, as a tuple of its entries."""
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
 def dense_kron(a, b, zero):

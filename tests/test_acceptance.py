@@ -30,6 +30,21 @@ DIGESTS = {
 }
 
 
+# The same digests for the matrix criteria at seed 1, the benchmark's seed,
+# and seed 2, taken with the Fraction-entry matrices that preceded the int
+# rows over one denominator: the reports must not depend on the form.
+MATRIX_DIGESTS = {
+    (1, 9): "23c5fe934241e314066843eb7da3d10dfadb713f8ea7ea82afb8205caff1bdfe",
+    (1, 10): "6f6e1e6463882047b5b4a1f1840fac913b68b8d024ff9df3bd0abb97304429c0",
+    (1, 11): "110e954e6df94af5b142d1818320aeaf26f6dd30fe42108fbe7a88c1e50cb853",
+    (1, 12): "3e8b42bc13606e561e0e68ce55ddd49449f8275eb54ff86a3d6b803613974262",
+    (2, 9): "23c5fe934241e314066843eb7da3d10dfadb713f8ea7ea82afb8205caff1bdfe",
+    (2, 10): "e778c2fcd61650dcd02f7b51d0092af28b9f3478616545f97f10d126b88364b8",
+    (2, 11): "110e954e6df94af5b142d1818320aeaf26f6dd30fe42108fbe7a88c1e50cb853",
+    (2, 12): "3e8b42bc13606e561e0e68ce55ddd49449f8275eb54ff86a3d6b803613974262",
+}
+
+
 def run(fn):
     report = fn(SEED)
     verdict = "PASS" if report["passed"] else "FAIL"
@@ -157,3 +172,12 @@ def test_criterion_13_engine_health():
     report = run(acceptance.criterion_13)
     assert report["confluence_passes"] == report["confluence_total"] == 600
     assert report["scalar_axiom_passes"] == report["scalar_axiom_total"] == 200
+
+
+@pytest.mark.parametrize("seed,criterion", sorted(MATRIX_DIGESTS))
+def test_matrix_criteria_reports_are_pinned_at_more_seeds(seed, criterion):
+    report = acceptance.CRITERIA[criterion - 1](seed)
+    assert report["passed"], report
+    payload = json.dumps(report, indent=2).encode()
+    assert (hashlib.sha256(payload).hexdigest()
+            == MATRIX_DIGESTS[seed, criterion])

@@ -28,7 +28,8 @@ from qwhit.crosssec import (
     shift_matrix,
     slice_params,
 )
-from qwhit.ratmat import charpoly, det, eye, mat, minv, mmul, msub, rank
+from qwhit.ratmat import (charpoly, det, eye, madd, mat, minv, mmul, msub,
+                          rank)
 
 F = Fraction
 
@@ -341,7 +342,7 @@ def test_is_slice_point_matches_the_rebuilt_slice_point():
             i, j = (data.draw(st.integers(0, n - 1)) for _ in range(2))
             rows[i][j] += data.draw(st.sampled_from([F(-1), F(1, 2), F(2)]))
             free = i == 0 and j < n - 1
-        m = tuple(map(tuple, rows))
+        m = mat(rows)
         rebuilt = slice_point([m[0][j] - coxeter_rep(n)[0][j]
                                for j in range(n - 1)])
         assert is_slice_point(m) == (m == rebuilt) == free
@@ -390,10 +391,21 @@ def test_cross_section_double_solve_agreement(n):
 def test_sweep_leaves_its_input_untouched():
     rng = random.Random(14)
     m = rnd_cell_element(rng, 5)
-    rows = [list(r) for r in m]
-    conj, point = crosssec._sweep_to_first_row(rows)
-    assert rows == [list(r) for r in m]
+    conj, point = crosssec._sweep_to_first_row(m)
+    assert m == rnd_cell_element(random.Random(14), 5)
     assert (conj, point) == cross_section(m)
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 2], [Fraction(3, 2), 1]],
+    [[1, 2, 0], [Fraction(3, 2), 1, 1], [0, 1, Fraction(1, 2)]],
+    [[1, 2, 0], [1, 1, 1], [Fraction(1, 2), 1, Fraction(1, 2)]],
+])
+def test_sweep_refuses_an_input_without_unit_subdiagonal(rows):
+    # the sweep's int form is exact only on a unit subdiagonal with zeros
+    # below it; any other input is refused, never floored
+    with pytest.raises(AssertionError, match="unit subdiagonal lost"):
+        crosssec._sweep_to_first_row(mat(rows))
 
 
 def test_cross_section_refuses_a_conjugator_that_is_not_unitriangular(
@@ -404,7 +416,7 @@ def test_cross_section_refuses_a_conjugator_that_is_not_unitriangular(
 
     def doubled(m):
         conj, point = sweep(m)
-        return tuple(tuple(2 * x for x in row) for row in conj), point
+        return madd(conj, conj), point
 
     monkeypatch.setattr(crosssec, "_sweep_to_first_row", doubled)
     with pytest.raises(AssertionError, match="conjugation identity lost"):
@@ -710,19 +722,19 @@ def test_rmatrix_cartan_part_solves_the_cayley_system(n):
 def test_rmatrix_solves_the_cayley_system_once_per_n(monkeypatch):
     calls = []
 
-    def counted(a, b):
-        calls.append(len(a[0]))
-        return solve(a, b)
+    def counted(a):
+        calls.append(len(a))
+        return minv(a)
 
-    solve = crosssec.solve
-    monkeypatch.setattr(crosssec, "solve", counted)
+    minv = crosssec.minv
+    monkeypatch.setattr(crosssec, "minv", counted)
     crosssec._cayley_operator.cache_clear()
     try:
         rng = random.Random(17)
         for _ in range(5):
             rmatrix_endo(4)(rnd_traceless(rng, 4))
-        # one solve per column e_k - e_n of the operator, at the first call
-        assert calls == [4, 4, 4]
+        # one inversion of the square system, at the first call
+        assert calls == [4]
     finally:
         crosssec._cayley_operator.cache_clear()
 

@@ -9,8 +9,8 @@ function's call to itself).  A public
 method of a module-level class counts as used when some module of the
 package reads an attribute of that name, on any object; dunders and other
 underscore names are exempt.  A field of a record, a module-level class
-built on ``namedtuple(name, fields)``, counts as used by the same rule as a
-method.
+built on ``namedtuple(name, fields)`` or one naming its ``__slots__``,
+counts as used by the same rule as a method.
 
 The scan matches by name only, since it cannot tell the type of the object
 an attribute is read from, so a method or field that only the tests use
@@ -56,11 +56,19 @@ def _public_methods(tree):
 
 def _record_fields(tree):
     """(class, field) for every field of a module-level namedtuple record,
-    its fields given as a literal tuple, list or string of names."""
+    its fields given as a literal tuple, list or string of names, and for
+    every name in the literal ``__slots__`` of a module-level class."""
     out = set()
     for node in tree.body:
         if not isinstance(node, ast.ClassDef):
             continue
+        for item in node.body:
+            if (isinstance(item, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__slots__"
+                            for t in item.targets)
+                    and isinstance(item.value, (ast.Tuple, ast.List))):
+                out.update((node.name, elt.value) for elt in item.value.elts
+                           if not elt.value.startswith("_"))
         for base in node.bases:
             if not (isinstance(base, ast.Call) and len(base.args) == 2
                     and isinstance(base.func, ast.Name)
@@ -208,3 +216,18 @@ def test_the_scan_flags_a_record_field_nothing_reads():
     # store is no read, and a bare namedtuple assignment is no record class
     assert unreferenced_public_names(trees) == [
         "a.Pair.tag", "a.Span.stop", "b.run"]
+
+
+def test_the_scan_flags_a_slot_nothing_reads():
+    trees = {
+        "a": ast.parse("class Cell:\n"
+                       "    __slots__ = ('value', 'spare', '_cache')\n\n"
+                       "    def __init__(self, value):\n"
+                       "        self.value = value\n"),
+        "b": ast.parse("from .a import Cell\n\n"
+                       "def run():\n    cell = Cell(1)\n    cell.spare = 2\n"
+                       "    return cell.value\n"),
+    }
+    # a slot is a field like a record's; a store is no read, and an
+    # underscore slot is exempt
+    assert unreferenced_public_names(trees) == ["a.Cell.spare", "b.run"]

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import (as_rational, bar, cayley_transform, dense, dense_mul,
-                     fraction_pair, is_polynomial, q_int)
+from oracles import (as_rational, bar, cayley_transform, dense, dense_add,
+                     dense_mul, dense_scale, fraction_pair, is_polynomial,
+                     mvec, q_int)
 from qwhit import qarith, ratmat, rootsys
 from qwhit.qarith import EXP_UNIT, ONE, ZERO, LaurentScalar, q_binom, qpow
 from qwhit.toda import DifferenceOperator
@@ -186,7 +187,7 @@ def test_q_exp_nilpotent_of_difference_operators_matches_the_dense_series():
         for k in range(1, n):
             term = dense_mul(term, x, zero)
             fact = fact * qarith.q_paren(k, t)
-            want = ratmat.madd(want, ratmat.mscale(term, fact.inverse()))
+            want = dense_add(want, dense_scale(term, fact.inverse()))
         got = qarith.q_exp_nilpotent(rows, n, t, one)
         assert all(v for row in got.values() for v in row.values())
         assert dense(got, n, zero) == want
@@ -225,9 +226,9 @@ def test_weight_and_cayley_pairings_are_multiples_of_the_exponent_unit():
         omegas = [rootsys.weight_coords(w) for w in rs.fundamental_weights]
         for pi in _orderings(rs.rank):
             t = cayley_transform(rootsys.coxeter_context(rs, pi))
-            vecs = omegas + [ratmat.mvec(t, w) for w in omegas]
+            vecs = omegas + [mvec(t, w) for w in omegas]
             for i in range(rs.rank):
-                rootsys.weight(ratmat.mvec(t, rs.simple_root(i)))
+                rootsys.weight(mvec(t, rs.simple_root(i)))
             for x in vecs:
                 rootsys.weight(x)
                 for y in vecs:

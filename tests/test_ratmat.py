@@ -1,13 +1,16 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from oracles import dense, dense_kron, sparse_rows
+from oracles import dense, dense_kron, mvec, sparse_rows
+from qwhit import ratmat
 from qwhit.crosssec import coxeter_rep
 from qwhit.qarith import ZERO, LaurentScalar, qpow
-from qwhit.ratmat import (charpoly, det, eye, kron, mat, minv, mmul, mvec, rank,
-                          solve, sparse_mul, sparse_scale)
+from qwhit.ratmat import (Matrix, charpoly, det, eye, kron, madd, mat, minv,
+                          mmul, msub, rank, solve, sparse_mul, sparse_scale,
+                          zeros)
 
 
 def test_minv_inverts_and_rejects_singular():
@@ -155,7 +158,7 @@ def test_sparse_rows_product_matches_the_dense_product():
                      for _ in range(n)]) for _ in range(2))
         got = sparse_mul(sparse_rows(a), sparse_rows(b))
         assert all(x for row in got.values() for x in row.values())
-        assert dense(got, n, F0) == mmul(a, b)
+        assert mat(dense(got, n, F0)) == mmul(a, b)
     # an entry that cancels is dropped, and so is a row left empty
     a, b = mat([[1, 1], [0, 0]]), mat([[1, 0], [-1, 0]])
     assert sparse_mul(sparse_rows(a), sparse_rows(b)) == {}
@@ -198,7 +201,7 @@ def _draw_matrix(data, st, n, m):
     for j in data.draw(st.sets(st.integers(0, m - 1), max_size=2)):
         for row in a:
             row[j] = F0
-    return tuple(tuple(row) for row in a)
+    return mat(a)
 
 
 def _to_sympy(sympy, a):
@@ -270,6 +273,101 @@ def test_elimination_matches_sympy():
             assert all(_all_fractions(row) for row in inv)
 
     check()
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_chained_operations_match_sympy(n):
+    # each result is fed to the next operation as it stands, so the
+    # canonical form must hold across calls and not only for one product
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(300 + n)
+    t = sympy.Symbol("t")
+    sa, sb, sc = (_random_sympy(sympy, rng, n, n) for _ in range(3))
+    a, b, c = map(_from_sympy, (sa, sb, sc))
+    ab, sab = mmul(a, b), sa * sb
+    assert mmul(ab, c) == mmul(a, mmul(b, c)) == _from_sympy(sab * sc)
+    assert madd(ab, mmul(b, a)) == _from_sympy(sab + sb * sa)
+    assert msub(ab, mmul(b, a)) == _from_sympy(sab - sb * sa)
+    assert msub(ab, ab) == zeros(n)
+    assert sab.det() == 0 or mmul(ab, minv(ab)) == eye(n)
+    assert charpoly(ab) == [Fraction(str(k))
+                            for k in reversed(sab.charpoly(t).all_coeffs())]
+    assert det(ab) == Fraction(str(sab.det())) == det(a) * det(b)
+    assert rank(ab) == sab.rank()
+    if sa.det() != 0:
+        assert mmul(minv(a), b) == _from_sympy(sa.inv() * sb)
+        assert sb.det() == 0 or mmul(ab, minv(b)) == a
+    # a product through n - 1 columns is singular; its rank and a solve
+    low = (_random_sympy(sympy, rng, n, n - 1)
+           * _random_sympy(sympy, rng, n - 1, n))
+    slow = low * sc
+    prod = mmul(_from_sympy(low), c)
+    assert rank(prod) == slow.rank() and det(prod) == 0
+    x = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+    rhs = mvec(prod, x)
+    got = solve(prod, rhs)
+    assert got is not None and mvec(prod, got) == rhs
+    if sab.det() != 0:
+        assert solve(ab, mvec(ab, x)) == tuple(x)
+
+
+def test_the_value_is_canonical_and_compares_by_its_entries():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=150, **_SETTINGS)
+    @hypothesis.given(st.data())
+    def check(data):
+        n, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        a, b = _draw_matrix(data, st, n, m), _draw_matrix(data, st, n, m)
+        for v in (a, b):
+            assert v.den > 0 and math.gcd(v.den, *sum(v.rows, ())) == 1
+            assert all(type(x) is int for row in v.rows for x in row)
+            # a round trip through Fractions gives the value back
+            assert mat(list(v)) == v and len(v) == n
+        same = [list(row) for row in a] == [list(row) for row in b]
+        assert (a == b) == same and (a != b) == (not same)
+        if same:
+            assert hash(a) == hash(b)
+        k = data.draw(st.integers(-30, 30).filter(bool))
+        assert Matrix([[k * x for x in row] for row in a.rows], k * a.den) == a
+
+    check()
+
+
+@pytest.mark.parametrize("rows,den,canon,canon_den", [
+    # entries and den sharing a factor, with and without a sign
+    ([[2, 4], [6, 0]], 2, [[1, 2], [3, 0]], 1),
+    ([[3, 6]], -9, [[-1, -2]], 3),
+    ([[0, 0], [0, 0]], 5, [[0, 0], [0, 0]], 1),
+    ([[10, 15], [25, 35]], 20, [[2, 3], [5, 7]], 4),
+])
+def test_a_value_with_a_shared_factor_equals_its_canonical_twin(
+        rows, den, canon, canon_den):
+    value, twin = Matrix(rows, den), Matrix(canon, canon_den)
+    assert value == twin and not value != twin and hash(value) == hash(twin)
+    assert (value.rows, value.den) == (twin.rows, twin.den)
+    assert value == mat([[Fraction(x, den) for x in row] for row in rows])
+    with pytest.raises(ZeroDivisionError):
+        Matrix(rows, 0)
+
+
+def test_the_kernels_build_no_fraction(monkeypatch):
+    rng = random.Random(5)
+    a, b = (mat([[Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                  for _ in range(4)] for _ in range(4)]) for _ in range(2))
+    built = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(ratmat, "Fraction", Counted)
+    out = [mmul(a, b), madd(a, b), msub(a, b), minv(a), mmul(minv(b), a)]
+    monkeypatch.undo()
+    assert built == []
+    assert mmul(out[3], a) == eye(4)
 
 
 def _q_scalars(st):

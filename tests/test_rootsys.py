@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import (commutator_exponent, fraction_pair, minimal_segment,
-                     reflection_matrix)
+                     mvec, reflection_matrix)
 from qwhit import ratmat, rootsys
 from qwhit.qarith import EXP_UNIT
 
@@ -206,19 +206,19 @@ def test_orderings_and_orbits_match_the_reflection_matrix_products(series,
         # beta_k = s_{i_1} ... s_{i_(k-1)} alpha_{i_k}
         m = ratmat.eye(rank)
         for letter, root in zip(no.word, no.ordering):
-            assert ratmat.mvec(m, rs.simple_root(letter - 1)) == root
+            assert mvec(m, rs.simple_root(letter - 1)) == root
             m = ratmat.mmul(m, refl[letter - 1])
         # the word is one of the longest element: every positive root goes
         # negative
-        assert all(all(v <= 0 for v in ratmat.mvec(m, r))
+        assert all(all(v <= 0 for v in mvec(m, r))
                    for r in rs.positive_roots)
         s = ratmat.eye(rank)
         for i in pi:
             s = ratmat.mmul(s, refl[i - 1])
-        assert ctx.s_matrix == s
+        assert ratmat.mat(ctx.s_matrix) == s
         for orbit in rootsys.coxeter_orbits(ctx):
             for k, root in enumerate(orbit):
-                assert ratmat.mvec(s, root) == orbit[(k + 1) % len(orbit)]
+                assert mvec(s, root) == orbit[(k + 1) % len(orbit)]
 
 
 @pytest.mark.parametrize("series,rank", ALL_TYPES)

@@ -8,7 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import dense, dense_mul, fraction_pair, k_matrix
+from oracles import (dense, dense_add, dense_mul, dense_scale, dense_sub,
+                     fraction_pair, k_matrix)
 from qwhit import ratmat, rootsys, toda, uqalg
 from qwhit.qarith import (ONE, ZERO, LaurentScalar, q_binom, q_exp_nilpotent,
                           qpow)
@@ -613,16 +614,16 @@ def dense_first_failures(rep):
             for kind, x, sign in (("K-e relation", e_mats[j], 1),
                                   ("K-f relation", f_mats[j], -1)):
                 lhs = mm(ki, mm(x, ki_inv))
-                if lhs != ratmat.mscale(x, qpow(sign * rs.bform[i][j])):
+                if lhs != dense_scale(x, qpow(sign * rs.bform[i][j])):
                     failed.setdefault(kind, (i, j))
-            cross = ratmat.msub(
+            cross = dense_sub(
                 mm(e_mats[i], f_mats[j]),
-                ratmat.mscale(mm(f_mats[j], e_mats[i]),
+                dense_scale(mm(f_mats[j], e_mats[i]),
                               qpow(alg.c_pair(j, i))))
             if i == j:
                 coef = (qpow(rs.d[i]) - qpow(-rs.d[i])).inverse()
-                cross = ratmat.msub(cross, ratmat.mscale(
-                    ratmat.msub(ki, ki_inv), coef))
+                cross = dense_sub(cross, dense_scale(
+                    dense_sub(ki, ki_inv), coef))
             if not is_zero_matrix(cross):
                 failed.setdefault("cross relation", (i, j))
     for i, j in itertools.permutations(range(n), 2):
@@ -634,7 +635,7 @@ def dense_first_failures(rep):
                 term = one
                 for x in (i,) * (m - r) + (j,) + (i,) * r:
                     term = mm(term, mats[x])
-                total = ratmat.madd(total, ratmat.mscale(term, coef))
+                total = dense_add(total, dense_scale(term, coef))
             if not is_zero_matrix(total):
                 failed.setdefault(f"{side}-Serre", (i, j))
     return failed
