@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from . import crosssec, qarith, rootsys, toda, uqalg
-from .qarith import ZERO, LaurentScalar
+from .qarith import ONE, ZERO, LaurentScalar
 from .ratmat import (charpoly, madd, mat, minv, mmul, msub, rank, sparse, unit,
                      zeros)
 
@@ -64,7 +64,7 @@ def _report(criterion, name, passed, **extra):
     return out
 
 
-def criterion_1(seed=0):
+def criterion_1(seed):
     """Cayley transform equals sign matrix times symmetrized form."""
     checked = 0
     ok = True
@@ -92,7 +92,7 @@ def qbinom_scan_row(m):
     return got, want, (m - 1 in got) and (-(m - 1) in got)
 
 
-def criterion_2(seed=0):
+def criterion_2(seed):
     """Vanishing set of the alternating Gauss sum."""
     ok = True
     rows = []
@@ -119,7 +119,7 @@ def serre_sums(rs, orderings):
     return checked, all_zero
 
 
-def criterion_3(seed=0):
+def criterion_3(seed):
     """Deformed Serre relator character sums vanish for every ordering."""
     checked = 0
     ok = True
@@ -132,7 +132,7 @@ def criterion_3(seed=0):
                    identities_checked=checked)
 
 
-def criterion_4(seed=0):
+def criterion_4(seed):
     """Non-singular characters kill all non-simple root vectors."""
     ok = True
     checked = 0
@@ -157,7 +157,7 @@ def is_central(alg, c):
     """Does c commute with every e_i, f_i and K_{alpha_i}?"""
     rank = alg.rs.rank
     gens = [alg.e(i) for i in range(rank)] + [alg.f(i) for i in range(rank)]
-    gens += [alg.k(alg.simple_weight(i))
+    gens += [alg.k(rootsys.weight(alg.rs.simple_root(i)))
              for i in range(rank)]
     return all(c.commutator(g).is_zero() for g in gens)
 
@@ -168,7 +168,7 @@ def is_whittaker_invariant(alg, img, chi):
                for i in range(alg.rs.rank))
 
 
-def criterion_5(seed=0):
+def criterion_5(seed):
     """Centrality of the trace elements."""
     cases = []
     ok = True
@@ -183,7 +183,7 @@ def criterion_5(seed=0):
     return _report(5, "centrality", ok, cases=cases)
 
 
-def criterion_6(seed=0):
+def criterion_6(seed):
     """Whittaker projection is multiplicative and lands on invariants."""
     ok = True
     cases = []
@@ -205,7 +205,7 @@ def criterion_6(seed=0):
     return _report(6, "whittaker-model", ok, cases=cases)
 
 
-def criterion_7(seed=0):
+def criterion_7(seed):
     """Toda pipeline: closed form, commutativity, quasiclassical limit."""
     systems = {rank: toda.build_toda_system(_algebra("A", rank), (1,) * rank,
                                             (1,) * rank)
@@ -222,7 +222,7 @@ def criterion_7(seed=0):
     return _report(7, "toda-hamiltonians", all(detail.values()), **detail)
 
 
-def criterion_8(seed=0):
+def criterion_8(seed):
     """Yang-Baxter identity in the vector representations."""
     results = {}
     ok = True
@@ -262,7 +262,7 @@ def cross_section_trials(rng, n, trials):
     return good
 
 
-def criterion_9(seed=0):
+def criterion_9(seed):
     """Group cross-section: slice landing, invariants, uniqueness, oracle."""
     rng = random.Random(seed * 1009 + 9)
     ok = True
@@ -285,7 +285,7 @@ def criterion_9(seed=0):
                    **per_n)
 
 
-def criterion_10(seed=0):
+def criterion_10(seed):
     """Fibers of the nilpotent moment map land in the cell; character
     identity under the regularity guard."""
     rng = random.Random(seed * 1009 + 10)
@@ -350,7 +350,7 @@ def kostant_trials(rng, n, trials):
     return good
 
 
-def criterion_11(seed=0):
+def criterion_11(seed):
     """Kostant section round trip and companion coordinates."""
     rng = random.Random(seed * 1009 + 11)
     ok = True
@@ -407,7 +407,7 @@ def rmatrix_subspaces(n):
     return spaces
 
 
-def criterion_12(seed=0):
+def criterion_12(seed):
     """Modified classical Yang-Baxter residual and the r_+- subspaces."""
     rng = random.Random(seed * 1009 + 12)
     ok = True
@@ -439,7 +439,7 @@ def _random_scalar(rng):
         return LaurentScalar(num)
 
 
-def criterion_13(seed=0):
+def criterion_13(seed):
     """Engine health: rewriting confluence and scalar field axioms."""
     rng = random.Random(seed * 1009 + 13)
     confluent = 0
@@ -463,8 +463,6 @@ def criterion_13(seed=0):
             x, y, z = element(), element(), element()
             if (x * y) * z == x * (y * z):
                 confluent += 1
-    one = LaurentScalar.one()
-    zero = LaurentScalar.zero()
     axioms = 0
     for _ in range(200):
         a, b, c = (_random_scalar(rng) for _ in range(3))
@@ -472,7 +470,7 @@ def criterion_13(seed=0):
                 and a * b == b * a and (a * b) * c == a * (b * c)
                 and a * (b + c) == a * b + a * c and (a - a).is_zero())
         if good and not a.is_zero():
-            good = (a * a.inverse() == one) and ((one / a) * a == one)
+            good = (a * a.inverse() == ONE) and ((ONE / a) * a == ONE)
         if good:
             axioms += 1
     ok = confluent == 600 and axioms == 200

@@ -196,6 +196,11 @@ def cmd_orbits(args):
     return outputs, checks
 
 
+# qbinom-scan --m 16 takes about 1.6 s on a 2-vCPU VM (--m 20 4.8 s), and
+# the time grows about as m^5, so a larger m is refused before any work.
+MAX_QBINOM_M = 16
+
+
 def cmd_qbinom_scan(args):
     from . import acceptance
 
@@ -206,6 +211,9 @@ def cmd_qbinom_scan(args):
         top = 6
     if top < 1:
         raise ValueError("need --m >= 1")
+    if top > MAX_QBINOM_M:
+        raise ValueError(f"need --m <= {MAX_QBINOM_M}: the scan's time grows "
+                         "about as m^5")
     scans = []
     all_ok = True
     for m in range(1, top + 1):
@@ -440,6 +448,8 @@ def cmd_gstar(args):
     if len(n_plus) != n or any(len(row) != n for row in n_plus.rows):
         raise ValueError(f"--matrix must be {n}x{n} to match the {n} "
                          f"entries in --x")
+    if not crosssec.is_unitriangular(n_plus):
+        raise ValueError("--matrix must be unipotent upper triangular")
     el = crosssec.mu_inverse_point(h_diag, n_plus, c)
     q = crosssec.q_map(el)
     report = crosssec.eq_character_report(h_diag, c)

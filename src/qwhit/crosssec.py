@@ -29,7 +29,7 @@ from functools import lru_cache
 from operator import mul
 from typing import Callable, Optional
 
-from .ratmat import (Matrix, charpoly, det, diag, eye, madd, mat, minv, mmul,
+from .ratmat import (Matrix, charpoly, det, diag, eye, madd, minv, mmul,
                      msub, solve, sparse)
 
 
@@ -79,11 +79,6 @@ def coxeter_rep(n: int) -> Matrix:
     entries = {(j + 1, j): 1 for j in range(n - 1)}
     entries[0, n - 1] = (-1) ** (n - 1)
     return sparse(n, entries)
-
-
-def _cycle_prev(n: int, j: int) -> int:
-    """Index i with coxeter_rep(n) mapping line i to line j."""
-    return (j - 1) % n
 
 
 def cell_witness(m: Matrix, s_rep: Optional[Matrix] = None):
@@ -278,7 +273,7 @@ def mu_inverse_point(h_diag, n_plus: Matrix, c) -> GStarElement:
     if prod != 1:
         raise ValueError("torus entries must multiply to 1")
     h_plus = diag(entries)
-    sh = diag([entries[_cycle_prev(n, j)] for j in range(n)])  # s h_+ s^-1
+    sh = diag([entries[(j - 1) % n] for j in range(n)])  # s h_+ s^-1
     l_plus = mmul(h_plus, n_plus)
     l_minus = mmul(sh, build_u(c))
     return gstar_factorize(l_plus, l_minus)
@@ -313,7 +308,7 @@ def kostant_section(b: Matrix):
 
 def _cartan_cycle(n: int) -> Matrix:
     """Action of the Coxeter representative on diagonal coordinates."""
-    return sparse(n, {(j, _cycle_prev(n, j)): 1 for j in range(n)})
+    return sparse(n, {(j, (j - 1) % n): 1 for j in range(n)})
 
 
 @lru_cache(maxsize=None)
@@ -398,31 +393,6 @@ def _characters(coeffs):
     return tuple((-1) ** k * coeffs[n - k] for k in range(1, n))
 
 
-def poly_discriminant(coeffs) -> Fraction:
-    """Discriminant of a monic polynomial given as [c_0..c_n], via the
-    Sylvester resultant with the derivative."""
-    coeffs = [Fraction(c) for c in coeffs]
-    n = len(coeffs) - 1
-    if n < 1 or coeffs[n] != 1:
-        raise ValueError("need a monic polynomial of positive degree")
-    deriv = [k * coeffs[k] for k in range(1, n + 1)]
-    size = 2 * n - 1
-    rows = []
-    for shift in range(n - 1):
-        row = [0] * size
-        for k, c in enumerate(reversed(coeffs)):
-            row[shift + k] = c
-        rows.append(tuple(row))
-    for shift in range(n):
-        row = [0] * size
-        for k, c in enumerate(reversed(deriv)):
-            row[shift + k] = c
-        rows.append(tuple(row))
-    res = det(mat(rows))
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * res
-
-
 def eq_character_report(h_diag, c) -> dict:
     """Character identity data for the fiber point with trivial N_+ part.
 
@@ -438,7 +408,9 @@ def eq_character_report(h_diag, c) -> dict:
     tu = mmul(t, build_u(c))
     poly, poly_t = charpoly(q), charpoly(t)  # q is special: L_+ and L_- are
     return {
-        "regular": poly_discriminant(poly_t) != 0,
+        # t is diagonal, so its characteristic polynomial has a repeated
+        # root exactly when two diagonal entries agree
+        "regular": len({row[i] for i, row in enumerate(t.rows)}) == len(t),
         "matches_torus_times_u": poly == charpoly(tu),
         "matches_torus": poly == poly_t,
         "characters": _characters(poly),

@@ -210,23 +210,11 @@ class LaurentScalar:
 
     # -- constructors -------------------------------------------------------
     @classmethod
-    def zero(cls) -> "LaurentScalar":
-        return _scalar(F0, {}, _UNIT)
-
-    @classmethod
-    def one(cls) -> "LaurentScalar":
-        return _scalar(F1, _UNIT, _UNIT)
-
-    @classmethod
     def from_rational(cls, r) -> "LaurentScalar":
         r = _as_fraction(r)
         if not r:
-            return cls.zero()
+            return ZERO
         return _scalar(r, _UNIT, _UNIT)
-
-    @classmethod
-    def q_power(cls, e) -> "LaurentScalar":
-        return _scalar(F1, {to_units(e): 1}, _UNIT)
 
     # -- Fraction views -----------------------------------------------------
     @property
@@ -344,17 +332,6 @@ class LaurentScalar:
         if o is None:
             return NotImplemented
         return o * self.inverse()
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n == 0:
-            return LaurentScalar.one()
-        base = self if n > 0 else self.inverse()
-        out = LaurentScalar.one()
-        for _ in range(abs(n)):
-            out = out * base
-        return out
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -476,8 +453,8 @@ def _polynomial(p: dict) -> LaurentScalar:
     return _scalar(Fraction(k), p, _UNIT)
 
 
-ZERO = LaurentScalar.zero()
-ONE = LaurentScalar.one()
+ZERO = _scalar(F0, {}, _UNIT)
+ONE = _scalar(F1, _UNIT, _UNIT)
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +535,7 @@ def integer_image(scalars, shifts=()) -> IntegerImage | None:
 
 
 def qpow(e) -> LaurentScalar:
-    return LaurentScalar.q_power(e)
+    return _scalar(F1, {to_units(e): 1}, _UNIT)
 
 
 # ---------------------------------------------------------------------------

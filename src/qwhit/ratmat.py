@@ -103,8 +103,8 @@ def unit(n: int, i: int, j: int) -> Matrix:
     return sparse(n, {(i, j): 1})
 
 
-def zeros(n: int, m: int | None = None) -> Matrix:
-    return mat([[0] * (n if m is None else m)] * n)
+def zeros(n: int) -> Matrix:
+    return mat([[0] * n] * n)
 
 
 def _combine(a: Matrix, b: Matrix, op) -> Matrix:

@@ -279,7 +279,8 @@ class CoxeterContext(namedtuple("CoxeterContext", (
 
     ``cayley_num`` / ``cayley_den`` is the Cayley transform (1+s)/(1-s) on
     simple-root coordinates, as ints over one denominator, and ``cayley``
-    its pairing matrix ((1+s)/(1-s) alpha_i, alpha_j)."""
+    its pairing matrix ((1+s)/(1-s) alpha_i, alpha_j).  ``s_matrix``,
+    ``cayley`` and ``twist`` are rows of ints."""
 
     __slots__ = ()
 
@@ -345,12 +346,12 @@ def coxeter_context(rs, pi=None):
     return CoxeterContext(
         rs=rs,
         pi=pi,
-        s_matrix=tuple(s),
-        cayley=tuple(c),
+        s_matrix=s.rows,
+        cayley=c.rows,
         cayley_num=t.rows,
         cayley_den=t.den,
         epsilon=tuple(tuple(row) for row in eps),
-        twist=tuple(tuple(map(Fraction, row)) for row in twist),
+        twist=tuple(tuple(row) for row in twist),
         coxeter_number=h,
     )
 

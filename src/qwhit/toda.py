@@ -35,7 +35,7 @@ from operator import add, mul
 from . import qarith, uqalg
 from .qarith import EXP_UNIT, ONE, LaurentScalar, q_exp_nilpotent, qpow
 from .ratmat import sparse_mul, sparse_scale
-from .rootsys import weight_coords
+from .rootsys import weight, weight_coords
 
 
 def _clean(terms):
@@ -67,13 +67,9 @@ class DifferenceOperator:
 
     # -- constructors --------------------------------------------------------
     @classmethod
-    def zero(cls, rs):
-        return cls(rs)
-
-    @classmethod
-    def shift(cls, rs, lam, coeff=None):
+    def shift(cls, rs, lam, coeff=ONE):
         zero_z = (0,) * rs.rank
-        return cls(rs, {tuple(lam): {zero_z: coeff if coeff is not None else qpow(0)}})
+        return cls(rs, {tuple(lam): {zero_z: coeff}})
 
     # -- ring structure ------------------------------------------------------
     def is_zero(self):
@@ -363,16 +359,16 @@ def toda_hamiltonian(alg, rep_name, chi, chibar):
         chi_u = sparse_mul(chi_u, q_exp_nilpotent(
             sparse_scale(leg, chi.values[i] * scale), rep.dim, base, ONE))
         # K_{T alpha_i} f_i = q^{-(T alpha_i, alpha_i)} f_i K_{T alpha_i}
-        t_beta = alg.ctx.cayley_apply(alg.weight(beta))
+        t_beta = alg.ctx.cayley_apply(weight(beta))
         f_leg = lower_rep(uqalg.PBWElement(alg, {
             ((i,), t_beta, ()): scale.times_q(-rs.pair(t_beta, beta))}), chibar)
         r21 = sparse_mul(r21, q_exp_nilpotent(
             sparse_scale(rep.e_mats[i], f_leg), rep.dim, base, one))
     lams = uqalg.cartan_weights(alg, rep, 1)
     two_rho = tuple(2 * x for x in rs.rho)
-    out = DifferenceOperator.zero(rs)
+    out = DifferenceOperator(rs)
     for j, row in r21.items():
-        entry = DifferenceOperator.zero(rs)
+        entry = DifferenceOperator(rs)
         for k, x in row.items():
             y = chi_u.get(k, {}).get(j)
             if y:
@@ -386,31 +382,23 @@ def closed_form_M1(alg, chi_vals, chibar_vals):
     """Type-A first Hamiltonian in closed form: sum of squared weight shifts
     plus the nearest-neighbour potential.
 
-    Accepts raw value tuples so the degenerate case (all couplings zero,
-    free Hamiltonian) stays expressible; the pipeline itself needs
-    non-singular characters.
+    Takes the q-scalar values of the two characters, not ``Character``s, so
+    the degenerate case (all couplings zero, free Hamiltonian) stays
+    expressible; the pipeline itself needs non-singular characters.
     """
     if alg.rs.series != "A":
         raise ValueError("the closed form is specific to type A")
     _, weights = uqalg.module_basis(alg.rs, alg.rs.module_index("V1"))
     rank = alg.rs.rank
-    vals = [
-        v if isinstance(v, LaurentScalar) else LaurentScalar.from_rational(v)
-        for v in chi_vals
-    ]
-    vbars = [
-        v if isinstance(v, LaurentScalar) else LaurentScalar.from_rational(v)
-        for v in chibar_vals
-    ]
     rs = alg.rs
-    out = DifferenceOperator.zero(rs)
+    out = DifferenceOperator(rs)
     for mu in weights:
         out = out + DifferenceOperator.shift(rs, tuple(2 * x for x in mu))
     coupling = (qpow(1) - qpow(-1)) * (qpow(1) - qpow(-1))
     for i in range(rank):
         lam = tuple(a + b for a, b in zip(weights[i], weights[i + 1]))
         zexp = tuple(1 if k == i else 0 for k in range(rank))
-        c = coupling * vals[i] * vbars[i]
+        c = coupling * chi_vals[i] * chibar_vals[i]
         term = DifferenceOperator(rs, {lam: {zexp: c}})
         out = out + term
     return out
@@ -473,7 +461,7 @@ def quasiclassical_potential_check(system):
     for lam, zpart in sorted(m1.terms.items()):
         for zexp, coeff in sorted(zpart.items()):
             if zexp == zero_z:
-                ok = coeff == qpow(0)
+                ok = coeff == ONE
                 report["kinetic"].append({
                     "shift": [str(x) for x in weight_coords(lam)],
                     "coeff": str(coeff),

@@ -113,21 +113,11 @@ class Algebra:
                 f"{stage}; set QWHIT_STEP_BUDGET higher for larger "
                 "computations")
 
-    def weight(self, vec):
-        """The weight with simple-root coordinates vec."""
-        return rootsys.weight(vec)
-
-    def simple_weight(self, i):
-        return self.weight(self.rs.simple_root(i))
-
     def word_weight(self, word):
         out = [0] * self.rank
         for i in word:
             out[i] += 1
         return tuple(out)
-
-    def c_pair(self, i, j):
-        return self.ctx.cayley[i][j]
 
     # -- straightening rules for one-sided words ------------------------------
     def _serre_relators(self):
@@ -261,7 +251,7 @@ class Algebra:
             elif kind == "f":
                 out = out * self.f(arg)
             elif kind == "k":
-                out = out * self.k(self.weight(arg))
+                out = out * self.k(rootsys.weight(arg))
             else:
                 raise ValueError(f"unknown generator token {kind!r}")
         return out
@@ -298,14 +288,14 @@ class Algebra:
             head, i = ew[:-1], ew[-1]
             result = {}
             # cross relation: e_i f_j = q^{c_ji} f_j e_i + delta_ij (...)
-            lead = qpow(self.c_pair(j, i))
+            lead = qpow(self.ctx.cayley[j][i])
             for (fw, lam, ew2), c in self._etf(head, j).items():
                 for ew3, s in self.reduce_word(ew2 + (i,)).items():
                     k2 = (fw, lam, ew3)
                     result[k2] = result.get(k2, ZERO) + c * s * lead
             if i == j:
                 denom = (qpow(self.rs.d[i]) - qpow(-self.rs.d[i])).inverse()
-                alpha = self.simple_weight(i)
+                alpha = rootsys.weight(self.rs.simple_root(i))
                 minus_alpha = tuple(-x for x in alpha)
                 shift = self.rs.pair(alpha, self.word_weight(head))
                 for lamv, fac in ((alpha, denom.times_q(-shift)),
@@ -592,11 +582,10 @@ class RepMatrices:
                     rows[r] = {c: ONE.times_q(pair(nu, mu))}
             return rows
 
-        twist = alg.ctx.twist
         self.e_mats = []
         self.f_mats = []
         for i in range(n):
-            nu = _combination(rs, [int(t) for t in twist[i]])
+            nu = _combination(rs, alg.ctx.twist[i])
             self.e_mats.append(ladder(i + 1, i + 2, nu, True))
             self.f_mats.append(ladder(i + 2, i + 1, tuple(-x for x in nu),
                                       False))
@@ -657,7 +646,7 @@ class RepMatrices:
         for i in range(n):
             for j in range(n):
                 scale = qpow(rs.d[i]) - qpow(-rs.d[i]) if i == j else ONE
-                cross.append((scale, -scale * qpow(alg.c_pair(j, i))))
+                cross.append((scale, -scale * qpow(alg.ctx.cayley[j][i])))
         serre = list(alg.serre_coefs.items())
         scalars = [x for m in mats for row in m.values() for x in row.values()]
         scalars += [c for pair in cross for c in pair]
@@ -782,7 +771,7 @@ def _root_constants(alg, rep, beta):
         f_b = rep.evaluate(root_vector(alg, beta, "-"))
         comm = _sparse_combination([(ONE, sparse_mul(e_b, f_b)),
                                     (-ONE, sparse_mul(f_b, e_b))])
-        cartan = rep.cartan_difference(alg.weight(beta))
+        cartan = rep.cartan_difference(rootsys.weight(beta))
         j = next(iter(cartan), None)
         pivot = comm.get(j, {}).get(j)
         if pivot is not None:
@@ -792,7 +781,7 @@ def _root_constants(alg, rep, beta):
                 f"{rep.name}: [e_beta, f_beta] is not a multiple of "
                 f"K_beta - K_beta^-1 for beta = {beta}")
         alg._scale_cache[beta] = scale
-    return (scale, alg.ctx.cayley_apply(alg.weight(beta)),
+    return (scale, alg.ctx.cayley_apply(rootsys.weight(beta)),
             qpow(-alg.rs.pair(beta, beta)))
 
 

@@ -15,14 +15,16 @@ matrices and Cayley transform are the rational forms of what the engine
 keeps as integer columns and as ints over one denominator.  The dense
 tuple-matrix sum, scaling and product over any ring, and the matrix-vector
 product, are the forms ``ratmat`` had before its dense matrices became int
-rows over one denominator.
+rows over one denominator.  The discriminant by the Sylvester resultant is
+the general regularity test the cross-section report used before it read
+the diagonal of the torus element.
 """
 
 from fractions import Fraction
 
 from qwhit.crosssec import coxeter_rep
 from qwhit.qarith import EXP_UNIT, ONE, ZERO, _normalised, qpow
-from qwhit.ratmat import madd, mat, sparse
+from qwhit.ratmat import det, madd, mat, sparse
 
 
 def fraction_pair(rs, x, y):
@@ -228,3 +230,28 @@ def shift_exponents(normal_ordering, shifts):
     return normal_ordering._replace(segments={
         beta: (a, b, w + shifts.get(beta, 0))
         for beta, (a, b, w) in normal_ordering.segments.items()})
+
+
+def poly_discriminant(coeffs):
+    """Discriminant of a monic polynomial given as [c_0..c_n], via the
+    Sylvester resultant with the derivative."""
+    coeffs = [Fraction(c) for c in coeffs]
+    n = len(coeffs) - 1
+    if n < 1 or coeffs[n] != 1:
+        raise ValueError("need a monic polynomial of positive degree")
+    deriv = [k * coeffs[k] for k in range(1, n + 1)]
+    size = 2 * n - 1
+    rows = []
+    for shift in range(n - 1):
+        row = [0] * size
+        for k, c in enumerate(reversed(coeffs)):
+            row[shift + k] = c
+        rows.append(tuple(row))
+    for shift in range(n):
+        row = [0] * size
+        for k, c in enumerate(reversed(deriv)):
+            row[shift + k] = c
+        rows.append(tuple(row))
+    res = det(mat(rows))
+    sign = -1 if (n * (n - 1) // 2) % 2 else 1
+    return sign * res

@@ -225,7 +225,7 @@ def test_whittaker_and_criteria_5_6_project_the_full_casimir(capsys,
     for criterion, count in ((acceptance.criterion_5, 3),
                              (acceptance.criterion_6, 3)):
         calls.clear()
-        assert criterion()["passed"]
+        assert criterion(0)["passed"]
         assert len(calls) == count
 
 
@@ -520,6 +520,17 @@ def _seeded_cell_matrix(seed, n):
      "f6448cec0e87ce36268b570443ac1af65378d9d75125134a4954c6541e19ecca"),
     (["casimir", "--type", "A", "--rank", "5", "--pi", "5,4,3,2,1"],
      "829e6d916e38ae9b5b93f0b3809671aa7a6152895e8bb1eba80511383e96795a"),
+    # taken while the context kept Fraction rows and a Sylvester-resultant
+    # discriminant decided "regular": cayley on three non-simply-laced
+    # types, and a gstar point that exits 0 with "regular": false
+    (["cayley", "--type", "B", "--rank", "3", "--pi", "3,1,2"],
+     "b9bac8d1234329c6ba852c7583eec2aded77eb88f3d5be90428c899dfaaf393d"),
+    (["cayley", "--type", "G", "--rank", "2", "--pi", "2,1"],
+     "08f1b59ea1e8d4d37077150f7bc7b6d0203c4c8a2c9992b073786dd3c5aa9eee"),
+    (["cayley", "--type", "F", "--rank", "4", "--pi", "4,2,3,1"],
+     "d4dce3ea1382e3642151b9f9954236d61929458c9f51a81fa8297956184a540a"),
+    (["gstar", "--x", "1,1,1", "--u-params", "1/2,1/2"],
+     "0286fbe455d5af2e795b47f8bfae9d1f2c9faa9d0a352a925765a99869879c63"),
 ])
 def test_report_digests_are_pinned(capsys, argv, digest):
     assert cli.main(argv) == 0
@@ -547,6 +558,16 @@ def test_report_digests_are_pinned(capsys, argv, digest):
     *[([cmd, "--type", series, "--rank", str(rank)], "type A only")
       for cmd in ("casimir", "toda", "whittaker")
       for series, rank in (("B", 6), ("C", 6), ("D", 6), ("F", 4), ("G", 2))],
+    # above the cap the scan would run for minutes; both flag spellings
+    (["qbinom-scan", "--m", "40"], f"need --m <= {cli.MAX_QBINOM_M}"),
+    (["qbinom-scan", "--n", "40"], f"need --m <= {cli.MAX_QBINOM_M}"),
+    # --matrix is the unipotent upper factor n_+, checked before use
+    (["gstar", "--x", "2,1/2", "--u-params", "1/2", "--matrix",
+      '[["2","0"],["0","1/2"]]'],
+     "--matrix must be unipotent upper triangular"),
+    (["gstar", "--x", "2,1/2", "--u-params", "1/2", "--matrix",
+      '[["1","5"],["1","1"]]'],
+     "--matrix must be unipotent upper triangular"),
 ])
 def test_bad_rational_flag_exits_2_at_once(argv, message):
     # a subprocess with a timeout, so that a slow parse or build fails the

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import slice_point
+from oracles import poly_discriminant, slice_point
 from qwhit import crosssec
 from qwhit.crosssec import (
     GStarElement,
@@ -22,7 +22,6 @@ from qwhit.crosssec import (
     kostant_section,
     mcybe_check,
     mu_inverse_point,
-    poly_discriminant,
     q_map,
     rmatrix_endo,
     shift_matrix,
@@ -575,6 +574,39 @@ def test_character_identity_degenerate_torus_reported():
     rep = eq_character_report([1, 1, 1], [F(1, 2), F(1, 2)])
     assert not rep["regular"]
     assert rep["matches_torus"]
+
+
+def test_regularity_is_the_discriminant_test_of_the_torus_element():
+    # the report reads regularity off the diagonal of t = h_+^-1 s(h_+);
+    # the oracle decides it from the discriminant of its char-poly
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    values = st.sampled_from([F(1), F(-1), F(2), F(-2), F(1, 2), F(3),
+                              F(-1, 3)])
+    seen = set()
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(st.data())
+    def check(data):
+        n = data.draw(st.integers(2, 5))
+        # a block of p entries repeated n/p times makes t periodic, so the
+        # draws with p < n have repeated diagonal entries
+        p = data.draw(st.sampled_from([k for k in range(1, n + 1)
+                                       if n % k == 0]))
+        block = data.draw(st.lists(values, min_size=p - 1, max_size=p - 1))
+        sign = data.draw(st.sampled_from((1, -1) if n // p % 2 == 0 else (1,)))
+        block.append(F(sign) / math.prod(block))
+        h = block * (n // p)
+        c = [F(1, 2)] * (n - 1)
+        el = mu_inverse_point(h, eye(n), c)
+        t = mmul(minv(el.h_plus), el.h_minus)
+        regular = eq_character_report(h, c)["regular"]
+        assert regular == (poly_discriminant(charpoly(t)) != 0)
+        seen.add(regular)
+
+    check()
+    assert seen == {True, False}
 
 
 # ---------------------------------------------------------------------------

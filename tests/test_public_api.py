@@ -18,6 +18,14 @@ passes when another class of the package has a member of that name that
 the package reads.  ``NormalOrdering.word`` is such a field: the package
 reads only ``Algebra.word``, and the word is kept as the tests' independent
 check that the search's roots are those of a reduced word.
+
+A parameter with a default is an option.  One that no call in the package
+sets, by position or by keyword, is an option only the tests take, so the
+package has a second way of calling the function that it never uses.  The
+scan matches a call to a function or method by name, as above; a call of a
+class counts toward its ``__init__`` and ``__new__``, and a call with
+``*args`` or ``**kwargs`` sets every parameter it could reach.  A call
+through a variable, such as a loop over a table of functions, is not seen.
 """
 
 import ast
@@ -151,6 +159,107 @@ def unreferenced_public_names(trees):
               for cls, member in _public_methods(tree) | _record_fields(tree)
               if member not in reads]
     return sorted(names)
+
+
+def _options(func, bound):
+    """{parameter: position or None} for the parameters of func that have a
+    default, the position counted after the ``bound`` self or cls argument,
+    None for a keyword-only parameter."""
+    args = func.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    out = {arg.arg: k - bound
+           for k, arg in enumerate(positional[first:], first)}
+    out.update((arg.arg, None) for arg, default
+               in zip(args.kwonlyargs, args.kw_defaults) if default is not None)
+    return out
+
+
+def _option_definitions(trees):
+    """(qualified name, called name, options) for every module-level
+    function and every method of a module-level class; a class is called by
+    its own name for ``__init__`` and ``__new__``."""
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, funcs):
+                yield f"{module}.{node.name}", node.name, _options(node, 0)
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if not isinstance(item, funcs):
+                        continue
+                    static = any(isinstance(d, ast.Name)
+                                 and d.id == "staticmethod"
+                                 for d in item.decorator_list)
+                    called = (node.name if item.name in ("__init__", "__new__")
+                              else item.name)
+                    yield (f"{module}.{node.name}.{item.name}", called,
+                           _options(item, 0 if static else 1))
+
+
+def _calls(trees):
+    """{called name: [(positional count, has *args, keyword names)]}, a
+    ``**kwargs`` keyword given as None."""
+    out = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name):
+                name = func.id
+            elif isinstance(func, ast.Attribute):
+                name = func.attr
+            else:
+                continue
+            out.setdefault(name, []).append((
+                len(node.args),
+                any(isinstance(a, ast.Starred) for a in node.args),
+                {k.arg for k in node.keywords}))
+    return out
+
+
+def unset_options(trees):
+    calls = _calls(trees)
+    return [f"{qualname}({param})"
+            for qualname, called, options in _option_definitions(trees)
+            for param, position in options.items()
+            if not any(None in keywords or param in keywords
+                       or (position is not None
+                           and (starred or position < count))
+                       for count, starred, keywords in calls.get(called, ()))]
+
+
+# The console script calls main() with no argument; perfbench and the tests
+# pass argv.
+UNSET_OPTIONS_ALLOWED = {"cli.main(argv)"}
+
+
+def test_every_option_is_set_by_some_package_call():
+    unset = [name for name in unset_options(_trees())
+             if name not in UNSET_OPTIONS_ALLOWED]
+    assert not unset, ("defaults no call of the package overrides: "
+                       + ", ".join(unset))
+
+
+def test_the_option_scan_flags_a_default_no_call_sets():
+    trees = {
+        "a": ast.parse("def grid(n, m=None, *, fill=0):\n    return n\n\n"
+                       "def scaled(x, k=1, shift=0):\n    return x\n\n"
+                       "class Box:\n"
+                       "    def __init__(self, size, label=''):\n"
+                       "        self.size = size\n\n"
+                       "    def grow(self, by=1):\n        return self\n\n"
+                       "    @staticmethod\n"
+                       "    def make(size=1):\n        return Box(size)\n"),
+        "b": ast.parse("from .a import Box, grid, scaled\n\n"
+                       "def run(args, opts):\n"
+                       "    grid(2, fill=1)\n    scaled(*args)\n"
+                       "    Box(1, 'x').grow()\n    return Box.make(**opts)\n"),
+    }
+    # m is never passed; *args reaches k and shift, **opts reaches size, a
+    # class call sets __init__'s label, and grow's self is not its by
+    assert unset_options(trees) == ["a.grid(m)", "a.Box.grow(by)"]
 
 
 def test_every_public_name_is_used_by_the_package():

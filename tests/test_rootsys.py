@@ -115,6 +115,20 @@ def test_coxeter_element_order_and_cayley_identity(series, rank):
                 assert lhs == ctx.cayley[i][j]
 
 
+@pytest.mark.parametrize("series,rank", ALL_TYPES)
+def test_integer_context_data_is_stored_as_ints(series, rank):
+    # s, the Cayley pairing and the twist are integer matrices, and they are
+    # kept as int rows rather than as rows of Fractions
+    rng = random.Random(hash((series, rank)) & 0xFFFF)
+    rs = rootsys.build_root_system(series, rank)
+    for pi in sample_permutations(rank, rng):
+        ctx = rootsys.coxeter_context(rs, pi)
+        for rows in (ctx.s_matrix, ctx.cayley, ctx.twist):
+            assert len(rows) == rank
+            assert all(len(row) == rank and all(type(x) is int for x in row)
+                       for row in rows)
+
+
 def test_a2_cayley_matches_hand_computation():
     rs = rootsys.build_root_system("A", 2)
     ctx = rootsys.coxeter_context(rs)

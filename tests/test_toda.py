@@ -9,7 +9,7 @@ import pytest
 from oracles import (fraction_pair, operator_apply, shift_exponents,
                      surviving_root)
 from qwhit import qarith, rootsys, toda, uqalg
-from qwhit.qarith import EXP_UNIT, LaurentScalar, qpow
+from qwhit.qarith import EXP_UNIT, ONE, ZERO, LaurentScalar, qpow
 from qwhit.rootsys import weight, weight_coords
 from qwhit.toda import DifferenceOperator
 
@@ -193,7 +193,7 @@ def test_commutator_skips_the_pairs_whose_exponents_agree():
     half = weight((Fraction(1, 2), Fraction(-1, 2)))
     t_half = DifferenceOperator(rs, {half: {(0, 0): qpow(1), (1, 0): qpow(-1)}})
     z1, z2 = z_monomial(rs, (1, 0)), z_monomial(rs, (0, 2), qpow(3))
-    zero = DifferenceOperator.zero(rs)
+    zero = DifferenceOperator(rs)
     # multiplication operators: every pair has both exponents 0; an operator
     # with itself: a term with itself is skipped and the other pairs cancel
     # two by two; the zero operator: no pairs at all
@@ -402,7 +402,7 @@ def test_commutes_hands_a_non_polynomial_coefficient_to_the_commutator(
 def test_lower_rep_of_cartan_is_shift():
     alg = algebra("A", 2)
     chibar = uqalg.character("f", (1, 1))
-    lam = alg.weight((Fraction(1, 3), Fraction(-2, 3)))
+    lam = weight((Fraction(1, 3), Fraction(-2, 3)))
     got = toda.lower_rep(alg.k(lam), chibar)
     assert got == DifferenceOperator.shift(alg.rs, lam)
 
@@ -562,14 +562,14 @@ def test_pipeline_matches_closed_form(rank, chi_vals, chibar_vals):
     chi = uqalg.character("e", chi_vals)
     chibar = uqalg.character("f", chibar_vals)
     m1 = toda.toda_hamiltonian(alg, "V1", chi, chibar)
-    assert m1 == toda.closed_form_M1(alg, chi_vals, chibar_vals)
+    assert m1 == toda.closed_form_M1(alg, chi.values, chibar.values)
 
 
 def test_closed_form_degenerates_to_free_hamiltonian():
     alg = algebra("A", 2)
-    free = toda.closed_form_M1(alg, (0, 0), (0, 0))
+    free = toda.closed_form_M1(alg, (ZERO, ZERO), (ZERO, ZERO))
     rep = uqalg.rep_matrices(alg, "V1")
-    want = DifferenceOperator.zero(alg.rs)
+    want = DifferenceOperator(alg.rs)
     for mu in rep.weights:
         want = want + DifferenceOperator.shift(alg.rs, tuple(2 * x for x in mu))
     assert free == want
@@ -578,7 +578,7 @@ def test_closed_form_degenerates_to_free_hamiltonian():
 def test_closed_form_rejects_other_series():
     alg = algebra("B", 2)
     with pytest.raises(ValueError):
-        toda.closed_form_M1(alg, (1, 1), (1, 1))
+        toda.closed_form_M1(alg, (ONE, ONE), (ONE, ONE))
 
 
 @pytest.mark.parametrize("rank,pairs", [
