@@ -393,20 +393,21 @@ def _characters(coeffs):
     return tuple((-1) ** k * coeffs[n - k] for k in range(1, n))
 
 
-def eq_character_report(h_diag, c) -> dict:
-    """Character identity data for the fiber point with trivial N_+ part.
+def eq_character_report(el: GStarElement) -> dict:
+    """Character identity data for the fiber point el with its N_+ part
+    dropped, so the report does not depend on it.
 
-    Compares the characteristic polynomial of the q-map value against the
-    twisted torus element t = h_+^-1 s(h_+), both with and without the
-    regularity guard on t.  The unguarded comparison is reported rather
-    than demanded; t u is lower triangular, so it holds identically.
+    Compares the characteristic polynomial of that point's q-map value
+    q = L_- h_+^-1 against the twisted torus element t = h_+^-1 s(h_+), both
+    with and without the regularity guard on t.  The unguarded comparison
+    is reported rather than demanded: q = h_+ t u h_+^-1 for u = N_-, and
+    t u is lower triangular with t's diagonal, so it holds identically.
     """
-    entries = [Fraction(x) for x in h_diag]
-    el = mu_inverse_point(entries, eye(len(entries)), c)
-    q = q_map(el)
-    t = mmul(minv(el.h_plus), el.h_minus)  # h_- = s(h_+), checked on el
-    tu = mmul(t, build_u(c))
-    poly, poly_t = charpoly(q), charpoly(t)  # q is special: L_+ and L_- are
+    h_plus_inv = minv(el.h_plus)
+    q = mmul(el.l_minus, h_plus_inv)
+    t = mmul(h_plus_inv, el.h_minus)  # h_- = s(h_+), checked on el
+    tu = mmul(t, el.n_minus)
+    poly, poly_t = charpoly(q), charpoly(t)
     return {
         # t is diagonal, so its characteristic polynomial has a repeated
         # root exactly when two diagonal entries agree

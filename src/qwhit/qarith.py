@@ -230,9 +230,6 @@ class LaurentScalar:
         return {e: Fraction(v, d0) for e, v in self.d.items()}
 
     # -- predicates ---------------------------------------------------------
-    def is_zero(self) -> bool:
-        return not self.n
-
     def __bool__(self) -> bool:
         return bool(self.n)
 
@@ -245,16 +242,11 @@ class LaurentScalar:
         return _scalar(self.c, {e + u: v for e, v in self.n.items()}, self.d)
 
     # -- arithmetic ---------------------------------------------------------
-    def _coerce(self, other):
-        if isinstance(other, LaurentScalar):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return LaurentScalar.from_rational(other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
+    # Scalars meet only scalars: an int or Fraction enters through the
+    # constructor, ``from_rational`` or ``qpow``, and any other operand gets
+    # NotImplemented, so a PBW element or operator handles s * x itself.
+    def __add__(self, o):
+        if not isinstance(o, LaurentScalar):
             return NotImplemented
         if not o.n:
             return self
@@ -280,26 +272,16 @@ class LaurentScalar:
             t, d2 = _cancel(t, d2) or (t, d2)
         return _normalised(c, t, _poly_mul(d2, r1))
 
-    __radd__ = __add__
-
     def __neg__(self):
         return _scalar(-self.c, self.n, self.d)
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+    def __sub__(self, o):
+        if not isinstance(o, LaurentScalar):
             return NotImplemented
         return self + (-o)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
+    def __mul__(self, o):
+        if not isinstance(o, LaurentScalar):
             return NotImplemented
         if not self.n or not o.n:
             return ZERO
@@ -314,34 +296,22 @@ class LaurentScalar:
         n2, d1 = _cancel(n2, d1) or (n2, d1)
         return _normalised(c, _poly_mul(n1, n2), _poly_mul(d1, d2))
 
-    __rmul__ = __mul__
-
     def inverse(self) -> "LaurentScalar":
         if not self.n:
             raise ZeroDivisionError("inverting zero laurent scalar")
         return _normalised(1 / self.c, self.d, self.n)
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+    def __truediv__(self, o):
+        if not isinstance(o, LaurentScalar):
             return NotImplemented
         return self * o.inverse()
 
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
+    def __eq__(self, o):
+        if not isinstance(o, LaurentScalar):
             return NotImplemented
         return self.n == o.n and self.d == o.d and self.c == o.c
 
     def __hash__(self):
-        if not self.n or (self.n == _UNIT and self.d == _UNIT):
-            return hash(self.c)  # a constant hashes like the number it equals
         return hash((self.c, frozenset(self.n.items()), frozenset(self.d.items())))
 
     # -- expansions ---------------------------------------------------------
@@ -600,7 +570,7 @@ def qbinom_root_scan(m: int) -> list[int]:
     sum vanishes identically.  The factored form shows these are exactly
     m-1-2p for p = 0..m-1."""
     return [c for c in range(-(m + 2), m + 3)
-            if gauss_product_check(m, c).is_zero()]
+            if not gauss_product_check(m, c)]
 
 
 def q_exp_nilpotent(x: dict, n: int, t: LaurentScalar, one) -> dict:

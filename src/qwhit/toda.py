@@ -72,19 +72,11 @@ class DifferenceOperator:
         return cls(rs, {tuple(lam): {zero_z: coeff}})
 
     # -- ring structure ------------------------------------------------------
-    def is_zero(self):
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 
     def __eq__(self, other):
         return isinstance(other, DifferenceOperator) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(
-            (lam, z, c) for lam, zp in self.terms.items() for z, c in zp.items()
-        ))
 
     def __add__(self, other):
         out = {lam: dict(zp) for lam, zp in self.terms.items()}
@@ -133,25 +125,8 @@ class DifferenceOperator:
                         slot[z] = slot[z] + c if z in slot else c
         return _operator(self.rs, _clean(out))
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for lam in sorted(self.terms):
-            for z in sorted(self.terms[lam]):
-                c = self.terms[lam][z]
-                factors = []
-                for i, a in enumerate(z):
-                    if a:
-                        factors.append(f"z{i + 1}" + (f"^{a}" if a != 1 else ""))
-                if any(lam):
-                    factors.append("T[" + ",".join(
-                        str(x) for x in weight_coords(lam)) + "]")
-                mono = "*".join(factors) if factors else "1"
-                bits.append(f"({c})*{mono}")
-        return " + ".join(bits)
-
-    __repr__ = __str__
+    def __repr__(self):
+        return f"DifferenceOperator({self.terms!r})"
 
 
 def commutator(d1, d2):

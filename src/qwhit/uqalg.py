@@ -22,7 +22,6 @@ import heapq
 import itertools
 import os
 from collections import namedtuple
-from fractions import Fraction
 
 from . import qarith, rootsys
 from .qarith import EXP_UNIT, ONE, ZERO, LaurentScalar, qpow
@@ -46,7 +45,7 @@ def step_budget():
 
 def _nonzero(terms):
     """The terms whose coefficients are not zero."""
-    return {k: c for k, c in terms.items() if not c.is_zero()}
+    return {k: c for k, c in terms.items() if c}
 
 
 def _word_key(rank_of, word):
@@ -145,7 +144,7 @@ class Algebra:
             self._tick(word_len)
             word = max(work, key=lambda w: _word_key(self.letter_rank, w))
             coef = work.pop(word)
-            if coef.is_zero():
+            if not coef:
                 continue
             hit = None
             for lead, tail in self.rules:
@@ -163,7 +162,7 @@ class Algebra:
             for v, c in tail.items():
                 w2 = word[:p] + v + word[p + len(lead):]
                 work[w2] = work.get(w2, ZERO) + coef * c
-                if work[w2].is_zero():
+                if not work[w2]:
                     del work[w2]
         return _nonzero(out)
 
@@ -341,9 +340,6 @@ class PBWElement:
         self.alg = alg
         self.terms = terms
 
-    def is_zero(self):
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -351,9 +347,6 @@ class PBWElement:
         if not isinstance(other, PBWElement):
             return NotImplemented
         return self.alg is other.alg and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset((m, c) for m, c in self.terms.items()))
 
     def __add__(self, other):
         if not isinstance(other, PBWElement):
@@ -372,14 +365,12 @@ class PBWElement:
         return self + (-other)
 
     def scale(self, s):
-        if not isinstance(s, LaurentScalar):
-            s = LaurentScalar.from_rational(s)
-        if s.is_zero():
+        if not s:
             return PBWElement(self.alg, {})
         return PBWElement(self.alg, {m: c * s for m, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, LaurentScalar)):
+        if isinstance(other, LaurentScalar):
             return self.scale(other)
         if not isinstance(other, PBWElement):
             return NotImplemented
@@ -390,7 +381,7 @@ class PBWElement:
         return PBWElement(self.alg, _nonzero(out))
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, LaurentScalar)):
+        if isinstance(other, LaurentScalar):
             return self.scale(other)
         return NotImplemented
 
@@ -404,24 +395,8 @@ class PBWElement:
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda mc: (mc[0][0], mc[0][2], mc[0][1]))
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for (fw, lam, ew), c in self.sorted_terms():
-            factors = []
-            for i in fw:
-                factors.append(f"f{i + 1}")
-            if any(lam):
-                factors.append("K[" + ",".join(
-                    str(x) for x in rootsys.weight_coords(lam)) + "]")
-            for i in ew:
-                factors.append(f"e{i + 1}")
-            mono = "*".join(factors) if factors else "1"
-            bits.append(f"({c})*{mono}")
-        return " + ".join(bits)
-
-    __repr__ = __str__
+    def __repr__(self):
+        return f"PBWElement({self.terms!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +448,7 @@ class Character(namedtuple("Character", ("side", "values"))):
     def __new__(cls, side, values):
         if side not in ("e", "f"):
             raise ValueError("side must be 'e' or 'f'")
-        if any(v.is_zero() for v in values):
+        if not all(values):
             raise ValueError("non-singular characters need nonzero values")
         return super().__new__(cls, side, values)
 

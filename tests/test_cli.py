@@ -353,6 +353,24 @@ def test_gstar_point_report(capsys):
     assert report["outputs"]["u"] == [["1", "0"], ["1", "1"]]
 
 
+@pytest.mark.parametrize("matrix", [None, '[["1","3"],["0","1"]]'])
+def test_gstar_factorizes_its_fiber_point_once(monkeypatch, capsys, matrix):
+    calls = []
+    factorize = crosssec.gstar_factorize
+
+    def counted(*args):
+        calls.append(args)
+        return factorize(*args)
+
+    monkeypatch.setattr(crosssec, "gstar_factorize", counted)
+    argv = ["gstar", "--x", "2,1/2", "--u-params", "1/2"]
+    if matrix is not None:
+        argv += ["--matrix", matrix]
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("matrix", [
     '[["1","1"],["0","1"],["1","1"]]',
     '[["1","1","0"],["0","1","0"],["0","0","1"]]',
@@ -568,6 +586,11 @@ def test_report_digests_are_pinned(capsys, argv, digest):
     (["gstar", "--x", "2,1/2", "--u-params", "1/2", "--matrix",
       '[["1","5"],["1","1"]]'],
      "--matrix must be unipotent upper triangular"),
+    # above the caps the trials would run for seconds to minutes
+    (["cross-section", "--n", "128", "--trials", "1"],
+     f"need --n <= {cli.MAX_CROSS_SECTION_N}"),
+    (["kostant-section", "--n", "256", "--trials", "1"],
+     f"need --n <= {cli.MAX_KOSTANT_N}"),
 ])
 def test_bad_rational_flag_exits_2_at_once(argv, message):
     # a subprocess with a timeout, so that a slow parse or build fails the

@@ -558,7 +558,8 @@ def test_character_identity_on_trivial_fiber_slice(n):
     c = [F(1, 2)] * (n - 1)
     regular_seen = 0
     for _ in range(40):
-        rep = eq_character_report(rnd_torus_diag(rng, n), c)
+        rep = eq_character_report(
+            mu_inverse_point(rnd_torus_diag(rng, n), eye(n), c))
         assert rep["matches_torus_times_u"]
         if rep["regular"]:
             regular_seen += 1
@@ -571,7 +572,8 @@ def test_character_identity_on_trivial_fiber_slice(n):
 
 
 def test_character_identity_degenerate_torus_reported():
-    rep = eq_character_report([1, 1, 1], [F(1, 2), F(1, 2)])
+    rep = eq_character_report(
+        mu_inverse_point([1, 1, 1], eye(3), [F(1, 2), F(1, 2)]))
     assert not rep["regular"]
     assert rep["matches_torus"]
 
@@ -601,12 +603,36 @@ def test_regularity_is_the_discriminant_test_of_the_torus_element():
         c = [F(1, 2)] * (n - 1)
         el = mu_inverse_point(h, eye(n), c)
         t = mmul(minv(el.h_plus), el.h_minus)
-        regular = eq_character_report(h, c)["regular"]
+        regular = eq_character_report(el)["regular"]
         assert regular == (poly_discriminant(charpoly(t)) != 0)
         seen.add(regular)
 
     check()
     assert seen == {True, False}
+
+
+def test_character_report_ignores_the_unitriangular_part():
+    # the report reads the fiber point with N_+ dropped, so any unipotent
+    # upper factor gives the report of the identity one
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    fracs = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(st.data())
+    def check(data):
+        n = data.draw(st.integers(2, 5))
+        h = [data.draw(st.builds(F, st.integers(1, 5), st.integers(1, 3)))
+             for _ in range(n - 1)]
+        h.append(1 / math.prod(h))
+        c = [data.draw(fracs.filter(bool)) for _ in range(n - 1)]
+        n_plus = mat([[1 if i == j else data.draw(fracs) if j > i else 0
+                       for j in range(n)] for i in range(n)])
+        assert (eq_character_report(mu_inverse_point(h, n_plus, c))
+                == eq_character_report(mu_inverse_point(h, eye(n), c)))
+
+    check()
 
 
 # ---------------------------------------------------------------------------

@@ -26,10 +26,23 @@ scan matches a call to a function or method by name, as above; a call of a
 class counts toward its ``__init__`` and ``__new__``, and a call with
 ``*args`` or ``**kwargs`` sets every parameter it could reach.  A call
 through a variable, such as a loop over a table of functions, is not seen.
+
+The static scans cannot see a dunder nothing calls, such as an ``__radd__``
+no int ever reaches.  A runtime scan can: it runs the README's CLI examples
+in a fresh interpreter under ``sys.setprofile`` and lists every function,
+method, nested function and lambda of the package that none of them
+enters.  ``__hash__`` and ``__repr__`` are exempt by name, since dicts,
+sets and failure messages call them.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+from test_cli import _readme_examples
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qwhit"
 
@@ -340,3 +353,96 @@ def test_the_scan_flags_a_slot_nothing_reads():
     # a slot is a field like a record's; a store is no read, and an
     # underscore slot is exempt
     assert unreferenced_public_names(trees) == ["a.Cell.spare", "b.run"]
+
+
+def function_definitions(trees):
+    """{(module, first line): qualified name} for every function, method,
+    nested function and lambda; the first line of a decorated function is
+    its first decorator's, as in its code object."""
+    out = {}
+
+    def walk(module, node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                line = min([child.lineno]
+                           + [d.lineno for d in child.decorator_list])
+                out[module, line] = f"{module}.{prefix}{child.name}"
+                walk(module, child, f"{prefix}{child.name}.<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                walk(module, child, f"{prefix}{child.name}.")
+            else:
+                if isinstance(child, ast.Lambda):
+                    out[module, child.lineno] = (
+                        f"{module}.{prefix}<lambda> (line {child.lineno})")
+                walk(module, child, prefix)
+
+    for module, tree in trees.items():
+        walk(module, tree, "")
+    return out
+
+
+# Run in a fresh interpreter, so that no cache an earlier test filled
+# (algebras, lru_cache tables) keeps a function from being entered.
+_TRACE = """
+import contextlib, io, json, sys
+from qwhit import cli
+
+entered = set()
+
+
+def record(frame, event, arg):
+    if event == "call":
+        entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+
+with contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.redirect_stderr(io.StringIO()):
+        sys.setprofile(record)
+        codes = [cli.main(argv) for argv in json.load(sys.stdin)]
+        sys.setprofile(None)
+json.dump({"codes": codes, "entered": sorted(entered)}, sys.stdout)
+"""
+
+# Functions the README examples do not enter, each kept for its reason.
+UNENTERED_ALLOWED = {
+    # commutes hands a coefficient with a non-unit denominator to it, which
+    # no example has; perfbench wraps it as its toda.commutator_s span
+    "toda.commutator",
+    # d1 * d2 - d2 * d1 is the tests' reference for commutator
+    "toda.DifferenceOperator.__neg__",
+    "toda.DifferenceOperator.__sub__",
+}
+
+
+def test_every_function_is_entered_by_the_readme_examples():
+    examples = _readme_examples()
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", _TRACE],
+                          input=json.dumps(examples), capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    trace = json.loads(proc.stdout)
+    assert trace["codes"] == [0] * len(examples)
+    entered = {(Path(path).resolve().stem, line)
+               for path, line in trace["entered"]
+               if Path(path).resolve().parent == PACKAGE}
+    missed = sorted(name for key, name in function_definitions(_trees()).items()
+                    if key not in entered and name not in UNENTERED_ALLOWED
+                    and name.rsplit(".", 1)[-1] not in ("__hash__", "__repr__"))
+    assert not missed, ("functions no README example enters: "
+                        + ", ".join(missed))
+
+
+def test_the_entry_scan_lists_nested_functions_and_lambdas():
+    trees = {"a": ast.parse("import functools\n\n"
+                            "class Op:\n"
+                            "    @functools.cache\n"
+                            "    def size(self):\n"
+                            "        def inner():\n"
+                            "            return sorted([1], key=lambda x: -x)\n"
+                            "        return inner()\n")}
+    assert function_definitions(trees) == {
+        ("a", 4): "a.Op.size",
+        ("a", 6): "a.Op.size.<locals>.inner",
+        ("a", 7): "a.Op.size.<locals>.inner.<locals>.<lambda> (line 7)",
+    }

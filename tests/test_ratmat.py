@@ -7,7 +7,7 @@ import pytest
 from oracles import dense, dense_kron, mvec, sparse_rows
 from qwhit import ratmat
 from qwhit.crosssec import coxeter_rep
-from qwhit.qarith import ZERO, LaurentScalar, qpow
+from qwhit.qarith import ONE, ZERO, LaurentScalar, qpow
 from qwhit.ratmat import (Matrix, charpoly, det, eye, kron, madd, mat, minv,
                           mmul, msub, rank, solve, sparse_mul, sparse_scale,
                           zeros)
@@ -378,7 +378,7 @@ def _q_scalars(st):
                   st.integers(-3, 3),
                   st.builds(Fraction, st.integers(-5, 5).filter(bool),
                             st.integers(1, 4))),
-        st.builds(lambda e: qpow(e) + 1, st.integers(-2, 2)))
+        st.builds(lambda e: qpow(e) + ONE, st.integers(-2, 2)))
 
 
 def _draw_rows(data, st, n):
