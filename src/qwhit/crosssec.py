@@ -27,7 +27,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Callable, Optional
+from typing import Callable
 
 from .ratmat import (Matrix, charpoly, det, diag, eye, madd, minv, mmul,
                      msub, solve, sparse)
@@ -81,7 +81,7 @@ def coxeter_rep(n: int) -> Matrix:
     return sparse(n, entries)
 
 
-def cell_witness(m: Matrix, s_rep: Optional[Matrix] = None):
+def cell_witness(m: Matrix, s_rep: Matrix):
     """Unitriangular (a, b) with m = a * s * b, or None when m is not in
     the cell; ValueError unless s_rep is an invertible matrix of m's size.
 
@@ -90,15 +90,14 @@ def cell_witness(m: Matrix, s_rep: Optional[Matrix] = None):
     must vanish and the diagonal must be 1.  Solvability is exactly cell
     membership.
     """
-    n = _dim(m)
-    s = coxeter_rep(n) if s_rep is None else s_rep
-    if any(len(row) != len(s) for row in s.rows):
+    n, d = _dim(m), len(s_rep)
+    if any(len(row) != d for row in s_rep.rows):
         raise ValueError("s_rep is not square")
-    if len(s) != n:
-        raise ValueError(f"s_rep is {len(s)}x{len(s)} but the matrix is {n}x{n}")
-    if det(s) == 0:
+    if d != n:
+        raise ValueError(f"s_rep is {d}x{d} but the matrix is {n}x{n}")
+    if det(s_rep) == 0:
         raise ValueError("s_rep is singular")
-    sinv = minv(s)
+    sinv = minv(s_rep)
     base = mmul(sinv, m)
     positions = [(k, l) for k in range(n) for l in range(k + 1, n)]
     # one equation per constrained entry (i, j), j <= i, of s^-1 (1+g) m

@@ -573,28 +573,27 @@ def qbinom_root_scan(m: int) -> list[int]:
             if not gauss_product_check(m, c)]
 
 
-def q_exp_nilpotent(x: dict, n: int, t: LaurentScalar, one) -> dict:
-    """exp_t(x) = sum_k x^k / (k)_t! for a nilpotent n x n matrix x over a
-    ring whose unit is one, given and returned as sparse rows {row: {column:
-    entry}} (see ``ratmat.sparse_mul``).
-
-    The factorial uses the unbalanced (k)_t = (t^k - 1)/(t - 1).  Raises if x
-    fails to be nilpotent within n + 1 steps.
-    """
-    out = {r: {r: one} for r in range(n)}
-    term, fact = x, ONE
-    for k in range(1, n + 1):
+def times_q_exp(rows: dict, x: dict, n: int, t: LaurentScalar) -> dict:
+    """rows exp_t(x) = rows + sum_k rows x^k / (k)_t!, with the unbalanced
+    (k)_t = (t^k - 1)/(t - 1), for a nilpotent n x n matrix x over a ring the
+    q-scalars act on, as sparse rows (see ``ratmat.sparse_mul``): one
+    R-matrix factor applied without forming the identity.  The rows are
+    invertible where this is used, so rows x^(n+1) is 0 exactly when
+    x^(n+1) is; raises if it is not."""
+    out = {r: dict(row) for r, row in rows.items()}
+    term = rows  # rows x^k / (k)_t!
+    for k in range(1, n + 2):
+        term = ratmat.sparse_mul(term, x)
         if not term:
             break
-        fact = fact * q_paren(k, t)
-        inv = fact.inverse()
+        if k > n:
+            raise ArithmeticError("times_q_exp: matrix is not nilpotent")
+        inv = q_paren(k, t).inverse()
+        if inv != ONE:  # (1)_t = 1 leaves the term as it is
+            term = ratmat.sparse_scale(term, inv)
         for r, row in term.items():
-            slot = out[r]
+            slot = out.setdefault(r, {})
             for c, v in row.items():
-                v = v * inv
                 slot[c] = slot[c] + v if c in slot else v
-        term = ratmat.sparse_mul(term, x)
-    if term:
-        raise ArithmeticError("q_exp_nilpotent: matrix is not nilpotent")
     out = {r: {c: v for c, v in row.items() if v} for r, row in out.items()}
     return {r: row for r, row in out.items() if row}

@@ -18,7 +18,8 @@ in the algebra.  For a non-simple root the lowered factor and its chi(U)
 counterpart are the identity, so each generator is a product of one factor
 per simple root, in the order of the adapted normal ordering.  Every call
 rechecks that vanishing by an integer test on the q-commutator exponents of
-the normal ordering's segments table.
+the normal ordering's segments table.  Each factor is read off the module's
+own ladders (``_simple_leg``), so no PBW element is multiplied.
 
 Sign note: the potential of the closed-form type-A Hamiltonian is
 +(q - q^{-1})^2 chi_i chibar_i z_i, the sign the trace pipeline produces and
@@ -33,8 +34,8 @@ from fractions import Fraction
 from operator import add, mul
 
 from . import qarith, uqalg
-from .qarith import EXP_UNIT, ONE, LaurentScalar, q_exp_nilpotent, qpow
-from .ratmat import sparse_mul, sparse_scale
+from .qarith import EXP_UNIT, ONE, LaurentScalar, qpow, times_q_exp
+from .ratmat import sparse_scale
 from .rootsys import weight, weight_coords
 
 
@@ -67,9 +68,8 @@ class DifferenceOperator:
 
     # -- constructors --------------------------------------------------------
     @classmethod
-    def shift(cls, rs, lam, coeff=ONE):
-        zero_z = (0,) * rs.rank
-        return cls(rs, {tuple(lam): {zero_z: coeff}})
+    def shift(cls, rs, lam):
+        return cls(rs, {tuple(lam): {(0,) * rs.rank: ONE}})
 
     # -- ring structure ------------------------------------------------------
     def __bool__(self):
@@ -79,6 +79,8 @@ class DifferenceOperator:
         return isinstance(other, DifferenceOperator) and self.terms == other.terms
 
     def __add__(self, other):
+        if not isinstance(other, DifferenceOperator):
+            return NotImplemented
         out = {lam: dict(zp) for lam, zp in self.terms.items()}
         for lam, zpart in other.terms.items():
             slot = out.setdefault(lam, {})
@@ -110,6 +112,8 @@ class DifferenceOperator:
         """Operator composition: self after other."""
         if isinstance(other, LaurentScalar):
             return self.scale(other)
+        if not isinstance(other, DifferenceOperator):
+            return NotImplemented
         out = {}
         for lam1, zp1 in self.terms.items():
             # T_{lam1} z^b = q^{-(lam1, b)} z^b T_{lam1}, with (lam1, b) the
@@ -303,6 +307,17 @@ def _check_non_simple_factors_vanish(alg):
                 f"w = {Fraction(w, EXP_UNIT)} != 0")
 
 
+def _simple_leg(alg, rep, i):
+    """``uqalg.module_f_leg`` for alpha_i without PBW work: its scale
+    (q - q^{-1})/a(alpha_i) is q_i - q_i^{-1}, since with c_ii = 0 (eps_ii = 0
+    in ``rootsys.coxeter_context``) the (i, i) cross relation ``RepMatrices``
+    checks is [e_i, f_i] = (K_i - K_i^{-1})/(q_i - q_i^{-1})."""
+    rs = alg.rs
+    t_alpha = alg.ctx.cayley_apply(weight(rs.simple_root(i)))
+    return (qpow(rs.d[i]) - qpow(-rs.d[i]), qpow(-rs.bform[i][i]),
+            rep.k_times(t_alpha, rep.f_mats[i]))
+
+
 def toda_hamiltonian(alg, rep_name, chi, chibar):
     """Hamiltonian of one fundamental representation V: the Whittaker image
     of C_V, lowered and conjugated by rho, without a product in the algebra.
@@ -312,7 +327,8 @@ def toda_hamiltonian(alg, rep_name, chi, chibar):
     pi(f_beta); the projection replaces each e_beta by chi(e_beta), so U
     becomes a numeric matrix chi(U).  R_21 is diag(K_{mu_k - T mu_k}) times
     the q-exponentials of K_{T beta} f_beta (x) pi(e_beta), and is lowered
-    factor by factor.  Only simple roots contribute, so the generator is
+    factor by factor.  Only simple roots contribute (``_simple_leg``), so
+    the generator, summed term by term into one operator, is
 
         sum_j q^{(2 rho, mu_j)} sum_k R21low[j][k] T_{lam_k} chi(U)[k][j].
     """
@@ -322,35 +338,34 @@ def toda_hamiltonian(alg, rep_name, chi, chibar):
     _check_non_simple_factors_vanish(alg)
     rs = alg.rs
     rep = uqalg.rep_matrices(alg, rep_name)
-    one = DifferenceOperator.shift(rs, alg.zero_weight)
     r21 = {k: {k: DifferenceOperator.shift(rs, lam)}
            for k, lam in enumerate(uqalg.cartan_weights(alg, rep, -1))}
     chi_u = {k: {k: ONE} for k in range(rep.dim)}
-    for beta in alg.ordering.ordering:
-        if sum(beta) != 1:
-            continue
+    for beta in (b for b in alg.ordering.ordering if sum(b) == 1):
         i = beta.index(1)
-        scale, base, leg = uqalg.module_f_leg(alg, rep, beta)
-        chi_u = sparse_mul(chi_u, q_exp_nilpotent(
-            sparse_scale(leg, chi.values[i] * scale), rep.dim, base, ONE))
+        scale, base, leg = _simple_leg(alg, rep, i)
+        chi_u = times_q_exp(chi_u, sparse_scale(leg, chi.values[i] * scale),
+                            rep.dim, base)
         # K_{T alpha_i} f_i = q^{-(T alpha_i, alpha_i)} f_i K_{T alpha_i}
         t_beta = alg.ctx.cayley_apply(weight(beta))
         f_leg = lower_rep(uqalg.PBWElement(alg, {
             ((i,), t_beta, ()): scale.times_q(-rs.pair(t_beta, beta))}), chibar)
-        r21 = sparse_mul(r21, q_exp_nilpotent(
-            sparse_scale(rep.e_mats[i], f_leg), rep.dim, base, one))
+        r21 = times_q_exp(r21, sparse_scale(rep.e_mats[i], f_leg), rep.dim,
+                          base)
     lams = uqalg.cartan_weights(alg, rep, 1)
     two_rho = tuple(2 * x for x in rs.rho)
-    out = DifferenceOperator(rs)
+    out = {}
     for j, row in r21.items():
-        entry = DifferenceOperator(rs)
         for k, x in row.items():
             y = chi_u.get(k, {}).get(j)
-            if y:
-                entry = entry + x * DifferenceOperator.shift(rs, lams[k], y)
-        out = out + entry.scale(
-            ONE.times_q(rs.pair_weights(two_rho, rep.weights[j])))
-    return phi_conjugate(out)
+            if y:  # c z^a T_lam T_{lam_k} = c z^a T_{lam + lam_k}
+                y = y.times_q(rs.pair_weights(two_rho, rep.weights[j]))
+                for lam, zpart in x.terms.items():
+                    slot = out.setdefault(tuple(map(add, lam, lams[k])), {})
+                    for z, c in zpart.items():
+                        c = c * y
+                        slot[z] = slot[z] + c if z in slot else c
+    return phi_conjugate(_operator(rs, _clean(out)))
 
 
 def closed_form_M1(alg, chi_vals, chibar_vals):
@@ -361,22 +376,16 @@ def closed_form_M1(alg, chi_vals, chibar_vals):
     the degenerate case (all couplings zero, free Hamiltonian) stays
     expressible; the pipeline itself needs non-singular characters.
     """
-    if alg.rs.series != "A":
-        raise ValueError("the closed form is specific to type A")
-    _, weights = uqalg.module_basis(alg.rs, alg.rs.module_index("V1"))
-    rank = alg.rs.rank
     rs = alg.rs
-    out = DifferenceOperator(rs)
-    for mu in weights:
-        out = out + DifferenceOperator.shift(rs, tuple(2 * x for x in mu))
+    if rs.series != "A":
+        raise ValueError("the closed form is specific to type A")
+    _, weights = uqalg.module_basis(rs, rs.module_index("V1"))
+    kinetic = {tuple(2 * x for x in mu): {(0,) * rs.rank: ONE} for mu in weights}
     coupling = (qpow(1) - qpow(-1)) * (qpow(1) - qpow(-1))
-    for i in range(rank):
-        lam = tuple(a + b for a, b in zip(weights[i], weights[i + 1]))
-        zexp = tuple(1 if k == i else 0 for k in range(rank))
-        c = coupling * chi_vals[i] * chibar_vals[i]
-        term = DifferenceOperator(rs, {lam: {zexp: c}})
-        out = out + term
-    return out
+    potential = {tuple(map(add, weights[i], weights[i + 1])): {
+        rs.simple_root(i): coupling * chi_vals[i] * chibar_vals[i]}
+        for i in range(rs.rank)}
+    return DifferenceOperator(rs, kinetic) + DifferenceOperator(rs, potential)
 
 
 class TodaSystem(namedtuple("TodaSystem",

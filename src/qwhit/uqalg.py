@@ -792,8 +792,8 @@ def _r_in_rep(alg, rep, flipped):
         else:
             scale, base, second = module_f_leg(alg, rep, beta)
             first = e_beta.scale(scale)
-        out = sparse_mul(out, qarith.q_exp_nilpotent(
-            sparse_scale(second, first), rep.dim, base, alg.one()))
+        out = qarith.times_q_exp(out, sparse_scale(second, first), rep.dim,
+                                 base)
     return out
 
 
@@ -806,8 +806,7 @@ def r_matrix_vv(alg, rep):
     for beta in alg.ordering.ordering:
         scale, base, second = module_f_leg(alg, rep, beta)
         first = sparse_scale(rep.evaluate(root_vector(alg, beta, "+")), scale)
-        out = sparse_mul(out, qarith.q_exp_nilpotent(
-            kron(first, second, d), d * d, base, ONE))
+        out = qarith.times_q_exp(out, kron(first, second, d), d * d, base)
     return out
 
 

@@ -15,16 +15,18 @@ matrices and Cayley transform are the rational forms of what the engine
 keeps as integer columns and as ints over one denominator.  The dense
 tuple-matrix sum, scaling and product over any ring, and the matrix-vector
 product, are the forms ``ratmat`` had before its dense matrices became int
-rows over one denominator.  The discriminant by the Sylvester resultant is
-the general regularity test the cross-section report used before it read
-the diagonal of the torus element.
+rows over one denominator.  The q-exponential with its identity term is
+the form the R-matrix factors were multiplied in before
+``qarith.times_q_exp``.  The discriminant by the Sylvester resultant is the
+general regularity test the cross-section report used before it read the
+diagonal of the torus element.
 """
 
 from fractions import Fraction
 
 from qwhit.crosssec import coxeter_rep
-from qwhit.qarith import EXP_UNIT, ONE, ZERO, _normalised, qpow
-from qwhit.ratmat import det, madd, mat, sparse
+from qwhit.qarith import EXP_UNIT, ONE, ZERO, _normalised, q_paren, qpow
+from qwhit.ratmat import det, madd, mat, sparse, sparse_mul
 
 
 def fraction_pair(rs, x, y):
@@ -119,6 +121,32 @@ def dense_sub(a, b):
 def dense_scale(a, s):
     """The tuple matrix a with every entry times s on the right."""
     return tuple(tuple(x * s for x in row) for row in a)
+
+
+def q_exp_nilpotent(x, n, t, one):
+    """exp_t(x) = sum_k x^k / (k)_t! for a nilpotent n x n matrix x over a
+    ring whose unit is one, given and returned as sparse rows: the series
+    with its identity term, which ``qarith.times_q_exp`` multiplies into
+    rows without forming.  The factorial uses the unbalanced
+    (k)_t = (t^k - 1)/(t - 1).  Raises if x fails to be nilpotent within
+    n + 1 steps."""
+    out = {r: {r: one} for r in range(n)}
+    term, fact = x, ONE
+    for k in range(1, n + 1):
+        if not term:
+            break
+        fact = fact * q_paren(k, t)
+        inv = fact.inverse()
+        for r, row in term.items():
+            slot = out[r]
+            for c, v in row.items():
+                v = v * inv
+                slot[c] = slot[c] + v if c in slot else v
+        term = sparse_mul(term, x)
+    if term:
+        raise ArithmeticError("q_exp_nilpotent: matrix is not nilpotent")
+    out = {r: {c: v for c, v in row.items() if v} for r, row in out.items()}
+    return {r: row for r, row in out.items() if row}
 
 
 def mvec(a, v):

@@ -189,7 +189,7 @@ def test_nplus_prime_sl3_first_row():
 def test_cell_contains_representative():
     for n in (2, 3, 4):
         s = coxeter_rep(n)
-        a, b = cell_witness(s)
+        a, b = cell_witness(s, coxeter_rep(n))
         assert a == eye(n) and b == eye(n)
 
 
@@ -201,7 +201,7 @@ def test_cell_excludes_identity():
 def test_cell_contains_sl2_lower_unipotent():
     m = mat([[1, 0], [1, 1]])
     assert bruhat_cell_test(m)
-    a, b = cell_witness(m)
+    a, b = cell_witness(m, coxeter_rep(2))
     assert a == mat([[1, 1], [0, 1]]) and b == mat([[1, 1], [0, 1]])
 
 
@@ -211,7 +211,7 @@ def test_cell_witness_reconstructs_random_members():
         s = coxeter_rep(n)
         for _ in range(25):
             m = rnd_cell_element(rng, n)
-            a, b = cell_witness(m)
+            a, b = cell_witness(m, s)
             assert is_unitriangular_upper(a)
             assert is_unitriangular_upper(b)
             assert mmul(mmul(a, s), b) == m
@@ -297,7 +297,7 @@ def test_shape_cell_test_agrees_with_the_linear_solve(kind):
                     rows[0][n - 1] = (1 - base) / (det(mat(rows)) - base)
             m = mat(rows)
         verdict = bruhat_cell_test(m)
-        assert verdict == (cell_witness(m) is not None)
+        assert verdict == (cell_witness(m, coxeter_rep(n)) is not None)
         seen.add(verdict)
 
     check()
@@ -455,7 +455,7 @@ def test_build_u_sl2_unit():
 def test_build_u_sl2_rescaled_leaves_cell():
     u = build_u([F(5, 2)])
     assert u == mat([[1, 0], [5, 1]])
-    assert cell_witness(u) is None
+    assert cell_witness(u, coxeter_rep(2)) is None
 
 
 def test_build_u_sl3_valid_coordinates_exist():

@@ -7,7 +7,7 @@ import pytest
 
 from oracles import (as_rational, bar, cayley_transform, dense, dense_add,
                      dense_mul, dense_scale, fraction_pair, is_polynomial,
-                     mvec, q_int)
+                     mvec, q_exp_nilpotent, q_int)
 from qwhit import qarith, ratmat, rootsys
 from qwhit.qarith import EXP_UNIT, ONE, ZERO, LaurentScalar, q_binom, qpow
 from qwhit.toda import DifferenceOperator
@@ -150,7 +150,7 @@ def test_q_exp_nilpotent_matches_truncated_series():
     q = qpow(1)
     t = q * q
     x = {0: {1: ONE}, 1: {2: ONE}}
-    got = qarith.q_exp_nilpotent(x, 3, t, ONE)
+    got = q_exp_nilpotent(x, 3, t, ONE)
     two_t = ONE + t
     expect = {
         0: {0: ONE, 1: ONE, 2: two_t.inverse()},
@@ -159,7 +159,7 @@ def test_q_exp_nilpotent_matches_truncated_series():
     }
     assert got == expect
     with pytest.raises(ArithmeticError):
-        qarith.q_exp_nilpotent({0: {0: ONE}}, 1, t, ONE)
+        q_exp_nilpotent({0: {0: ONE}}, 1, t, ONE)
 
 
 def test_q_exp_nilpotent_of_difference_operators_matches_the_dense_series():
@@ -190,9 +190,57 @@ def test_q_exp_nilpotent_of_difference_operators_matches_the_dense_series():
             term = dense_mul(term, x, zero)
             fact = fact * qarith.q_paren(k, t)
             want = dense_add(want, dense_scale(term, fact.inverse()))
-        got = qarith.q_exp_nilpotent(rows, n, t, one)
+        got = q_exp_nilpotent(rows, n, t, one)
         assert all(v for row in got.values() for v in row.values())
         assert dense(got, n, zero) == want
+
+
+def test_times_q_exp_is_rows_times_the_q_exponential():
+    # rows exp_t(x) without the identity, against the product of rows with
+    # the series that has it, over q-scalars and over difference operators;
+    # x is conjugated strictly upper triangular, so nilpotent, and a diagonal
+    # x over invertible rows is refused
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    rs = rootsys.build_root_system("A", 2)
+    exps = st.integers(-2, 2)
+
+    def scalar(data):
+        return qpow(data.draw(exps)) * LaurentScalar.from_rational(
+            data.draw(st.sampled_from((1, -1, 2, Fraction(-3, 2)))))
+
+    def operator(data):
+        lam = rootsys.weight(Fraction(data.draw(exps), 2) for _ in range(2))
+        zexp = tuple(data.draw(st.integers(0, 1)) for _ in range(2))
+        return DifferenceOperator(rs, {lam: {zexp: scalar(data)}})
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(st.data())
+    def check(data):
+        over_operators = data.draw(st.booleans())
+        entry = operator if over_operators else scalar
+        one = (DifferenceOperator.shift(rs, (0, 0)) if over_operators
+               else ONE)
+        n = data.draw(st.integers(1, 4))
+        t = qpow(data.draw(st.sampled_from((-2, -1, 1, Fraction(1, 2)))))
+        p = data.draw(st.permutations(range(n)))
+        x, rows = {}, {}
+        for i in range(n):
+            for j in range(n):
+                if i < j and data.draw(st.booleans()):
+                    x.setdefault(p[i], {})[p[j]] = entry(data)
+                if i == j or data.draw(st.booleans()):
+                    rows.setdefault(i, {})[j] = entry(data)
+        want = ratmat.sparse_mul(rows, q_exp_nilpotent(x, n, t, one))
+        assert qarith.times_q_exp(rows, x, n, t) == want
+        diagonal = {r: {r: (one if over_operators else scalar(data))}
+                    for r in range(n)}
+        invertible = {r: {r: entry(data)} for r in range(n)}
+        with pytest.raises(ArithmeticError, match="not nilpotent"):
+            qarith.times_q_exp(invertible, diagonal, n, t)
+
+    check()
 
 
 def test_kron_and_trace_helpers():

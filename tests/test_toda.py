@@ -60,6 +60,17 @@ def test_operators_are_unhashable():
         hash(t)
 
 
+def test_operators_meet_only_operators_and_scalars():
+    # like PBWElement and LaurentScalar, an int operand is refused with a
+    # TypeError rather than read for terms it does not have
+    rs = rootsys.build_root_system("A", 1)
+    t = DifferenceOperator.shift(rs, weight((1,)))
+    for combine in (lambda: t + 1, lambda: t - 1, lambda: t * 2,
+                    lambda: 1 + t, lambda: 2 * t):
+        with pytest.raises(TypeError):
+            combine()
+
+
 def test_shift_past_z_picks_up_q_power():
     rs = rootsys.build_root_system("A", 2)
     lam = (Fraction(1), Fraction(-1))
@@ -402,8 +413,8 @@ def test_commutes_hands_a_non_polynomial_coefficient_to_the_commutator(
     # m1 scaled by a non-polynomial scalar still commutes with m2, and a
     # shift with that coefficient does not commute with the potential
     assert toda.commutes(m1.scale(ratio), m2)
-    assert not toda.commutes(m1 + DifferenceOperator.shift(
-        rs, weight((Fraction(1, 2), 0)), ratio), m2)
+    assert not toda.commutes(m1 + ratio * DifferenceOperator.shift(
+        rs, weight((Fraction(1, 2), 0))), m2)
     assert len(calls) == 2
     assert toda.commutes(m1, m2) and len(calls) == 2
 
@@ -677,3 +688,30 @@ def test_quasiclassical_check_guards_its_domain():
     system = toda.build_toda_system(alg, (1, 1, 1), (1, 1, 1))
     with pytest.raises(ValueError):
         toda.quasiclassical_potential_check(system)
+
+
+def test_simple_root_legs_are_the_module_f_legs():
+    # the ladder leg K_{T alpha_i} pi(f_i) with the scale q_i - q_i^{-1},
+    # against the leg evaluated from PBW root vectors with the scale read
+    # off [pi(e_i), pi(f_i)], on every ordering of A1-A5
+    for rank in range(1, 6):
+        rs = rootsys.build_root_system("A", rank)
+        for pi in itertools.permutations(range(1, rank + 1)):
+            alg = uqalg.Algebra(rootsys.coxeter_context(rs, pi))
+            for k in range(rank):
+                rep = uqalg.rep_matrices(alg, f"V{k + 1}")
+                for i in range(rank):
+                    assert toda._simple_leg(alg, rep, i) == uqalg.module_f_leg(
+                        alg, rep, rs.simple_root(i))
+
+
+@pytest.mark.parametrize("pi", [(1, 2, 3), (2, 3, 1), (3, 1, 2)])
+def test_the_toda_system_does_no_pbw_work(pi):
+    # no root vector is built, no scale derived, no word reduced
+    rs = rootsys.build_root_system("A", 3)
+    alg = uqalg.Algebra(rootsys.coxeter_context(rs, pi))
+    system = toda.build_toda_system(alg, (2, -1, Fraction(1, 3)), (1, 5, -3))
+    assert toda.hamiltonians_commute(system.hamiltonians)
+    assert not (alg._scale_cache or alg._root_vector_cache
+                or alg._etf_cache or alg._reduce_cache or alg.rules)
+    assert alg._steps == 0

@@ -9,10 +9,9 @@ from fractions import Fraction
 import pytest
 
 from oracles import (dense, dense_add, dense_mul, dense_scale, dense_sub,
-                     fraction_pair, k_matrix)
+                     fraction_pair, k_matrix, q_exp_nilpotent)
 from qwhit import ratmat, rootsys, toda, uqalg
-from qwhit.qarith import (ONE, ZERO, LaurentScalar, q_binom, q_exp_nilpotent,
-                          qpow)
+from qwhit.qarith import ONE, ZERO, LaurentScalar, q_binom, qpow
 
 _ALGEBRAS = {}
 TWO = LaurentScalar.from_rational(2)
