@@ -16,10 +16,10 @@ mirrors K_lam f_i = q^{-(lam, alpha_i)} f_i K_lam, and the z_i commute), so
 R_21 is lowered one q-exponential factor at a time and never multiplied out
 in the algebra.  For a non-simple root the lowered factor and its chi(U)
 counterpart are the identity, so each generator is a product of one factor
-per simple root, in the order of the adapted normal ordering.  Every call
-rechecks that vanishing by an integer test on the q-commutator exponents of
+per simple root, in the order of the adapted normal ordering.  Each system
+checks that vanishing by an integer test on the q-commutator exponents of
 the normal ordering's segments table.  Each factor is read off the module's
-own ladders (``_simple_leg``), so no PBW element is multiplied.
+own ladders (``_simple_factors``), so no PBW element is multiplied.
 
 Sign note: the potential of the closed-form type-A Hamiltonian is
 +(q - q^{-1})^2 chi_i chibar_i z_i, the sign the trace pipeline produces and
@@ -307,15 +307,28 @@ def _check_non_simple_factors_vanish(alg):
                 f"w = {Fraction(w, EXP_UNIT)} != 0")
 
 
-def _simple_leg(alg, rep, i):
-    """``uqalg.module_f_leg`` for alpha_i without PBW work: its scale
-    (q - q^{-1})/a(alpha_i) is q_i - q_i^{-1}, since with c_ii = 0 (eps_ii = 0
-    in ``rootsys.coxeter_context``) the (i, i) cross relation ``RepMatrices``
-    checks is [e_i, f_i] = (K_i - K_i^{-1})/(q_i - q_i^{-1})."""
+def _simple_factors(alg, chi, chibar):
+    """Of each simple-root factor, what no module changes, memoized on alg
+    (found by equality, which hashes no Fraction): i, T alpha_i, the base,
+    chi(e_i) times the scale q_i - q_i^{-1} (the (i, i) cross relation
+    ``RepMatrices`` checks, as c_ii = 0), and the lowered chibar leg."""
+    for known, factors in alg._toda_cache:
+        if known == (chi, chibar):
+            return factors
+    _check_non_simple_factors_vanish(alg)
     rs = alg.rs
-    t_alpha = alg.ctx.cayley_apply(weight(rs.simple_root(i)))
-    return (qpow(rs.d[i]) - qpow(-rs.d[i]), qpow(-rs.bform[i][i]),
-            rep.k_times(t_alpha, rep.f_mats[i]))
+    factors = []
+    for beta in (b for b in alg.ordering.ordering if sum(b) == 1):
+        i = beta.index(1)
+        scale = qpow(rs.d[i]) - qpow(-rs.d[i])
+        t_beta = alg.ctx.cayley_apply(weight(beta))
+        # K_{T alpha_i} f_i = q^{-(T alpha_i, alpha_i)} f_i K_{T alpha_i}
+        f_leg = lower_rep(uqalg.PBWElement(alg, {
+            ((i,), t_beta, ()): scale.times_q(-rs.pair(t_beta, beta))}), chibar)
+        factors.append((i, t_beta, qpow(-rs.bform[i][i]),
+                        chi.values[i] * scale, f_leg))
+    alg._toda_cache.append(((chi, chibar), factors))
+    return factors
 
 
 def toda_hamiltonian(alg, rep_name, chi, chibar):
@@ -327,29 +340,23 @@ def toda_hamiltonian(alg, rep_name, chi, chibar):
     pi(f_beta); the projection replaces each e_beta by chi(e_beta), so U
     becomes a numeric matrix chi(U).  R_21 is diag(K_{mu_k - T mu_k}) times
     the q-exponentials of K_{T beta} f_beta (x) pi(e_beta), and is lowered
-    factor by factor.  Only simple roots contribute (``_simple_leg``), so
-    the generator, summed term by term into one operator, is
+    factor by factor.  Only simple roots contribute, and a module adds only
+    pi(e_i) and K_{T alpha_i} pi(f_i) to ``_simple_factors``.  H_V is
 
         sum_j q^{(2 rho, mu_j)} sum_k R21low[j][k] T_{lam_k} chi(U)[k][j].
     """
     if chi.side != "e" or chibar.side != "f":
         raise ValueError("the Toda Hamiltonians take an e-side character chi "
                          "and an f-side character chibar")
-    _check_non_simple_factors_vanish(alg)
+    factors = _simple_factors(alg, chi, chibar)
     rs = alg.rs
     rep = uqalg.rep_matrices(alg, rep_name)
     r21 = {k: {k: DifferenceOperator.shift(rs, lam)}
            for k, lam in enumerate(uqalg.cartan_weights(alg, rep, -1))}
     chi_u = {k: {k: ONE} for k in range(rep.dim)}
-    for beta in (b for b in alg.ordering.ordering if sum(b) == 1):
-        i = beta.index(1)
-        scale, base, leg = _simple_leg(alg, rep, i)
-        chi_u = times_q_exp(chi_u, sparse_scale(leg, chi.values[i] * scale),
-                            rep.dim, base)
-        # K_{T alpha_i} f_i = q^{-(T alpha_i, alpha_i)} f_i K_{T alpha_i}
-        t_beta = alg.ctx.cayley_apply(weight(beta))
-        f_leg = lower_rep(uqalg.PBWElement(alg, {
-            ((i,), t_beta, ()): scale.times_q(-rs.pair(t_beta, beta))}), chibar)
+    for i, t_alpha, base, chi_scale, f_leg in factors:
+        chi_u = times_q_exp(chi_u, sparse_scale(
+            rep.k_times(t_alpha, rep.f_mats[i]), chi_scale), rep.dim, base)
         r21 = times_q_exp(r21, sparse_scale(rep.e_mats[i], f_leg), rep.dim,
                           base)
     lams = uqalg.cartan_weights(alg, rep, 1)

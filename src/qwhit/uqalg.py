@@ -18,6 +18,7 @@ its own length, so orderings and ranks whose rule set is infinite still work.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import os
@@ -78,7 +79,7 @@ class Algebra:
         pos = {v - 1: k for k, v in enumerate(ctx.pi)}
         self.letter_rank = [pos[i] for i in range(self.rank)]
         self.ordering = rootsys.normal_ordering(ctx)
-        # the relator coefficients, shared by every module's relation check
+        # the relator coefficients, of the Serre rules and relation checks
         self.serre_coefs = {(i, j): serre_coefficients(ctx, i, j)
                             for i in range(self.rank)
                             for j in range(self.rank) if i != j}
@@ -88,6 +89,8 @@ class Algebra:
         self._etf_cache: dict = {}
         self._root_vector_cache: dict = {}
         self._scale_cache: dict = {}
+        self._relation_cache: dict = {}
+        self._toda_cache: list = []
         self.rules = []
         self._pending = [(len(next(iter(rel))), seq, rel, (), {}, ())
                          for seq, rel in enumerate(self._serre_relators())]
@@ -573,22 +576,15 @@ class RepMatrices:
                     for c, x in row.items()} for r, row in rows.items()}
 
     def _check_relations(self):
-        """Check every defining relation on the matrices (pi(e_i) and pi(f_i)
-        have at most one nonzero entry per column): the K-e and K-f
+        """Check every defining relation on the matrices: the K-e and K-f
         relations entry by entry against the weights, the cross and Serre
-        relations as sparse products.  A failure raises one RuntimeError
-        naming each kind of relation that fails, at its first failing
-        (i, j).
-
-        The products are formed on the images of the entries under
-        ``qarith.integer_image``, so that each relation is an int zero
-        test, and on the entries themselves when one has a non-unit
-        denominator.  The cross relation at (i, i) is multiplied through
-        by q_i - q_i^{-1} to keep its scalars polynomials, and every term
-        of a relation takes as many scalar factors as the longest, the
-        padding being the image of 1."""
-        alg = self.alg
-        rs = alg.rs
+        relations as sums of products of q-exponent terms (``_terms``,
+        ``_vanishes``), in exact int or Fraction arithmetic, or in q-scalar
+        arithmetic when an entry has a non-unit denominator.  The cross
+        relation at (i, i) is multiplied through by q_i - q_i^{-1} to keep
+        its scalars polynomials.  A failure raises one RuntimeError naming
+        each kind of relation that fails, at its first failing (i, j)."""
+        rs = self.alg.rs
         n = rs.rank
         # kexp[r][i] = (alpha_i, mu_r): pi(K_{alpha_i}) is q to it at r
         kexp = [rs.covector(mu) for mu in self.weights]
@@ -599,65 +595,37 @@ class RepMatrices:
             if not ok and failures[kind] is None:
                 failures[kind] = (i, j)
 
-        for i in range(n):
-            for j in range(n):
-                # K_i x_j K_i^-1 = q^{(alpha_i, +-alpha_j)} x_j holds entry
-                # by entry exactly where the weights differ by +-alpha_j
-                b = EXP_UNIT * rs.bform[i][j]
-                check("K-e relation", i, j, all(
-                    kexp[r][i] - kexp[c][i] == b
-                    for r, row in self.e_mats[j].items() for c in row))
-                check("K-f relation", i, j, all(
-                    kexp[r][i] - kexp[c][i] == -b
-                    for r, row in self.f_mats[j].items() for c in row))
+        for i, j in itertools.product(range(n), repeat=2):
+            # K_i x_j K_i^-1 = q^{(alpha_i, +-alpha_j)} x_j holds entry by
+            # entry exactly where the weights differ by +-alpha_j
+            for kind, x, b in (("K-e relation", self.e_mats[j], 1),
+                               ("K-f relation", self.f_mats[j], -1)):
+                b *= EXP_UNIT * rs.bform[i][j]
+                check(kind, i, j, all(kexp[r][i] - kexp[c][i] == b
+                                      for r, row in x.items() for c in row))
+        exact = any(len(x.d) > 1 for m in self.e_mats + self.f_mats
+                    for row in m.values() for x in row.values())
+        e, f = ([{r: [(c, u, v) for c, x in row.items()
+                      for u, v in _terms(x, exact)] for r, row in m.items()}
+                 for m in mats] for mats in (self.e_mats, self.f_mats))
+        cross, serre = _relation_terms(self.alg, exact)
         # e_i f_j - q^{c_ji} f_j e_i = delta_ij (K_i - K_i^-1)/(q_i - q_i^-1),
-        # with K_i - K_i^-1 read off the same exponents, which take few values
-        diffs = {x: ONE.times_q(x) - ONE.times_q(-x)
+        # with K_i^-1 - K_i read off the same exponents, which take few values
+        diffs = {x: _terms(ONE.times_q(-x) - ONE.times_q(x), exact)
                  for x in {x for k in kexp for x in k if x}}
-        mats = self.e_mats + self.f_mats + [
-            {r: {r: diffs[k[i]]} for r, k in enumerate(kexp) if k[i]}
-            for i in range(n)]
-        cross = []  # the coefficients of e_i f_j and f_j e_i
-        for i in range(n):
-            for j in range(n):
-                scale = qpow(rs.d[i]) - qpow(-rs.d[i]) if i == j else ONE
-                cross.append((scale, -scale * qpow(alg.ctx.cayley[j][i])))
-        serre = list(alg.serre_coefs.items())
-        scalars = [x for m in mats for row in m.values() for x in row.values()]
-        scalars += [c for pair in cross for c in pair]
-        scalars += [c for _, coefs in serre for c in coefs] + [ONE]
-        image = qarith.integer_image(scalars)
-        values = iter(scalars if image is None else image.values(
-            _relation_bound(image.norms, mats, len(cross), serre)))
-        mats = [{r: {c: next(values) for c in row} for r, row in m.items()}
-                for m in mats]
-        e, f, cartan = mats[:n], mats[n:2 * n], mats[2 * n:]
-        cross = [(next(values), next(values)) for _ in cross]
-        serre = [(ij, [next(values) for _ in coefs]) for ij, coefs in serre]
-        pad = next(values)
-        for i in range(n):
-            for j in range(n):
-                c_ef, c_fe = cross[i * n + j]
-                terms = [(c_ef, sparse_mul(e[i], f[j])),
-                         (c_fe, sparse_mul(f[j], e[i]))]
-                if i == j:
-                    terms.append((-pad * pad, cartan[i]))
-                check("cross relation", i, j, not _sparse_combination(terms))
+        for (i, j), (c_ef, c_fe) in cross.items():
+            words = [(c_ef, [e[i], f[j]]), (c_fe, [f[j], e[i]])]
+            if i == j:
+                words.append((_terms(ONE, exact), [{
+                    r: [(r, u, v) for u, v in diffs[k[i]]]
+                    for r, k in enumerate(kexp) if k[i]}]))
+            check("cross relation", i, j, _vanishes(words))
         for side, x in (("e", e), ("f", f)):
-            powers = {}  # x_i^k for k = 1..m, formed once per i
-            for (i, j), coefs in serre:
-                m = len(coefs) - 1
-                pw = powers.setdefault(i, [None, x[i]])
-                while len(pw) <= m:
-                    pw.append(sparse_mul(pw[-1], x[i]))
-                terms = []
-                for r, coef in enumerate(coefs):
-                    # x_i^{m-r} x_j x_i^r
-                    word = x[j] if r == m else sparse_mul(pw[m - r], x[j])
-                    if r:
-                        word = sparse_mul(word, pw[r])
-                    terms.append((coef, word))
-                check(f"{side}-Serre", i, j, not _sparse_combination(terms))
+            for (i, j), coefs in serre.items():
+                m = len(coefs) - 1  # coef_r x_i^{m-r} x_j x_i^r
+                check(f"{side}-Serre", i, j, _vanishes([
+                    (coef, [x[i]] * (m - r) + [x[j]] + [x[i]] * r)
+                    for r, coef in enumerate(coefs)]))
         failed = [f"{kind} fails at ({at[0]},{at[1]})"
                   for kind, at in failures.items() if at]
         if failed:
@@ -674,14 +642,18 @@ class RepMatrices:
         return out
 
     def evaluate(self, x):
-        """The sparse rows of the matrix of a PBWElement in this module."""
+        """The sparse rows of the matrix of a PBWElement in this module.  A
+        term applies K_lam by ``k_times`` to its e-ladders' product, or to
+        its f-ladders' product F, as F K_lam = q^{(lam, wt F)} K_lam F."""
         terms = []
         for (fw, lam, ew), c in x.terms.items():
-            m = self.k_times(lam, {r: {r: ONE} for r in range(self.dim)})
-            for i in reversed(fw):
+            if not ew:
+                c = c.times_q(self.alg.rs.pair(lam, self.alg.word_weight(fw)))
+            word = [self.e_mats[i] for i in ew] or [self.f_mats[i] for i in fw]
+            m = self.k_times(lam, functools.reduce(sparse_mul, word) if word
+                             else {r: {r: ONE} for r in range(self.dim)})
+            for i in reversed(fw if ew else ()):
                 m = sparse_mul(self.f_mats[i], m)
-            for i in ew:
-                m = sparse_mul(m, self.e_mats[i])
             terms.append((c, m))
         return _sparse_combination(terms)
 
@@ -704,21 +676,47 @@ def _sparse_combination(terms):
     return out
 
 
-def _relation_bound(norms, mats, n_cross, serre):
-    """An l1 bound on the cleared int polynomial of any relation of
-    ``RepMatrices._check_relations``, from the norms of its scalars in
-    their order there.  An entry of a product of matrices has a norm at
-    most the product of their largest row sums of entry norms, and the
-    padding 1 counts as a matrix whose row sum is its norm."""
-    norms = iter(norms)
-    rows = [sum(next(norms) for _ in row) for m in mats for row in m.values()]
-    # the Cartan term of a cross relation has coefficient -1
-    cross = [next(norms) + next(norms) + 1 for _ in range(n_cross)]
-    serre = [(sum(next(norms) for _ in coefs), len(coefs))
-             for _, coefs in serre]
-    big = max(rows + [next(norms)])
-    return max([s * big ** 3 for s in cross]
-               + [s * big ** k for s, k in serre])
+def _terms(x, exact):
+    """The q-scalar x as (q-exponent, coefficient) terms: one per monomial,
+    or x itself at exponent 0 when exact."""
+    if exact:
+        return [(0, x)]
+    c = x.c.numerator if x.c.denominator == 1 else x.c
+    return [(u, c * v) for u, v in x.n.items()]
+
+
+def _vanishes(relation):
+    """Whether sum coef * word over the (coef, word) in relation is zero,
+    each word a list of matrices {row: [(column, exponent, coefficient)]}
+    multiplied out (exponents add, coefficients multiply): the coefficients
+    summed at each (row, column, exponent) are all 0."""
+    total = {}
+    for coef, word in relation:
+        terms = [(r, c, u, x) for r, row in word[0].items() for c, u, x in row]
+        for b in word[1:]:
+            terms = [(r, c, u + w, x * y) for r, k, u, x in terms
+                     for c, w, y in b.get(k, ())]
+        for w, y in coef:
+            for r, c, u, x in terms:
+                key = (r, c, u + w)
+                v = x * y
+                total[key] = total[key] + v if key in total else v
+    return not any(total.values())
+
+
+def _relation_terms(alg, exact):
+    """The coefficients of e_i f_j and f_j e_i in the cross relation at each
+    (i, j), and of each Serre relator, as ``_terms`` memoized on alg."""
+    if exact not in alg._relation_cache:
+        rs, cross = alg.rs, {}
+        for i, j in itertools.product(range(alg.rank), repeat=2):
+            s = qpow(rs.d[i]) - qpow(-rs.d[i]) if i == j else ONE
+            cross[i, j] = (_terms(s, exact),
+                           _terms(-s * qpow(alg.ctx.cayley[j][i]), exact))
+        alg._relation_cache[exact] = cross, {
+            ij: [_terms(c, exact) for c in coefs]
+            for ij, coefs in alg.serre_coefs.items()}
+    return alg._relation_cache[exact]
 
 
 def rep_matrices(alg, name):

@@ -19,14 +19,19 @@ rows over one denominator.  The q-exponential with its identity term is
 the form the R-matrix factors were multiplied in before
 ``qarith.times_q_exp``.  The discriminant by the Sylvester resultant is the
 general regularity test the cross-section report used before it read the
-diagonal of the torus element.
+diagonal of the torus element.  The closed form of every type-A Toda
+Hamiltonian is a reference the package does not compute: it builds them by
+the trace pipeline and checks only the first against a closed form.
 """
 
+import itertools
 from fractions import Fraction
 
 from qwhit.crosssec import coxeter_rep
 from qwhit.qarith import EXP_UNIT, ONE, ZERO, _normalised, q_paren, qpow
 from qwhit.ratmat import det, madd, mat, sparse, sparse_mul
+from qwhit.toda import DifferenceOperator
+from qwhit.uqalg import module_basis
 
 
 def fraction_pair(rs, x, y):
@@ -283,3 +288,49 @@ def poly_discriminant(coeffs):
     res = det(mat(rows))
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
     return sign * res
+
+
+def closed_form(rs, k, chi, chibar, mutation=None):
+    """The type-A Toda Hamiltonian H_k in closed form, for q-scalar
+    character values chi and chibar: the sum over the k-subsets I of
+    {1..n+1}, and over the subsets J of the boundary
+    {j in I : j + 1 not in I, j <= n}, of
+
+        prod_{j in J} (q - q^{-1})^2 chi_j chibar_j z_j
+        * T_{2 omega_I - sum_{j in J} alpha_j},
+
+    omega_I the sum of the V1 weights eps_i for i in I, and
+    alpha_j = eps_j - eps_{j+1}.  It has sum_I 2^{|boundary(I)|} terms,
+    and H_1 is ``toda.closed_form_M1``.  This is the shape of the
+    relativistic Toda chain (Ruijsenaars, "Relativistic Toda systems",
+    Comm. Math. Phys. 133, 1990); the q-Toda operators are those of
+    Etingof, "Whittaker functions on quantum groups and q-deformed Toda
+    operators", 1999.  That it does not depend on the ordering is observed,
+    not proved.
+
+    A mutation spoils it for the tests that it must fail: "drop boundary"
+    leaves out the last index of each boundary, "flip alpha" adds alpha_j
+    where it subtracts, "first power" takes q - q^{-1} once."""
+    n = rs.rank
+    _, eps = module_basis(rs, 1)
+    step = qpow(1) - qpow(-1)
+    coupling = step if mutation == "first power" else step * step
+    sign = 1 if mutation == "flip alpha" else -1
+    terms = {}
+    for subset in itertools.combinations(range(1, n + 2), k):
+        boundary = [j for j in subset if j <= n and j + 1 not in subset]
+        if mutation == "drop boundary":
+            boundary = boundary[:-1]
+        omega = [2 * sum(eps[i - 1][c] for i in subset) for c in range(n)]
+        for size in range(len(boundary) + 1):
+            for js in itertools.combinations(boundary, size):
+                shift, z, coef = list(omega), [0] * n, ONE
+                for j in js:
+                    shift = [s + sign * (a - b) for s, a, b
+                             in zip(shift, eps[j - 1], eps[j])]
+                    z[j - 1] = 1
+                    coef = coef * coupling * chi[j - 1] * chibar[j - 1]
+                slot = terms.setdefault(tuple(shift), {})
+                z = tuple(z)
+                slot[z] = slot[z] + coef if z in slot else coef
+    return DifferenceOperator(rs, terms)

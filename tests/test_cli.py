@@ -549,6 +549,14 @@ def _seeded_cell_matrix(seed, n):
      "d4dce3ea1382e3642151b9f9954236d61929458c9f51a81fa8297956184a540a"),
     (["gstar", "--x", "1,1,1", "--u-params", "1/2,1/2"],
      "0286fbe455d5af2e795b47f8bfae9d1f2c9faa9d0a352a925765a99869879c63"),
+    # taken while the relation check evaluated its products at q = 2^K and
+    # every module lowered its own simple-root legs: the benchmark's input
+    # shape, and the largest rank
+    (["toda", "--type", "A", "--rank", "3", "--chi=1/2,-3,2",
+      "--chibar=5/4,-1,3", "--check-commute"],
+     "e85b2ac2e666f40f06f36961ae7026eb6d95bf09d823abd3e7981794c77e394b"),
+    (["toda", "--type", "A", "--rank", "6", "--check-commute"],
+     "96c6e739c56bed5756c1069770f13c3e810513c1f46bd5b2540ac0935f80a17c"),
 ])
 def test_report_digests_are_pinned(capsys, argv, digest):
     assert cli.main(argv) == 0

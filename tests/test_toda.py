@@ -6,8 +6,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from oracles import (fraction_pair, operator_apply, shift_exponents,
-                     surviving_root)
+from oracles import (closed_form, fraction_pair, operator_apply,
+                     shift_exponents, surviving_root)
 from qwhit import qarith, rootsys, toda, uqalg
 from qwhit.qarith import EXP_UNIT, ONE, ZERO, LaurentScalar, qpow
 from qwhit.rootsys import weight, weight_coords
@@ -589,6 +589,62 @@ def test_pipeline_matches_closed_form(rank, chi_vals, chibar_vals):
     assert m1 == toda.closed_form_M1(alg, chi.values, chibar.values)
 
 
+def _assert_every_hamiltonian_is_its_closed_form(rank, pi, chi, chibar):
+    rs = rootsys.build_root_system("A", rank)
+    alg = uqalg.Algebra(rootsys.coxeter_context(rs, pi))
+    system = toda.build_toda_system(alg, chi, chibar)
+    for k, ham in enumerate(system.hamiltonians, 1):
+        assert ham == closed_form(rs, k, system.chi.values,
+                                  system.chibar.values), (pi, k)
+        # one term per (I, J): sum over the k-subsets I of 2^|boundary(I)|
+        assert sum(map(len, ham.terms.values())) == sum(
+            2 ** sum(j <= rank and j + 1 not in subset for j in subset)
+            for subset in itertools.combinations(range(1, rank + 2), k))
+
+
+def test_every_hamiltonian_is_its_closed_form():
+    # H_1..H_n on drawn orderings of A1-A4 with drawn rational characters
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    rational = st.builds(Fraction, st.integers(-9, 9).filter(bool),
+                         st.integers(1, 5))
+
+    @hypothesis.settings(max_examples=30, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(st.data())
+    def check(data):
+        rank = data.draw(st.integers(1, 4))
+        pi = data.draw(st.permutations(range(1, rank + 1)))
+        chi, chibar = (data.draw(st.lists(rational, min_size=rank,
+                                          max_size=rank)) for _ in "ab")
+        _assert_every_hamiltonian_is_its_closed_form(rank, tuple(pi), chi,
+                                                     chibar)
+
+    check()
+
+
+@pytest.mark.parametrize("rank,pi", [
+    (5, (1, 2, 3, 4, 5)), (5, (3, 5, 1, 4, 2)), (6, (1, 2, 3, 4, 5, 6)),
+    (6, (6, 4, 2, 1, 3, 5))])
+def test_every_hamiltonian_is_its_closed_form_at_higher_rank(rank, pi):
+    chi = [Fraction(3, 2), -2, Fraction(1, 3), 5, -1, Fraction(-7, 4)][:rank]
+    chibar = [2, Fraction(-1, 2), 3, Fraction(5, 3), 1, -4][:rank]
+    _assert_every_hamiltonian_is_its_closed_form(rank, pi, chi, chibar)
+
+
+@pytest.mark.parametrize("mutation", ["drop boundary", "flip alpha",
+                                      "first power"])
+def test_a_spoiled_closed_form_misses_every_hamiltonian(mutation):
+    alg = algebra("A", 3)
+    system = toda.build_toda_system(alg, (2, Fraction(-1, 3), 5),
+                                    (Fraction(3, 4), 1, -2))
+    for k, ham in enumerate(system.hamiltonians, 1):
+        assert ham == closed_form(alg.rs, k, system.chi.values,
+                                  system.chibar.values)
+        assert ham != closed_form(alg.rs, k, system.chi.values,
+                                  system.chibar.values, mutation), k
+
+
 def test_closed_form_degenerates_to_free_hamiltonian():
     alg = algebra("A", 2)
     free = toda.closed_form_M1(alg, (ZERO, ZERO), (ZERO, ZERO))
@@ -691,18 +747,49 @@ def test_quasiclassical_check_guards_its_domain():
 
 
 def test_simple_root_legs_are_the_module_f_legs():
-    # the ladder leg K_{T alpha_i} pi(f_i) with the scale q_i - q_i^{-1},
+    # the ladder leg K_{T alpha_i} pi(f_i) with the shared scale
+    # q_i - q_i^{-1} (unit characters leave chi(e_i) times it the scale),
     # against the leg evaluated from PBW root vectors with the scale read
-    # off [pi(e_i), pi(f_i)], on every ordering of A1-A5
+    # off [pi(e_i), pi(f_i)], on every ordering of A1-A5; the shared chibar
+    # leg is the lowered scale times K_{T alpha_i} f_i
     for rank in range(1, 6):
         rs = rootsys.build_root_system("A", rank)
+        chi = uqalg.character("e", (1,) * rank)
+        chibar = uqalg.character("f", (1,) * rank)
         for pi in itertools.permutations(range(1, rank + 1)):
             alg = uqalg.Algebra(rootsys.coxeter_context(rs, pi))
+            factors = toda._simple_factors(alg, chi, chibar)
+            assert sorted(i for i, *_ in factors) == list(range(rank))
+            for i, t_alpha, base, scale, f_leg in factors:
+                assert f_leg == toda.lower_rep(
+                    (alg.k(t_alpha) * alg.f(i)).scale(scale), chibar)
             for k in range(rank):
                 rep = uqalg.rep_matrices(alg, f"V{k + 1}")
-                for i in range(rank):
-                    assert toda._simple_leg(alg, rep, i) == uqalg.module_f_leg(
+                for i, t_alpha, base, scale, _ in factors:
+                    leg = rep.k_times(t_alpha, rep.f_mats[i])
+                    assert (scale, base, leg) == uqalg.module_f_leg(
                         alg, rep, rs.simple_root(i))
+
+
+def test_the_shared_legs_are_built_once_per_system(monkeypatch):
+    # an A3 system lowers 3 chibar legs, not one per module and root, and
+    # a second pair of characters builds its own
+    alg = uqalg.Algebra(rootsys.coxeter_context(
+        rootsys.build_root_system("A", 3)))
+    lowered = []
+    real = toda.lower_rep
+
+    def counting(y, chibar):
+        lowered.append(y)
+        return real(y, chibar)
+
+    monkeypatch.setattr(toda, "lower_rep", counting)
+    system = toda.build_toda_system(alg, (2, -1, 3), (1, 5, -3))
+    assert len(lowered) == 3
+    again = toda.build_toda_system(alg, (2, -1, 3), (1, 5, -3))
+    assert len(lowered) == 3 and again.hamiltonians == system.hamiltonians
+    other = toda.build_toda_system(alg, (1, 1, 1), (1, 5, -3))
+    assert len(lowered) == 6 and other.hamiltonians != system.hamiltonians
 
 
 @pytest.mark.parametrize("pi", [(1, 2, 3), (2, 3, 1), (3, 1, 2)])

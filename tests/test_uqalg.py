@@ -591,6 +591,75 @@ def test_module_matrices_are_the_twisted_ladders(rank):
                 assert dense(got, rep.dim, ZERO) == want
 
 
+def dense_evaluate(rep, x):
+    """Oracle: the matrix of a PBWElement, each term f-word K_lam e-word the
+    dense product pi(f-word) pi(K_lam) pi(e-word)."""
+    def ladder(m):
+        return dense(m, rep.dim, ZERO)
+
+    total = dense({}, rep.dim, ZERO)
+    for (fw, lam, ew), c in x.terms.items():
+        m = k_matrix(rep, lam)
+        for i in reversed(fw):
+            m = dense_mul(ladder(rep.f_mats[i]), m, ZERO)
+        for i in ew:
+            m = dense_mul(m, ladder(rep.e_mats[i]), ZERO)
+        total = dense_add(total, dense_scale(m, c))
+    return total
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_evaluate_matches_the_dense_product(rank):
+    # drawn elements with a term of each shape: f- and e-letters, only
+    # e-letters, only f-letters and only K, each also on its own
+    rng = random.Random(rank)
+    alg = algebra("A", rank)
+
+    def letters():
+        return tuple(rng.randrange(rank) for _ in range(rng.randint(1, 3)))
+
+    for k in range(rank):
+        rep = uqalg.rep_matrices(alg, f"V{k + 1}")
+        for _ in range(5):
+            terms = {}
+            for fw, ew in ((letters(), letters()), ((), letters()),
+                           (letters(), ()), ((), ())):
+                lam = rootsys.weight([Fraction(rng.randint(-3, 3),
+                                               rng.choice((1, 2)))
+                                      for _ in range(rank)])
+                coef = qpow(Fraction(rng.randint(-2, 2), 2)) * (
+                    LaurentScalar.from_rational(Fraction(
+                        rng.choice((-3, -1, 1, 2, 5)), rng.randint(1, 3))))
+                terms[fw, lam, ew] = coef
+            for x in [uqalg.PBWElement(alg, terms)] + [
+                    uqalg.PBWElement(alg, {key: c}) for key, c in terms.items()]:
+                assert dense(rep.evaluate(x), rep.dim, ZERO) == (
+                    dense_evaluate(rep, x))
+
+
+@pytest.mark.parametrize("fw,ew", [
+    ((0,), ()), ((), (1,)), ((2, 1), ()), ((), (0, 1, 2)), ((1,), (2,)),
+    ((0, 1), (1, 0)), ((2, 1, 0), (1,)), ((), ())])
+def test_evaluate_makes_one_product_fewer_than_letters(monkeypatch, fw, ew):
+    # K_lam is applied once by k_times, not multiplied in as a diagonal
+    alg = algebra("A", 3)
+    rep = uqalg.rep_matrices(alg, "V2")
+    calls = []
+    real = uqalg.sparse_mul
+
+    def counting(a, b):
+        calls.append(None)
+        return real(a, b)
+
+    monkeypatch.setattr(uqalg, "sparse_mul", counting)
+    x = uqalg.PBWElement(alg, {(fw, rootsys.weight((1, Fraction(-1, 2), 2)),
+                                ew): ONE})
+    got = rep.evaluate(x)
+    monkeypatch.undo()
+    assert len(calls) == max(len(fw) + len(ew) - 1, 0)
+    assert dense(got, rep.dim, ZERO) == dense_evaluate(rep, x)
+
+
 def test_rep_relation_check_runs_for_small_type_a():
     # the constructor re-checks every defining relation on the matrices
     uqalg.rep_matrices(algebra("A", 2), "V1")
@@ -725,39 +794,50 @@ def _spoils(st):
             lambda e, c: lambda old: (old or ONE) / (qpow(e) + c),
             exponent.filter(bool),
             st.integers(1, 3).map(LaurentScalar.from_rational)),
+        # the shape of a wrong twist
+        "shift": st.sampled_from((Fraction(1, 2), Fraction(-1, 2), 1, -1)).map(
+            lambda e: lambda old: (old or ONE) * qpow(e)),
     }
 
 
 @pytest.mark.parametrize("kind", ["keep", "one", "double", "negate", "remove",
                                   "rational", "two monomials",
-                                  "non-unit denominator"])
+                                  "non-unit denominator", "shift"])
 def test_the_relation_check_agrees_with_the_dense_oracle(kind):
-    # an A2 or A3 module, conjugated or not by a drawn diagonal of
-    # rationals (which keeps every relation), with one drawn entry of one
-    # pi(e_j) or pi(f_j) replaced by the kind's spoil: kept, set to 1,
-    # doubled, negated, removed, scaled by a non-integer rational, replaced
-    # by a two-monomial polynomial, or by a scalar with a non-unit
-    # denominator (which the check decides on the scalars themselves); the
-    # message must name the oracle's first failing (i, j) of each kind
+    # an A2, A3 or A4 module, conjugated or not by a drawn diagonal of
+    # rationals or of q-scalars q^e + c (either keeps every relation; the
+    # second gives entries non-unit denominators, so modules that pass
+    # reach the q-scalar sums too), with one drawn entry of one pi(e_j) or
+    # pi(f_j) replaced by the kind's spoil: kept, set to 1, doubled,
+    # negated, removed, scaled by a non-integer rational, replaced by a
+    # two-monomial polynomial, by a scalar with a non-unit denominator
+    # (which the check decides on the scalars themselves), or shifted by
+    # q^{+-1/2} or q^{+-1}; the message must name the oracle's first
+    # failing (i, j) of each kind
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     spoils = _spoils(st)
     rational = st.builds(Fraction, st.integers(-9, 9).filter(bool),
-                         st.integers(1, 6))
+                         st.integers(1, 6)).map(LaurentScalar.from_rational)
+    binomial = st.builds(
+        lambda e, c: qpow(e) + c,
+        st.builds(Fraction, st.integers(-4, 4).filter(bool),
+                  st.sampled_from((1, 2))),
+        st.integers(1, 3).map(LaurentScalar.from_rational))
 
     @hypothesis.settings(max_examples=15, deadline=None, database=None,
                          derandomize=True)
     @hypothesis.given(st.data())
     def check(data):
-        rank = data.draw(st.integers(2, 3))
+        rank = data.draw(st.integers(2, 4))
         name = f"V{data.draw(st.integers(1, rank))}"
         rep = uqalg.rep_matrices(algebra("A", rank), name)
-        if data.draw(st.booleans()):
-            d = data.draw(st.lists(rational, min_size=rep.dim,
+        diagonal = data.draw(st.sampled_from((None, rational, binomial)))
+        if diagonal is not None:
+            d = data.draw(st.lists(diagonal, min_size=rep.dim,
                                    max_size=rep.dim))
             for m in (rep.e_mats, rep.f_mats):
-                m[:] = [{r: {c: x * LaurentScalar.from_rational(d[r] / d[c])
-                             for c, x in entries.items()}
+                m[:] = [{r: {c: x * (d[r] / d[c]) for c, x in entries.items()}
                          for r, entries in rows.items()} for rows in m]
         mats = data.draw(st.sampled_from((rep.e_mats, rep.f_mats)))
         j = data.draw(st.integers(0, rank - 1))
