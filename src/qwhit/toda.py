@@ -13,13 +13,13 @@ twist q^{-(rho, lam)}.
 
 That lowering is an algebra map on the lower Borel part (the shift rule
 mirrors K_lam f_i = q^{-(lam, alpha_i)} f_i K_lam, and the z_i commute), so
-R_21 is lowered one q-exponential factor at a time and never multiplied out
-in the algebra.  For a non-simple root the lowered factor and its chi(U)
-counterpart are the identity, so each generator is a product of one factor
-per simple root, in the order of the adapted normal ordering.  Each system
-checks that vanishing by an integer test on the q-commutator exponents of
-the normal ordering's segments table.  Each factor is read off the module's
-own ladders (``_simple_factors``), so no PBW element is multiplied.
+R_21 is lowered factor by factor and never multiplied out in the algebra.
+For a non-simple root the lowered factor and its chi(U) counterpart are the
+identity, so each generator is a product of one factor per simple root, in
+the order of the adapted normal ordering, which each system checks by an
+integer test on the segments table's q-commutator exponents.  The modules
+are minuscule, so each factor exp_t(x) is 1 + x, applied in one pass over
+the module's own ladders (``_times_one_plus``); no PBW element is multiplied.
 
 Sign note: the potential of the closed-form type-A Hamiltonian is
 +(q - q^{-1})^2 chi_i chibar_i z_i, the sign the trace pipeline produces and
@@ -31,11 +31,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from itertools import combinations
 from operator import add, mul
 
 from . import qarith, uqalg
-from .qarith import EXP_UNIT, ONE, LaurentScalar, qpow, times_q_exp
-from .ratmat import sparse_scale
+from .qarith import EXP_UNIT, ONE, LaurentScalar, qpow
 from .rootsys import weight, weight_coords
 
 
@@ -165,80 +165,86 @@ def commutator(d1, d2):
     return _operator(rs, _clean(out))
 
 
-def commutes(d1, d2):
-    """Whether [d1, d2] = 0, decided in Python ints.
+def commutes(*ops):
+    """Whether the difference operators commute pairwise, decided in Python
+    ints on one integer image of them all: commutes(d1, d2) is [d1, d2] = 0.
 
-    The pairs of terms are those of ``commutator``: c1 z^a T_lam1 and
-    c2 z^b T_lam2 give c1 c2 (q^{-u1} - q^{-u2}) z^{a+b} T_{lam1+lam2} with
-    u1 = (lam1, b) and u2 = (lam2, a).  With u_max the largest such
-    exponent, the pair adds V1 V2 shifted by K (u_max - u1)/g bits, minus
-    the same shifted by K (u_max - u2)/g bits, to the total of its key
-    (lam1 + lam2, a + b), itself packed into an int by ``_sum_codes``.
-    V1 and V2 are the images of c1 and c2 under
-    ``qarith.integer_image`` of every coefficient and shift.  Each total is
-    then the image of L^2 q^{u_max - 2 origin} times a coefficient of
-    [d1, d2], whose l1 norm is at most B = 2 N1 N2 for N1 and N2 the summed
-    norms of the cleared coefficients of d1 and d2, so it is 0 exactly
-    when that coefficient is.  When a coefficient has a non-unit
-    denominator, ``commutator`` decides."""
-    if not d1 or not d2:
+    The pairs of terms are those of ``commutator``: c1 z^a T_lam1 of d1 and
+    c2 z^b T_lam2 of d2 give c1 c2 (q^{-u1} - q^{-u2}) z^{a+b} T_{lam1+lam2}
+    with u1 = (lam1, b) and u2 = (lam2, a).  ``qarith.integer_image`` takes
+    every coefficient and every pairing of a shift with a z-exponent, so
+    values V and shift bits are formed once per operator.  With u_max the
+    largest pairing, a pair of terms adds V1 V2 shifted by K (u_max - u1)/g
+    bits minus the same shifted by K (u_max - u2)/g bits to the total of
+    its key (lam1 + lam2, a + b), packed into an int by ``_sum_codes``.
+    Each total is the image of L^2 q^{u_max - 2 origin} times a coefficient
+    of [d1, d2], of l1 norm at most 2 N1 N2 (N the summed norms of an
+    operator's cleared coefficients); K is for B = max 2 N_a N_b over the
+    pairs, so 2^K > B for every pair and a total is 0 exactly when its
+    coefficient is.  A non-unit denominator leaves each pair to
+    ``commutator``."""
+    ops = [d for d in ops if d]
+    if len(ops) < 2:
         return True
-    rs = d1.rs
-    terms1 = [(lam, a, c) for lam, zp in d1.terms.items()
-              for a, c in zp.items()]
-    terms2 = [(lam, b, c) for lam, zp in d2.terms.items()
-              for b, c in zp.items()]
-    zs1 = list({a: None for _, a, _ in terms1})
-    zs2 = list({b: None for _, b, _ in terms2})
-    # u1 = (lam1, b) for each z-exponent b of d2, u2 = (lam2, a) likewise
-    u1 = {lam: [sum(map(mul, blam, b)) for b in zs2]
-          for lam, blam in zip(d1.terms, map(rs.covector, d1.terms))}
-    u2 = {lam: [sum(map(mul, blam, a)) for a in zs1]
-          for lam, blam in zip(d2.terms, map(rs.covector, d2.terms))}
-    image = qarith.integer_image(
-        [c for _, _, c in terms1 + terms2],
-        [u for us in (*u1.values(), *u2.values()) for u in us])
+    rs = ops[0].rs
+    terms = [[(lam, z, c) for lam, zp in d.terms.items()
+              for z, c in zp.items()] for d in ops]
+    zs = list({z: None for ts in terms for _, z, _ in ts})
+    # (lam, z) for each shift lam of each operator and each z-exponent z
+    pairings = [{lam: [sum(map(mul, blam, z)) for z in zs]
+                 for lam, blam in zip(d.terms, map(rs.covector, d.terms))}
+                for d in ops]
+    shifts = [u for us in pairings for row in us.values() for u in row]
+    image = qarith.integer_image([c for ts in terms for _, _, c in ts], shifts)
     if image is None:
-        return not commutator(d1, d2)
-    n1 = sum(image.norms[:len(terms1)])
-    n2 = sum(image.norms[len(terms1):])
-    values = iter(image.values(2 * n1 * n2))
-    u_max = max(u for us in (*u1.values(), *u2.values()) for u in us)
-    bits1 = {lam: [image.exponent(u_max - u) for u in us]
-             for lam, us in u1.items()}
-    bits2 = {lam: [image.exponent(u_max - u) for u in us]
-             for lam, us in u2.items()}
-    code1, code2 = _sum_codes([lam + a for lam, a, _ in terms1],
-                              [lam + b for lam, b, _ in terms2])
-    index1 = {a: k for k, a in enumerate(zs1)}
-    index2 = {b: k for k, b in enumerate(zs2)}
-    left = [(k, next(values), index1[a], bits1[lam])
-            for k, (lam, a, _) in zip(code1, terms1)]
-    right = [(k, next(values), index2[b], bits2[lam])
-             for k, (lam, b, _) in zip(code2, terms2)]
-    out = {}
-    for k1, v1, a, shifts1 in left:
-        for k2, v2, b, shifts2 in right:
-            s1, s2 = shifts1[b], shifts2[a]
-            if s1 != s2:
-                p = v1 * v2
-                k = k1 + k2
-                out[k] = out.get(k, 0) + (p << s1) - (p << s2)
-    return not any(out.values())
+        return all(not commutator(d1, d2) for d1, d2 in combinations(ops, 2))
+    norms = iter(image.norms)
+    sizes = [sum(next(norms) for _ in ts) for ts in terms]
+    values = iter(image.values(max(2 * na * nb for na, nb
+                                   in combinations(sizes, 2))))
+    u_max = max(shifts)
+    codes = _sum_codes([[lam + z for lam, z, _ in ts] for ts in terms])
+    index = {z: k for k, z in enumerate(zs)}
+    sides = []
+    for ts, us, code in zip(terms, pairings, codes):
+        bits = {lam: [image.exponent(u_max - u) for u in row]
+                for lam, row in us.items()}
+        sides.append([(k, next(values), index[z], bits[lam])
+                      for k, (lam, z, _) in zip(code, ts)])
+    for left, right in combinations(sides, 2):
+        out = {}
+        for k1, v1, a, shifts1 in left:
+            for k2, v2, b, shifts2 in right:
+                s1, s2 = shifts1[b], shifts2[a]
+                if s1 != s2:
+                    p = v1 * v2
+                    k = k1 + k2
+                    out[k] = out.get(k, 0) + (p << s1) - (p << s2)
+        if any(out.values()):
+            return False
+    return True
 
 
-def _sum_codes(vs1, vs2):
-    """Int codes of the int vectors vs1 and vs2 such that code1 + code2
-    determines v1 + v2: each coordinate is a digit offset by its least
-    value on its side, in a radix wider than the range of the sums."""
-    codes1, codes2 = [0] * len(vs1), [0] * len(vs2)
+def hamiltonians_commute(hams):
+    """Whether the Hamiltonians of a system commute pairwise: ``commutes``
+    of them all, on one integer image with K for the largest pair bound."""
+    return commutes(*hams)
+
+
+def _sum_codes(vss):
+    """Int codes of the lists of int vectors vss such that the sum of the
+    codes of two vectors, from any two lists, determines their sum: each
+    coordinate is a digit offset by its least value over all the lists,
+    in a radix wider than the range of the sums."""
+    codes = [[0] * len(vs) for vs in vss]
     radix = 1
-    for col1, col2 in zip(zip(*vs1), zip(*vs2)):
-        lo1, lo2 = min(col1), min(col2)
-        codes1 = [k + (x - lo1) * radix for k, x in zip(codes1, col1)]
-        codes2 = [k + (x - lo2) * radix for k, x in zip(codes2, col2)]
-        radix *= max(col1) - lo1 + max(col2) - lo2 + 1
-    return codes1, codes2
+    for col in zip(*(v for vs in vss for v in vs)):
+        lo = min(col)
+        digits = iter(col)
+        codes = [[k + (next(digits) - lo) * radix for k in code]
+                 for code in codes]
+        radix *= 2 * (max(col) - lo) + 1
+    return codes
 
 
 def lower_rep(y, chibar):
@@ -309,8 +315,8 @@ def _check_non_simple_factors_vanish(alg):
 
 def _simple_factors(alg, chi, chibar):
     """Of each simple-root factor, what no module changes, memoized on alg
-    (found by equality, which hashes no Fraction): i, T alpha_i, the base,
-    chi(e_i) times the scale q_i - q_i^{-1} (the (i, i) cross relation
+    (found by equality, which hashes no Fraction): i, T alpha_i, chi(e_i)
+    times the scale q_i - q_i^{-1} (the (i, i) cross relation
     ``RepMatrices`` checks, as c_ii = 0), and the lowered chibar leg."""
     for known, factors in alg._toda_cache:
         if known == (chi, chibar):
@@ -325,10 +331,21 @@ def _simple_factors(alg, chi, chibar):
         # K_{T alpha_i} f_i = q^{-(T alpha_i, alpha_i)} f_i K_{T alpha_i}
         f_leg = lower_rep(uqalg.PBWElement(alg, {
             ((i,), t_beta, ()): scale.times_q(-rs.pair(t_beta, beta))}), chibar)
-        factors.append((i, t_beta, qpow(-rs.bform[i][i]),
-                        chi.values[i] * scale, f_leg))
+        factors.append((i, t_beta, chi.values[i] * scale, f_leg))
     alg._toda_cache.append(((chi, chibar), factors))
     return factors
+
+
+def _times_one_plus(rows, ladder):
+    """rows (1 + x) in place, for x given as its entries (k, c, x_kc) with
+    no chain of length 2: each row adds its entry in column k times x_kc to
+    column c, and as no k is a c, no entry read is one written."""
+    for row in rows.values():
+        for k, c, x in ladder:
+            v = row.get(k)
+            if v:
+                v = v * x
+                row[c] = row[c] + v if c in row else v
 
 
 def toda_hamiltonian(alg, rep_name, chi, chibar):
@@ -341,7 +358,11 @@ def toda_hamiltonian(alg, rep_name, chi, chibar):
     becomes a numeric matrix chi(U).  R_21 is diag(K_{mu_k - T mu_k}) times
     the q-exponentials of K_{T beta} f_beta (x) pi(e_beta), and is lowered
     factor by factor.  Only simple roots contribute, and a module adds only
-    pi(e_i) and K_{T alpha_i} pi(f_i) to ``_simple_factors``.  H_V is
+    pi(e_i) and K_{T alpha_i} pi(f_i) to ``_simple_factors``.  A catalogue
+    module is minuscule, pi(e_i)^2 = pi(f_i)^2 = 0, so each factor exp_t(x)
+    is 1 + x whatever its base t, applied to chi(U) and R_21 in place by
+    ``_times_one_plus``; a ladder with a chain of length 2 raises
+    RuntimeError instead.  H_V is
 
         sum_j q^{(2 rho, mu_j)} sum_k R21low[j][k] T_{lam_k} chi(U)[k][j].
     """
@@ -351,22 +372,32 @@ def toda_hamiltonian(alg, rep_name, chi, chibar):
     factors = _simple_factors(alg, chi, chibar)
     rs = alg.rs
     rep = uqalg.rep_matrices(alg, rep_name)
+    pair = rs.pair_weights
     r21 = {k: {k: DifferenceOperator.shift(rs, lam)}
            for k, lam in enumerate(uqalg.cartan_weights(alg, rep, -1))}
     chi_u = {k: {k: ONE} for k in range(rep.dim)}
-    for i, t_alpha, base, chi_scale, f_leg in factors:
-        chi_u = times_q_exp(chi_u, sparse_scale(
-            rep.k_times(t_alpha, rep.f_mats[i]), chi_scale), rep.dim, base)
-        r21 = times_q_exp(r21, sparse_scale(rep.e_mats[i], f_leg), rep.dim,
-                          base)
+    for i, t_alpha, chi_scale, f_leg in factors:
+        for side, ladder in (("e", rep.e_mats[i]), ("f", rep.f_mats[i])):
+            if any(c in ladder for row in ladder.values() for c in row):
+                raise RuntimeError(
+                    f"{rep.name}: pi({side}_{i}) has a chain of length 2, "
+                    f"so its R-matrix factor is not 1 + x")
+        # chi_i scale K_{T alpha_i} pi(f_i), and pi(e_i) times the chibar leg
+        _times_one_plus(chi_u, [
+            (k, c, (x * chi_scale).times_q(pair(t_alpha, rep.weights[k])))
+            for k, row in rep.f_mats[i].items() for c, x in row.items()])
+        _times_one_plus(r21, [
+            (k, c, x * f_leg)
+            for k, row in rep.e_mats[i].items() for c, x in row.items()])
     lams = uqalg.cartan_weights(alg, rep, 1)
     two_rho = tuple(2 * x for x in rs.rho)
     out = {}
     for j, row in r21.items():
+        u = pair(two_rho, rep.weights[j])
         for k, x in row.items():
-            y = chi_u.get(k, {}).get(j)
+            y = chi_u[k].get(j)
             if y:  # c z^a T_lam T_{lam_k} = c z^a T_{lam + lam_k}
-                y = y.times_q(rs.pair_weights(two_rho, rep.weights[j]))
+                y = y.times_q(u)
                 for lam, zpart in x.terms.items():
                     slot = out.setdefault(tuple(map(add, lam, lams[k])), {})
                     for z, c in zpart.items():
@@ -418,12 +449,6 @@ def closed_form_holds(system):
     """Is the first Hamiltonian of a type-A Toda system its closed form?"""
     return system.hamiltonians[0] == closed_form_M1(
         system.alg, system.chi.values, system.chibar.values)
-
-
-def hamiltonians_commute(hams):
-    """Do the difference operators commute pairwise?"""
-    return all(commutes(hams[a], hams[b])
-               for a in range(len(hams)) for b in range(a + 1, len(hams)))
 
 
 def quasiclassical_potential_check(system):

@@ -17,19 +17,26 @@ tuple-matrix sum, scaling and product over any ring, and the matrix-vector
 product, are the forms ``ratmat`` had before its dense matrices became int
 rows over one denominator.  The q-exponential with its identity term is
 the form the R-matrix factors were multiplied in before
-``qarith.times_q_exp``.  The discriminant by the Sylvester resultant is the
-general regularity test the cross-section report used before it read the
-diagonal of the torus element.  The closed form of every type-A Toda
+``qarith.times_q_exp``, and the Toda lowering through ``times_q_exp`` with
+the base of each simple-root factor is the form ``toda_hamiltonian`` took
+before it applied each factor as 1 + x in one pass over the ladders.  The
+discriminant by the Sylvester resultant is the general regularity test the
+cross-section report used before it read the diagonal of the torus
+element.  The closed form of every type-A Toda
 Hamiltonian is a reference the package does not compute: it builds them by
 the trace pipeline and checks only the first against a closed form.
 """
 
 import itertools
 from fractions import Fraction
+from operator import add
 
+from qwhit import toda, uqalg
 from qwhit.crosssec import coxeter_rep
-from qwhit.qarith import EXP_UNIT, ONE, ZERO, _normalised, q_paren, qpow
-from qwhit.ratmat import det, madd, mat, sparse, sparse_mul
+from qwhit.qarith import (EXP_UNIT, ONE, ZERO, _normalised, q_paren, qpow,
+                          times_q_exp)
+from qwhit.ratmat import det, madd, mat, sparse, sparse_mul, sparse_scale
+from qwhit.rootsys import weight
 from qwhit.toda import DifferenceOperator
 from qwhit.uqalg import module_basis
 
@@ -152,6 +159,49 @@ def q_exp_nilpotent(x, n, t, one):
         raise ArithmeticError("q_exp_nilpotent: matrix is not nilpotent")
     out = {r: {c: v for c, v in row.items() if v} for r, row in out.items()}
     return {r: row for r, row in out.items() if row}
+
+
+def toda_hamiltonian_by_q_exp(alg, rep_name, chi, chibar):
+    """The Hamiltonian of the module rep_name as ``toda.toda_hamiltonian``
+    lowered it before each simple-root factor became 1 + x: chi(U) and R_21
+    start at the identity and the Cartan shifts, and each factor is
+    multiplied in by ``qarith.times_q_exp`` with its base
+    q^{-(alpha_i, alpha_i)}, its chi(U) leg chi_i (q_i - q_i^{-1})
+    K_{T alpha_i} pi(f_i) and its R_21 leg pi(e_i) times the lowered
+    (q_i - q_i^{-1}) K_{T alpha_i} f_i."""
+    rs = alg.rs
+    rep = uqalg.rep_matrices(alg, rep_name)
+    r21 = {k: {k: DifferenceOperator.shift(rs, lam)}
+           for k, lam in enumerate(uqalg.cartan_weights(alg, rep, -1))}
+    chi_u = {k: {k: ONE} for k in range(rep.dim)}
+    for beta in alg.ordering.ordering:
+        if sum(beta) != 1:
+            continue
+        i = beta.index(1)
+        scale = qpow(rs.d[i]) - qpow(-rs.d[i])
+        base = qpow(-rs.bform[i][i])
+        t_beta = alg.ctx.cayley_apply(weight(beta))
+        f_leg = toda.lower_rep(uqalg.PBWElement(alg, {
+            ((i,), t_beta, ()): scale.times_q(-rs.pair(t_beta, beta))}),
+            chibar)
+        chi_u = times_q_exp(chi_u, sparse_scale(
+            rep.k_times(t_beta, rep.f_mats[i]), chi.values[i] * scale),
+            rep.dim, base)
+        r21 = times_q_exp(r21, sparse_scale(rep.e_mats[i], f_leg), rep.dim,
+                          base)
+    lams = uqalg.cartan_weights(alg, rep, 1)
+    two_rho = tuple(2 * x for x in rs.rho)
+    out = DifferenceOperator(rs)
+    for j, row in r21.items():
+        for k, x in row.items():
+            y = chi_u.get(k, {}).get(j)
+            if y:
+                y = y.times_q(rs.pair_weights(two_rho, rep.weights[j]))
+                out = out + DifferenceOperator(rs, {
+                    tuple(map(add, lam, lams[k])): {
+                        z: c * y for z, c in zpart.items()}
+                    for lam, zpart in x.terms.items()})
+    return toda.phi_conjugate(out)
 
 
 def mvec(a, v):

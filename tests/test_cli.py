@@ -557,6 +557,17 @@ def _seeded_cell_matrix(seed, n):
      "e85b2ac2e666f40f06f36961ae7026eb6d95bf09d823abd3e7981794c77e394b"),
     (["toda", "--type", "A", "--rank", "6", "--check-commute"],
      "96c6e739c56bed5756c1069770f13c3e810513c1f46bd5b2540ac0935f80a17c"),
+    # taken while each simple-root factor was multiplied in through the
+    # q-exponential with its base, and each pair of Hamiltonians had its
+    # own integer image: rational characters on a non-default A4 ordering
+    # and on the reversed A5 ordering
+    (["toda", "--type", "A", "--rank", "4", "--pi", "2,1,3,4",
+      "--chi=1/2,-3,2,7/3", "--chibar=5/4,-1,3,-2/5", "--check-commute"],
+     "959600223bce610f3188c8c2043d1f5b641db7cc2619f36c49f250bbd44fb16f"),
+    (["toda", "--type", "A", "--rank", "5", "--pi", "5,4,3,2,1",
+      "--chi=1/2,-3,2,7/3,-1/4", "--chibar=5/4,-1,3,-2/5,6",
+      "--check-commute"],
+     "818ec66eba57f4871b9dfac04d4893e121553fa442846ae08c3fbbe00379cfda"),
 ])
 def test_report_digests_are_pinned(capsys, argv, digest):
     assert cli.main(argv) == 0

@@ -7,8 +7,9 @@ from types import SimpleNamespace
 import pytest
 
 from oracles import (closed_form, fraction_pair, operator_apply,
-                     shift_exponents, surviving_root)
-from qwhit import qarith, rootsys, toda, uqalg
+                     shift_exponents, surviving_root,
+                     toda_hamiltonian_by_q_exp)
+from qwhit import cli, qarith, rootsys, toda, uqalg
 from qwhit.qarith import EXP_UNIT, ONE, ZERO, LaurentScalar, qpow
 from qwhit.rootsys import weight, weight_coords
 from qwhit.toda import DifferenceOperator
@@ -419,6 +420,118 @@ def test_commutes_hands_a_non_polynomial_coefficient_to_the_commutator(
     assert toda.commutes(m1, m2) and len(calls) == 2
 
 
+def test_the_system_image_agrees_with_the_pairwise_commutator():
+    # one integer image for all the Hamiltonians of a drawn A1-A4 system,
+    # against the commutator of every pair; one Hamiltonian spoiled by a
+    # drawn scaled coefficient or added term, or none
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    rational = st.builds(Fraction, st.integers(-9, 9).filter(bool),
+                         st.integers(1, 5))
+
+    @hypothesis.settings(max_examples=30, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(st.data())
+    def check(data):
+        rank = data.draw(st.integers(1, 4))
+        pi = tuple(data.draw(st.permutations(range(1, rank + 1))))
+        rs = rootsys.build_root_system("A", rank)
+        values = st.lists(rational, min_size=rank, max_size=rank)
+        hams = list(toda.build_toda_system(
+            uqalg.Algebra(rootsys.coxeter_context(rs, pi)),
+            data.draw(values), data.draw(values)).hamiltonians)
+        k = data.draw(st.integers(0, rank - 1))
+        spoil = data.draw(st.sampled_from(("none", "scale", "add")))
+        if spoil == "scale":
+            terms = {lam: dict(zp) for lam, zp in hams[k].terms.items()}
+            lam = data.draw(st.sampled_from(sorted(terms)))
+            z = data.draw(st.sampled_from(sorted(terms[lam])))
+            terms[lam][z] = terms[lam][z] * LaurentScalar.from_rational(
+                data.draw(rational))
+            hams[k] = DifferenceOperator(rs, terms)
+        elif spoil == "add":
+            lam = weight(data.draw(st.tuples(*[st.builds(
+                Fraction, st.integers(-2, 2), st.sampled_from((1, 2)))]
+                * rank)))
+            z = data.draw(st.tuples(*[st.integers(0, 1)] * rank))
+            hams[k] = hams[k] + DifferenceOperator(rs, {lam: {
+                z: qpow(data.draw(st.integers(-2, 2)))
+                * LaurentScalar.from_rational(data.draw(rational))}})
+        pairwise = all(not toda.commutator(a, b)
+                       for a, b in itertools.combinations(hams, 2))
+        assert toda.hamiltonians_commute(hams) == pairwise
+        if spoil == "none":
+            assert pairwise
+
+    check()
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+def test_the_system_image_catches_a_single_failing_pair(order):
+    # T_{omega_2} commutes with T_{omega_1} and with z_1, since
+    # (omega_2, alpha_1) = 0, while T_{omega_1} z_1 = q^{-1} z_1 T_{omega_1}:
+    # one pair of the three fails, wherever it comes in the order
+    rs = rootsys.build_root_system("A", 2)
+    ops = [DifferenceOperator.shift(rs, rs.fundamental_weights[1]),
+           DifferenceOperator.shift(rs, rs.fundamental_weights[0]),
+           z_monomial(rs, (1, 0), qpow(1) + ONE)]
+    ops = [ops[k] for k in order]
+    fails = [(a, b) for a, b in itertools.combinations(range(3), 2)
+             if toda.commutator(ops[a], ops[b])]
+    assert len(fails) == 1
+    assert not toda.hamiltonians_commute(ops)
+    assert toda.hamiltonians_commute([ops[k] for k in range(3)
+                                      if k not in fails[0][:1]])
+
+
+def test_sum_codes_add_up_to_a_code_of_the_sum():
+    # two vectors from any two of the lists have codes whose sum is the
+    # same exactly when the vectors' sums are
+    rng = random.Random(5)
+    for _ in range(30):
+        vss = [[tuple(rng.randint(-3, 3) for _ in range(2))
+                for _ in range(rng.randint(1, 4))] for _ in range(3)]
+        codes = toda._sum_codes(vss)
+        sums = {}
+        for a, b in itertools.combinations_with_replacement(range(3), 2):
+            for v, cv in zip(vss[a], codes[a]):
+                for w, cw in zip(vss[b], codes[b]):
+                    key = tuple(map(sum, zip(v, w)))
+                    assert sums.setdefault(cv + cw, key) == key
+
+
+def test_a_single_hamiltonian_commutes():
+    system = toda.build_toda_system(algebra("A", 1), (Fraction(2, 3),), (-5,))
+    assert len(system.hamiltonians) == 1
+    assert toda.hamiltonians_commute(system.hamiltonians)
+    assert toda.commutes(*system.hamiltonians)
+    assert toda.commutes()
+
+
+def test_the_system_image_takes_k_from_its_largest_pair_bound(monkeypatch):
+    # with d1, d2 of the one-bit test and the identity as a third operator,
+    # the pairs have the bounds 2 (2^k + 1), 2 (2^k + 1) and 2; K for the
+    # smallest of them would be k, at which (q - 2^k)(q - 1) z T_lam
+    # vanishes, so the system would be called commuting
+    rs = rootsys.build_root_system("A", 1)
+    k = 5
+    d1 = DifferenceOperator(rs, {weight((Fraction(-1, 2),)): {
+        (0,): qpow(1) - LaurentScalar.from_rational(2 ** k)}})
+    d2 = z_monomial(rs, (1,))
+    one = DifferenceOperator.shift(rs, (0,))
+    assert qarith.kronecker_bits(2) == k
+    bounds = []
+    real = qarith.kronecker_bits
+
+    def recorded(bound):
+        bounds.append(bound)
+        return real(bound)
+
+    monkeypatch.setattr(qarith, "kronecker_bits", recorded)
+    assert not toda.hamiltonians_commute((d1, one, d2))
+    assert bounds == [2 * (2 ** k + 1)]
+
+
 # ---------------------------------------------------------------------------
 # lowering the Whittaker model to difference operators
 
@@ -587,6 +700,76 @@ def test_pipeline_matches_closed_form(rank, chi_vals, chibar_vals):
     chibar = uqalg.character("f", chibar_vals)
     m1 = toda.toda_hamiltonian(alg, "V1", chi, chibar)
     assert m1 == toda.closed_form_M1(alg, chi.values, chibar.values)
+
+
+def _drawn_rationals(rng, n):
+    return [Fraction(rng.choice([-9, -5, -2, -1, 1, 3, 4, 7]),
+                     rng.randint(1, 5)) for _ in range(n)]
+
+
+@pytest.mark.parametrize("rank,orderings", [
+    *[(rank, list(itertools.permutations(range(1, rank + 1))))
+      for rank in range(1, 5)],
+    (5, [(2, 4, 1, 5, 3)]), (6, [(6, 4, 2, 1, 3, 5)])],
+    ids=[f"A{rank}" for rank in range(1, 7)])
+def test_the_one_pass_lowering_is_the_q_exponential_pipeline(rank, orderings):
+    # each simple-root factor applied as 1 + x in place, against the
+    # pipeline through times_q_exp and against the closed form, on every
+    # ordering of A1-A4 and on fixed A5/A6 orderings, with characters drawn
+    # for each ordering
+    rs = rootsys.build_root_system("A", rank)
+    rng = random.Random(rank)
+    for pi in orderings:
+        alg = uqalg.Algebra(rootsys.coxeter_context(rs, pi))
+        chi = uqalg.character("e", _drawn_rationals(rng, rank))
+        chibar = uqalg.character("f", _drawn_rationals(rng, rank))
+        for k in range(1, rank + 1):
+            ham = toda.toda_hamiltonian(alg, f"V{k}", chi, chibar)
+            assert ham == toda_hamiltonian_by_q_exp(
+                alg, f"V{k}", chi, chibar), (pi, k)
+            assert ham == closed_form(rs, k, chi.values, chibar.values), (
+                pi, k)
+
+
+def _chained_modules(monkeypatch, name, side, i):
+    """Make uqalg.rep_matrices give the module name with a chain r -> c ->
+    r added to its side-ladder i, after the module's own checks."""
+    real = uqalg.rep_matrices
+
+    def chained(alg, rep_name):
+        rep = real(alg, rep_name)
+        if rep_name == name:
+            ladder = (rep.e_mats if side == "e" else rep.f_mats)[i]
+            r, row = next(iter(ladder.items()))
+            ladder[next(iter(row))] = {r: ONE}
+        return rep
+
+    monkeypatch.setattr(uqalg, "rep_matrices", chained)
+
+
+@pytest.mark.parametrize("side,i", [("e", 1), ("f", 1), ("e", 0),
+                                    ("f", 2)])
+def test_a_ladder_with_a_chain_of_length_two_raises(monkeypatch, side, i):
+    # exp_t(x) is 1 + x only when x^2 = 0, so a chained ladder must stop
+    # the lowering with the module and the root it belongs to
+    _chained_modules(monkeypatch, "V2", side, i)
+    alg = algebra("A", 3)
+    chi = uqalg.character("e", (2, -3, 5))
+    chibar = uqalg.character("f", (1, 7, -1))
+    assert toda.toda_hamiltonian(alg, "V1", chi, chibar)
+    message = rf"^V2: pi\({side}_{i}\) has a chain of length 2"
+    with pytest.raises(RuntimeError, match=message):
+        toda.toda_hamiltonian(alg, "V2", chi, chibar)
+
+
+def test_a_chained_ladder_exits_1_through_the_cli(monkeypatch, capsys):
+    _chained_modules(monkeypatch, "V3", "f", 0)
+    assert cli.main(["toda", "--type", "A", "--rank", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "qwhit toda: invariant failure: V3: pi(f_0) has a chain of length "
+        "2, so its R-matrix factor is not 1 + x"]
 
 
 def _assert_every_hamiltonian_is_its_closed_form(rank, pi, chi, chibar):
@@ -760,15 +943,16 @@ def test_simple_root_legs_are_the_module_f_legs():
             alg = uqalg.Algebra(rootsys.coxeter_context(rs, pi))
             factors = toda._simple_factors(alg, chi, chibar)
             assert sorted(i for i, *_ in factors) == list(range(rank))
-            for i, t_alpha, base, scale, f_leg in factors:
+            for i, t_alpha, scale, f_leg in factors:
                 assert f_leg == toda.lower_rep(
                     (alg.k(t_alpha) * alg.f(i)).scale(scale), chibar)
             for k in range(rank):
                 rep = uqalg.rep_matrices(alg, f"V{k + 1}")
-                for i, t_alpha, base, scale, _ in factors:
+                for i, t_alpha, scale, _ in factors:
                     leg = rep.k_times(t_alpha, rep.f_mats[i])
-                    assert (scale, base, leg) == uqalg.module_f_leg(
+                    want_scale, _, want_leg = uqalg.module_f_leg(
                         alg, rep, rs.simple_root(i))
+                    assert (scale, leg) == (want_scale, want_leg)
 
 
 def test_the_shared_legs_are_built_once_per_system(monkeypatch):
