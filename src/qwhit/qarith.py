@@ -414,15 +414,6 @@ def _combine(c1: Fraction, p1: dict, c2: Fraction, p2: dict):
     return Fraction(h * k, m1 // g * m2), out
 
 
-def _polynomial(p: dict) -> LaurentScalar:
-    """The polynomial with int coefficients p."""
-    p = {e: v for e, v in p.items() if v}
-    if not p:
-        return ZERO
-    k, p = _primitive(p)
-    return _scalar(Fraction(k), p, _UNIT)
-
-
 ZERO = _scalar(F0, {}, _UNIT)
 ONE = _scalar(F1, _UNIT, _UNIT)
 
@@ -508,29 +499,6 @@ def qpow(e) -> LaurentScalar:
     return _scalar(F1, {to_units(e): 1}, _UNIT)
 
 
-# ---------------------------------------------------------------------------
-# balanced q-binomials, in base q^d
-
-def q_binom(m: int, k: int, d=1) -> LaurentScalar:
-    """Balanced q-binomial [m choose k] in base v = q^d, by the Pascal rule
-    [n j] = v^{-j} [n-1 j] + v^{n-j} [n-1 j-1], which needs no division."""
-    if k < 0 or k > m:
-        return ZERO
-    step = to_units(d)
-    row = [{0: 1}]  # row[j] = [n j] for j <= min(n, k)
-    for n in range(1, m + 1):
-        nxt = []
-        for j in range(min(n, k) + 1):
-            p = {e - j * step: c for e, c in row[j].items()} if j < n else {}
-            if j:
-                shift = (n - j) * step
-                for e, c in row[j - 1].items():
-                    p[e + shift] = p.get(e + shift, 0) + c
-            nxt.append(p)
-        row = nxt
-    return _polynomial(row[k])
-
-
 # unbalanced q-numbers (n)_t = (t^n - 1)/(t - 1), used by the q-exponential
 
 def q_paren(n: int, t: LaurentScalar) -> LaurentScalar:
@@ -545,12 +513,26 @@ def q_paren(n: int, t: LaurentScalar) -> LaurentScalar:
 def alternating_qbinom_terms(m: int, d, c) -> list[LaurentScalar]:
     """Terms (-1)^k [m choose k]_{q^d} q^{kc}, k = 0..m, of the alternating
     Gauss sum.  With m = 1 - a_ij, d = d_i and c the Cayley pairing c_ij they
-    are the coefficients of the deformed Serre relator."""
-    out = []
-    for k in range(m + 1):
-        term = q_binom(m, k, d) * qpow(k * c)
-        out.append(-term if k % 2 else term)
-    return out
+    are the coefficients of the deformed Serre relator.
+
+    The balanced q-binomials [m k] in base v = q^d come from one Pascal pass
+    over int polynomials, [n k] = v^{-k} [n-1 k] + v^{n-k} [n-1 k-1], and
+    q^{kc} shifts their exponents.  Each has positive coefficients, the
+    lowest of them 1, so it is primitive and every term is built in
+    canonical form, with no product and no gcd."""
+    step, shift = to_units(d), to_units(c)
+    row = [{0: 1}]  # row[k] = [n k], k = 0..n
+    for n in range(1, m + 1):
+        nxt = [{e - k * step: v for e, v in p.items()}
+               for k, p in enumerate(row)] + [{}]
+        for k, p in enumerate(row, 1):
+            slot, u = nxt[k], (n - k) * step
+            for e, v in p.items():
+                slot[e + u] = slot.get(e + u, 0) + v
+        row = nxt
+    signs = F1, -F1
+    return [_scalar(signs[k % 2], {e + k * shift: v for e, v in p.items()},
+                    _UNIT) for k, p in enumerate(row)]
 
 
 def gauss_product_check(m: int, c: int) -> LaurentScalar:

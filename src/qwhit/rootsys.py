@@ -219,40 +219,26 @@ def build_root_system(series, rank):
     )
 
 
-def _gauss_coxeter(rs, pi):
-    """Coxeter matrix assembled from the triangular split of the Cartan matrix.
-
-    In the basis reordered by pi the Cartan matrix splits as
-    (I + U) + (V - I) with U strictly upper and V lower triangular, and the
-    Coxeter element is (I + U)^{-1} (I - V).
-    """
-    l = rs.rank
-    perm_cartan = [[rs.cartan[pi[k] - 1][pi[i] - 1] for i in range(l)] for k in range(l)]
-    u = ratmat.mat(
-        [[perm_cartan[k][i] if k < i else 0 for i in range(l)] for k in range(l)]
-    )
-    v = ratmat.mat(
-        [[perm_cartan[k][i] if k >= i else 0 for i in range(l)] for k in range(l)]
-    )
-    tilde = ratmat.mmul(ratmat.minv(ratmat.madd(ratmat.eye(l), u)),
-                        ratmat.msub(ratmat.eye(l), v))
-    at = {p - 1: k for k, p in enumerate(pi)}  # basis vector -> pi-position
-    return ratmat.Matrix([[tilde.rows[at[r]][at[c]] for c in range(l)]
-                          for r in range(l)], tilde.den)
-
-
 def coxeter_matrix(rs, pi):
     """Matrix of s_{pi(1)} ... s_{pi(l)} in the simple-root basis.
 
-    Its columns are the integer images s(alpha_k) of ``_coxeter_columns``;
-    the matrix is cross-checked against the closed form coming from the
-    triangular split of the Cartan matrix.
+    Its columns are the integer images s(alpha_k) of ``_coxeter_columns``,
+    cross-checked against the triangular split of the Cartan matrix: in the
+    basis reordered by pi it is (I + U) + (V - I) with U strictly upper and
+    V lower triangular, and s so reordered is (I + U)^{-1} (I - V), which is
+    checked without the inverse as the int product (I + U) s = I - V.
     """
     _check_permutation(rs, pi)
-    s = ratmat.transpose(ratmat.mat(_coxeter_columns(rs, pi)))
-    if s != _gauss_coxeter(rs, pi):
-        raise RuntimeError("reflection product disagrees with triangular split")
-    return s
+    rows = tuple(zip(*_coxeter_columns(rs, pi)))
+    a = [[rs.cartan[p - 1][r - 1] for r in pi] for p in pi]
+    s = [[rows[p - 1][r - 1] for r in pi] for p in pi]
+    for k, row in enumerate(a):
+        for i in range(rs.rank):
+            lhs = s[k][i] + sum(row[m] * s[m][i] for m in range(k + 1, rs.rank))
+            if lhs != (k == i) - (row[i] if k >= i else 0):
+                raise RuntimeError(
+                    "reflection product disagrees with triangular split")
+    return ratmat.Matrix(rows)
 
 
 def epsilon_matrix(pi):
@@ -293,8 +279,32 @@ class CoxeterContext(namedtuple("CoxeterContext", (
                      for row in self.cayley_num)
 
 
+def _power(m, k):
+    """m^k for k >= 1, by repeated squaring."""
+    if k == 1:
+        return m
+    half = _power(ratmat.mmul(m, m), k // 2)
+    return ratmat.mmul(half, m) if k % 2 else half
+
+
+def _has_order(s, h):
+    """Whether s has order h >= 2: s^(h/p) != 1 for every prime p dividing
+    h, and s^h = 1, which is (s^(h/p))^p for the least such p."""
+    one = ratmat.eye(len(s))
+    primes = [p for p in range(2, h + 1)
+              if not h % p and all(p % q for q in range(2, p))]
+    below = [_power(s, h // p) for p in primes]
+    return one not in below and _power(below[0], primes[0]) == one
+
+
 def coxeter_context(rs, pi=None):
     """Build the full context for a Coxeter element, checking every invariant.
+
+    Each is checked by int matrix products: s preserves the form
+    (s^T B s = B); 1 - s is invertible, by the one elimination that also
+    gives the Cayley transform (1 + s)(1 - s)^{-1}; s has order h, by
+    ``_has_order``, the powers of s being counted one by one only to name
+    the order when it is wrong; and the Cayley pairing is eps_ij b_ij.
 
     The stored twist is the triangular particular solution of
     d_j n_ij - d_i n_ji = c_ij given by n_ij = a_ji when i follows j in the
@@ -307,25 +317,22 @@ def coxeter_context(rs, pi=None):
     s = coxeter_matrix(rs, pi)
     one = ratmat.eye(l)
 
-    b = ratmat.mat(rs.bform)
+    b = ratmat.Matrix(rs.bform)
     if ratmat.mmul(ratmat.transpose(s), ratmat.mmul(b, s)) != b:
         raise RuntimeError("Coxeter matrix does not preserve the form")
-    if ratmat.det(ratmat.msub(one, s)) == 0:
-        raise RuntimeError("1 - s is singular")
+    try:
+        inv = ratmat.minv(ratmat.msub(one, s))
+    except ZeroDivisionError:
+        raise RuntimeError("1 - s is singular") from None
 
     h = rs.coxeter_number
-    power = one
-    order = None
-    for k in range(1, h + 1):
-        power = ratmat.mmul(power, s)
-        if power == one:
-            order = k
-            break
-    if order != h:
+    if not _has_order(s, h):
+        powers = itertools.accumulate(itertools.repeat(s, h), ratmat.mmul)
+        order = next((k for k, p in enumerate(powers, 1) if p == one), None)
         raise RuntimeError(f"Coxeter element order {order} != 2N/l = {h}")
 
     eps = epsilon_matrix(pi)
-    t = ratmat.mmul(ratmat.madd(one, s), ratmat.minv(ratmat.msub(one, s)))
+    t = ratmat.mmul(ratmat.madd(one, s), inv)
     c = ratmat.mmul(ratmat.transpose(t), b)
     for i in range(l):
         for j in range(l):
@@ -408,6 +415,9 @@ def _segments(ctx, ordering):
             if not p < g < r:
                 return None
             spans.setdefault(g, []).append((r - p, p, r))
+    # (a + T a, b) = a^T (B + C) b for the int Cayley pairing C
+    form = [[EXP_UNIT * (x + y) for x, y in zip(rb, rc)]
+            for rb, rc in zip(ctx.rs.bform, ctx.cayley)]
     segments = {}
     for g, gamma in enumerate(ordering):
         if sum(gamma) == 1:
@@ -416,9 +426,8 @@ def _segments(ctx, ordering):
             raise ValueError(f"root {gamma} admits no two-term decomposition")
         _, p, r = min(spans[g])
         a, b = ordering[p], ordering[r]
-        wa = weight(a)
-        segments[gamma] = (a, b, ctx.rs.pair(
-            tuple(map(add, wa, ctx.cayley_apply(wa))), b))
+        segments[gamma] = (a, b, sum(x * sum(map(mul, row, b))
+                                     for x, row in zip(a, form) if x))
     return segments
 
 

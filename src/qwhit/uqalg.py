@@ -11,9 +11,10 @@ words like e_1 f_2 f_1 f_1, and it is the one the realization map produces.
 Elements are kept in a normal form f-word * K * e-word, with one-sided words
 reduced by a Groebner-completed rewriting system, so equality and the zero
 test are structural.  The rules are completed degree by degree, as words
-need them: an algebra is built with no rules, only its Serre relators queued,
-and a word longer than any reduced before first resumes the completion up to
-its own length, so orderings and ranks whose rule set is infinite still work.
+need them: an algebra is built with no rules and no completion queue, the
+first word it reduces queues the Serre relators, and a word longer than any
+reduced before first resumes the completion up to its own length, so
+orderings and ranks whose rule set is infinite still work.
 """
 
 from __future__ import annotations
@@ -67,7 +68,10 @@ class Algebra:
     Holds the straightening rules for one-sided words (shared by the e and f
     sides, whose deformed Serre relations are identical in shape), the
     adapted normal ordering of the positive roots, and memo tables for the
-    cross-relation rewriting.
+    cross-relation rewriting.  A new algebra has the Serre coefficients but
+    no rules and no completion queue: the queue of Serre relators is built
+    by the first completion, so a caller that reduces no word (``toda``)
+    never builds it.
     """
 
     def __init__(self, ctx: rootsys.CoxeterContext):
@@ -92,10 +96,7 @@ class Algebra:
         self._relation_cache: dict = {}
         self._toda_cache: list = []
         self.rules = []
-        self._pending = [(len(next(iter(rel))), seq, rel, (), {}, ())
-                         for seq, rel in enumerate(self._serre_relators())]
-        heapq.heapify(self._pending)
-        self._seq = itertools.count(len(self._pending))
+        self._pending = None  # the completion queue, built by _complete
         self._degree = 0
 
     # -- bookkeeping ---------------------------------------------------------
@@ -192,8 +193,14 @@ class Algebra:
     def _complete(self, degree):
         """Resolve every queued polynomial of length <= degree; a nonzero
         remainder becomes a rule and queues its overlaps with every rule,
-        itself included."""
+        itself included.  The first call builds the queue from the Serre
+        relators."""
         self._target = degree
+        if self._pending is None:
+            self._pending = [(len(next(iter(rel))), seq, rel, (), {}, ())
+                             for seq, rel in enumerate(self._serre_relators())]
+            heapq.heapify(self._pending)
+            self._seq = itertools.count(len(self._pending))
         pending = self._pending
         while pending and pending[0][0] <= degree:
             _, _, a, y, b, x = pending[0]

@@ -22,7 +22,10 @@ the base of each simple-root factor is the form ``toda_hamiltonian`` took
 before it applied each factor as 1 + x in one pass over the ladders.  The
 discriminant by the Sylvester resultant is the general regularity test the
 cross-section report used before it read the diagonal of the torus
-element.  The closed form of every type-A Toda
+element.  The balanced q-binomial as a q-scalar of its own, one
+coefficient at a time, is the form the Serre coefficients were multiplied
+out from before ``qarith.alternating_qbinom_terms`` built each term in
+canonical form from one Pascal row.  The closed form of every type-A Toda
 Hamiltonian is a reference the package does not compute: it builds them by
 the trace pipeline and checks only the first against a closed form.
 """
@@ -33,8 +36,9 @@ from operator import add
 
 from qwhit import toda, uqalg
 from qwhit.crosssec import coxeter_rep
-from qwhit.qarith import (EXP_UNIT, ONE, ZERO, _normalised, q_paren, qpow,
-                          times_q_exp)
+from qwhit.qarith import (_UNIT, EXP_UNIT, ONE, ZERO, _normalised,
+                          _primitive, _scalar, q_paren, qpow, times_q_exp,
+                          to_units)
 from qwhit.ratmat import det, madd, mat, sparse, sparse_mul, sparse_scale
 from qwhit.rootsys import weight
 from qwhit.toda import DifferenceOperator
@@ -245,6 +249,35 @@ def q_int(n, d=1):
     if n < 0:
         return -q_int(-n, d)
     return sum((qpow(d * (n - 1 - 2 * k)) for k in range(n)), ZERO)
+
+
+def _polynomial(p):
+    """The q-scalar of the polynomial with int coefficients p."""
+    p = {e: v for e, v in p.items() if v}
+    if not p:
+        return ZERO
+    k, p = _primitive(p)
+    return _scalar(Fraction(k), p, _UNIT)
+
+
+def q_binom(m, k, d=1):
+    """Balanced q-binomial [m choose k] in base v = q^d, by the Pascal rule
+    [n j] = v^{-j} [n-1 j] + v^{n-j} [n-1 j-1], which needs no division."""
+    if k < 0 or k > m:
+        return ZERO
+    step = to_units(d)
+    row = [{0: 1}]  # row[j] = [n j] for j <= min(n, k)
+    for n in range(1, m + 1):
+        nxt = []
+        for j in range(min(n, k) + 1):
+            p = {e - j * step: c for e, c in row[j].items()} if j < n else {}
+            if j:
+                shift = (n - j) * step
+                for e, c in row[j - 1].items():
+                    p[e + shift] = p.get(e + shift, 0) + c
+            nxt.append(p)
+        row = nxt
+    return _polynomial(row[k])
 
 
 def minimal_segment(ordering, gamma_pos):

@@ -7,9 +7,9 @@ import pytest
 
 from oracles import (as_rational, bar, cayley_transform, dense, dense_add,
                      dense_mul, dense_scale, fraction_pair, is_polynomial,
-                     mvec, q_exp_nilpotent, q_int)
+                     mvec, q_binom, q_exp_nilpotent, q_int)
 from qwhit import qarith, ratmat, rootsys
-from qwhit.qarith import EXP_UNIT, ONE, ZERO, LaurentScalar, q_binom, qpow
+from qwhit.qarith import EXP_UNIT, ONE, ZERO, LaurentScalar, qpow
 from qwhit.toda import DifferenceOperator
 
 
@@ -136,6 +136,32 @@ def test_alternating_sum_factors_and_vanishing_set():
         expected = [c for c in range(-(m + 2), m + 3)
                     if abs(c) <= m - 1 and (c - (m - 1)) % 2 == 0]
         assert qarith.qbinom_root_scan(m) == expected
+
+
+def test_alternating_terms_match_the_q_binomial_times_a_q_power():
+    # the one Pascal pass with the exponent shift against the q-binomial
+    # multiplied by q^{kc}, part by part: content, numerator, denominator
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    cs = st.integers(-6 * EXP_UNIT, 6 * EXP_UNIT).map(
+        lambda u: Fraction(u, EXP_UNIT))
+
+    @hypothesis.settings(max_examples=80, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(st.integers(0, 6),
+                      st.sampled_from((1, 2, 3, Fraction(1, 2))),
+                      st.one_of(st.integers(-4, 4), cs))
+    def check(m, d, c):
+        got = qarith.alternating_qbinom_terms(m, d, c)
+        assert len(got) == m + 1
+        for k, term in enumerate(got):
+            want = q_binom(m, k, d) * qpow(k * c)
+            if k % 2:
+                want = -want
+            assert (term.c, term.n, term.d) == (want.c, want.n, want.d)
+            assert type(term.c) is Fraction
+
+    check()
 
 
 def test_eps_series_expansion_around_one():

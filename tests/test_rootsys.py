@@ -315,3 +315,95 @@ def test_a_weight_outside_the_unit_lattice_raises():
         rs.pair_weights(tiny, tiny)
     with pytest.raises(ArithmeticError):
         rootsys.coxeter_context(rs).cayley_apply(tiny)
+
+
+# ---------------------------------------------------------------------------
+# the guards of coxeter_context, each made to fire by a wrong s
+
+def _context_with_s(monkeypatch, rs, rows, pi=None):
+    """coxeter_context(rs, pi) with coxeter_matrix returning the int rows."""
+    monkeypatch.setattr(rootsys, "coxeter_matrix",
+                        lambda rs, pi: ratmat.Matrix(rows))
+    return rootsys.coxeter_context(rs, pi)
+
+
+def test_a_wrong_reflection_product_trips_the_triangular_split(monkeypatch):
+    rs = rootsys.build_root_system("A", 2)
+    reversed_columns = rootsys._coxeter_columns(rs, (2, 1))
+    monkeypatch.setattr(rootsys, "_coxeter_columns",
+                        lambda rs, pi: reversed_columns)
+    with pytest.raises(RuntimeError,
+                       match="^reflection product disagrees with triangular "
+                             "split$"):
+        rootsys.coxeter_context(rs, (1, 2))
+
+
+def test_an_s_that_scales_the_form_is_refused(monkeypatch):
+    rs = rootsys.build_root_system("A", 2)
+    with pytest.raises(RuntimeError,
+                       match="^Coxeter matrix does not preserve the form$"):
+        _context_with_s(monkeypatch, rs, ((2, 0), (0, 2)))
+
+
+@pytest.mark.parametrize("series,rank,i", [("A", 1, None), ("A", 3, None),
+                                           ("B", 2, 0), ("G", 2, 1)])
+def test_an_s_with_a_fixed_vector_is_refused(monkeypatch, series, rank, i):
+    # the identity, or a simple reflection: it fixes the roots orthogonal
+    # to alpha_i, so 1 - s is singular
+    rs = rootsys.build_root_system(series, rank)
+    s = ratmat.eye(rank) if i is None else reflection_matrix(rs, i)
+    with pytest.raises(RuntimeError, match="^1 - s is singular$"):
+        _context_with_s(monkeypatch, rs, s.rows)
+
+
+def _negated(rows):
+    return tuple(tuple(-x for x in row) for row in rows)
+
+
+def _squared(rows):
+    return ratmat.mmul(ratmat.Matrix(rows), ratmat.Matrix(rows)).rows
+
+
+def _cubed(rows):
+    return ratmat.mmul(ratmat.Matrix(_squared(rows)), ratmat.Matrix(rows)).rows
+
+
+@pytest.mark.parametrize("series,rank,make,order", [
+    # -1 has order 2 below every Coxeter number
+    ("A", 3, lambda ctx: _negated(ratmat.eye(3).rows), 2),
+    ("G", 2, lambda ctx: _negated(ratmat.eye(2).rows), 2),
+    # s^2 for G2 has order 3 = h/2
+    ("G", 2, lambda ctx: _squared(ctx.s_matrix), 3),
+    # -s for A2 has order 6 > h = 3, so no power up to h is 1
+    ("A", 2, lambda ctx: _negated(ctx.s_matrix), None),
+    # s^2 and s^3 for F4 (h = 12) have orders 6 and 4
+    ("F", 4, lambda ctx: _squared(ctx.s_matrix), 6),
+    ("F", 4, lambda ctx: _cubed(ctx.s_matrix), 4),
+])
+def test_an_s_of_the_wrong_order_is_refused_naming_its_order(
+        monkeypatch, series, rank, make, order):
+    rs = rootsys.build_root_system(series, rank)
+    rows = make(rootsys.coxeter_context(rs))
+    h = rs.coxeter_number
+    with pytest.raises(RuntimeError, match=(
+            rf"^Coxeter element order {order} != 2N/l = {h}$")):
+        _context_with_s(monkeypatch, rs, rows)
+
+
+def test_the_coxeter_element_of_another_ordering_trips_the_cayley_pairing(
+        monkeypatch):
+    # s for pi = (2, 1) against the epsilon of pi = (1, 2): the pairing
+    # comes out as -eps * b
+    rs = rootsys.build_root_system("A", 2)
+    rows = rootsys.coxeter_context(rs, (2, 1)).s_matrix
+    with pytest.raises(RuntimeError, match=(
+            r"^Cayley pairing c\[0\]\[1\] = -1 is not eps\*b = 1$")):
+        _context_with_s(monkeypatch, rs, rows, (1, 2))
+
+
+def test_symmetrizers_that_do_not_match_the_form_trip_the_twist():
+    # the twist equation reads d, the checks before it read only the form
+    rs = rootsys.build_root_system("A", 2)._replace(d=(2, 2))
+    with pytest.raises(RuntimeError,
+                       match="^twist does not solve the defining equation$"):
+        rootsys.coxeter_context(rs)

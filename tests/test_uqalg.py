@@ -9,9 +9,9 @@ from fractions import Fraction
 import pytest
 
 from oracles import (dense, dense_add, dense_mul, dense_scale, dense_sub,
-                     fraction_pair, k_matrix, q_exp_nilpotent)
-from qwhit import ratmat, rootsys, toda, uqalg
-from qwhit.qarith import ONE, ZERO, LaurentScalar, q_binom, qpow
+                     fraction_pair, k_matrix, q_binom, q_exp_nilpotent)
+from qwhit import cli, qarith, ratmat, rootsys, toda, uqalg
+from qwhit.qarith import ONE, ZERO, LaurentScalar, qpow
 
 _ALGEBRAS = {}
 TWO = LaurentScalar.from_rational(2)
@@ -305,6 +305,55 @@ def test_a_fresh_algebra_completes_only_as_far_as_its_words():
         # a word no longer than any before it resumes nothing
         assert alg._degree == degree
         assert all(entry[0] > degree for entry in alg._pending)
+
+
+@pytest.mark.parametrize("series,rank", [("A", 3), ("B", 2)])
+def test_the_set_up_forms_no_scalar_product(monkeypatch, series, rank):
+    # the Serre coefficients are built in canonical form, and the context
+    # eliminates 1 - s once, for both its invertibility and the Cayley
+    # transform
+    rs = rootsys.build_root_system(series, rank)
+    counts = {"mul": 0, "cancel": 0}
+    eliminated = []
+    mul, cancel, rref = LaurentScalar.__mul__, qarith._cancel, ratmat._rref
+
+    def counting(key, func):
+        def wrapped(*args):
+            counts[key] += 1
+            return func(*args)
+        return wrapped
+
+    def recording_rref(rows, *args, **kwargs):
+        eliminated.append([row[:rank] for row in rows])
+        return rref(rows, *args, **kwargs)
+
+    monkeypatch.setattr(LaurentScalar, "__mul__", counting("mul", mul))
+    monkeypatch.setattr(qarith, "_cancel", counting("cancel", cancel))
+    monkeypatch.setattr(ratmat, "_rref", recording_rref)
+    alg = uqalg.Algebra(rootsys.coxeter_context(rs))
+    monkeypatch.undo()
+    assert counts == {"mul": 0, "cancel": 0}
+    one_minus_s = ratmat.msub(ratmat.eye(rank),
+                              ratmat.Matrix(alg.ctx.s_matrix))
+    assert eliminated == [[list(row) for row in one_minus_s.rows]]
+    assert alg._pending is None
+
+
+def test_a_toda_call_builds_no_completion_queue(monkeypatch, capsys):
+    built = []
+    init = uqalg.Algebra.__init__
+
+    def recording_init(self, ctx):
+        init(self, ctx)
+        built.append(self)
+
+    monkeypatch.setattr(uqalg.Algebra, "__init__", recording_init)
+    assert cli.main(["toda", "--type", "A", "--rank", "3",
+                     "--check-commute"]) == 0
+    capsys.readouterr()
+    (alg,) = built
+    assert alg._pending is None
+    assert alg.rules == []
 
 
 @pytest.mark.parametrize("pi", [(1, 3, 2), (2, 1, 3)])
