@@ -66,10 +66,14 @@ def _parse_rationals(text):
 
 
 def _parse_matrix(text):
+    """A matrix given as JSON rows of rationals; a JSON number is read from
+    its text, like a string entry, and never through a binary float."""
     try:
-        rows = json.loads(text)
+        rows = json.loads(text, parse_float=str, parse_int=str)
     except json.JSONDecodeError as exc:
         raise ValueError(f"matrix is not valid JSON: {exc}")
+    except RecursionError:
+        raise ValueError("matrix JSON is nested too deeply")
     if (not isinstance(rows, list) or not rows
             or not all(isinstance(r, list) for r in rows)):
         raise ValueError("matrix JSON must be a list of rows")

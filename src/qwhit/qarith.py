@@ -29,8 +29,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from . import ratmat
-
 F0 = Fraction(0)
 F1 = Fraction(1)
 
@@ -499,17 +497,6 @@ def qpow(e) -> LaurentScalar:
     return _scalar(F1, {to_units(e): 1}, _UNIT)
 
 
-# unbalanced q-numbers (n)_t = (t^n - 1)/(t - 1), used by the q-exponential
-
-def q_paren(n: int, t: LaurentScalar) -> LaurentScalar:
-    out = ZERO
-    p = ONE
-    for _ in range(n):
-        out = out + p
-        p = p * t
-    return out
-
-
 def alternating_qbinom_terms(m: int, d, c) -> list[LaurentScalar]:
     """Terms (-1)^k [m choose k]_{q^d} q^{kc}, k = 0..m, of the alternating
     Gauss sum.  With m = 1 - a_ij, d = d_i and c the Cayley pairing c_ij they
@@ -553,29 +540,3 @@ def qbinom_root_scan(m: int) -> list[int]:
     m-1-2p for p = 0..m-1."""
     return [c for c in range(-(m + 2), m + 3)
             if not gauss_product_check(m, c)]
-
-
-def times_q_exp(rows: dict, x: dict, n: int, t: LaurentScalar) -> dict:
-    """rows exp_t(x) = rows + sum_k rows x^k / (k)_t!, with the unbalanced
-    (k)_t = (t^k - 1)/(t - 1), for a nilpotent n x n matrix x over a ring the
-    q-scalars act on, as sparse rows (see ``ratmat.sparse_mul``): one
-    R-matrix factor applied without forming the identity.  The rows are
-    invertible where this is used, so rows x^(n+1) is 0 exactly when
-    x^(n+1) is; raises if it is not."""
-    out = {r: dict(row) for r, row in rows.items()}
-    term = rows  # rows x^k / (k)_t!
-    for k in range(1, n + 2):
-        term = ratmat.sparse_mul(term, x)
-        if not term:
-            break
-        if k > n:
-            raise ArithmeticError("times_q_exp: matrix is not nilpotent")
-        inv = q_paren(k, t).inverse()
-        if inv != ONE:  # (1)_t = 1 leaves the term as it is
-            term = ratmat.sparse_scale(term, inv)
-        for r, row in term.items():
-            slot = out.setdefault(r, {})
-            for c, v in row.items():
-                slot[c] = slot[c] + v if c in slot else v
-    out = {r: {c: v for c, v in row.items() if v} for r, row in out.items()}
-    return {r: row for r, row in out.items() if row}

@@ -18,7 +18,6 @@ nonzero entries, and ask of the ring only +, * and truthiness.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
 from operator import add, index, mul, sub
 
@@ -93,9 +92,9 @@ def diag(entries) -> Matrix:
     return sparse(len(entries), {(i, i): x for i, x in enumerate(entries)})
 
 
-@lru_cache(maxsize=None)
 def eye(n: int) -> Matrix:
-    return sparse(n, {(i, i): 1 for i in range(n)})
+    return _canon(tuple((0,) * i + (1,) + (0,) * (n - i - 1)
+                        for i in range(n)), 1)
 
 
 def unit(n: int, i: int, j: int) -> Matrix:

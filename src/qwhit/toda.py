@@ -19,7 +19,8 @@ identity, so each generator is a product of one factor per simple root, in
 the order of the adapted normal ordering, which each system checks by an
 integer test on the segments table's q-commutator exponents.  The modules
 are minuscule, so each factor exp_t(x) is 1 + x, applied in one pass over
-the module's own ladders (``_times_one_plus``); no PBW element is multiplied.
+the module's own ladders (``uqalg.times_one_plus``); no PBW element is
+multiplied.
 
 Sign note: the potential of the closed-form type-A Hamiltonian is
 +(q - q^{-1})^2 chi_i chibar_i z_i, the sign the trace pipeline produces and
@@ -336,18 +337,6 @@ def _simple_factors(alg, chi, chibar):
     return factors
 
 
-def _times_one_plus(rows, ladder):
-    """rows (1 + x) in place, for x given as its entries (k, c, x_kc) with
-    no chain of length 2: each row adds its entry in column k times x_kc to
-    column c, and as no k is a c, no entry read is one written."""
-    for row in rows.values():
-        for k, c, x in ladder:
-            v = row.get(k)
-            if v:
-                v = v * x
-                row[c] = row[c] + v if c in row else v
-
-
 def toda_hamiltonian(alg, rep_name, chi, chibar):
     """Hamiltonian of one fundamental representation V: the Whittaker image
     of C_V, lowered and conjugated by rho, without a product in the algebra.
@@ -360,8 +349,8 @@ def toda_hamiltonian(alg, rep_name, chi, chibar):
     factor by factor.  Only simple roots contribute, and a module adds only
     pi(e_i) and K_{T alpha_i} pi(f_i) to ``_simple_factors``.  A catalogue
     module is minuscule, pi(e_i)^2 = pi(f_i)^2 = 0, so each factor exp_t(x)
-    is 1 + x whatever its base t, applied to chi(U) and R_21 in place by
-    ``_times_one_plus``; a ladder with a chain of length 2 raises
+    is 1 + x whatever its base t, applied to R_21 and chi(U) in place by
+    ``uqalg.times_one_plus``; a ladder with a chain of length 2 raises
     RuntimeError instead.  H_V is
 
         sum_j q^{(2 rho, mu_j)} sum_k R21low[j][k] T_{lam_k} chi(U)[k][j].
@@ -377,18 +366,14 @@ def toda_hamiltonian(alg, rep_name, chi, chibar):
            for k, lam in enumerate(uqalg.cartan_weights(alg, rep, -1))}
     chi_u = {k: {k: ONE} for k in range(rep.dim)}
     for i, t_alpha, chi_scale, f_leg in factors:
-        for side, ladder in (("e", rep.e_mats[i]), ("f", rep.f_mats[i])):
-            if any(c in ladder for row in ladder.values() for c in row):
-                raise RuntimeError(
-                    f"{rep.name}: pi({side}_{i}) has a chain of length 2, "
-                    f"so its R-matrix factor is not 1 + x")
-        # chi_i scale K_{T alpha_i} pi(f_i), and pi(e_i) times the chibar leg
-        _times_one_plus(chi_u, [
-            (k, c, (x * chi_scale).times_q(pair(t_alpha, rep.weights[k])))
-            for k, row in rep.f_mats[i].items() for c, x in row.items()])
-        _times_one_plus(r21, [
-            (k, c, x * f_leg)
-            for k, row in rep.e_mats[i].items() for c, x in row.items()])
+        # pi(e_i) times the chibar leg, and chi_i scale K_{T alpha_i} pi(f_i)
+        uqalg.times_one_plus(r21, {
+            k: {c: x * f_leg for c, x in row.items()}
+            for k, row in rep.e_mats[i].items()}, f"{rep.name}: pi(e_{i})")
+        uqalg.times_one_plus(chi_u, {
+            k: {c: (x * chi_scale).times_q(pair(t_alpha, rep.weights[k]))
+                for c, x in row.items()}
+            for k, row in rep.f_mats[i].items()}, f"{rep.name}: pi(f_{i})")
     lams = uqalg.cartan_weights(alg, rep, 1)
     two_rho = tuple(2 * x for x in rs.rho)
     out = {}

@@ -737,7 +737,8 @@ def rep_matrices(alg, name):
 
 def _root_constants(alg, rep, beta):
     """Per-root data of the R-matrix factor for beta: the scale
-    (q - q^{-1})/a(beta), T beta, and the q-exponential base q^{-(beta,beta)}.
+    (q - q^{-1})/a(beta) and T beta.  The factor is 1 + x, so its
+    q-exponential base q^{-(beta, beta)} plays no part.
 
     a(beta) is defined by [e_beta, f_beta] = a(beta) (K_beta - K_beta^{-1})
     / (q - q^{-1}), and is read here off the module: the scale is the ratio
@@ -761,16 +762,7 @@ def _root_constants(alg, rep, beta):
                 f"{rep.name}: [e_beta, f_beta] is not a multiple of "
                 f"K_beta - K_beta^-1 for beta = {beta}")
         alg._scale_cache[beta] = scale
-    return (scale, alg.ctx.cayley_apply(rootsys.weight(beta)),
-            qpow(-alg.rs.pair(beta, beta)))
-
-
-def module_f_leg(alg, rep, beta):
-    """The factor for beta with its f-leg in the module: the scale, the
-    q-exponential base and the sparse rows of K_{T beta} pi(f_beta)."""
-    scale, t_beta, base = _root_constants(alg, rep, beta)
-    leg = rep.k_times(t_beta, rep.evaluate(root_vector(alg, beta, "-")))
-    return scale, base, leg
+    return scale, alg.ctx.cayley_apply(rootsys.weight(beta))
 
 
 def cartan_weights(alg, rep, sign):
@@ -780,38 +772,66 @@ def cartan_weights(alg, rep, sign):
             for mu in rep.weights]
 
 
+def times_one_plus(rows, x, what):
+    """rows (1 + x) in place, for sparse rows x with no chain of length 2.
+
+    Every catalogue module is minuscule, pi(e_beta)^2 = pi(f_beta)^2 = 0,
+    so an R-matrix factor exp_t(x) with a module leg is 1 + x whatever its
+    base t.  That x^2 = 0 is checked by its shape: no column of x may be a
+    row of x, or RuntimeError names what.  Then no entry read is one
+    written, and each row adds its entry in column k times x_kc to column
+    c, in that order, as PBW entries do not commute.  Entries that cancel
+    stay, as zeros."""
+    if any(c in x for xrow in x.values() for c in xrow):
+        raise RuntimeError(f"{what} has a chain of length 2, so its R-matrix "
+                           f"factor is not 1 + x")
+    for row in rows.values():
+        for k, xrow in x.items():
+            v = row.get(k)
+            if v:
+                for c, y in xrow.items():
+                    w = v * y
+                    row[c] = row[c] + w if c in row else w
+
+
 def _r_in_rep(alg, rep, flipped):
     """(id x pi_V) R, or R_21 when flipped, with the second leg evaluated in
-    the module, as sparse rows of PBW elements: the Cartan diagonal times
-    one q-exponential factor per root of the adapted ordering.  The factor
-    for beta pairs e_beta with K_{T beta} f_beta; the flip puts
+    the module, as sparse rows of PBW elements with no zero entry: the
+    Cartan diagonal times one factor 1 + x per root of the adapted ordering
+    (``times_one_plus``).  The factor for beta pairs e_beta with
+    K_{T beta} f_beta, scaled by (q - q^{-1})/a(beta); the flip puts
     K_{T beta} f_beta in the algebra leg."""
     out = {k: {k: alg.k(lam)} for k, lam in
            enumerate(cartan_weights(alg, rep, -1 if flipped else 1))}
+    side = "e" if flipped else "f"
     for beta in alg.ordering.ordering:
+        scale, t_beta = _root_constants(alg, rep, beta)
         e_beta = root_vector(alg, beta, "+")
         if flipped:
-            scale, t_beta, base = _root_constants(alg, rep, beta)
             first = (alg.k(t_beta) * root_vector(alg, beta, "-")).scale(scale)
             second = rep.evaluate(e_beta)
         else:
-            scale, base, second = module_f_leg(alg, rep, beta)
             first = e_beta.scale(scale)
-        out = qarith.times_q_exp(out, sparse_scale(second, first), rep.dim,
-                                 base)
-    return out
+            second = rep.k_times(t_beta, rep.evaluate(
+                root_vector(alg, beta, "-")))
+        times_one_plus(out, sparse_scale(second, first),
+                       f"{rep.name}: pi({side}_beta) for beta = {beta}")
+    out = {r: {c: v for c, v in row.items() if v} for r, row in out.items()}
+    return {r: row for r, row in out.items() if row}
 
 
 def r_matrix_vv(alg, rep):
-    """Numeric R-matrix (pi_V x pi_V) R on V x V, as sparse rows."""
-    lams = cartan_weights(alg, rep, 1)
+    """Numeric R-matrix (pi_V x pi_V) R on V x V, as sparse rows: pi_V of
+    each entry (k, j) of (id x pi_V) R, its entry (a, b) at row a d + k and
+    column b d + j."""
     d = rep.dim
-    out = {p: {p: ONE.times_q(alg.rs.pair_weights(mu, lam))}
-           for p, (mu, lam) in enumerate(itertools.product(rep.weights, lams))}
-    for beta in alg.ordering.ordering:
-        scale, base, second = module_f_leg(alg, rep, beta)
-        first = sparse_scale(rep.evaluate(root_vector(alg, beta, "+")), scale)
-        out = qarith.times_q_exp(out, kron(first, second, d), d * d, base)
+    out = {}
+    for k, row in _r_in_rep(alg, rep, False).items():
+        for j, x in row.items():
+            for a, block in rep.evaluate(x).items():
+                slot = out.setdefault(a * d + k, {})
+                for b, v in block.items():
+                    slot[b * d + j] = v
     return out
 
 
@@ -835,7 +855,9 @@ def yang_baxter_check(alg, rep):
 
 
 def casimir_CV(alg, rep):
-    """Central element (id x tr_V)(R_21 R (1 x K_{2 rho})) for the module."""
+    """Central element (id x tr_V)(R_21 R (1 x K_{2 rho})) for the module,
+    from R_21 and R with the second leg in the module (``_r_in_rep``), each
+    R-matrix factor applied as 1 + x."""
     r21 = _r_in_rep(alg, rep, flipped=True)
     rmat = _r_in_rep(alg, rep, flipped=False)
     two_rho = tuple(2 * x for x in alg.rs.rho)

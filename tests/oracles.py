@@ -16,10 +16,14 @@ keeps as integer columns and as ints over one denominator.  The dense
 tuple-matrix sum, scaling and product over any ring, and the matrix-vector
 product, are the forms ``ratmat`` had before its dense matrices became int
 rows over one denominator.  The q-exponential with its identity term is
-the form the R-matrix factors were multiplied in before
-``qarith.times_q_exp``, and the Toda lowering through ``times_q_exp`` with
-the base of each simple-root factor is the form ``toda_hamiltonian`` took
-before it applied each factor as 1 + x in one pass over the ladders.  The
+the form the R-matrix factors were multiplied in before ``times_q_exp``
+multiplied the series into rows without forming the identity, and
+``times_q_exp``, dividing by the q-numbers (k)_t, is the form every factor
+took before the package applied each as 1 + x (``uqalg.times_one_plus``).
+The Toda lowering, (id x pi_V) R and R_21 in the module, and the numeric
+(pi_V x pi_V) R, each through ``times_q_exp`` with the base
+q^{-(beta, beta)} of its factors, are the forms ``toda_hamiltonian``,
+``uqalg._r_in_rep`` and ``uqalg.r_matrix_vv`` took before that.  The
 discriminant by the Sylvester resultant is the general regularity test the
 cross-section report used before it read the diagonal of the torus
 element.  The balanced q-binomial as a q-scalar of its own, one
@@ -37,9 +41,9 @@ from operator import add
 from qwhit import toda, uqalg
 from qwhit.crosssec import coxeter_rep
 from qwhit.qarith import (_UNIT, EXP_UNIT, ONE, ZERO, _normalised,
-                          _primitive, _scalar, q_paren, qpow, times_q_exp,
-                          to_units)
-from qwhit.ratmat import det, madd, mat, sparse, sparse_mul, sparse_scale
+                          _primitive, _scalar, qpow, to_units)
+from qwhit.ratmat import (det, kron, madd, mat, sparse, sparse_mul,
+                          sparse_scale)
 from qwhit.rootsys import weight
 from qwhit.toda import DifferenceOperator
 from qwhit.uqalg import module_basis
@@ -139,11 +143,114 @@ def dense_scale(a, s):
     return tuple(tuple(x * s for x in row) for row in a)
 
 
+def q_paren(n, t):
+    """The unbalanced q-number (n)_t = (t^n - 1)/(t - 1), as the sum of
+    t^k over k < n."""
+    out = ZERO
+    p = ONE
+    for _ in range(n):
+        out = out + p
+        p = p * t
+    return out
+
+
+def times_q_exp(rows, x, n, t):
+    """rows exp_t(x) = rows + sum_k rows x^k / (k)_t!, with the unbalanced
+    (k)_t = (t^k - 1)/(t - 1), for a nilpotent n x n matrix x over a ring the
+    q-scalars act on, as sparse rows: one R-matrix factor applied without
+    forming the identity.  The rows are invertible where this is used, so
+    rows x^(n+1) is 0 exactly when x^(n+1) is; raises if it is not."""
+    out = {r: dict(row) for r, row in rows.items()}
+    term = rows  # rows x^k / (k)_t!
+    for k in range(1, n + 2):
+        term = sparse_mul(term, x)
+        if not term:
+            break
+        if k > n:
+            raise ArithmeticError("times_q_exp: matrix is not nilpotent")
+        inv = q_paren(k, t).inverse()
+        if inv != ONE:  # (1)_t = 1 leaves the term as it is
+            term = sparse_scale(term, inv)
+        for r, row in term.items():
+            slot = out.setdefault(r, {})
+            for c, v in row.items():
+                slot[c] = slot[c] + v if c in slot else v
+    out = {r: {c: v for c, v in row.items() if v} for r, row in out.items()}
+    return {r: row for r, row in out.items() if row}
+
+
+def q_exp_base(alg, beta):
+    """The base q^{-(beta, beta)} of the q-exponential R-matrix factor for
+    the root beta."""
+    return qpow(-alg.rs.pair(beta, beta))
+
+
+def module_f_leg(alg, rep, beta):
+    """The sparse rows of K_{T beta} pi(f_beta) in the module rep, the
+    module leg of the R-matrix factor for beta."""
+    return rep.k_times(alg.ctx.cayley_apply(weight(beta)), rep.evaluate(
+        uqalg.root_vector(alg, beta, "-")))
+
+
+def r_in_rep_by_q_exp(alg, rep, flipped):
+    """``uqalg._r_in_rep`` as it was before each factor became 1 + x: the
+    Cartan diagonal, with each root's factor multiplied in by
+    ``times_q_exp`` with its base q^{-(beta, beta)}."""
+    out = {k: {k: alg.k(lam)} for k, lam in
+           enumerate(uqalg.cartan_weights(alg, rep, -1 if flipped else 1))}
+    for beta in alg.ordering.ordering:
+        scale, t_beta = uqalg._root_constants(alg, rep, beta)
+        e_beta = uqalg.root_vector(alg, beta, "+")
+        if flipped:
+            first = (alg.k(t_beta) * uqalg.root_vector(alg, beta, "-")).scale(
+                scale)
+            second = rep.evaluate(e_beta)
+        else:
+            first, second = e_beta.scale(scale), module_f_leg(alg, rep, beta)
+        out = times_q_exp(out, sparse_scale(second, first), rep.dim,
+                          q_exp_base(alg, beta))
+    return out
+
+
+def r_matrix_vv_by_q_exp(alg, rep):
+    """``uqalg.r_matrix_vv`` as it was before it became pi_V of each entry
+    of ``uqalg._r_in_rep``: the Cartan diagonal q^{(mu, lam)} on V x V,
+    with each root's factor multiplied in by ``times_q_exp`` on the
+    Kronecker product of its two legs."""
+    lams = uqalg.cartan_weights(alg, rep, 1)
+    d = rep.dim
+    out = {p: {p: ONE.times_q(alg.rs.pair_weights(mu, lam))}
+           for p, (mu, lam) in enumerate(itertools.product(rep.weights, lams))}
+    for beta in alg.ordering.ordering:
+        scale = uqalg._root_constants(alg, rep, beta)[0]
+        first = sparse_scale(
+            rep.evaluate(uqalg.root_vector(alg, beta, "+")), scale)
+        out = times_q_exp(out, kron(first, module_f_leg(alg, rep, beta), d),
+                          d * d, q_exp_base(alg, beta))
+    return out
+
+
+def casimir_by_q_exp(alg, rep):
+    """``uqalg.casimir_CV``, the trace of R_21 R (1 x K_{2 rho}) over the
+    module, from the R_21 and R of ``r_in_rep_by_q_exp``."""
+    r21 = r_in_rep_by_q_exp(alg, rep, True)
+    rmat = r_in_rep_by_q_exp(alg, rep, False)
+    two_rho = tuple(2 * x for x in alg.rs.rho)
+    out = alg.zero()
+    for j, mu in enumerate(rep.weights):
+        twist = ONE.times_q(alg.rs.pair_weights(two_rho, mu))
+        for k, x in r21.get(j, {}).items():
+            y = rmat.get(k, {}).get(j)
+            if y is not None:
+                out = out + (x * y).scale(twist)
+    return out
+
+
 def q_exp_nilpotent(x, n, t, one):
     """exp_t(x) = sum_k x^k / (k)_t! for a nilpotent n x n matrix x over a
     ring whose unit is one, given and returned as sparse rows: the series
-    with its identity term, which ``qarith.times_q_exp`` multiplies into
-    rows without forming.  The factorial uses the unbalanced
+    with its identity term, which ``times_q_exp`` multiplies into rows
+    without forming.  The factorial uses the unbalanced
     (k)_t = (t^k - 1)/(t - 1).  Raises if x fails to be nilpotent within
     n + 1 steps."""
     out = {r: {r: one} for r in range(n)}
@@ -169,7 +276,7 @@ def toda_hamiltonian_by_q_exp(alg, rep_name, chi, chibar):
     """The Hamiltonian of the module rep_name as ``toda.toda_hamiltonian``
     lowered it before each simple-root factor became 1 + x: chi(U) and R_21
     start at the identity and the Cartan shifts, and each factor is
-    multiplied in by ``qarith.times_q_exp`` with its base
+    multiplied in by ``times_q_exp`` with its base
     q^{-(alpha_i, alpha_i)}, its chi(U) leg chi_i (q_i - q_i^{-1})
     K_{T alpha_i} pi(f_i) and its R_21 leg pi(e_i) times the lowered
     (q_i - q_i^{-1}) K_{T alpha_i} f_i."""

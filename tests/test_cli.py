@@ -445,6 +445,36 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command,flag,number,string", [
+    # 0.50000000000000001 is 1/2 as a binary float, and the matrix is then
+    # traceless; 1.0000000000000001 is 1, and the matrix then has det 1
+    ("kostant-section", "--b", '[[0.50000000000000001,"0"],["0","-1/2"]]',
+     '[["0.50000000000000001","0"],["0","-1/2"]]'),
+    ("cross-section", "--matrix", '[[3,2],[1,1.0000000000000001]]',
+     '[["3","2"],["1","1.0000000000000001"]]')])
+def test_a_json_number_in_a_matrix_is_read_exactly(capsys, command, flag,
+                                                   number, string):
+    code, report, captured = run_cli(capsys, command, flag, number)
+    want_code, want, want_captured = run_cli(capsys, command, flag, string)
+    assert want_code in (1, 2)
+    assert code == want_code
+    assert captured.err.splitlines()[-1] == (
+        want_captured.err.splitlines()[-1])
+    if want is not None:
+        assert report["outputs"] == want["outputs"]
+        assert report["checks"] == want["checks"]
+
+
+def test_a_deeply_nested_matrix_is_a_usage_error(capsys):
+    # json.loads runs out of recursion depth; that is the input's fault
+    code, report, captured = run_cli(capsys, "cross-section", "--matrix",
+                                     "[" * 1000 + "]" * 1000)
+    assert code == 2
+    assert report is None
+    assert captured.err == (
+        "qwhit cross-section: matrix JSON is nested too deeply\n")
+
+
 def test_reports_are_byte_identical(capsys):
     argv = ["cross-section", "--n", "4", "--trials", "10", "--seed", "11"]
     code1 = cli.main(argv)

@@ -7,7 +7,8 @@ import pytest
 
 from oracles import (as_rational, bar, cayley_transform, dense, dense_add,
                      dense_mul, dense_scale, fraction_pair, is_polynomial,
-                     mvec, q_binom, q_exp_nilpotent, q_int)
+                     mvec, q_binom, q_exp_nilpotent, q_int, q_paren,
+                     times_q_exp)
 from qwhit import qarith, ratmat, rootsys
 from qwhit.qarith import EXP_UNIT, ONE, ZERO, LaurentScalar, qpow
 from qwhit.toda import DifferenceOperator
@@ -214,7 +215,7 @@ def test_q_exp_nilpotent_of_difference_operators_matches_the_dense_series():
         fact = ONE
         for k in range(1, n):
             term = dense_mul(term, x, zero)
-            fact = fact * qarith.q_paren(k, t)
+            fact = fact * q_paren(k, t)
             want = dense_add(want, dense_scale(term, fact.inverse()))
         got = q_exp_nilpotent(rows, n, t, one)
         assert all(v for row in got.values() for v in row.values())
@@ -259,12 +260,12 @@ def test_times_q_exp_is_rows_times_the_q_exponential():
                 if i == j or data.draw(st.booleans()):
                     rows.setdefault(i, {})[j] = entry(data)
         want = ratmat.sparse_mul(rows, q_exp_nilpotent(x, n, t, one))
-        assert qarith.times_q_exp(rows, x, n, t) == want
+        assert times_q_exp(rows, x, n, t) == want
         diagonal = {r: {r: (one if over_operators else scalar(data))}
                     for r in range(n)}
         invertible = {r: {r: entry(data)} for r in range(n)}
         with pytest.raises(ArithmeticError, match="not nilpotent"):
-            qarith.times_q_exp(invertible, diagonal, n, t)
+            times_q_exp(invertible, diagonal, n, t)
 
     check()
 

@@ -6,8 +6,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from oracles import (closed_form, fraction_pair, operator_apply,
-                     shift_exponents, surviving_root,
+from oracles import (closed_form, fraction_pair, module_f_leg,
+                     operator_apply, shift_exponents, surviving_root,
                      toda_hamiltonian_by_q_exp)
 from qwhit import cli, qarith, rootsys, toda, uqalg
 from qwhit.qarith import EXP_UNIT, ONE, ZERO, LaurentScalar, qpow
@@ -950,8 +950,9 @@ def test_simple_root_legs_are_the_module_f_legs():
                 rep = uqalg.rep_matrices(alg, f"V{k + 1}")
                 for i, t_alpha, scale, _ in factors:
                     leg = rep.k_times(t_alpha, rep.f_mats[i])
-                    want_scale, _, want_leg = uqalg.module_f_leg(
-                        alg, rep, rs.simple_root(i))
+                    alpha = rs.simple_root(i)
+                    want_scale = uqalg._root_constants(alg, rep, alpha)[0]
+                    want_leg = module_f_leg(alg, rep, alpha)
                     assert (scale, leg) == (want_scale, want_leg)
 
 

@@ -8,8 +8,11 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import (dense, dense_add, dense_mul, dense_scale, dense_sub,
-                     fraction_pair, k_matrix, q_binom, q_exp_nilpotent)
+from oracles import (casimir_by_q_exp, dense, dense_add, dense_mul,
+                     dense_scale, dense_sub, fraction_pair, k_matrix,
+                     module_f_leg, q_binom, q_exp_base, q_exp_nilpotent,
+                     r_in_rep_by_q_exp, r_matrix_vv_by_q_exp, times_q_exp)
+from test_toda import _chained_modules
 from qwhit import cli, qarith, ratmat, rootsys, toda, uqalg
 from qwhit.qarith import ONE, ZERO, LaurentScalar, qpow
 
@@ -1005,6 +1008,106 @@ def test_yang_baxter_check_refuses_a_spoiled_r_matrix(monkeypatch):
     assert uqalg.yang_baxter_check(alg, rep) is False
 
 
+def test_times_one_plus_is_the_q_exponential_of_a_chainless_x():
+    # rows (1 + x) in place, against rows exp_t(x) through times_q_exp for
+    # any base t, over q-scalars and PBW elements: x is a full block from a
+    # drawn set of indices to the others, so it has no chain of length 2,
+    # and every entry of rows is drawn, so each product is made; an x with
+    # a chain is refused by name, before any row changes
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    alg = algebra("A", 2)
+    exps = st.integers(-2, 2)
+
+    def entry(data, over_pbw):
+        c = qpow(data.draw(exps)) * LaurentScalar.from_rational(
+            data.draw(st.sampled_from((1, -1, 2, Fraction(-3, 2)))))
+        if not over_pbw:
+            return c
+        word = data.draw(st.sampled_from(
+            (alg.e(0), alg.f(1), alg.e(1) * alg.f(0), alg.k((1260, 0)))))
+        return word.scale(c)
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(st.data())
+    def check(data):
+        over_pbw = data.draw(st.booleans())
+        n = data.draw(st.integers(2, 4))
+        p = data.draw(st.permutations(range(n)))
+        cut = data.draw(st.integers(1, n - 1))
+        x = {k: {c: entry(data, over_pbw) for c in p[cut:]} for k in p[:cut]}
+        rows = {r: {c: entry(data, over_pbw) for c in range(n)}
+                for r in range(n)}
+        t = qpow(data.draw(st.sampled_from((-2, -1, 1, Fraction(1, 2)))))
+        want = times_q_exp(rows, x, n, t)
+        got = {r: dict(row) for r, row in rows.items()}
+        uqalg.times_one_plus(got, x, "x")
+        got = {r: {c: v for c, v in row.items() if v}
+               for r, row in got.items()}
+        assert {r: row for r, row in got.items() if row} == want
+        chained = {**x, p[cut]: {p[0]: entry(data, over_pbw)}}
+        before = {r: dict(row) for r, row in rows.items()}
+        with pytest.raises(RuntimeError, match=(
+                r"^x has a chain of length 2, so its R-matrix factor is not "
+                r"1 \+ x$")):
+            uqalg.times_one_plus(rows, chained, "x")
+        assert rows == before
+
+    check()
+
+
+@pytest.mark.parametrize("pi", [
+    pi for rank in (1, 2, 3)
+    for pi in itertools.permutations(range(1, rank + 1))],
+    ids=lambda pi: "".join(map(str, pi)))
+def test_the_r_matrices_are_the_q_exponential_pipeline(pi):
+    # each factor applied as 1 + x, against the pipeline through
+    # times_q_exp with base q^{-(beta, beta)}, on every module and both
+    # flips; compared as sparse rows, which the oracle leaves with no zero
+    # entry
+    rank = len(pi)
+    alg = fresh_algebra("A", rank, pi)
+    for k in range(1, rank + 1):
+        rep = uqalg.rep_matrices(alg, f"V{k}")
+        for flipped in (False, True):
+            assert uqalg._r_in_rep(alg, rep, flipped) == r_in_rep_by_q_exp(
+                alg, rep, flipped), (k, flipped)
+        assert uqalg.r_matrix_vv(alg, rep) == r_matrix_vv_by_q_exp(alg, rep)
+        assert uqalg.casimir_CV(alg, rep) == casimir_by_q_exp(alg, rep), k
+
+
+@pytest.mark.parametrize("command,side,i", [
+    ("casimir", "e", 0), ("casimir", "f", 2), ("whittaker", "e", 1),
+    ("whittaker", "f", 0)])
+def test_a_chained_ladder_stops_the_r_matrix_through_the_cli(
+        monkeypatch, capsys, command, side, i):
+    # a factor is 1 + x only when its module leg squares to 0, so a
+    # chained ladder must stop the Casimir with the module and the root
+    _chained_modules(monkeypatch, "V2", side, i)
+    assert cli.main([command, "--type", "A", "--rank", "3",
+                     "--rep", "V2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    beta = tuple(int(j == i) for j in range(3))
+    assert captured.err.splitlines() == [
+        f"qwhit {command}: invariant failure: V2: pi({side}_beta) for beta "
+        f"= {beta} has a chain of length 2, so its R-matrix factor is not "
+        f"1 + x"]
+
+
+@pytest.mark.parametrize("i", [0, 1])
+def test_yang_baxter_check_refuses_a_chained_f_ladder(monkeypatch, i):
+    # (pi x pi) R is pi of each entry of (id x pi) R, whose module leg is
+    # K_{T beta} pi(f_beta)
+    _chained_modules(monkeypatch, "V1", "f", i)
+    alg = fresh_algebra("A", 2)
+    rep = uqalg.rep_matrices(alg, "V1")
+    with pytest.raises(RuntimeError, match=r"^V1: pi\(f_beta\) for beta = "
+                       r".* has a chain of length 2"):
+        uqalg.yang_baxter_check(alg, rep)
+
+
 def test_casimir_a1_golden_value():
     alg = algebra("A", 1)
     rep = uqalg.rep_matrices(alg, "V1")
@@ -1059,7 +1162,8 @@ def test_casimir_cartan_degeneration_is_weight_trace():
 
 def oracle_whittaker_generator(alg, rep, chi):
     """Oracle for the Whittaker image rho_chi(C_V), projected before it is
-    multiplied out but with R_21 as a matrix of PBW elements:
+    multiplied out but with R_21 as a matrix of PBW elements, every factor
+    a q-exponential (``r_in_rep_by_q_exp``):
 
         sum_j q^{(2 rho, mu_j)} sum_k R_21[j][k] K_{lam_k} chi(U)[k][j],
 
@@ -1070,14 +1174,16 @@ def oracle_whittaker_generator(alg, rep, chi):
         raise ValueError("the Whittaker projection uses an e-side character")
     chi_u = dense({r: {r: ONE} for r in range(rep.dim)}, rep.dim, ZERO)
     for beta in alg.ordering.ordering:
-        scale, base, leg = uqalg.module_f_leg(alg, rep, beta)
+        scale = uqalg._root_constants(alg, rep, beta)[0]
+        base, leg = q_exp_base(alg, beta), module_f_leg(alg, rep, beta)
         value = uqalg.apply_character(
             chi, uqalg.root_vector(alg, beta, "+")) * scale
         factor = q_exp_nilpotent(
             ratmat.sparse_scale(leg, value) if value else {}, rep.dim, base,
             ONE)
         chi_u = dense_mul(chi_u, dense(factor, rep.dim, ZERO), ZERO)
-    r21 = dense(uqalg._r_in_rep(alg, rep, flipped=True), rep.dim, alg.zero())
+    r21 = dense(r_in_rep_by_q_exp(alg, rep, flipped=True), rep.dim,
+                alg.zero())
     lams = uqalg.cartan_weights(alg, rep, 1)
     two_rho = tuple(2 * x for x in rootsys.weight_coords(alg.rs.rho))
     out = alg.zero()
