@@ -368,13 +368,14 @@ def mcybe_trials(rng, n, trials):
     whose modified classical Yang-Baxter residual vanishes."""
     _check_trials(trials)
     zero = zeros(n)
+    r = crosssec.rmatrix_endo(n)
     good = 0
     for _ in range(trials):
         x = [[_rnd_frac(rng) for _ in range(n)] for _ in range(n)]
         x[n - 1][n - 1] -= sum(x[i][i] for i in range(n))
         y = [[_rnd_frac(rng) for _ in range(n)] for _ in range(n)]
         y[n - 1][n - 1] -= sum(y[i][i] for i in range(n))
-        if crosssec.mcybe_check(mat(x), mat(y)) == zero:
+        if crosssec.mcybe_check(r, mat(x), mat(y)) == zero:
             good += 1
     return good
 

@@ -25,11 +25,12 @@ import sys
 import time
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
 
 # acceptance and crosssec are imported by the handlers that use them, so a
 # fresh process compiles and runs only the modules its command needs.
 from . import rootsys, toda, uqalg
-from .ratmat import charpoly, eye, mat
+from .ratmat import Matrix, _canon, charpoly, eye, rat_text
 
 F = Fraction
 
@@ -65,11 +66,22 @@ def _parse_rationals(text):
             f"expected a comma list of rationals, got {text!r}: {exc}")
 
 
+# One decoder for every matrix flag: a JSON number keeps its text, so an
+# entry is never read through a binary float.
+_MATRIX_JSON = json.JSONDecoder(parse_float=str, parse_int=str)
+# An entry of this form is read as ints; any other goes through
+# _parse_rational, which accepts and refuses exactly what it did alone.
+_INT_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]*[1-9][0-9]*)?")
+
+
 def _parse_matrix(text):
     """A matrix given as JSON rows of rationals; a JSON number is read from
     its text, like a string entry, and never through a binary float."""
     try:
-        rows = json.loads(text, parse_float=str, parse_int=str)
+        if text.startswith("\ufeff"):  # as json.loads refuses it
+            raise json.JSONDecodeError(
+                "Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        rows = _MATRIX_JSON.decode(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"matrix is not valid JSON: {exc}")
     except RecursionError:
@@ -78,13 +90,26 @@ def _parse_matrix(text):
             or not all(isinstance(r, list) for r in rows)):
         raise ValueError("matrix JSON must be a list of rows")
     try:
-        return mat([[_parse_rational(str(x)) for x in row] for row in rows])
+        rows = [[_parse_entry(x) for x in row] for row in rows]
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"matrix entries must be rational strings: {exc}")
+    d = lcm(*(den for row in rows for _, den in row))
+    return _canon(tuple(tuple(x * (d // den) for x, den in row)
+                        for row in rows), d)
+
+
+def _parse_entry(x):
+    """(numerator, denominator > 0) of one decoded matrix entry."""
+    if isinstance(x, str) and _INT_RATIONAL.fullmatch(x):
+        num, _, den = x.partition("/")
+        return int(num), int(den) if den else 1
+    r = _parse_rational(str(x))
+    return r.numerator, r.denominator
 
 
 def _ser_mat(m):
-    return [[str(x) for x in row] for row in m]
+    den = m.den
+    return [[rat_text(x, den) for x in row] for row in m.rows]
 
 
 def _ser_vec(v):
@@ -96,7 +121,7 @@ def _ser_pbw(x):
     for (fw, lam, ew), coeff in x.sorted_terms():
         out.append({
             "f": list(fw),
-            "lambda": [str(v) for v in rootsys.weight_coords(lam)],
+            "lambda": rootsys.weight_text(lam),
             "e": list(ew),
             "coeff": str(coeff),
         })
@@ -108,11 +133,69 @@ def _ser_diffop(op):
     for lam, zpart in sorted(op.terms.items()):
         for zexp, coeff in sorted(zpart.items()):
             out.append({
-                "shift": [str(v) for v in rootsys.weight_coords(lam)],
+                "shift": rootsys.weight_text(lam),
                 "z": list(zexp),
                 "coeff": str(coeff),
             })
     return out
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json_text(tree):
+    """The text json.dumps(tree, indent=2) gives for a report tree of dicts
+    with str keys, lists, tuples, strs, ints, bools and None; TypeError on
+    anything else, a float included.  Strings go through the json module's
+    C escaper."""
+    out = []
+    _write_json(tree, "\n", out.append)
+    return "".join(out)
+
+
+def _write_json(x, nl, put):
+    """Put the pieces of x's text, nl being the line break and indent that
+    x starts after."""
+    if isinstance(x, str):
+        put(_quote(x))
+    elif isinstance(x, (dict, list, tuple)):
+        if not x:
+            put("{}" if isinstance(x, dict) else "[]")
+            return
+        inner = nl + "  "
+        sep, comma = inner, "," + inner
+        if isinstance(x, dict):
+            put("{")
+            for k, v in x.items():
+                put(sep)
+                put(_quote(k))  # TypeError unless k is a str
+                put(": ")
+                if isinstance(v, str):  # a leaf, most of a report
+                    put(_quote(v))
+                else:
+                    _write_json(v, inner, put)
+                sep = comma
+            put(nl + "}")
+        else:
+            put("[")
+            for v in x:
+                put(sep)
+                if isinstance(v, str):
+                    put(_quote(v))
+                else:
+                    _write_json(v, inner, put)
+                sep = comma
+            put(nl + "]")
+    elif x is None:
+        put("null")
+    elif x is True:
+        put("true")
+    elif x is False:
+        put("false")
+    elif isinstance(x, int):
+        put(int.__repr__(x))
+    else:
+        raise TypeError(f"a report holds no {type(x).__name__}")
 
 
 def _root_system(args):
@@ -143,10 +226,10 @@ def cmd_root_system(args):
         "rank": rs.rank,
         "cartan": [list(row) for row in rs.cartan],
         "d": [str(x) for x in rs.d],
-        "bform": _ser_mat(rs.bform),
+        "bform": _ser_mat(Matrix(rs.bform)),
         "positive_roots": [list(r) for r in rs.positive_roots],
         "heights": list(rs.heights),
-        "rho": _ser_vec(rootsys.weight_coords(rs.rho)),
+        "rho": rootsys.weight_text(rs.rho),
         "coxeter_number": rs.coxeter_number,
     }
     n = rs.rank
@@ -168,10 +251,10 @@ def cmd_cayley(args):
     n = ctx.rs.rank
     outputs = {
         "pi": list(ctx.pi),
-        "s_matrix": _ser_mat(ctx.s_matrix),
-        "cayley": _ser_mat(ctx.cayley),
+        "s_matrix": _ser_mat(Matrix(ctx.s_matrix)),
+        "cayley": _ser_mat(Matrix(ctx.cayley)),
         "epsilon": [list(row) for row in ctx.epsilon],
-        "twist": _ser_mat(ctx.twist),
+        "twist": _ser_mat(Matrix(ctx.twist)),
         "coxeter_number": ctx.coxeter_number,
     }
     checks = {
@@ -662,7 +745,7 @@ def main(argv=None):
         "outputs": outputs,
         "checks": checks,
     }
-    payload = json.dumps(report, indent=2) + "\n"
+    payload = _json_text(report) + "\n"
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

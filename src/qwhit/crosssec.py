@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
 from operator import mul
 from typing import Callable
 
@@ -67,18 +66,22 @@ def assert_special(m: Matrix) -> None:
         raise ValueError("matrix determinant is not 1")
 
 
-@lru_cache(maxsize=None)
 def coxeter_rep(n: int) -> Matrix:
     """Representative of the standard Coxeter element in SL(n).
 
     Product of the simple-reflection blocks [[0,-1],[1,0]] embedded at
-    positions 1..n-1, taken left to right.
+    positions 1..n-1, taken left to right: row 1 is (-1)^(n-1) e_n and
+    row i > 1 is e_(i-1).
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    entries = {(j + 1, j): 1 for j in range(n - 1)}
-    entries[0, n - 1] = (-1) ** (n - 1)
-    return sparse(n, entries)
+    return Matrix([(0,) * (n - 1) + ((-1) ** (n - 1),)]
+                  + [_unit_row(n, i - 1, 1) for i in range(1, n)])
+
+
+def _unit_row(n: int, j: int, x: int) -> tuple:
+    """The length-n int row with x at column j and 0 elsewhere."""
+    return (0,) * j + (x,) + (0,) * (n - j - 1)
 
 
 def cell_witness(m: Matrix, s_rep: Matrix):
@@ -129,19 +132,21 @@ def bruhat_cell_test(m: Matrix) -> bool:
 
 def is_slice_point(m: Matrix) -> bool:
     """Whether m is a point of N_+' s: rows 2..n those of s, and the last
-    entry of row 1 that of s (the others are the free coordinates)."""
+    entry of row 1 that of s, (-1)^(n-1) (the others are the free
+    coordinates)."""
     n = _dim(m)
-    s, den = coxeter_rep(n).rows, m.den
-    return (m.rows[0][n - 1] == s[0][n - 1] * den
-            and all(x == y * den for row, srow in zip(m.rows[1:], s[1:])
-                    for x, y in zip(row, srow)))
+    rows, den = m.rows, m.den
+    return (rows[0][n - 1] == (-1) ** (n - 1) * den
+            and all(row == _unit_row(n, i - 1, den)
+                    for i, row in enumerate(rows[1:], 1)))
 
 
 def slice_params(m: Matrix):
+    """The free coordinates of the slice point m: the first n - 1 entries
+    of its first row, where s has zeros."""
     if not is_slice_point(m):
         raise ValueError("matrix is not on the slice N_+' s")
-    s = coxeter_rep(len(m)).rows
-    return tuple(Fraction(x, m.den) - y for x, y in zip(m.rows[0][:-1], s[0]))
+    return tuple(Fraction(x, m.den) for x in m.rows[0][:-1])
 
 
 def _sweep_to_first_row(m: Matrix):
@@ -310,7 +315,6 @@ def _cartan_cycle(n: int) -> Matrix:
     return sparse(n, {(j, (j - 1) % n): 1 for j in range(n)})
 
 
-@lru_cache(maxsize=None)
 def _cayley_operator(n: int, part: str) -> Matrix:
     """The matrix taking the diagonal of a traceless x to the Cartan part
     of r(x): y solving (1 - s) y = diagonal, sum y = 0, for part "plus", s y
@@ -340,6 +344,7 @@ def rmatrix_endo(n: int, part: str = "full") -> Callable[[Matrix], Matrix]:
         raise ValueError("part must be 'full', 'plus' or 'minus'")
     upper = 1 if part in ("full", "plus") else 0
     lower = -1 if part in ("full", "minus") else 0
+    op = _cayley_operator(n, part)
 
     def r(x: Matrix) -> Matrix:
         if _dim(x) != n:
@@ -348,7 +353,6 @@ def rmatrix_endo(n: int, part: str = "full") -> Callable[[Matrix], Matrix]:
             raise ValueError("input is not traceless")
         # over dx dc for x = X / dx and the Cartan operator C / dc, the
         # diagonal is C diag(X) and the rest +-dc X
-        op = _cayley_operator(n, part)
         diagonal = [row[i] for i, row in enumerate(x.rows)]
         up, down = upper * op.den, lower * op.den
         return Matrix([[v * down for v in row[:i]]
@@ -364,13 +368,11 @@ def _bracket(x: Matrix, y: Matrix) -> Matrix:
     return msub(mmul(x, y), mmul(y, x))
 
 
-def mcybe_check(x: Matrix, y: Matrix) -> Matrix:
-    """Residual [rX, rY] - r([rX, Y] + [X, rY]) + [X, Y]; zero iff the
-    modified classical Yang-Baxter equation holds on the pair."""
-    n = _dim(x)
-    if _dim(y) != n:
-        raise ValueError("size mismatch")
-    r = rmatrix_endo(n)
+def mcybe_check(r: Callable[[Matrix], Matrix], x: Matrix,
+                y: Matrix) -> Matrix:
+    """Residual [rX, rY] - r([rX, Y] + [X, rY]) + [X, Y] of the r-matrix
+    r = rmatrix_endo(n); zero iff the modified classical Yang-Baxter
+    equation holds on the pair, which r refuses unless both are n x n."""
     rx, ry = r(x), r(y)
     middle = madd(_bracket(rx, y), _bracket(x, ry))
     return madd(msub(_bracket(rx, ry), r(middle)), _bracket(x, y))

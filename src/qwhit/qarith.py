@@ -29,6 +29,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+from .ratmat import rat_text
+
 F0 = Fraction(0)
 F1 = Fraction(1)
 
@@ -347,26 +349,29 @@ class LaurentScalar:
 
     # -- formatting ---------------------------------------------------------
     @staticmethod
-    def _poly_str(p: dict) -> str:
+    def _poly_str(p: dict, c: int, den: int) -> str:
+        """The sum of (c * p[u] / den) q^(u / EXP_UNIT), printed from the
+        ints by ``rat_text``."""
         if not p:
             return "0"
         parts = []
         for u in sorted(p):
-            c = p[u]
+            v = c * p[u]
             if u == 0:
-                parts.append(str(c))
-            else:
-                e = Fraction(u, EXP_UNIT)
-                es = str(e) if e.denominator == 1 else f"({e})"
-                head = f"q^{es}" if e != 1 else "q"
-                parts.append(head if c == 1 else f"{c}*{head}")
+                parts.append(rat_text(v, den))
+                continue
+            e = rat_text(u, EXP_UNIT)
+            head = ("q" if u == EXP_UNIT
+                    else f"q^({e})" if "/" in e else f"q^{e}")
+            parts.append(head if v == den else f"{rat_text(v, den)}*{head}")
         return " + ".join(parts).replace("+ -", "- ")
 
     def __str__(self):
-        ns = self._poly_str(self.num)
+        d0 = self.d[0]
+        ns = self._poly_str(self.n, self.c.numerator, self.c.denominator * d0)
         if len(self.d) == 1:
             return ns
-        return f"({ns})/({self._poly_str(self.den)})"
+        return f"({ns})/({self._poly_str(self.d, 1, d0)})"
 
     def __repr__(self):
         return f"LaurentScalar({self})"

@@ -7,6 +7,8 @@ products are int operations and one gcd; inverse, solve, rank and
 determinant share one fraction-free (Bareiss) elimination of the int rows.
 Fractions appear only where an entry is read: m[i] and iteration give rows
 of Fractions, and ``det``, ``solve`` and ``charpoly`` return Fractions.
+Reports print entries from the ints through ``rat_text``, the package's
+one rule for writing a rational.
 
 A matrix of any other ring (qarith.LaurentScalar, uqalg.PBWElement,
 toda.DifferenceOperator) is kept as sparse rows {row: {column: entry}}
@@ -22,10 +24,17 @@ from math import gcd, lcm
 from operator import add, index, mul, sub
 
 
+def rat_text(x: int, den: int) -> str:
+    """The text str(Fraction(x, den)) gives, for ints x and den > 0, by one
+    gcd and no Fraction: "x" or "x/den" in lowest terms."""
+    g = gcd(x, den)
+    return str(x // g) if g == den else f"{x // g}/{den // g}"
+
+
 class Matrix:
     """The matrix rows / den in canonical form, which ``Matrix(rows, den)``
     makes of any int rows and nonzero int den.  len(m) is the number of
-    rows; m[i] and iteration give rows of Fractions."""
+    rows; m[i], and iteration through it, give rows of Fractions."""
 
     __slots__ = ("rows", "den")
 
@@ -42,9 +51,6 @@ class Matrix:
 
     def __getitem__(self, i):
         return tuple(Fraction(x, self.den) for x in self.rows[i])
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self.rows)))
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):

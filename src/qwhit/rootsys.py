@@ -10,7 +10,7 @@ exact rationals.  Conventions used throughout the package:
 
 A weight is an int tuple: its simple-root coordinates in units of
 1/EXP_UNIT, the unit ``qarith`` uses for q-exponents (``weight`` converts
-rational coordinates, ``weight_coords`` converts back for reports).  The
+rational coordinates, ``weight_text`` prints the coordinates for reports).  The
 pairing of a weight with an integer vector (a root or a z-exponent) is then
 one integer dot product through the integer form b_ij, and it is the
 q-exponent q^{(lam, beta)} in qarith units as it stands; two weights pair to
@@ -41,9 +41,9 @@ def weight(vec):
     return tuple(map(to_units, vec))
 
 
-def weight_coords(lam):
-    """Simple-root coordinates of the weight lam, as Fractions."""
-    return tuple(Fraction(x, EXP_UNIT) for x in lam)
+def weight_text(lam):
+    """The simple-root coordinates of the weight lam as report text."""
+    return [ratmat.rat_text(x, EXP_UNIT) for x in lam]
 
 
 def _divide_exactly(n, d, what):

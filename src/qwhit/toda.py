@@ -37,7 +37,8 @@ from operator import add, mul
 
 from . import qarith, uqalg
 from .qarith import EXP_UNIT, ONE, LaurentScalar, qpow
-from .rootsys import weight, weight_coords
+from .ratmat import rat_text
+from .rootsys import weight, weight_text
 
 
 def _clean(terms):
@@ -454,8 +455,8 @@ def quasiclassical_potential_check(system):
         "ok": True,
         "kinetic": [],
         "potential": [],
-        "ignored_constant": str(Fraction(rs.pair(rs.rho, rs.rho),
-                                         EXP_UNIT * EXP_UNIT)),
+        "ignored_constant": rat_text(rs.pair(rs.rho, rs.rho),
+                                     EXP_UNIT * EXP_UNIT),
         "sign_convention": "potential opens with +4 chi_i chibar_i at eps^2",
     }
     zero_z = (0,) * rs.rank
@@ -464,7 +465,7 @@ def quasiclassical_potential_check(system):
             if zexp == zero_z:
                 ok = coeff == ONE
                 report["kinetic"].append({
-                    "shift": [str(x) for x in weight_coords(lam)],
+                    "shift": weight_text(lam),
                     "coeff": str(coeff),
                     "ok": ok,
                 })
@@ -472,7 +473,7 @@ def quasiclassical_potential_check(system):
                 continue
             if sum(zexp) != 1:
                 report["potential"].append({
-                    "shift": [str(x) for x in weight_coords(lam)],
+                    "shift": weight_text(lam),
                     "z": list(zexp),
                     "coeff": str(coeff),
                     "ok": False,

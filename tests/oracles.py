@@ -32,13 +32,18 @@ out from before ``qarith.alternating_qbinom_terms`` built each term in
 canonical form from one Pascal row.  The closed form of every type-A Toda
 Hamiltonian is a reference the package does not compute: it builds them by
 the trace pipeline and checks only the first against a closed form.
+Weight coordinates as Fractions, the matrix flag parser that read every
+entry through a Fraction, and the printers that wrote an entry as
+str(Fraction(x, den)) and a q-scalar through its Fraction views are the
+forms the command line used before reports were read and written from ints.
 """
 
 import itertools
+import json
 from fractions import Fraction
 from operator import add
 
-from qwhit import toda, uqalg
+from qwhit import cli, toda, uqalg
 from qwhit.crosssec import coxeter_rep
 from qwhit.qarith import (_UNIT, EXP_UNIT, ONE, ZERO, _normalised,
                           _primitive, _scalar, qpow, to_units)
@@ -524,3 +529,55 @@ def closed_form(rs, k, chi, chibar, mutation=None):
                 z = tuple(z)
                 slot[z] = slot[z] + coef if z in slot else coef
     return DifferenceOperator(rs, terms)
+
+
+def weight_coords(lam):
+    """Simple-root coordinates of the int weight lam, as Fractions."""
+    return tuple(Fraction(x, EXP_UNIT) for x in lam)
+
+
+def parse_matrix(text):
+    """The --matrix parser with a Fraction per entry, through
+    ``cli._parse_rational``, and ``mat``."""
+    try:
+        rows = json.loads(text, parse_float=str, parse_int=str)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"matrix is not valid JSON: {exc}")
+    except RecursionError:
+        raise ValueError("matrix JSON is nested too deeply")
+    if (not isinstance(rows, list) or not rows
+            or not all(isinstance(r, list) for r in rows)):
+        raise ValueError("matrix JSON must be a list of rows")
+    try:
+        return mat([[cli._parse_rational(str(x)) for x in row]
+                    for row in rows])
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"matrix entries must be rational strings: {exc}")
+
+
+def fraction_text(x, den):
+    """The entry x / den as the report printed it through a Fraction."""
+    return str(Fraction(x, den))
+
+
+def scalar_text(x):
+    """A q-scalar as text, through its Fraction views num and den."""
+    def poly(p):
+        if not p:
+            return "0"
+        parts = []
+        for u in sorted(p):
+            c = p[u]
+            if u == 0:
+                parts.append(str(c))
+            else:
+                e = Fraction(u, EXP_UNIT)
+                es = str(e) if e.denominator == 1 else f"({e})"
+                head = f"q^{es}" if e != 1 else "q"
+                parts.append(head if c == 1 else f"{c}*{head}")
+        return " + ".join(parts).replace("+ -", "- ")
+
+    ns = poly(x.num)
+    if len(x.d) == 1:
+        return ns
+    return f"({ns})/({poly(x.den)})"

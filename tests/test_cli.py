@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import random
@@ -741,8 +743,135 @@ def test_readme_lists_an_example_of_every_command():
 
 @pytest.mark.parametrize("argv", _readme_examples(), ids=" ".join)
 def test_readme_examples_exit_0_with_a_report(capsys, argv):
-    code, report, _ = run_cli(capsys, *argv)
+    code, report, captured = run_cli(capsys, *argv)
     assert code == 0
     assert report["schema"] == "1"
     assert report["command"] == argv[0]
     assert all(report["checks"].values())
+    # the report writer gives the bytes of json.dumps(..., indent=2)
+    assert captured.out == json.dumps(report, indent=2) + "\n"
+
+
+# -- drawn matrix flags ----------------------------------------------------------
+
+def _run_quietly(argv):
+    """(exit code, stdout, stderr lines but elapsed:) of cli.main(argv),
+    the code None when argparse exits; nothing else may escape."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2
+            code = None
+    lines = [line for line in err.getvalue().splitlines()
+             if not line.startswith("elapsed: ")]
+    return code, out.getvalue(), lines
+
+
+def _domain_matrix(command, n, data, st):
+    """An n x n matrix the command accepts: a cell element v s u, a traceless
+    upper triangular b, or a unipotent upper triangular factor."""
+    fracs = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+
+    def upper(diagonal):
+        return [[diagonal[i] if i == j else data.draw(fracs) if j > i else 0
+                 for j in range(n)] for i in range(n)]
+
+    if command == "kostant-section":
+        diagonal = [data.draw(fracs) for _ in range(n - 1)]
+        return upper(diagonal + [-sum(diagonal)])
+    if command == "gstar" or n < 2:
+        return upper([1] * n)
+    return [list(row) for row in mmul(mmul(mat(upper([1] * n)),
+                                           crosssec.coxeter_rep(n)),
+                                      mat(upper([1] * n)))]
+
+
+_BAD_ENTRIES = ['"x"', '"1/0"', '"0/0"', '""', '"1e1001"', '"-"', '" 2"',
+                '"\u0661"', '"1/2/3"', "1.5", "1e400", "true", "null", "[]",
+                '{"a": 1}', "0.50000000000000001"]
+
+
+def _matrix_flag(rows, data, st):
+    """JSON text of rows of Fractions: each entry a string, or a JSON number
+    when it is an integer, and at times one entry, row or nesting broken."""
+    text = [[str(x.numerator) if x.denominator == 1
+             and data.draw(st.booleans()) else json.dumps(str(x))
+             for x in map(F, row)] for row in rows]
+    flaw = data.draw(st.sampled_from(
+        ["none"] * 6 + ["entry", "ragged", "extra row", "row not a list",
+                        "deep", "junk"]))
+    if flaw == "entry" and text and text[0]:
+        i = data.draw(st.integers(0, len(text) - 1))
+        j = data.draw(st.integers(0, len(text[i]) - 1))
+        text[i][j] = data.draw(st.sampled_from(_BAD_ENTRIES))
+    elif flaw == "ragged" and text and text[-1]:
+        text[-1].pop()
+    elif flaw == "extra row" and text:
+        text.append(list(text[0]))
+    elif flaw == "deep":
+        return "[" * 5000 + "]" * 5000
+    elif flaw == "junk":
+        return data.draw(st.sampled_from(["", "[", "[[1]", "{}", '"1"',
+                                          "[1, 2]", "[[]]", "[]", "nan"]))
+    rows = ["[" + ",".join(row) + "]" for row in text]
+    if flaw == "row not a list" and rows:
+        rows[0] = text[0][0] if text[0] else "1"
+    return "[" + ",".join(rows) + "]"
+
+
+@pytest.mark.parametrize("command,codes", [
+    ("cross-section", {0, 1, 2}), ("cross-section --s-rep", {0, 1, 2}),
+    ("kostant-section", {0, 2}), ("gstar", {0, 1, 2})],
+    ids=["cross-section", "s-rep", "kostant-section", "gstar"])
+def test_drawn_matrix_flags_exit_cleanly(command, codes):
+    # exit 0, 1 or 2 with one diagnostic line, a schema-1 report when one is
+    # written, and the same bytes for the same argv
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    fracs = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+    name = command.split()[0]
+    seen = set()
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(st.data())
+    def check(data):
+        n = data.draw(st.integers(1, 4))
+        if data.draw(st.sampled_from([True, True, False])):
+            rows = _domain_matrix(name, n, data, st)
+        else:
+            rows = [[data.draw(fracs) for _ in range(n)] for _ in range(n)]
+        flag = {"kostant-section": "--b"}.get(name, "--matrix")
+        argv = [name, f"{flag}={_matrix_flag(rows, data, st)}"]
+        if command.endswith("--s-rep"):
+            s_rep = (crosssec.coxeter_rep(n) if n > 1 and data.draw(
+                st.sampled_from([True, True, False])) else
+                     [[data.draw(fracs) for _ in range(n)] for _ in range(n)])
+            argv.append(f"--s-rep={_matrix_flag(s_rep, data, st)}")
+        if name == "gstar":
+            x = [F(2), F(1, 2)] + [F(1)] * (n - 2) if n > 1 else [F(1)]
+            c = [F(1, 2)] * (n - 1)
+            if data.draw(st.booleans()):
+                x[0] = data.draw(fracs)
+            if data.draw(st.booleans()):
+                c = [data.draw(fracs) for _ in range(data.draw(
+                    st.sampled_from([n - 1, n - 1, 0, 3])))]
+            argv += [f"--x={','.join(map(str, x))}",
+                     f"--u-params={','.join(map(str, c))}"]
+        code, out, lines = _run_quietly(argv)
+        assert (code, out, lines) == _run_quietly(argv)
+        seen.add(code)
+        if code is None:
+            return
+        assert code in (0, 1, 2)
+        if code:
+            assert len(lines) == 1, lines
+        if code == 0 or out:
+            report = json.loads(out)
+            assert report["schema"] == "1"
+            assert report["command"] == name
+
+    check()
+    assert codes <= seen

@@ -715,15 +715,17 @@ def test_mcybe_antisymmetric_pair():
     for n in (2, 3, 4):
         x = rnd_traceless(rng, n)
         zero = mat([[0] * n for _ in range(n)])
-        assert mcybe_check(x, x) == zero
+        assert mcybe_check(rmatrix_endo(n), x, x) == zero
 
 
 @pytest.mark.parametrize("n", (2, 3, 4))
 def test_mcybe_residual_vanishes(n):
     rng = random.Random(700 + n)
     zero = mat([[0] * n for _ in range(n)])
+    r = rmatrix_endo(n)
     for _ in range(50):
-        assert mcybe_check(rnd_traceless(rng, n), rnd_traceless(rng, n)) == zero
+        assert mcybe_check(r, rnd_traceless(rng, n),
+                           rnd_traceless(rng, n)) == zero
 
 
 @pytest.mark.parametrize("n", (2, 3, 4))
@@ -786,26 +788,19 @@ def test_rmatrix_solves_the_cayley_system_once_per_n(monkeypatch):
 
     minv = crosssec.minv
     monkeypatch.setattr(crosssec, "minv", counted)
-    crosssec._cayley_operator.cache_clear()
-    try:
-        rng = random.Random(17)
-        for _ in range(5):
-            rmatrix_endo(4)(rnd_traceless(rng, 4))
-        # one inversion of the square system, at the first call
-        assert calls == [4]
-    finally:
-        crosssec._cayley_operator.cache_clear()
+    rng = random.Random(17)
+    r = rmatrix_endo(4)
+    for _ in range(5):
+        r(rnd_traceless(rng, 4))
+    # one inversion of the square system, when the endomorphism is built
+    assert calls == [4]
 
 
 def test_singular_cayley_system_keeps_its_error(monkeypatch):
     # with s acting trivially on the Cartan, 1 - s is zero there
     monkeypatch.setattr(crosssec, "_cartan_cycle", eye)
-    crosssec._cayley_operator.cache_clear()
-    try:
-        with pytest.raises(AssertionError, match="1 - s is singular"):
-            rmatrix_endo(3)(mat([[1, 0, 0], [0, -1, 0], [0, 0, 0]]))
-    finally:
-        crosssec._cayley_operator.cache_clear()
+    with pytest.raises(AssertionError, match="1 - s is singular"):
+        rmatrix_endo(3)
 
 
 # ---------------------------------------------------------------------------

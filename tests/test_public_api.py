@@ -33,6 +33,11 @@ in a fresh interpreter under ``sys.setprofile`` and lists every function,
 method, nested function and lambda of the package that none of them
 enters.  ``__hash__`` and ``__repr__`` are exempt by name, since dicts,
 sets and failure messages call them.
+
+No function of the package is memoised with ``functools.cache`` or
+``lru_cache``: a memo outlives the call that filled it, so a process that
+makes many calls, as the benchmark's in-process workloads do, would read it
+as a gain that a user's single call never gets.
 """
 
 import ast
@@ -446,3 +451,43 @@ def test_the_entry_scan_lists_nested_functions_and_lambdas():
         ("a", 6): "a.Op.size.<locals>.inner",
         ("a", 7): "a.Op.size.<locals>.inner.<locals>.<lambda> (line 7)",
     }
+
+
+# Building all 13 subparsers costs every call the same; building only the
+# one a call runs is an open item, and until then the parser is kept.
+MEMOS_ALLOWED = {"cli.build_parser"}
+
+
+def memoised_functions(trees):
+    """Every function or method decorated with functools.cache or
+    lru_cache, by either spelling."""
+    out = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                name = (target.attr if isinstance(target, ast.Attribute)
+                        else getattr(target, "id", None))
+                if name in ("cache", "lru_cache"):
+                    out.append(f"{module}.{node.name}")
+    return sorted(out)
+
+
+def test_no_memo_outlives_a_call():
+    memos = [name for name in memoised_functions(_trees())
+             if name not in MEMOS_ALLOWED]
+    assert not memos, "memoised functions: " + ", ".join(memos)
+
+
+def test_the_memo_scan_flags_each_spelling():
+    trees = {"a": ast.parse("import functools\n"
+                            "from functools import lru_cache\n\n"
+                            "@functools.cache\ndef f():\n    pass\n\n"
+                            "@lru_cache(maxsize=None)\ndef g():\n    pass\n\n"
+                            "class C:\n"
+                            "    @functools.lru_cache\n"
+                            "    def m(self):\n        pass\n\n"
+                            "def h():\n    pass\n")}
+    assert memoised_functions(trees) == ["a.f", "a.g", "a.m"]

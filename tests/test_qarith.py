@@ -8,7 +8,7 @@ import pytest
 from oracles import (as_rational, bar, cayley_transform, dense, dense_add,
                      dense_mul, dense_scale, fraction_pair, is_polynomial,
                      mvec, q_binom, q_exp_nilpotent, q_int, q_paren,
-                     times_q_exp)
+                     times_q_exp, weight_coords)
 from qwhit import qarith, ratmat, rootsys
 from qwhit.qarith import EXP_UNIT, ONE, ZERO, LaurentScalar, qpow
 from qwhit.toda import DifferenceOperator
@@ -300,7 +300,7 @@ def test_weight_and_cayley_pairings_are_multiples_of_the_exponent_unit():
     # and of the simple roots are themselves weights in units of 1/EXP_UNIT
     checked = 0
     for rs in _supported_types():
-        omegas = [rootsys.weight_coords(w) for w in rs.fundamental_weights]
+        omegas = [weight_coords(w) for w in rs.fundamental_weights]
         for pi in _orderings(rs.rank):
             t = cayley_transform(rootsys.coxeter_context(rs, pi))
             vecs = omegas + [mvec(t, w) for w in omegas]

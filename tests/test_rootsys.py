@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import (commutator_exponent, fraction_pair, minimal_segment,
-                     mvec, reflection_matrix)
+                     mvec, reflection_matrix, weight_coords)
 from qwhit import ratmat, rootsys
 from qwhit.qarith import EXP_UNIT
 
@@ -261,7 +261,7 @@ def test_rho_and_fundamental_weights(series, rank):
         omega = rs.fundamental_weights[i]
         for j in range(rank):
             want = rs.d[j] if i == j else 0
-            assert fraction_pair(rs, rootsys.weight_coords(omega),
+            assert fraction_pair(rs, weight_coords(omega),
                                  rs.simple_root(j)) == want
             assert rs.pair(omega, rs.simple_root(j)) == want * EXP_UNIT
     for j in range(rank):
@@ -269,7 +269,7 @@ def test_rho_and_fundamental_weights(series, rank):
     half_sum = tuple(
         Fraction(sum(r[k] for r in rs.positive_roots), 2) for k in range(rank)
     )
-    assert rootsys.weight_coords(rs.rho) == half_sum
+    assert weight_coords(rs.rho) == half_sum
     assert rs.rho == rootsys.weight(half_sum)
 
 
@@ -291,7 +291,7 @@ def test_integer_pair_matches_the_fraction_form():
         x, y = (data.draw(st.tuples(*[coord] * rs.rank)) for _ in range(2))
         root = data.draw(st.tuples(*[st.integers(-3, 3)] * rs.rank))
         wx, wy = rootsys.weight(x), rootsys.weight(y)
-        assert rootsys.weight_coords(wx) == x
+        assert weight_coords(wx) == x
         # a weight against an integer vector: a q-exponent in units
         assert rs.pair(wx, root) == fraction_pair(rs, x, root) * EXP_UNIT
         assert rs.pair(root, wx) == rs.pair(wx, root)

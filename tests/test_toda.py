@@ -8,10 +8,10 @@ import pytest
 
 from oracles import (closed_form, fraction_pair, module_f_leg,
                      operator_apply, shift_exponents, surviving_root,
-                     toda_hamiltonian_by_q_exp)
+                     toda_hamiltonian_by_q_exp, weight_coords)
 from qwhit import cli, qarith, rootsys, toda, uqalg
 from qwhit.qarith import EXP_UNIT, ONE, ZERO, LaurentScalar, qpow
-from qwhit.rootsys import weight, weight_coords
+from qwhit.rootsys import weight
 from qwhit.toda import DifferenceOperator
 
 _ALGEBRAS = {}

@@ -11,7 +11,8 @@ import pytest
 from oracles import (casimir_by_q_exp, dense, dense_add, dense_mul,
                      dense_scale, dense_sub, fraction_pair, k_matrix,
                      module_f_leg, q_binom, q_exp_base, q_exp_nilpotent,
-                     r_in_rep_by_q_exp, r_matrix_vv_by_q_exp, times_q_exp)
+                     r_in_rep_by_q_exp, r_matrix_vv_by_q_exp, times_q_exp,
+                     weight_coords)
 from test_toda import _chained_modules
 from qwhit import cli, qarith, ratmat, rootsys, toda, uqalg
 from qwhit.qarith import ONE, ZERO, LaurentScalar, qpow
@@ -1151,12 +1152,12 @@ def test_casimir_cartan_degeneration_is_weight_trace():
     cartan_part = uqalg.PBWElement(alg, {
         m: coef for m, coef in c.terms.items() if not m[0] and not m[2]
     })
-    two_rho = tuple(2 * x for x in rootsys.weight_coords(alg.rs.rho))
+    two_rho = tuple(2 * x for x in weight_coords(alg.rs.rho))
     want = alg.zero()
     for mu in rep.weights:
         lam = tuple(2 * x for x in mu)
         want = want + alg.k(lam).scale(qpow(fraction_pair(
-            alg.rs, two_rho, rootsys.weight_coords(mu))))
+            alg.rs, two_rho, weight_coords(mu))))
     assert cartan_part == want
 
 
@@ -1185,13 +1186,13 @@ def oracle_whittaker_generator(alg, rep, chi):
     r21 = dense(r_in_rep_by_q_exp(alg, rep, flipped=True), rep.dim,
                 alg.zero())
     lams = uqalg.cartan_weights(alg, rep, 1)
-    two_rho = tuple(2 * x for x in rootsys.weight_coords(alg.rs.rho))
+    two_rho = tuple(2 * x for x in weight_coords(alg.rs.rho))
     out = alg.zero()
     for j in range(rep.dim):
         entry = sum((r21[j][k] * alg.k(lam).scale(chi_u[k][j])
                      for k, lam in enumerate(lams)), alg.zero())
         out = out + entry.scale(qpow(fraction_pair(
-            alg.rs, two_rho, rootsys.weight_coords(rep.weights[j]))))
+            alg.rs, two_rho, weight_coords(rep.weights[j]))))
     return out
 
 
