@@ -653,6 +653,224 @@ def test_bad_rational_flag_exits_2_at_once(argv, message):
     assert len(proc.stderr.splitlines()) == 1
 
 
+# The text argparse prints, pinned byte for byte at an 80-column width:
+# the help of qwhit and of each command on stdout, and the stderr of
+# each usage error.
+HELP_TEXTS = {
+    "--help": (
+        "usage: qwhit [-h]\n"
+        "             {root-system,cayley,orbits,qbinom-scan,serre-check,casimir,whittaker,toda,cross-section,kostant-section,rmatrix-check,gstar,acceptance}\n"
+        "             ...\n"
+        "\n"
+        "Exact checks for Coxeter realizations, Whittaker reduction, q-Toda operators\n"
+        "and cross-sections.\n"
+        "\n"
+        "positional arguments:\n"
+        "  {root-system,cayley,orbits,qbinom-scan,serre-check,casimir,whittaker,toda,cross-section,kostant-section,rmatrix-check,gstar,acceptance}\n"
+        "    root-system         Cartan datum and positive roots\n"
+        "    cayley              Coxeter element and Cayley transform\n"
+        "    orbits              root orbits of the Coxeter element\n"
+        "    qbinom-scan         vanishing set of the alternating Gauss sum\n"
+        "    serre-check         deformed Serre relator character sums\n"
+        "    casimir             central element of a representation\n"
+        "    whittaker           Whittaker projection of the central element\n"
+        "    toda                deformed Toda difference operators\n"
+        "    cross-section       conjugate a cell element onto the slice\n"
+        "    kostant-section     sweep a traceless upper-triangular matrix onto the\n"
+        "                        companion slice\n"
+        "    rmatrix-check       modified classical Yang-Baxter residual\n"
+        "    gstar               dressing-orbit point, q-map and characters\n"
+        "    acceptance          run the acceptance criteria\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"),
+    "root-system --help": (
+        "usage: qwhit root-system [-h] [--out OUT] --type TYPE --rank RANK\n"
+        "\n"
+        "options:\n"
+        "  -h, --help   show this help message and exit\n"
+        "  --out OUT    write the JSON report to this file\n"
+        "  --type TYPE  series letter, e.g. A, B, G\n"
+        "  --rank RANK\n"),
+    "cayley --help": (
+        "usage: qwhit cayley [-h] [--out OUT] --type TYPE --rank RANK [--pi PI]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help   show this help message and exit\n"
+        "  --out OUT    write the JSON report to this file\n"
+        "  --type TYPE  series letter, e.g. A, B, G\n"
+        "  --rank RANK\n"
+        "  --pi PI      permutation as a comma list, e.g. 2,1\n"),
+    "orbits --help": (
+        "usage: qwhit orbits [-h] [--out OUT] --type TYPE --rank RANK [--pi PI]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help   show this help message and exit\n"
+        "  --out OUT    write the JSON report to this file\n"
+        "  --type TYPE  series letter, e.g. A, B, G\n"
+        "  --rank RANK\n"
+        "  --pi PI      permutation as a comma list, e.g. 2,1\n"),
+    "qbinom-scan --help": (
+        "usage: qwhit qbinom-scan [-h] [--out OUT] [--m M] [--n N]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n"
+        "  --out OUT   write the JSON report to this file\n"
+        "  --m M       largest order to scan (default 6)\n"
+        "  --n N       alias for --m\n"),
+    "serre-check --help": (
+        "usage: qwhit serre-check [-h] [--out OUT] --type TYPE --rank RANK [--pi PI]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help   show this help message and exit\n"
+        "  --out OUT    write the JSON report to this file\n"
+        "  --type TYPE  series letter, e.g. A, B, G\n"
+        "  --rank RANK\n"
+        "  --pi PI      permutation as a comma list, e.g. 2,1\n"),
+    "casimir --help": (
+        "usage: qwhit casimir [-h] [--out OUT] --type TYPE --rank RANK [--pi PI]\n"
+        "                     [--rep REP]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help   show this help message and exit\n"
+        "  --out OUT    write the JSON report to this file\n"
+        "  --type TYPE  series letter, e.g. A, B, G\n"
+        "  --rank RANK\n"
+        "  --pi PI      permutation as a comma list, e.g. 2,1\n"
+        "  --rep REP\n"),
+    "whittaker --help": (
+        "usage: qwhit whittaker [-h] [--out OUT] --type TYPE --rank RANK [--pi PI]\n"
+        "                       [--rep REP] [--chi CHI]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help   show this help message and exit\n"
+        "  --out OUT    write the JSON report to this file\n"
+        "  --type TYPE  series letter, e.g. A, B, G\n"
+        "  --rank RANK\n"
+        "  --pi PI      permutation as a comma list, e.g. 2,1\n"
+        "  --rep REP\n"
+        "  --chi CHI    character values, comma rationals\n"),
+    "toda --help": (
+        "usage: qwhit toda [-h] [--out OUT] --type TYPE --rank RANK [--pi PI]\n"
+        "                  [--chi CHI] [--chibar CHIBAR] [--check-commute]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help       show this help message and exit\n"
+        "  --out OUT        write the JSON report to this file\n"
+        "  --type TYPE      series letter, e.g. A, B, G\n"
+        "  --rank RANK\n"
+        "  --pi PI          permutation as a comma list, e.g. 2,1\n"
+        "  --chi CHI        character values, comma rationals\n"
+        "  --chibar CHIBAR  opposite character values\n"
+        "  --check-commute\n"),
+    "cross-section --help": (
+        "usage: qwhit cross-section [-h] [--out OUT] [--matrix MATRIX] [--s-rep S_REP]\n"
+        "                           [--n N] [--trials TRIALS] [--seed SEED]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help       show this help message and exit\n"
+        "  --out OUT        write the JSON report to this file\n"
+        "  --matrix MATRIX  JSON rows of rational strings\n"
+        "  --s-rep S_REP    alternative cell representative (JSON matrix); reports the\n"
+        "                   membership test only\n"
+        "  --n N            random-trial mode: matrix size\n"
+        "  --trials TRIALS\n"
+        "  --seed SEED\n"),
+    "kostant-section --help": (
+        "usage: qwhit kostant-section [-h] [--out OUT] [--b B] [--n N]\n"
+        "                             [--trials TRIALS] [--seed SEED]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help       show this help message and exit\n"
+        "  --out OUT        write the JSON report to this file\n"
+        "  --b B            JSON rows of rational strings\n"
+        "  --n N            random-trial mode: matrix size\n"
+        "  --trials TRIALS\n"
+        "  --seed SEED\n"),
+    "rmatrix-check --help": (
+        "usage: qwhit rmatrix-check [-h] [--out OUT] [--n N] [--trials TRIALS]\n"
+        "                           [--seed SEED]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help       show this help message and exit\n"
+        "  --out OUT        write the JSON report to this file\n"
+        "  --n N            matrix size (default 3)\n"
+        "  --trials TRIALS\n"
+        "  --seed SEED\n"),
+    "gstar --help": (
+        "usage: qwhit gstar [-h] [--out OUT] [--n N] [--x X] [--u-params U_PARAMS]\n"
+        "                   [--matrix MATRIX]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help           show this help message and exit\n"
+        "  --out OUT            write the JSON report to this file\n"
+        "  --n N                matrix size (checked against --x)\n"
+        "  --x X                torus diagonal, comma rationals, product 1\n"
+        "  --u-params U_PARAMS  subdiagonal coordinates, comma rationals\n"
+        "  --matrix MATRIX      unipotent upper factor (JSON matrix)\n"),
+    "acceptance --help": (
+        "usage: qwhit acceptance [-h] [--out OUT] [--suite SUITE] [--seed SEED]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help     show this help message and exit\n"
+        "  --out OUT      write the JSON report to this file\n"
+        "  --suite SUITE  'all' or a criterion number 1..13\n"
+        "  --seed SEED\n"),
+}
+USAGE_ERRORS = [
+    ([], (
+        "usage: qwhit [-h]\n"
+        "             {root-system,cayley,orbits,qbinom-scan,serre-check,casimir,whittaker,toda,cross-section,kostant-section,rmatrix-check,gstar,acceptance}\n"
+        "             ...\n"
+        "qwhit: error: the following arguments are required: command\n")),
+    (["no-such-command"], (
+        "usage: qwhit [-h]\n"
+        "             {root-system,cayley,orbits,qbinom-scan,serre-check,casimir,whittaker,toda,cross-section,kostant-section,rmatrix-check,gstar,acceptance}\n"
+        "             ...\n"
+        "qwhit: error: argument command: invalid choice: 'no-such-command' (choose from 'root-system', 'cayley', 'orbits', 'qbinom-scan', 'serre-check', 'casimir', 'whittaker', 'toda', 'cross-section', 'kostant-section', 'rmatrix-check', 'gstar', 'acceptance')\n")),
+    (["toda", "--type", "A", "--rank", "2", "--bogus"], (
+        "usage: qwhit [-h]\n"
+        "             {root-system,cayley,orbits,qbinom-scan,serre-check,casimir,whittaker,toda,cross-section,kostant-section,rmatrix-check,gstar,acceptance}\n"
+        "             ...\n"
+        "qwhit: error: unrecognized arguments: --bogus\n")),
+    (["toda", "--rank", "2"], (
+        "usage: qwhit toda [-h] [--out OUT] --type TYPE --rank RANK [--pi PI]\n"
+        "                  [--chi CHI] [--chibar CHIBAR] [--check-commute]\n"
+        "qwhit toda: error: the following arguments are required: --type\n")),
+    (["toda", "--type", "A", "--rank", "x"], (
+        "usage: qwhit toda [-h] [--out OUT] --type TYPE --rank RANK [--pi PI]\n"
+        "                  [--chi CHI] [--chibar CHIBAR] [--check-commute]\n"
+        "qwhit toda: error: argument --rank: invalid int value: 'x'\n")),
+    (["toda", "--type", "A", "--rank", "2", "--chi=", "1,1"], (
+        "usage: qwhit [-h]\n"
+        "             {root-system,cayley,orbits,qbinom-scan,serre-check,casimir,whittaker,toda,cross-section,kostant-section,rmatrix-check,gstar,acceptance}\n"
+        "             ...\n"
+        "qwhit: error: unrecognized arguments: 1,1\n")),
+]
+
+
+def _argparse_exit(argv):
+    """(exit code, stdout, stderr) of cli.main(argv) where argparse exits."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", HELP_TEXTS)
+def test_help_texts_are_pinned(monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _argparse_exit(argv.split()) == (0, HELP_TEXTS[argv], "")
+
+
+@pytest.mark.parametrize("argv,err", USAGE_ERRORS, ids=[
+    " ".join(argv) or "no command" for argv, _ in USAGE_ERRORS])
+def test_usage_error_texts_are_pinned(monkeypatch, argv, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _argparse_exit(argv) == (2, "", err)
+
+
 def test_parser_is_built_once():
     assert cli.build_parser() is cli.build_parser()
 
