@@ -314,39 +314,6 @@ class LaurentScalar:
     def __hash__(self):
         return hash((self.c, frozenset(self.n.items()), frozenset(self.d.items())))
 
-    # -- expansions ---------------------------------------------------------
-    def eps_series(self, order: int) -> list[Fraction]:
-        """Coefficients of eps^0..eps^order after substituting q = 1 + eps.
-
-        Fractional exponents are handled by the generalised binomial series;
-        the denominator is inverted as a power series, so it must not
-        vanish at q = 1.
-        """
-
-        def expand(d):
-            out = [F0] * (order + 1)
-            for u, c in d.items():
-                e = Fraction(u, EXP_UNIT)
-                binom = F1
-                for k in range(order + 1):
-                    out[k] += c * binom
-                    binom = binom * (e - k) / (k + 1)
-            return out
-
-        num = expand(self.num)
-        den = expand(self.den)
-        if den[0] == 0:
-            raise ZeroDivisionError("coefficient has a pole at q = 1")
-        inv = [F0] * (order + 1)
-        inv[0] = 1 / den[0]
-        for k in range(1, order + 1):
-            acc = sum(den[j] * inv[k - j] for j in range(1, k + 1))
-            inv[k] = -acc / den[0]
-        return [
-            sum(num[j] * inv[k - j] for j in range(k + 1))
-            for k in range(order + 1)
-        ]
-
     # -- formatting ---------------------------------------------------------
     @staticmethod
     def _poly_str(p: dict, c: int, den: int) -> str:
@@ -525,23 +492,3 @@ def alternating_qbinom_terms(m: int, d, c) -> list[LaurentScalar]:
     signs = F1, -F1
     return [_scalar(signs[k % 2], {e + k * shift: v for e, v in p.items()},
                     _UNIT) for k, p in enumerate(row)]
-
-
-def gauss_product_check(m: int, c: int) -> LaurentScalar:
-    """Return sum_k (-1)^k [m choose k] q^{kc} after checking it equals the
-    factored form prod_{p=0}^{m-1} (1 - q^{m-1-2p+c})."""
-    total = sum(alternating_qbinom_terms(m, 1, c), ZERO)
-    prod = ONE
-    for p in range(m):
-        prod = prod * (ONE - qpow(m - 1 - 2 * p + c))
-    if total != prod:
-        raise ArithmeticError(f"q-binomial sum failed product identity (m={m}, c={c})")
-    return total
-
-
-def qbinom_root_scan(m: int) -> list[int]:
-    """Integer exponents c in -(m+2)..m+2 where the alternating q-binomial
-    sum vanishes identically.  The factored form shows these are exactly
-    m-1-2p for p = 0..m-1."""
-    return [c for c in range(-(m + 2), m + 3)
-            if not gauss_product_check(m, c)]

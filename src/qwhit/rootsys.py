@@ -14,7 +14,7 @@ rational coordinates, ``weight_text`` prints the coordinates for reports).  The
 pairing of a weight with an integer vector (a root or a z-exponent) is then
 one integer dot product through the integer form b_ij, and it is the
 q-exponent q^{(lam, beta)} in qarith units as it stands; two weights pair to
-EXP_UNIT times that, so ``pair_weights`` takes one exact division.
+EXP_UNIT times that, so ``weight_pairing`` takes one exact division.
 """
 
 from __future__ import annotations
@@ -53,6 +53,29 @@ def _divide_exactly(n, d, what):
             f"{what} {Fraction(n, d * EXP_UNIT)} is not a multiple of "
             f"1/{EXP_UNIT}")
     return q
+
+
+def weight_pairing(bx, y):
+    """(x, y) for two weights, in units of 1/EXP_UNIT, from the covector
+    bx = B x: the dot product of bx with y over EXP_UNIT, an exact
+    division; ArithmeticError when it is not."""
+    return _divide_exactly(sum(map(mul, bx, y)), EXP_UNIT, "pairing")
+
+
+class Covectors(dict):
+    """The covector B lam of each weight lam looked up, computed at the
+    first lookup: one table for the operators and modules of one Toda
+    system, so that a call computes the covector of each weight once."""
+
+    __slots__ = ("rs",)
+
+    def __init__(self, rs):
+        super().__init__()
+        self.rs = rs
+
+    def __missing__(self, lam):
+        b = self[lam] = self.rs.covector(lam)
+        return b
 
 
 def _cartan_table(series, rank):
@@ -145,11 +168,6 @@ class RootSystemData(namedtuple("RootSystemData", (
         product: for a weight x and a root or z-exponent y it is the
         q-exponent (x, y) in units of 1/EXP_UNIT."""
         return sum(map(mul, self.covector(x), y))
-
-    def pair_weights(self, x, y):
-        """(x, y) for two weights, in units of 1/EXP_UNIT: pair(x, y) over
-        EXP_UNIT, an exact division; ArithmeticError when it is not."""
-        return _divide_exactly(self.pair(x, y), EXP_UNIT, "pairing")
 
     def module_index(self, name):
         """k for the fundamental module 'Vk' of the module catalogue, which

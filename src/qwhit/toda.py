@@ -37,8 +37,7 @@ from operator import add, mul
 
 from . import qarith, uqalg
 from .qarith import EXP_UNIT, ONE, LaurentScalar, qpow
-from .ratmat import rat_text
-from .rootsys import weight, weight_text
+from .rootsys import Covectors, weight, weight_pairing
 
 
 def _clean(terms):
@@ -51,27 +50,33 @@ def _clean(terms):
     return out
 
 
-def _operator(rs, terms):
-    """The operator with terms that are already clean."""
+def _operator(rs, terms, covectors):
+    """The operator with terms that are already clean and the given
+    covector table."""
     op = object.__new__(DifferenceOperator)
-    op.rs, op.terms = rs, terms
+    op.rs, op.terms, op.covectors = rs, terms, covectors
     return op
 
 
 class DifferenceOperator:
     """Finite map {shift lam -> {z-exponent -> scalar}} over a root system,
-    each shift a weight (an int tuple in units of 1/EXP_UNIT)."""
+    each shift a weight (an int tuple in units of 1/EXP_UNIT).  An operator
+    keeps the ``Covectors`` table of its shifts, which the operators made
+    from it share."""
 
-    __slots__ = ("rs", "terms")
+    __slots__ = ("rs", "terms", "covectors")
 
     def __init__(self, rs, terms=None):
         self.rs = rs
         self.terms = _clean(terms or {})
+        self.covectors = Covectors(rs)
 
     # -- constructors --------------------------------------------------------
     @classmethod
-    def shift(cls, rs, lam):
-        return cls(rs, {tuple(lam): {(0,) * rs.rank: ONE}})
+    def shift(cls, rs, lam, covectors=None):
+        """T_lam, with a new covector table or the one given."""
+        return _operator(rs, {tuple(lam): {(0,) * rs.rank: ONE}},
+                         Covectors(rs) if covectors is None else covectors)
 
     # -- ring structure ------------------------------------------------------
     def __bool__(self):
@@ -88,22 +93,22 @@ class DifferenceOperator:
             slot = out.setdefault(lam, {})
             for z, c in zpart.items():
                 slot[z] = slot[z] + c if z in slot else c
-        return _operator(self.rs, _clean(out))
+        return _operator(self.rs, _clean(out), self.covectors)
 
     def __neg__(self):
         return _operator(self.rs, {
             lam: {z: -c for z, c in zpart.items()}
-            for lam, zpart in self.terms.items()})
+            for lam, zpart in self.terms.items()}, self.covectors)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, scalar):
         if not scalar:
-            return _operator(self.rs, {})
+            return _operator(self.rs, {}, self.covectors)
         return _operator(self.rs, {
             lam: {z: c * scalar for z, c in zpart.items()}
-            for lam, zpart in self.terms.items()})
+            for lam, zpart in self.terms.items()}, self.covectors)
 
     def __rmul__(self, other):
         if isinstance(other, LaurentScalar):
@@ -117,10 +122,11 @@ class DifferenceOperator:
         if not isinstance(other, DifferenceOperator):
             return NotImplemented
         out = {}
+        covectors = self.covectors
         for lam1, zp1 in self.terms.items():
             # T_{lam1} z^b = q^{-(lam1, b)} z^b T_{lam1}, with (lam1, b) the
             # dot product of b with B lam1, in units of 1/EXP_UNIT
-            blam = self.rs.covector(lam1)
+            blam = covectors[lam1]
             for lam2, zp2 in other.terms.items():
                 slot = out.setdefault(tuple(map(add, lam1, lam2)), {})
                 for b, c2 in zp2.items():
@@ -129,7 +135,7 @@ class DifferenceOperator:
                         z = tuple(map(add, a, b))
                         c = c1 * c2
                         slot[z] = slot[z] + c if z in slot else c
-        return _operator(self.rs, _clean(out))
+        return _operator(self.rs, _clean(out), covectors)
 
     def __repr__(self):
         return f"DifferenceOperator({self.terms!r})"
@@ -143,12 +149,12 @@ def commutator(d1, d2):
 
     so a pair whose two exponents agree drops out before any product.  The
     difference of q-powers is formed once per pair of exponents."""
-    rs = d1.rs
-    right = [(lam2, zp2, rs.covector(lam2)) for lam2, zp2 in d2.terms.items()]
+    covectors = d1.covectors
+    right = [(lam2, zp2, covectors[lam2]) for lam2, zp2 in d2.terms.items()]
     diffs = {}
     out = {}
     for lam1, zp1 in d1.terms.items():
-        blam1 = rs.covector(lam1)
+        blam1 = covectors[lam1]
         for lam2, zp2, blam2 in right:
             bs = [(b, c2, sum(map(mul, blam1, b))) for b, c2 in zp2.items()]
             slot = out.setdefault(tuple(map(add, lam1, lam2)), {})
@@ -164,7 +170,7 @@ def commutator(d1, d2):
                     c = c1 * c2 * diff
                     z = tuple(map(add, a, b))
                     slot[z] = slot[z] + c if z in slot else c
-    return _operator(rs, _clean(out))
+    return _operator(d1.rs, _clean(out), covectors)
 
 
 def commutes(*ops):
@@ -188,14 +194,13 @@ def commutes(*ops):
     ops = [d for d in ops if d]
     if len(ops) < 2:
         return True
-    rs = ops[0].rs
+    covectors = ops[0].covectors
     terms = [[(lam, z, c) for lam, zp in d.terms.items()
               for z, c in zp.items()] for d in ops]
     zs = list({z: None for ts in terms for _, z, _ in ts})
     # (lam, z) for each shift lam of each operator and each z-exponent z
-    pairings = [{lam: [sum(map(mul, blam, z)) for z in zs]
-                 for lam, blam in zip(d.terms, map(rs.covector, d.terms))}
-                for d in ops]
+    pairings = [{lam: [sum(map(mul, covectors[lam], z)) for z in zs]
+                 for lam in d.terms} for d in ops]
     shifts = [u for us in pairings for row in us.values() for u in row]
     image = qarith.integer_image([c for ts in terms for _, _, c in ts], shifts)
     if image is None:
@@ -249,8 +254,9 @@ def _sum_codes(vss):
     return codes
 
 
-def lower_rep(y, chibar):
-    """Difference operator of a lower-Borel element: f_i becomes the
+def lower_rep(rs, terms, chibar):
+    """Difference operator of a lower-Borel element, given by its terms
+    {(f-word, lam, e-word): coefficient} in normal form: f_i becomes the
     multiplication operator chibar(f_i) z_i and K_lam becomes the shift T_lam.
 
     Opposite combinations of f-letters that add up to a non-simple root
@@ -258,10 +264,9 @@ def lower_rep(y, chibar):
     """
     if chibar.side != "f":
         raise ValueError("lower_rep needs an f-side character")
-    alg = y.alg
-    rank = alg.rs.rank
+    rank = rs.rank
     out = {}
-    for (fw, lam, ew), c in y.terms.items():
+    for (fw, lam, ew), c in terms.items():
         if ew:
             raise ValueError("lower_rep applies to elements without e-letters")
         zexp = [0] * rank
@@ -272,18 +277,18 @@ def lower_rep(y, chibar):
         slot = out.setdefault(lam, {})
         z = tuple(zexp)
         slot[z] = slot[z] + coeff if z in slot else coeff
-    return DifferenceOperator(alg.rs, out)
+    return DifferenceOperator(rs, out)
 
 
 def phi_conjugate(op):
     """Conjugate by multiplication with the rho-exponential: each shift T_lam
     picks up the scalar q^{-(rho, lam)}."""
-    rs = op.rs
+    brho = op.covectors[op.rs.rho]
     out = {}
     for lam, zpart in op.terms.items():
-        u = -rs.pair_weights(rs.rho, lam)
+        u = -weight_pairing(brho, lam)
         out[lam] = {z: c.times_q(u) for z, c in zpart.items()}
-    return _operator(rs, out)
+    return _operator(op.rs, out, op.covectors)
 
 
 def _check_non_simple_factors_vanish(alg):
@@ -330,15 +335,16 @@ def _simple_factors(alg, chi, chibar):
         i = beta.index(1)
         scale = qpow(rs.d[i]) - qpow(-rs.d[i])
         t_beta = alg.ctx.cayley_apply(weight(beta))
-        # K_{T alpha_i} f_i = q^{-(T alpha_i, alpha_i)} f_i K_{T alpha_i}
-        f_leg = lower_rep(uqalg.PBWElement(alg, {
-            ((i,), t_beta, ()): scale.times_q(-rs.pair(t_beta, beta))}), chibar)
+        # K_{T alpha_i} f_i = q^{-(T alpha_i, alpha_i)} f_i K_{T alpha_i},
+        # the pairing read off B alpha_i, as the form is symmetric
+        f_leg = lower_rep(rs, {
+            ((i,), t_beta, ()): scale.times_q(-rs.pair(beta, t_beta))}, chibar)
         factors.append((i, t_beta, chi.values[i] * scale, f_leg))
     alg._toda_cache.append(((chi, chibar), factors))
     return factors
 
 
-def toda_hamiltonian(alg, rep_name, chi, chibar):
+def toda_hamiltonian(alg, rep_name, chi, chibar, covectors):
     """Hamiltonian of one fundamental representation V: the Whittaker image
     of C_V, lowered and conjugated by rho, without a product in the algebra.
 
@@ -355,15 +361,17 @@ def toda_hamiltonian(alg, rep_name, chi, chibar):
     RuntimeError instead.  H_V is
 
         sum_j q^{(2 rho, mu_j)} sum_k R21low[j][k] T_{lam_k} chi(U)[k][j].
+
+    Its operators and its module share the ``rootsys.Covectors`` table
+    covectors.
     """
     if chi.side != "e" or chibar.side != "f":
         raise ValueError("the Toda Hamiltonians take an e-side character chi "
                          "and an f-side character chibar")
     factors = _simple_factors(alg, chi, chibar)
     rs = alg.rs
-    rep = uqalg.rep_matrices(alg, rep_name)
-    pair = rs.pair_weights
-    r21 = {k: {k: DifferenceOperator.shift(rs, lam)}
+    rep = uqalg.rep_matrices(alg, rep_name, covectors)
+    r21 = {k: {k: DifferenceOperator.shift(rs, lam, covectors)}
            for k, lam in enumerate(uqalg.cartan_weights(alg, rep, -1))}
     chi_u = {k: {k: ONE} for k in range(rep.dim)}
     for i, t_alpha, chi_scale, f_leg in factors:
@@ -372,14 +380,14 @@ def toda_hamiltonian(alg, rep_name, chi, chibar):
             k: {c: x * f_leg for c, x in row.items()}
             for k, row in rep.e_mats[i].items()}, f"{rep.name}: pi(e_{i})")
         uqalg.times_one_plus(chi_u, {
-            k: {c: (x * chi_scale).times_q(pair(t_alpha, rep.weights[k]))
+            k: {c: (x * chi_scale).times_q(rep.pairing(t_alpha, k))
                 for c, x in row.items()}
             for k, row in rep.f_mats[i].items()}, f"{rep.name}: pi(f_{i})")
     lams = uqalg.cartan_weights(alg, rep, 1)
     two_rho = tuple(2 * x for x in rs.rho)
     out = {}
     for j, row in r21.items():
-        u = pair(two_rho, rep.weights[j])
+        u = rep.pairing(two_rho, j)
         for k, x in row.items():
             y = chi_u[k].get(j)
             if y:  # c z^a T_lam T_{lam_k} = c z^a T_{lam + lam_k}
@@ -389,7 +397,7 @@ def toda_hamiltonian(alg, rep_name, chi, chibar):
                     for z, c in zpart.items():
                         c = c * y
                         slot[z] = slot[z] + c if z in slot else c
-    return phi_conjugate(_operator(rs, _clean(out)))
+    return phi_conjugate(_operator(rs, _clean(out), covectors))
 
 
 def closed_form_M1(alg, chi_vals, chibar_vals):
@@ -424,8 +432,9 @@ def build_toda_system(alg, chi_vals, chibar_vals):
     """All fundamental-representation Hamiltonians for one type-A algebra."""
     chi = uqalg.character("e", chi_vals)
     chibar = uqalg.character("f", chibar_vals)
+    covectors = Covectors(alg.rs)
     hams = tuple(
-        toda_hamiltonian(alg, f"V{k + 1}", chi, chibar)
+        toda_hamiltonian(alg, f"V{k + 1}", chi, chibar, covectors)
         for k in range(alg.rs.rank)
     )
     return TodaSystem(alg=alg, chi=chi, chibar=chibar, hamiltonians=hams)
@@ -435,62 +444,3 @@ def closed_form_holds(system):
     """Is the first Hamiltonian of a type-A Toda system its closed form?"""
     return system.hamiltonians[0] == closed_form_M1(
         system.alg, system.chi.values, system.chibar.values)
-
-
-def quasiclassical_potential_check(system):
-    """Compare the first Hamiltonian against the classical Toda operator at
-    q = 1 + eps.
-
-    The kinetic terms must carry coefficient exactly 1 (so they degenerate to
-    squared shifts), each simple-root potential coefficient must vanish to
-    first order and open with +4 chi_i chibar_i at eps^2, and the classical
-    additive constant (rho, rho) is reported but deliberately not matched.
-    """
-    alg = system.alg
-    rs = alg.rs
-    if rs.series != "A" or rs.rank > 2:
-        raise ValueError("the quasiclassical check is wired for A_1 and A_2")
-    m1 = system.hamiltonians[0]
-    report = {
-        "ok": True,
-        "kinetic": [],
-        "potential": [],
-        "ignored_constant": rat_text(rs.pair(rs.rho, rs.rho),
-                                     EXP_UNIT * EXP_UNIT),
-        "sign_convention": "potential opens with +4 chi_i chibar_i at eps^2",
-    }
-    zero_z = (0,) * rs.rank
-    for lam, zpart in sorted(m1.terms.items()):
-        for zexp, coeff in sorted(zpart.items()):
-            if zexp == zero_z:
-                ok = coeff == ONE
-                report["kinetic"].append({
-                    "shift": weight_text(lam),
-                    "coeff": str(coeff),
-                    "ok": ok,
-                })
-                report["ok"] = report["ok"] and ok
-                continue
-            if sum(zexp) != 1:
-                report["potential"].append({
-                    "shift": weight_text(lam),
-                    "z": list(zexp),
-                    "coeff": str(coeff),
-                    "ok": False,
-                    "note": "unexpected multi-z potential term",
-                })
-                report["ok"] = False
-                continue
-            i = zexp.index(1)
-            series = coeff.eps_series(2)
-            prod = system.chi.values[i] * system.chibar.values[i]
-            expected = 4 * prod.eps_series(0)[0]
-            ok = series[0] == 0 and series[1] == 0 and series[2] == expected
-            report["potential"].append({
-                "z": list(zexp),
-                "series": [str(x) for x in series],
-                "expected_eps2": str(expected),
-                "ok": ok,
-            })
-            report["ok"] = report["ok"] and ok
-    return report

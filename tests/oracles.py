@@ -23,7 +23,7 @@ took before the package applied each as 1 + x (``uqalg.times_one_plus``).
 The Toda lowering, (id x pi_V) R and R_21 in the module, and the numeric
 (pi_V x pi_V) R, each through ``times_q_exp`` with the base
 q^{-(beta, beta)} of its factors, are the forms ``toda_hamiltonian``,
-``uqalg._r_in_rep`` and ``uqalg.r_matrix_vv`` took before that.  The
+``pbw._r_in_rep`` and ``pbw.r_matrix_vv`` took before that.  The
 discriminant by the Sylvester resultant is the general regularity test the
 cross-section report used before it read the diagonal of the torus
 element.  The balanced q-binomial as a q-scalar of its own, one
@@ -43,15 +43,21 @@ import json
 from fractions import Fraction
 from operator import add
 
-from qwhit import cli, toda, uqalg
+from qwhit import cli, pbw, toda, uqalg
 from qwhit.crosssec import coxeter_rep
 from qwhit.qarith import (_UNIT, EXP_UNIT, ONE, ZERO, _normalised,
                           _primitive, _scalar, qpow, to_units)
 from qwhit.ratmat import (det, kron, madd, mat, sparse, sparse_mul,
                           sparse_scale)
-from qwhit.rootsys import weight
+from qwhit.rootsys import weight, weight_pairing
 from qwhit.toda import DifferenceOperator
 from qwhit.uqalg import module_basis
+
+
+
+def pair_weights(rs, x, y):
+    """(x, y) for two weights, in units of 1/EXP_UNIT."""
+    return weight_pairing(rs.covector(x), y)
 
 
 def fraction_pair(rs, x, y):
@@ -193,23 +199,23 @@ def q_exp_base(alg, beta):
 def module_f_leg(alg, rep, beta):
     """The sparse rows of K_{T beta} pi(f_beta) in the module rep, the
     module leg of the R-matrix factor for beta."""
-    return rep.k_times(alg.ctx.cayley_apply(weight(beta)), rep.evaluate(
-        uqalg.root_vector(alg, beta, "-")))
+    return rep.k_times(alg.ctx.cayley_apply(weight(beta)), pbw.evaluate(
+        rep, pbw.root_vector(alg, beta, "-")))
 
 
 def r_in_rep_by_q_exp(alg, rep, flipped):
-    """``uqalg._r_in_rep`` as it was before each factor became 1 + x: the
+    """``pbw._r_in_rep`` as it was before each factor became 1 + x: the
     Cartan diagonal, with each root's factor multiplied in by
     ``times_q_exp`` with its base q^{-(beta, beta)}."""
     out = {k: {k: alg.k(lam)} for k, lam in
            enumerate(uqalg.cartan_weights(alg, rep, -1 if flipped else 1))}
     for beta in alg.ordering.ordering:
-        scale, t_beta = uqalg._root_constants(alg, rep, beta)
-        e_beta = uqalg.root_vector(alg, beta, "+")
+        scale, t_beta = pbw._root_constants(alg, rep, beta)
+        e_beta = pbw.root_vector(alg, beta, "+")
         if flipped:
-            first = (alg.k(t_beta) * uqalg.root_vector(alg, beta, "-")).scale(
+            first = (alg.k(t_beta) * pbw.root_vector(alg, beta, "-")).scale(
                 scale)
-            second = rep.evaluate(e_beta)
+            second = pbw.evaluate(rep, e_beta)
         else:
             first, second = e_beta.scale(scale), module_f_leg(alg, rep, beta)
         out = times_q_exp(out, sparse_scale(second, first), rep.dim,
@@ -218,18 +224,18 @@ def r_in_rep_by_q_exp(alg, rep, flipped):
 
 
 def r_matrix_vv_by_q_exp(alg, rep):
-    """``uqalg.r_matrix_vv`` as it was before it became pi_V of each entry
-    of ``uqalg._r_in_rep``: the Cartan diagonal q^{(mu, lam)} on V x V,
+    """``pbw.r_matrix_vv`` as it was before it became pi_V of each entry
+    of ``pbw._r_in_rep``: the Cartan diagonal q^{(mu, lam)} on V x V,
     with each root's factor multiplied in by ``times_q_exp`` on the
     Kronecker product of its two legs."""
     lams = uqalg.cartan_weights(alg, rep, 1)
     d = rep.dim
-    out = {p: {p: ONE.times_q(alg.rs.pair_weights(mu, lam))}
+    out = {p: {p: ONE.times_q(pair_weights(alg.rs, mu, lam))}
            for p, (mu, lam) in enumerate(itertools.product(rep.weights, lams))}
     for beta in alg.ordering.ordering:
-        scale = uqalg._root_constants(alg, rep, beta)[0]
+        scale = pbw._root_constants(alg, rep, beta)[0]
         first = sparse_scale(
-            rep.evaluate(uqalg.root_vector(alg, beta, "+")), scale)
+            pbw.evaluate(rep, pbw.root_vector(alg, beta, "+")), scale)
         out = times_q_exp(out, kron(first, module_f_leg(alg, rep, beta), d),
                           d * d, q_exp_base(alg, beta))
     return out
@@ -243,7 +249,7 @@ def casimir_by_q_exp(alg, rep):
     two_rho = tuple(2 * x for x in alg.rs.rho)
     out = alg.zero()
     for j, mu in enumerate(rep.weights):
-        twist = ONE.times_q(alg.rs.pair_weights(two_rho, mu))
+        twist = ONE.times_q(pair_weights(alg.rs, two_rho, mu))
         for k, x in r21.get(j, {}).items():
             y = rmat.get(k, {}).get(j)
             if y is not None:
@@ -297,9 +303,8 @@ def toda_hamiltonian_by_q_exp(alg, rep_name, chi, chibar):
         scale = qpow(rs.d[i]) - qpow(-rs.d[i])
         base = qpow(-rs.bform[i][i])
         t_beta = alg.ctx.cayley_apply(weight(beta))
-        f_leg = toda.lower_rep(uqalg.PBWElement(alg, {
-            ((i,), t_beta, ()): scale.times_q(-rs.pair(t_beta, beta))}),
-            chibar)
+        f_leg = toda.lower_rep(rs, {
+            ((i,), t_beta, ()): scale.times_q(-rs.pair(t_beta, beta))}, chibar)
         chi_u = times_q_exp(chi_u, sparse_scale(
             rep.k_times(t_beta, rep.f_mats[i]), chi.values[i] * scale),
             rep.dim, base)
@@ -312,7 +317,7 @@ def toda_hamiltonian_by_q_exp(alg, rep_name, chi, chibar):
         for k, x in row.items():
             y = chi_u.get(k, {}).get(j)
             if y:
-                y = y.times_q(rs.pair_weights(two_rho, rep.weights[j]))
+                y = y.times_q(pair_weights(rs, two_rho, rep.weights[j]))
                 out = out + DifferenceOperator(rs, {
                     tuple(map(add, lam, lams[k])): {
                         z: c * y for z, c in zpart.items()}
@@ -341,8 +346,8 @@ def dense_kron(a, b, zero):
 def k_matrix(rep, lam):
     """pi(K_lam) in the module rep as a dense q-scalar diagonal:
     q^{(lam, mu)} at each basis vector of weight mu."""
-    pair = rep.alg.rs.pair_weights
-    return tuple(tuple(ONE.times_q(pair(lam, mu)) if r == c else ZERO
+    rs = rep.alg.rs
+    return tuple(tuple(ONE.times_q(pair_weights(rs, lam, mu)) if r == c else ZERO
                        for c in range(rep.dim))
                  for r, mu in enumerate(rep.weights))
 

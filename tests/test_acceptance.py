@@ -96,9 +96,9 @@ def test_criterion_07_builds_each_hamiltonian_once(monkeypatch):
     calls = []
     real = toda.toda_hamiltonian
 
-    def counting(alg, rep_name, chi, chibar):
+    def counting(alg, rep_name, chi, chibar, covectors):
         calls.append((alg.rs.rank, rep_name))
-        return real(alg, rep_name, chi, chibar)
+        return real(alg, rep_name, chi, chibar, covectors)
 
     monkeypatch.setattr(toda, "toda_hamiltonian", counting)
     assert acceptance.criterion_7(SEED)["passed"]
@@ -114,7 +114,7 @@ def test_toda_and_whittaker_checks_can_fail():
     shifted = system.hamiltonians[1] * system.hamiltonians[0]
     assert not toda.closed_form_holds(
         system._replace(hamiltonians=(shifted,)))
-    z = toda.lower_rep(alg.f(0), system.chibar)
+    z = toda.lower_rep(alg.rs, alg.f(0).terms, system.chibar)
     assert not toda.hamiltonians_commute((system.hamiltonians[0], z))
     chi = uqalg.character("e", (1, 1))
     assert acceptance.is_whittaker_invariant(alg, alg.one(), chi)

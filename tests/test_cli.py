@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 from oracles import shift_exponents
-from qwhit import acceptance, cli, crosssec, qarith, rootsys, uqalg
+from qwhit import (acceptance, cli, commands, crosssec, pbw, qarith, rootsys,
+                   uqalg)
 from qwhit.qarith import EXP_UNIT
 from qwhit.ratmat import mat, mmul
 
@@ -57,12 +58,12 @@ def test_toda_moves_no_e_past_an_f(capsys, monkeypatch):
     # toda lowers R_21 one simple-root factor at a time and reads a(beta)
     # off the module matrices, so it forms no PBW product at all
     calls = []
-    for owner, attr in ((uqalg.PBWElement, "__mul__"),
-                        (uqalg.Algebra, "_mul_monomial"),
-                        (uqalg.Algebra, "_mul_f"),
-                        (uqalg.Algebra, "_mul_e"),
-                        (uqalg.Algebra, "_etf"),
-                        (uqalg.Algebra, "_mul_k")):
+    for owner, attr in ((pbw.PBWElement, "__mul__"),
+                        (pbw.PBWAlgebra, "_mul_monomial"),
+                        (pbw.PBWAlgebra, "_mul_f"),
+                        (pbw.PBWAlgebra, "_mul_e"),
+                        (pbw.PBWAlgebra, "_etf"),
+                        (pbw.PBWAlgebra, "_mul_k")):
         def recording(*args, _real=getattr(owner, attr), _name=attr):
             calls.append(_name)
             return _real(*args)
@@ -129,26 +130,61 @@ def test_toda_a5_finishes():
 
 
 # Runs one command through cli.main in a fresh interpreter and prints its
-# exit code and which of the watched modules were loaded before and after.
+# exit code, which of the watched modules were loaded before and after,
+# whether the PBW engine was, and the name of each subparser argparse built.
 _MODULE_PROBE = """
-import contextlib, io, json, sys
+import argparse, contextlib, io, json, sys
 watched = ("qwhit.acceptance", "qwhit.crosssec", "dataclasses")
 at_start = [m for m in watched if m in sys.modules]
+subparsers = []
+add_parser = argparse._SubParsersAction.add_parser
+
+
+def counting(self, name, **kwargs):
+    subparsers.append(name)
+    return add_parser(self, name, **kwargs)
+
+
+argparse._SubParsersAction.add_parser = counting
 from qwhit import cli
 with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(sys.argv[1:])
+    try:
+        code = cli.main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
 print(json.dumps({"code": code, "at_start": at_start,
-                  "loaded": [m for m in watched if m in sys.modules]}))
+                  "loaded": [m for m in watched if m in sys.modules],
+                  "engine": "qwhit.pbw" in sys.modules,
+                  "subparsers": subparsers}))
 """
 
 
-def _modules_loaded_by(*argv):
+def _probe(*argv):
     proc = subprocess.run([sys.executable, "-c", _MODULE_PROBE, *argv],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     probe = json.loads(proc.stdout)
     assert probe["code"] == 0
+    return probe
+
+
+def _modules_loaded_by(*argv):
+    probe = _probe(*argv)
     return set(probe["loaded"]) - set(probe["at_start"])
+
+
+def test_only_casimir_and_whittaker_load_the_pbw_engine():
+    toda_call = _probe("toda", "--type", "A", "--rank", "2",
+                       "--check-commute")
+    assert not toda_call["engine"]
+    for command in ("casimir", "whittaker"):
+        assert _probe(command, "--type", "A", "--rank", "1")["engine"]
+
+
+def test_a_call_builds_one_subparser_and_help_all_of_them():
+    toda_call = _probe("toda", "--type", "A", "--rank", "1")
+    assert toda_call["subparsers"] == ["toda"]
+    assert _probe("--help")["subparsers"] == list(cli.HANDLERS)
 
 
 def test_toda_loads_neither_acceptance_nor_crosssec_nor_dataclasses():
@@ -395,12 +431,12 @@ def test_rmatrix_check_above_the_cap_exits_2_before_any_work(
     monkeypatch.setattr(acceptance, "mcybe_trials", refused)
     monkeypatch.setattr(acceptance, "rmatrix_subspaces", refused)
     code, report, captured = run_cli(capsys, "rmatrix-check", "--n",
-                                     str(cli.MAX_RMATRIX_N + 1),
+                                     str(commands.MAX_RMATRIX_N + 1),
                                      "--trials", "0")
     assert code == 2
     assert report is None
     assert captured.err == (f"qwhit rmatrix-check: need --n <= "
-                            f"{cli.MAX_RMATRIX_N}: the check's time grows "
+                            f"{commands.MAX_RMATRIX_N}: the check's time grows "
                             f"about as n^5\n")
 
 
@@ -628,8 +664,8 @@ def test_report_digests_are_pinned(capsys, argv, digest):
       for cmd in ("casimir", "toda", "whittaker")
       for series, rank in (("B", 6), ("C", 6), ("D", 6), ("F", 4), ("G", 2))],
     # above the cap the scan would run for minutes; both flag spellings
-    (["qbinom-scan", "--m", "40"], f"need --m <= {cli.MAX_QBINOM_M}"),
-    (["qbinom-scan", "--n", "40"], f"need --m <= {cli.MAX_QBINOM_M}"),
+    (["qbinom-scan", "--m", "40"], f"need --m <= {commands.MAX_QBINOM_M}"),
+    (["qbinom-scan", "--n", "40"], f"need --m <= {commands.MAX_QBINOM_M}"),
     # --matrix is the unipotent upper factor n_+, checked before use
     (["gstar", "--x", "2,1/2", "--u-params", "1/2", "--matrix",
       '[["2","0"],["0","1/2"]]'],
@@ -639,9 +675,9 @@ def test_report_digests_are_pinned(capsys, argv, digest):
      "--matrix must be unipotent upper triangular"),
     # above the caps the trials would run for seconds to minutes
     (["cross-section", "--n", "128", "--trials", "1"],
-     f"need --n <= {cli.MAX_CROSS_SECTION_N}"),
+     f"need --n <= {commands.MAX_CROSS_SECTION_N}"),
     (["kostant-section", "--n", "256", "--trials", "1"],
-     f"need --n <= {cli.MAX_KOSTANT_N}"),
+     f"need --n <= {commands.MAX_KOSTANT_N}"),
 ])
 def test_bad_rational_flag_exits_2_at_once(argv, message):
     # a subprocess with a timeout, so that a slow parse or build fails the
@@ -872,7 +908,10 @@ def test_usage_error_texts_are_pinned(monkeypatch, argv, err):
 
 
 def test_parser_is_built_once():
-    assert cli.build_parser() is cli.build_parser()
+    # once per command, and once for the parser of every command
+    for command in ("toda", "casimir", None):
+        assert cli.build_parser(command) is cli.build_parser(command)
+    assert cli.build_parser("toda") is not cli.build_parser("casimir")
 
 
 def test_out_flag_writes_file(tmp_path, capsys):
@@ -1093,3 +1132,81 @@ def test_drawn_matrix_flags_exit_cleanly(command, codes):
 
     check()
     assert codes <= seen
+
+
+# -- drawn toda flags ------------------------------------------------------------
+
+def _character_flag(rank, data, st):
+    """Text of a --chi or --chibar value: rank nonzero rationals, at times
+    with a zero, one item too few or too many, an empty item, a decimal
+    exponent at or past the cap, or a huge numerator."""
+    fracs = st.builds(F, st.integers(-4, 4).filter(bool), st.integers(1, 3))
+    items = [str(data.draw(fracs)) for _ in range(rank)]
+    flaw = data.draw(st.sampled_from(
+        ["none"] * 5 + ["zero", "short", "long", "empty item", "exponent",
+                        "huge"]))
+    at = data.draw(st.integers(0, max(len(items) - 1, 0)))
+    cap = cli.MAX_DECIMAL_EXPONENT
+    if flaw == "zero" and items:
+        items[at] = data.draw(st.sampled_from(["0", "0/5", "-0.0"]))
+    elif flaw == "short":
+        items = items[:-1]
+    elif flaw == "long":
+        items.append("1")
+    elif flaw == "empty item":
+        items.insert(at, "")
+    elif flaw == "exponent" and items:
+        items[at] = data.draw(st.sampled_from(
+            [f"1e{cap}", f"-3e-{cap}", f"1e{cap + 1}", f"2.5E-{cap + 1}",
+             "1e99999999"]))
+    elif flaw == "huge" and items:
+        items[at] = str(data.draw(st.integers(10 ** 40, 10 ** 60))
+                        * data.draw(st.sampled_from([1, -1])))
+    return ",".join(items)
+
+
+def _pi_flag(rank, data, st):
+    """Text of a --pi value: a permutation of 1..rank, or one that is not."""
+    perm = list(data.draw(st.permutations(range(1, rank + 1))))
+    return data.draw(st.sampled_from([
+        ",".join(map(str, perm))] * 3 + [
+        ",".join(map(str, perm + [rank + 1])), ",".join(map(str, perm[1:])),
+        "1,1", "0," + ",".join(map(str, perm[1:])), "", "x", "1,,2"]))
+
+
+def test_drawn_toda_flags_exit_cleanly():
+    # exit 0, 1 or 2 with one diagnostic line, a schema-1 report when one is
+    # written, and the same bytes for the same argv
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    seen = set()
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(st.data())
+    def check(data):
+        series = data.draw(st.sampled_from(["A"] * 6 + ["B", "G", "E", "a"]))
+        rank = data.draw(st.sampled_from(
+            [1, 2, 3, 0, rootsys.MAX_RANK + 1]))
+        argv = ["toda", "--type", series, "--rank", str(rank)]
+        width = data.draw(st.sampled_from([min(rank, 3), 2]))
+        if data.draw(st.booleans()):
+            argv.append(f"--pi={_pi_flag(width, data, st)}")
+        for flag in ("--chi", "--chibar"):
+            if data.draw(st.sampled_from([True, True, False])):
+                argv.append(f"{flag}={_character_flag(width, data, st)}")
+        if data.draw(st.booleans()):
+            argv.append("--check-commute")
+        code, out, lines = _run_quietly(argv)
+        assert (code, out, lines) == _run_quietly(argv)
+        seen.add(code)
+        assert code in (0, 1, 2)
+        if code:
+            assert len(lines) == 1, lines
+        if code == 0 or out:
+            report = json.loads(out)
+            assert report["schema"] == "1"
+            assert report["command"] == "toda"
+
+    check()
+    assert {0, 2} <= seen
