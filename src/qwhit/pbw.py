@@ -441,19 +441,21 @@ def whittaker_action(x, v, chi):
 
 def evaluate(rep, x):
     """The sparse rows of the matrix of a PBWElement in the module rep.  A
-    term applies K_lam by ``k_times`` to its e-ladders' product, or to its
-    f-ladders' product F, as F K_lam = q^{(lam, wt F)} K_lam F."""
-    terms = []
+    term f^t K_lam e^r is its letters' ladders composed into one ladder
+    (``uqalg.compose``), with K_lam moved to the left, F K_lam = q^{(lam,
+    wt F)} K_lam F, as one more exponent at each row; each entry is the
+    coefficient times its one q-power."""
+    total = {}
     for (fw, lam, ew), c in x.terms.items():
-        if not ew:
-            c = c.times_q(x.alg.rs.pair(lam, x.alg.word_weight(fw)))
-        word = [rep.e_mats[i] for i in ew] or [rep.f_mats[i] for i in fw]
-        m = rep.k_times(lam, functools.reduce(sparse_mul, word) if word
-                        else {r: {r: ONE} for r in range(rep.dim)})
-        for i in reversed(fw if ew else ()):
-            m = sparse_mul(rep.f_mats[i], m)
-        terms.append((c, m))
-    return _sparse_combination(terms)
+        word = [rep.f_mats[i] for i in fw] + [rep.e_mats[i] for i in ew]
+        m = (functools.reduce(uqalg.compose, word) if word
+             else {r: (r, 0) for r in range(rep.dim)})
+        shift = x.alg.rs.pair(lam, x.alg.word_weight(fw)) if fw else 0
+        for r, (col, u) in m.items():
+            v = c.times_q(u + shift + rep.pairing(lam, r))
+            slot = total.setdefault(r, {})
+            slot[col] = slot[col] + v if col in slot else v
+    return _without_zeros(total)
 
 
 def _sparse_combination(terms):
@@ -466,8 +468,13 @@ def _sparse_combination(terms):
             for c, x in row.items():
                 v = coef * x
                 slot[c] = slot[c] + v if c in slot else v
+    return _without_zeros(total)
+
+
+def _without_zeros(rows):
+    """The sparse rows rows without their zero entries and empty rows."""
     out = {}
-    for r, row in total.items():
+    for r, row in rows.items():
         row = {c: v for c, v in row.items() if v}
         if row:
             out[r] = row

@@ -153,8 +153,8 @@ def sparse_mul(a: dict, b: dict) -> dict:
 
 def sparse_scale(a: dict, s) -> dict:
     """The sparse rows a with every entry times s on the right, so that
-    q-scalar entries times a PBW element or a difference operator give
-    sparse rows of those.  s must not be zero, so no entry vanishes."""
+    q-scalar entries times a PBW element give sparse rows of PBW elements.
+    s must not be zero, so no entry vanishes."""
     return {r: {c: x * s for c, x in row.items()} for r, row in a.items()}
 
 

@@ -20,6 +20,7 @@ EXP_UNIT times that, so ``weight_pairing`` takes one exact division.
 from __future__ import annotations
 
 import itertools
+import re
 from collections import namedtuple
 from fractions import Fraction
 from operator import add, mul
@@ -170,16 +171,15 @@ class RootSystemData(namedtuple("RootSystemData", (
         return sum(map(mul, self.covector(x), y))
 
     def module_index(self, name):
-        """k for the fundamental module 'Vk' of the module catalogue, which
-        covers type A only; ValueError for any other system or name."""
+        """k for the fundamental module 'Vk' of the type-A catalogue, k in
+        ASCII digits with no leading zero; ValueError for anything else."""
         if self.series != "A":
             raise ValueError("the module catalogue covers type A only")
-        if not (name.startswith("V") and name[1:].isdigit()):
+        if not re.fullmatch(r"V(0|[1-9][0-9]*)", name):
             raise ValueError(f"unknown module name {name!r}")
-        k = int(name[1:])
-        if k < 1 or k > self.rank:
+        if name[1:] not in map(str, range(1, self.rank + 1)):
             raise ValueError(f"module index out of range in {name!r}")
-        return k
+        return int(name[1:])
 
 
 def build_root_system(series, rank):

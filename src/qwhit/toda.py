@@ -36,7 +36,7 @@ from itertools import combinations
 from operator import add, mul
 
 from . import qarith, uqalg
-from .qarith import EXP_UNIT, ONE, LaurentScalar, qpow
+from .qarith import EXP_UNIT, ONE, qpow
 from .rootsys import Covectors, weight, weight_pairing
 
 
@@ -103,22 +103,15 @@ class DifferenceOperator:
     def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, scalar):
-        if not scalar:
-            return _operator(self.rs, {}, self.covectors)
+    def times_q(self, u):
+        """self * q^(u / EXP_UNIT) for an int u, each coefficient shifted
+        (``LaurentScalar.times_q``): no product."""
         return _operator(self.rs, {
-            lam: {z: c * scalar for z, c in zpart.items()}
+            lam: {z: c.times_q(u) for z, c in zpart.items()}
             for lam, zpart in self.terms.items()}, self.covectors)
-
-    def __rmul__(self, other):
-        if isinstance(other, LaurentScalar):
-            return self.scale(other)
-        return NotImplemented
 
     def __mul__(self, other):
         """Operator composition: self after other."""
-        if isinstance(other, LaurentScalar):
-            return self.scale(other)
         if not isinstance(other, DifferenceOperator):
             return NotImplemented
         out = {}
@@ -377,12 +370,11 @@ def toda_hamiltonian(alg, rep_name, chi, chibar, covectors):
     for i, t_alpha, chi_scale, f_leg in factors:
         # pi(e_i) times the chibar leg, and chi_i scale K_{T alpha_i} pi(f_i)
         uqalg.times_one_plus(r21, {
-            k: {c: x * f_leg for c, x in row.items()}
-            for k, row in rep.e_mats[i].items()}, f"{rep.name}: pi(e_{i})")
+            k: {c: f_leg.times_q(u)} for k, (c, u) in rep.e_mats[i].items()},
+            f"{rep.name}: pi(e_{i})")
         uqalg.times_one_plus(chi_u, {
-            k: {c: (x * chi_scale).times_q(rep.pairing(t_alpha, k))
-                for c, x in row.items()}
-            for k, row in rep.f_mats[i].items()}, f"{rep.name}: pi(f_{i})")
+            k: {c: chi_scale.times_q(u + rep.pairing(t_alpha, k))}
+            for k, (c, u) in rep.f_mats[i].items()}, f"{rep.name}: pi(f_{i})")
     lams = uqalg.cartan_weights(alg, rep, 1)
     two_rho = tuple(2 * x for x in rs.rho)
     out = {}

@@ -18,12 +18,13 @@ never loads it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from collections import namedtuple
 
 from . import qarith, rootsys
-from .qarith import EXP_UNIT, ONE, LaurentScalar, qpow
+from .qarith import EXP_UNIT, ONE, LaurentScalar, to_units
 
 
 
@@ -80,7 +81,7 @@ class Algebra:
         self._etf_cache: dict = {}
         self._root_vector_cache: dict = {}
         self._scale_cache: dict = {}
-        self._relation_cache: dict = {}
+        self._relation_cache = None  # built by the first module check
         self._toda_cache: list = []
         self.rules = []
         self._pending = None  # the completion queue, built by _complete
@@ -141,12 +142,13 @@ class RepMatrices:
     """Exact matrices for a fundamental module, twisted into the Coxeter
     presentation; every defining relation is checked at build time.
 
-    Matrices are kept as sparse rows {row: {column: q-scalar}} with no zero
-    entry (see ``ratmat``): pi(e_i) is the ladder times K_nu, nu the twist
-    of alpha_i, and pi(f_i) is K_{-nu} times the opposite ladder, so each
-    ladder entry carries q^{(nu, mu)}, mu the weight of its source for e_i
-    and of its image for f_i.  A ladder has at most one entry per row and
-    per column."""
+    The module is minuscule, so pi(e_i) and pi(f_i) are ladders: at most one
+    entry per row and per column, each a bare q-power.  A ladder is kept as
+    {row: (column, u)}, the entry q^(u/EXP_UNIT), and ``compose`` multiplies
+    two of them.  pi(e_i) is the ladder times K_nu, nu the twist of alpha_i,
+    and pi(f_i) is K_{-nu} times the opposite ladder, so each entry carries
+    u = (nu, mu), mu the weight of its source for e_i and of its image for
+    f_i."""
 
     def __init__(self, alg, name, k_index, covectors):
         rs = alg.rs
@@ -168,8 +170,7 @@ class RepMatrices:
             for s in basis:
                 if b in s and a not in s:
                     r, c = index[tuple(sorted(set(s) - {b} | {a}))], index[s]
-                    rows[r] = {c: ONE.times_q(
-                        self.pairing(nu, c if at_source else r))}
+                    rows[r] = (c, self.pairing(nu, c if at_source else r))
             return rows
 
         self.e_mats = []
@@ -192,14 +193,15 @@ class RepMatrices:
                     for c, x in row.items()} for r, row in rows.items()}
 
     def _check_relations(self):
-        """Check every defining relation on the matrices: the K-e and K-f
+        """Check every defining relation on the ladders: the K-e and K-f
         relations entry by entry against the weights, the cross and Serre
-        relations as sums of products of q-exponent terms (``_terms``,
-        ``_vanishes``), in exact int or Fraction arithmetic, or in q-scalar
-        arithmetic when an entry has a non-unit denominator.  The cross
-        relation at (i, i) is multiplied through by q_i - q_i^{-1} to keep
-        its scalars polynomials.  A failure raises one RuntimeError naming
-        each kind of relation that fails, at its first failing (i, j)."""
+        relations as int sums over the words of each relation
+        (``_vanishes``).  The cross relation at (i, i) is multiplied through
+        by q_i - q_i^{-1} to keep its coefficients polynomials, and its
+        right side, moved over as K_i^{-1} - K_i, is two diagonal ladders
+        with coefficients 1 and -1.  A failure raises one RuntimeError
+        naming each kind of relation that fails, at its first failing
+        (i, j)."""
         rs = self.alg.rs
         n = rs.rank
         # kexp[r][i] = (alpha_i, mu_r): pi(K_{alpha_i}) is q to it at r
@@ -218,23 +220,16 @@ class RepMatrices:
                                ("K-f relation", self.f_mats[j], -1)):
                 b *= EXP_UNIT * rs.bform[i][j]
                 check(kind, i, j, all(kexp[r][i] - kexp[c][i] == b
-                                      for r, row in x.items() for c in row))
-        exact = any(len(x.d) > 1 for m in self.e_mats + self.f_mats
-                    for row in m.values() for x in row.values())
-        e, f = ([{r: [(c, u, v) for c, x in row.items()
-                      for u, v in _terms(x, exact)] for r, row in m.items()}
-                 for m in mats] for mats in (self.e_mats, self.f_mats))
-        cross, serre = _relation_terms(self.alg, exact)
-        # e_i f_j - q^{c_ji} f_j e_i = delta_ij (K_i - K_i^-1)/(q_i - q_i^-1),
-        # with K_i^-1 - K_i read off the same exponents, which take few values
-        diffs = {x: _terms(ONE.times_q(-x) - ONE.times_q(x), exact)
-                 for x in {x for k in kexp for x in k if x}}
+                                      for r, (c, _) in x.items()))
+        e, f = self.e_mats, self.f_mats
+        cross, serre = _relation_terms(self.alg)
+        # e_i f_j - q^{c_ji} f_j e_i = delta_ij (K_i - K_i^-1)/(q_i - q_i^-1)
         for (i, j), (c_ef, c_fe) in cross.items():
             words = [(c_ef, [e[i], f[j]]), (c_fe, [f[j], e[i]])]
-            if i == j:
-                words.append((_terms(ONE, exact), [{
-                    r: [(r, u, v) for u, v in diffs[k[i]]]
-                    for r, k in enumerate(kexp) if k[i]}]))
+            if i == j:  # K_i^-1 and -K_i, each q^{+-(alpha_i, mu_r)} at r
+                words += [(((0, -sign),), [{r: (r, sign * k[i])
+                                            for r, k in enumerate(kexp)
+                                            if k[i]}]) for sign in (-1, 1)]
             check("cross relation", i, j, _vanishes(words))
         for side, x in (("e", e), ("f", f)):
             for (i, j), coefs in serre.items():
@@ -256,47 +251,49 @@ class RepMatrices:
                 out[r] = {r: ONE.times_q(x) - ONE.times_q(-x)}
         return out
 
-def _terms(x, exact):
-    """The q-scalar x as (q-exponent, coefficient) terms: one per monomial,
-    or x itself at exponent 0 when exact."""
-    if exact:
-        return [(0, x)]
-    c = x.c.numerator if x.c.denominator == 1 else x.c
-    return [(u, c * v) for u, v in x.n.items()]
+
+def compose(a, b):
+    """The ladder a b: each row's entry in a, followed into b, ends in a
+    column of b with the exponents summed, or the row drops out."""
+    out = {}
+    for r, (k, u) in a.items():
+        step = b.get(k)
+        if step is not None:
+            out[r] = (step[0], u + step[1])
+    return out
 
 
 def _vanishes(relation):
     """Whether sum coef * word over the (coef, word) in relation is zero,
-    each word a list of matrices {row: [(column, exponent, coefficient)]}
-    multiplied out (exponents add, coefficients multiply): the coefficients
-    summed at each (row, column, exponent) are all 0."""
+    each coef int (q-exponent, coefficient) terms and each word a list of
+    ladders composed left to right: the coefficients summed at each (row,
+    column, exponent) are all 0."""
     total = {}
     for coef, word in relation:
-        terms = [(r, c, u, x) for r, row in word[0].items() for c, u, x in row]
-        for b in word[1:]:
-            terms = [(r, c, u + w, x * y) for r, k, u, x in terms
-                     for c, w, y in b.get(k, ())]
-        for w, y in coef:
-            for r, c, u, x in terms:
+        for r, (c, u) in functools.reduce(compose, word).items():
+            for w, y in coef:
                 key = (r, c, u + w)
-                v = x * y
-                total[key] = total[key] + v if key in total else v
+                total[key] = total.get(key, 0) + y
     return not any(total.values())
 
 
-def _relation_terms(alg, exact):
+def _relation_terms(alg):
     """The coefficients of e_i f_j and f_j e_i in the cross relation at each
-    (i, j), and of each Serre relator, as ``_terms`` memoized on alg."""
-    if exact not in alg._relation_cache:
-        rs, cross = alg.rs, {}
+    (i, j), s and -s q^{c_ji} with s = q_i - q_i^{-1} at i = j and 1 else,
+    and of each Serre relator, read off its polynomial of content +-1, as
+    int (q-exponent, coefficient) terms, memoized on alg."""
+    if alg._relation_cache is None:
+        ctx, cross = alg.ctx, {}
         for i, j in itertools.product(range(alg.rank), repeat=2):
-            s = qpow(rs.d[i]) - qpow(-rs.d[i]) if i == j else ONE
-            cross[i, j] = (_terms(s, exact),
-                           _terms(-s * qpow(alg.ctx.cayley[j][i]), exact))
-        alg._relation_cache[exact] = cross, {
-            ij: [_terms(c, exact) for c in coefs]
+            d = to_units(alg.rs.d[i])
+            s = ((d, 1), (-d, -1)) if i == j else ((0, 1),)
+            c = to_units(ctx.cayley[j][i])
+            cross[i, j] = s, tuple((u + c, -y) for u, y in s)
+        alg._relation_cache = cross, {
+            ij: [[(u, x.c.numerator * v) for u, v in x.n.items()]
+                 for x in coefs]
             for ij, coefs in alg.serre_coefs.items()}
-    return alg._relation_cache[exact]
+    return alg._relation_cache
 
 
 def rep_matrices(alg, name, covectors=None):

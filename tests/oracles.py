@@ -36,6 +36,10 @@ Weight coordinates as Fractions, the matrix flag parser that read every
 entry through a Fraction, and the printers that wrote an entry as
 str(Fraction(x, den)) and a q-scalar through its Fraction views are the
 forms the command line used before reports were read and written from ints.
+A module ladder as sparse rows of q-scalars, and a difference operator
+scaled by a q-scalar, are the forms the module matrices and
+``DifferenceOperator.scale`` had before the modules became ladders of int
+exponents.
 """
 
 import itertools
@@ -45,8 +49,8 @@ from operator import add
 
 from qwhit import cli, pbw, toda, uqalg
 from qwhit.crosssec import coxeter_rep
-from qwhit.qarith import (_UNIT, EXP_UNIT, ONE, ZERO, _normalised,
-                          _primitive, _scalar, qpow, to_units)
+from qwhit.qarith import (_UNIT, EXP_UNIT, ONE, ZERO, LaurentScalar,
+                          _normalised, _primitive, _scalar, qpow, to_units)
 from qwhit.ratmat import (det, kron, madd, mat, sparse, sparse_mul,
                           sparse_scale)
 from qwhit.rootsys import weight, weight_pairing
@@ -106,6 +110,25 @@ def operator_apply(d, func):
     return {z: c for z, c in out.items() if c}
 
 
+def ladder_rows(ladder):
+    """The sparse rows of a module ladder {row: (column, u)}: each entry the
+    q-scalar q^(u/EXP_UNIT), built by the scalar's constructor from the
+    exponent alone, with no ``qpow`` or ``times_q``."""
+    return {r: {c: LaurentScalar({Fraction(u, EXP_UNIT): 1})}
+            for r, (c, u) in ladder.items()}
+
+
+def scaled(x, s):
+    """x times the q-scalar s: a difference operator coefficient by
+    coefficient, as ``DifferenceOperator.scale`` gave it before the package
+    stopped scaling operators by scalars, and a q-scalar or PBW element by
+    its own product."""
+    if not isinstance(x, DifferenceOperator):
+        return x * s
+    return DifferenceOperator(x.rs, {lam: {z: c * s for z, c in zpart.items()}
+                                     for lam, zpart in x.terms.items()})
+
+
 def dense(rows, n, zero):
     """The n x n tuple matrix with the sparse rows rows."""
     return tuple(tuple(rows.get(r, {}).get(c, zero) for c in range(n))
@@ -151,7 +174,7 @@ def dense_sub(a, b):
 
 def dense_scale(a, s):
     """The tuple matrix a with every entry times s on the right."""
-    return tuple(tuple(x * s for x in row) for row in a)
+    return tuple(tuple(scaled(x, s) for x in row) for row in a)
 
 
 def q_paren(n, t):
@@ -181,7 +204,8 @@ def times_q_exp(rows, x, n, t):
             raise ArithmeticError("times_q_exp: matrix is not nilpotent")
         inv = q_paren(k, t).inverse()
         if inv != ONE:  # (1)_t = 1 leaves the term as it is
-            term = sparse_scale(term, inv)
+            term = {r: {c: scaled(v, inv) for c, v in row.items()}
+                    for r, row in term.items()}
         for r, row in term.items():
             slot = out.setdefault(r, {})
             for c, v in row.items():
@@ -274,7 +298,7 @@ def q_exp_nilpotent(x, n, t, one):
         for r, row in term.items():
             slot = out[r]
             for c, v in row.items():
-                v = v * inv
+                v = scaled(v, inv)
                 slot[c] = slot[c] + v if c in slot else v
         term = sparse_mul(term, x)
     if term:
@@ -306,10 +330,11 @@ def toda_hamiltonian_by_q_exp(alg, rep_name, chi, chibar):
         f_leg = toda.lower_rep(rs, {
             ((i,), t_beta, ()): scale.times_q(-rs.pair(t_beta, beta))}, chibar)
         chi_u = times_q_exp(chi_u, sparse_scale(
-            rep.k_times(t_beta, rep.f_mats[i]), chi.values[i] * scale),
-            rep.dim, base)
-        r21 = times_q_exp(r21, sparse_scale(rep.e_mats[i], f_leg), rep.dim,
-                          base)
+            rep.k_times(t_beta, ladder_rows(rep.f_mats[i])),
+            chi.values[i] * scale), rep.dim, base)
+        r21 = times_q_exp(r21, {
+            r: {c: scaled(f_leg, x) for c, x in row.items()}
+            for r, row in ladder_rows(rep.e_mats[i]).items()}, rep.dim, base)
     lams = uqalg.cartan_weights(alg, rep, 1)
     two_rho = tuple(2 * x for x in rs.rho)
     out = DifferenceOperator(rs)

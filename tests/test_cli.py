@@ -1209,3 +1209,88 @@ def test_drawn_toda_flags_exit_cleanly():
 
     check()
     assert {0, 2} <= seen
+
+
+# -- module names and drawn casimir and whittaker flags ---------------------------
+
+# spellings that int() once read as a module index, or that are no index;
+# "Ⅴ1" starts with the Roman numeral five
+_NOT_MODULE_NAMES = ["V01", "V001", "V١", "V²", "V+1", "V 1", " V1",
+                     "V1 ", "V1\n", "v1", "V", "", "1", "V1.0", "V_1",
+                     "Ⅴ1", "VV1"]
+
+
+@pytest.mark.parametrize("command", ["casimir", "whittaker"])
+@pytest.mark.parametrize("name", _NOT_MODULE_NAMES)
+def test_a_module_name_is_v_and_a_plain_decimal(capsys, command, name):
+    # each module has one name, V and its index in ASCII digits with no
+    # leading zero, so a report echoes the one spelling; any other is a
+    # usage error
+    assert cli.main([command, "--type", "A", "--rank", "2",
+                     f"--rep={name}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines()
+            if not line.startswith("elapsed: ")] == [
+        f"qwhit {command}: unknown module name {name!r}"]
+
+
+@pytest.mark.parametrize("name,code", [("V1", 0), ("V2", 0), ("V0", 2),
+                                       ("V3", 2), ("V10", 2)])
+def test_the_module_names_of_a2(capsys, name, code):
+    assert cli.main(["casimir", "--type", "A", "--rank", "2",
+                     f"--rep={name}"]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert [line for line in captured.err.splitlines()
+                if not line.startswith("elapsed: ")] == [
+            f"qwhit casimir: module index out of range in {name!r}"]
+    else:
+        report = json.loads(captured.out)
+        assert report["inputs"]["rep"] == report["outputs"]["rep"] == name
+
+
+def _rep_flag(rank, data, st):
+    """Text of a --rep value: a module of the catalogue, one past it, or a
+    name that is none."""
+    return data.draw(st.sampled_from(
+        [f"V{k}" for k in range(1, rank + 1)] * 6
+        + ["V0", f"V{rank + 1}"] + _NOT_MODULE_NAMES))
+
+
+@pytest.mark.parametrize("command", ["casimir", "whittaker"])
+def test_drawn_casimir_and_whittaker_flags_exit_cleanly(command):
+    # exit 0, 1 or 2 with one diagnostic line, a schema-1 report when one is
+    # written, and the same bytes for the same argv
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    seen = set()
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(st.data())
+    def check(data):
+        series = data.draw(st.sampled_from(["A"] * 12 + ["B", "G", "E", "a"]))
+        rank = data.draw(st.sampled_from(
+            [1, 2] * 6 + [0, rootsys.MAX_RANK + 1]))
+        argv = [command, "--type", series, "--rank", str(rank)]
+        width = data.draw(st.sampled_from([min(rank, 2)] * 5 + [2]))
+        if data.draw(st.booleans()):
+            argv.append(f"--pi={_pi_flag(width, data, st)}")
+        if data.draw(st.sampled_from([True, True, False])):
+            argv.append(f"--rep={_rep_flag(width, data, st)}")
+        if command == "whittaker" and data.draw(
+                st.sampled_from([True, True, False])):
+            argv.append(f"--chi={_character_flag(width, data, st)}")
+        code, out, lines = _run_quietly(argv)
+        assert (code, out, lines) == _run_quietly(argv)
+        seen.add(code)
+        assert code in (0, 1, 2)
+        assert len(lines) == (1 if code else 0), lines
+        if code == 0 or out:
+            report = json.loads(out)
+            assert report["schema"] == "1"
+            assert report["command"] == command
+
+    check()
+    assert {0, 2} <= seen

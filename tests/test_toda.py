@@ -8,8 +8,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from oracles import (closed_form, fraction_pair, module_f_leg,
-                     operator_apply, shift_exponents, surviving_root,
+from oracles import (closed_form, fraction_pair, ladder_rows, module_f_leg,
+                     operator_apply, scaled, shift_exponents, surviving_root,
                      toda_hamiltonian_by_q_exp, weight_coords)
 from qwhit import acceptance, cli, pbw, qarith, rootsys, toda, uqalg
 from qwhit.qarith import EXP_UNIT, ONE, ZERO, LaurentScalar, qpow
@@ -58,7 +58,7 @@ def test_operators_are_unhashable():
     # an operator wraps a mutable dict of terms
     rs = rootsys.build_root_system("A", 1)
     t = DifferenceOperator.shift(rs, weight((1,)))
-    assert t * ONE == ONE * t == t
+    assert t * DifferenceOperator.shift(rs, (0,)) == t
     with pytest.raises(TypeError):
         hash(t)
 
@@ -81,9 +81,9 @@ def test_shift_past_z_picks_up_q_power():
     z1 = z_monomial(rs, (1, 0))
     # T_lam z_1 = q^{-(lam, alpha_1)} z_1 T_lam
     scal = qpow(-fraction_pair(rs, lam, (1, 0)))
-    assert t * z1 == (z1 * t).scale(scal)
+    assert t * z1 == scaled(z1 * t, scal)
     got = toda.commutator(z1, t)
-    want = (z1 * t).scale(qpow(0) - scal)
+    want = scaled(z1 * t, qpow(0) - scal)
     assert got == want
 
 
@@ -174,8 +174,8 @@ def test_composition_and_action_match_the_fraction_reference():
         assert op(t1) * op(t2) == want
         assert operator_apply(op(t1), func) == reference_apply(rs, t1, func)
         minus_one = LaurentScalar.from_rational(-1)
-        assert -op(t1) == op(t1).scale(minus_one)
-        assert op(t1) - op(t2) == op(t1) + op(t2).scale(minus_one)
+        assert -op(t1) == scaled(op(t1), minus_one)
+        assert op(t1) - op(t2) == op(t1) + scaled(op(t2), minus_one)
 
     check()
 
@@ -269,7 +269,7 @@ def test_commutes_agrees_with_the_commutator():
                   for _ in range(2))
         # d1 commutes with d1 d1 + c d1 through identities of q-powers
         if data.draw(st.booleans()):
-            d2 = d1 * d1 + d1.scale(LaurentScalar.from_rational(
+            d2 = d1 * d1 + scaled(d1, LaurentScalar.from_rational(
                 data.draw(rational)))
         assert toda.commutes(d1, d2) == (not toda.commutator(d1, d2))
 
@@ -415,9 +415,9 @@ def test_commutes_hands_a_non_polynomial_coefficient_to_the_commutator(
     monkeypatch.setattr(toda, "commutator", counted)
     # m1 scaled by a non-polynomial scalar still commutes with m2, and a
     # shift with that coefficient does not commute with the potential
-    assert toda.commutes(m1.scale(ratio), m2)
-    assert not toda.commutes(m1 + ratio * DifferenceOperator.shift(
-        rs, weight((Fraction(1, 2), 0))), m2)
+    assert toda.commutes(scaled(m1, ratio), m2)
+    assert not toda.commutes(m1 + scaled(DifferenceOperator.shift(
+        rs, weight((Fraction(1, 2), 0))), ratio), m2)
     assert len(calls) == 2
     assert toda.commutes(m1, m2) and len(calls) == 2
 
@@ -600,9 +600,9 @@ def test_phi_conjugate_examples():
     lam = (Fraction(1), Fraction(1))
     t = DifferenceOperator.shift(rs, weight(lam))
     scal = qpow(-fraction_pair(rs, weight_coords(rs.rho), lam))
-    assert toda.phi_conjugate(t) == t.scale(scal)
+    assert toda.phi_conjugate(t) == scaled(t, scal)
     z1t = DifferenceOperator(rs, {weight(lam): {(1, 0): qpow(0)}})
-    assert toda.phi_conjugate(z1t) == z1t.scale(scal)
+    assert toda.phi_conjugate(z1t) == scaled(z1t, scal)
 
 
 # ---------------------------------------------------------------------------
@@ -743,8 +743,8 @@ def _chained_modules(monkeypatch, name, side, i):
         rep = real(alg, rep_name, *covectors)
         if rep_name == name:
             ladder = (rep.e_mats if side == "e" else rep.f_mats)[i]
-            r, row = next(iter(ladder.items()))
-            ladder[next(iter(row))] = {r: ONE}
+            r, (c, _) = next(iter(ladder.items()))
+            ladder[c] = (r, 0)
         return rep
 
     monkeypatch.setattr(uqalg, "rep_matrices", chained)
@@ -952,7 +952,7 @@ def test_simple_root_legs_are_the_module_f_legs():
             for k in range(rank):
                 rep = uqalg.rep_matrices(alg, f"V{k + 1}")
                 for i, t_alpha, scale, _ in factors:
-                    leg = rep.k_times(t_alpha, rep.f_mats[i])
+                    leg = rep.k_times(t_alpha, ladder_rows(rep.f_mats[i]))
                     alpha = rs.simple_root(i)
                     want_scale = pbw._root_constants(alg, rep, alpha)[0]
                     want_leg = module_f_leg(alg, rep, alpha)

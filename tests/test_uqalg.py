@@ -10,12 +10,12 @@ import pytest
 
 from oracles import (casimir_by_q_exp, dense, dense_add, dense_mul,
                      dense_scale, dense_sub, fraction_pair, k_matrix,
-                     module_f_leg, q_binom, q_exp_base, q_exp_nilpotent,
-                     r_in_rep_by_q_exp, r_matrix_vv_by_q_exp, times_q_exp,
-                     weight_coords)
+                     ladder_rows, module_f_leg, q_binom, q_exp_base,
+                     q_exp_nilpotent, r_in_rep_by_q_exp, r_matrix_vv_by_q_exp,
+                     times_q_exp, weight_coords)
 from test_toda import _chained_modules
 from qwhit import cli, pbw, qarith, ratmat, rootsys, toda, uqalg
-from qwhit.qarith import ONE, ZERO, LaurentScalar, qpow
+from qwhit.qarith import EXP_UNIT, ONE, ZERO, LaurentScalar, qpow
 
 _ALGEBRAS = {}
 TWO = LaurentScalar.from_rational(2)
@@ -343,6 +343,33 @@ def test_the_set_up_forms_no_scalar_product(monkeypatch, series, rank):
     assert alg._pending is None
 
 
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_the_modules_are_built_and_checked_without_scalar_arithmetic(
+        monkeypatch, rank):
+    # a ladder entry is an int exponent and each relation coefficient int
+    # terms read off the datum, so building and checking every module of a
+    # fresh algebra adds, subtracts and multiplies no q-scalar
+    alg = uqalg.Algebra(rootsys.coxeter_context(
+        rootsys.build_root_system("A", rank)))
+    counts = dict.fromkeys(("__mul__", "__add__", "__sub__"), 0)
+
+    def counting(name, func):
+        def wrapped(*args):
+            counts[name] += 1
+            return func(*args)
+        return wrapped
+
+    for name in counts:
+        monkeypatch.setattr(LaurentScalar, name,
+                            counting(name, getattr(LaurentScalar, name)))
+    assert ONE - ONE == ZERO and counts["__sub__"] == 1  # the count works
+    counts["__sub__"] = counts["__add__"] = 0
+    for k in range(1, rank + 1):
+        uqalg.rep_matrices(alg, f"V{k}")
+    monkeypatch.undo()
+    assert counts == {"__mul__": 0, "__add__": 0, "__sub__": 0}
+
+
 def test_a_toda_call_builds_no_completion_queue(monkeypatch, capsys):
     built = []
     init = uqalg.Algebra.__init__
@@ -482,19 +509,17 @@ def _zeroed(rows):
     return {}
 
 
-def _one_entry_doubled(rows):
-    # the first nonzero entry in row-major order
-    i = min(rows)
-    j = min(rows[i])
-    out = {r: dict(row) for r, row in rows.items()}
-    out[i][j] = out[i][j] * TWO
-    return out
+def _one_entry_shifted(ladder):
+    # the entry of the first row times q
+    r = min(ladder)
+    c, u = ladder[r]
+    return {**ladder, r: (c, u + EXP_UNIT)}
 
 
 @pytest.mark.parametrize("rank,name,spoil", [
     # [pi(e_1), pi(f_1)] is zero, or a multiple of pi(K_1) - pi(K_1)^-1 on
     # one of its two weight-space pairs but not on the other
-    (2, "V1", _zeroed), (3, "V2", _one_entry_doubled)])
+    (2, "V1", _zeroed), (3, "V2", _one_entry_shifted)])
 def test_module_scale_refuses_a_module_without_cartan_shape(rank, name,
                                                             spoil):
     alg = fresh_algebra("A", rank)
@@ -606,9 +631,10 @@ def test_rep_catalogue_and_nilpotency():
     alg = algebra("A", 1)
     rep = uqalg.rep_matrices(alg, "V1")
     assert rep.dim == 2
-    assert rep.e_mats[0] and rep.f_mats[0]
-    assert ratmat.sparse_mul(rep.e_mats[0], rep.e_mats[0]) == {}
-    assert ratmat.sparse_mul(rep.f_mats[0], rep.f_mats[0]) == {}
+    e, f = ladder_rows(rep.e_mats[0]), ladder_rows(rep.f_mats[0])
+    assert e and f
+    assert ratmat.sparse_mul(e, e) == {}
+    assert ratmat.sparse_mul(f, f) == {}
 
 
 def dense_ladder(rep, a, b):
@@ -626,7 +652,7 @@ def dense_ladder(rep, a, b):
 @pytest.mark.parametrize("rank", [1, 2, 3])
 def test_module_matrices_are_the_twisted_ladders(rank):
     # pi(e_i) = ladder K_nu and pi(f_i) = K_{-nu} ladder, nu the twist of
-    # alpha_i, with no zero entry kept, on every fundamental module
+    # alpha_i, on every fundamental module
     alg = algebra("A", rank)
     for k in range(rank):
         rep = uqalg.rep_matrices(alg, f"V{k + 1}")
@@ -640,15 +666,14 @@ def test_module_matrices_are_the_twisted_ladders(rank):
                                dense_ladder(rep, i + 2, i + 1), ZERO)
             for got, want in ((rep.e_mats[i], want_e),
                               (rep.f_mats[i], want_f)):
-                assert all(x for row in got.values() for x in row.values())
-                assert dense(got, rep.dim, ZERO) == want
+                assert dense(ladder_rows(got), rep.dim, ZERO) == want
 
 
 def dense_evaluate(rep, x):
     """Oracle: the matrix of a PBWElement, each term f-word K_lam e-word the
     dense product pi(f-word) pi(K_lam) pi(e-word)."""
     def ladder(m):
-        return dense(m, rep.dim, ZERO)
+        return dense(ladder_rows(m), rep.dim, ZERO)
 
     total = dense({}, rep.dim, ZERO)
     for (fw, lam, ew), c in x.terms.items():
@@ -694,17 +719,18 @@ def test_evaluate_matches_the_dense_product(rank):
     ((0,), ()), ((), (1,)), ((2, 1), ()), ((), (0, 1, 2)), ((1,), (2,)),
     ((0, 1), (1, 0)), ((2, 1, 0), (1,)), ((), ())])
 def test_evaluate_makes_one_product_fewer_than_letters(monkeypatch, fw, ew):
-    # K_lam is applied once by k_times, not multiplied in as a diagonal
+    # the letters' ladders are composed once each after the first, and
+    # K_lam is applied as exponents, not composed in as a diagonal
     alg = algebra("A", 3)
     rep = uqalg.rep_matrices(alg, "V2")
     calls = []
-    real = pbw.sparse_mul
+    real = uqalg.compose
 
     def counting(a, b):
         calls.append(None)
         return real(a, b)
 
-    monkeypatch.setattr(pbw, "sparse_mul", counting)
+    monkeypatch.setattr(uqalg, "compose", counting)
     x = pbw.PBWElement(alg, {(fw, rootsys.weight((1, Fraction(-1, 2), 2)),
                                 ew): ONE})
     got = pbw.evaluate(rep, x)
@@ -737,8 +763,8 @@ def dense_first_failures(rep):
         return dense_mul(a, b, ZERO)
 
     one = dense({r: {r: ONE} for r in range(rep.dim)}, rep.dim, ZERO)
-    e_mats = [dense(m, rep.dim, ZERO) for m in rep.e_mats]
-    f_mats = [dense(m, rep.dim, ZERO) for m in rep.f_mats]
+    e_mats = [dense(ladder_rows(m), rep.dim, ZERO) for m in rep.e_mats]
+    f_mats = [dense(ladder_rows(m), rep.dim, ZERO) for m in rep.f_mats]
     failed = {}
     for i in range(n):
         alpha = rootsys.weight(alg.rs.simple_root(i))
@@ -780,35 +806,40 @@ RELATION_KINDS = ("K-e relation", "K-f relation", "cross relation", "e-Serre",
                   "f-Serre")
 
 
-# One entry of pi(e_j) or pi(f_j) of A3 set to 1 ("one") or doubled, and the
-# relations that breaks.  Every entry of the right weight for e_j is already
-# nonzero in these minuscule modules, so a K relation cannot fail alone: a
-# new entry off the weight also breaks a cross or a Serre relation, and a
-# changed entry always breaks the cross relation at (j, j).
+# The entry of one row of the ladder pi(e_j) or pi(f_j) of A3 set to q^0 at
+# a column ("one"; where the row holds an entry at another column, that
+# entry moves) or multiplied by q ("shift"), and the relations that breaks,
+# as the dense oracle reads them.  Every entry of the right weight for e_j
+# is already there in these minuscule modules, so a K relation cannot fail
+# alone: a new entry off the weight also breaks a cross or a Serre
+# relation, and a changed entry always breaks the cross relation at (j, j).
 @pytest.mark.parametrize("name,side,j,row,col,how,broken", [
     ("V1", "e", 0, 3, 0, "one", {"K-e relation", "e-Serre"}),
     ("V1", "f", 0, 0, 3, "one", {"K-f relation", "f-Serre"}),
     ("V1", "e", 0, 0, 3, "one", {"K-e relation", "cross relation"}),
-    ("V1", "e", 0, 0, 1, "double", {"cross relation"}),
+    ("V1", "e", 0, 0, 1, "shift", {"cross relation"}),
     ("V2", "e", 0, 5, 0, "one", {"K-e relation", "e-Serre"}),
     ("V2", "f", 0, 0, 5, "one", {"K-f relation", "f-Serre"}),
-    ("V2", "e", 1, 0, 1, "double", {"cross relation"}),
-    ("V2", "e", 0, 1, 3, "double", {"cross relation", "e-Serre"}),
-    ("V2", "f", 0, 3, 1, "double", {"cross relation", "f-Serre"}),
+    ("V2", "e", 1, 0, 1, "shift", {"cross relation"}),
+    ("V2", "e", 0, 1, 3, "shift", {"cross relation", "e-Serre"}),
+    ("V2", "f", 0, 3, 1, "shift", {"cross relation", "f-Serre"}),
     ("V3", "e", 0, 3, 0, "one", {"K-e relation", "e-Serre"}),
     ("V3", "f", 0, 0, 3, "one", {"K-f relation", "f-Serre"}),
     ("V3", "f", 0, 2, 0, "one", {"K-f relation", "cross relation"}),
-    ("V3", "e", 0, 2, 3, "double", {"cross relation"}),
+    ("V3", "e", 0, 2, 3, "shift", {"cross relation"}),
 ])
 def test_a_corrupted_module_entry_fails_the_relations_it_breaks(
         name, side, j, row, col, how, broken):
     rep = uqalg.rep_matrices(algebra("A", 3), name)
     mats = rep.e_mats if side == "e" else rep.f_mats
-    old = mats[j].get(row, {}).get(col, ZERO)
-    rows = {r: dict(entries) for r, entries in mats[j].items()}
-    rows.setdefault(row, {})[col] = ONE if how == "one" else TWO * old
-    assert rows[row][col] != old
-    mats[j] = rows
+    old = mats[j].get(row)
+    if how == "one":
+        new = (col, 0)
+    else:
+        assert old[0] == col
+        new = (col, old[1] + EXP_UNIT)
+    assert new != old
+    mats[j] = {**mats[j], row: new}
     assert dense_relation_failures(rep) == broken
     with pytest.raises(RuntimeError) as info:
         rep._check_relations()
@@ -825,58 +856,58 @@ def _relation_message(name, first):
     return f"{name}: " + "; ".join(failed) if failed else None
 
 
-def _spoils(st):
-    """Strategies of replacements for one module entry old, by kind."""
-    exponent = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 2)))
-    rational = st.builds(Fraction, st.integers(-9, 9).filter(bool),
-                         st.integers(2, 6)).filter(
-                             lambda x: x.denominator > 1).map(
-                                 LaurentScalar.from_rational)
-    integer = st.integers(-3, 3).filter(bool).map(LaurentScalar.from_rational)
-    monomial = st.builds(lambda e, c: qpow(e) * c, exponent, integer)
+def _spoils(st, dim, exponent):
+    """Strategies of spoils of one ladder, by kind: each draws the spoiled
+    ladder from the ladder and data; an added entry has a drawn column and
+    an exponent drawn from exponent."""
+    shift = st.sampled_from((EXP_UNIT // 2, -EXP_UNIT // 2, EXP_UNIT,
+                             -EXP_UNIT))
+
+    def at_a_row(spoil):
+        # spoil(data, (column, u)) is the new entry of a drawn row, or None
+        # to remove it
+        def draw(ladder, data):
+            r = data.draw(st.sampled_from(sorted(ladder)))
+            entry = spoil(data, ladder[r])
+            out = {k: v for k, v in ladder.items() if k != r}
+            if entry is not None:
+                out[r] = entry
+            return out
+        return draw
+
+    def added(ladder, data):
+        r = data.draw(st.sampled_from(
+            [k for k in range(dim) if k not in ladder]))
+        return {**ladder, r: (data.draw(st.integers(0, dim - 1)),
+                              data.draw(exponent))}
+
     return {
-        "keep": st.just(lambda old: old),
-        "one": st.just(lambda old: ONE),
-        "double": st.just(lambda old: TWO * old),
-        "negate": st.just(lambda old: -old),
-        "remove": st.just(lambda old: ZERO),
-        "rational": rational.map(lambda c: lambda old: (old or ONE) * c),
-        "two monomials": st.builds(lambda a, b: lambda old: a + b,
-                                   monomial, monomial),
-        "non-unit denominator": st.builds(
-            lambda e, c: lambda old: (old or ONE) / (qpow(e) + c),
-            exponent.filter(bool),
-            st.integers(1, 3).map(LaurentScalar.from_rational)),
+        "keep": lambda ladder, data: ladder,
+        "one": at_a_row(lambda data, e: (e[0], 0)),
+        "remove": at_a_row(lambda data, e: None),
         # the shape of a wrong twist
-        "shift": st.sampled_from((Fraction(1, 2), Fraction(-1, 2), 1, -1)).map(
-            lambda e: lambda old: (old or ONE) * qpow(e)),
+        "shift": at_a_row(lambda data, e: (e[0], e[1] + data.draw(shift))),
+        "move": at_a_row(lambda data, e: (data.draw(
+            st.integers(0, dim - 1).filter(lambda c: c != e[0])), e[1])),
+        "add": added,
     }
 
 
-@pytest.mark.parametrize("kind", ["keep", "one", "double", "negate", "remove",
-                                  "rational", "two monomials",
-                                  "non-unit denominator", "shift"])
+@pytest.mark.parametrize("kind", ["keep", "one", "remove", "shift", "move",
+                                  "add"])
 def test_the_relation_check_agrees_with_the_dense_oracle(kind):
     # an A2, A3 or A4 module, conjugated or not by a drawn diagonal of
-    # rationals or of q-scalars q^e + c (either keeps every relation; the
-    # second gives entries non-unit denominators, so modules that pass
-    # reach the q-scalar sums too), with one drawn entry of one pi(e_j) or
-    # pi(f_j) replaced by the kind's spoil: kept, set to 1, doubled,
-    # negated, removed, scaled by a non-integer rational, replaced by a
-    # two-monomial polynomial, by a scalar with a non-unit denominator
-    # (which the check decides on the scalars themselves), or shifted by
-    # q^{+-1/2} or q^{+-1}; the message must name the oracle's first
-    # failing (i, j) of each kind
+    # q-powers (which keeps every relation), with one drawn ladder pi(e_j)
+    # or pi(f_j) spoiled by the kind: kept, one entry's exponent set to 0,
+    # shifted by q^{+-1/2} or q^{+-1}, removed or moved to a drawn column,
+    # or an entry added at a drawn free row; the message must name the
+    # dense oracle's first failing (i, j) of each kind, and every kind but
+    # keep must break some module
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    spoils = _spoils(st)
-    rational = st.builds(Fraction, st.integers(-9, 9).filter(bool),
-                         st.integers(1, 6)).map(LaurentScalar.from_rational)
-    binomial = st.builds(
-        lambda e, c: qpow(e) + c,
-        st.builds(Fraction, st.integers(-4, 4).filter(bool),
-                  st.sampled_from((1, 2))),
-        st.integers(1, 3).map(LaurentScalar.from_rational))
+    exponent = st.builds(Fraction, st.integers(-4, 4),
+                         st.sampled_from((1, 2))).map(qarith.to_units)
+    broke = []
 
     @hypothesis.settings(max_examples=15, deadline=None, database=None,
                          derandomize=True)
@@ -885,28 +916,19 @@ def test_the_relation_check_agrees_with_the_dense_oracle(kind):
         rank = data.draw(st.integers(2, 4))
         name = f"V{data.draw(st.integers(1, rank))}"
         rep = uqalg.rep_matrices(algebra("A", rank), name)
-        diagonal = data.draw(st.sampled_from((None, rational, binomial)))
-        if diagonal is not None:
-            d = data.draw(st.lists(diagonal, min_size=rep.dim,
+        if data.draw(st.booleans()):
+            # D x D^-1 for D = diag(q^{a_r}): an entry at (r, c) gains
+            # a_r - a_c
+            a = data.draw(st.lists(exponent, min_size=rep.dim,
                                    max_size=rep.dim))
             for m in (rep.e_mats, rep.f_mats):
-                m[:] = [{r: {c: x * (d[r] / d[c]) for c, x in entries.items()}
-                         for r, entries in rows.items()} for rows in m]
+                m[:] = [{r: (c, u + a[r] - a[c]) for r, (c, u) in x.items()}
+                        for x in m]
         mats = data.draw(st.sampled_from((rep.e_mats, rep.f_mats)))
         j = data.draw(st.integers(0, rank - 1))
-        # an entry of the matrix, or any position
-        row, col = data.draw(st.one_of(
-            st.sampled_from([(r, c) for r, entries in mats[j].items()
-                             for c in entries]),
-            st.tuples(*[st.integers(0, rep.dim - 1)] * 2)))
-        rows = {r: dict(entries) for r, entries in mats[j].items()}
-        new = data.draw(spoils[kind])(rows.get(row, {}).get(col, ZERO))
-        if new:
-            rows.setdefault(row, {})[col] = new
-        else:
-            rows.get(row, {}).pop(col, None)
-        mats[j] = {r: entries for r, entries in rows.items() if entries}
+        mats[j] = _spoils(st, rep.dim, exponent)[kind](mats[j], data)
         want = _relation_message(name, dense_first_failures(rep))
+        broke.append(want is not None)
         try:
             rep._check_relations()
             got = None
@@ -915,6 +937,7 @@ def test_the_relation_check_agrees_with_the_dense_oracle(kind):
         assert got == want
 
     check()
+    assert any(broke) == (kind != "keep")
 
 
 def test_rep_matrices_rejects_unknown_modules():
