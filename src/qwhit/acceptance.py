@@ -330,8 +330,8 @@ def criterion_7(seed):
         detail[f"closed_form_A{rank}"] = toda.closed_form_holds(
             systems[rank])
     for rank in (2, 3):
-        detail[f"commute_A{rank}"] = toda.hamiltonians_commute(
-            systems[rank].hamiltonians)
+        detail[f"commute_A{rank}"] = toda.commutes(
+            *systems[rank].hamiltonians)
     detail["quasiclassical_A1"] = quasiclassical_potential_check(
         systems[1])["ok"]
     return _report(7, "toda-hamiltonians", all(detail.values()), **detail)

@@ -11,7 +11,8 @@ malformed flag values, an unwritable ``--out`` path or a malformed
 ``QWHIT_STEP_BUDGET``.
 
 The environment variable ``QWHIT_STEP_BUDGET`` caps rewriting steps in the
-algebra engine; :mod:`qwhit.uqalg` reads it each time it builds an algebra.
+algebra engine; :mod:`qwhit.pbw` reads it each time it builds a PBW
+algebra, which a ``toda`` call never does.
 """
 
 from __future__ import annotations
@@ -37,11 +38,18 @@ F = Fraction
 
 # -- flag parsing and serialization helpers -----------------------------------
 
+# An int flag entry has one spelling: ASCII digits, no sign, space or 0 first.
+_PLAIN_INT = re.compile(r"0|[1-9][0-9]*")
+
+
 def _parse_ints(text):
-    try:
-        return tuple(int(x) for x in text.split(","))
+    items = text.split(",")
+    try:  # int() refuses an entry of more digits than it converts
+        if all(map(_PLAIN_INT.fullmatch, items)):
+            return tuple(map(int, items))
     except ValueError:
-        raise ValueError(f"expected a comma list of integers, got {text!r}")
+        pass
+    raise ValueError(f"expected a comma list of integers, got {text!r}")
 
 
 # A decimal exponent makes Fraction build a power of ten: "1e-100000000"
@@ -235,7 +243,7 @@ def cmd_toda(args):
     }
     checks = {"closed_form_match": match}
     if args.check_commute:
-        zero = toda.hamiltonians_commute(system.hamiltonians)
+        zero = toda.commutes(*system.hamiltonians)
         outputs["commutators_zero"] = zero
         checks["commutators_zero"] = zero
     return outputs, checks

@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+import os
 
 from . import rootsys, uqalg
 from .qarith import ONE, ZERO, LaurentScalar, qpow
@@ -35,14 +36,43 @@ def _word_key(rank_of, word):
     return (len(word), tuple(rank_of[x] for x in word))
 
 
+def step_budget():
+    """The rewriting-step cap per PBWAlgebra: QWHIT_STEP_BUDGET (default
+    5000000), which must be a positive integer; ValueError names the
+    variable otherwise."""
+    raw = os.environ.get("QWHIT_STEP_BUDGET", "5000000")
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise ValueError(
+            f"QWHIT_STEP_BUDGET must be a positive integer, got {raw!r}")
+    return budget
+
+
 class PBWAlgebra(uqalg.Algebra):
     """The algebra of ``uqalg.Algebra`` with its rewriting engine.
 
-    It is built as the datum is, and fills the datum's tables as words need
+    The datum with the step budget and the tables filled as words need
     them: the straightening rules for one-sided words (shared by the e and
     f sides, whose deformed Serre relations are identical in shape) and the
     memo tables of the cross-relation rewriting.
     """
+
+    def __init__(self, ctx):
+        super().__init__(ctx)
+        self.zero_weight = (0,) * self.rank
+        # letters are 0-based generator indices ordered by their pi position
+        self.letter_rank = [ctx.pi.index(i + 1) for i in range(self.rank)]
+        self._steps = 0
+        self._budget = step_budget()
+        self._reduce_cache = {}
+        self._etf_cache = {}
+        self._root_vector_cache = {}
+        self._scale_cache = {}
+        self._pending = None  # the completion queue, built by _complete
+        self._degree = 0
 
     # -- bookkeeping ---------------------------------------------------------
     def _tick(self, word_len):
@@ -523,7 +553,7 @@ def _r_in_rep(alg, rep, flipped):
     K_{T beta} f_beta, scaled by (q - q^{-1})/a(beta); the flip puts
     K_{T beta} f_beta in the algebra leg."""
     out = {k: {k: alg.k(lam)} for k, lam in
-           enumerate(uqalg.cartan_weights(alg, rep, -1 if flipped else 1))}
+           enumerate(uqalg.cartan_weights(alg, rep)[0 if flipped else 1])}
     side = "e" if flipped else "f"
     for beta in alg.ordering.ordering:
         scale, t_beta = _root_constants(alg, rep, beta)

@@ -446,14 +446,17 @@ class IntegerImage:
         return self.bits * (u // self.step)
 
 
-def integer_image(scalars, shifts=()) -> IntegerImage | None:
+def integer_image(scalars, shifts=()) -> IntegerImage:
     """The ``IntegerImage`` of the scalars, whose step also divides the
-    offsets between the shifts (ints in units of 1/EXP_UNIT), or None when
-    a scalar has a non-unit denominator."""
+    offsets between the shifts (ints in units of 1/EXP_UNIT);
+    ArithmeticError, naming the denominator, for a scalar with a non-unit
+    denominator."""
     den = 1
     for s in scalars:
         if len(s.d) != 1:
-            return None
+            raise ArithmeticError(
+                f"the q-scalar {s} has the non-unit denominator "
+                f"{s._poly_str(s.d, 1, s.d[0])}, so it has no integer image")
         if den % s.c.denominator:
             den = lcm(den, s.c.denominator)
     parts = [(s.c.numerator * (den // s.c.denominator), s.n) for s in scalars]

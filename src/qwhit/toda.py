@@ -182,8 +182,8 @@ def commutes(*ops):
     of [d1, d2], of l1 norm at most 2 N1 N2 (N the summed norms of an
     operator's cleared coefficients); K is for B = max 2 N_a N_b over the
     pairs, so 2^K > B for every pair and a total is 0 exactly when its
-    coefficient is.  A non-unit denominator leaves each pair to
-    ``commutator``."""
+    coefficient is.  A coefficient with a non-unit denominator has no
+    integer image, and ``integer_image`` raises ArithmeticError naming it."""
     ops = [d for d in ops if d]
     if len(ops) < 2:
         return True
@@ -196,8 +196,6 @@ def commutes(*ops):
                  for lam in d.terms} for d in ops]
     shifts = [u for us in pairings for row in us.values() for u in row]
     image = qarith.integer_image([c for ts in terms for _, _, c in ts], shifts)
-    if image is None:
-        return all(not commutator(d1, d2) for d1, d2 in combinations(ops, 2))
     norms = iter(image.norms)
     sizes = [sum(next(norms) for _ in ts) for ts in terms]
     values = iter(image.values(max(2 * na * nb for na, nb
@@ -223,12 +221,6 @@ def commutes(*ops):
         if any(out.values()):
             return False
     return True
-
-
-def hamiltonians_commute(hams):
-    """Whether the Hamiltonians of a system commute pairwise: ``commutes``
-    of them all, on one integer image with K for the largest pair bound."""
-    return commutes(*hams)
 
 
 def _sum_codes(vss):
@@ -314,13 +306,13 @@ def _check_non_simple_factors_vanish(alg):
 
 
 def _simple_factors(alg, chi, chibar):
-    """Of each simple-root factor, what no module changes, memoized on alg
-    (found by equality, which hashes no Fraction): i, T alpha_i, chi(e_i)
-    times the scale q_i - q_i^{-1} (the (i, i) cross relation
-    ``RepMatrices`` checks, as c_ii = 0), and the lowered chibar leg."""
-    for known, factors in alg._toda_cache:
-        if known == (chi, chibar):
-            return factors
+    """Of each simple-root factor, what no module changes: i, T alpha_i,
+    chi(e_i) times the scale q_i - q_i^{-1} (the (i, i) cross relation
+    ``RepMatrices`` checks, as c_ii = 0), and the lowered chibar leg.
+    ValueError unless chi is an e-side and chibar an f-side character."""
+    if chi.side != "e" or chibar.side != "f":
+        raise ValueError("the Toda Hamiltonians take an e-side character chi "
+                         "and an f-side character chibar")
     _check_non_simple_factors_vanish(alg)
     rs = alg.rs
     factors = []
@@ -333,11 +325,10 @@ def _simple_factors(alg, chi, chibar):
         f_leg = lower_rep(rs, {
             ((i,), t_beta, ()): scale.times_q(-rs.pair(beta, t_beta))}, chibar)
         factors.append((i, t_beta, chi.values[i] * scale, f_leg))
-    alg._toda_cache.append(((chi, chibar), factors))
     return factors
 
 
-def toda_hamiltonian(alg, rep_name, chi, chibar, covectors):
+def toda_hamiltonian(alg, rep_name, factors, covectors):
     """Hamiltonian of one fundamental representation V: the Whittaker image
     of C_V, lowered and conjugated by rho, without a product in the algebra.
 
@@ -347,10 +338,10 @@ def toda_hamiltonian(alg, rep_name, chi, chibar, covectors):
     becomes a numeric matrix chi(U).  R_21 is diag(K_{mu_k - T mu_k}) times
     the q-exponentials of K_{T beta} f_beta (x) pi(e_beta), and is lowered
     factor by factor.  Only simple roots contribute, and a module adds only
-    pi(e_i) and K_{T alpha_i} pi(f_i) to ``_simple_factors``.  A catalogue
-    module is minuscule, pi(e_i)^2 = pi(f_i)^2 = 0, so each factor exp_t(x)
-    is 1 + x whatever its base t, applied to R_21 and chi(U) in place by
-    ``uqalg.times_one_plus``; a ladder with a chain of length 2 raises
+    pi(e_i) and K_{T alpha_i} pi(f_i) to the system's ``_simple_factors``.
+    A catalogue module is minuscule, pi(e_i)^2 = pi(f_i)^2 = 0, so each
+    factor exp_t(x) is 1 + x whatever its base t, applied to R_21 and chi(U)
+    in place by ``uqalg.times_one_plus``; a chained ladder raises
     RuntimeError instead.  H_V is
 
         sum_j q^{(2 rho, mu_j)} sum_k R21low[j][k] T_{lam_k} chi(U)[k][j].
@@ -358,14 +349,11 @@ def toda_hamiltonian(alg, rep_name, chi, chibar, covectors):
     Its operators and its module share the ``rootsys.Covectors`` table
     covectors.
     """
-    if chi.side != "e" or chibar.side != "f":
-        raise ValueError("the Toda Hamiltonians take an e-side character chi "
-                         "and an f-side character chibar")
-    factors = _simple_factors(alg, chi, chibar)
     rs = alg.rs
     rep = uqalg.rep_matrices(alg, rep_name, covectors)
+    r21_weights, lams = uqalg.cartan_weights(alg, rep)
     r21 = {k: {k: DifferenceOperator.shift(rs, lam, covectors)}
-           for k, lam in enumerate(uqalg.cartan_weights(alg, rep, -1))}
+           for k, lam in enumerate(r21_weights)}
     chi_u = {k: {k: ONE} for k in range(rep.dim)}
     for i, t_alpha, chi_scale, f_leg in factors:
         # pi(e_i) times the chibar leg, and chi_i scale K_{T alpha_i} pi(f_i)
@@ -375,7 +363,6 @@ def toda_hamiltonian(alg, rep_name, chi, chibar, covectors):
         uqalg.times_one_plus(chi_u, {
             k: {c: chi_scale.times_q(u + rep.pairing(t_alpha, k))}
             for k, (c, u) in rep.f_mats[i].items()}, f"{rep.name}: pi(f_{i})")
-    lams = uqalg.cartan_weights(alg, rep, 1)
     two_rho = tuple(2 * x for x in rs.rho)
     out = {}
     for j, row in r21.items():
@@ -421,12 +408,14 @@ class TodaSystem(namedtuple("TodaSystem",
 
 
 def build_toda_system(alg, chi_vals, chibar_vals):
-    """All fundamental-representation Hamiltonians for one type-A algebra."""
+    """All fundamental-representation Hamiltonians for one type-A algebra,
+    their simple-root factors built once for the system."""
     chi = uqalg.character("e", chi_vals)
     chibar = uqalg.character("f", chibar_vals)
+    factors = _simple_factors(alg, chi, chibar)
     covectors = Covectors(alg.rs)
     hams = tuple(
-        toda_hamiltonian(alg, f"V{k + 1}", chi, chibar, covectors)
+        toda_hamiltonian(alg, f"V{k + 1}", factors, covectors)
         for k in range(alg.rs.rank)
     )
     return TodaSystem(alg=alg, chi=chi, chibar=chibar, hamiltonians=hams)

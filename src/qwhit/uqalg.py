@@ -20,27 +20,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-import os
 from collections import namedtuple
+from operator import add, sub
 
 from . import qarith, rootsys
 from .qarith import EXP_UNIT, ONE, LaurentScalar, to_units
-
-
-
-def step_budget():
-    """The rewriting-step cap per Algebra: QWHIT_STEP_BUDGET (default
-    5000000), which must be a positive integer; ValueError names the
-    variable otherwise."""
-    raw = os.environ.get("QWHIT_STEP_BUDGET", "5000000")
-    try:
-        budget = int(raw)
-    except ValueError:
-        budget = 0
-    if budget < 1:
-        raise ValueError(
-            f"QWHIT_STEP_BUDGET must be a positive integer, got {raw!r}")
-    return budget
 
 
 def serre_coefficients(ctx, i, j):
@@ -54,38 +38,25 @@ def serre_coefficients(ctx, i, j):
 class Algebra:
     """Coxeter presentation of the quantized enveloping algebra for ctx.
 
-    Holds the adapted normal ordering of the positive roots, the Serre
-    coefficients, and the tables the PBW engine (``pbw.PBWAlgebra``) fills:
-    the straightening rules for one-sided words and the memo tables of the
-    cross-relation rewriting.  A new algebra has no rules and no completion
-    queue: the queue of Serre relators is built by the first completion, so
-    a caller that reduces no word (``toda``) never builds it.
+    The datum alone: the adapted normal ordering of the positive roots and
+    the Serre coefficients, which the modules' relation checks and the
+    ``toda`` path read.  The rewriting engine and its tables are
+    ``pbw.PBWAlgebra``'s.
     """
 
     def __init__(self, ctx: rootsys.CoxeterContext):
         self.ctx = ctx
         self.rs = ctx.rs
         self.rank = ctx.rs.rank
-        self.zero_weight = (0,) * self.rank
-        # letters are 0-based generator indices ordered by their pi position
-        pos = {v - 1: k for k, v in enumerate(ctx.pi)}
-        self.letter_rank = [pos[i] for i in range(self.rank)]
         self.ordering = rootsys.normal_ordering(ctx)
         # the relator coefficients, of the Serre rules and relation checks
         self.serre_coefs = {(i, j): serre_coefficients(ctx, i, j)
                             for i in range(self.rank)
                             for j in range(self.rank) if i != j}
-        self._steps = 0
-        self._budget = step_budget()
-        self._reduce_cache: dict = {}
-        self._etf_cache: dict = {}
-        self._root_vector_cache: dict = {}
-        self._scale_cache: dict = {}
         self._relation_cache = None  # built by the first module check
-        self._toda_cache: list = []
+        # pbw.PBWAlgebra completes the rules; perfbench/layers.py's
+        # _algebra_init reads len(self.rules) after every Algebra.__init__
         self.rules = []
-        self._pending = None  # the completion queue, built by _complete
-        self._degree = 0
 
 
 # ---------------------------------------------------------------------------
@@ -309,11 +280,13 @@ def rep_matrices(alg, name, covectors=None):
 # R-matrix factors
 
 
-def cartan_weights(alg, rep, sign):
-    """The weight mu + sign * T mu of the Cartan factor at each basis vector
-    of weight mu: sign = 1 in (id x pi_V) R, sign = -1 in R_21."""
-    return [tuple(m + sign * t for m, t in zip(mu, alg.ctx.cayley_apply(mu)))
-            for mu in rep.weights]
+def cartan_weights(alg, rep):
+    """The weights of the Cartan factors at the basis vectors, from one
+    Cayley transform T mu of each basis weight mu: the list of mu - T mu,
+    in R_21, and the list of mu + T mu, in (id x pi_V) R."""
+    pairs = [(mu, alg.ctx.cayley_apply(mu)) for mu in rep.weights]
+    return ([tuple(map(sub, mu, t)) for mu, t in pairs],
+            [tuple(map(add, mu, t)) for mu, t in pairs])
 
 
 def times_one_plus(rows, x, what):

@@ -447,6 +447,50 @@ def test_acceptance_single_criterion(capsys):
     assert report["checks"]["passed"] is True
 
 
+# spellings that int() once read as a criterion number or a --pi entry, or
+# that are none: a space, a sign, a leading zero, an underscore, a newline
+# or non-ASCII digits
+_NOT_SUITES = ["", " 3", "3 ", "03", "+3", "-3", "٣", "1_3", "3\n", "0",
+               "14", "013", "ALL", "all ", "x"]
+_NOT_PI = [" 2,1", "2, 1", "2,1 ", "+2,1", "02,1", "٢,١", "2,-1", "2_0,1",
+           "2,1\n", "2,,1", "2;1"]
+
+
+@pytest.mark.parametrize("suite", _NOT_SUITES)
+def test_a_suite_is_all_or_a_plain_decimal(capsys, suite):
+    assert cli.main(["acceptance", f"--suite={suite}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"qwhit acceptance: --suite must be 'all' or "
+                            f"1..13, got {suite!r}\n")
+
+
+@pytest.mark.parametrize("command", ["cayley", "orbits", "serre-check"])
+@pytest.mark.parametrize("pi", _NOT_PI)
+def test_a_pi_entry_is_a_plain_decimal(capsys, command, pi):
+    # each ordering has one spelling, which a report echoes
+    assert cli.main([command, "--type", "A", "--rank", "2",
+                     f"--pi={pi}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"qwhit {command}: expected a comma list of "
+                            f"integers, got {pi!r}\n")
+
+
+def test_plain_suites_and_orderings_are_echoed_as_given(capsys):
+    code, report, _ = run_cli(capsys, "acceptance", "--suite", "3")
+    assert code == 0 and report["inputs"]["suite"] == "3"
+    assert report["outputs"]["criterion"] == 3
+    code, report, _ = run_cli(capsys, "cayley", "--type", "A", "--rank",
+                              "2", "--pi", "2,1")
+    assert code == 0 and report["inputs"]["pi"] == "2,1"
+    assert report["outputs"]["pi"] == [2, 1]
+    # 0 is an entry of one spelling, though no permutation has it
+    code, report, captured = run_cli(capsys, "cayley", "--type", "A",
+                                     "--rank", "2", "--pi", "0,1")
+    assert code == 2 and "pi must be a permutation" in captured.err
+
+
 def test_usage_errors_exit_2(capsys):
     code, _, captured = run_cli(capsys, "cross-section", "--matrix", "nope")
     assert code == 2
@@ -961,6 +1005,27 @@ def test_malformed_step_budget_exits_2(budget):
     assert len(proc.stderr.splitlines()) == 1
 
 
+def test_a_toda_call_does_not_read_the_step_budget():
+    # the budget is read when a PBW algebra is built, and toda builds none:
+    # a malformed one leaves a toda call's bytes as they are, and still
+    # stops a casimir call
+    argv = [sys.executable, "-m", "qwhit.cli", "toda", "--type", "A",
+            "--rank", "2", "--check-commute"]
+    env = {k: v for k, v in os.environ.items() if k != "QWHIT_STEP_BUDGET"}
+    malformed = dict(env, QWHIT_STEP_BUDGET="abc")
+    plain = subprocess.run(argv, capture_output=True, env=env, timeout=60)
+    odd = subprocess.run(argv, capture_output=True, env=malformed,
+                         timeout=60)
+    assert plain.returncode == odd.returncode == 0, odd.stderr
+    assert odd.stdout == plain.stdout and odd.stdout
+    casimir = subprocess.run(
+        [sys.executable, "-m", "qwhit.cli", "casimir", "--type", "A",
+         "--rank", "1"], capture_output=True, text=True, env=malformed,
+        timeout=60)
+    assert casimir.returncode == 2
+    assert casimir.stderr.startswith("qwhit casimir: QWHIT_STEP_BUDGET")
+
+
 def test_step_budget_env_var_limits_engine():
     env = dict(os.environ, QWHIT_STEP_BUDGET="3")
     proc = subprocess.run(
@@ -1197,15 +1262,95 @@ def test_drawn_toda_flags_exit_cleanly():
                 argv.append(f"{flag}={_character_flag(width, data, st)}")
         if data.draw(st.booleans()):
             argv.append("--check-commute")
-        code, out, lines = _run_quietly(argv)
-        assert (code, out, lines) == _run_quietly(argv)
-        seen.add(code)
-        assert code in (0, 1, 2)
-        assert len(lines) == (1 if code else 0), lines
-        if code == 0 or out:
-            report = json.loads(out)
-            assert report["schema"] == "1"
-            assert report["command"] == "toda"
+        seen.add(_exit_code_of_a_clean_call(argv))
+
+    check()
+    assert {0, 2} <= seen
+
+
+def _exit_code_of_a_clean_call(argv):
+    """The exit code of cli.main(argv), asserting that it is 0, 1 or 2 with
+    one diagnostic line when not 0, that a written report is a schema-1
+    report of the command, and that the same argv gives the same bytes."""
+    code, out, lines = _run_quietly(argv)
+    assert (code, out, lines) == _run_quietly(argv)
+    assert code in (0, 1, 2)
+    assert len(lines) == (1 if code else 0), lines
+    if code == 0 or out:
+        report = json.loads(out)
+        assert report["schema"] == "1"
+        assert report["command"] == argv[0]
+    return code
+
+
+def _drawn_flags(command, data, st):
+    """Drawn flags of a command other than toda: small valid sizes mostly,
+    and at times a value at or past a cap."""
+    if command in ("root-system", "cayley", "orbits", "serre-check"):
+        rank = data.draw(st.sampled_from(
+            [1, 2, 3] * 4 + [0, rootsys.MAX_RANK, rootsys.MAX_RANK + 1]))
+        flags = ["--type", data.draw(st.sampled_from(
+            ["A"] * 12 + ["B", "G", "E", "a"])), "--rank", str(rank)]
+        if command != "root-system" and data.draw(st.booleans()):
+            width = data.draw(st.sampled_from([min(rank, 3)] * 5 + [2]))
+            flags.append(f"--pi={_pi_flag(width, data, st)}")
+        return flags
+    if command == "qbinom-scan":
+        cap = commands.MAX_QBINOM_M
+        sizes = st.sampled_from(list(range(1, 7)) * 2 + [cap, cap + 1, 0, -1])
+        flags = []
+        for flag in data.draw(st.sampled_from(
+                [["--m"]] * 3 + [["--n"], ["--m", "--n"], []])):
+            flags += [flag, str(data.draw(sizes))]
+        return flags
+    if command == "rmatrix-check":
+        cap = commands.MAX_RMATRIX_N
+        n = data.draw(st.sampled_from([2, 3, 4] * 4 + [cap, cap + 1, 1]))
+        trials = data.draw(st.sampled_from([0, 1, 2, 3] * 3 + [-1]))
+        # at the cap one call takes about 0.5 s with no trial
+        return ["--n", str(n), "--trials", str(0 if n > 4 else trials),
+                "--seed", str(data.draw(st.integers(0, 99)))]
+    return ["--suite", data.draw(st.sampled_from(
+        ["1", "2", "3"] * 4 + ["13", "14", "0", "03"])),
+        "--seed", str(data.draw(st.integers(0, 99)))]
+
+
+def _at_and_past_the_caps(command):
+    """Flags of the command at each cap and one past it, which the draws
+    reach only at times."""
+    if command == "qbinom-scan":
+        cap = commands.MAX_QBINOM_M
+        return [["--m", str(cap)], ["--n", str(cap + 1)]]
+    if command == "rmatrix-check":
+        cap = commands.MAX_RMATRIX_N
+        return [["--n", str(n), "--trials", "0"] for n in (cap, cap + 1)]
+    if command == "acceptance":
+        return [["--suite", "13"], ["--suite", "14"]]
+    ranks = [["--type", "A", "--rank", str(r)]
+             for r in (rootsys.MAX_RANK, rootsys.MAX_RANK + 1)]
+    if command == "root-system":
+        return ranks
+    pi = ",".join(map(str, range(rootsys.MAX_RANK, 0, -1)))
+    return ranks + [flags + [f"--pi={pi}"] for flags in ranks]
+
+
+@pytest.mark.parametrize("command", ["root-system", "cayley", "orbits",
+                                     "qbinom-scan", "serre-check",
+                                     "rmatrix-check", "acceptance"])
+def test_drawn_flags_of_the_other_commands_exit_cleanly(command):
+    # the assertions of test_drawn_toda_flags_exit_cleanly, on the commands
+    # whose flags are a type and rank, an ordering, a size or a suite
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    seen = {_exit_code_of_a_clean_call([command] + flags)
+            for flags in _at_and_past_the_caps(command)}
+
+    @hypothesis.settings(max_examples=20, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(st.data())
+    def check(data):
+        argv = [command] + _drawn_flags(command, data, st)
+        seen.add(_exit_code_of_a_clean_call(argv))
 
     check()
     assert {0, 2} <= seen

@@ -1,7 +1,9 @@
 """Every public name in the package is used by the package.
 
 A public function, class, constant or method that only the tests call is
-API kept alive for its own tests.  A module-level name counts as used when
+API kept alive for its own tests; the exceptions are the functions
+``UNENTERED_ALLOWED`` keeps, with their reasons, for the tests and the
+benchmark.  A module-level name counts as used when
 some module of the package imports it with ``from .mod import name``, reads
 it as ``mod.name``, or its defining module reads it as a bare global name (a
 parameter or local variable of the same name does not count, nor does a
@@ -35,9 +37,10 @@ enters.  ``__hash__`` and ``__repr__`` are exempt by name, since dicts,
 sets and failure messages call them.
 
 No function of the package is memoised with ``functools.cache`` or
-``lru_cache``: a memo outlives the call that filled it, so a process that
-makes many calls, as the benchmark's in-process workloads do, would read it
-as a gain that a user's single call never gets.
+``lru_cache``, and no module binds a name to an empty dict, list or set
+that its functions then fill: a memo outlives the call that filled it, so a
+process that makes many calls, as the benchmark's in-process workloads do,
+would read it as a gain that a user's single call never gets.
 """
 
 import ast
@@ -281,7 +284,10 @@ def test_the_option_scan_flags_a_default_no_call_sets():
 
 
 def test_every_public_name_is_used_by_the_package():
-    unused = unreferenced_public_names(_trees())
+    # a function UNENTERED_ALLOWED keeps, with its reason, for the tests and
+    # the benchmark alone is the one kind of name no module may use
+    unused = [name for name in unreferenced_public_names(_trees())
+              if name not in UNENTERED_ALLOWED]
     assert not unused, ("public names no module of the package uses: "
                         + ", ".join(unused))
 
@@ -410,8 +416,9 @@ json.dump({"codes": codes, "entered": sorted(entered)}, sys.stdout)
 
 # Functions the README examples do not enter, each kept for its reason.
 UNENTERED_ALLOWED = {
-    # commutes hands a coefficient with a non-unit denominator to it, which
-    # no example has; perfbench wraps it as its toda.commutator_s span
+    # the tests' reference for commutes, which decides every system on its
+    # integer image, so no package path calls it; perfbench wraps it as its
+    # toda.commutator_s span
     "toda.commutator",
     # d1 * d2 - d2 * d1 is the tests' reference for commutator
     "toda.DifferenceOperator.__neg__",
@@ -459,7 +466,11 @@ def test_the_entry_scan_lists_nested_functions_and_lambdas():
 # in-process workloads a rebuild per call, and taking it away would read as
 # a regression there that no user's single call sees, until a benchmark
 # times fresh calls.
-MEMOS_ALLOWED = {"cli.build_parser"}
+#
+# acceptance._ALG_CACHE keeps one PBW algebra per root system: one
+# ``--suite all`` shares its algebras across the criteria, and the
+# benchmark clears it before each operation.
+MEMOS_ALLOWED = {"cli.build_parser", "acceptance._ALG_CACHE"}
 
 
 def memoised_functions(trees):
@@ -479,10 +490,36 @@ def memoised_functions(trees):
     return sorted(out)
 
 
+def empty_module_containers(trees):
+    """Every module-level name bound to an empty container: a {} or []
+    literal, or a dict(), list() or set() call without arguments."""
+    out = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets, value = node.targets, node.value
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                targets, value = [node.target], node.value
+            else:
+                continue
+            empty = (isinstance(value, (ast.Dict, ast.List)) and not (
+                         value.keys if isinstance(value, ast.Dict)
+                         else value.elts)
+                     or isinstance(value, ast.Call)
+                     and isinstance(value.func, ast.Name)
+                     and value.func.id in ("dict", "list", "set")
+                     and not value.args and not value.keywords)
+            if empty:
+                out += [f"{module}.{n.id}" for target in targets
+                        for n in ast.walk(target) if isinstance(n, ast.Name)]
+    return sorted(out)
+
+
 def test_no_memo_outlives_a_call():
-    memos = [name for name in memoised_functions(_trees())
-             if name not in MEMOS_ALLOWED]
-    assert not memos, "memoised functions: " + ", ".join(memos)
+    trees = _trees()
+    memos = [name for name in memoised_functions(trees)
+             + empty_module_containers(trees) if name not in MEMOS_ALLOWED]
+    assert not memos, "memos at module level: " + ", ".join(memos)
 
 
 def test_the_memo_scan_flags_each_spelling():
@@ -495,3 +532,16 @@ def test_the_memo_scan_flags_each_spelling():
                             "    def m(self):\n        pass\n\n"
                             "def h():\n    pass\n")}
     assert memoised_functions(trees) == ["a.f", "a.g", "a.m"]
+
+
+def test_the_memo_scan_flags_an_empty_module_level_container():
+    trees = {"a": ast.parse("_SEEN = {}\nQUEUE: list = []\n"
+                            "TAGS = set()\nBOTH = OTHER = dict()\n"
+                            "TABLE = {'x': 1}\nNAMES = ['y']\n"
+                            "LIMIT = 3\nitems = list(range(3))\n\n"
+                            "def f():\n    local = {}\n    return local\n\n"
+                            "class C:\n    registry = []\n")}
+    # only empty containers bound at module level; a local or a class
+    # attribute is no module memo
+    assert empty_module_containers(trees) == [
+        "a.BOTH", "a.OTHER", "a.QUEUE", "a.TAGS", "a._SEEN"]

@@ -399,27 +399,36 @@ def test_commutes_fails_with_one_bit_less_than_the_proof_needs(monkeypatch):
     assert toda.commutes(d1, d2)
 
 
-def test_commutes_hands_a_non_polynomial_coefficient_to_the_commutator(
-        monkeypatch):
+def test_commutes_refuses_a_coefficient_with_a_non_unit_denominator(
+        monkeypatch, capsys):
+    # no Toda Hamiltonian has such a coefficient, and it has no integer
+    # image: integer_image and commutes raise ArithmeticError naming the
+    # denominator, and a toda call stops with exit 1 on it
     rs = rootsys.build_root_system("A", 2)
     system = toda.build_toda_system(algebra("A", 2), (2, -3), (7, 5))
     m1, m2 = system.hamiltonians
     ratio = (qpow(1) + LaurentScalar.from_rational(2)).inverse()
-    calls = []
-    real = toda.commutator
+    message = "the non-unit denominator 1 + 1/2*q, so it has no integer image"
+    with pytest.raises(ArithmeticError, match=re.escape(message)):
+        qarith.integer_image([ONE, ratio])
+    spoiled = (scaled(m1, ratio), m1 + scaled(DifferenceOperator.shift(
+        rs, weight((Fraction(1, 2), 0))), ratio))
+    for d1 in spoiled:
+        with pytest.raises(ArithmeticError, match=re.escape(message)):
+            toda.commutes(d1, m2)
+    assert toda.commutes(m1, m2)
+    real = toda.toda_hamiltonian
 
-    def counted(d1, d2):
-        calls.append((d1, d2))
-        return real(d1, d2)
+    def spoiling(alg, rep_name, factors, covectors):
+        return scaled(real(alg, rep_name, factors, covectors), ratio)
 
-    monkeypatch.setattr(toda, "commutator", counted)
-    # m1 scaled by a non-polynomial scalar still commutes with m2, and a
-    # shift with that coefficient does not commute with the potential
-    assert toda.commutes(scaled(m1, ratio), m2)
-    assert not toda.commutes(m1 + scaled(DifferenceOperator.shift(
-        rs, weight((Fraction(1, 2), 0))), ratio), m2)
-    assert len(calls) == 2
-    assert toda.commutes(m1, m2) and len(calls) == 2
+    monkeypatch.setattr(toda, "toda_hamiltonian", spoiling)
+    assert cli.main(["toda", "--type", "A", "--rank", "2",
+                     "--check-commute"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("qwhit toda: the q-scalar ")
+    assert captured.err.splitlines()[0].endswith(message)
 
 
 def test_the_system_image_agrees_with_the_pairwise_commutator():
@@ -461,7 +470,7 @@ def test_the_system_image_agrees_with_the_pairwise_commutator():
                 * LaurentScalar.from_rational(data.draw(rational))}})
         pairwise = all(not toda.commutator(a, b)
                        for a, b in itertools.combinations(hams, 2))
-        assert toda.hamiltonians_commute(hams) == pairwise
+        assert toda.commutes(*hams) == pairwise
         if spoil == "none":
             assert pairwise
 
@@ -481,9 +490,9 @@ def test_the_system_image_catches_a_single_failing_pair(order):
     fails = [(a, b) for a, b in itertools.combinations(range(3), 2)
              if toda.commutator(ops[a], ops[b])]
     assert len(fails) == 1
-    assert not toda.hamiltonians_commute(ops)
-    assert toda.hamiltonians_commute([ops[k] for k in range(3)
-                                      if k not in fails[0][:1]])
+    assert not toda.commutes(*ops)
+    assert toda.commutes(*[ops[k] for k in range(3)
+                           if k not in fails[0][:1]])
 
 
 def test_sum_codes_add_up_to_a_code_of_the_sum():
@@ -505,7 +514,6 @@ def test_sum_codes_add_up_to_a_code_of_the_sum():
 def test_a_single_hamiltonian_commutes():
     system = toda.build_toda_system(algebra("A", 1), (Fraction(2, 3),), (-5,))
     assert len(system.hamiltonians) == 1
-    assert toda.hamiltonians_commute(system.hamiltonians)
     assert toda.commutes(*system.hamiltonians)
     assert toda.commutes()
 
@@ -530,7 +538,7 @@ def test_the_system_image_takes_k_from_its_largest_pair_bound(monkeypatch):
         return real(bound)
 
     monkeypatch.setattr(qarith, "kronecker_bits", recorded)
-    assert not toda.hamiltonians_commute((d1, one, d2))
+    assert not toda.commutes(d1, one, d2)
     assert bounds == [2 * (2 ** k + 1)]
 
 
@@ -609,11 +617,19 @@ def test_phi_conjugate_examples():
 # the Hamiltonians
 
 
+def _hamiltonian(alg, rep_name, chi, chibar):
+    """``toda.toda_hamiltonian`` of one module, with the simple-root factors
+    of the two characters built for it alone."""
+    return toda.toda_hamiltonian(alg, rep_name,
+                                 toda._simple_factors(alg, chi, chibar),
+                                 rootsys.Covectors(alg.rs))
+
+
 def test_a1_hamiltonian_golden_form():
     alg = algebra("A", 1)
     chi = uqalg.character("e", (1,))
     chibar = uqalg.character("f", (1,))
-    m1 = toda.toda_hamiltonian(alg, "V1", chi, chibar, rootsys.Covectors(alg.rs))
+    m1 = _hamiltonian(alg, "V1", chi, chibar)
     rs = alg.rs
     sq = (qpow(1) - qpow(-1)) * (qpow(1) - qpow(-1))
     want = (
@@ -639,7 +655,7 @@ def test_a_surviving_non_simple_factor_raises_naming_its_root(monkeypatch):
     chi = uqalg.character("e", (2, -3, 5))
     chibar = uqalg.character("f", (1, 7, -1))
     with pytest.raises(RuntimeError) as info:
-        toda.toda_hamiltonian(alg, "V1", chi, chibar, rootsys.Covectors(alg.rs))
+        _hamiltonian(alg, "V1", chi, chibar)
     message = str(info.value)
     beta = next(b for b in alg.ordering.ordering if sum(b) == 2)
     assert f"non-simple root {beta} " in message
@@ -701,7 +717,7 @@ def test_pipeline_matches_closed_form(rank, chi_vals, chibar_vals):
     alg = algebra("A", rank)
     chi = uqalg.character("e", chi_vals)
     chibar = uqalg.character("f", chibar_vals)
-    m1 = toda.toda_hamiltonian(alg, "V1", chi, chibar, rootsys.Covectors(alg.rs))
+    m1 = _hamiltonian(alg, "V1", chi, chibar)
     assert m1 == toda.closed_form_M1(alg, chi.values, chibar.values)
 
 
@@ -727,7 +743,7 @@ def test_the_one_pass_lowering_is_the_q_exponential_pipeline(rank, orderings):
         chi = uqalg.character("e", _drawn_rationals(rng, rank))
         chibar = uqalg.character("f", _drawn_rationals(rng, rank))
         for k in range(1, rank + 1):
-            ham = toda.toda_hamiltonian(alg, f"V{k}", chi, chibar, rootsys.Covectors(alg.rs))
+            ham = _hamiltonian(alg, f"V{k}", chi, chibar)
             assert ham == toda_hamiltonian_by_q_exp(
                 alg, f"V{k}", chi, chibar), (pi, k)
             assert ham == closed_form(rs, k, chi.values, chibar.values), (
@@ -759,10 +775,10 @@ def test_a_ladder_with_a_chain_of_length_two_raises(monkeypatch, side, i):
     alg = algebra("A", 3)
     chi = uqalg.character("e", (2, -3, 5))
     chibar = uqalg.character("f", (1, 7, -1))
-    assert toda.toda_hamiltonian(alg, "V1", chi, chibar, rootsys.Covectors(alg.rs))
+    assert _hamiltonian(alg, "V1", chi, chibar)
     message = rf"^V2: pi\({side}_{i}\) has a chain of length 2"
     with pytest.raises(RuntimeError, match=message):
-        toda.toda_hamiltonian(alg, "V2", chi, chibar, rootsys.Covectors(alg.rs))
+        _hamiltonian(alg, "V2", chi, chibar)
 
 
 def test_a_chained_ladder_exits_1_through_the_cli(monkeypatch, capsys):
@@ -872,7 +888,7 @@ def test_the_toda_path_hashes_no_fraction(monkeypatch):
 
     monkeypatch.setattr(Fraction, "__hash__", counted)
     system = toda.build_toda_system(alg, (2, -3, 5), (1, 7, -1))
-    commute = toda.hamiltonians_commute(system.hamiltonians)
+    commute = toda.commutes(*system.hamiltonians)
     monkeypatch.undo()
     assert commute
     assert calls == []
@@ -886,9 +902,9 @@ def test_the_toda_path_completes_no_serre_rule(rank):
     alg = uqalg.Algebra(rootsys.coxeter_context(rs))
     system = toda.build_toda_system(alg, (2, -3, 5)[:rank], (1, 7, -1)[:rank])
     assert toda.closed_form_holds(system)
-    assert toda.hamiltonians_commute(system.hamiltonians)
+    assert toda.commutes(*system.hamiltonians)
     assert alg.rules == []
-    assert alg._steps == 0
+    assert not hasattr(alg, "_steps")
 
 
 def test_hamiltonians_commute_generic_characters():
@@ -960,8 +976,9 @@ def test_simple_root_legs_are_the_module_f_legs():
 
 
 def test_the_shared_legs_are_built_once_per_system(monkeypatch):
-    # an A3 system lowers 3 chibar legs, not one per module and root, and
-    # a second pair of characters builds its own
+    # an A3 system lowers 3 chibar legs, one per simple root and not one per
+    # module and root, and every system, even one with the same characters,
+    # lowers its own
     alg = uqalg.Algebra(rootsys.coxeter_context(
         rootsys.build_root_system("A", 3)))
     lowered = []
@@ -975,21 +992,30 @@ def test_the_shared_legs_are_built_once_per_system(monkeypatch):
     system = toda.build_toda_system(alg, (2, -1, 3), (1, 5, -3))
     assert len(lowered) == 3
     again = toda.build_toda_system(alg, (2, -1, 3), (1, 5, -3))
-    assert len(lowered) == 3 and again.hamiltonians == system.hamiltonians
+    assert len(lowered) == 6 and again.hamiltonians == system.hamiltonians
     other = toda.build_toda_system(alg, (1, 1, 1), (1, 5, -3))
-    assert len(lowered) == 6 and other.hamiltonians != system.hamiltonians
+    assert len(lowered) == 9 and other.hamiltonians != system.hamiltonians
+
+
+# What the PBW engine keeps on a pbw.PBWAlgebra and not on the datum.
+_ENGINE_TABLES = ("_steps", "_budget", "_reduce_cache", "_etf_cache",
+                  "_root_vector_cache", "_scale_cache", "_pending", "_degree",
+                  "letter_rank", "zero_weight")
 
 
 @pytest.mark.parametrize("pi", [(1, 2, 3), (2, 3, 1), (3, 1, 2)])
 def test_the_toda_system_does_no_pbw_work(pi):
-    # no root vector is built, no scale derived, no word reduced
+    # no root vector is built, no scale derived, no word reduced: the datum
+    # has none of the engine's tables, and no rule
     rs = rootsys.build_root_system("A", 3)
-    alg = uqalg.Algebra(rootsys.coxeter_context(rs, pi))
+    ctx = rootsys.coxeter_context(rs, pi)
+    alg = uqalg.Algebra(ctx)
     system = toda.build_toda_system(alg, (2, -1, Fraction(1, 3)), (1, 5, -3))
-    assert toda.hamiltonians_commute(system.hamiltonians)
-    assert not (alg._scale_cache or alg._root_vector_cache
-                or alg._etf_cache or alg._reduce_cache or alg.rules)
-    assert alg._steps == 0
+    assert toda.commutes(*system.hamiltonians)
+    assert [name for name in _ENGINE_TABLES if hasattr(alg, name)] == []
+    assert alg.rules == []
+    engine = pbw.PBWAlgebra(ctx)
+    assert all(hasattr(engine, name) for name in _ENGINE_TABLES)
 
 
 def test_a_toda_call_computes_each_covector_once(monkeypatch):

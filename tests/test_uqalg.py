@@ -13,7 +13,7 @@ from oracles import (casimir_by_q_exp, dense, dense_add, dense_mul,
                      ladder_rows, module_f_leg, q_binom, q_exp_base,
                      q_exp_nilpotent, r_in_rep_by_q_exp, r_matrix_vv_by_q_exp,
                      times_q_exp, weight_coords)
-from test_toda import _chained_modules
+from test_toda import _chained_modules, _hamiltonian
 from qwhit import cli, pbw, qarith, ratmat, rootsys, toda, uqalg
 from qwhit.qarith import EXP_UNIT, ONE, ZERO, LaurentScalar, qpow
 
@@ -383,7 +383,7 @@ def test_a_toda_call_builds_no_completion_queue(monkeypatch, capsys):
                      "--check-commute"]) == 0
     capsys.readouterr()
     (alg,) = built
-    assert alg._pending is None
+    assert type(alg) is uqalg.Algebra and not hasattr(alg, "_pending")
     assert alg.rules == []
 
 
@@ -1208,7 +1208,7 @@ def oracle_whittaker_generator(alg, rep, chi):
         chi_u = dense_mul(chi_u, dense(factor, rep.dim, ZERO), ZERO)
     r21 = dense(r_in_rep_by_q_exp(alg, rep, flipped=True), rep.dim,
                 alg.zero())
-    lams = uqalg.cartan_weights(alg, rep, 1)
+    lams = uqalg.cartan_weights(alg, rep)[1]
     two_rho = tuple(2 * x for x in weight_coords(alg.rs.rho))
     out = alg.zero()
     for j in range(rep.dim):
@@ -1287,10 +1287,11 @@ def test_whittaker_generator_refuses_an_f_side_character():
     rep = uqalg.rep_matrices(alg, "V1")
     chi = uqalg.character("e", (2, -3))
     chibar = uqalg.character("f", (2, -3))
+    # the Toda factors check the two sides, once per system
     with pytest.raises(ValueError, match="e-side character"):
-        toda.toda_hamiltonian(alg, "V1", chibar, chibar, rootsys.Covectors(alg.rs))
+        toda._simple_factors(alg, chibar, chibar)
     with pytest.raises(ValueError, match="f-side character"):
-        toda.toda_hamiltonian(alg, "V1", chi, chi, rootsys.Covectors(alg.rs))
+        toda._simple_factors(alg, chi, chi)
     with pytest.raises(ValueError, match="e-side character"):
         uqalg.rho_chi(uqalg.casimir_CV(alg, rep), chibar)
 
@@ -1339,7 +1340,7 @@ def _assert_toda_matches_the_oracle(alg, chi, chibar):
         rep = uqalg.rep_matrices(alg, name)
         want = toda.phi_conjugate(toda.lower_rep(
             alg.rs, oracle_whittaker_generator(alg, rep, chi).terms, chibar))
-        assert toda.toda_hamiltonian(alg, name, chi, chibar, rootsys.Covectors(alg.rs)) == want, name
+        assert _hamiltonian(alg, name, chi, chibar) == want, name
 
 
 @pytest.mark.parametrize("pi", ORACLE_ORDERINGS,
