@@ -325,13 +325,12 @@ def criterion_7(seed):
     systems = {rank: toda.build_toda_system(_algebra("A", rank), (1,) * rank,
                                             (1,) * rank)
                for rank in (1, 2, 3)}
-    detail = {}
-    for rank in (1, 2):
-        detail[f"closed_form_A{rank}"] = toda.closed_form_holds(
-            systems[rank])
-    for rank in (2, 3):
-        detail[f"commute_A{rank}"] = toda.commutes(
-            *systems[rank].hamiltonians)
+    detail = {f"closed_form_A{rank}": toda.closed_form_holds(systems[rank])
+              for rank in (1, 2)}
+    # A2 both ways, so the gate holds the integer image to the commutator
+    a2 = systems[2].hamiltonians
+    detail["commute_A2"] = toda.commutes(*a2) and not toda.commutator(*a2)
+    detail["commute_A3"] = toda.commutes(*systems[3].hamiltonians)
     detail["quasiclassical_A1"] = quasiclassical_potential_check(
         systems[1])["ok"]
     return _report(7, "toda-hamiltonians", all(detail.values()), **detail)

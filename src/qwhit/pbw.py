@@ -552,8 +552,9 @@ def _r_in_rep(alg, rep, flipped):
     (``uqalg.times_one_plus``).  The factor for beta pairs e_beta with
     K_{T beta} f_beta, scaled by (q - q^{-1})/a(beta); the flip puts
     K_{T beta} f_beta in the algebra leg."""
+    weights = uqalg.cartan_weights(alg, rep)
     out = {k: {k: alg.k(lam)} for k, lam in
-           enumerate(uqalg.cartan_weights(alg, rep)[0 if flipped else 1])}
+           enumerate(weights.r21 if flipped else weights.r)}
     side = "e" if flipped else "f"
     for beta in alg.ordering.ordering:
         scale, t_beta = _root_constants(alg, rep, beta)

@@ -280,13 +280,16 @@ def rep_matrices(alg, name, covectors=None):
 # R-matrix factors
 
 
+CartanWeights = namedtuple("CartanWeights", ("r21", "r"))
+
+
 def cartan_weights(alg, rep):
     """The weights of the Cartan factors at the basis vectors, from one
-    Cayley transform T mu of each basis weight mu: the list of mu - T mu,
-    in R_21, and the list of mu + T mu, in (id x pi_V) R."""
+    Cayley transform T mu of each basis weight mu: r21, the list of
+    mu - T mu in R_21, and r, the list of mu + T mu in (id x pi_V) R."""
     pairs = [(mu, alg.ctx.cayley_apply(mu)) for mu in rep.weights]
-    return ([tuple(map(sub, mu, t)) for mu, t in pairs],
-            [tuple(map(add, mu, t)) for mu, t in pairs])
+    return CartanWeights([tuple(map(sub, mu, t)) for mu, t in pairs],
+                         [tuple(map(add, mu, t)) for mu, t in pairs])
 
 
 def times_one_plus(rows, x, what):

@@ -231,8 +231,9 @@ def r_in_rep_by_q_exp(alg, rep, flipped):
     """``pbw._r_in_rep`` as it was before each factor became 1 + x: the
     Cartan diagonal, with each root's factor multiplied in by
     ``times_q_exp`` with its base q^{-(beta, beta)}."""
+    weights = uqalg.cartan_weights(alg, rep)
     out = {k: {k: alg.k(lam)} for k, lam in
-           enumerate(uqalg.cartan_weights(alg, rep)[0 if flipped else 1])}
+           enumerate(weights.r21 if flipped else weights.r)}
     for beta in alg.ordering.ordering:
         scale, t_beta = pbw._root_constants(alg, rep, beta)
         e_beta = pbw.root_vector(alg, beta, "+")
@@ -252,7 +253,7 @@ def r_matrix_vv_by_q_exp(alg, rep):
     of ``pbw._r_in_rep``: the Cartan diagonal q^{(mu, lam)} on V x V,
     with each root's factor multiplied in by ``times_q_exp`` on the
     Kronecker product of its two legs."""
-    lams = uqalg.cartan_weights(alg, rep)[1]
+    lams = uqalg.cartan_weights(alg, rep).r
     d = rep.dim
     out = {p: {p: ONE.times_q(pair_weights(alg.rs, mu, lam))}
            for p, (mu, lam) in enumerate(itertools.product(rep.weights, lams))}
@@ -318,7 +319,7 @@ def toda_hamiltonian_by_q_exp(alg, rep_name, chi, chibar):
     rs = alg.rs
     rep = uqalg.rep_matrices(alg, rep_name)
     r21 = {k: {k: DifferenceOperator.shift(rs, lam)}
-           for k, lam in enumerate(uqalg.cartan_weights(alg, rep)[0])}
+           for k, lam in enumerate(uqalg.cartan_weights(alg, rep).r21)}
     chi_u = {k: {k: ONE} for k in range(rep.dim)}
     for beta in alg.ordering.ordering:
         if sum(beta) != 1:
@@ -335,7 +336,7 @@ def toda_hamiltonian_by_q_exp(alg, rep_name, chi, chibar):
         r21 = times_q_exp(r21, {
             r: {c: scaled(f_leg, x) for c, x in row.items()}
             for r, row in ladder_rows(rep.e_mats[i]).items()}, rep.dim, base)
-    lams = uqalg.cartan_weights(alg, rep)[1]
+    lams = uqalg.cartan_weights(alg, rep).r
     two_rho = tuple(2 * x for x in rs.rho)
     out = DifferenceOperator(rs)
     for j, row in r21.items():

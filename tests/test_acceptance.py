@@ -106,6 +106,16 @@ def test_criterion_07_builds_each_hamiltonian_once(monkeypatch):
                              (3, "V2"), (3, "V3")]
 
 
+def test_criterion_07_holds_the_integer_image_to_the_commutator(monkeypatch):
+    # commute_A2 needs both verdicts: a nonzero commutator fails it where
+    # the integer image says the pair commutes; A3 reads the image alone
+    real = toda.commutator
+    monkeypatch.setattr(toda, "commutator", lambda d1, d2: d1 + real(d1, d2))
+    report = acceptance.criterion_7(SEED)
+    assert report["commute_A3"] and not report["commute_A2"]
+    assert not report["passed"]
+
+
 def test_toda_and_whittaker_checks_can_fail():
     alg = acceptance._algebra("A", 2)
     system = toda.build_toda_system(alg, (1, 1), (1, 1))

@@ -1,9 +1,7 @@
 """Every public name in the package is used by the package.
 
 A public function, class, constant or method that only the tests call is
-API kept alive for its own tests; the exceptions are the functions
-``UNENTERED_ALLOWED`` keeps, with their reasons, for the tests and the
-benchmark.  A module-level name counts as used when
+API kept alive for its own tests.  A module-level name counts as used when
 some module of the package imports it with ``from .mod import name``, reads
 it as ``mod.name``, or its defining module reads it as a bare global name (a
 parameter or local variable of the same name does not count, nor does a
@@ -284,10 +282,7 @@ def test_the_option_scan_flags_a_default_no_call_sets():
 
 
 def test_every_public_name_is_used_by_the_package():
-    # a function UNENTERED_ALLOWED keeps, with its reason, for the tests and
-    # the benchmark alone is the one kind of name no module may use
-    unused = [name for name in unreferenced_public_names(_trees())
-              if name not in UNENTERED_ALLOWED]
+    unused = unreferenced_public_names(_trees())
     assert not unused, ("public names no module of the package uses: "
                         + ", ".join(unused))
 
@@ -416,10 +411,6 @@ json.dump({"codes": codes, "entered": sorted(entered)}, sys.stdout)
 
 # Functions the README examples do not enter, each kept for its reason.
 UNENTERED_ALLOWED = {
-    # the tests' reference for commutes, which decides every system on its
-    # integer image, so no package path calls it; perfbench wraps it as its
-    # toda.commutator_s span
-    "toda.commutator",
     # d1 * d2 - d2 * d1 is the tests' reference for commutator
     "toda.DifferenceOperator.__neg__",
     "toda.DifferenceOperator.__sub__",

@@ -1208,7 +1208,7 @@ def oracle_whittaker_generator(alg, rep, chi):
         chi_u = dense_mul(chi_u, dense(factor, rep.dim, ZERO), ZERO)
     r21 = dense(r_in_rep_by_q_exp(alg, rep, flipped=True), rep.dim,
                 alg.zero())
-    lams = uqalg.cartan_weights(alg, rep)[1]
+    lams = uqalg.cartan_weights(alg, rep).r
     two_rho = tuple(2 * x for x in weight_coords(alg.rs.rho))
     out = alg.zero()
     for j in range(rep.dim):
